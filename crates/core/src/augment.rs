@@ -65,15 +65,15 @@ pub struct AugmentedView {
 }
 
 impl AugmentedView {
-    /// A same-structure stand-in at a different batch size: zero signal,
+    /// This view as a recording at batch size `b`, like
+    /// [`Tensor::at_batch`]: the view itself when its batch already is
+    /// `b`, otherwise a same-structure stand-in with a zero signal and
     /// identical supports. The trainer's batch-polymorphic plan compile
     /// records the step graph a second time at `batch0 + 1` over these —
     /// only the shapes matter there; the compiler discards the values.
-    pub fn shape_proxy(&self, batch: usize) -> AugmentedView {
-        let mut shape = self.x.shape().to_vec();
-        shape[0] = batch;
+    pub fn at_batch(&self, b: usize) -> AugmentedView {
         AugmentedView {
-            x: Tensor::zeros(&shape),
+            x: self.x.at_batch(b),
             supports: self.supports.clone(),
         }
     }

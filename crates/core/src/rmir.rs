@@ -12,7 +12,7 @@ use crate::replay::ReplayBuffer;
 use urcl_models::Backbone;
 use urcl_stdata::Batch;
 use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::{plan_enabled, ExecPlan, ParamStore, PlanSpec, PolySpec, Tensor};
+use urcl_tensor::{ExecPlan, ParamStore, Recording, Tensor};
 
 /// Running statistics of RMIR selection over a training run. The trainer
 /// accumulates these; they are part of the v2 full-pipeline checkpoint so
@@ -58,83 +58,30 @@ impl RmirPlans {
 }
 
 /// Records `MAE(f_θ(x), y)` — RMIR's virtual-update loss — and compiles
-/// it batch-polymorphic (second recording at `b + 1`).
+/// it batch-polymorphic.
 fn compile_virt_plan(backbone: &dyn Backbone, store: &ParamStore, batch: &Batch) -> ExecPlan {
     let _compile_sp = urcl_trace::span("plan_compile");
-    let record = |x: &Tensor, y: &Tensor| {
+    ExecPlan::compile_poly(batch.x.shape()[0], |b| {
         let tape = Tape::new();
-        let (root, inputs, binds);
-        {
+        let (root, inputs, bindings) = {
             let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
+            let xv = sess.input(batch.x.at_batch(b));
+            let yv = sess.input(batch.y.at_batch(b));
             let loss = backbone.forward(&mut sess, xv).sub(yv).abs().mean_all();
-            root = loss.index();
-            inputs = vec![xv.index(), yv.index()];
-            binds = sess.into_bindings();
-        }
-        (tape, root, inputs, binds)
-    };
-    let (tape0, root, inputs, binds) = record(&batch.x, &batch.y);
-    let b0 = batch.x.shape()[0];
-    let mut xs = batch.x.shape().to_vec();
-    let mut ys = batch.y.shape().to_vec();
-    xs[0] = b0 + 1;
-    ys[0] = b0 + 1;
-    let (tape1, _, _, _) = record(&Tensor::zeros(&xs), &Tensor::zeros(&ys));
-    ExecPlan::compile(
-        &tape0,
-        &PlanSpec {
+            (
+                loss.index(),
+                vec![xv.index(), yv.index()],
+                sess.into_bindings(),
+            )
+        };
+        Recording {
+            tape,
             root: Some(root),
-            inputs: &inputs,
-            outputs: &[],
-            bindings: &binds,
-            poly: Some(PolySpec {
-                tape: &tape1,
-                batch0: b0,
-                batch1: b0 + 1,
-            }),
-        },
-    )
-}
-
-/// Records the forward pass alone and compiles it batch-polymorphic; the
-/// per-sample MAE reduction happens off-tape on the predictions, exactly
-/// as in the interpreter path of [`per_sample_mae`].
-fn compile_score_plan(backbone: &dyn Backbone, store: &ParamStore, x0: &Tensor) -> ExecPlan {
-    let _compile_sp = urcl_trace::span("plan_compile");
-    let record = |x: &Tensor| {
-        let tape = Tape::new();
-        let (inputs, outputs, binds);
-        {
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let pred = backbone.forward(&mut sess, xv);
-            inputs = vec![xv.index()];
-            outputs = vec![pred.index()];
-            binds = sess.into_bindings();
+            inputs,
+            outputs: Vec::new(),
+            bindings,
         }
-        (tape, inputs, outputs, binds)
-    };
-    let (tape0, inputs, outputs, binds) = record(x0);
-    let b0 = x0.shape()[0];
-    let mut xs = x0.shape().to_vec();
-    xs[0] = b0 + 1;
-    let (tape1, _, _, _) = record(&Tensor::zeros(&xs));
-    ExecPlan::compile(
-        &tape0,
-        &PlanSpec {
-            root: None,
-            inputs: &inputs,
-            outputs: &outputs,
-            bindings: &binds,
-            poly: Some(PolySpec {
-                tape: &tape1,
-                batch0: b0,
-                batch1: b0 + 1,
-            }),
-        },
-    )
+    })
 }
 
 /// Selects `select` buffer indices for replay.
@@ -167,35 +114,23 @@ pub fn rmir_sample(
     let select = select.min(pool.len());
     let candidates = candidates.clamp(select, pool.len());
 
-    // Virtual update: θᵛ = θ − α ∇_θ L(f_θ(current)) (Eq. 3). On the plan
-    // engine this replays the dedicated (batch-polymorphic) virtual-update
-    // plan against the cloned parameters; both engines run the identical
-    // recorded graph, so the update is bitwise-identical either way.
+    // Virtual update: θᵛ = θ − α ∇_θ L(f_θ(current)) (Eq. 3), replaying
+    // the dedicated (batch-polymorphic) virtual-update plan against the
+    // cloned parameters.
     let mut virtual_store = store.clone();
     virtual_store.zero_grads();
     {
         let _sp = urcl_trace::span("virtual_update");
-        if plan_enabled() {
-            let stale = plans
-                .virt
-                .as_ref()
-                .is_none_or(|p| !p.accepts(&[&current.x, &current.y]));
-            if stale {
-                plans.virt = Some(compile_virt_plan(backbone, store, current));
-            }
-            let plan = plans.virt.as_ref().expect("virt plan compiled above");
-            let (_loss, grads) = plan.run_training(&virtual_store, &[&current.x, &current.y]);
-            virtual_store.accumulate_grads(plan.bindings(), &grads);
-        } else {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, &virtual_store);
-            let x = sess.input(current.x.clone());
-            let y = sess.input(current.y.clone());
-            let loss = backbone.forward(&mut sess, x).sub(y).abs().mean_all();
-            let grads = tape.backward(loss);
-            let binds = sess.into_bindings();
-            virtual_store.accumulate_grads(&binds, &grads);
+        let stale = plans
+            .virt
+            .as_ref()
+            .is_none_or(|p| !p.accepts(&[&current.x, &current.y]));
+        if stale {
+            plans.virt = Some(compile_virt_plan(backbone, store, current));
         }
+        let plan = plans.virt.as_ref().expect("virt plan compiled above");
+        let (_loss, grads) = plan.run_training(&virtual_store, &[&current.x, &current.y]);
+        virtual_store.accumulate_grads(plan.bindings(), &grads);
         virtual_store.sgd_step(lr);
     }
     urcl_trace::counter_inc("rmir.virtual_updates");
@@ -203,18 +138,17 @@ pub fn rmir_sample(
     // Interference: per-sample loss increase under θᵛ over the pool. One
     // forward-only plan scores both parameter sets.
     let pool_batch = buffer.gather(pool);
-    if plan_enabled() {
-        let stale = plans
-            .score
-            .as_ref()
-            .is_none_or(|p| !p.accepts(&[&pool_batch.x]));
-        if stale {
-            plans.score = Some(compile_score_plan(backbone, store, &pool_batch.x));
-        }
+    let stale = plans
+        .score
+        .as_ref()
+        .is_none_or(|p| !p.accepts(&[&pool_batch.x]));
+    if stale {
+        let _compile_sp = urcl_trace::span("plan_compile");
+        plans.score = Some(backbone.compile_forward(store, &pool_batch.x));
     }
-    let score = if plan_enabled() { plans.score.as_ref() } else { None };
-    let loss_before = per_sample_mae(backbone, store, &pool_batch, score);
-    let loss_after = per_sample_mae(backbone, &virtual_store, &pool_batch, score);
+    let score = plans.score.as_ref().expect("score plan compiled above");
+    let loss_before = per_sample_mae(store, &pool_batch, score);
+    let loss_after = per_sample_mae(&virtual_store, &pool_batch, score);
     let mut by_interference: Vec<(usize, f32)> = loss_before
         .iter()
         .zip(&loss_after)
@@ -243,23 +177,10 @@ pub fn rmir_sample(
 }
 
 /// Per-sample MAE of a batch under the given parameters: `[B]` values.
-/// With a compiled scoring plan the forward pass replays it (bitwise
-/// identical to the interpreter); the reduction is off-tape either way.
-fn per_sample_mae(
-    backbone: &dyn Backbone,
-    store: &ParamStore,
-    batch: &Batch,
-    plan: Option<&ExecPlan>,
-) -> Vec<f32> {
-    let pred = match plan {
-        Some(p) => p.run_forward(store, &[&batch.x]).remove(0), // [B, H, N]
-        None => {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = sess.input(batch.x.clone());
-            backbone.forward(&mut sess, x).value() // [B, H, N]
-        }
-    };
+/// The forward pass replays the compiled scoring plan; the reduction is
+/// off-tape.
+fn per_sample_mae(store: &ParamStore, batch: &Batch, plan: &ExecPlan) -> Vec<f32> {
+    let pred = plan.run_forward(store, &[&batch.x]).remove(0); // [B, H, N]
     let diff = pred.sub(&batch.y).map(f32::abs);
     let per: Tensor = diff.sum_axes(&[1, 2], false);
     let denom = (batch.y.len() / batch.len()) as f32;
@@ -366,7 +287,8 @@ mod tests {
     fn per_sample_losses_match_batch_mean() {
         let (store, model, buffer, _, _) = setup();
         let all = buffer.as_batch().unwrap();
-        let per = per_sample_mae(&model, &store, &all, None);
+        let plan = model.compile_forward(&store, &all.x);
+        let per = per_sample_mae(&store, &all, &plan);
         assert_eq!(per.len(), buffer.len());
         // Mean of per-sample MAEs equals the batch MAE.
         let tape = Tape::new();

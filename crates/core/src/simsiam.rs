@@ -99,7 +99,7 @@ impl StSimSiam {
     /// …), and the batch-size constants register as `ssl.eye` /
     /// `ssl.off_mask`. The trainer promotes these slots to plan inputs and
     /// rebinds fresh supports and masks at replay, so one compiled plan
-    /// serves every draw instead of falling back to the interpreter.
+    /// serves every draw instead of recompiling per draw.
     pub fn loss_from_vars<'t>(
         &self,
         sess: &mut Session<'t, '_>,

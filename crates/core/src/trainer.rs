@@ -25,8 +25,8 @@ use urcl_models::Backbone;
 use urcl_stdata::{stack_samples, ContinualSplit, DatasetConfig, Sample};
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
-    note_plan_cache_entries, note_plan_cache_eviction, plan_enabled, trim_excess, Adam, AdamState,
-    ExecPlan, Optimizer, ParamStore, PlanSpec, PolySpec, Rng, Tensor,
+    note_plan_cache_entries, note_plan_cache_eviction, trim_excess, Adam, AdamState, ExecPlan,
+    Optimizer, ParamStore, Recording, Rng, Tensor,
 };
 
 /// Training strategy for streaming data (Section V-B1).
@@ -416,13 +416,23 @@ const PLAN_CACHE_CAP: usize = 8;
 /// buffers into the pool, and the quiesce-point trim bounds that residue.
 const POOL_TRIM_BUDGET: usize = 4 << 20;
 
-/// A recorded step graph plus everything a plan compile needs from it.
+/// A recorded step graph plus how many per-view support slots it
+/// promoted.
 struct RecordedStep {
-    tape: Tape,
-    inputs: Vec<usize>,
-    bindings: Vec<(urcl_tensor::ParamId, usize)>,
-    root: usize,
+    recording: Recording,
     view_slots: usize,
+}
+
+/// Activity of the trainer's step-plan cache over its lifetime. Owned by
+/// the trainer, so it counts this cache only — unlike the process-wide
+/// `urcl_tensor::plan_stats` trace aggregates, which every plan compile
+/// in the process feeds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Step plans compiled into the cache.
+    pub compiles: u64,
+    /// Step plans evicted by the cache bound.
+    pub evictions: u64,
 }
 
 /// Drives a backbone through the streaming protocol.
@@ -445,6 +455,8 @@ pub struct ContinualTrainer {
     masks: Vec<(usize, (Tensor, Tensor))>,
     /// RMIR's dedicated virtual-update/scoring plans (see `rmir.rs`).
     rmir_plans: RmirPlans,
+    /// Compile and eviction counts of `plans`.
+    plan_cache_stats: PlanCacheStats,
 }
 
 impl ContinualTrainer {
@@ -464,6 +476,7 @@ impl ContinualTrainer {
             plans: Vec::new(),
             masks: Vec::new(),
             rmir_plans: RmirPlans::default(),
+            plan_cache_stats: PlanCacheStats::default(),
         }
     }
 
@@ -480,6 +493,12 @@ impl ContinualTrainer {
     /// Cumulative RMIR selection statistics for this trainer.
     pub fn rmir_stats(&self) -> RmirStats {
         self.rmir_stats
+    }
+
+    /// Compile and eviction counts of this trainer's step-plan cache since
+    /// construction.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plan_cache_stats
     }
 
     /// Optimisation steps taken in the current (possibly paused) run.
@@ -805,11 +824,9 @@ impl ContinualTrainer {
     /// optional SSL term (Eq. 29), optional EWC penalty — onto `sess`'s
     /// tape and returns the scalar total.
     ///
-    /// Both execution engines call this: the interpreter re-records it
-    /// every step, the plan compiler records it once per [`PlanKey`].
-    /// A single recording function guarantees the engines see the
-    /// *identical* graph, which is what makes `URCL_PLAN=0` — and a
-    /// mixed plan/interpreter crash-resume — bitwise reproducible.
+    /// The one definition of the step graph: plan compiles record it once
+    /// per [`PlanKey`], and the batch-of-1 SSL step records it every step
+    /// and differentiates it with `Tape::backward`.
     fn record_loss<'t>(
         &self,
         backbone: &dyn Backbone,
@@ -893,19 +910,21 @@ impl ContinualTrainer {
             bindings = sess.into_bindings();
         }
         RecordedStep {
-            tape,
-            inputs,
-            bindings,
-            root,
+            recording: Recording {
+                tape,
+                root: Some(root),
+                inputs,
+                outputs: Vec::new(),
+                bindings,
+            },
             view_slots,
         }
     }
 
     /// Compiles a batch-polymorphic training plan for this step graph:
-    /// the step is recorded twice (at `b` and, over zero-filled shape
-    /// proxies, at `b + 1`) and the compiler abstracts the batch dim from
-    /// the pair. Falls back to a mono plan automatically when the graph
-    /// is not batch-affine.
+    /// the step is recorded at `b` and, over zero-filled shape proxies, at
+    /// `b + 1` (see [`ExecPlan::compile_poly`]). Falls back to a mono plan
+    /// automatically when the graph is not batch-affine.
     fn compile_step_plan(
         &self,
         backbone: &dyn Backbone,
@@ -916,36 +935,24 @@ impl ContinualTrainer {
         views: Option<&(AugmentedView, AugmentedView)>,
     ) -> (ExecPlan, usize) {
         let _compile_sp = urcl_trace::span("plan_compile");
-        let rec0 = self.record_step(backbone, simsiam, store, x, y, views.map(|(a, b)| (a, b)));
         let b0 = x.shape()[0];
-        let mut xs = x.shape().to_vec();
-        let mut ys = y.shape().to_vec();
-        xs[0] = b0 + 1;
-        ys[0] = b0 + 1;
-        let proxies = views.map(|(v1, v2)| (v1.shape_proxy(b0 + 1), v2.shape_proxy(b0 + 1)));
-        let rec1 = self.record_step(
-            backbone,
-            simsiam,
-            store,
-            &Tensor::zeros(&xs),
-            &Tensor::zeros(&ys),
-            proxies.as_ref().map(|(a, b)| (a, b)),
-        );
-        let plan = ExecPlan::compile(
-            &rec0.tape,
-            &PlanSpec {
-                root: Some(rec0.root),
-                inputs: &rec0.inputs,
-                outputs: &[],
-                bindings: &rec0.bindings,
-                poly: Some(PolySpec {
-                    tape: &rec1.tape,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
-        (plan, rec0.view_slots)
+        let mut view_slots = 0;
+        let plan = ExecPlan::compile_poly(b0, |b| {
+            let views = views.map(|(v1, v2)| (v1.at_batch(b), v2.at_batch(b)));
+            let rec = self.record_step(
+                backbone,
+                simsiam,
+                store,
+                &x.at_batch(b),
+                &y.at_batch(b),
+                views.as_ref().map(|(v1, v2)| (v1, v2)),
+            );
+            if b == b0 {
+                view_slots = rec.view_slots;
+            }
+            rec.recording
+        });
+        (plan, view_slots)
     }
 
     /// One optimisation step on a chunk of training windows.
@@ -1030,22 +1037,20 @@ impl ContinualTrainer {
 
         // --- Forward, L_all = L_task + L_ssl (Eq. 29), backward. ---
         //
-        // Two bitwise-identical engines run this graph. The compiled
-        // `ExecPlan` path is the default: plans are batch-polymorphic and
-        // bind everything the augmentation randomizes — view signals,
-        // perturbed supports, contrastive masks — through promoted input
-        // slots, so the paper-default step (SSL + STA on) replays one
-        // plan per architecture×config across every draw and batch size.
-        // The interpreter runs under `URCL_PLAN=0` and for the one
-        // structurally different graph: the single-sample SSL loss has no
-        // negatives (no `off_mask` branch), so SSL steps at batch 1
-        // re-record. One-shot forecasting (`pipeline.rs`) always
-        // interprets: its graphs run once each.
+        // The step replays a compiled `ExecPlan`: plans are
+        // batch-polymorphic and bind everything the augmentation
+        // randomizes — view signals, perturbed supports, contrastive
+        // masks — through promoted input slots, so the paper-default step
+        // (SSL + STA on) replays one plan per architecture×config across
+        // every draw and batch size. One graph differs in structure: the
+        // single-sample SSL loss has no negatives (no `off_mask` branch),
+        // so SSL steps at batch 1 record the step and run
+        // `Tape::backward` on it — the same backward walk, over the
+        // recorded values.
         store.zero_grads();
         let ssl_on = ssl_views.is_some();
         let batch_len = train_batch.x.shape()[0];
-        let plannable = plan_enabled() && !(ssl_on && batch_len == 1);
-        let loss_value = if plannable {
+        let loss_value = if !(ssl_on && batch_len == 1) {
             let key = PlanKey {
                 ssl: ssl_on,
                 ewc: self.config.strategy == Strategy::Ewc && self.ewc.is_some(),
@@ -1086,8 +1091,10 @@ impl ContinualTrainer {
                             view_slots,
                         },
                     );
+                    self.plan_cache_stats.compiles += 1;
                     if self.plans.len() > PLAN_CACHE_CAP {
                         self.plans.pop();
+                        self.plan_cache_stats.evictions += 1;
                         note_plan_cache_eviction();
                     }
                     note_plan_cache_entries(self.plans.len() as u64);
@@ -1236,59 +1243,17 @@ pub fn evaluate(
     let mut plans: Vec<ExecPlan> = Vec::new();
     for chunk in windows.chunks(32) {
         let batch = stack_samples(chunk);
-        let pred = if plan_enabled() {
-            if !plans.iter().any(|p| p.accepts(&[&batch.x])) {
-                let _compile_sp = urcl_trace::span("plan_compile");
-                let record = |x: &Tensor| {
-                    let tape = Tape::new();
-                    let (inputs, outputs, binds);
-                    {
-                        let mut sess = Session::new(&tape, store);
-                        let xv = sess.input(x.clone());
-                        let pred = backbone.forward(&mut sess, xv);
-                        inputs = vec![xv.index()];
-                        outputs = vec![pred.index()];
-                        binds = sess.into_bindings();
-                    }
-                    (tape, inputs, outputs, binds)
-                };
-                let (tape0, inputs, outputs, binds) = record(&batch.x);
-                let b0 = batch.x.shape()[0];
-                let mut xs = batch.x.shape().to_vec();
-                xs[0] = b0 + 1;
-                let (tape1, _, _, _) = record(&Tensor::zeros(&xs));
-                plans.push(ExecPlan::compile(
-                    &tape0,
-                    &PlanSpec {
-                        root: None,
-                        inputs: &inputs,
-                        outputs: &outputs,
-                        bindings: &binds,
-                        poly: Some(PolySpec {
-                            tape: &tape1,
-                            batch0: b0,
-                            batch1: b0 + 1,
-                        }),
-                    },
-                ));
-            }
-            let plan = plans
-                .iter()
-                .find(|p| p.accepts(&[&batch.x]))
-                .expect("plan compiled above");
-            watch.start();
-            let pred = plan.run_forward(store, &[&batch.x]).remove(0);
-            watch.stop();
-            pred
-        } else {
-            watch.start();
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = sess.input(batch.x.clone());
-            let pred = backbone.forward(&mut sess, x).value();
-            watch.stop();
-            pred
-        };
+        if !plans.iter().any(|p| p.accepts(&[&batch.x])) {
+            let _compile_sp = urcl_trace::span("plan_compile");
+            plans.push(backbone.compile_forward(store, &batch.x));
+        }
+        let plan = plans
+            .iter()
+            .find(|p| p.accepts(&[&batch.x]))
+            .expect("plan compiled above");
+        watch.start();
+        let pred = plan.run_forward(store, &[&batch.x]).remove(0);
+        watch.stop();
         metrics.update(&pred, &batch.y);
     }
     let per_obs = watch.total_seconds() / windows.len() as f64;
@@ -1375,6 +1340,128 @@ mod tests {
             assert!(set.rmse >= set.mae * 0.99);
             assert!(!set.loss_curve.is_empty());
         }
+    }
+
+    /// The trainer's own step plan, driven through `compile_step_plan`
+    /// and `step_refs` over draws of every augmentation variant at batch
+    /// sizes 2–5, reproduces `record_step` + `Tape::backward` bit for bit
+    /// — the loss and every parameter gradient — through ONE compiled
+    /// plan. This pins that `step_refs` binds the promoted slots in
+    /// recording order (`TimeShift` views bind the support template).
+    #[test]
+    fn step_plan_replays_every_augmentation_like_a_fresh_recording() {
+        let (ds, split, _scale, net) = tiny_setup();
+        let (store, model, sim) = build_model(&ds, &net);
+        let trainer = ContinualTrainer::new(quick_config(Strategy::Urcl));
+        let k = trainer.config.k_diffusion;
+        let (train, _, _) = split.base.train_val_test(0.7, 0.1);
+        let windows = train.windows(&ds.config);
+        let variants = Augmentation::default_set();
+        let mut rng = Rng::seed_from_u64(71);
+        let mut masks = Vec::new();
+        let mut compiled: Option<(ExecPlan, usize)> = None;
+        for i in 0..2 * variants.len() {
+            let b = 2 + i % 4;
+            let batch = stack_samples(&windows[i..i + b]);
+            let views = Some((
+                variants[i % variants.len()].apply(&batch.x, &net, k, &mut rng),
+                variants[(i + 1) % variants.len()].apply(&batch.x, &net, k, &mut rng),
+            ));
+            if !masks.iter().any(|(s, _)| *s == b) {
+                masks.push((b, StSimSiam::contrastive_masks(b)));
+            }
+            let (plan, view_slots) = compiled.get_or_insert_with(|| {
+                trainer.compile_step_plan(
+                    &model,
+                    Some(&sim),
+                    &store,
+                    &batch.x,
+                    &batch.y,
+                    views.as_ref(),
+                )
+            });
+            assert!(
+                plan.is_poly(),
+                "step plan failed to compile batch-polymorphically"
+            );
+            let refs = step_refs(
+                &batch,
+                &views,
+                *view_slots,
+                model.support_template(),
+                &masks,
+            );
+            assert!(plan.accepts(&refs), "point {i}: plan rejected batch {b}");
+            let (loss, grads) = plan.run_training(&store, &refs);
+
+            let rec = trainer.record_step(
+                &model,
+                Some(&sim),
+                &store,
+                &batch.x,
+                &batch.y,
+                views.as_ref().map(|(v1, v2)| (v1, v2)),
+            );
+            let tape = &rec.recording.tape;
+            let root = tape.var(rec.recording.root.expect("training recording"));
+            let ref_grads = tape.backward(root);
+            assert_eq!(
+                loss.item().to_bits(),
+                root.value().item().to_bits(),
+                "point {i} (batch {b}): replay loss diverged from the recording"
+            );
+            assert_eq!(
+                plan.bindings(),
+                &rec.recording.bindings[..],
+                "point {i}: bindings"
+            );
+            for &(id, idx) in plan.bindings() {
+                let bits = |g: Option<&Tensor>| -> Vec<u32> {
+                    g.expect("bound parameter has a gradient")
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(grads.by_index(idx)),
+                    bits(ref_grads.by_index(idx)),
+                    "point {i} (batch {b}): gradient of {} diverged from the recording",
+                    store.name(id)
+                );
+            }
+        }
+    }
+
+    /// A tiny augmented run compiles its step plan once: one
+    /// batch-polymorphic plan serves every draw and batch size, and the
+    /// trainer's own cache counts say so.
+    #[test]
+    fn augmented_run_compiles_one_step_plan() {
+        let (ds, split, scale, net) = tiny_setup();
+        let (mut store, model, sim) = build_model(&ds, &net);
+        let mut trainer = ContinualTrainer::new(TrainerConfig {
+            epochs_base: 1,
+            window_stride: 16,
+            ..quick_config(Strategy::Urcl)
+        });
+        assert!(trainer.config().ablation.augmentation);
+        trainer.run(
+            &model,
+            Some(&sim),
+            &mut store,
+            &net,
+            &split,
+            &ds.config,
+            scale,
+        );
+        assert_eq!(
+            trainer.plan_cache_stats(),
+            PlanCacheStats {
+                compiles: 1,
+                evictions: 0
+            }
+        );
     }
 
     #[test]

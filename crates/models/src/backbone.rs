@@ -1,7 +1,8 @@
 //! The [`Backbone`] trait: the paper's STEncoder / STDecoder contract.
 
 use urcl_graph::SupportSet;
-use urcl_tensor::autodiff::{Session, Var};
+use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_tensor::{ExecPlan, ParamStore, Recording, Tensor};
 
 /// Shared geometry of a spatio-temporal backbone.
 #[derive(Debug, Clone)]
@@ -87,6 +88,29 @@ pub trait Backbone {
         };
         let _sp = urcl_trace::span("decode");
         self.decode(sess, h)
+    }
+
+    /// Compiles [`Self::forward`] into a forward-only, batch-polymorphic
+    /// plan with input `[x]` and output the prediction: one compile
+    /// replays at every batch size. Parameters resolve from the store a
+    /// replay passes. `x` seeds the primary recording.
+    fn compile_forward(&self, store: &ParamStore, x: &Tensor) -> ExecPlan {
+        ExecPlan::compile_poly(x.shape()[0], |b| {
+            let tape = Tape::new();
+            let (inputs, outputs, bindings) = {
+                let mut sess = Session::new(&tape, store);
+                let xv = sess.input(x.at_batch(b));
+                let pred = self.forward(&mut sess, xv);
+                (vec![xv.index()], vec![pred.index()], sess.into_bindings())
+            };
+            Recording {
+                tape,
+                root: None,
+                inputs,
+                outputs,
+                bindings,
+            }
+        })
     }
 
     /// Validates an input batch against the configured geometry, with a

@@ -17,7 +17,9 @@
 //! * **In-flight dedup** — when a request misses but an identical
 //!   request is already queued, the newcomer joins the in-flight entry's
 //!   waiter list instead of enqueuing a second forward. One batched
-//!   compute fans out to every waiter.
+//!   compute fans out to every waiter. An entry becomes joinable only
+//!   once its request passed admission control, so a joined waiter never
+//!   inherits a shed its own submit was not told about.
 //!
 //! Eviction is FIFO over completed entries, bounded by
 //! [`CachePolicy::capacity`]; in-flight entries are never evicted (their
@@ -67,6 +69,8 @@ type Waiter = mpsc::Sender<Result<Forecast, ServeError>>;
 enum Slot {
     /// A completed forecast; hits clone it.
     Ready(Forecast),
+    /// The registering request is still passing admission control.
+    Admitting,
     /// A forward for this key is queued; these waiters get the result.
     InFlight(Vec<Waiter>),
 }
@@ -83,8 +87,12 @@ pub(crate) enum Lookup {
     Hit(Forecast),
     /// Joined an identical in-flight request; nothing to enqueue.
     Joined,
-    /// Registered a fresh in-flight entry; the caller must enqueue the
-    /// compute (or [`ResponseCache::abort`] on admission failure).
+    /// An identical request is still passing admission; the caller
+    /// enqueues its own compute, uncached.
+    Miss,
+    /// Registered a fresh entry; the caller must enqueue the compute and
+    /// then call [`ResponseCache::admitted`] (or [`ResponseCache::abort`]
+    /// on admission failure).
     Registered,
 }
 
@@ -117,10 +125,20 @@ impl ResponseCache {
                 waiters.push(waiter.clone());
                 Lookup::Joined
             }
+            Some(Slot::Admitting) => Lookup::Miss,
             None => {
-                inner.map.insert(key.clone(), Slot::InFlight(Vec::new()));
+                inner.map.insert(key.clone(), Slot::Admitting);
                 Lookup::Registered
             }
+        }
+    }
+
+    /// Opens a registered key for joins once its compute was admitted. A
+    /// no-op if the compute already finished (a fast worker fulfilled it
+    /// first).
+    pub(crate) fn admitted(&self, key: &CacheKey) {
+        if let Some(slot @ Slot::Admitting) = self.lock().map.get_mut(key) {
+            *slot = Slot::InFlight(Vec::new());
         }
     }
 
@@ -132,6 +150,8 @@ impl ResponseCache {
         let mut inner = self.lock();
         let waiters = match inner.map.remove(key) {
             Some(Slot::InFlight(waiters)) => waiters,
+            // The compute finished before its submit opened the entry.
+            Some(Slot::Admitting) => Vec::new(),
             // A concurrent fulfill already completed this key; keep the
             // existing entry and don't double-count it in the FIFO.
             Some(ready @ Slot::Ready(_)) => {
@@ -159,26 +179,24 @@ impl ResponseCache {
         }
     }
 
-    /// Withdraws a registered key whose compute was never admitted
-    /// (shed or shutdown): joined waiters get the same typed error.
-    pub(crate) fn abort(&self, key: &CacheKey, err: &ServeError) {
-        let waiters = match self.lock().map.remove(key) {
-            Some(Slot::InFlight(waiters)) => waiters,
-            _ => Vec::new(),
-        };
-        for waiter in waiters {
-            let _ = waiter.send(Err(err.clone()));
+    /// Withdraws a registered key whose compute was never admitted (shed
+    /// or shutdown). Nobody joined it: entries open for joins only once
+    /// admitted.
+    pub(crate) fn abort(&self, key: &CacheKey) {
+        let mut inner = self.lock();
+        if matches!(inner.map.get(key), Some(Slot::Admitting)) {
+            inner.map.remove(key);
         }
     }
 
     /// Drops every completed entry not from `generation` (after a
-    /// hot-swap). In-flight entries survive — their carrying requests are
-    /// already queued and will fulfill their waiters.
+    /// hot-swap). In-flight and admitting entries survive — their carrying
+    /// requests are queued (or about to be) and will fulfill them.
     pub(crate) fn retain_generation(&self, generation: u64) {
         let mut inner = self.lock();
-        inner
-            .map
-            .retain(|k, slot| k.generation == generation || matches!(slot, Slot::InFlight(_)));
+        inner.map.retain(|k, slot| {
+            k.generation == generation || matches!(slot, Slot::Admitting | Slot::InFlight(_))
+        });
         let map = &inner.map;
         let retained: VecDeque<CacheKey> = inner
             .order

@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use urcl_core::persist::CheckpointDir;
 use urcl_models::Backbone;
-use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{ParamStore, Tensor};
 
 use crate::cache::CachePolicy;
@@ -327,20 +326,11 @@ pub fn forward_batch<B: Backbone + ?Sized>(
     }
     let x = Tensor::from_vec(data, &[windows.len(), m, n, c]);
 
-    // Replay the snapshot's compiled plan for this batch shape when the
-    // plan engine is on (the default); re-record a tape otherwise. Both
-    // paths produce identical bits — pinned by the hot-swap suite.
-    let pred = if urcl_tensor::plan_enabled() {
-        let plan = snapshot.forward_plan(model, &x);
-        let _sp = urcl_trace::span("serve_forward");
-        plan.run_forward(snapshot.store(), &[&x]).remove(0) // [B, H, N]
-    } else {
-        let tape = Tape::new();
-        let mut sess = Session::new(&tape, snapshot.store());
-        let xv = sess.input(x);
-        let _sp = urcl_trace::span("serve_forward");
-        model.forward(&mut sess, xv).value() // [B, H, N]
-    };
+    // Replay the snapshot's compiled plan for this batch shape; the
+    // hot-swap suite pins it bitwise to a cold recording of the model.
+    let plan = snapshot.forward_plan(model, &x);
+    let _sp = urcl_trace::span("serve_forward");
+    let pred = plan.run_forward(snapshot.store(), &[&x]).remove(0); // [B, H, N]
     let (h, nodes) = (pred.shape()[1], pred.shape()[2]);
     (0..windows.len())
         .map(|i| {

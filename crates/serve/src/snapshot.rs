@@ -5,8 +5,7 @@ use std::sync::{Arc, Mutex};
 use urcl_core::persist::{copy_store_checked, Checkpoint};
 use urcl_models::Backbone;
 use urcl_stdata::Normalizer;
-use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::{ExecPlan, ParamStore, PlanSpec, PolySpec, Tensor};
+use urcl_tensor::{ExecPlan, ParamStore, Tensor};
 
 use crate::server::ServeError;
 
@@ -69,54 +68,22 @@ impl ModelSnapshot {
     }
 
     /// Returns a forward-only plan accepting `x`, compiling on first
-    /// sight. The compile records the forward pass twice (at `x`'s batch
-    /// size and, over a zero proxy, at one more) and abstracts the batch
-    /// dim, so one compiled plan replays at every batch size the batcher
-    /// forms. `x` itself seeds the recording pass; only its shape matters.
+    /// sight ([`Backbone::compile_forward`]): one batch-polymorphic plan
+    /// replays at every batch size the batcher forms. `x` itself seeds
+    /// the recording; only its shape matters.
     ///
     /// Activation-kernel selection (see
     /// [`urcl_tensor::FastActGuard`]) happens at *replay* time on the
-    /// calling thread, exactly as the interpreter selects at record time,
-    /// so one cached plan serves fast- and exact-activation callers with
-    /// the same bits each would get from a fresh tape.
+    /// calling thread, exactly as a fresh recording selects at record
+    /// time, so one cached plan serves fast- and exact-activation callers
+    /// with the same bits each would get from a fresh tape.
     pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Arc<ExecPlan> {
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(plan) = plans.iter().find(|p| p.accepts(&[x])) {
             return Arc::clone(plan);
         }
         let _compile_sp = urcl_trace::span("plan_compile");
-        let record = |x: &Tensor| {
-            let tape = Tape::new();
-            let (inputs, outputs, binds);
-            {
-                let mut sess = Session::new(&tape, &self.store);
-                let xv = sess.input(x.clone());
-                let pred = model.forward(&mut sess, xv);
-                inputs = vec![xv.index()];
-                outputs = vec![pred.index()];
-                binds = sess.into_bindings();
-            }
-            (tape, inputs, outputs, binds)
-        };
-        let (tape0, inputs, outputs, binds) = record(x);
-        let b0 = x.shape()[0];
-        let mut xs = x.shape().to_vec();
-        xs[0] = b0 + 1;
-        let (tape1, _, _, _) = record(&Tensor::zeros(&xs));
-        let plan = Arc::new(ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: None,
-                inputs: &inputs,
-                outputs: &outputs,
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        ));
+        let plan = Arc::new(model.compile_forward(&self.store, x));
         plans.push(Arc::clone(&plan));
         plan
     }

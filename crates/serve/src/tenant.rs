@@ -191,12 +191,16 @@ impl TenantCore {
                     }
                     return Ok(PendingForecast::new(rx));
                 }
-                Lookup::Registered => {
+                miss => {
                     self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                     if traced {
                         urcl_trace::counter_inc(&format!("serve.tenant.{}.cache_misses", self.name));
                     }
-                    cache_key = Some(key);
+                    // A `Miss` (an identical request still in admission)
+                    // computes uncached; a `Registered` entry is ours.
+                    if matches!(miss, Lookup::Registered) {
+                        cache_key = Some(key);
+                    }
                 }
             }
         }
@@ -225,6 +229,9 @@ impl TenantCore {
             let idx = (start + i) % n;
             match self.shards[idx].try_submit(pending) {
                 Ok(depth) => {
+                    if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
+                        cache.admitted(key);
+                    }
                     self.stats.requests.fetch_add(1, Ordering::Relaxed);
                     if traced {
                         urcl_trace::counter_inc("serve.requests");
@@ -258,7 +265,7 @@ impl TenantCore {
             ServeError::ShuttingDown
         };
         if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
-            cache.abort(key, &err);
+            cache.abort(key);
         }
         Err(err)
     }

@@ -2,9 +2,11 @@
 //!
 //! A [`Tape`] records every operation as an explicit [`Op`] node; calling
 //! [`Tape::backward`] walks the tape in reverse, applying one hand-written
-//! backward rule per variant. Compared to closure-captured backward
-//! functions this keeps every rule inspectable and testable — each one is
-//! verified against numerical differentiation in `gradcheck` tests.
+//! backward rule per variant. The rules live in one place, shared with
+//! compiled [`ExecPlan`](crate::plan::ExecPlan) replays. Compared to
+//! closure-captured backward functions this keeps every rule inspectable
+//! and testable — each one is verified against numerical differentiation
+//! in `gradcheck` tests.
 //!
 //! Variables ([`Var`]) are `Copy` indices into the tape, so expression code
 //! reads naturally:
@@ -18,9 +20,8 @@
 //! assert_eq!(g.get(x).unwrap().data(), &[4.0]); // dy/dx = 2x
 //! ```
 
+use crate::backward::BackwardSchedule;
 use crate::params::{ParamId, ParamStore};
-use crate::parallel::{par_fill, PAR_MIN_ELEMS};
-use crate::pool;
 use crate::shape::numel;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -245,8 +246,23 @@ impl Tape {
         self.nodes.borrow()[idx].value.clone()
     }
 
+    /// The variable of the node at `idx`, for callers that hold node
+    /// indices (a [`crate::plan::Recording`]'s root) rather than live
+    /// `Var`s.
+    pub fn var(&self, idx: usize) -> Var<'_> {
+        assert!(idx < self.len(), "tape node {idx} out of range");
+        Var { tape: self, idx }
+    }
+
     /// Runs the backward pass from `loss` (which must hold exactly one
     /// element) and returns per-node gradients.
+    ///
+    /// This is the crate's one backward walk (the one compiled plans run)
+    /// over the recorded values in place: no forward pass is replayed and
+    /// nothing is copied. Only nodes with a path to a trainable leaf get a
+    /// gradient — constants receive none — and the gradient of every
+    /// trainable leaf is bitwise the one a compiled
+    /// [`crate::plan::ExecPlan`] replay of this graph produces.
     pub fn backward(&self, loss: Var<'_>) -> Gradients {
         let nodes = self.nodes.borrow();
         assert_eq!(
@@ -255,543 +271,15 @@ impl Tape {
             "backward root must be a scalar, got shape {:?}",
             nodes[loss.idx].value.shape()
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.idx] = Some(Tensor::ones(nodes[loss.idx].value.shape()));
-
-        // With pooling (memory reuse) off, every arm below falls back to
-        // the seed-era kernels: materialize each edge's temporary tensor,
-        // reduce_to_shape even when shapes already match, then accumulate.
-        // The per-element arithmetic of both paths is identical, so the
-        // toggle is a pure before/after switch for allocation behaviour —
-        // `pool_determinism` asserts bitwise equality, `bench_train_step`
-        // measures the speed difference.
-        let reuse = pool::pooling_enabled();
-        let prof = crate::opprof::op_profile_enabled();
-        for i in (0..=loss.idx).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            let node = &nodes[i];
-            let t0 = if prof {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            match &node.op {
-                Op::Leaf | Op::Constant => {
-                    grads[i] = Some(g); // keep for retrieval
-                    continue;
-                }
-                Op::Add(a, b) => {
-                    // Same-shape edges propagate g by reference (one clone
-                    // at most); broadcast edges reduce first as before.
-                    for &inp in &[*a, *b] {
-                        if reuse && nodes[inp].value.shape() == g.shape() {
-                            accumulate_ref(&mut grads, inp, &g);
-                        } else {
-                            accumulate(&mut grads, inp, g.reduce_to_shape(nodes[inp].value.shape()));
-                        }
-                    }
-                }
-                Op::Sub(a, b) => {
-                    if reuse && nodes[*a].value.shape() == g.shape() {
-                        accumulate_ref(&mut grads, *a, &g);
-                    } else {
-                        accumulate(&mut grads, *a, g.reduce_to_shape(nodes[*a].value.shape()));
-                    }
-                    if reuse && nodes[*b].value.shape() == g.shape() {
-                        fused_scale_acc(&mut grads, *b, &g, -1.0);
-                    } else {
-                        accumulate(
-                            &mut grads,
-                            *b,
-                            g.scale(-1.0).reduce_to_shape(nodes[*b].value.shape()),
-                        );
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    if reuse && av.shape() == g.shape() && bv.shape() == g.shape() {
-                        fused_mul_acc(&mut grads, *a, &g, bv);
-                        fused_mul_acc(&mut grads, *b, &g, av);
-                    } else {
-                        let ga = g.mul(bv).reduce_to_shape(av.shape());
-                        let gb = g.mul(av).reduce_to_shape(bv.shape());
-                        accumulate(&mut grads, *a, ga);
-                        accumulate(&mut grads, *b, gb);
-                    }
-                }
-                Op::Div(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    if reuse && av.shape() == g.shape() && bv.shape() == g.shape() {
-                        fused_map2(&mut grads, *a, &g, bv, |gv, b| gv / b);
-                        // d/db (a/b) = -a / b^2, with the exact expression
-                        // tree of the old temporary chain.
-                        fused_map3(&mut grads, *b, &g, av, bv, |gv, a, b| {
-                            ((gv * a) / (b * b)) * -1.0
-                        });
-                    } else {
-                        let ga = g.div(bv).reduce_to_shape(av.shape());
-                        let gb = g
-                            .mul(av)
-                            .div(&bv.mul(bv))
-                            .scale(-1.0)
-                            .reduce_to_shape(bv.shape());
-                        accumulate(&mut grads, *a, ga);
-                        accumulate(&mut grads, *b, gb);
-                    }
-                }
-                Op::Neg(a) => {
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, -1.0);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(-1.0));
-                    }
-                }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, c);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(c));
-                    }
-                }
-                Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
-                Op::PowF(a, p) => {
-                    let p = *p;
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                            gv * (p * v.powf(p - 1.0))
-                        });
-                    } else {
-                        let dg = g.mul(&nodes[*a].value.map(|v| p * v.powf(p - 1.0)));
-                        accumulate(&mut grads, *a, dg);
-                    }
-                }
-                Op::Exp(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * y);
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&node.value));
-                    }
-                }
-                Op::Ln(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv / v);
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&nodes[*a].value));
-                    }
-                }
-                Op::Sqrt(a) => {
-                    // dy/dx = 1 / (2 sqrt(x)) = 1 / (2 y)
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv / (y * 2.0));
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&node.value.scale(2.0)));
-                    }
-                }
-                Op::Abs(a) => {
-                    // Mask-multiply (not branch-select on g) so signed
-                    // zeros match the old `g.mul(&sign)` exactly.
-                    let sign = |v: f32| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    };
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv * sign(v));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&nodes[*a].value.map(sign)));
-                    }
-                }
-                Op::Relu(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { 0.0 }
-                        });
-                    } else {
-                        let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { s }
-                        });
-                    } else {
-                        let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { s });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
-                }
-                Op::Sigmoid(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (y * (1.0 - y)));
-                    } else {
-                        let y = &node.value;
-                        accumulate(&mut grads, *a, g.mul(&y.mul(&y.map(|v| 1.0 - v))));
-                    }
-                }
-                Op::Tanh(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (1.0 - y * y));
-                    } else {
-                        let y = &node.value;
-                        accumulate(&mut grads, *a, g.mul(&y.map(|v| 1.0 - v * v)));
-                    }
-                }
-                Op::MatMul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    // Fused-transpose gemm: dA = dC @ B^T, dB = A^T @ dC,
-                    // without materializing B^T / A^T copies. With reuse on,
-                    // the reduce_to_shape (a full-tensor copy when shapes
-                    // already match) only runs on broadcast edges.
-                    let ga = g.matmul_nt(bv);
-                    let ga = if reuse && ga.shape() == av.shape() {
-                        ga
-                    } else {
-                        ga.reduce_to_shape(av.shape())
-                    };
-                    let gb = av.matmul_tn(&g);
-                    let gb = if reuse && gb.shape() == bv.shape() {
-                        gb
-                    } else {
-                        gb.reduce_to_shape(bv.shape())
-                    };
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Permute(a, perm) => {
-                    let mut inv = vec![0usize; perm.len()];
-                    for (i, &p) in perm.iter().enumerate() {
-                        inv[p] = i;
-                    }
-                    accumulate(&mut grads, *a, g.permute(&inv));
-                }
-                Op::Reshape(a) => {
-                    accumulate(&mut grads, *a, g.reshape(nodes[*a].value.shape()));
-                }
-                Op::SumAxes {
-                    input,
-                    axes,
-                    keepdim,
-                } => {
-                    let in_shape = nodes[*input].value.shape().to_vec();
-                    let keep_shape: Vec<usize> = {
-                        let mut s = in_shape.clone();
-                        for &a in axes {
-                            s[a] = 1;
-                        }
-                        s
-                    };
-                    let gk = if *keepdim {
-                        g
-                    } else {
-                        g.reshape(&keep_shape)
-                    };
-                    // Broadcast the kept-dim gradient back over the input.
-                    let expanded = Tensor::zeros(&in_shape).add(&gk);
-                    accumulate(&mut grads, *input, expanded);
-                }
-                Op::SumAll(a) => {
-                    let full = Tensor::full(nodes[*a].value.shape(), g.item());
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::MeanAll(a) => {
-                    let n = nodes[*a].value.len().max(1) as f32;
-                    let full = Tensor::full(nodes[*a].value.shape(), g.item() / n);
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::Softmax(a, axis) => {
-                    // dx = y * (g - sum(g*y, axis, keepdim))
-                    let y = &node.value;
-                    let gy = g.mul(y);
-                    let s = gy.sum_axes(&[*axis], true);
-                    let dg = y.mul(&g.sub(&s));
-                    accumulate(&mut grads, *a, dg);
-                }
-                Op::Concat { inputs, axis } => {
-                    let mut start = 0;
-                    for &inp in inputs {
-                        let len = nodes[inp].value.shape()[*axis];
-                        let part = g.narrow(*axis, start, len);
-                        accumulate(&mut grads, inp, part);
-                        start += len;
-                    }
-                }
-                Op::Narrow {
-                    input,
-                    axis,
-                    start,
-                    len,
-                } => {
-                    let dg = narrow_scatter(&g, nodes[*input].value.shape(), *axis, *start, *len);
-                    accumulate(&mut grads, *input, dg);
-                }
-                Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } => {
-                    let (dx, dw) = conv1d_backward(
-                        &g,
-                        &nodes[*input].value,
-                        &nodes[*weight].value,
-                        *dilation,
-                        *pad_left,
-                    );
-                    accumulate(&mut grads, *input, dx);
-                    accumulate(&mut grads, *weight, dw);
-                }
-                Op::Detach(_) => { /* gradient intentionally dropped */ }
-            }
-            if let (Some(t0), Some(k)) = (t0, kind_index(&node.op)) {
-                crate::opprof::record_backward(k, t0.elapsed().as_nanos() as u64);
-            }
-        }
+        let mut recorded: &[Node] = &nodes;
+        let grads = BackwardSchedule::new(recorded, loss.idx).run(&mut recorded);
         Gradients { grads }
     }
 }
 
-pub(crate) fn accumulate(grads: &mut [Option<Tensor>], idx: usize, g: Tensor) {
-    match &mut grads[idx] {
-        Some(existing) => existing.add_assign(&g),
-        slot @ None => *slot = Some(g),
-    }
-}
-
-/// Like [`accumulate`] but borrows the gradient, cloning only when the
-/// slot is empty. Lets rules that propagate `g` unchanged to several
-/// inputs skip one full-tensor copy per edge with an occupied slot.
-pub(crate) fn accumulate_ref(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor) {
-    match &mut grads[idx] {
-        Some(existing) => existing.add_assign(g),
-        slot @ None => *slot = Some(g.clone()),
-    }
-}
-
-/// Core of the fused backward kernels: `grads[idx][e] (+)= eval(e)`.
-///
-/// When the slot already holds a partial gradient the contribution is
-/// accumulated *in place* — no temporary tensor is materialized, which is
-/// the axpy-style fusion that removes one allocation + write + read per
-/// backward edge. When the slot is empty the contribution is written into
-/// a pooled buffer. Either way the per-element arithmetic is "evaluate
-/// `eval(e)`, then add" — exactly what the old temporary-then-`add_assign`
-/// code produced (Rust does not contract `a + b * c` to FMA), so results
-/// are bitwise identical. Large tensors split over the thread pool on
-/// disjoint output chunks, preserving determinism at any thread count.
-fn fused_apply(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    shape: &[usize],
-    eval: &(impl Fn(usize) -> f32 + Sync),
-) {
-    let n = numel(shape);
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), shape, "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                for (e, d) in dst.iter_mut().enumerate() {
-                    *d += eval(e);
-                }
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for (d, e) in chunk.iter_mut().zip(r) {
-                        *d += eval(e);
-                    }
-                });
-            }
-        }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                for (e, d) in data.iter_mut().enumerate() {
-                    *d = eval(e);
-                }
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for (d, e) in chunk.iter_mut().zip(r) {
-                        *d = eval(e);
-                    }
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, shape));
-        }
-    }
-}
-
-/// `grads[idx] (+)= f(g)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map1(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    g: &Tensor,
-    f: impl Fn(f32) -> f32 + Sync,
-) {
-    let gd = g.data();
-    fused_apply(grads, idx, g.shape(), &|e| f(gd[e]));
-}
-
-/// `grads[idx] (+)= f(g, x)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map2(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    g: &Tensor,
-    x: &Tensor,
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) {
-    debug_assert_eq!(g.shape(), x.shape(), "fused_map2 shape mismatch");
-    let gd = g.data();
-    let xd = x.data();
-    fused_apply(grads, idx, g.shape(), &|e| f(gd[e], xd[e]));
-}
-
-/// `grads[idx] (+)= f(g, a, b)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map3(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    g: &Tensor,
-    a: &Tensor,
-    b: &Tensor,
-    f: impl Fn(f32, f32, f32) -> f32 + Sync,
-) {
-    debug_assert_eq!(g.shape(), a.shape(), "fused_map3 shape mismatch");
-    debug_assert_eq!(g.shape(), b.shape(), "fused_map3 shape mismatch");
-    let gd = g.data();
-    let ad = a.data();
-    let bd = b.data();
-    fused_apply(grads, idx, g.shape(), &|e| f(gd[e], ad[e], bd[e]));
-}
-
-/// `grads[idx] (+)= g * x` elementwise through the SIMD seam
-/// ([`crate::simd::mul_acc`]). The scalar fallback inside the seam is the
-/// literal loop `fused_map2` would run (`dst (+)= g[e] * x[e]`, ascending
-/// `e`), and the AVX2 arm does mul-then-add per lane in the same order, so
-/// all three paths are bitwise identical. With the fast kernels disabled
-/// (`URCL_SIMD=0`) this routes through [`fused_map2`] so the disabled path
-/// stays byte-for-byte the seed code path.
-pub(crate) fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tensor) {
-    if !crate::simd::fast_kernels() {
-        return fused_map2(grads, idx, g, x, |gv, xv| gv * xv);
-    }
-    debug_assert_eq!(g.shape(), x.shape(), "fused_mul_acc shape mismatch");
-    let gd = g.data();
-    let xd = x.data();
-    let n = gd.len();
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(dst, gd, xd, true);
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], true);
-                });
-            }
-        }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(&mut data, gd, xd, false);
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], false);
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, g.shape()));
-        }
-    }
-}
-
-/// `grads[idx] (+)= g * c` elementwise through the SIMD seam
-/// ([`crate::simd::scale_acc`]); same bitwise-parity contract as
-/// [`fused_mul_acc`], with [`fused_map1`] as the `URCL_SIMD=0` route.
-pub(crate) fn fused_scale_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, c: f32) {
-    if !crate::simd::fast_kernels() {
-        return fused_map1(grads, idx, g, move |gv| gv * c);
-    }
-    let gd = g.data();
-    let n = gd.len();
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(dst, gd, c, true);
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, true);
-                });
-            }
-        }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(&mut data, gd, c, false);
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, false);
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, g.shape()));
-        }
-    }
-}
-
-/// Embeds a gradient of the narrowed slice back into a zero tensor of the
-/// input's shape.
-pub(crate) fn narrow_scatter(
-    g: &Tensor,
-    in_shape: &[usize],
-    axis: usize,
-    start: usize,
-    len: usize,
-) -> Tensor {
-    let mut out = Tensor::zeros(in_shape);
-    let outer: usize = in_shape[..axis].iter().product();
-    let inner: usize = in_shape[axis + 1..].iter().product();
-    let d = in_shape[axis];
-    let gd = g.data();
-    let od = out.data_mut();
-    for o in 0..outer {
-        let src = o * len * inner;
-        let dst = o * d * inner + start * inner;
-        od[dst..dst + len * inner].copy_from_slice(&gd[src..src + len * inner]);
-    }
-    out
-}
-
-/// Gradients of a dilated causal 1-D convolution w.r.t. input and weight.
-///
-/// `dx` is parallelized over (batch, in-channel) and `dw` over
-/// (out-channel, in-channel): each work item owns a disjoint output slice
-/// and accumulates in a fixed loop order, so results are bitwise identical
-/// at any thread count. Inner loops clamp the valid `to` range up front
-/// (no per-tap bounds tests, no zero-value shortcuts).
-fn conv1d_backward(
-    g: &Tensor,
-    x: &Tensor,
-    w: &Tensor,
-    dilation: usize,
-    pad_left: usize,
-) -> (Tensor, Tensor) {
-    let dx = conv1d_backward_dx(g, x.shape(), w, dilation, pad_left);
-    let dw = conv1d_backward_dw(g, x, w.shape(), dilation, pad_left);
-    (dx, dw)
-}
-
 /// Input gradient of a dilated causal 1-D convolution. Only the *shape*
 /// of `x` is needed (the data gradient never reads the input values), so
-/// callers that skip the weight gradient — the plan executor's
+/// callers that skip the weight gradient — the backward walk's
 /// dead-gradient elimination — can drop the input tensor early.
 pub(crate) fn conv1d_backward_dx(
     g: &Tensor,
@@ -1202,7 +690,7 @@ pub struct Gradients {
 
 impl Gradients {
     /// Wraps a raw per-node gradient vector (used by the plan executor,
-    /// whose backward pass produces the same indexed layout).
+    /// whose backward walk produces the same indexed layout).
     pub(crate) fn from_raw(grads: Vec<Option<Tensor>>) -> Self {
         Gradients { grads }
     }

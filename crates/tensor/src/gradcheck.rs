@@ -1,20 +1,18 @@
 //! Numerical gradient checking.
 //!
-//! Every backward rule in [`crate::autodiff`] is validated against central
-//! finite differences. The checker rebuilds the computation twice per
-//! probed coordinate, which is slow but only runs in tests.
+//! Every backward rule in the crate's backward walk is validated against
+//! central finite differences. The checker rebuilds the computation twice
+//! per probed coordinate, which is slow but only runs in tests.
 //!
-//! When the plan engine is on (the default, see
-//! [`crate::plan::plan_enabled`]), the harness is also a plan-parity
-//! check: the analytic gradient is replayed through a compiled training
-//! [`crate::plan::ExecPlan`] and asserted **bitwise**
-//! equal to the interpreter's, and every finite-difference probe replays a
-//! forward-only plan instead of re-recording a tape. With `URCL_PLAN=0`
-//! the whole check runs on the seed-era interpreter path.
+//! The harness is also a plan-parity check: the analytic gradient from
+//! [`Tape::backward`] is replayed through a compiled training
+//! [`crate::plan::ExecPlan`] and asserted **bitwise** equal, and every
+//! finite-difference probe replays a forward-only plan instead of
+//! re-recording a tape.
 
 use crate::autodiff::{Tape, Var};
 use crate::params::ParamStore;
-use crate::plan::{plan_enabled, ExecPlan, PlanSpec};
+use crate::plan::{ExecPlan, PlanSpec};
 use crate::tensor::Tensor;
 
 /// Result of a gradient check: the largest absolute and relative deviation
@@ -43,10 +41,10 @@ impl GradCheck {
 ///
 /// `build` receives a fresh tape plus `x` as a leaf and must return a
 /// scalar-shaped loss variable; the checker compares the tape gradient
-/// against central differences with step `eps` at every coordinate. With
-/// the plan engine on, the recorded tape is additionally compiled into a
-/// training plan (analytic gradient asserted bitwise equal to the
-/// interpreter's) and a forward-only plan that serves the FD probes.
+/// against central differences with step `eps` at every coordinate. The
+/// recorded tape is also compiled into a training plan (loss and
+/// analytic gradient asserted bitwise equal to the tape's) and a
+/// forward-only plan that serves the FD probes.
 pub fn check_scalar<F>(x: &Tensor, eps: f32, build: F) -> GradCheck
 where
     F: for<'t> Fn(&'t Tape, Var<'t>) -> Var<'t> + Copy,
@@ -61,57 +59,45 @@ where
         .cloned()
         .unwrap_or_else(|| Tensor::zeros(x.shape()));
 
-    let fwd_plan = plan_enabled().then(|| {
-        let spec_inputs = [v.index()];
-        let train = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: Some(loss.index()),
-                inputs: &spec_inputs,
-                outputs: &[],
-                bindings: &[],
-                poly: None,
-            },
-        );
-        let (l, grads) = train.run_training(&store, &[x]);
+    let spec_inputs = [v.index()];
+    let train = ExecPlan::compile(
+        &tape,
+        &PlanSpec {
+            root: Some(loss.index()),
+            inputs: &spec_inputs,
+            outputs: &[],
+            bindings: &[],
+            poly: None,
+        },
+    );
+    let (l, grads) = train.run_training(&store, &[x]);
+    assert_eq!(
+        l.item().to_bits(),
+        tape.value(loss).item().to_bits(),
+        "gradcheck: plan loss diverged from the tape"
+    );
+    let plan_g = grads
+        .by_index(v.index())
+        .cloned()
+        .unwrap_or_else(|| Tensor::zeros(x.shape()));
+    for (i, (a, p)) in analytic.data().iter().zip(plan_g.data()).enumerate() {
         assert_eq!(
-            l.item().to_bits(),
-            tape.value(loss).item().to_bits(),
-            "gradcheck: plan loss diverged from interpreter"
+            a.to_bits(),
+            p.to_bits(),
+            "gradcheck: plan analytic grad diverged at coord {i}: {a:?} vs {p:?}"
         );
-        let plan_g = grads
-            .by_index(v.index())
-            .cloned()
-            .unwrap_or_else(|| Tensor::zeros(x.shape()));
-        for (i, (a, p)) in analytic.data().iter().zip(plan_g.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                p.to_bits(),
-                "gradcheck: plan analytic grad diverged at coord {i}: {a:?} vs {p:?}"
-            );
-        }
-        ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: None,
-                inputs: &spec_inputs,
-                outputs: &[loss.index()],
-                bindings: &[],
-                poly: None,
-            },
-        )
-    });
-
-    let eval = |xt: &Tensor| -> f32 {
-        match &fwd_plan {
-            Some(plan) => plan.run_forward(&store, &[xt])[0].item(),
-            None => {
-                let tape = Tape::new();
-                let v = tape.leaf(xt.clone());
-                build(&tape, v).value().item()
-            }
-        }
-    };
+    }
+    let fwd_plan = ExecPlan::compile(
+        &tape,
+        &PlanSpec {
+            root: None,
+            inputs: &spec_inputs,
+            outputs: &[loss.index()],
+            bindings: &[],
+            poly: None,
+        },
+    );
+    let eval = |xt: &Tensor| -> f32 { fwd_plan.run_forward(&store, &[xt])[0].item() };
     let mut max_abs: f32 = 0.0;
     let mut max_rel: f32 = 0.0;
     for i in 0..x.len() {

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod autodiff;
+mod backward;
 pub mod fastact;
 pub mod gemm;
 pub mod gradcheck;
@@ -63,8 +64,8 @@ pub use pool::{
     set_pooling, trim_excess, BufferPoolStats,
 };
 pub use plan::{
-    note_plan_cache_entries, note_plan_cache_eviction, plan_enabled, plan_stats, reset_plan_stats,
-    set_plan, ExecPlan, PlanSpec, PlanStats, PolySpec,
+    note_plan_cache_entries, note_plan_cache_eviction, plan_stats, reset_plan_stats, ExecPlan,
+    PlanSpec, PlanStats, PolySpec, Recording,
 };
 pub use simd::{active_isa, detected_isa, set_simd, simd_enabled, Isa};
 pub use params::{ParamId, ParamStore};

@@ -2,24 +2,20 @@
 //! compile it once, then replay it every step without re-recording the
 //! graph. Plans can be **batch-polymorphic** — compiled against a
 //! symbolic batch dimension so one plan serves every replay-grown batch
-//! size — and accept **dynamic inputs beyond parameters** (graph
-//! supports, contrastive masks) so per-step augmentation draws replay
-//! through the same plan instead of forcing an interpreter fallback.
+//! size ([`ExecPlan::compile_poly`]) — and accept **dynamic inputs beyond
+//! parameters** (graph supports, contrastive masks) so per-step
+//! augmentation draws replay through the same plan.
 //!
 //! ## Why
 //!
-//! The tape interpreter ([`Tape::backward`]) rebuilds the whole graph per
-//! training step: every parameter is cloned onto the tape, every
-//! intermediate is materialized, and gradients are computed even for
-//! edges that end in constants (data tensors, graph supports, masks) and
-//! are then thrown away. The model architecture is static across steps,
-//! so all of that work can be decided once at compile time:
+//! Recording a tape per training step clones every parameter onto it and
+//! materializes every intermediate. The model architecture is static
+//! across steps, so that work can be decided once at compile time:
 //!
-//! * **Dead-gradient elimination** — the compiler computes which nodes
-//!   can *usefully* receive a gradient (a path to a trainable leaf) and
-//!   which are *reached* by the backward walk; edges into constants are
-//!   simply never evaluated. This skips entire GEMMs (e.g. the gradient
-//!   of `support @ x` into the constant support matrix).
+//! * **One backward analysis** — the plan keeps the backward schedule
+//!   [`Tape::backward`] also runs (which nodes usefully receive a
+//!   gradient, in what order, dead edges into constants never evaluated),
+//!   computed once instead of per step.
 //! * **Buffer lifetimes known up front** — each intermediate's last use
 //!   is precomputed; values are dropped (recycled into the buffer pool)
 //!   the moment their final consumer has run, both in the forward replay
@@ -38,74 +34,30 @@
 //!
 //! ## Bitwise parity contract
 //!
-//! Replaying a plan is **bitwise identical** to re-recording and
-//! interpreting the tape, on every observable: forward outputs, the
-//! loss, gradients of trainable leaves, and post-step parameters. All
-//! eliminated work is provably unobservable (gradients into constants
-//! are discarded by the interpreter too; moved buffers carry the same
-//! bits; fused elementwise stages round to `f32` after every stage,
-//! exactly like materializing each intermediate; per-slot gradient
-//! accumulation order is preserved). `tests/plan_parity.rs` and the
-//! `bench_train_step` loss assertion pin this, the same contract
-//! discipline the pool (`URCL_POOL`) and SIMD (`URCL_SIMD`) seams use.
+//! Replaying a plan is **bitwise identical** to re-recording the tape and
+//! calling [`Tape::backward`], on every observable: forward outputs, the
+//! loss, gradients of trainable leaves, and post-step parameters. Both
+//! run the same backward walk, differing only in where it reads forward
+//! values; the replayed forward values carry the recorded bits (moved
+//! buffers are the same bits; fused elementwise stages round to `f32`
+//! after every stage, exactly like materializing each intermediate).
+//! `tests/plan_parity.rs` and the `bench_train_step` loss assertion pin
+//! this, the same contract discipline the pool (`URCL_POOL`) and SIMD
+//! (`URCL_SIMD`) seams use.
 //!
-//! Like the interpreter, activation dispatch (fast tanh vs libm) follows
-//! the *executing* thread's [`crate::fastact`] state at replay time.
-//!
-//! ## Toggle
-//!
-//! Plans are enabled by default; `URCL_PLAN=0` (or [`set_plan`]) makes
-//! every integration point fall back to the tape interpreter.
+//! Like a fresh recording, activation dispatch (fast tanh vs libm)
+//! follows the *executing* thread's [`crate::fastact`] state at replay
+//! time.
 
-use crate::autodiff::{
-    accumulate, accumulate_ref, conv1d_backward_dw_with_cols, conv1d_backward_dx,
-    conv1d_backward_dw, conv1d_dw_cols, fused_map2, fused_map3,
-    fused_mul_acc, fused_scale_acc, narrow_scatter, Gradients, Op, Tape,
-};
+use crate::autodiff::{Gradients, Op, Tape};
+use crate::backward::{conv_share_groups, op_inputs, BackwardSchedule, ForwardValues};
 use crate::parallel::{par_fill, PAR_MIN_ELEMS};
 use crate::params::{ParamId, ParamStore};
 use crate::pool;
 use crate::shape::numel;
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-// ---------------------------------------------------------------- toggle
-
-/// Plan state: 0 = unset (read env on first use), 1 = on, 2 = off.
-static PLAN: AtomicUsize = AtomicUsize::new(0);
-
-fn plan_from_env() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("URCL_PLAN") {
-        Ok(v) if v.trim() == "0" || v.trim().eq_ignore_ascii_case("off") => 2,
-        _ => 1,
-    })
-}
-
-/// Whether compiled-plan execution is currently enabled. Integration
-/// points (trainer, serve, gradcheck) consult this and fall back to the
-/// tape interpreter when false.
-#[inline]
-pub fn plan_enabled() -> bool {
-    match PLAN.load(Ordering::Relaxed) {
-        0 => {
-            let v = plan_from_env();
-            PLAN.store(v, Ordering::Relaxed);
-            v == 1
-        }
-        v => v == 1,
-    }
-}
-
-/// Turns plan execution on or off at runtime, returning the previous
-/// setting. Intended for benches and parity tests; normal runs use the
-/// `URCL_PLAN` environment variable.
-pub fn set_plan(on: bool) -> bool {
-    let prev = plan_enabled();
-    PLAN.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    prev
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 // -------------------------------------------------------------- counters
 
@@ -120,6 +72,9 @@ static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative plan-execution statistics since process start (or the last
 /// [`reset_plan_stats`]), exported by `urcl-trace` as the `plan` object.
+/// These are process-wide trace aggregates: concurrent work anywhere in
+/// the process lands in them, so a per-cache count belongs to its cache
+/// (the trainer's step-plan cache keeps its own).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Tapes compiled into plans.
@@ -131,7 +86,7 @@ pub struct PlanStats {
     /// that was never materialized).
     pub fused_stages: u64,
     /// Backward edges skipped by dead-gradient elimination, summed over
-    /// replays (gradients the interpreter computes and throws away).
+    /// replays (gradients into nodes with no path to a trainable leaf).
     pub dead_edges_skipped: u64,
     /// Buffers moved instead of copied (reshape/detach of a dying
     /// value), summed over replays.
@@ -229,6 +184,22 @@ pub struct PolySpec<'a> {
     pub batch0: usize,
     /// Batch size of `tape`; must be `batch0 + 1`.
     pub batch1: usize,
+}
+
+/// One recording of a plan's graph: the tape plus the [`PlanSpec`] node
+/// indices into it. [`ExecPlan::compile_poly`] asks for one per batch
+/// size.
+pub struct Recording {
+    /// The recorded tape.
+    pub tape: Tape,
+    /// Scalar loss node of a training plan; `None` for forward-only.
+    pub root: Option<usize>,
+    /// Per-replay input nodes (see [`PlanSpec::inputs`]).
+    pub inputs: Vec<usize>,
+    /// Nodes a forward replay returns (see [`PlanSpec::outputs`]).
+    pub outputs: Vec<usize>,
+    /// Parameter bindings (see [`PlanSpec::bindings`]).
+    pub bindings: Vec<(ParamId, usize)>,
 }
 
 /// Where a node's forward value comes from at replay time.
@@ -349,41 +320,6 @@ enum NodeExec {
     General,
 }
 
-/// Appends the tape indices `op` reads to `out`.
-fn op_inputs(op: &Op, out: &mut Vec<usize>) {
-    match op {
-        Op::Leaf | Op::Constant => {}
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
-            out.push(*a);
-            out.push(*b);
-        }
-        Op::Neg(a)
-        | Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::PowF(a, _)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Sqrt(a)
-        | Op::Abs(a)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Sigmoid(a)
-        | Op::Tanh(a)
-        | Op::Permute(a, _)
-        | Op::Reshape(a)
-        | Op::SumAll(a)
-        | Op::MeanAll(a)
-        | Op::Softmax(a, _)
-        | Op::Detach(a) => out.push(*a),
-        Op::SumAxes { input, .. } | Op::Narrow { input, .. } => out.push(*input),
-        Op::Conv1d { input, weight, .. } => {
-            out.push(*input);
-            out.push(*weight);
-        }
-        Op::Concat { inputs, .. } => out.extend_from_slice(inputs),
-    }
-}
-
 // ------------------------------------------------------------------ plan
 
 /// A compiled, reusable execution plan for one recorded tape. See the
@@ -408,21 +344,17 @@ pub struct ExecPlan {
     bindings: Vec<(ParamId, usize)>,
     input_nodes: Vec<usize>,
     outputs: Vec<usize>,
-    root: Option<usize>,
+    /// The backward analysis of a training plan (`None` for forward-only
+    /// plans), run against the replay's value slots.
+    backward: Option<BackwardSchedule>,
     exec: Vec<NodeExec>,
-    useful: Vec<bool>,
     /// Forward values to drop right after computing node `i`
     /// (`drop_after[i]`): each listed node's last consumer is `i` and its
     /// value is not needed by the backward pass.
     drop_after: Vec<Vec<usize>>,
-    /// Reached non-leaf nodes in descending order — the backward
-    /// schedule (every other node is skipped without a grads check).
-    bwd_order: Vec<usize>,
-    /// Panel-sharing group id for `Conv1d` nodes whose (input, geometry)
-    /// pair is shared with a sibling conv (a gated TCN's filter/gate
-    /// pair): the im2col panels both lowerings build depend only on the
-    /// input and geometry, so group members build each panel once per
-    /// replay and reuse it.
+    /// Forward panel-sharing group of each live `Conv1d` node (see
+    /// [`conv_share_groups`]): group members build each im2col panel once
+    /// per replay and reuse it.
     conv_group: Vec<Option<u32>>,
     /// Group whose shared forward panel dies after node `i` runs
     /// (`i` is the group's last forward member).
@@ -448,6 +380,36 @@ impl std::ops::Deref for ReplayShapes<'_> {
         match self {
             ReplayShapes::Base(s) => s,
             ReplayShapes::Scaled(s) => s,
+        }
+    }
+}
+
+/// One training replay's forward values, as the backward walk reads them:
+/// by source, with computed values recycled once their rule has run.
+struct Replay<'a> {
+    plan: &'a ExecPlan,
+    values: &'a mut [Option<Tensor>],
+    store: &'a ParamStore,
+    inputs: &'a [&'a Tensor],
+    shapes: &'a [Vec<usize>],
+}
+
+impl ForwardValues for Replay<'_> {
+    fn op(&self, i: usize) -> &Op {
+        &self.plan.ops[i]
+    }
+
+    fn shape(&self, i: usize) -> &[usize] {
+        &self.shapes[i]
+    }
+
+    fn value(&self, i: usize) -> &Tensor {
+        self.plan.value(self.values, self.store, self.inputs, i)
+    }
+
+    fn release(&mut self, i: usize) {
+        if matches!(self.plan.source[i], Source::Computed) {
+            self.values[i] = None;
         }
     }
 }
@@ -523,61 +485,14 @@ impl ExecPlan {
                 captured.push(nodes[i].value.clone());
             }
         }
-        drop(nodes);
-
-        // A captured constant is recorded once and reused at every batch
-        // size, so its shape must be batch-independent (equal in both
-        // recordings ⇔ affine coefficient 0). A batch-dependent constant
-        // the caller did not promote to an input (e.g. a contrastive mask
-        // in a graph compiled without slot promotion) degrades the plan
-        // to mono-shape rather than replaying with a stale value.
-        if let Some((shapes1, _)) = &poly {
-            let stale_capture = (0..n)
-                .any(|i| matches!(source[i], Source::Captured(_)) && shapes1[i] != shapes[i]);
-            if stale_capture {
-                poly = None;
-            }
-        }
-        let poly_shapes = poly.as_ref().map(|(s1, _)| s1.as_slice());
-
-        // --- useful[i]: a gradient flowing into node i can reach a
-        // trainable leaf, so the backward pass must produce it.
-        let mut scratch = Vec::with_capacity(4);
-        let mut useful = vec![false; n];
-        for i in 0..n {
-            useful[i] = match &ops[i] {
-                Op::Leaf => true,
-                Op::Constant | Op::Detach(_) => false,
-                op => {
-                    scratch.clear();
-                    op_inputs(op, &mut scratch);
-                    scratch.iter().any(|&a| useful[a])
-                }
-            };
-        }
-
-        // --- reached[i]: the backward walk from the root produces a
-        // gradient for node i. Constants and detach cut propagation.
-        let mut reached = vec![false; n];
-        if let Some(root) = spec.root {
-            reached[root] = true;
-            for i in (0..n).rev() {
-                if !reached[i] || matches!(ops[i], Op::Detach(_)) {
-                    continue;
-                }
-                scratch.clear();
-                op_inputs(&ops[i], &mut scratch);
-                for &a in &scratch {
-                    if useful[a] {
-                        reached[a] = true;
-                    }
-                }
-            }
-        }
+        let backward = spec
+            .root
+            .map(|root| BackwardSchedule::new(&nodes[..n], root));
 
         // --- needed_fwd[i]: the forward value is (transitively) required
         // to produce the root or an output. Anything else is dead forward
         // code and is skipped entirely.
+        let mut scratch = Vec::with_capacity(4);
         let mut needed_fwd = vec![false; n];
         if let Some(root) = spec.root {
             needed_fwd[root] = true;
@@ -596,6 +511,23 @@ impl ExecPlan {
                 needed_fwd[a] = true;
             }
         }
+        let conv_group = conv_share_groups(&nodes[..n], |i| needed_fwd[i]);
+        drop(nodes);
+
+        // A captured constant is recorded once and reused at every batch
+        // size, so its shape must be batch-independent (equal in both
+        // recordings ⇔ affine coefficient 0). A batch-dependent constant
+        // the caller did not promote to an input (e.g. a contrastive mask
+        // in a graph compiled without slot promotion) degrades the plan
+        // to mono-shape rather than replaying with a stale value.
+        if let Some((shapes1, _)) = &poly {
+            let stale_capture = (0..n)
+                .any(|i| matches!(source[i], Source::Captured(_)) && shapes1[i] != shapes[i]);
+            if stale_capture {
+                poly = None;
+            }
+        }
+        let poly_shapes = poly.as_ref().map(|(s1, _)| s1.as_slice());
 
         // --- keep_value[i]: the forward value survives past its last
         // forward consumer because a backward rule reads it. Own-output
@@ -609,7 +541,11 @@ impl ExecPlan {
         for &o in spec.outputs {
             keep_value[o] = true;
         }
-        for i in 0..n {
+        let (useful, reached): (&[bool], &[bool]) = match &backward {
+            Some(b) => (&b.useful, &b.reached),
+            None => (&[], &[]),
+        };
+        for i in 0..reached.len() {
             if !reached[i] {
                 continue;
             }
@@ -778,7 +714,7 @@ impl ExecPlan {
 
         // --- Demote single-stage runs: a fused run only wins when it
         // eliminates an intermediate buffer. A lone stage pays per-element
-        // enum dispatch that the interpreter's monomorphized closures
+        // enum dispatch that the recorder's monomorphized closures
         // (e.g. `map(|v| v.max(0.0))` vectorizing to maxps) do not, so
         // route it through the same `Tensor` method the recorder used.
         for e in &mut exec {
@@ -787,43 +723,14 @@ impl ExecPlan {
             }
         }
 
-        // --- Conv panel sharing: live `Conv1d` nodes that consume the
-        // same input node with the same (kernel, dilation, pad) geometry
-        // build identical im2col panels in both the forward GEMM lowering
-        // and the dw backward lowering — the panels never depend on the
-        // weights or the upstream gradient. Group such siblings so the
-        // executor builds each panel once per replay.
-        let mut conv_group: Vec<Option<u32>> = vec![None; n];
+        // --- Conv panel sharing: a group's shared forward panel dies
+        // after its last member runs.
         let mut conv_release: Vec<Option<u32>> = vec![None; n];
-        {
-            let mut groups: Vec<((usize, usize, usize, usize), Vec<usize>)> = Vec::new();
-            for i in 0..n {
-                if matches!(exec[i], NodeExec::Skip) {
-                    continue;
-                }
-                if let Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } = &ops[i]
-                {
-                    let key = (*input, shapes[*weight][2], *dilation, *pad_left);
-                    match groups.iter_mut().find(|(k2, _)| *k2 == key) {
-                        Some((_, members)) => members.push(i),
-                        None => groups.push((key, vec![i])),
-                    }
-                }
-            }
-            for (gid, (_, members)) in groups
-                .into_iter()
-                .filter(|(_, m)| m.len() >= 2)
-                .enumerate()
-            {
-                for &m in &members {
-                    conv_group[m] = Some(gid as u32);
-                }
-                conv_release[*members.last().unwrap()] = Some(gid as u32);
+        let mut released = Vec::new();
+        for i in (0..n).rev() {
+            if let Some(g) = conv_group[i].filter(|g| !released.contains(g)) {
+                released.push(g);
+                conv_release[i] = Some(g);
             }
         }
 
@@ -902,28 +809,6 @@ impl ExecPlan {
             }
         }
 
-        // --- Backward schedule + dead-edge census.
-        let mut bwd_order = Vec::new();
-        let mut dead_edges = 0u64;
-        if spec.root.is_some() {
-            for i in (0..n).rev() {
-                // `reached && !useful` only happens at the root (reached is
-                // seeded there unconditionally): a loss over constants and
-                // detached values has no edge to schedule, and its backward
-                // arms assume at least one useful input.
-                if !reached[i] || !useful[i] {
-                    continue;
-                }
-                if matches!(ops[i], Op::Leaf | Op::Constant) {
-                    continue; // gradient is kept in the slot for retrieval
-                }
-                bwd_order.push(i);
-                scratch.clear();
-                op_inputs(&ops[i], &mut scratch);
-                dead_edges += scratch.iter().filter(|&&a| !useful[a]).count() as u64;
-            }
-        }
-
         COMPILES.fetch_add(1, Ordering::Relaxed);
         let (forms, base_batch) = match poly {
             Some((_, forms)) => (
@@ -943,18 +828,42 @@ impl ExecPlan {
             bindings: spec.bindings.to_vec(),
             input_nodes: spec.inputs.to_vec(),
             outputs: spec.outputs.to_vec(),
-            root: spec.root,
+            dead_edges: backward.as_ref().map_or(0, |b| b.dead_edges),
+            backward,
             exec,
-            useful,
             drop_after,
-            bwd_order,
             conv_group,
             conv_release,
             fused_stages,
-            dead_edges,
             static_moves,
             static_drops,
         }
+    }
+
+    /// Compiles a batch-polymorphic plan from two recordings of one graph:
+    /// `record(batch)` and `record(batch + 1)`, in that order. The first
+    /// is the primary recording — its captured constants are what every
+    /// replay uses, so it must record the real graph. The compiler reads
+    /// only shapes from the second, which may run on zero-filled shape
+    /// proxies ([`Tensor::at_batch`]). Degrades to a mono plan for
+    /// `batch` as [`PolySpec`] describes.
+    pub fn compile_poly(batch: usize, mut record: impl FnMut(usize) -> Recording) -> ExecPlan {
+        let primary = record(batch);
+        let second = record(batch + 1);
+        ExecPlan::compile(
+            &primary.tape,
+            &PlanSpec {
+                root: primary.root,
+                inputs: &primary.inputs,
+                outputs: &primary.outputs,
+                bindings: &primary.bindings,
+                poly: Some(PolySpec {
+                    tape: &second.tape,
+                    batch0: batch,
+                    batch1: batch + 1,
+                }),
+            },
+        )
     }
 
     /// The `(ParamId, node index)` bindings this plan was compiled with,
@@ -975,7 +884,7 @@ impl ExecPlan {
 
     /// True when the plan was compiled with a training root.
     pub fn is_training(&self) -> bool {
-        self.root.is_some()
+        self.backward.is_some()
     }
 
     /// Shapes the substituted inputs must have, in spec order.
@@ -1101,15 +1010,25 @@ impl ExecPlan {
     /// [`ParamStore::accumulate_grads`] with [`Self::bindings`]).
     ///
     /// Bitwise identical to recording a fresh tape with the current
-    /// parameter values and calling [`Tape::backward`].
+    /// parameter values and calling [`Tape::backward`]: the backward walk
+    /// is the same, reading the replayed values instead of recorded ones.
     pub fn run_training(&self, store: &ParamStore, inputs: &[&Tensor]) -> (Tensor, Gradients) {
-        let root = self.root.expect("run_training on a forward-only plan");
+        let backward = self
+            .backward
+            .as_ref()
+            .expect("run_training on a forward-only plan");
         let shapes = self.shapes_for(inputs);
         let mut values: Vec<Option<Tensor>> = Vec::new();
         values.resize_with(self.ops.len(), || None);
         self.forward(&mut values, store, inputs, &shapes);
-        let loss = self.value(&values, store, inputs, root).clone();
-        let grads = self.backward(&mut values, store, inputs, root, &shapes);
+        let loss = self.value(&values, store, inputs, backward.root).clone();
+        let grads = backward.run(&mut Replay {
+            plan: self,
+            values: &mut values,
+            store,
+            inputs,
+            shapes: &shapes,
+        });
         self.note_replay();
         (loss, Gradients::from_raw(grads))
     }
@@ -1291,7 +1210,7 @@ impl ExecPlan {
             let y = x.conv1d(w, *dilation, *pad_left);
             match bias {
                 None => y,
-                // Same broadcast add the interpreter would run.
+                // Same broadcast add a recording would run.
                 Some(bn) => y.add(self.value(values, store, inputs, bn)),
             }
         }
@@ -1371,443 +1290,6 @@ impl ExecPlan {
             } => v(*input).conv1d(v(*weight), *dilation, *pad_left),
             Op::Detach(a) => v(*a).clone(),
         }
-    }
-
-    /// The backward walk: mirrors [`Tape::backward`]'s rules arm for arm,
-    /// but only over the precomputed `bwd_order` schedule, with dead
-    /// edges (gradients into constants) never evaluated and per-slot
-    /// accumulation order preserved exactly.
-    fn backward(
-        &self,
-        values: &mut [Option<Tensor>],
-        store: &ParamStore,
-        inputs: &[&Tensor],
-        root: usize,
-        shapes: &[Vec<usize>],
-    ) -> Vec<Option<Tensor>> {
-        let mut grads: Vec<Option<Tensor>> = Vec::new();
-        grads.resize_with(self.ops.len(), || None);
-        grads[root] = Some(Tensor::ones(&shapes[root]));
-        let reuse = pool::pooling_enabled();
-        let prof = crate::opprof::op_profile_enabled();
-        let uf = |a: usize| self.useful[a];
-        // Shared dw im2col panels, keyed by conv group id; built by the
-        // first group member processed, recycled once the walk finishes.
-        let mut dw_panels: Vec<(u32, pool::Buffer)> = Vec::new();
-        for bi in 0..self.bwd_order.len() {
-            let i = self.bwd_order[bi];
-            let t0 = prof.then(std::time::Instant::now);
-            let g = grads[i]
-                .take()
-                .unwrap_or_else(|| panic!("plan backward bug: node {i} reached but has no grad"));
-            match &self.ops[i] {
-                Op::Leaf | Op::Constant => unreachable!("leaves are not scheduled"),
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    match (uf(a), uf(b)) {
-                        (true, true) => {
-                            if reuse && shapes[a] == shapes[i] {
-                                accumulate_ref(&mut grads, a, &g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                            if reuse && shapes[b] == shapes[i] {
-                                accumulate(&mut grads, b, g); // final edge: move, not clone
-                            } else {
-                                accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
-                            }
-                        }
-                        (true, false) => {
-                            if reuse && shapes[a] == shapes[i] {
-                                accumulate(&mut grads, a, g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                        (false, true) => {
-                            if reuse && shapes[b] == shapes[i] {
-                                accumulate(&mut grads, b, g);
-                            } else {
-                                accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
-                            }
-                        }
-                        (false, false) => unreachable!("node reached with no useful edge"),
-                    }
-                }
-                Op::Sub(a, b) => {
-                    let (a, b) = (*a, *b);
-                    // Interpreter order is a then b; when the indices
-                    // differ the contributions land in different slots, so
-                    // evaluating b's (which borrows g) first lets a's
-                    // identity edge move g instead of cloning it.
-                    if uf(b) && (a != b || !uf(a)) {
-                        if reuse && shapes[b] == shapes[i] {
-                            fused_scale_acc(&mut grads, b, &g, -1.0);
-                        } else {
-                            accumulate(
-                                &mut grads,
-                                b,
-                                g.scale(-1.0).reduce_to_shape(&shapes[b]),
-                            );
-                        }
-                        if uf(a) {
-                            if reuse && shapes[a] == shapes[i] {
-                                accumulate(&mut grads, a, g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                    } else {
-                        // a == b (or only a useful): keep interpreter order.
-                        if uf(a) {
-                            if reuse && shapes[a] == shapes[i] {
-                                accumulate_ref(&mut grads, a, &g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                        if uf(b) {
-                            if reuse && shapes[b] == shapes[i] {
-                                fused_scale_acc(&mut grads, b, &g, -1.0);
-                            } else {
-                                accumulate(
-                                    &mut grads,
-                                    b,
-                                    g.scale(-1.0).reduce_to_shape(&shapes[b]),
-                                );
-                            }
-                        }
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if reuse && shapes[a] == shapes[i] && shapes[b] == shapes[i]
-                    {
-                        if uf(a) {
-                            fused_mul_acc(&mut grads, a, &g, self.value(values, store, inputs, b));
-                        }
-                        if uf(b) {
-                            fused_mul_acc(&mut grads, b, &g, self.value(values, store, inputs, a));
-                        }
-                    } else {
-                        if uf(a) {
-                            let ga = g
-                                .mul(self.value(values, store, inputs, b))
-                                .reduce_to_shape(&shapes[a]);
-                            accumulate(&mut grads, a, ga);
-                        }
-                        if uf(b) {
-                            let gb = g
-                                .mul(self.value(values, store, inputs, a))
-                                .reduce_to_shape(&shapes[b]);
-                            accumulate(&mut grads, b, gb);
-                        }
-                    }
-                }
-                Op::Div(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if reuse && shapes[a] == shapes[i] && shapes[b] == shapes[i]
-                    {
-                        if uf(a) {
-                            fused_map2(
-                                &mut grads,
-                                a,
-                                &g,
-                                self.value(values, store, inputs, b),
-                                |gv, b| gv / b,
-                            );
-                        }
-                        if uf(b) {
-                            fused_map3(
-                                &mut grads,
-                                b,
-                                &g,
-                                self.value(values, store, inputs, a),
-                                self.value(values, store, inputs, b),
-                                |gv, a, b| ((gv * a) / (b * b)) * -1.0,
-                            );
-                        }
-                    } else {
-                        if uf(a) {
-                            let ga = g
-                                .div(self.value(values, store, inputs, b))
-                                .reduce_to_shape(&shapes[a]);
-                            accumulate(&mut grads, a, ga);
-                        }
-                        if uf(b) {
-                            let bv = self.value(values, store, inputs, b);
-                            let gb = g
-                                .mul(self.value(values, store, inputs, a))
-                                .div(&bv.mul(bv))
-                                .scale(-1.0)
-                                .reduce_to_shape(&shapes[b]);
-                            accumulate(&mut grads, b, gb);
-                        }
-                    }
-                }
-                Op::Neg(a) => {
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, -1.0);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(-1.0));
-                    }
-                }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, c);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(c));
-                    }
-                }
-                Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
-                Op::PowF(a, p) => {
-                    let p = *p;
-                    let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * (p * v.powf(p - 1.0))
-                        });
-                    } else {
-                        let dg = g.mul(&av.map(|v| p * v.powf(p - 1.0)));
-                        accumulate(&mut grads, *a, dg);
-                    }
-                }
-                Op::Exp(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * y);
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(y));
-                    }
-                }
-                Op::Ln(a) => {
-                    let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv / v);
-                    } else {
-                        accumulate(&mut grads, *a, g.div(av));
-                    }
-                }
-                Op::Sqrt(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv / (y * 2.0));
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&y.scale(2.0)));
-                    }
-                }
-                Op::Abs(a) => {
-                    let sign = |v: f32| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    };
-                    let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv * sign(v));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&av.map(sign)));
-                    }
-                }
-                Op::Relu(a) => {
-                    let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { 0.0 }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { s }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { s });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
-                }
-                Op::Sigmoid(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (y * (1.0 - y)));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.mul(&y.map(|v| 1.0 - v))));
-                    }
-                }
-                Op::Tanh(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (1.0 - y * y));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.map(|v| 1.0 - v * v)));
-                    }
-                }
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if uf(a) {
-                        let ga = g.matmul_nt(self.value(values, store, inputs, b));
-                        let ga = if reuse && ga.shape() == &shapes[a][..] {
-                            ga
-                        } else {
-                            ga.reduce_to_shape(&shapes[a])
-                        };
-                        accumulate(&mut grads, a, ga);
-                    }
-                    if uf(b) {
-                        let gb = self.value(values, store, inputs, a).matmul_tn(&g);
-                        let gb = if reuse && gb.shape() == &shapes[b][..] {
-                            gb
-                        } else {
-                            gb.reduce_to_shape(&shapes[b])
-                        };
-                        accumulate(&mut grads, b, gb);
-                    }
-                }
-                Op::Permute(a, perm) => {
-                    let mut inv = vec![0usize; perm.len()];
-                    for (i, &p) in perm.iter().enumerate() {
-                        inv[p] = i;
-                    }
-                    accumulate(&mut grads, *a, g.permute(&inv));
-                }
-                Op::Reshape(a) => {
-                    accumulate(&mut grads, *a, g.reshape(&shapes[*a]));
-                }
-                Op::SumAxes {
-                    input,
-                    axes,
-                    keepdim,
-                } => {
-                    let in_shape = &shapes[*input];
-                    let keep_shape: Vec<usize> = {
-                        let mut s = in_shape.clone();
-                        for &a in axes {
-                            s[a] = 1;
-                        }
-                        s
-                    };
-                    let gk = if *keepdim { g } else { g.reshape(&keep_shape) };
-                    let expanded = Tensor::zeros(in_shape).add(&gk);
-                    accumulate(&mut grads, *input, expanded);
-                }
-                Op::SumAll(a) => {
-                    let full = Tensor::full(&shapes[*a], g.item());
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::MeanAll(a) => {
-                    let n = numel(&shapes[*a]).max(1) as f32;
-                    let full = Tensor::full(&shapes[*a], g.item() / n);
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::Softmax(a, axis) => {
-                    let y = self.value(values, store, inputs, i);
-                    let gy = g.mul(y);
-                    let s = gy.sum_axes(&[*axis], true);
-                    let dg = y.mul(&g.sub(&s));
-                    accumulate(&mut grads, *a, dg);
-                }
-                Op::Concat { inputs: parts, axis } => {
-                    let mut start = 0;
-                    for &inp in parts {
-                        let len = shapes[inp][*axis];
-                        if uf(inp) {
-                            let part = g.narrow(*axis, start, len);
-                            accumulate(&mut grads, inp, part);
-                        }
-                        start += len;
-                    }
-                }
-                Op::Narrow {
-                    input,
-                    axis,
-                    start,
-                    len,
-                } => {
-                    let dg = narrow_scatter(&g, &shapes[*input], *axis, *start, *len);
-                    accumulate(&mut grads, *input, dg);
-                }
-                Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } => {
-                    let (input, weight) = (*input, *weight);
-                    if uf(input) {
-                        let dx = conv1d_backward_dx(
-                            &g,
-                            &shapes[input],
-                            self.value(values, store, inputs, weight),
-                            *dilation,
-                            *pad_left,
-                        );
-                        accumulate(&mut grads, input, dx);
-                    }
-                    if uf(weight) {
-                        let x = self.value(values, store, inputs, input);
-                        let t_out = shapes[i][2];
-                        // Panel sharing applies exactly when the dw GEMM
-                        // lowering would run (`conv1d_backward_dw`'s own
-                        // guard); the shared panel holds the same values
-                        // each member would build privately, so bits match.
-                        let dw = match self.conv_group[i] {
-                            Some(gid) if reuse && t_out < crate::gemm::NR => {
-                                let k = shapes[weight][2];
-                                if !dw_panels.iter().any(|(g2, _)| *g2 == gid) {
-                                    dw_panels.push((
-                                        gid,
-                                        conv1d_dw_cols(x, k, *dilation, *pad_left, t_out),
-                                    ));
-                                }
-                                let cols =
-                                    &dw_panels.iter().find(|(g2, _)| *g2 == gid).unwrap().1;
-                                conv1d_backward_dw_with_cols(
-                                    &g,
-                                    x.shape(),
-                                    &shapes[weight],
-                                    cols,
-                                )
-                            }
-                            _ => conv1d_backward_dw(
-                                &g,
-                                x,
-                                &shapes[weight],
-                                *dilation,
-                                *pad_left,
-                            ),
-                        };
-                        accumulate(&mut grads, weight, dw);
-                    }
-                }
-                Op::Detach(_) => unreachable!("detach is never reached"),
-            }
-            if let Some(t0) = t0 {
-                if let Some(k) = crate::autodiff::kind_index(&self.ops[i]) {
-                    crate::opprof::record_backward(k, t0.elapsed().as_nanos() as u64);
-                }
-            }
-            // Node i's own value can only be read by itself (own-output
-            // rules, handled above) or by already-processed consumers, so
-            // it is dead from here on: recycle it for gradient buffers.
-            if matches!(self.source[i], Source::Computed) {
-                values[i] = None;
-            }
-        }
-        for (_, p) in dw_panels {
-            pool::recycle(p);
-        }
-        grads
     }
 }
 
@@ -1944,8 +1426,9 @@ mod tests {
         Tensor::from_vec(v, s)
     }
 
-    /// Interpreter and plan must agree bitwise on loss and param grads
-    /// for a mixed graph with constants, broadcasts and shared leaves.
+    /// A recording (`Tape::backward`) and a plan replay must agree bitwise
+    /// on loss and param grads for a mixed graph with constants,
+    /// broadcasts and shared leaves.
     #[test]
     fn training_replay_matches_interpreter_bitwise() {
         let mut store = ParamStore::new();
@@ -2075,16 +1558,6 @@ mod tests {
         }
     }
 
-    /// The toggle follows the pool/simd seam pattern.
-    #[test]
-    fn toggle_roundtrip() {
-        let prev = set_plan(false);
-        assert!(!plan_enabled());
-        set_plan(true);
-        assert!(plan_enabled());
-        set_plan(prev);
-    }
-
     /// Replaying after a parameter update sees the *current* store values.
     #[test]
     fn replay_reads_current_params() {
@@ -2115,7 +1588,7 @@ mod tests {
     }
 
     /// One batch-polymorphic plan (recorded at batches 2 and 3) replays
-    /// bitwise against the interpreter at unseen batch sizes, with no
+    /// bitwise against a fresh recording at unseen batch sizes, with no
     /// recompilation.
     #[test]
     fn poly_plan_replays_at_unseen_batches() {
@@ -2142,7 +1615,6 @@ mod tests {
         let (t0, in0, binds0, root0) = record(&store, &x2, &y2);
         // Second recording at batch 3; only shapes matter, zeros are fine.
         let (t1, _, _, _) = record(&store, &Tensor::zeros(&[3, 3]), &Tensor::zeros(&[3, 4]));
-        let compiles_before = plan_stats().compiles;
         let plan = ExecPlan::compile(
             &t0,
             &PlanSpec {
@@ -2162,7 +1634,7 @@ mod tests {
             let x = rng.uniform_tensor(&[bsz, 3], -1.0, 1.0);
             let y = rng.uniform_tensor(&[bsz, 4], -1.0, 1.0);
             assert!(plan.accepts(&[&x, &y]));
-            // Interpreter reference at this batch size.
+            // Recorded reference at this batch size.
             let tape = Tape::new();
             let mut sess = Session::new(&tape, &store);
             let xv = sess.input(x.clone());
@@ -2182,14 +1654,51 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            plan_stats().compiles,
-            compiles_before + 1,
-            "batch churn must not recompile a poly plan"
-        );
         // A mismatched rank or off-form shape is rejected, not replayed.
         let bad = Tensor::zeros(&[2, 5]);
         assert!(!plan.accepts(&[&bad, &Tensor::zeros(&[2, 4])]));
+    }
+
+    /// `compile_poly` records at `b` and `b + 1` through the caller's
+    /// closure (the second over `at_batch` zero proxies) and yields one
+    /// plan accepting other batch sizes.
+    #[test]
+    fn compile_poly_records_both_batch_sizes() {
+        let mut store = ParamStore::new();
+        let w = store.add(
+            "w",
+            Rng::seed_from_u64(23).uniform_tensor(&[3, 2], -1.0, 1.0),
+        );
+        let x = Rng::seed_from_u64(24).uniform_tensor(&[4, 3], -1.0, 1.0);
+        let mut seen = Vec::new();
+        let plan = ExecPlan::compile_poly(4, |b| {
+            let xb = x.at_batch(b);
+            seen.push((b, xb.data().iter().all(|&v| v == 0.0)));
+            let tape = Tape::new();
+            let (inputs, outputs, bindings) = {
+                let mut sess = Session::new(&tape, &store);
+                let xv = sess.input(xb);
+                let y = xv.matmul(sess.param(w)).tanh();
+                (vec![xv.index()], vec![y.index()], sess.into_bindings())
+            };
+            Recording {
+                tape,
+                root: None,
+                inputs,
+                outputs,
+                bindings,
+            }
+        });
+        assert_eq!(
+            seen,
+            [(4, false), (5, true)],
+            "primary on real data, then a zero proxy"
+        );
+        assert!(plan.is_poly());
+        let x7 = Rng::seed_from_u64(25).uniform_tensor(&[7, 3], -1.0, 1.0);
+        let out = plan.run_forward(&store, &[&x7]);
+        let expect = x7.matmul(store.value(w)).map(f32::tanh);
+        assert_eq!(out[0].data(), expect.data());
     }
 
     /// A batch-dependent constant that was *not* promoted to an input

@@ -141,6 +141,20 @@ impl Tensor {
         t
     }
 
+    /// This tensor as a recording at batch size `b`: a copy of itself when
+    /// its leading (batch) dim already is `b`, otherwise zeros with the
+    /// leading dim set to `b` — the shape proxy the second recording of
+    /// [`ExecPlan::compile_poly`](crate::plan::ExecPlan::compile_poly)
+    /// runs on.
+    pub fn at_batch(&self, b: usize) -> Self {
+        if self.shape[0] == b {
+            return self.clone();
+        }
+        let mut shape = self.shape.clone();
+        shape[0] = b;
+        Self::zeros(&shape)
+    }
+
     // ------------------------------------------------------------ accessors
 
     /// The dimension sizes.

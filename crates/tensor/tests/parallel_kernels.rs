@@ -173,14 +173,12 @@ fn gradcheck_matmul_conv(threads: usize) {
         mm.add(cv).value().item()
     };
 
-    // Analytic gradients.
+    // Analytic gradients (leaves: constants receive no gradient).
     let tape = Tape::new();
-    let store = urcl_tensor::ParamStore::new();
-    let sess = Session::new(&tape, &store);
-    let av = sess.input(a0.clone());
-    let bv = sess.input(b0.clone());
-    let xv = sess.input(x0.clone());
-    let wv = sess.input(w0.clone());
+    let av = tape.leaf(a0.clone());
+    let bv = tape.leaf(b0.clone());
+    let xv = tape.leaf(x0.clone());
+    let wv = tape.leaf(w0.clone());
     let mm = av.matmul(bv).tanh().mean_all();
     let cv = xv.conv1d(wv, 1, 1).tanh().mean_all();
     let loss = mm.add(cv);
@@ -236,10 +234,8 @@ fn backward_identical_across_thread_counts() {
 
     let run = || {
         let tape = Tape::new();
-        let store = urcl_tensor::ParamStore::new();
-        let sess = Session::new(&tape, &store);
-        let av = sess.input(a.clone());
-        let bv = sess.input(b.clone());
+        let av = tape.leaf(a.clone());
+        let bv = tape.leaf(b.clone());
         let loss = av.matmul(bv).tanh().mean_all();
         let grads = tape.backward(loss);
         (grads.get(av).unwrap().clone(), grads.get(bv).unwrap().clone())

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# One-shot CI gate: release build, full test suite, then a traced
-# framework run whose JSON output (and any other BENCH_*.json / results
-# files present) is schema-validated through the in-tree parser.
+# One-shot CI gate: release build, full test suite (every workspace
+# crate: the root manifest's default-members), the end-to-end benchmark's
+# smoke test, then a traced framework run whose JSON output (and any
+# other BENCH_*.json / results files present) is schema-validated through
+# the in-tree parser.
 #
 # Usage: scripts/ci.sh [--full]
 #   --full   also runs the #[ignore]-gated full-size integration tests
@@ -30,12 +32,6 @@ echo "== tests with SIMD fast kernels force-disabled (URCL_SIMD=0) =="
 # forced off so the baseline cannot rot unnoticed.
 URCL_SIMD=0 cargo test -q --offline -p urcl-tensor
 
-echo "== tests with the plan engine force-disabled (URCL_PLAN=0) =="
-# The tape interpreter is the bitwise reference the compiled-plan engine
-# is pinned against; run the kernel-owning crate's full suite with plans
-# forced off so the fallback path cannot rot unnoticed.
-URCL_PLAN=0 cargo test -q --offline -p urcl-tensor
-
 echo "== plan parity + buffer-lifetime suites (release) =="
 # Architecture-churned graphs and gated-conv share groups replayed
 # through compiled plans, asserted bitwise against per-step re-recorded
@@ -46,14 +42,11 @@ echo "== plan parity + buffer-lifetime suites (release) =="
 cargo test -q --offline --release -p urcl-tensor \
   --test plan_parity --test plan_lifetimes
 
-echo "== augmented-SSL plan parity: engine duel + churn sweep (release) =="
-# Full tiny augmented run under both engines (bitwise period reports
-# and final params), then a record-vs-replay sweep churning draws,
-# batch sizes and architectures with compile-count assertions. Run
-# twice: plan engine on (default) and force-disabled, so the augmented
-# configuration keeps passing on the pure interpreter too.
+echo "== augmented-SSL record-vs-replay sweep (release) =="
+# Draws, batch sizes and architectures churned through one compiled
+# plan per architecture; loss and every parameter gradient asserted
+# bitwise against a fresh recording + Tape::backward.
 timeout 600 cargo test -q --offline --release --test plan_ssl_parity
-URCL_PLAN=0 timeout 600 cargo test -q --offline --release --test plan_ssl_parity
 
 echo "== rustdoc (warnings are errors) =="
 # Catches broken intra-doc links and, via the per-crate
@@ -93,14 +86,19 @@ if [[ "$FULL" == 1 ]]; then
   cargo test -q --offline --test end_to_end --test backbones -- --ignored
 fi
 
+echo "== end-to-end benchmark smoke test (release) =="
+# Every perfbench workload at reduced size through the public APIs, with
+# its output checks (finite losses, bitwise checkpoint reload, served
+# forecasts) — the same binary BENCHMARK.json times.
+timeout 900 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== traced framework run =="
 ./target/release/bench_framework --quick --trace BENCH_trace.json
 
 echo "== train-step throughput smoke (pooling/SIMD/plan determinism) =="
 # Quick schedule: asserts bitwise-identical losses across all
 # (threads, pooling, simd, plan) cells, zero steady-state pool misses,
-# the SIMD speedup gate, the plan duels (task-only and paper-default
-# augmented-SSL, both >= 1.15x), the one-poly-plan-many-batch-sizes
+# the SIMD speedup gate, the one-poly-plan-many-batch-sizes
 # zero-recompile check and the host-aware thread-scaling gate.
 ./target/release/bench_train_step --quick
 

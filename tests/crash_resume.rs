@@ -299,62 +299,6 @@ fn kill_at_every_step_boundary_resumes_bitwise() {
 }
 
 #[test]
-fn mixed_plan_interpreter_kill_resume_is_bitwise() {
-    // The trainer's two execution engines — compiled-plan replay (the
-    // default) and tape re-recording (`URCL_PLAN=0`) — record the
-    // identical graph, so a checkpoint written by one must resume
-    // bitwise on the other. This sweep kills at every step boundary and
-    // crosses the engine at the crash: plan before the kill, interpreter
-    // after, and vice versa. Every observable must still match the
-    // uninterrupted reference.
-    //
-    // The worlds run the paper default (augmentation ON): every draw's
-    // view signals, perturbed supports and contrastive masks bind to the
-    // compiled plan's promoted input slots, so plan-engine runs replay
-    // the augmented-SSL step instead of falling back — exactly the path
-    // a production crash would interrupt.
-    //
-    // `set_plan` is process-global; flipping it mid-binary is safe
-    // precisely because of the contract under test — the flag never
-    // changes bits, so concurrently running tests cannot be perturbed.
-    let mut reference = World::with_augmentation(21, true);
-    let mut recorder = Recorder::default();
-    let ref_report = match reference.run_to_completion(&mut recorder) {
-        RunOutcome::Completed(report) => report,
-        RunOutcome::Paused => panic!("recorder never pauses"),
-    };
-    let total_steps = recorder.steps.last().expect("run trained").global_step;
-
-    for kill_at in 1..=total_steps {
-        for (before, after) in [(true, false), (false, true)] {
-            let dir_path = scratch_dir(&format!(
-                "mixed-{}{}-step{kill_at}",
-                before as u8, after as u8
-            ));
-            let dir = CheckpointDir::new(&dir_path).unwrap();
-            let prev = urcl::tensor::set_plan(before);
-            let bytes =
-                kill_and_checkpoint_world(&dir, kill_at, World::with_augmentation(21, true));
-            assert!(bytes > 0);
-            urcl::tensor::set_plan(after);
-            let (world, report) =
-                resume_from_disk_world(&dir, World::with_augmentation(777, true));
-            urcl::tensor::set_plan(prev);
-            std::fs::remove_dir_all(&dir_path).ok();
-
-            let engines = |on: bool| if on { "plan" } else { "interp" };
-            let ctx = format!(
-                "{}->{} kill at step {kill_at}/{total_steps}",
-                engines(before),
-                engines(after)
-            );
-            assert_params_bitwise_equal(&reference.store, &world.store, &ctx);
-            assert_reports_bitwise_equal(&ref_report, &report, &ctx);
-        }
-    }
-}
-
-#[test]
 fn torn_latest_checkpoint_falls_back_to_previous_and_resumes_bitwise() {
     // Reference result for comparison.
     let mut reference = World::new(21);

@@ -19,8 +19,8 @@ use urcl::trace;
 const GOLDEN_FINAL_MAE: f64 = 23.0244;
 const GOLDEN_TOL: f64 = 0.5;
 
-/// Span paths the trainer instrumentation must produce on every run,
-/// whichever execution engine is active.
+/// Span paths the trainer instrumentation must produce on every run: the
+/// step path compiles a plan once and replays it every step.
 const REQUIRED_SPANS: &[&str] = &[
     "period",
     "period/epoch",
@@ -30,22 +30,10 @@ const REQUIRED_SPANS: &[&str] = &[
     "period/epoch/step/replay/rmir",
     "period/epoch/step/replay/rmir/virtual_update",
     "period/eval",
-];
-
-/// Spans of the plan engine's step path (compile once, replay every step).
-const PLAN_SPANS: &[&str] = &[
     "period/epoch/step/plan_compile",
     "period/epoch/step/plan_compile/encode",
     "period/epoch/step/plan_compile/decode",
     "period/epoch/step/plan_exec",
-];
-
-/// Spans of the interpreter's step path (`URCL_PLAN=0`).
-const INTERP_SPANS: &[&str] = &[
-    "period/epoch/step/forward",
-    "period/epoch/step/forward/encode",
-    "period/epoch/step/forward/decode",
-    "period/epoch/step/backward",
 ];
 
 #[test]
@@ -112,12 +100,7 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
 
     // --- span tree ---
     let spans = doc.get("spans").expect("spans");
-    let engine_spans = if urcl::tensor::plan_enabled() {
-        PLAN_SPANS
-    } else {
-        INTERP_SPANS
-    };
-    for path in REQUIRED_SPANS.iter().chain(engine_spans) {
+    for path in REQUIRED_SPANS {
         let sp = spans
             .get(path)
             .unwrap_or_else(|| panic!("missing span {path}"));
@@ -163,9 +146,9 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
         "peak resident watermark never moved"
     );
 
-    // --- plan-engine telemetry: the traced run evaluates through
-    // compiled plans whenever the engine is on, so the counters must
-    // show real compiles and strictly more replays than compiles ---
+    // --- plan telemetry: the traced run trains and evaluates through
+    // compiled plans, so the counters must show real compiles and at
+    // least as many replays as compiles ---
     let plan = doc.get("plan").expect("plan");
     for key in [
         "compiles",
@@ -182,22 +165,20 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
             "plan counter {key} missing"
         );
     }
-    if urcl::tensor::plan_enabled() {
-        let compiles = plan.get("compiles").and_then(Value::as_u64).unwrap();
-        let replays = plan.get("replays").and_then(Value::as_u64).unwrap();
-        assert!(compiles > 0, "plan engine on but nothing compiled");
-        assert!(
-            replays >= compiles,
-            "every compiled plan should replay at least once ({replays} vs {compiles})"
-        );
-        // Batch-polymorphic plans keep the trainer cache at one entry per
-        // architecture×config; the LRU bound is 8 entries either way.
-        let entries = plan.get("cache_entries").and_then(Value::as_u64).unwrap();
-        assert!(
-            (1..=8).contains(&entries),
-            "trainer plan cache not bounded: {entries} entries"
-        );
-    }
+    let compiles = plan.get("compiles").and_then(Value::as_u64).unwrap();
+    let replays = plan.get("replays").and_then(Value::as_u64).unwrap();
+    assert!(compiles > 0, "nothing compiled");
+    assert!(
+        replays >= compiles,
+        "every compiled plan should replay at least once ({replays} vs {compiles})"
+    );
+    // Batch-polymorphic plans keep the trainer cache at one entry per
+    // architecture×config; the LRU bound is 8 entries either way.
+    let entries = plan.get("cache_entries").and_then(Value::as_u64).unwrap();
+    assert!(
+        (1..=8).contains(&entries),
+        "trainer plan cache not bounded: {entries} entries"
+    );
 
     // --- period records: one per streaming set, fields populated ---
     let periods = doc.get("periods").and_then(Value::as_array).expect("periods");

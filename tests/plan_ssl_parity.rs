@@ -1,135 +1,27 @@
-//! Augmented-SSL plan parity: the paper-default training step (task MAE
-//! + weighted GraphCL term over two augmentation draws) must produce
-//! bitwise-identical results whether it re-records a tape every step
-//! (interpreter) or replays ONE compiled batch-polymorphic plan whose
-//! promoted input slots (view tensors, per-view graph supports,
-//! contrastive masks) are rebound per draw.
+//! Augmented-SSL record-vs-replay parity: the paper-default training step
+//! (task MAE + weighted GraphCL term over two augmentation draws) must
+//! produce bitwise-identical loss and parameter gradients whether it is
+//! recorded afresh and differentiated with `Tape::backward`, or replayed
+//! through ONE compiled batch-polymorphic plan whose promoted input slots
+//! (view tensors, per-view graph supports, contrastive masks) are rebound
+//! per draw.
 //!
-//! Two layers of coverage:
-//!
-//! 1. A full tiny URCL streaming run with augmentation ON, executed once
-//!    per engine (`set_plan(true)` vs `set_plan(false)`): period reports
-//!    and final parameters must agree bit for bit.
-//! 2. A direct record-vs-replay sweep churning augmentation draws, batch
-//!    sizes (poly replay) and architectures (two models alternating),
-//!    asserting the loss parity at every point AND that the whole sweep
-//!    costs exactly one plan compile per architecture.
-//!
-//! Lives in its own integration binary because the engine switch is
-//! process-global.
+//! The sweep churns augmentation draws, batch sizes (poly replay) and
+//! architectures (two models alternating) through one plan per
+//! architecture.
 
-use urcl::core::{Ablation, Augmentation, AugmentedView, ContinualTrainer, StSimSiam, TrainerConfig};
+use urcl::core::{Augmentation, AugmentedView, StSimSiam};
 use urcl::graph::{random_geometric, SupportSet};
 use urcl::models::{Backbone, GraphWaveNet, GwnConfig};
-use urcl::stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample, SyntheticDataset};
+use urcl::stdata::{stack_samples, Batch, Sample};
 use urcl::tensor::autodiff::{Session, Tape};
-use urcl::tensor::{
-    plan_stats, set_plan, ExecPlan, ParamStore, PlanSpec, PolySpec, Rng, Tensor,
-};
+use urcl::tensor::{ExecPlan, ParamStore, Recording, Rng, Tensor};
 
 const SSL_WEIGHT: f32 = 0.05;
 const K_DIFFUSION: usize = 2;
 const NODES: usize = 12;
 const STEPS: usize = 8;
 const CHANNELS: usize = 2;
-
-// ---------------------------------------------------------------------
-// Layer 1: full streaming run, plan engine vs interpreter.
-// ---------------------------------------------------------------------
-
-struct RunResult {
-    maes: Vec<u32>,
-    losses: Vec<u32>,
-    params: Vec<u32>,
-}
-
-/// One complete augmented tiny URCL run under the given engine; returns
-/// every observable as raw bits.
-fn full_run(plan_on: bool) -> RunResult {
-    let prev = set_plan(plan_on);
-    let mut cfg = DatasetConfig::metr_la().tiny();
-    cfg.num_days = 3;
-    let dataset = SyntheticDataset::generate(cfg);
-    let normalizer = dataset.fit_normalizer();
-    let raw = dataset.continual_split(2);
-    let split = ContinualSplit {
-        base: raw.base.normalized(&normalizer),
-        incremental: raw
-            .incremental
-            .iter()
-            .map(|p| p.normalized(&normalizer))
-            .collect(),
-    };
-    let scale = normalizer.scale(dataset.config.target_channel);
-
-    let mut store = ParamStore::new();
-    let mut rng = Rng::seed_from_u64(47);
-    let mut gcfg = GwnConfig::small(
-        dataset.config.num_nodes,
-        dataset.config.num_channels(),
-        dataset.config.input_steps,
-        dataset.config.output_steps,
-    );
-    gcfg.layers = 2;
-    let model = GraphWaveNet::new(&mut store, &mut rng, &dataset.network, gcfg);
-    let simsiam = StSimSiam::new(&mut store, &mut rng, 32, 32, 0.5);
-    let mut trainer = ContinualTrainer::new(TrainerConfig {
-        epochs_base: 1,
-        epochs_incremental: 1,
-        window_stride: 6,
-        buffer_capacity: 16,
-        rmir_pool: 8,
-        rmir_candidates: 4,
-        seed: 47,
-        ablation: Ablation {
-            augmentation: true,
-            ..Ablation::default()
-        },
-        ..TrainerConfig::default()
-    });
-    let report = trainer.run(
-        &model,
-        Some(&simsiam),
-        &mut store,
-        &dataset.network,
-        &split,
-        &dataset.config,
-        scale,
-    );
-    set_plan(prev);
-
-    let mut params = Vec::new();
-    for id in store.ids() {
-        params.extend(store.value(id).data().iter().map(|v| v.to_bits()));
-    }
-    RunResult {
-        maes: report.sets.iter().map(|s| s.mae.to_bits()).collect(),
-        losses: report
-            .sets
-            .iter()
-            .flat_map(|s| s.loss_curve.iter().map(|v| v.to_bits()))
-            .collect(),
-        params,
-    }
-}
-
-#[test]
-fn augmented_run_is_bitwise_identical_across_engines() {
-    let on = full_run(true);
-    let off = full_run(false);
-    assert_eq!(on.maes, off.maes, "period MAEs diverged across engines");
-    assert_eq!(on.losses, off.losses, "loss curves diverged across engines");
-    assert_eq!(
-        on.params.len(),
-        off.params.len(),
-        "parameter counts diverged"
-    );
-    assert_eq!(on.params, off.params, "final parameters diverged across engines");
-}
-
-// ---------------------------------------------------------------------
-// Layer 2: direct record-vs-replay sweep with draw/batch/arch churn.
-// ---------------------------------------------------------------------
 
 struct Arch {
     store: ParamStore,
@@ -162,26 +54,19 @@ fn make_batch(rng: &mut Rng, b: usize) -> Batch {
     stack_samples(&samples)
 }
 
-struct RecordedSsl {
-    tape: Tape,
-    root: usize,
-    inputs: Vec<usize>,
-    binds: Vec<(urcl::tensor::ParamId, usize)>,
-    view_slots: usize,
-}
-
 /// Records the augmented step graph and collects the promoted input
 /// slots in the trainer's binding order: `[x, y, x1, x2, eye, off_mask,
-/// view-1 supports…, view-2 supports…]`.
+/// view-1 supports…, view-2 supports…]`. Returns the recording and the
+/// per-view support slot count.
 fn record_ssl(
     arch: &Arch,
     x: &Tensor,
     y: &Tensor,
     v1: &AugmentedView,
     v2: &AugmentedView,
-) -> RecordedSsl {
+) -> (Recording, usize) {
     let tape = Tape::new();
-    let (root, inputs, binds, view_slots);
+    let (root, inputs, bindings, view_slots);
     {
         let mut sess = Session::new(&tape, &arch.store);
         let xv = sess.input(x.clone());
@@ -209,54 +94,59 @@ fn record_ssl(
         ins.extend(s2);
         root = total.index();
         inputs = ins;
-        binds = sess.into_bindings();
+        bindings = sess.into_bindings();
     }
-    RecordedSsl {
+    let recording = Recording {
         tape,
-        root,
+        root: Some(root),
         inputs,
-        binds,
-        view_slots,
-    }
+        outputs: Vec::new(),
+        bindings,
+    };
+    (recording, view_slots)
 }
 
 /// Compiles one batch-polymorphic plan for the architecture's augmented
-/// step (recorded at `b0` and over zero proxies at `b0 + 1`).
+/// step.
 fn compile_ssl(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> (ExecPlan, usize) {
     let b0 = batch.x.shape()[0];
-    let rec0 = record_ssl(arch, &batch.x, &batch.y, v1, v2);
-    let mut xs = batch.x.shape().to_vec();
-    let mut ys = batch.y.shape().to_vec();
-    xs[0] = b0 + 1;
-    ys[0] = b0 + 1;
-    let rec1 = record_ssl(
-        arch,
-        &Tensor::zeros(&xs),
-        &Tensor::zeros(&ys),
-        &v1.shape_proxy(b0 + 1),
-        &v2.shape_proxy(b0 + 1),
-    );
-    let plan = ExecPlan::compile(
-        &rec0.tape,
-        &PlanSpec {
-            root: Some(rec0.root),
-            inputs: &rec0.inputs,
-            outputs: &[],
-            bindings: &rec0.binds,
-            poly: Some(PolySpec {
-                tape: &rec1.tape,
-                batch0: b0,
-                batch1: b0 + 1,
-            }),
-        },
-    );
-    (plan, rec0.view_slots)
+    let mut view_slots = 0;
+    let plan = ExecPlan::compile_poly(b0, |b| {
+        let (rec, slots) = record_ssl(
+            arch,
+            &batch.x.at_batch(b),
+            &batch.y.at_batch(b),
+            &v1.at_batch(b),
+            &v2.at_batch(b),
+        );
+        view_slots = slots;
+        rec
+    });
+    (plan, view_slots)
 }
 
-/// Interpreter reference loss for one draw (no parameter update).
-fn interp_loss(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> f32 {
-    let rec = record_ssl(arch, &batch.x, &batch.y, v1, v2);
-    rec.tape.value_at(rec.root).item()
+/// Reference for one draw (no parameter update): a fresh recording
+/// differentiated by `Tape::backward`. Returns the loss bits and every
+/// bound parameter's gradient bits, in binding order.
+fn recorded_reference(
+    arch: &Arch,
+    batch: &Batch,
+    v1: &AugmentedView,
+    v2: &AugmentedView,
+) -> (u32, Vec<Vec<u32>>) {
+    let (rec, _) = record_ssl(arch, &batch.x, &batch.y, v1, v2);
+    let root = rec.tape.var(rec.root.expect("training recording"));
+    let grads = rec.tape.backward(root);
+    let grad_bits = rec
+        .bindings
+        .iter()
+        .map(|&(_, idx)| bits(grads.by_index(idx).expect("bound parameter has a gradient")))
+        .collect();
+    (root.value().item().to_bits(), grad_bits)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
 }
 
 fn ssl_refs<'a>(
@@ -290,8 +180,8 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
     let archs = [make_arch(&net, 1, 7), make_arch(&net, 2, 11)];
 
     // Batch sizes churn around the recorded size 4; SSL batches of 1 are
-    // a structurally different graph and stay on the interpreter, so the
-    // poly sweep starts at 2.
+    // a structurally different graph the trainer records per step, so
+    // the poly sweep starts at 2.
     let sizes = [4usize, 3, 2, 5, 4];
     let batches: Vec<Batch> = sizes.iter().map(|&b| make_batch(&mut rng, b)).collect();
     let draws: Vec<(AugmentedView, AugmentedView)> = batches
@@ -305,20 +195,18 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
         })
         .collect();
 
-    let compiles_before = plan_stats().compiles;
+    // One compile per architecture, before the sweep.
     let plans: Vec<(ExecPlan, usize)> = archs
         .iter()
         .map(|arch| compile_ssl(arch, &batches[0], &draws[0].0, &draws[0].1))
         .collect();
-    let compiled = plan_stats().compiles - compiles_before;
-    assert_eq!(compiled, 2, "expected one plan compile per architecture");
     for (plan, _) in &plans {
         assert!(plan.is_poly(), "augmented step failed to compile batch-polymorphically");
     }
 
     // Arch-churn sweep: alternate architectures per (batch, draw) point.
-    // Every point must match the interpreter bitwise, through one plan
-    // per architecture and zero further compiles.
+    // Every point must match a fresh recording bitwise — loss and every
+    // bound parameter's gradient — through the one plan per architecture.
     for (i, (batch, (v1, v2))) in batches.iter().zip(&draws).enumerate() {
         for (ai, arch) in archs.iter().enumerate() {
             let (plan, view_slots) = &plans[ai];
@@ -330,19 +218,28 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
                 "arch {ai} plan rejected batch size {} at point {i}",
                 batch.x.shape()[0]
             );
-            let (loss, _grads) = plan.run_training(&arch.store, &refs);
-            let reference = interp_loss(arch, batch, v1, v2);
+            let (loss, grads) = plan.run_training(&arch.store, &refs);
+            let (ref_loss, ref_grads) = recorded_reference(arch, batch, v1, v2);
+            let ctx = format!("arch {ai} point {i} (batch {})", batch.x.shape()[0]);
             assert_eq!(
                 loss.item().to_bits(),
-                reference.to_bits(),
-                "arch {ai} point {i} (batch {}) replay diverged from interpreter",
-                batch.x.shape()[0]
+                ref_loss,
+                "{ctx}: replay loss diverged from the recording"
             );
+            assert_eq!(
+                plan.bindings().len(),
+                ref_grads.len(),
+                "{ctx}: binding count"
+            );
+            for (k, &(id, idx)) in plan.bindings().iter().enumerate() {
+                let g = grads.by_index(idx).expect("bound parameter has a gradient");
+                assert_eq!(
+                    bits(g),
+                    ref_grads[k],
+                    "{ctx}: gradient of {} diverged from the recording",
+                    arch.store.name(id)
+                );
+            }
         }
     }
-    assert_eq!(
-        plan_stats().compiles - compiles_before,
-        2,
-        "draw/batch churn forced a recompile"
-    );
 }
