@@ -13,7 +13,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 use urcl_bench::{run_deep_model, write_results, ExperimentContext, ModelKind};
-use urcl_core::{rmir_sample, st_mixup, Augmentation, ReplayBuffer, RmirPlans, TrainerConfig};
+use urcl_core::{
+    rmir_sample, st_mixup, Augmentation, ForwardPlan, ReplayBuffer, RmirPlans, TrainerConfig,
+};
 use urcl_graph::{random_geometric, SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
 use urcl_models::{Backbone, GraphWaveNet, GwnConfig};
@@ -228,31 +230,36 @@ fn main() {
         }
     }
 
-    // RMIR interference scoring.
+    // RMIR interference scoring: the default random pool of 48 and the
+    // paper's full 256-sample buffer scan (Section IV-B1).
     {
         let mut rng = Rng::seed_from_u64(5);
         let net = make_net(&mut rng);
         let (model, store) = make_model(&mut rng, &net);
-        let mut buffer = ReplayBuffer::new(64);
-        for _ in 0..64 {
+        let mut buffer = ReplayBuffer::new(256);
+        for _ in 0..256 {
             buffer.push(make_sample(&mut rng));
         }
         let current = make_batch(&mut rng, 8);
-        let pool: Vec<usize> = (0..48).collect();
         let mut rmir_plans = RmirPlans::default();
-        results.push(bench("rmir_sample_pool48_b8", min_secs, || {
-            black_box(rmir_sample(
-                &buffer,
-                &pool,
-                &current,
-                &model,
-                &store,
-                3e-3,
-                24,
-                8,
-                &mut rmir_plans,
-            ));
-        }));
+        let mut forward = ForwardPlan::default();
+        for pool_len in [48usize, 256] {
+            let pool: Vec<usize> = (0..pool_len).collect();
+            results.push(bench(&format!("rmir_sample_pool{pool_len}_b8"), min_secs, || {
+                black_box(rmir_sample(
+                    &buffer,
+                    &pool,
+                    &current,
+                    &model,
+                    &store,
+                    3e-3,
+                    24,
+                    8,
+                    &mut rmir_plans,
+                    &mut forward,
+                ));
+            }));
+        }
     }
 
     // GraphWaveNet forward and forward+backward.

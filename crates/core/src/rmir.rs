@@ -9,6 +9,7 @@
 //! argument).
 
 use crate::replay::ReplayBuffer;
+use crate::trainer::ForwardPlan;
 use urcl_models::Backbone;
 use urcl_stdata::Batch;
 use urcl_tensor::autodiff::{Session, Tape};
@@ -35,25 +36,25 @@ impl RmirStats {
     }
 }
 
-/// Compiled plans for RMIR's two per-step graphs: the virtual-update
-/// training loss (inputs `[x, y]`) and the forward-only scoring pass
-/// (input `[x]`). Both compile batch-polymorphic, so one plan each covers
-/// every minibatch and candidate-pool size the stream produces. Plans
-/// resolve parameters from whichever [`ParamStore`] a replay passes —
-/// that is what lets the *same* compiled graph score the real and the
-/// virtually-updated parameters. Derived state: the owning trainer drops
-/// it whenever its own plan cache is dropped.
+/// RMIR's per-step state besides the forward plan: the compiled
+/// virtual-update training loss (inputs `[x, y]`, batch-polymorphic, so
+/// one plan covers every minibatch size the stream produces) and the
+/// virtual parameter store θᵛ, refreshed from θ every round instead of
+/// cloned. Scoring replays the trainer's [`ForwardPlan`] under both θ and
+/// θᵛ: plans resolve parameters from whichever [`ParamStore`] a replay
+/// passes. Derived state: the owning trainer drops it whenever its own
+/// plan cache is dropped.
 #[derive(Default)]
 pub struct RmirPlans {
     virt: Option<ExecPlan>,
-    score: Option<ExecPlan>,
+    virtual_store: Option<ParamStore>,
 }
 
 impl RmirPlans {
-    /// Drops both plans; the next [`rmir_sample`] call recompiles.
+    /// Drops the plan and θᵛ; the next [`rmir_sample`] call rebuilds them.
     pub fn clear(&mut self) {
         self.virt = None;
-        self.score = None;
+        self.virtual_store = None;
     }
 }
 
@@ -94,6 +95,8 @@ fn compile_virt_plan(backbone: &dyn Backbone, store: &ParamStore, batch: &Batch)
 /// * `lr` — the virtual-update step size α (Eq. 3).
 /// * `candidates` — the interference short-list size |𝒩| (must be ≥
 ///   `select`; both are clamped to the pool size).
+/// * `forward` — the backbone's forward-only plan, replayed for both
+///   scoring passes (the trainer shares its own with evaluation).
 ///
 /// Returns buffer indices, best first. Empty when the pool is empty.
 #[allow(clippy::too_many_arguments)]
@@ -107,6 +110,7 @@ pub fn rmir_sample(
     candidates: usize,
     select: usize,
     plans: &mut RmirPlans,
+    forward: &mut ForwardPlan,
 ) -> Vec<usize> {
     if pool.is_empty() || select == 0 {
         return Vec::new();
@@ -115,9 +119,10 @@ pub fn rmir_sample(
     let candidates = candidates.clamp(select, pool.len());
 
     // Virtual update: θᵛ = θ − α ∇_θ L(f_θ(current)) (Eq. 3), replaying
-    // the dedicated (batch-polymorphic) virtual-update plan against the
-    // cloned parameters.
-    let mut virtual_store = store.clone();
+    // the dedicated (batch-polymorphic) virtual-update plan against a
+    // copy of the parameters kept across rounds.
+    let virtual_store = plans.virtual_store.get_or_insert_with(|| store.clone());
+    virtual_store.copy_values_from(store);
     virtual_store.zero_grads();
     {
         let _sp = urcl_trace::span("virtual_update");
@@ -129,7 +134,7 @@ pub fn rmir_sample(
             plans.virt = Some(compile_virt_plan(backbone, store, current));
         }
         let plan = plans.virt.as_ref().expect("virt plan compiled above");
-        let (_loss, grads) = plan.run_training(&virtual_store, &[&current.x, &current.y]);
+        let (_loss, grads) = plan.run_training(virtual_store, &[&current.x, &current.y]);
         virtual_store.accumulate_grads(plan.bindings(), &grads);
         virtual_store.sgd_step(lr);
     }
@@ -138,17 +143,9 @@ pub fn rmir_sample(
     // Interference: per-sample loss increase under θᵛ over the pool. One
     // forward-only plan scores both parameter sets.
     let pool_batch = buffer.gather(pool);
-    let stale = plans
-        .score
-        .as_ref()
-        .is_none_or(|p| !p.accepts(&[&pool_batch.x]));
-    if stale {
-        let _compile_sp = urcl_trace::span("plan_compile");
-        plans.score = Some(backbone.compile_forward(store, &pool_batch.x));
-    }
-    let score = plans.score.as_ref().expect("score plan compiled above");
+    let score = forward.plan(backbone, store, &pool_batch.x);
     let loss_before = per_sample_mae(store, &pool_batch, score);
-    let loss_after = per_sample_mae(&virtual_store, &pool_batch, score);
+    let loss_after = per_sample_mae(virtual_store, &pool_batch, score);
     let mut by_interference: Vec<(usize, f32)> = loss_before
         .iter()
         .zip(&loss_after)
@@ -240,7 +237,7 @@ mod tests {
         let pool = full_pool(&buffer);
         let picked = rmir_sample(
             &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 3);
         assert!(picked.iter().all(|&i| i < buffer.len()));
@@ -256,7 +253,7 @@ mod tests {
         let (store, model, buffer, current, _) = setup();
         assert!(rmir_sample(
             &buffer, &[], &current, &model, &store, 0.05, 4, 2,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         ).is_empty());
     }
 
@@ -266,7 +263,7 @@ mod tests {
         let pool = full_pool(&buffer);
         let picked = rmir_sample(
             &buffer, &pool, &current, &model, &store, 0.05, 99, 99,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), buffer.len());
     }
@@ -277,7 +274,7 @@ mod tests {
         let pool = vec![1usize, 4, 7];
         let picked = rmir_sample(
             &buffer, &pool, &current, &model, &store, 0.05, 3, 2,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 2);
         assert!(picked.iter().all(|i| pool.contains(i)));
@@ -306,11 +303,11 @@ mod tests {
         let pool = full_pool(&buffer);
         let a = rmir_sample(
             &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         );
         let b = rmir_sample(
             &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(),
+            &mut RmirPlans::default(), &mut ForwardPlan::default(),
         );
         assert_eq!(a, b);
     }

@@ -453,8 +453,11 @@ pub struct ContinualTrainer {
     /// alive so plan replays can bind them by reference. Pure function of
     /// the batch size — never stale.
     masks: Vec<(usize, (Tensor, Tensor))>,
-    /// RMIR's dedicated virtual-update/scoring plans (see `rmir.rs`).
+    /// RMIR's virtual-update plan and θᵛ store (see `rmir.rs`).
     rmir_plans: RmirPlans,
+    /// The backbone's forward-only plan: RMIR's scoring passes and
+    /// every evaluation replay it.
+    forward: ForwardPlan,
     /// Compile and eviction counts of `plans`.
     plan_cache_stats: PlanCacheStats,
 }
@@ -476,6 +479,7 @@ impl ContinualTrainer {
             plans: Vec::new(),
             masks: Vec::new(),
             rmir_plans: RmirPlans::default(),
+            forward: ForwardPlan::default(),
             plan_cache_stats: PlanCacheStats::default(),
         }
     }
@@ -539,6 +543,7 @@ impl ContinualTrainer {
         self.cursor = snapshot.cursor;
         self.plans.clear();
         self.rmir_plans.clear();
+        self.forward.clear();
         note_plan_cache_entries(0);
     }
 
@@ -603,6 +608,7 @@ impl ContinualTrainer {
         self.cursor = TrainCursor::default();
         self.plans.clear();
         self.rmir_plans.clear();
+        self.forward.clear();
         note_plan_cache_entries(0);
         self.drive(backbone, simsiam, store, net, split, data_cfg, scale, hook)
     }
@@ -762,13 +768,14 @@ impl ContinualTrainer {
                     self.config.ewc_fisher_batches,
                 ));
                 // Cached plans captured the *previous* anchors as
-                // constants; the new penalty needs a fresh compile. (RMIR
-                // plans are task-loss only and stay valid.)
+                // constants; the new penalty needs a fresh compile. (RMIR's
+                // and the forward plan carry no penalty and stay valid.)
                 self.plans.clear();
                 note_plan_cache_entries(0);
             }
 
-            let (metrics, infer_per_obs) = evaluate(backbone, store, &test_windows);
+            let (metrics, infer_per_obs) =
+                evaluate(backbone, store, &test_windows, &mut self.forward);
             // Quiesce point: poly replays at odd batch sizes retire
             // odd-sized buffers; bound the pool residue before the next
             // period. Bitwise-neutral — the pool only recycles capacity.
@@ -989,6 +996,7 @@ impl ContinualTrainer {
                     self.config.rmir_candidates,
                     select,
                     &mut self.rmir_plans,
+                    &mut self.forward,
                 );
                 rmir_ran = true;
                 self.rmir_stats.record_round(picked.len());
@@ -1222,12 +1230,41 @@ fn subsample(windows: &[Sample], max: usize) -> Vec<Sample> {
         .collect()
 }
 
-/// Evaluates a backbone on test windows; returns accumulated metrics in
-/// normalized space and the mean inference seconds per observation.
+/// A backbone's forward-only plan ([`Backbone::compile_forward`]),
+/// compiled on first use. It compiles batch-polymorphic, so one compile
+/// serves every batch size; plans resolve parameters at replay, so it
+/// survives every update. A [`ContinualTrainer`] owns one, and RMIR's
+/// scoring passes and [`evaluate`] both replay it. Derived state: the
+/// trainer drops it at run start and on restore.
+#[derive(Default)]
+pub struct ForwardPlan(Option<ExecPlan>);
+
+impl ForwardPlan {
+    /// The plan for input `x`, compiled first when none accepts it (no
+    /// plan yet, or a mono plan recorded at another batch size).
+    pub fn plan(&mut self, backbone: &dyn Backbone, store: &ParamStore, x: &Tensor) -> &ExecPlan {
+        if !self.0.as_ref().is_some_and(|p| p.accepts(&[x])) {
+            let _compile_sp = urcl_trace::span("plan_compile");
+            self.0 = Some(backbone.compile_forward(store, x));
+        }
+        self.0.as_ref().expect("plan compiled above")
+    }
+
+    /// Drops the plan; the next [`Self::plan`] call recompiles.
+    pub fn clear(&mut self) {
+        self.0 = None;
+    }
+}
+
+/// Evaluates a backbone on test windows through `forward`; returns
+/// accumulated metrics in normalized space and the mean inference
+/// seconds per observation. Compiles happen outside the stopwatch, which
+/// times inference only.
 pub fn evaluate(
     backbone: &dyn Backbone,
     store: &ParamStore,
     windows: &[Sample],
+    forward: &mut ForwardPlan,
 ) -> (Metrics, f64) {
     let mut metrics = Metrics::new();
     if windows.is_empty() {
@@ -1235,22 +1272,9 @@ pub fn evaluate(
     }
     let _eval_sp = urcl_trace::span("eval");
     let mut watch = Stopwatch::new();
-    // Forward-only plan cache. The first chunk compiles a
-    // batch-polymorphic plan that also serves the remainder chunk (and
-    // any other batch size); the list only grows if poly compilation
-    // degrades to mono. Compiles happen outside the stopwatch, which
-    // times inference only.
-    let mut plans: Vec<ExecPlan> = Vec::new();
     for chunk in windows.chunks(32) {
         let batch = stack_samples(chunk);
-        if !plans.iter().any(|p| p.accepts(&[&batch.x])) {
-            let _compile_sp = urcl_trace::span("plan_compile");
-            plans.push(backbone.compile_forward(store, &batch.x));
-        }
-        let plan = plans
-            .iter()
-            .find(|p| p.accepts(&[&batch.x]))
-            .expect("plan compiled above");
+        let plan = forward.plan(backbone, store, &batch.x);
         watch.start();
         let pred = plan.run_forward(store, &[&batch.x]).remove(0);
         watch.stop();

@@ -171,9 +171,13 @@ impl Backbone for GraphWaveNet {
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = self.cfg.base.hidden;
 
+        // Receptive field: the one position the stack leaves reads the
+        // last `receptive_span() + 1` steps, so no layer sees the rest.
+        let mut t_len = self.cfg.receptive_span() + 1;
+        let x = x.narrow(1, m - t_len, t_len);
+
         // Input projection C -> hidden.
         let mut feat = self.input_proj.forward(sess, x); // [B, T, N, h]
-        let mut t_len = m;
 
         // Shared adaptive adjacency (computed once per forward).
         let adj = self.adaptive.as_ref().map(|a| a.adjacency(sess));
@@ -200,8 +204,9 @@ impl Backbone for GraphWaveNet {
             t_len = t_out;
         }
 
-        // Latent: last remaining time step -> per-node features.
-        let last = feat.narrow(1, t_len - 1, 1).reshape(&[b, n, h]);
+        // Latent: the one remaining time step -> per-node features.
+        debug_assert_eq!(t_len, 1);
+        let last = feat.reshape(&[b, n, h]);
         self.latent_head.forward(sess, last).relu() // [B, N, F]
     }
 

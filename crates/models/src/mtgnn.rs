@@ -65,15 +65,14 @@ impl Backbone for Mtgnn {
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = self.cfg.hidden;
 
-        let feat = self.input_proj.forward(sess, x); // [B, M, N, h]
+        // Receptive field: the convolution's last position reads the
+        // last `kernel` steps, the only ones projected.
+        let k = self.kernel;
+        let feat = self.input_proj.forward(sess, x.narrow(1, m - k, k)); // [B, k, N, h]
 
-        // Temporal convolution over the window.
-        let t1 = m - (self.kernel - 1);
-        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, m]);
-        let conv = self.tcn.forward(sess, conv_in); // [B*N, h, T1]
-        let last = conv
-            .narrow(2, t1 - 1, 1)
-            .reshape(&[b, n, h]); // [B, N, h]
+        // Temporal convolution down to the last time step.
+        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, k]);
+        let last = self.tcn.forward(sess, conv_in).reshape(&[b, n, h]); // [B, N, h]
 
         // Mix-hop propagation over the learned graph:
         // out = X W0 + (A X) W1 + (A² X) W2.

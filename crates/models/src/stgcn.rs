@@ -68,8 +68,13 @@ impl Backbone for Stgcn {
 
     fn encode<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
         self.check_input(&x);
-        let [b, m, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+        let [b, window, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = self.cfg.hidden;
+
+        // Receptive field: two kernel-k convolutions leave one position,
+        // which reads the last 2(k − 1) + 1 steps.
+        let m = 2 * (self.kernel - 1) + 1;
+        let x = x.narrow(1, window - m, m);
 
         // Temporal 1: [B, M, N, C] -> [B*N, C, M] -> conv -> [B*N, h, T1].
         let t1 = m - (self.kernel - 1);
@@ -83,18 +88,12 @@ impl Backbone for Stgcn {
             .reshape(&[b * t1, n, h]);
         let gcn_out = self.gcn.forward(sess, spatial_in).relu();
 
-        // Temporal 2.
-        let t2 = t1 - (self.kernel - 1);
+        // Temporal 2: the one remaining time step per node.
         let conv2_in = gcn_out
             .reshape(&[b, t1, n, h])
             .permute(&[0, 2, 3, 1])
             .reshape(&[b * n, h, t1]);
-        let conv2 = self.tcn2.forward(sess, conv2_in); // [B*N, h, T2]
-
-        // Last time step per node.
-        let last = conv2
-            .narrow(2, t2 - 1, 1)
-            .reshape(&[b, n, h]);
+        let last = self.tcn2.forward(sess, conv2_in).reshape(&[b, n, h]);
         self.latent_head.forward(sess, last).relu()
     }
 

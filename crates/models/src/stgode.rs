@@ -68,13 +68,12 @@ impl Backbone for Stgode {
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let hdim = self.cfg.hidden;
 
-        let feat = self.input_proj.forward(sess, x); // [B, M, N, h]
-        let t1 = m - (self.kernel - 1);
-        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, hdim, m]);
-        let conv = self.tcn.forward(sess, conv_in);
-        let h0 = conv
-            .narrow(2, t1 - 1, 1)
-            .reshape(&[b, n, hdim]); // initial state [B, N, h]
+        // Receptive field: the convolution's last position reads the
+        // last `kernel` steps, the only ones projected.
+        let k = self.kernel;
+        let feat = self.input_proj.forward(sess, x.narrow(1, m - k, k)); // [B, k, N, h]
+        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, hdim, k]);
+        let h0 = self.tcn.forward(sess, conv_in).reshape(&[b, n, hdim]); // initial state [B, N, h]
 
         // Euler integration of dh/dt = (P h) W + h0 − h.
         let p = sess.input(self.transition.clone());

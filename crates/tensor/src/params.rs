@@ -4,9 +4,9 @@
 //! gradient buffer. Each training step binds the store to a fresh
 //! [`crate::autodiff::Tape`] through a [`crate::autodiff::Session`], runs
 //! forward/backward, copies gradients back, and lets an optimizer update
-//! the values. Cloning the store is cheap enough at our model sizes and is
-//! exactly what the RMIR sampler needs for its *virtual* parameter update
-//! (Eq. 3 of the paper).
+//! the values. The RMIR sampler keeps a second store of the same layout
+//! for its *virtual* parameter update (Eq. 3 of the paper), refreshed
+//! with [`ParamStore::copy_values_from`] each round.
 
 use crate::autodiff::Gradients;
 use crate::tensor::Tensor;
@@ -147,7 +147,7 @@ impl ParamStore {
 
     /// Applies a plain gradient step `value -= lr * grad` to every
     /// parameter. This is the *virtual update* primitive used by RMIR
-    /// sampling (clone the store, step it, compare losses).
+    /// sampling (copy the store, step it, compare losses).
     pub fn sgd_step(&mut self, lr: f32) {
         for p in &mut self.params {
             let pd = p.value.data_mut();

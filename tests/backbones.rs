@@ -14,9 +14,9 @@ use urcl::models::{
     Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn,
     Stgcn, Stgode,
 };
-use urcl::stdata::{ContinualSplit, DatasetConfig, SyntheticDataset};
+use urcl::stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, SyntheticDataset};
 use urcl::tensor::autodiff::{Session, Tape};
-use urcl::tensor::{ParamStore, Rng};
+use urcl::tensor::{ParamStore, Rng, Tensor};
 
 fn tiny_days(num_days: usize) -> (SyntheticDataset, ContinualSplit, f32) {
     let mut cfg = DatasetConfig::metr_la().tiny();
@@ -110,6 +110,95 @@ fn every_backbone_predicts_correct_shapes() {
             "{} produced non-finite predictions",
             model.name()
         );
+    }
+}
+
+/// Forecast and MAE loss of `batch` with `x` substituted, accumulating
+/// every parameter gradient into `store`.
+fn forecast_and_grads(
+    model: &dyn Backbone,
+    store: &mut ParamStore,
+    x: &Tensor,
+    batch: &Batch,
+) -> (Tensor, f32) {
+    store.zero_grads();
+    let tape = Tape::new();
+    let mut sess = Session::new(&tape, store);
+    let xv = sess.input(x.clone());
+    let yv = sess.input(batch.y.clone());
+    let pred = model.forward(&mut sess, xv);
+    let loss = pred.sub(yv).abs().mean_all();
+    let grads = tape.backward(loss);
+    let bindings = sess.into_bindings();
+    let out = (pred.value(), loss.value().item());
+    store.accumulate_grads(&bindings, &grads);
+    out
+}
+
+/// The convolutional encoders narrow each window to the steps their
+/// forecast reads before the first layer, so no kernel ever touches the
+/// steps before: with those steps NaN the forecast keeps its bits, and
+/// the loss and every parameter gradient stay finite (a NaN row inside
+/// any layer would reach a weight gradient as NaN·0).
+#[test]
+fn encoders_never_read_outside_their_receptive_field() {
+    let (dataset, split, _) = tiny_days(4);
+    let cfg = &dataset.config;
+    let net = &dataset.network;
+    let base = BackboneConfig::small(cfg.num_nodes, cfg.num_channels(), cfg.input_steps, 1);
+    // (model, store, input steps its forecast reads)
+    let mut cases: Vec<(Box<dyn Backbone>, ParamStore, usize)> = Vec::new();
+    for layers in [2, 3] {
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(5);
+        let mut gcfg = GwnConfig::small(cfg.num_nodes, cfg.num_channels(), cfg.input_steps, 1);
+        gcfg.layers = layers;
+        let field = gcfg.receptive_span() + 1;
+        let model = GraphWaveNet::new(&mut store, &mut rng, net, gcfg);
+        cases.push((Box::new(model), store, field));
+    }
+    {
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(5);
+        let model = Stgcn::new(&mut store, &mut rng, net, base.clone(), 2, 3);
+        cases.push((Box::new(model), store, 2 * (3 - 1) + 1));
+    }
+    {
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(5);
+        let model = Mtgnn::new(&mut store, &mut rng, base.clone(), 4);
+        cases.push((Box::new(model), store, 2));
+    }
+    {
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(5);
+        let model = Stgode::new(&mut store, &mut rng, net, base.clone(), 3, 0.3);
+        cases.push((Box::new(model), store, 2));
+    }
+
+    let windows = split.base.windows(cfg);
+    let batch = stack_samples(&windows[..4]);
+    let [b, m, n, c] = <[usize; 4]>::try_from(batch.x.shape()).expect("4-D batch");
+    for (model, mut store, field) in cases {
+        let name = model.name().to_string();
+        assert!(field < m, "{name}: receptive field {field} covers the window");
+        let mut poisoned = batch.x.clone();
+        let step = n * c;
+        for sample in poisoned.data_mut().chunks_mut(m * step).take(b) {
+            sample[..(m - field) * step].fill(f32::NAN);
+        }
+        let (clean, _) = forecast_and_grads(model.as_ref(), &mut store, &batch.x, &batch);
+        let (pred, loss) = forecast_and_grads(model.as_ref(), &mut store, &poisoned, &batch);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pred), bits(&clean), "{name}: forecast read a poisoned step");
+        assert!(loss.is_finite(), "{name}: loss {loss}");
+        for id in store.ids() {
+            assert!(
+                store.grad(id).data().iter().all(|g| g.is_finite()),
+                "{name}: gradient of {} read a poisoned step",
+                store.name(id)
+            );
+        }
     }
 }
 
