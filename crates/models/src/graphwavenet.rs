@@ -17,11 +17,9 @@ pub struct GwnConfig {
     /// Shared geometry.
     pub base: BackboneConfig,
     /// Number of spatio-temporal layers; dilations double per layer
-    /// (1, 2, 4, …). The paper uses 5 layers at full scale; 2–3 suffice
-    /// at the reduced node counts.
+    /// (1, 2, 4, …) over GraphWaveNet's kernel-2 TCNs. The paper uses 5
+    /// layers at full scale; 2–3 suffice at the reduced node counts.
     pub layers: usize,
-    /// Temporal kernel size (2 in GraphWaveNet).
-    pub kernel: usize,
     /// Diffusion steps `K` for the fixed supports (Eq. 21).
     pub k_diffusion: usize,
     /// Whether to learn the self-adaptive adjacency (Eq. 23).
@@ -38,7 +36,6 @@ impl GwnConfig {
         Self {
             base: BackboneConfig::small(num_nodes, channels, input_steps, horizon),
             layers: 3,
-            kernel: 2,
             k_diffusion: 2,
             adaptive: true,
             adaptive_dim: 8,
@@ -46,18 +43,16 @@ impl GwnConfig {
         }
     }
 
-    /// Total time steps consumed by the dilated convolutions.
+    /// Total time steps consumed by the dilated convolutions: the
+    /// kernel-2 layer at dilation `2^i` consumes `2^i`.
     pub fn receptive_span(&self) -> usize {
-        (0..self.layers)
-            .map(|i| (self.kernel - 1) * (1usize << i))
-            .sum()
+        (1usize << self.layers) - 1
     }
 }
 
 struct StLayer {
     tcn: GatedTcn,
     gcn: DiffusionGcn,
-    dilation_span: usize,
 }
 
 /// The GraphWaveNet backbone (the URCL default).
@@ -87,31 +82,21 @@ impl GraphWaveNet {
         let h = cfg.base.hidden;
         let input_proj = Linear::new(store, rng, "gwn.in", cfg.base.channels, h, true);
         let supports = SupportSet::diffusion(net, cfg.k_diffusion);
+        // The TCNs run in window form only (see `encode_perturbed`), so
+        // the dilation lives in which taps each layer pairs, not in the
+        // convolution.
         let layers = (0..cfg.layers)
-            .map(|i| {
-                let dilation = 1usize << i;
-                StLayer {
-                    tcn: GatedTcn::new(
-                        store,
-                        rng,
-                        &format!("gwn.l{i}.tcn"),
-                        h,
-                        h,
-                        cfg.kernel,
-                        dilation,
-                        0,
-                    ),
-                    gcn: DiffusionGcn::new(
-                        store,
-                        rng,
-                        &format!("gwn.l{i}.gcn"),
-                        h,
-                        h,
-                        supports.clone(),
-                        cfg.adaptive,
-                    ),
-                    dilation_span: (cfg.kernel - 1) * dilation,
-                }
+            .map(|i| StLayer {
+                tcn: GatedTcn::new(store, rng, &format!("gwn.l{i}.tcn"), h, h, 2, 1, 0),
+                gcn: DiffusionGcn::new(
+                    store,
+                    rng,
+                    &format!("gwn.l{i}.gcn"),
+                    h,
+                    h,
+                    supports.clone(),
+                    cfg.adaptive,
+                ),
             })
             .collect();
         let adaptive = cfg.adaptive.then(|| {
@@ -172,7 +157,8 @@ impl Backbone for GraphWaveNet {
         let h = self.cfg.base.hidden;
 
         // Receptive field: the one position the stack leaves reads the
-        // last `receptive_span() + 1` steps, so no layer sees the rest.
+        // last `receptive_span() + 1 = 2^layers` steps, so no layer sees
+        // the rest.
         let mut t_len = self.cfg.receptive_span() + 1;
         let x = x.narrow(1, m - t_len, t_len);
 
@@ -182,26 +168,30 @@ impl Backbone for GraphWaveNet {
         // Shared adaptive adjacency (computed once per forward).
         let adj = self.adaptive.as_ref().map(|a| a.adjacency(sess));
 
+        // Merge tree: of the positions a dilation-2^i layer would emit,
+        // the final one reads only every other, and those pair up
+        // adjacent positions of the layer's kept input. So each layer
+        // halves the time axis, 2^layers -> ... -> 1.
         for layer in &self.layers {
-            // Temporal: [B, T, N, h] -> [B*N, h, T] -> conv -> back.
-            let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, t_len]);
-            let t_out = t_len - layer.dilation_span;
-            let conv_out = layer.tcn.forward(sess, conv_in); // [B*N, h, T']
-            let spatial_in = conv_out
-                .reshape(&[b, n, h, t_out])
-                .permute(&[0, 3, 1, 2]) // [B, T', N, h]
-                .reshape(&[b * t_out, n, h]);
+            t_len /= 2;
+            let pairs = feat.reshape(&[b, t_len, 2, n, h]);
+            // Temporal: each pair is one position's two taps, flattened
+            // (ci, ki): [B, T/2, N, h, 2] -> [B·T/2·N, 2h].
+            let taps = pairs
+                .permute(&[0, 1, 3, 4, 2])
+                .reshape(&[b * t_len * n, 2 * h]);
+            let conv_out = layer.tcn.forward_window(sess, taps); // [B·T/2·N, h]
             // Spatial: diffusion GCN per time step (over the perturbed
             // graph when the augmentations supply one).
+            let spatial_in = conv_out.reshape(&[b * t_len, n, h]);
             let gcn_out = layer
                 .gcn
                 .forward_with(sess, spatial_in, adj, supports)
                 .relu();
-            let gcn_out = gcn_out.reshape(&[b, t_out, n, h]);
-            // Residual: align the input window to the shrunk time axis.
-            let residual = feat.narrow(1, t_len - t_out, t_out);
-            feat = gcn_out.add(residual);
-            t_len = t_out;
+            // Residual: the pair's later element, the step the dilated
+            // conv's output is aligned to.
+            let residual = pairs.narrow(2, 1, 1).reshape(&[b, t_len, n, h]);
+            feat = gcn_out.reshape(&[b, t_len, n, h]).add(residual);
         }
 
         // Latent: the one remaining time step -> per-node features.
@@ -228,6 +218,114 @@ mod tests {
             edges.push((i + 1, i, 1.0));
         }
         SensorNetwork::from_edges(n, &edges)
+    }
+
+    /// Directed ring with chords: `i -> i+1`, `i+1 -> i` at half weight
+    /// and `i -> i+5` skipping every `skip`-th chord, so two `skip`s give
+    /// two graphs with the same support count.
+    fn chorded_ring(n: usize, skip: usize) -> SensorNetwork {
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, (i + 1) % n, 1.0));
+            edges.push(((i + 1) % n, i, 0.5));
+            if i % skip != 0 {
+                edges.push((i, (i + 5) % n, 0.3 + 0.02 * i as f32));
+            }
+        }
+        SensorNetwork::from_edges(n, &edges)
+    }
+
+    /// The dense stack the merge tree replaces, over the same parameters:
+    /// conv1d at dilation `2^i` over every position, diffusion at every
+    /// position, and the residual aligned with `narrow`.
+    fn dense_encode<'t>(
+        model: &GraphWaveNet,
+        store: &ParamStore,
+        sess: &mut Session<'t, '_>,
+        x: Var<'t>,
+        supports: Option<&SupportSet>,
+    ) -> Var<'t> {
+        let id = |name: String| {
+            store
+                .ids()
+                .find(|&i| store.name(i) == name)
+                .unwrap_or_else(|| panic!("no parameter {name}"))
+        };
+        let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+        let h = model.cfg.base.hidden;
+        let mut t_len = model.cfg.receptive_span() + 1;
+        let mut feat = model.input_proj.forward(sess, x.narrow(1, m - t_len, t_len));
+        let adj = model.adaptive.as_ref().map(|a| a.adjacency(sess));
+        for (i, layer) in model.layers.iter().enumerate() {
+            let dilation = 1usize << i;
+            let t_out = t_len - dilation;
+            let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, t_len]);
+            let mut conv = |branch: &str| {
+                let w = sess.param(id(format!("gwn.l{i}.tcn.{branch}.w")));
+                let bias = sess.param(id(format!("gwn.l{i}.tcn.{branch}.b")));
+                conv_in.conv1d(w, dilation, 0).add(bias.reshape(&[1, h, 1]))
+            };
+            let gated = conv("filter").tanh().mul(conv("gate").sigmoid());
+            let spatial_in = gated
+                .reshape(&[b, n, h, t_out])
+                .permute(&[0, 3, 1, 2])
+                .reshape(&[b * t_out, n, h]);
+            let gcn_out = layer.gcn.forward_with(sess, spatial_in, adj, supports).relu();
+            let residual = feat.narrow(1, t_len - t_out, t_out);
+            feat = gcn_out.reshape(&[b, t_out, n, h]).add(residual);
+            t_len = t_out;
+        }
+        let last = feat.reshape(&[b, n, h]);
+        model.latent_head.forward(sess, last).relu()
+    }
+
+    #[test]
+    fn merge_tree_matches_dense_stack_bitwise() {
+        let n = 24;
+        let net = chorded_ring(n, 4);
+        let perturbed = SupportSet::diffusion(&chorded_ring(n, 3), 2);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for layers in [2, 3] {
+            let mut store = ParamStore::new();
+            let mut rng = Rng::seed_from_u64(7);
+            let mut cfg = GwnConfig::small(n, 2, 12, 1);
+            cfg.layers = layers;
+            let model = GraphWaveNet::new(&mut store, &mut rng, &net, cfg);
+            // Biases start at zero; random ones make a misplaced add show.
+            let ids: Vec<_> = store.ids().collect();
+            for id in ids {
+                if store.name(id).ends_with(".b") {
+                    let shape = store.value(id).shape().to_vec();
+                    *store.value_mut(id) = rng.normal_tensor(&shape, 0.0, 0.5);
+                }
+            }
+            let x48 = rng.normal_tensor(&[48, 12, n, 2], 0.0, 1.0);
+            let plan = model.compile_forward(&store, &x48);
+            for batch in [1, 13, 48] {
+                let x = x48.narrow(0, 0, batch);
+                for supports in [None, Some(&perturbed)] {
+                    let forecast = |dense: bool| {
+                        let tape = Tape::new();
+                        let mut sess = Session::new(&tape, &store);
+                        let xv = sess.input(x.clone());
+                        let latent = if dense {
+                            dense_encode(&model, &store, &mut sess, xv, supports)
+                        } else {
+                            model.encode_perturbed(&mut sess, xv, supports)
+                        };
+                        model.decode(&mut sess, latent).value()
+                    };
+                    let dense = forecast(true);
+                    let graph = if supports.is_some() { "perturbed" } else { "built" };
+                    let what = format!("{layers} layers, batch {batch}, {graph} supports");
+                    assert_eq!(bits(&forecast(false)), bits(&dense), "tape: {what}");
+                    if supports.is_none() {
+                        let replay = plan.run_forward(&store, &[&x]).remove(0);
+                        assert_eq!(bits(&replay), bits(&dense), "plan replay: {what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,24 @@ impl Conv1dLayer {
         let bb = b.reshape(&[1, self.out_dim, 1]);
         y.add(bb)
     }
+
+    /// Window form: `taps: [R, C_in·K] -> [R, C_out]`, one GEMM for `R`
+    /// output positions whose taps the caller has gathered, each row
+    /// flattened in `(ci, ki)` order. The `[C_out, C_in, K]` weight is
+    /// read as `[C_out, C_in·K]`, so every output element reduces over the
+    /// same products in the same order as [`Self::forward`]'s conv1d and
+    /// matches it bitwise while `C_in·K` stays within one GEMM k-block.
+    /// Dilation and padding are the caller's, expressed in which taps it
+    /// gathers.
+    pub fn forward_window<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
+        let taps_len = self.in_dim * self.kernel;
+        let shape = taps.shape();
+        assert_eq!(shape.len(), 2, "window taps must be [R, C_in*K]");
+        assert_eq!(shape[1], taps_len, "window tap count mismatch");
+        let w = sess.param(self.w).reshape(&[self.out_dim, taps_len]);
+        let b = sess.param(self.b);
+        taps.matmul(w.transpose(0, 1)).add(b)
+    }
 }
 
 /// Gated TCN (Eq. 26): two parallel convolutions combined as
@@ -125,6 +143,15 @@ impl GatedTcn {
         let g = self.gate.forward(sess, x).sigmoid();
         f.mul(g)
     }
+
+    /// Window form of [`Self::forward`]: `taps: [R, C_in·K] -> [R, C_out]`,
+    /// see [`Conv1dLayer::forward_window`]. Both branches read the one
+    /// tap matrix.
+    pub fn forward_window<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
+        let f = self.filter.forward_window(sess, taps).tanh();
+        let g = self.gate.forward_window(sess, taps).sigmoid();
+        f.mul(g)
+    }
 }
 
 #[cfg(test)]
@@ -165,6 +192,37 @@ mod tests {
         let x = sess.input(Tensor::ones(&[1, 1, 3]));
         let y = conv.forward(&mut sess, x).value();
         assert_eq!(y.data(), &[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
+    }
+
+    #[test]
+    fn window_form_matches_conv_bitwise() {
+        // Row (bi, to) of the window form carries the taps conv1d reads
+        // for output step `to`: x[bi, ci, to + ki·d] at column ci·K + ki.
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(6);
+        let (cin, k, d, t) = (3, 2, 2, 7);
+        let tcn = GatedTcn::new(&mut store, &mut rng, "g", cin, 4, k, d, 0);
+        *store.value_mut(tcn.filter.b) = rng.normal_tensor(&[4], 0.0, 1.0);
+        let x = rng.normal_tensor(&[2, cin, t], 0.0, 1.0);
+        let t_out = tcn.out_len(t);
+        let mut taps = Vec::new();
+        for bi in 0..2 {
+            for to in 0..t_out {
+                for ci in 0..cin {
+                    for ki in 0..k {
+                        taps.push(x.at(&[bi, ci, to + ki * d]));
+                    }
+                }
+            }
+        }
+        let tape = Tape::new();
+        let mut sess = Session::new(&tape, &store);
+        let xv = sess.input(x);
+        let conv = tcn.forward(&mut sess, xv).permute(&[0, 2, 1]).value();
+        let tv = sess.input(Tensor::from_vec(taps, &[2 * t_out, cin * k]));
+        let window = tcn.forward_window(&mut sess, tv).value();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&window), bits(&conv));
     }
 
     #[test]

@@ -367,3 +367,57 @@ fn gated_tcn_input_and_param_grads() {
         });
     }
 }
+
+#[test]
+fn conv1d_layer_window_form_input_and_param_grads() {
+    let mut store = ParamStore::new();
+    let mut rng = Rng::seed_from_u64(21);
+    let conv = Conv1dLayer::new(&mut store, &mut rng, "tw", 3, 2, 2, 1, 0);
+    let taps = rand_t(&[5, 6], 22);
+    {
+        let store = &store;
+        let conv = &conv;
+        check_scalar(&taps, EPS, |t, v| {
+            let mut sess = Session::new(t, store);
+            conv.forward_window(&mut sess, v).powf(2.0).sum_all()
+        })
+        .assert_close(TOL);
+    }
+    for pname in ["tw.w", "tw.b"] {
+        let taps = taps.clone();
+        let conv = conv.clone();
+        check_param(&mut store, pname, EPS, TOL, move |t, s| {
+            let mut sess = Session::new(t, s);
+            let v = sess.input(taps.clone());
+            let loss = conv.forward_window(&mut sess, v).powf(2.0).sum_all();
+            (loss, sess.into_bindings())
+        });
+    }
+}
+
+#[test]
+fn gated_tcn_window_form_input_and_param_grads() {
+    let mut store = ParamStore::new();
+    let mut rng = Rng::seed_from_u64(23);
+    let tcn = GatedTcn::new(&mut store, &mut rng, "gw", 3, 2, 2, 1, 0);
+    let taps = rand_t(&[4, 6], 24);
+    {
+        let store = &store;
+        let tcn = &tcn;
+        check_scalar(&taps, EPS, |t, v| {
+            let mut sess = Session::new(t, store);
+            tcn.forward_window(&mut sess, v).powf(2.0).sum_all()
+        })
+        .assert_close(TOL);
+    }
+    for pname in ["gw.filter.w", "gw.filter.b", "gw.gate.w", "gw.gate.b"] {
+        let taps = taps.clone();
+        let tcn = tcn.clone();
+        check_param(&mut store, pname, EPS, TOL, move |t, s| {
+            let mut sess = Session::new(t, s);
+            let v = sess.input(taps.clone());
+            let loss = tcn.forward_window(&mut sess, v).powf(2.0).sum_all();
+            (loss, sess.into_bindings())
+        });
+    }
+}

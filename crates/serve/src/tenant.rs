@@ -229,6 +229,12 @@ impl TenantCore {
             let idx = (start + i) % n;
             match self.shards[idx].try_submit(pending) {
                 Ok(depth) => {
+                    // A backlog a sibling may steal: wake the next shard's
+                    // worker now rather than at its next idle tick, so a
+                    // burst shorter than `IDLE_TICK` is stolen too.
+                    if self.config.steal && n > 1 && depth >= STEAL_MIN_DEPTH {
+                        self.shards[(idx + 1) % n].notify.notify_one();
+                    }
                     if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
                         cache.admitted(key);
                     }

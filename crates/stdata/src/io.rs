@@ -18,6 +18,14 @@ pub enum IoError {
     Parse(usize, usize),
     /// Rows have inconsistent column counts, with (line, expected, got).
     Ragged(usize, usize, usize),
+    /// A cell parsed to `NaN` or an infinity, with (line, column).
+    NonFinite(usize, usize),
+    /// A row's column count is not a multiple of the channel count, with
+    /// (line, columns, channels).
+    Channels(usize, usize, usize),
+    /// A node id is not below the node count, with (line, column, id,
+    /// node count).
+    NodeOutOfRange(usize, usize, usize, usize),
     /// The file contained no data rows.
     Empty,
 }
@@ -29,6 +37,13 @@ impl std::fmt::Display for IoError {
             IoError::Parse(l, c) => write!(f, "unparseable number at line {l}, column {c}"),
             IoError::Ragged(l, want, got) => {
                 write!(f, "line {l} has {got} columns, expected {want}")
+            }
+            IoError::NonFinite(l, c) => write!(f, "non-finite number at line {l}, column {c}"),
+            IoError::Channels(l, cols, ch) => {
+                write!(f, "line {l} has {cols} columns, not a multiple of {ch} channels")
+            }
+            IoError::NodeOutOfRange(l, c, id, n) => {
+                write!(f, "node id {id} at line {l}, column {c} is not below {n} nodes")
             }
             IoError::Empty => write!(f, "no data rows"),
         }
@@ -48,7 +63,8 @@ impl From<std::io::Error> for IoError {
 /// Each row is one time slot; columns are sensors (channel-major per
 /// sensor when `channels > 1`, i.e. `s0c0, s0c1, …, s1c0, …`). A header
 /// row is detected (first cell non-numeric) and skipped. Empty lines are
-/// ignored.
+/// ignored. `NaN` and infinite cells are rejected: Rust's `f32` parser
+/// accepts them, and one would poison every window that reads it.
 pub fn parse_series_csv(text: &str, channels: usize) -> Result<Tensor, IoError> {
     assert!(channels > 0, "channels must be positive");
     let mut rows: Vec<Vec<f32>> = Vec::new();
@@ -59,27 +75,31 @@ pub fn parse_series_csv(text: &str, channels: usize) -> Result<Tensor, IoError> 
             continue;
         }
         let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-        // Header detection: skip the first non-empty row if it fails to
-        // parse entirely.
-        if rows.is_empty() && expected_cols.is_none() {
-            let numeric = cells.iter().all(|c| c.parse::<f32>().is_ok());
-            if !numeric {
-                expected_cols = Some(cells.len());
-                continue;
-            }
-        }
-        if let Some(want) = expected_cols {
-            if cells.len() != want {
+        match expected_cols {
+            Some(want) if cells.len() != want => {
                 return Err(IoError::Ragged(lineno + 1, want, cells.len()));
             }
-        } else {
-            expected_cols = Some(cells.len());
+            Some(_) => {}
+            None => {
+                if cells.len() % channels != 0 {
+                    return Err(IoError::Channels(lineno + 1, cells.len(), channels));
+                }
+                expected_cols = Some(cells.len());
+                // Header detection: skip the first non-empty row if it
+                // fails to parse entirely.
+                if !cells.iter().all(|c| c.parse::<f32>().is_ok()) {
+                    continue;
+                }
+            }
         }
         let mut row = Vec::with_capacity(cells.len());
         for (col, cell) in cells.iter().enumerate() {
             let v: f32 = cell
                 .parse()
                 .map_err(|_| IoError::Parse(lineno + 1, col + 1))?;
+            if !v.is_finite() {
+                return Err(IoError::NonFinite(lineno + 1, col + 1));
+            }
             row.push(v);
         }
         rows.push(row);
@@ -87,12 +107,7 @@ pub fn parse_series_csv(text: &str, channels: usize) -> Result<Tensor, IoError> 
     if rows.is_empty() {
         return Err(IoError::Empty);
     }
-    let cols = rows[0].len();
-    assert!(
-        cols % channels == 0,
-        "column count {cols} is not divisible by channels {channels}"
-    );
-    let n = cols / channels;
+    let n = rows[0].len() / channels;
     let t = rows.len();
     let data: Vec<f32> = rows.into_iter().flatten().collect();
     Ok(Tensor::from_vec(data, &[t, n, channels]))
@@ -109,7 +124,7 @@ pub fn load_series_csv(
 
 /// Parses a distance-list CSV (`from,to,distance` per row, header
 /// optional) into a [`SensorNetwork`] with `1/distance` edge weights
-/// (Eq. 20). Node ids must be `< num_nodes`.
+/// (Eq. 20). A node id not below `num_nodes` is an error.
 pub fn parse_distance_csv(text: &str, num_nodes: usize) -> Result<SensorNetwork, IoError> {
     let mut adj = Tensor::zeros(&[num_nodes, num_nodes]);
     let mut saw_any = false;
@@ -136,10 +151,11 @@ pub fn parse_distance_csv(text: &str, num_nodes: usize) -> Result<SensorNetwork,
             }
             return Err(IoError::Parse(lineno + 1, 1));
         };
-        assert!(
-            from < num_nodes && to < num_nodes,
-            "edge ({from},{to}) exceeds num_nodes {num_nodes}"
-        );
+        for (col, id) in [(1, from), (2, to)] {
+            if id >= num_nodes {
+                return Err(IoError::NodeOutOfRange(lineno + 1, col, id, num_nodes));
+            }
+        }
         let w = if dist > 0.0 { 1.0 / dist } else { 0.0 };
         adj.data_mut()[from * num_nodes + to] = w;
         saw_any = true;
@@ -191,6 +207,28 @@ mod tests {
     fn bad_cell_reported_with_position() {
         let err = parse_series_csv("1,2\n3,oops\n", 1).unwrap_err();
         assert!(matches!(err, IoError::Parse(2, 2)));
+    }
+
+    #[test]
+    fn non_finite_cells_rejected_with_position() {
+        for cell in ["NaN", "inf", "-infinity", "1e39"] {
+            let err = parse_series_csv(&format!("1,2\n3,{cell}\n"), 1).unwrap_err();
+            assert!(matches!(err, IoError::NonFinite(2, 2)), "{cell}: {err}");
+        }
+    }
+
+    #[test]
+    fn columns_not_divisible_by_channels_rejected() {
+        let err = parse_series_csv("\n1,2,3\n4,5,6\n", 2).unwrap_err();
+        assert!(matches!(err, IoError::Channels(2, 3, 2)), "{err}");
+        let err = parse_series_csv("a,b,c\n1,2,3\n", 2).unwrap_err();
+        assert!(matches!(err, IoError::Channels(1, 3, 2)), "{err}");
+    }
+
+    #[test]
+    fn distance_csv_node_out_of_range_rejected() {
+        let err = parse_distance_csv("0,1,2.0\n1,3,1.0\n", 3).unwrap_err();
+        assert!(matches!(err, IoError::NodeOutOfRange(2, 2, 3, 3)), "{err}");
     }
 
     #[test]

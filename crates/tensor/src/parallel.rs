@@ -7,14 +7,17 @@
 //! * **Persistent workers.** Worker threads are spawned once (lazily, on
 //!   first use) and live for the process; each worker owns its own task
 //!   channel. There is no per-call thread spawn cost.
-//! * **Caller participates.** A `parallel_for` over `c` chunks sends
-//!   `c − 1` chunks to workers and runs the first chunk on the calling
-//!   thread, so `URCL_THREADS=1` never touches a channel.
+//! * **Caller participates.** A `parallel_for` runs the first chunk (and,
+//!   on an oversubscribed host, its share of the surplus) on the calling
+//!   thread and sends the rest to workers, so `URCL_THREADS=1` never
+//!   touches a channel.
 //! * **Deterministic chunking.** Chunk boundaries are a pure function of
-//!   `(n, grain, active threads)` and chunk *i* always goes to worker
-//!   *(i − 1) mod workers*, where the worker count is capped at the
-//!   host's physical parallelism (surplus chunks queue; on a single-core
-//!   host everything runs inline — scheduling changes, results don't).
+//!   `(n, grain, active threads)` and chunk *i* always goes to
+//!   participant *i mod (workers + 1)*, participant 0 being the caller,
+//!   where the worker count is capped at the host's physical parallelism
+//!   (surplus chunks spread over the caller and the workers; on a
+//!   single-core host everything runs inline — scheduling changes,
+//!   results don't).
 //!   Kernels built on this runtime parallelize only over disjoint
 //!   output regions and never split a reduction axis, so results are
 //!   bitwise reproducible run-to-run at a fixed thread count (and, for the
@@ -81,10 +84,10 @@ fn default_threads() -> usize {
 }
 
 /// Physical parallelism of the host, sampled once per process. Thread
-/// counts requested above this are satisfied by queueing surplus chunks
-/// onto the available workers (or running everything inline on a
-/// single-core host): chunk boundaries still follow the *requested*
-/// count, so results stay bit-identical — oversubscription only changes
+/// counts requested above this are satisfied by dealing surplus chunks
+/// over the caller and the available workers (or running everything
+/// inline on a single-core host): chunk boundaries still follow the
+/// *requested* count, so results stay bit-identical — oversubscription only changes
 /// scheduling, never math. Without this, asking a 1-core container for 4
 /// threads made every kernel pay channel wakeups and time-slicing for
 /// zero added parallelism (the "4-thread scaling cliff").
@@ -164,7 +167,7 @@ pub struct PoolStats {
     /// Calls that ran entirely on the calling thread (small `n`, one
     /// active thread, or a nested call inside a worker).
     pub inline_calls: u64,
-    /// Chunks sent to worker threads (excludes the caller's own chunk).
+    /// Chunks sent to worker threads (excludes the caller's own chunks).
     pub chunks_dispatched: u64,
     /// Total items (`n`) handed to `parallel_for`, inline calls included.
     /// `par_items / (par_calls + inline_calls)` is the mean region size —
@@ -234,9 +237,11 @@ where
     let max_chunks = n.div_ceil(grain);
     let chunks = threads.min(max_chunks).max(1);
     // Chunks beyond the host's physical parallelism buy no concurrency;
-    // on a single-core host skip dispatch entirely and otherwise queue the
-    // surplus round-robin onto the real workers. Chunk boundaries are
-    // already fixed above, so this cannot change any result bit.
+    // on a single-core host skip dispatch entirely and otherwise deal the
+    // surplus round-robin over the caller and the real workers, so the
+    // caller never idles while a worker runs several chunks in series.
+    // Chunk boundaries are already fixed above, so this cannot change any
+    // result bit.
     let send_workers = host_threads().saturating_sub(1).min(chunks - 1);
     PAR_ITEMS.fetch_add(n as u64, Ordering::Relaxed);
     if chunks == 1 || send_workers == 0 || IN_WORKER.with(|flag| flag.get()) {
@@ -244,8 +249,12 @@ where
         f(0..n);
         return;
     }
+    // Chunk i runs on participant i % participants: 0 is the caller,
+    // p > 0 is worker p - 1.
+    let participants = send_workers + 1;
+    let sent = chunks - chunks.div_ceil(participants);
     PAR_CALLS.fetch_add(1, Ordering::Relaxed);
-    CHUNKS_DISPATCHED.fetch_add(chunks as u64 - 1, Ordering::Relaxed);
+    CHUNKS_DISPATCHED.fetch_add(sent as u64, Ordering::Relaxed);
 
     // Even split: the first `rem` chunks get one extra index.
     let base = n / chunks;
@@ -265,11 +274,11 @@ where
             let idx = workers.len();
             workers.push(spawn_worker(idx));
         }
-        // Deterministic assignment: chunk i always lands on worker
-        // (i-1) % send_workers, so each worker sees the same chunk sizes
-        // (and thus requests the same pooled buffer lengths) every step.
-        for i in 1..chunks {
-            workers[(i - 1) % send_workers]
+        // Deterministic assignment: chunk i always lands on the same
+        // participant, so each worker sees the same chunk sizes (and thus
+        // requests the same pooled buffer lengths) every step.
+        for i in (1..chunks).filter(|i| i % participants != 0) {
+            workers[i % participants - 1]
                 .send(Task {
                     func: erased,
                     range: bounds(i)..bounds(i + 1),
@@ -280,12 +289,14 @@ where
     }
     drop(done_tx);
 
-    // The caller runs chunk 0 while workers run the rest.
-    f(bounds(0)..bounds(1));
+    // The caller runs its chunks while workers run the rest.
+    for i in (0..chunks).step_by(participants) {
+        f(bounds(i)..bounds(i + 1));
+    }
 
     let wait_start = std::time::Instant::now();
     let mut panic: Option<String> = None;
-    for _ in 1..chunks {
+    for _ in 0..sent {
         match done_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(msg)) => panic = Some(msg),
