@@ -12,7 +12,7 @@
 //!   the old single-queue `urcl-bench-serve-v1` numbers (whose
 //!   `max_batch = 1` peak was ~1.4k req/s).
 //! * `sharded` — all four dataset tenants served concurrently, cache
-//!   off, fast activations on: the real multi-tenant compute ceiling.
+//!   off: the real multi-tenant compute ceiling.
 //! * `hotset` — all four tenants, response cache + in-flight dedup on,
 //!   hundreds of clients per tenant re-requesting a small hot window
 //!   set: the production traffic shape (many users, few live windows).
@@ -116,7 +116,6 @@ struct CellSpec {
     shards: usize,
     max_batch: usize,
     cache: bool,
-    fast: bool,
     tenant_count: usize,
     clients_per_tenant: usize,
     reqs_per_client: usize,
@@ -184,7 +183,6 @@ fn run_trial(fixtures: &[TenantFixture], spec: CellSpec) -> CellResult {
                     shards: spec.shards,
                     queue_bound: 4096,
                     cache: spec.cache.then(CachePolicy::default),
-                    fast_activations: spec.fast,
                     steal: spec.steal,
                 },
             )
@@ -327,7 +325,6 @@ fn cell_json(spec: &CellSpec, r: &CellResult, trials: usize) -> Value {
         .with("shards", spec.shards)
         .with("max_batch", spec.max_batch)
         .with("cache", spec.cache)
-        .with("fast_activations", spec.fast)
         .with("steal", spec.steal)
         .with("tenant_count", spec.tenant_count)
         .with("clients_total", spec.tenant_count * spec.clients_per_tenant)
@@ -466,7 +463,6 @@ fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult
                 shards: 2,
                 queue_bound: 4096,
                 cache: Some(CachePolicy::default()),
-                fast_activations: true,
                 steal: true,
             },
         )
@@ -587,7 +583,6 @@ fn run_steal_trial(fx: &TenantFixture, steal: bool, reqs: usize) -> (f64, u64, u
                 // measures stealing as *admitted work*, not just latency.
                 queue_bound: 2,
                 cache: None,
-                fast_activations: true,
                 steal,
             },
         )
@@ -660,7 +655,6 @@ fn main() {
                 shards: 1,
                 max_batch,
                 cache: false,
-                fast: false,
                 tenant_count: 1,
                 clients_per_tenant: max_batch,
                 reqs_per_client: if quick { 40 } else { 200 },
@@ -674,7 +668,7 @@ fn main() {
     }
 
     // Family B — sharded: all four tenants served concurrently, compute
-    // bound (cache off), fast activations on.
+    // bound (cache off).
     for &max_batch in &[8usize, 16] {
         let (best, mono) = run_pair(
             &fixtures,
@@ -685,7 +679,6 @@ fn main() {
                 shards: 2,
                 max_batch,
                 cache: false,
-                fast: true,
                 tenant_count: fixtures.len(),
                 clients_per_tenant: max_batch,
                 reqs_per_client: if quick { 20 } else { 100 },
@@ -711,7 +704,6 @@ fn main() {
             shards: 2,
             max_batch: 8,
             cache: true,
-            fast: true,
             tenant_count: fixtures.len(),
             clients_per_tenant: if quick { 64 } else { 256 },
             reqs_per_client: if quick { 20 } else { 50 },
@@ -732,7 +724,6 @@ fn main() {
         shards: 2,
         max_batch: 8,
         cache: true,
-        fast: true,
         tenant_count: 1,
         clients_per_tenant: 8,
         reqs_per_client: if quick { 50 } else { 400 },

@@ -71,12 +71,6 @@ pub struct ServeConfig {
     /// forecaster is a pure function of those — and identical concurrent
     /// requests share one forward. `None` (the default) disables caching.
     pub cache: Option<CachePolicy>,
-    /// Use the fast `tanh` kernel (exp-identity, ≤ 5e-7 absolute error)
-    /// for forwards on this tenant. Off by default so serving stays
-    /// bitwise identical to the trainer's own evaluation; benchmarks and
-    /// throughput-first deployments opt in. Scoped to the serving
-    /// forwards — training in the same process is never affected.
-    pub fast_activations: bool,
     /// Cross-shard work stealing (on by default): a shard worker whose
     /// own queue is empty drains up to `max_batch` of the oldest requests
     /// from a hot sibling's queue and runs them as its own batch, instead
@@ -97,7 +91,6 @@ impl Default for ServeConfig {
             shards: urcl_tensor::host_parallelism(),
             queue_bound: 1024,
             cache: None,
-            fast_activations: false,
             steal: true,
         }
     }
@@ -109,7 +102,8 @@ pub enum ServeError {
     /// No checkpoint has been loaded yet — the trainer has not published
     /// one, or every reload so far failed.
     NoSnapshot,
-    /// The request does not fit the model's geometry.
+    /// The request does not fit the model's geometry, or its window
+    /// holds a non-finite reading.
     BadRequest(String),
     /// A checkpoint reload failed; the previous snapshot (if any) is
     /// still serving.
@@ -303,11 +297,6 @@ impl Server {
 /// the tensor runtime only ever parallelizes over disjoint output
 /// regions, a batched forward is **bitwise identical** to running each
 /// window through a batch of one.
-///
-/// Activation kernels follow the calling thread's
-/// [`urcl_tensor::FastActGuard`] state at record time, so a reference
-/// forward for a [`ServeConfig::fast_activations`] tenant reproduces the
-/// server bit for bit by wrapping this call in a guard.
 pub fn forward_batch<B: Backbone + ?Sized>(
     model: &B,
     snapshot: &ModelSnapshot,

@@ -71,12 +71,6 @@ impl ModelSnapshot {
     /// sight ([`Backbone::compile_forward`]): one batch-polymorphic plan
     /// replays at every batch size the batcher forms. `x` itself seeds
     /// the recording; only its shape matters.
-    ///
-    /// Activation-kernel selection (see
-    /// [`urcl_tensor::FastActGuard`]) happens at *replay* time on the
-    /// calling thread, exactly as a fresh recording selects at record
-    /// time, so one cached plan serves fast- and exact-activation callers
-    /// with the same bits each would get from a fresh tape.
     pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Arc<ExecPlan> {
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(plan) = plans.iter().find(|p| p.accepts(&[x])) {

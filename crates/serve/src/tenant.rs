@@ -161,6 +161,19 @@ impl TenantCore {
                 expected
             )));
         }
+        // A non-finite reading is no input to forecast from (and a
+        // non-finite forecast cell would print as `null` on the JSON
+        // wire): reject it before it reaches the cache or a shard.
+        if let Some(at) = window.data().iter().position(|v| !v.is_finite()) {
+            let [_, n, c] = expected;
+            return Err(ServeError::BadRequest(format!(
+                "window cell [{}, {}, {}] ([M, N, C]) is {}, not a finite reading",
+                at / (n * c),
+                at / c % n,
+                at % c,
+                window.data()[at]
+            )));
+        }
         let (tx, rx) = mpsc::channel();
         let traced = urcl_trace::enabled();
 
@@ -488,10 +501,6 @@ fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
         windows.push(pending.window);
         replies.push((pending.enqueued, pending.tx, pending.cache_key));
     }
-    let _fast = core
-        .config
-        .fast_activations
-        .then(urcl_tensor::FastActGuard::enable);
     let predictions = forward_batch(
         core.model.as_ref(),
         &snapshot,

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl_serve::{forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Server};
+use urcl_serve::{
+    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, Server,
+};
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
 
@@ -333,4 +335,45 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
         Err(ServeError::NoSnapshot)
     ));
     std::fs::remove_dir_all(&empty_path).ok();
+}
+
+/// A window holding a non-finite reading is a typed `BadRequest` naming
+/// its `[m, n, c]` cell, rejected before the response cache registers an
+/// entry for it.
+#[test]
+fn non_finite_windows_are_bad_requests_before_the_cache() {
+    let fx = Fixture::new("nonfinite", 10);
+    let (model, template) = UrclPipeline::serving_parts(
+        &fx.ds.network,
+        &fx.ds.config,
+        &TrainerConfig::default(),
+    );
+    let server = Server::start(
+        model,
+        template,
+        CheckpointDir::new(&fx.dir_path).unwrap(),
+        ServeConfig {
+            target_channel: fx.ds.config.target_channel,
+            cache: Some(CachePolicy::default()),
+            ..ServeConfig::default()
+        },
+    );
+    let [_, n, c] = server.input_shape();
+    let mut window = fx.windows[0].clone();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        window.data_mut()[(2 * n + 3) * c] = bad;
+        match server.predict(&window) {
+            Err(ServeError::BadRequest(msg)) => assert!(msg.contains("[2, 3, 0]"), "{msg}"),
+            other => panic!("{bad} window: expected BadRequest, got {other:?}"),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!(
+        (stats.requests, stats.cache_misses),
+        (0, 0),
+        "a rejected window reached the cache"
+    );
+    // Finite windows still serve and cache.
+    assert!(server.predict(&fx.windows[0]).is_ok());
+    assert_eq!(server.stats().cache_misses, 1);
 }

@@ -245,6 +245,15 @@ fn routing_and_status_mapping() {
     let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", tiny));
     assert_eq!(status, 400);
     assert!(body.contains("bad_request"), "{body}");
+
+    // A reading beyond f32 range parses to infinity: 400, not a 200
+    // with `null` forecast cells.
+    let start = ok_body.find(|ch: char| ch.is_ascii_digit() || ch == '-').unwrap();
+    let end = start + ok_body[start..].find([',', ']']).unwrap();
+    let overflow = format!("{}1e39{}", &ok_body[..start], &ok_body[end..]);
+    let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", &overflow));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad_request"), "{body}");
 }
 
 #[test]

@@ -841,29 +841,14 @@ impl<'t> Var<'t> {
         )
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid ([`crate::activation::sigmoid`]).
     pub fn sigmoid(self) -> Var<'t> {
-        self.unary(
-            |a| a.map(|v| 1.0 / (1.0 + (-v).exp())),
-            Op::Sigmoid(self.idx),
-        )
+        self.unary(|a| a.map(crate::activation::sigmoid), Op::Sigmoid(self.idx))
     }
 
-    /// Hyperbolic tangent.
-    ///
-    /// The evaluation function is chosen at record time on the session's
-    /// thread: libm's `f32::tanh` by default, or the exp-identity
-    /// [`crate::fastact::tanh_fast`] when the thread has opted into fast
-    /// activations (inference runtimes do; training never does, keeping
-    /// goldens bitwise stable). The chosen function is captured into the
-    /// kernel closure, so parallel workers inherit this thread's choice.
+    /// Hyperbolic tangent ([`crate::activation::tanh`]).
     pub fn tanh(self) -> Var<'t> {
-        let f: fn(f32) -> f32 = if crate::fastact::fast_activations_enabled() {
-            crate::fastact::tanh_fast
-        } else {
-            f32::tanh
-        };
-        self.unary(|a| a.map(f), Op::Tanh(self.idx))
+        self.unary(|a| a.map(crate::activation::tanh), Op::Tanh(self.idx))
     }
 
     /// Matrix product (batched with broadcasting, see [`Tensor::matmul`]).

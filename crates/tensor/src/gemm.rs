@@ -326,9 +326,11 @@ fn pack_b(
 /// ascending, in KC-sized partial sums. For `k <= KC` the direct running
 /// sum is bitwise identical to "compute a zero-seeded partial then add it
 /// to a zero output" (a sum seeded `+0.0` can never be `-0.0`, so the
-/// final `0.0 + s` is exact); for `k > KC` each KC block accumulates into
-/// a zero-seeded scratch row that is then added to the output, matching
-/// the tiled kernel's per-block `C += acc`. This equivalence is what lets
+/// final `0.0 + s` is exact); for `k > KC` each KC block accumulates, for
+/// all rows at once, into a zero-seeded `[m, n]` scratch that is then
+/// added to the output, matching the tiled kernel's per-block `C += acc`
+/// (the first block lands in the zeroed output directly, which is the
+/// same exact `0.0 + s`). This equivalence is what lets
 /// callers size parallel row strips freely — whether a strip lands on the
 /// small or tiled path cannot change a single output bit.
 fn gemm_small(
@@ -347,16 +349,14 @@ fn gemm_small(
         gemm_small_block(m, 0, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out);
         return;
     }
-    let mut scratch = crate::pool::take_uninit(n);
-    for pc in (0..k).step_by(KC) {
+    gemm_small_block(m, 0, KC, n, a, a_rs, a_cs, b, b_rs, b_cs, out);
+    let mut scratch = crate::pool::take_uninit(m * n);
+    for pc in (KC..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        for i in 0..m {
-            scratch.fill(0.0);
-            gemm_small_block(1, pc, kc, n, &a[i * a_rs..], a_rs, a_cs, b, b_rs, b_cs, &mut scratch);
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &s) in orow.iter_mut().zip(scratch.iter()) {
-                *o += s;
-            }
+        scratch.fill(0.0);
+        gemm_small_block(m, pc, kc, n, a, a_rs, a_cs, b, b_rs, b_cs, &mut scratch);
+        for (o, &s) in out.iter_mut().zip(scratch.iter()) {
+            *o += s;
         }
     }
     crate::pool::recycle(scratch);
@@ -366,8 +366,9 @@ fn gemm_small(
 /// plain ikj loop, k ascending within the block.
 ///
 /// Contiguous-B shapes whose width is a known small constant dispatch to
-/// [`gemm_small_cols`], which keeps the output row in registers across
-/// the whole k block instead of streaming it through L1 once per `p`.
+/// [`gemm_small_cols`], which keeps a tile of output rows in registers
+/// across the whole k block instead of streaming them through L1 once
+/// per `p`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small_block(
     m: usize,
@@ -390,6 +391,7 @@ fn gemm_small_block(
             return;
         }
         match n {
+            1 => return gemm_small_cols::<1>(m, pc, kc, n, 0, a, a_rs, a_cs, b, b_rs, out),
             8 => return gemm_small_cols::<8>(m, pc, kc, n, 0, a, a_rs, a_cs, b, b_rs, out),
             16 => return gemm_small_cols::<16>(m, pc, kc, n, 0, a, a_rs, a_cs, b, b_rs, out),
             24 => return gemm_small_cols::<24>(m, pc, kc, n, 0, a, a_rs, a_cs, b, b_rs, out),
@@ -416,16 +418,22 @@ fn gemm_small_block(
 }
 
 /// Fixed-width column panel of the direct kernel: computes columns
-/// `[j0, j0 + W)` of `out += A[.., pc..pc+kc] * B[pc..pc+kc, ..]` holding
-/// the W-wide accumulator row in registers across the whole k block
-/// (compile-time W lets LLVM fully unroll the inner loop).
+/// `[j0, j0 + W)` of `out += A[.., pc..pc+kc] * B[pc..pc+kc, ..]`.
 ///
-/// Bitwise equivalence with the streaming loop: the accumulator performs
-/// the *same* addition sequence (k ascending from a `+0.0` seed), and the
-/// final `out += acc` adds each total to the `0.0` the caller zeroed the
-/// output with. A `+0.0`-seeded running sum can never be `-0.0` (adding a
-/// signed zero to `+0.0` gives `+0.0`, and exact cancellation rounds to
-/// `+0.0`), so that last add returns `acc` exactly.
+/// Rows run in blocks of R (8 for `W <= 16`, 4 above), each block holding
+/// an R x W accumulator tile in registers across the whole k block
+/// (compile-time R and W let LLVM fully unroll it). A single row's sum is
+/// a chain of dependent adds, so a one-row loop waits on add latency; the
+/// tile keeps R independent chains in flight. Leftover rows run the same
+/// code with R = 1.
+///
+/// Bitwise equivalence with the streaming loop: every accumulator
+/// performs the *same* addition sequence (k ascending from a `+0.0`
+/// seed) whatever the block height, and the final `out += acc` adds each
+/// total to the `0.0` the caller zeroed the output with. A `+0.0`-seeded
+/// running sum can never be `-0.0` (adding a signed zero to `+0.0` gives
+/// `+0.0`, and exact cancellation rounds to `+0.0`), so that last add
+/// returns `acc` exactly.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small_cols<const W: usize>(
     m: usize,
@@ -440,37 +448,81 @@ fn gemm_small_cols<const W: usize>(
     b_rs: usize,
     out: &mut [f32],
 ) {
+    let blocked = if W <= 16 { m - m % 8 } else { m - m % 4 };
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if W % 8 == 0 && W <= 32 && kc > 0 && crate::simd::intrinsic_arms() {
         // SAFETY: AVX2 presence checked by `intrinsic_arms`; W is a
-        // multiple of 8 within the 4-register accumulator.
-        unsafe { gemm_small_cols_avx2::<W>(m, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out) };
+        // multiple of 8 within the 4-register accumulator row.
+        unsafe {
+            if W <= 16 {
+                cols_tile_avx2::<W, 8>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+            } else {
+                cols_tile_avx2::<W, 4>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+            }
+            cols_tile_avx2::<W, 1>(blocked..m, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+        }
         return;
     }
-    for i in 0..m {
-        let mut acc = [0.0f32; W];
+    if W <= 16 {
+        cols_tile::<W, 8>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+    } else {
+        cols_tile::<W, 4>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+    }
+    cols_tile::<W, 1>(blocked..m, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
+}
+
+/// Rows `rows` (a multiple of R long) of [`gemm_small_cols`], R at a time.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn cols_tile<const W: usize, const R: usize>(
+    rows: std::ops::Range<usize>,
+    pc: usize,
+    kc: usize,
+    n: usize,
+    j0: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    out: &mut [f32],
+) {
+    // Every A and B index the tile reads is monotone in its row, k and
+    // column, so checking the largest ones here lets the k loop skip
+    // per-element bounds checks (which cost the tile ~20 % of its time).
+    if kc > 0 && !rows.is_empty() {
+        let _ = a[(rows.end - 1) * a_rs + (pc + kc - 1) * a_cs];
+        let _ = &b[(pc + kc - 1) * b_rs + j0..][..W];
+    }
+    for i in rows.step_by(R) {
+        let mut acc = [[0.0f32; W]; R];
         for p in pc..pc + kc {
-            let aip = a[i * a_rs + p * a_cs];
-            let brow: &[f32; W] = b[p * b_rs + j0..][..W].try_into().unwrap();
-            for (av, &bv) in acc.iter_mut().zip(brow) {
-                *av += aip * bv;
+            // SAFETY: indices bounded by the checks above.
+            let brow = unsafe { &*(b.as_ptr().add(p * b_rs + j0) as *const [f32; W]) };
+            for (r, row) in acc.iter_mut().enumerate() {
+                let aip = unsafe { *a.get_unchecked((i + r) * a_rs + p * a_cs) };
+                for (av, &bv) in row.iter_mut().zip(brow) {
+                    *av += aip * bv;
+                }
             }
         }
-        for (o, &v) in out[i * n + j0..][..W].iter_mut().zip(&acc) {
-            *o += v;
+        for (r, row) in acc.iter().enumerate() {
+            for (o, &v) in out[(i + r) * n + j0..][..W].iter_mut().zip(row) {
+                *o += v;
+            }
         }
     }
 }
 
-/// AVX2 arm of [`gemm_small_cols`]: the W-wide accumulator as `W/8`
-/// `__m256` registers, broadcast-A times loaded-B with `mul` + `add` per
-/// lane (never FMA). Bitwise identical to the scalar twin: each lane runs
-/// the same k-ascending multiply-then-add sequence from a `+0.0` seed.
+/// AVX2 twin of [`cols_tile`]: each accumulator row as `W/8` `__m256`
+/// registers, broadcast-A times loaded-B with `mul` + `add` per lane
+/// (never FMA). Bitwise identical to the scalar twin: each lane runs the
+/// same k-ascending multiply-then-add sequence from a `+0.0` seed.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gemm_small_cols_avx2<const W: usize>(
-    m: usize,
+unsafe fn cols_tile_avx2<const W: usize, const R: usize>(
+    rows: std::ops::Range<usize>,
     pc: usize,
     kc: usize,
     n: usize,
@@ -487,25 +539,33 @@ unsafe fn gemm_small_cols_avx2<const W: usize>(
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
     let lanes = W / 8;
-    for i in 0..m {
-        // Bounds-check the row the way the scalar arm's slicing would.
+    // Largest A and B indices, as in the scalar twin (kc > 0 here).
+    if !rows.is_empty() {
+        let _ = a[(rows.end - 1) * a_rs + (pc + kc - 1) * a_cs];
         let _ = &b[(pc + kc - 1) * b_rs + j0..][..W];
-        let _ = &out[i * n + j0..][..W];
-        // SAFETY: rows just bounds-checked; lanes <= 4.
+    }
+    for i in rows.step_by(R) {
+        let _ = &out[(i + R - 1) * n + j0..][..W];
+        // SAFETY: A, B and the block's output rows just bounds-checked;
+        // lanes <= 4.
         unsafe {
-            let mut acc = [_mm256_setzero_ps(); 4];
+            let mut acc = [[_mm256_setzero_ps(); 4]; R];
             for p in pc..pc + kc {
-                let av = _mm256_set1_ps(a[i * a_rs + p * a_cs]);
                 let bp = b.as_ptr().add(p * b_rs + j0);
-                for (w, slot) in acc.iter_mut().enumerate().take(lanes) {
-                    let bv = _mm256_loadu_ps(bp.add(8 * w));
-                    *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * a_rs + p * a_cs));
+                    for (w, slot) in row.iter_mut().enumerate().take(lanes) {
+                        let bv = _mm256_loadu_ps(bp.add(8 * w));
+                        *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
+                    }
                 }
             }
-            let op = out.as_mut_ptr().add(i * n + j0);
-            for (w, slot) in acc.iter().enumerate().take(lanes) {
-                let o = _mm256_loadu_ps(op.add(8 * w));
-                _mm256_storeu_ps(op.add(8 * w), _mm256_add_ps(o, *slot));
+            for (r, row) in acc.iter().enumerate() {
+                let op = out.as_mut_ptr().add((i + r) * n + j0);
+                for (w, slot) in row.iter().enumerate().take(lanes) {
+                    let o = _mm256_loadu_ps(op.add(8 * w));
+                    _mm256_storeu_ps(op.add(8 * w), _mm256_add_ps(o, *slot));
+                }
             }
         }
     }
@@ -644,6 +704,8 @@ mod tests {
             (24, 24, 16, 16, 1),                            // batched tiny
             (24, 16, 24, 1, 16),                            // batched tiny NT
             (192, 32, 64, 64, 1),                           // decoder
+            (4608, 32, 16, 16, 1),                          // GWN gated TCN, batch 48
+            (1152, 64, 1, 1, 1),                            // GWN decoder matvec
         ];
         for &(m, k, n, b_rs, b_cs) in &shapes {
             let a = fill(m * k, 11);
@@ -668,6 +730,7 @@ mod tests {
 
     #[test]
     fn fast_routing_and_intrinsic_arms_are_bitwise_identical() {
+        let _guard = crate::global_state_test_lock();
         let prev_pool = crate::pool::set_pooling(true);
         let prev_simd = crate::simd::set_simd(true);
         // Shapes hitting the new routes: TN deep-k strided A, skinny tall

@@ -35,9 +35,9 @@
 
 #![warn(missing_docs)]
 
+pub mod activation;
 pub mod autodiff;
 mod backward;
-pub mod fastact;
 pub mod gemm;
 pub mod gradcheck;
 pub mod opprof;
@@ -51,8 +51,16 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
+/// Serializes the unit tests that flip or read process-global state: the
+/// thread count, the SIMD, force-intrinsics and pooling switches, and the
+/// pool's counters.
+#[cfg(test)]
+pub(crate) fn global_state_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use autodiff::{Session, Tape, Var};
-pub use fastact::{fast_activations_enabled, set_fast_activations, tanh_fast, FastActGuard};
 pub use opprof::{op_profile, reset_op_profile, set_op_profile, OpProfileRow};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use parallel::{

@@ -364,6 +364,7 @@ mod tests {
     fn covers_every_index_exactly_once() {
         let n = 1003;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(4);
         parallel_for(n, 1, |r| {
             for i in r {
@@ -376,6 +377,7 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(1);
         let tid = std::thread::current().id();
         parallel_for(100, 1, |_r| {
@@ -386,6 +388,7 @@ mod tests {
 
     #[test]
     fn grain_bounds_chunk_count() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(8);
         let count = AtomicUsize::new(0);
         parallel_for(10, 5, |_r| {
@@ -404,6 +407,7 @@ mod tests {
     fn worker_panic_propagates() {
         // The last chunk runs on a worker when the host has spare cores
         // and inline otherwise; the panic must surface either way.
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(4);
         let caught = std::panic::catch_unwind(|| {
             parallel_for(100, 1, |r| {
@@ -418,6 +422,7 @@ mod tests {
 
     #[test]
     fn nested_calls_degrade_inline() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(4);
         let total = AtomicUsize::new(0);
         parallel_for(8, 1, |outer| {
@@ -433,6 +438,7 @@ mod tests {
 
     #[test]
     fn set_threads_clamps() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_threads(0);
         assert_eq!(num_threads(), 1);
         set_threads(prev);

@@ -44,10 +44,6 @@
 //! `tests/plan_parity.rs` and the `bench_train_step` loss assertion pin
 //! this, the same contract discipline the pool (`URCL_POOL`) and SIMD
 //! (`URCL_SIMD`) seams use.
-//!
-//! Like a fresh recording, activation dispatch (fast tanh vs libm)
-//! follows the *executing* thread's [`crate::fastact`] state at replay
-//! time.
 
 use crate::autodiff::{Gradients, Op, Tape};
 use crate::backward::{conv_share_groups, op_inputs, BackwardSchedule, ForwardValues};
@@ -237,27 +233,28 @@ enum Stage {
 }
 
 impl Stage {
-    #[inline(always)]
-    fn apply(self, v: f32, tanh_fn: fn(f32) -> f32) -> f32 {
-        match self {
-            Stage::Neg => v * -1.0,
-            Stage::Scale(c) => v * c,
-            Stage::AddScalar(c) => v + c,
-            Stage::PowF(p) => v.powf(p),
-            Stage::Exp => v.exp(),
-            Stage::Ln => v.ln(),
-            Stage::Sqrt => v.sqrt(),
-            Stage::Abs => v.abs(),
-            Stage::Relu => v.max(0.0),
-            Stage::LeakyRelu(s) => {
-                if v > 0.0 {
-                    v
-                } else {
-                    s * v
-                }
+    /// Applies this stage to every element of `block` in place. The match
+    /// sits outside the loop, so each arm is a plain loop over one
+    /// function that LLVM vectorizes.
+    fn apply(self, block: &mut [f32]) {
+        fn each(block: &mut [f32], f: impl Fn(f32) -> f32) {
+            for v in block {
+                *v = f(*v);
             }
-            Stage::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Stage::Tanh => tanh_fn(v),
+        }
+        match self {
+            Stage::Neg => each(block, |v| v * -1.0),
+            Stage::Scale(c) => each(block, |v| v * c),
+            Stage::AddScalar(c) => each(block, |v| v + c),
+            Stage::PowF(p) => each(block, |v| v.powf(p)),
+            Stage::Exp => each(block, f32::exp),
+            Stage::Ln => each(block, f32::ln),
+            Stage::Sqrt => each(block, f32::sqrt),
+            Stage::Abs => each(block, f32::abs),
+            Stage::Relu => each(block, |v| v.max(0.0)),
+            Stage::LeakyRelu(s) => each(block, |v| if v > 0.0 { v } else { s * v }),
+            Stage::Sigmoid => each(block, crate::activation::sigmoid),
+            Stage::Tanh => each(block, crate::activation::tanh),
         }
     }
 }
@@ -1069,11 +1066,6 @@ impl ExecPlan {
         inputs: &[&Tensor],
         shapes: &[Vec<usize>],
     ) {
-        let tanh_fn: fn(f32) -> f32 = if crate::fastact::fast_activations_enabled() {
-            crate::fastact::tanh_fast
-        } else {
-            f32::tanh
-        };
         let prof = crate::opprof::op_profile_enabled();
         // Shared im2col panels, keyed by conv group id; built on first
         // member, recycled after the group's last forward member.
@@ -1092,7 +1084,6 @@ impl ExecPlan {
                         stages,
                         *par,
                         &shapes[i],
-                        tanh_fn,
                     );
                     values[i] = Some(out);
                 }
@@ -1252,15 +1243,8 @@ impl ExecPlan {
                 let s = *s;
                 v(*a).map(move |x| if x > 0.0 { x } else { s * x })
             }
-            Op::Sigmoid(a) => v(*a).map(|x| 1.0 / (1.0 + (-x).exp())),
-            Op::Tanh(a) => {
-                let f: fn(f32) -> f32 = if crate::fastact::fast_activations_enabled() {
-                    crate::fastact::tanh_fast
-                } else {
-                    f32::tanh
-                };
-                v(*a).map(f)
-            }
+            Op::Sigmoid(a) => v(*a).map(crate::activation::sigmoid),
+            Op::Tanh(a) => v(*a).map(crate::activation::tanh),
             Op::MatMul(a, b) => v(*a).matmul(v(*b)),
             Op::Permute(a, perm) => v(*a).permute(perm),
             Op::Reshape(a) => v(*a).clone().reshape(&shapes[i]),
@@ -1293,8 +1277,6 @@ impl ExecPlan {
     }
 }
 
-/// Executes a fused unary elementwise run over `src`, producing a tensor
-/// of `out_shape`.
 /// True when a parallel region can actually run on more than one worker;
 /// on an oversubscribed host (requested threads > physical cores) the
 /// dispatch overhead has no upside, and serial execution is bitwise
@@ -1304,34 +1286,31 @@ fn parallelism_available() -> bool {
     crate::parallel::num_threads() > 1 && crate::parallel::host_parallelism() > 1
 }
 
-fn exec_run(
-    src: &Tensor,
-    stages: &[Stage],
-    par: bool,
-    out_shape: &[usize],
-    tanh_fn: fn(f32) -> f32,
-) -> Tensor {
+/// Elements per block of a fused run: small enough that a block stays in
+/// L1 while every stage passes over it.
+const RUN_BLOCK: usize = 256;
+
+/// Executes a fused unary elementwise run over `src`, producing a tensor
+/// of `out_shape`. Stage-major over fixed blocks: each block is copied
+/// out, then every stage sweeps it in order. Every element still passes
+/// through the same stage sequence, so the bits are those of an
+/// element-at-a-time loop, while each stage's loop vectorizes.
+fn exec_run(src: &Tensor, stages: &[Stage], par: bool, out_shape: &[usize]) -> Tensor {
+    fn run(dst: &mut [f32], src: &[f32], stages: &[Stage]) {
+        for (d, s) in dst.chunks_mut(RUN_BLOCK).zip(src.chunks(RUN_BLOCK)) {
+            d.copy_from_slice(s);
+            for stage in stages {
+                stage.apply(d);
+            }
+        }
+    }
     let sd = src.data();
     let n = sd.len();
     let mut data = pool::take_uninit(n);
     if !par || n < PAR_MIN_ELEMS || !parallelism_available() {
-        for (slot, &x) in data.iter_mut().zip(sd.iter()) {
-            let mut v = x;
-            for s in stages {
-                v = s.apply(v, tanh_fn);
-            }
-            *slot = v;
-        }
+        run(&mut data, sd, stages);
     } else {
-        par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-            for (slot, &x) in chunk.iter_mut().zip(&sd[r]) {
-                let mut v = x;
-                for s in stages {
-                    v = s.apply(v, tanh_fn);
-                }
-                *slot = v;
-            }
-        });
+        par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| run(chunk, &sd[r], stages));
     }
     Tensor::from_vec(data, out_shape)
 }
@@ -1551,7 +1530,7 @@ mod tests {
         assert!(plan.fused_stages >= 3, "chain of 4 should fuse 3 stages");
         let x1 = Rng::seed_from_u64(4).uniform_tensor(&[4, 5], -2.0, 2.0);
         let out = plan.run_forward(&store, &[&x1]);
-        let expect = x1.scale(2.0).add_scalar(1.0).map(f32::tanh).map(|v| v.max(0.0));
+        let expect = x1.scale(2.0).add_scalar(1.0).map(crate::activation::tanh).map(|v| v.max(0.0));
         assert_eq!(out.len(), 1);
         for (a, b) in out[0].data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1697,7 +1676,7 @@ mod tests {
         assert!(plan.is_poly());
         let x7 = Rng::seed_from_u64(25).uniform_tensor(&[7, 3], -1.0, 1.0);
         let out = plan.run_forward(&store, &[&x7]);
-        let expect = x7.matmul(store.value(w)).map(f32::tanh);
+        let expect = x7.matmul(store.value(w)).map(crate::activation::tanh);
         assert_eq!(out[0].data(), expect.data());
     }
 

@@ -531,10 +531,7 @@ mod tests {
 
     /// Serializes tests in this module: counters are process-global.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        crate::global_state_test_lock()
     }
 
     #[test]

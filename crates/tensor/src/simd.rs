@@ -388,6 +388,7 @@ mod tests {
 
     #[test]
     fn toggle_forces_scalar() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_simd(false);
         assert_eq!(active_isa(), Isa::Scalar);
         assert!(!use_avx2());
@@ -412,6 +413,7 @@ mod tests {
 
     #[test]
     fn acc_kernels_match_scalar_bitwise() {
+        let _guard = crate::global_state_test_lock();
         let prev = set_simd(true);
         let force = set_force_intrinsics(true);
         let g: Vec<f32> = (0..37).map(|v| (v as f32).sin() * 1e3).collect();

@@ -26,7 +26,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::gemm::gemm_strided;
+use urcl_tensor::gemm::{gemm_strided, KC};
 use urcl_tensor::simd::set_force_intrinsics;
 use urcl_tensor::{set_pooling, set_simd, set_threads, ParamStore, Rng};
 
@@ -75,7 +75,8 @@ fn gemm_strided_parity_over_shape_and_layout_churn() {
     // GraphWaveNet training step routes through the fast paths: the TN
     // backward [k x m]^T @ [k x n] with large k (transpose-A packing),
     // tiny strided-B products (transpose-B packing), and single-block
-    // direct shapes.
+    // direct shapes; then the GraphWaveNet forward's row-blocked direct
+    // shapes (gated TCN, batched diffusion, the decoder's N = 1 matvec).
     let mut shapes: Vec<(usize, usize, usize)> = vec![
         (16, 2112, 16),
         (16, 960, 16),
@@ -85,6 +86,9 @@ fn gemm_strided_parity_over_shape_and_layout_churn() {
         (7, 9, 5),
         (33, 65, 17),
         (130, 300, 270),
+        (4608, 32, 16),
+        (24, 24, 16),
+        (1152, 64, 1),
     ];
     for _ in 0..12 {
         let m = 1 + (rng.next_u64() % 48) as usize;
@@ -115,6 +119,79 @@ fn gemm_strided_parity_over_shape_and_layout_churn() {
         }
     }
 
+    set_threads(prev_threads);
+    set_pooling(prev_pool);
+}
+
+/// The one-row streaming ikj loop in KC-sized zero-seeded partial sums:
+/// the per-element order the row-blocked direct kernel must reproduce.
+#[allow(clippy::too_many_arguments)]
+fn one_row_oracle(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    b_cs: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    let mut part = vec![0.0f32; n];
+    for i in 0..m {
+        for pc in (0..k).step_by(KC) {
+            part.fill(0.0);
+            for p in pc..(pc + KC).min(k) {
+                let aip = a[i * a_rs + p * a_cs];
+                for (j, s) in part.iter_mut().enumerate() {
+                    *s += aip * b[p * b_rs + j * b_cs];
+                }
+            }
+            for (o, &s) in out[i * n..(i + 1) * n].iter_mut().zip(&part) {
+                *o += s;
+            }
+        }
+    }
+    out
+}
+
+/// The direct kernel's R-row blocks (8 rows for widths up to 16, 4
+/// above) plus leftover rows, across a KC block edge and several KC
+/// blocks, every layout, the fast routing and the forced AVX2 twin:
+/// bitwise equal to one row at a time.
+#[test]
+fn row_blocked_direct_kernel_matches_one_row_loop_bitwise() {
+    let _guard = lock();
+    let prev_pool = set_pooling(true);
+    let prev_threads = set_threads(1);
+    let prev_simd = set_simd(true);
+    let mut rng = Rng::seed_from_u64(0xB10C);
+    for m in 1..=2 * 8 + 3 {
+        for n in [1usize, 8, 16, 24, 32, 64] {
+            for k in [1usize, 17, 256, 257, 700] {
+                let a = rng.uniform_tensor(&[m * k], -1.0, 1.0);
+                let b = rng.uniform_tensor(&[k * n], -1.0, 1.0);
+                let (ad, bd) = (a.data(), b.data());
+                for (a_rs, a_cs, b_rs, b_cs) in [(k, 1, n, 1), (1, m, n, 1), (k, 1, 1, k), (1, m, 1, k)] {
+                    let want = one_row_oracle(m, k, n, ad, a_rs, a_cs, bd, b_rs, b_cs);
+                    for forced in [false, true] {
+                        set_force_intrinsics(forced);
+                        let mut got = vec![0.0f32; m * n];
+                        gemm_strided(m, k, n, ad, a_rs, a_cs, bd, b_rs, b_cs, &mut got);
+                        set_force_intrinsics(false);
+                        let bad = got.iter().zip(&want).position(|(g, w)| g.to_bits() != w.to_bits());
+                        assert!(
+                            bad.is_none(),
+                            "{m}x{k}x{n} rs/cs=({a_rs},{a_cs},{b_rs},{b_cs}) forced={forced}: \
+                             elem {bad:?} diverged from the one-row loop"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    set_simd(prev_simd);
     set_threads(prev_threads);
     set_pooling(prev_pool);
 }

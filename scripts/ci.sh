@@ -42,6 +42,13 @@ echo "== plan parity + buffer-lifetime suites (release) =="
 cargo test -q --offline --release -p urcl-tensor \
   --test plan_parity --test plan_lifetimes
 
+echo "== exhaustive activation accuracy sweep (release) =="
+# Every one of the 2^32 inputs of the crate's tanh and sigmoid against an
+# f64 reference (tanh within 1 ulp, sigmoid within 2), split over the
+# host's threads; about two CPU-minutes.
+timeout 600 cargo test -q --offline --release -p urcl-tensor --lib \
+  activation::tests::exhaustive_sweep_within_ulp_bounds -- --ignored --exact
+
 echo "== augmented-SSL record-vs-replay sweep (release) =="
 # Draws, batch sizes and architectures churned through one compiled
 # plan per architecture; loss and every parameter gradient asserted
