@@ -1,20 +1,15 @@
 //! Micro-benchmark: seed-era naive kernels vs the tiled/parallel compute
-//! path, at 1 and 4 threads and with the SIMD fast kernels off/on, in one
-//! process. Prints a table and writes `BENCH_tensor_ops.json` at the
-//! workspace root.
+//! path, at 1 and 4 threads in one process. Prints a table and writes
+//! `BENCH_tensor_ops.json` at the workspace root.
 //!
 //! The naive baselines below are verbatim copies of the pre-optimisation
 //! kernels (including their zero-skip branches), so the reported speedups
-//! measure exactly what the rewrite bought. The SIMD column times the
-//! same op with `set_simd(true)` and asserts the result is bitwise
-//! identical to the scalar path — on these large contiguous shapes the
-//! fast kernels mostly change routing (the big wins are on the strided /
-//! skinny shapes the training step hits; see `BENCH_train_step.json`),
-//! so a ratio near 1.0 here is expected, not a regression.
+//! measure exactly what the rewrite bought. The 1- and 4-thread results
+//! are asserted bitwise identical.
 
 use std::time::Instant;
 use urcl_json::Value;
-use urcl_tensor::{set_simd, set_threads, Rng};
+use urcl_tensor::{set_threads, Rng};
 
 /// The seed repository's matmul inner loop (ikj with zero-skip), 2-D.
 fn naive_matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], o: &mut [f32]) {
@@ -123,10 +118,6 @@ fn bench_matmul(rng: &mut Rng, m: usize, k: usize, n: usize, min_secs: f64) -> C
     set_threads(1);
     let out_1t = a.matmul(&b);
     let tiled_1t_s = time_best(|| { std::hint::black_box(a.matmul(&b)); }, min_secs);
-    set_simd(true);
-    let out_simd = a.matmul(&b);
-    let simd_1t_s = time_best(|| { std::hint::black_box(a.matmul(&b)); }, min_secs);
-    set_simd(false);
     set_threads(4);
     let out_4t = a.matmul(&b);
     let tiled_4t_s = time_best(|| { std::hint::black_box(a.matmul(&b)); }, min_secs);
@@ -135,11 +126,6 @@ fn bench_matmul(rng: &mut Rng, m: usize, k: usize, n: usize, min_secs: f64) -> C
         out_1t.data(),
         out_4t.data(),
         "matmul {m}x{k}x{n}: 1-thread and 4-thread results must be bitwise identical"
-    );
-    assert_eq!(
-        out_1t.data(),
-        out_simd.data(),
-        "matmul {m}x{k}x{n}: SIMD and scalar results must be bitwise identical"
     );
     let err = rel_err(out_4t.data(), &naive_out);
     assert!(
@@ -150,11 +136,10 @@ fn bench_matmul(rng: &mut Rng, m: usize, k: usize, n: usize, min_secs: f64) -> C
     let gf = |s: f64| flops / s / 1e9;
     let name = format!("matmul_{m}x{k}x{n}");
     let line = format!(
-        "{name:<22} naive {:>7.2} GF/s | 1t {:>7.2} GF/s ({:>5.2}x) | simd {:>7.2} GF/s | 4t {:>7.2} GF/s ({:>5.2}x)",
+        "{name:<22} naive {:>7.2} GF/s | 1t {:>7.2} GF/s ({:>5.2}x) | 4t {:>7.2} GF/s ({:>5.2}x)",
         gf(naive_s),
         gf(tiled_1t_s),
         naive_s / tiled_1t_s,
-        gf(simd_1t_s),
         gf(tiled_4t_s),
         naive_s / tiled_4t_s,
     );
@@ -166,11 +151,9 @@ fn bench_matmul(rng: &mut Rng, m: usize, k: usize, n: usize, min_secs: f64) -> C
         .with("n", n)
         .with("naive_gflops", gf(naive_s))
         .with("tiled_1t_gflops", gf(tiled_1t_s))
-        .with("simd_1t_gflops", gf(simd_1t_s))
         .with("tiled_4t_gflops", gf(tiled_4t_s))
         .with("speedup_1t", naive_s / tiled_1t_s)
         .with("speedup_4t", naive_s / tiled_4t_s)
-        .with("simd_over_scalar_1t", tiled_1t_s / simd_1t_s)
         .with("max_rel_err_vs_naive", err as f64);
     Case { json, line }
 }
@@ -201,10 +184,6 @@ fn bench_conv(
     set_threads(1);
     let out_1t = x.conv1d(&w, dilation, pad_left);
     let par_1t_s = time_best(|| { std::hint::black_box(x.conv1d(&w, dilation, pad_left)); }, min_secs);
-    set_simd(true);
-    let out_simd = x.conv1d(&w, dilation, pad_left);
-    let simd_1t_s = time_best(|| { std::hint::black_box(x.conv1d(&w, dilation, pad_left)); }, min_secs);
-    set_simd(false);
     set_threads(4);
     let out_4t = x.conv1d(&w, dilation, pad_left);
     let par_4t_s = time_best(|| { std::hint::black_box(x.conv1d(&w, dilation, pad_left)); }, min_secs);
@@ -214,22 +193,16 @@ fn bench_conv(
         out_4t.data(),
         "conv1d: 1-thread and 4-thread results must be bitwise identical"
     );
-    assert_eq!(
-        out_1t.data(),
-        out_simd.data(),
-        "conv1d: SIMD and scalar results must be bitwise identical"
-    );
     let err = rel_err(out_4t.data(), &naive_out);
     assert!(err < 1e-4, "conv1d diverges from naive (rel err {err})");
 
     let gf = |s: f64| flops / s / 1e9;
     let name = format!("conv1d_b{b}_c{cin}x{cout}_t{t}_k{k}d{dilation}");
     let line = format!(
-        "{name:<22} naive {:>7.2} GF/s | 1t {:>7.2} GF/s ({:>5.2}x) | simd {:>7.2} GF/s | 4t {:>7.2} GF/s ({:>5.2}x)",
+        "{name:<22} naive {:>7.2} GF/s | 1t {:>7.2} GF/s ({:>5.2}x) | 4t {:>7.2} GF/s ({:>5.2}x)",
         gf(naive_s),
         gf(par_1t_s),
         naive_s / par_1t_s,
-        gf(simd_1t_s),
         gf(par_4t_s),
         naive_s / par_4t_s,
     );
@@ -244,11 +217,9 @@ fn bench_conv(
         .with("dilation", dilation)
         .with("naive_gflops", gf(naive_s))
         .with("tiled_1t_gflops", gf(par_1t_s))
-        .with("simd_1t_gflops", gf(simd_1t_s))
         .with("tiled_4t_gflops", gf(par_4t_s))
         .with("speedup_1t", naive_s / par_1t_s)
         .with("speedup_4t", naive_s / par_4t_s)
-        .with("simd_over_scalar_1t", par_1t_s / simd_1t_s)
         .with("max_rel_err_vs_naive", err as f64);
     Case { json, line }
 }

@@ -1,32 +1,29 @@
 //! End-to-end training-step throughput on the tiny GraphWaveNet pipeline:
 //! forward, backward, gradient accumulation and an Adam update per step,
-//! swept over {1, 4} threads × {pooling off / pooling on / pooling on +
-//! SIMD fast kernels / pooled + SIMD + compiled plan} in one process.
-//! Prints a table and writes `BENCH_train_step.json` at the workspace
-//! root.
+//! swept over {1, 4} threads × {recorded tape, compiled plan} in one
+//! process. Prints a table and writes `BENCH_train_step.json` at the
+//! workspace root.
 //!
 //! Every cell rebuilds the model from the same seed and consumes the same
 //! fixed batch sequence, so the final losses must be bitwise identical
 //! across all cells — the bench asserts this, making it a cheap
-//! determinism canary on top of `pool_determinism.rs`, an end-to-end
-//! SIMD↔scalar parity check on top of `simd_parity.rs`, and a
-//! record↔replay parity check on top of `plan_parity.rs`: plan-off cells
+//! determinism canary on top of `pool_determinism.rs` and a
+//! record↔replay parity check on top of `plan_parity.rs`: tape cells
 //! record the step and call `Tape::backward`, plan cells compile one
-//! batch-polymorphic `ExecPlan` up front and replay it every step. With
-//! pooling on it also reports the steady-state pool miss count
-//! (expected: zero — every buffer shape the step needs is cached during
-//! warmup). A `poly_batch_check` cycles batch sizes through one plan
-//! asserting zero recompiles. The artifact carries the
-//! `urcl-bench-train-v6` schema, re-gated offline by `validate_json`.
+//! batch-polymorphic `ExecPlan` up front and replay it every step. It
+//! also reports each cell's steady-state pool miss count (asserted zero —
+//! every buffer shape the step needs is cached during warmup). A
+//! `poly_batch_check` cycles batch sizes through one plan asserting zero
+//! recompiles. The artifact carries the `urcl-bench-train-v7` schema,
+//! re-gated offline by `validate_json`.
 //!
 //! Thread-scaling acceptance is host-aware: on a host with ≥ 4 physical
-//! cores the 4-thread SIMD cell must beat the 1-thread SIMD cell by
+//! cores the 4-thread tape cell must beat the 1-thread tape cell by
 //! ≥ 1.3×; on a smaller host real speedup is physically impossible, so
 //! the bench instead asserts the 4-thread cell does not fall off a cliff
 //! (≥ 0.85× of 1-thread; the dispatch-overhead cliff this guards against
 //! was ~2×, and sub-10ms steps leave a few percent of scheduler noise
-//! even best-of-rounds). The SIMD speedup gate (≥ 1.5× at 4 threads
-//! over the pooled scalar cell) applies everywhere.
+//! even best-of-rounds).
 //!
 //! Flags/env: `--quick` shrinks the schedule for CI smoke runs; setting
 //! `URCL_BENCH_PHASES` prints a per-step forward/backward/update phase
@@ -40,7 +37,7 @@ use urcl_stdata::{stack_samples, Batch, Sample};
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
     buffer_pool_stats, op_profile, plan_stats, reset_buffer_pool_stats, reset_op_profile,
-    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamStore, Recording, Rng,
+    set_threads, Adam, ExecPlan, Optimizer, ParamStore, Recording, Rng,
 };
 
 const NODES: usize = 24;
@@ -132,28 +129,17 @@ fn train_step_plan(plan: &ExecPlan, store: &mut ParamStore, opt: &mut Adam, batc
 
 struct Cell {
     threads: usize,
-    pooling: bool,
-    simd: bool,
     plan: bool,
     steps_per_sec: f64,
     final_loss: f32,
     pool_misses: u64,
 }
 
-/// Runs one (threads, pooling, simd, plan) cell: fresh model from a fixed
-/// seed, `warmup` untimed steps, then `timed` measured steps over a
-/// replayed batch schedule identical across cells.
-fn run_cell(
-    threads: usize,
-    pooling: bool,
-    simd: bool,
-    plan: bool,
-    warmup: usize,
-    timed: usize,
-) -> Cell {
+/// Runs one (threads, plan) cell: fresh model from a fixed seed, `warmup`
+/// untimed steps, then `timed` measured steps over a replayed batch
+/// schedule identical across cells.
+fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
     set_threads(threads);
-    set_pooling(pooling);
-    set_simd(simd);
 
     let mut rng = Rng::seed_from_u64(23);
     let net = random_geometric(NODES, 0.3, &mut rng);
@@ -196,7 +182,7 @@ fn run_cell(
         let steps = (rounds * timed) as u64;
         let mut rows = op_profile();
         rows.sort_by_key(|r| std::cmp::Reverse(r.fwd_nanos + r.bwd_nanos));
-        println!("  per-op profile ({} threads, pooling {}), us/step:", threads, pooling);
+        println!("  per-op profile ({threads} threads, plan {plan}), us/step:");
         println!("    {:<12} {:>7} {:>9} {:>7} {:>9}", "op", "fwd", "fwd us", "bwd", "bwd us");
         for r in rows.iter().filter(|r| r.fwd_calls + r.bwd_calls > 0) {
             println!(
@@ -214,26 +200,16 @@ fn run_cell(
 
     let steps_per_sec = timed as f64 / secs;
     println!(
-        "{threads} threads, pooling {:<3} simd {:<3} plan {:<3}  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step){}",
-        if pooling { "on" } else { "off" },
-        if simd { "on" } else { "off" },
+        "{threads} threads, plan {:<3}  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step)  \
+         pool: {} misses, {} hits/step, {:.1} MB recycled/step",
         if plan { "on" } else { "off" },
         1e3 * secs / timed as f64,
-        if pooling {
-            format!(
-                "  pool: {} misses, {} hits/step, {:.1} MB recycled/step",
-                pool_misses,
-                stats.hits / (rounds * timed) as u64,
-                stats.bytes_recycled as f64 / (rounds * timed) as f64 / 1e6,
-            )
-        } else {
-            String::new()
-        },
+        pool_misses,
+        stats.hits / (rounds * timed) as u64,
+        stats.bytes_recycled as f64 / (rounds * timed) as f64 / 1e6,
     );
     Cell {
         threads,
-        pooling,
-        simd,
         plan,
         steps_per_sec,
         final_loss,
@@ -247,8 +223,6 @@ fn run_cell(
 /// sizes exercised, recorded in the JSON artifact.
 fn poly_batch_check() -> u64 {
     set_threads(1);
-    set_pooling(true);
-    set_simd(true);
     let mut rng = Rng::seed_from_u64(23);
     let net = random_geometric(NODES, 0.3, &mut rng);
     let mut store = ParamStore::new();
@@ -297,77 +271,43 @@ fn main() {
         urcl_tensor::detected_isa(),
     );
     let prev_threads = set_threads(1);
-    let prev_pool = set_pooling(true);
-    let prev_simd = set_simd(false);
-    let cells: Vec<Cell> = [
-        (1usize, false, false, false),
-        (1, true, false, false),
-        (1, true, true, false),
-        (1, true, true, true),
-        (4, false, false, false),
-        (4, true, false, false),
-        (4, true, true, false),
-        (4, true, true, true),
-    ]
-    .into_iter()
-    .map(|(t, p, s, pl)| run_cell(t, p, s, pl, warmup, timed))
-    .collect();
+    let cells: Vec<Cell> = [(1usize, false), (1, true), (4, false), (4, true)]
+        .into_iter()
+        .map(|(t, pl)| run_cell(t, pl, warmup, timed))
+        .collect();
     let poly_sizes_checked = poly_batch_check();
     set_threads(prev_threads);
-    set_pooling(prev_pool);
-    set_simd(prev_simd);
 
     // All cells ran the same seeded schedule: numerics must agree — this
-    // pins the SIMD fast path AND the compiled plan bitwise to the scalar,
+    // pins the compiled plan and the thread count bitwise to the 1-thread
     // recorded-tape baseline through a full train step, not just
     // per-kernel.
     for c in &cells[1..] {
         assert_eq!(
             c.final_loss.to_bits(),
             cells[0].final_loss.to_bits(),
-            "cell ({} threads, pooling={}, simd={}, plan={}) diverged from reference loss",
+            "cell ({} threads, plan={}) diverged from reference loss",
             c.threads,
-            c.pooling,
-            c.simd,
             c.plan,
         );
     }
     // After warmup the pool has cached every buffer shape the step needs,
     // so the timed rounds must run allocation-free.
-    for c in cells.iter().filter(|c| c.pooling) {
+    for c in &cells {
         assert_eq!(
             c.pool_misses, 0,
-            "steady-state pool miss at {} threads",
-            c.threads
+            "steady-state pool miss at {} threads, plan={}",
+            c.threads, c.plan
         );
     }
 
-    let rate_of = |threads: usize, pooling: bool, simd: bool, plan: bool| {
+    let rate = |threads: usize, plan: bool| {
         cells
             .iter()
-            .find(|c| {
-                c.threads == threads && c.pooling == pooling && c.simd == simd && c.plan == plan
-            })
+            .find(|c| c.threads == threads && c.plan == plan)
             .map(|c| c.steps_per_sec)
             .unwrap()
     };
-    let rate = |threads: usize, pooling: bool, simd: bool| rate_of(threads, pooling, simd, false);
-    let speedup_1t = rate(1, true, false) / rate(1, false, false);
-    let speedup_4t = rate(4, true, false) / rate(4, false, false);
-    println!(
-        "pooling speedup: {speedup_1t:.2}x at 1 thread, {speedup_4t:.2}x at 4 threads \
-         (required: 1.4x at 4 threads)"
-    );
-    let simd_speedup_1t = rate(1, true, true) / rate(1, true, false);
-    let simd_speedup_4t = rate(4, true, true) / rate(4, true, false);
-    println!(
-        "simd speedup over pooled scalar: {simd_speedup_1t:.2}x at 1 thread, \
-         {simd_speedup_4t:.2}x at 4 threads (required: 1.5x at 4 threads)"
-    );
-    assert!(
-        simd_speedup_4t >= 1.5,
-        "SIMD fast kernels must deliver >= 1.5x at 4 threads, got {simd_speedup_4t:.2}x"
-    );
     println!(
         "poly batch check: one plan served {poly_sizes_checked} batch sizes, zero recompiles"
     );
@@ -376,9 +316,9 @@ fn main() {
     // flat (no dispatch-overhead cliff) when the host cannot provide
     // parallelism.
     let host = urcl_tensor::host_parallelism();
-    let thread_scaling = rate(4, true, true) / rate(1, true, true);
+    let thread_scaling = rate(4, false) / rate(1, false);
     if host >= 4 {
-        println!("thread scaling (4t/1t, simd on): {thread_scaling:.2}x (required: 1.3x)");
+        println!("thread scaling (4t/1t, recorded tape): {thread_scaling:.2}x (required: 1.3x)");
         assert!(
             thread_scaling >= 1.3,
             "4-thread cell must beat 1-thread by >= 1.3x on a {host}-core host, \
@@ -386,7 +326,7 @@ fn main() {
         );
     } else {
         println!(
-            "thread scaling (4t/1t, simd on): {thread_scaling:.2}x \
+            "thread scaling (4t/1t, recorded tape): {thread_scaling:.2}x \
              (host has {host} core(s); required: >= 0.85x, no cliff)"
         );
         assert!(
@@ -396,7 +336,7 @@ fn main() {
     }
 
     let doc = Value::object()
-        .with("schema", "urcl-bench-train-v6")
+        .with("schema", "urcl-bench-train-v7")
         .with("benchmark", "train_step")
         .with("model", "graph_wavenet_small")
         .with("batch", BATCH)
@@ -406,13 +346,10 @@ fn main() {
         .with(
             "acceptance",
             Value::object()
-                .with("metric", "steps/sec with pooling on vs off, 4 threads")
-                .with("pool_speedup_1t", speedup_1t)
-                .with("pool_speedup_4t", speedup_4t)
-                .with("required_4t", 1.4)
-                .with("simd_speedup_1t", simd_speedup_1t)
-                .with("simd_speedup_4t", simd_speedup_4t)
-                .with("simd_required_4t", 1.5)
+                .with(
+                    "metric",
+                    "steps/sec, 4-thread over 1-thread recorded-tape cell",
+                )
                 // The asserts above already aborted the run if any of
                 // these failed; recorded so validate_json can re-gate the
                 // artifact offline.
@@ -433,8 +370,6 @@ fn main() {
                     .map(|c| {
                         Value::object()
                             .with("threads", c.threads)
-                            .with("pooling", c.pooling)
-                            .with("simd", c.simd)
                             .with("plan", c.plan)
                             .with("steps_per_sec", c.steps_per_sec)
                             .with("ms_per_step", 1e3 / c.steps_per_sec)

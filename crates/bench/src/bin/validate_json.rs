@@ -22,7 +22,7 @@ fn validate(path: &str) -> Result<(), String> {
         Some(s) if s == urcl_trace::SCHEMA => validate_trace(&value)?,
         Some("urcl-bench-serve-v2") => validate_serve(&value, false)?,
         Some("urcl-bench-serve-v3") => validate_serve(&value, true)?,
-        Some("urcl-bench-train-v6") => validate_train(&value)?,
+        Some("urcl-bench-train-v6" | "urcl-bench-train-v7") => validate_train(&value)?,
         _ => {}
     }
     Ok(())
@@ -157,11 +157,13 @@ fn validate_serve_v3(doc: &Value, cells: &[Value]) -> Result<(), String> {
     Ok(())
 }
 
-/// Structural checks and offline re-gating for `urcl-bench-train-v6`
+/// Structural checks and offline re-gating for `urcl-bench-train-v7`
 /// (the train-step sweep): every cell carries its configuration axes and
 /// a positive throughput, the cells' bitwise identity is recorded true,
 /// and the batch-polymorphism check saw one plan serve several batch
-/// sizes with zero recompiles.
+/// sizes with zero recompiles. An artifact under the previous schema,
+/// `-v6` (whose cells also swept the since-removed pooling and SIMD
+/// switches), passes on the keys the two share.
 fn validate_train(doc: &Value) -> Result<(), String> {
     let cells = doc
         .get("cells")
@@ -171,7 +173,7 @@ fn validate_train(doc: &Value) -> Result<(), String> {
         return Err("train \"cells\" is empty".into());
     }
     for (i, cell) in cells.iter().enumerate() {
-        for key in ["threads", "pooling", "simd", "plan"] {
+        for key in ["threads", "plan"] {
             if cell.get(key).is_none() {
                 return Err(format!("train cell {i} missing {key:?}"));
             }
@@ -305,7 +307,7 @@ fn validate_trace(doc: &Value) -> Result<(), String> {
         }
     }
     // SIMD/host gauges added with the parallel-region telemetry:
-    // `simd_isa` is the active ISA tier code (0 = scalar, 1 = AVX2,
+    // `simd_isa` is the detected ISA tier code (0 = scalar, 1 = AVX2,
     // 2 = AVX2+FMA-detected) and `host_threads` the physical parallelism
     // the worker pool saw.
     match doc.get("simd_isa").and_then(Value::as_f64) {

@@ -11,9 +11,8 @@
 //!   LLVM vectorizes it; libm's `f32::tanh` is an opaque call, one
 //!   element at a time.
 //! * **One truth for the bits.** The result depends only on the input:
-//!   not on the host's libm, the thread count, the buffer-pool setting or
-//!   the `URCL_SIMD` tier (vector lanes run the same IEEE operations as
-//!   the scalar code).
+//!   not on the host's libm, the thread count or the vector width
+//!   (vector lanes run the same IEEE operations as one-element code).
 //!
 //! Accuracy, measured exhaustively over all 2³² inputs against an `f64`
 //! reference (see the `#[ignore]`d sweep below): `tanh` is within 1 ulp
@@ -237,21 +236,16 @@ mod tests {
         let xs: Vec<f32> = (0..n).map(|i| (i as f32 - n as f32 / 2.0) * 7e-4).collect();
         let x = Tensor::from_vec(xs.clone(), &[n]);
         let prev_threads = crate::parallel::num_threads();
-        let prev_simd = crate::simd::simd_enabled();
         for &threads in &[1, 4] {
-            for &simd in &[false, true] {
-                crate::parallel::set_threads(threads);
-                crate::simd::set_simd(simd);
-                for f in [tanh as fn(f32) -> f32, sigmoid] {
-                    let got = x.map(f);
-                    for (g, &v) in got.data().iter().zip(&xs) {
-                        assert_eq!(g.to_bits(), f(v).to_bits(), "{threads}t simd={simd} at {v:e}");
-                    }
+            crate::parallel::set_threads(threads);
+            for f in [tanh as fn(f32) -> f32, sigmoid] {
+                let got = x.map(f);
+                for (g, &v) in got.data().iter().zip(&xs) {
+                    assert_eq!(g.to_bits(), f(v).to_bits(), "{threads}t at {v:e}");
                 }
             }
         }
         crate::parallel::set_threads(prev_threads);
-        crate::simd::set_simd(prev_simd);
     }
 
     /// Every one of the 2³² inputs, split over the host's threads. About

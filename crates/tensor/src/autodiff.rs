@@ -305,15 +305,14 @@ pub(crate) fn conv1d_backward_dx(
     };
     let flops = b * cout * cin * k * t_out;
 
-    // dx via an im2col-of-g GEMM when pooling is on and the time rows are
-    // short (per-tap slice setup dominates the direct loop there). Bits
+    // dx via an im2col-of-g GEMM when the time rows are short (per-tap
+    // slice setup dominates the direct loop there). Bits
     // are unchanged: each dx element is a single flat +0.0-seeded running
     // sum over (co, ki) ascending — exactly the direct loop's order — the
     // `cout*k <= KC` guard keeps the GEMM from splitting that sum into KC
     // partials, and taps the direct loop clamps away become `w * 0.0`
     // terms, which never change the bits of a +0.0-seeded sum.
-    let dx_gemm = crate::pool::pooling_enabled() && t < crate::gemm::NR && cout * k <= crate::gemm::KC;
-    if dx_gemm {
+    if t < crate::gemm::NR && cout * k <= crate::gemm::KC {
         use crate::pool;
         // wT[ci, co*k + ki] = w[co, ci, ki]
         let kk = cout * k;
@@ -450,8 +449,7 @@ pub(crate) fn conv1d_backward_dw(
     // (clamped taps appear as `g * 0.0` terms — adding a signed zero to a
     // +0.0-seeded sum is the identity), and the partials are then summed
     // serially in bi order, so every bit matches the direct loop.
-    let dw_gemm = crate::pool::pooling_enabled() && t_out < crate::gemm::NR;
-    if dw_gemm {
+    if t_out < crate::gemm::NR {
         use crate::pool;
         let kk = cin * k;
         let mut partials = pool::take_uninit(b * cout * kk);
@@ -621,8 +619,8 @@ pub(crate) fn conv1d_dw_cols(
 /// [`conv1d_dw_cols`] panel. Bitwise identical to the GEMM branch of
 /// [`conv1d_backward_dw`] (same per-batch GEMMs over the same panel
 /// values, same bi-ordered serial accumulate); callers must check the
-/// same `pooling_enabled() && t_out < NR` guard that selects that
-/// branch before using this path.
+/// same `t_out < NR` guard that selects that branch before using this
+/// path.
 pub(crate) fn conv1d_backward_dw_with_cols(
     g: &Tensor,
     x_shape: &[usize],

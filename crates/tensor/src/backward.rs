@@ -151,7 +151,6 @@ impl BackwardSchedule {
         let mut grads: Vec<Option<Tensor>> = Vec::new();
         grads.resize_with(self.useful.len(), || None);
         grads[self.root] = Some(Tensor::ones(fwd.shape(self.root)));
-        let reuse = pool::pooling_enabled();
         let prof = crate::opprof::op_profile_enabled();
         let uf = |a: usize| self.useful[a];
         // Shared dw im2col panels, keyed by conv group id; built by the
@@ -168,26 +167,26 @@ impl BackwardSchedule {
                     let (a, b) = (*a, *b);
                     match (uf(a), uf(b)) {
                         (true, true) => {
-                            if reuse && fwd.shape(a) == fwd.shape(i) {
+                            if fwd.shape(a) == fwd.shape(i) {
                                 accumulate_ref(&mut grads, a, &g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(fwd.shape(a)));
                             }
-                            if reuse && fwd.shape(b) == fwd.shape(i) {
+                            if fwd.shape(b) == fwd.shape(i) {
                                 accumulate(&mut grads, b, g); // final edge: move, not clone
                             } else {
                                 accumulate(&mut grads, b, g.reduce_to_shape(fwd.shape(b)));
                             }
                         }
                         (true, false) => {
-                            if reuse && fwd.shape(a) == fwd.shape(i) {
+                            if fwd.shape(a) == fwd.shape(i) {
                                 accumulate(&mut grads, a, g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(fwd.shape(a)));
                             }
                         }
                         (false, true) => {
-                            if reuse && fwd.shape(b) == fwd.shape(i) {
+                            if fwd.shape(b) == fwd.shape(i) {
                                 accumulate(&mut grads, b, g);
                             } else {
                                 accumulate(&mut grads, b, g.reduce_to_shape(fwd.shape(b)));
@@ -203,13 +202,13 @@ impl BackwardSchedule {
                     // evaluating b's (which borrows g) first lets a's
                     // identity edge move g instead of cloning it.
                     if uf(b) && (a != b || !uf(a)) {
-                        if reuse && fwd.shape(b) == fwd.shape(i) {
+                        if fwd.shape(b) == fwd.shape(i) {
                             fused_scale_acc(&mut grads, b, &g, -1.0);
                         } else {
                             accumulate(&mut grads, b, g.scale(-1.0).reduce_to_shape(fwd.shape(b)));
                         }
                         if uf(a) {
-                            if reuse && fwd.shape(a) == fwd.shape(i) {
+                            if fwd.shape(a) == fwd.shape(i) {
                                 accumulate(&mut grads, a, g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(fwd.shape(a)));
@@ -218,14 +217,14 @@ impl BackwardSchedule {
                     } else {
                         // a == b (or only a useful): keep rule order.
                         if uf(a) {
-                            if reuse && fwd.shape(a) == fwd.shape(i) {
+                            if fwd.shape(a) == fwd.shape(i) {
                                 accumulate_ref(&mut grads, a, &g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(fwd.shape(a)));
                             }
                         }
                         if uf(b) {
-                            if reuse && fwd.shape(b) == fwd.shape(i) {
+                            if fwd.shape(b) == fwd.shape(i) {
                                 fused_scale_acc(&mut grads, b, &g, -1.0);
                             } else {
                                 accumulate(
@@ -239,7 +238,7 @@ impl BackwardSchedule {
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
-                    if reuse && fwd.shape(a) == fwd.shape(i) && fwd.shape(b) == fwd.shape(i) {
+                    if fwd.shape(a) == fwd.shape(i) && fwd.shape(b) == fwd.shape(i) {
                         if uf(a) {
                             fused_mul_acc(&mut grads, a, &g, fwd.value(b));
                         }
@@ -259,7 +258,7 @@ impl BackwardSchedule {
                 }
                 Op::Div(a, b) => {
                     let (a, b) = (*a, *b);
-                    if reuse && fwd.shape(a) == fwd.shape(i) && fwd.shape(b) == fwd.shape(i) {
+                    if fwd.shape(a) == fwd.shape(i) && fwd.shape(b) == fwd.shape(i) {
                         if uf(a) {
                             fused_map2(&mut grads, a, &g, fwd.value(b), |gv, b| gv / b);
                         }
@@ -289,57 +288,19 @@ impl BackwardSchedule {
                         }
                     }
                 }
-                Op::Neg(a) => {
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, -1.0);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(-1.0));
-                    }
-                }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, c);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(c));
-                    }
-                }
+                Op::Neg(a) => fused_scale_acc(&mut grads, *a, &g, -1.0),
+                Op::Scale(a, c) => fused_scale_acc(&mut grads, *a, &g, *c),
                 Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
                 Op::PowF(a, p) => {
                     let p = *p;
-                    let av = fwd.value(*a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * (p * v.powf(p - 1.0))
-                        });
-                    } else {
-                        let dg = g.mul(&av.map(|v| p * v.powf(p - 1.0)));
-                        accumulate(&mut grads, *a, dg);
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(*a), move |gv, v| {
+                        gv * (p * v.powf(p - 1.0))
+                    });
                 }
-                Op::Exp(a) => {
-                    let y = fwd.value(i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * y);
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(y));
-                    }
-                }
-                Op::Ln(a) => {
-                    let av = fwd.value(*a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv / v);
-                    } else {
-                        accumulate(&mut grads, *a, g.div(av));
-                    }
-                }
+                Op::Exp(a) => fused_map2(&mut grads, *a, &g, fwd.value(i), |gv, y| gv * y),
+                Op::Ln(a) => fused_map2(&mut grads, *a, &g, fwd.value(*a), |gv, v| gv / v),
                 Op::Sqrt(a) => {
-                    let y = fwd.value(i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv / (y * 2.0));
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&y.scale(2.0)));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(i), |gv, y| gv / (y * 2.0));
                 }
                 Op::Abs(a) => {
                     let sign = |v: f32| {
@@ -351,57 +312,32 @@ impl BackwardSchedule {
                             0.0
                         }
                     };
-                    let av = fwd.value(*a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv * sign(v));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&av.map(sign)));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(*a), |gv, v| gv * sign(v));
                 }
                 Op::Relu(a) => {
-                    let av = fwd.value(*a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { 0.0 }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(*a), |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { 0.0 }
+                    });
                 }
                 Op::LeakyRelu(a, slope) => {
                     let s = *slope;
-                    let av = fwd.value(*a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { s }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { s });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(*a), move |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { s }
+                    });
                 }
                 Op::Sigmoid(a) => {
-                    let y = fwd.value(i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (y * (1.0 - y)));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.mul(&y.map(|v| 1.0 - v))));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(i), |gv, y| {
+                        gv * (y * (1.0 - y))
+                    });
                 }
                 Op::Tanh(a) => {
-                    let y = fwd.value(i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (1.0 - y * y));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.map(|v| 1.0 - v * v)));
-                    }
+                    fused_map2(&mut grads, *a, &g, fwd.value(i), |gv, y| gv * (1.0 - y * y));
                 }
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
                     if uf(a) {
                         let ga = g.matmul_nt(fwd.value(b));
-                        let ga = if reuse && ga.shape() == fwd.shape(a) {
+                        let ga = if ga.shape() == fwd.shape(a) {
                             ga
                         } else {
                             ga.reduce_to_shape(fwd.shape(a))
@@ -410,7 +346,7 @@ impl BackwardSchedule {
                     }
                     if uf(b) {
                         let gb = fwd.value(a).matmul_tn(&g);
-                        let gb = if reuse && gb.shape() == fwd.shape(b) {
+                        let gb = if gb.shape() == fwd.shape(b) {
                             gb
                         } else {
                             gb.reduce_to_shape(fwd.shape(b))
@@ -509,7 +445,7 @@ impl BackwardSchedule {
                         // guard); the shared panel holds the same values
                         // each member would build privately, so bits match.
                         let dw = match self.conv_group[i] {
-                            Some(gid) if reuse && t_out < crate::gemm::NR => {
+                            Some(gid) if t_out < crate::gemm::NR => {
                                 let k = fwd.shape(weight)[2];
                                 if !dw_panels.iter().any(|(g2, _)| *g2 == gid) {
                                     dw_panels.push((
@@ -683,12 +619,6 @@ fn fused_apply(
     }
 }
 
-/// `grads[idx] (+)= f(g)` elementwise (same-shape inputs only).
-fn fused_map1(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, f: impl Fn(f32) -> f32 + Sync) {
-    let gd = g.data();
-    fused_apply(grads, idx, g.shape(), &|e| f(gd[e]));
-}
-
 /// `grads[idx] (+)= f(g, x)` elementwise (same-shape inputs only).
 fn fused_map2(
     grads: &mut [Option<Tensor>],
@@ -720,17 +650,10 @@ fn fused_map3(
     fused_apply(grads, idx, g.shape(), &|e| f(gd[e], ad[e], bd[e]));
 }
 
-/// `grads[idx] (+)= g * x` elementwise through the SIMD seam
-/// ([`crate::simd::mul_acc`]). The scalar fallback inside the seam is the
-/// literal loop `fused_map2` would run (`dst (+)= g[e] * x[e]`, ascending
-/// `e`), and the AVX2 arm does mul-then-add per lane in the same order, so
-/// all three paths are bitwise identical. With the fast kernels disabled
-/// (`URCL_SIMD=0`) this routes through [`fused_map2`] so the disabled path
-/// stays byte-for-byte the seed code path.
+/// `grads[idx] (+)= g * x` elementwise: the arithmetic [`fused_map2`]
+/// would run (`dst (+)= g[e] * x[e]`, ascending `e`), as zipped slice
+/// loops ([`mul_acc`]) that vectorize without the per-index closure.
 fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tensor) {
-    if !crate::simd::fast_kernels() {
-        return fused_map2(grads, idx, g, x, |gv, xv| gv * xv);
-    }
     debug_assert_eq!(g.shape(), x.shape(), "fused_mul_acc shape mismatch");
     let gd = g.data();
     let xd = x.data();
@@ -740,20 +663,20 @@ fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tenso
             debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
             let dst = existing.data_mut();
             if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(dst, gd, xd, true);
+                mul_acc(dst, gd, xd, true);
             } else {
                 par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], true);
+                    mul_acc(chunk, &gd[r.clone()], &xd[r], true);
                 });
             }
         }
         slot @ None => {
             let mut data = pool::take_uninit(n);
             if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(&mut data, gd, xd, false);
+                mul_acc(&mut data, gd, xd, false);
             } else {
                 par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], false);
+                    mul_acc(chunk, &gd[r.clone()], &xd[r], false);
                 });
             }
             *slot = Some(Tensor::from_vec(data, g.shape()));
@@ -761,13 +684,9 @@ fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tenso
     }
 }
 
-/// `grads[idx] (+)= g * c` elementwise through the SIMD seam
-/// ([`crate::simd::scale_acc`]); same bitwise-parity contract as
-/// [`fused_mul_acc`], with [`fused_map1`] as the `URCL_SIMD=0` route.
+/// `grads[idx] (+)= g * c` elementwise through [`scale_acc`], like
+/// [`fused_mul_acc`].
 fn fused_scale_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, c: f32) {
-    if !crate::simd::fast_kernels() {
-        return fused_map1(grads, idx, g, move |gv| gv * c);
-    }
     let gd = g.data();
     let n = gd.len();
     match &mut grads[idx] {
@@ -775,23 +694,53 @@ fn fused_scale_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, c: f32)
             debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
             let dst = existing.data_mut();
             if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(dst, gd, c, true);
+                scale_acc(dst, gd, c, true);
             } else {
                 par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, true);
+                    scale_acc(chunk, &gd[r], c, true);
                 });
             }
         }
         slot @ None => {
             let mut data = pool::take_uninit(n);
             if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(&mut data, gd, c, false);
+                scale_acc(&mut data, gd, c, false);
             } else {
                 par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, false);
+                    scale_acc(chunk, &gd[r], c, false);
                 });
             }
             *slot = Some(Tensor::from_vec(data, g.shape()));
+        }
+    }
+}
+
+/// `dst[i] += g[i] * x[i]` (or `=` when `acc` is false). Each element is
+/// one mul then one add (never FMA), so the vectorized loop is bitwise
+/// identical to an element-at-a-time one.
+fn mul_acc(dst: &mut [f32], g: &[f32], x: &[f32], acc: bool) {
+    debug_assert!(dst.len() == g.len() && g.len() == x.len());
+    if acc {
+        for ((d, &gv), &xv) in dst.iter_mut().zip(g).zip(x) {
+            *d += gv * xv;
+        }
+    } else {
+        for ((d, &gv), &xv) in dst.iter_mut().zip(g).zip(x) {
+            *d = gv * xv;
+        }
+    }
+}
+
+/// `dst[i] += g[i] * c` (or `=` when `acc` is false), as [`mul_acc`].
+fn scale_acc(dst: &mut [f32], g: &[f32], c: f32, acc: bool) {
+    debug_assert_eq!(dst.len(), g.len());
+    if acc {
+        for (d, &gv) in dst.iter_mut().zip(g) {
+            *d += gv * c;
+        }
+    } else {
+        for (d, &gv) in dst.iter_mut().zip(g) {
+            *d = gv * c;
         }
     }
 }

@@ -46,12 +46,12 @@ pub const NC: usize = 256;
 /// plain branch-free ikj loop wins.
 pub const SMALL_GEMM_FLOPS: usize = 32 * 32 * 32;
 
-/// Outputs at most this many rows tall are routed to the direct kernel
-/// when buffer pooling is on. Rationale: packing touches all `k * n`
-/// elements of B once per call, which is `1/m` of the multiply-add count —
-/// for thin outputs (small `m`, as produced by graph convolutions over a
-/// couple dozen nodes, and by per-thread row strips of such shapes) that
-/// overhead approaches the cost of the GEMM itself.
+/// Outputs at most this many rows tall are routed to the direct kernel.
+/// Rationale: packing touches all `k * n` elements of B once per call,
+/// which is `1/m` of the multiply-add count — for thin outputs (small
+/// `m`, as produced by graph convolutions over a couple dozen nodes, and
+/// by per-thread row strips of such shapes) that overhead approaches the
+/// cost of the GEMM itself.
 pub const DIRECT_M_MAX: usize = 32;
 
 /// B operands with at most this many elements (32 KiB of f32 — L1-sized)
@@ -92,10 +92,8 @@ pub fn gemm_strided(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Shape-aware routing (pooled mode only — with pooling off the
-    // seed-era SMALL_GEMM_FLOPS rule alone decides, reproducing baseline
-    // behaviour). Thin single-block outputs (small m, k within one KC
-    // block, contiguous B rows) run the direct kernel: packing costs
+    // Shape-aware routing. Thin single-block outputs (small m, k within
+    // one KC block, contiguous B rows) run the direct kernel: packing costs
     // `~1/m` of the multiply-add count, which for a couple dozen rows —
     // graph-convolution outputs, or per-thread row strips of them —
     // approaches the GEMM itself. Small GEMMs with a *strided* L1-sized B
@@ -104,22 +102,19 @@ pub fn gemm_strided(
     // instead of gathering scalars. Routing never affects results — both
     // kernels produce bitwise identical elements (see [`gemm_small`]),
     // and the transpose is a pure copy, so it cannot change bits either.
-    let pooled = crate::pool::pooling_enabled();
-    let fast = pooled && crate::simd::fast_kernels();
     let tiny_strided_b = b_cs != 1 && k * n <= SMALL_B_ELEMS;
     // Skinny outputs (n within one micro-tile, B L1-resident) route
     // direct at *any* height: the micro-tile would multiply mostly
     // padding, and the direct column kernel keeps the whole output row in
-    // registers. Gated on the fast-kernel switch so `URCL_SIMD=0`
-    // reproduces the previous routing exactly.
-    let skinny = fast && n <= NR && k * n <= SMALL_B_ELEMS;
-    let thin = pooled && (m <= DIRECT_M_MAX || skinny) && (b_cs == 1 || tiny_strided_b);
+    // registers.
+    let skinny = n <= NR && k * n <= SMALL_B_ELEMS;
+    let thin = (m <= DIRECT_M_MAX || skinny) && (b_cs == 1 || tiny_strided_b);
     if m * n * k < SMALL_GEMM_FLOPS || thin {
         // Column-strided A with deep k (the `dB = A^T @ dC` backward
         // shape) makes the direct kernel gather one cache line per
         // element. Transpose A into contiguous pooled scratch first —
         // pure data movement, so it cannot change a bit of the result.
-        let transpose_a = fast && a_rs == 1 && a_cs != 1 && k >= 64 && m * k <= A_SCRATCH_ELEMS;
+        let transpose_a = a_rs == 1 && a_cs != 1 && k >= 64 && m * k <= A_SCRATCH_ELEMS;
         let at = if transpose_a {
             let mut at = crate::pool::take_uninit(m * k);
             crate::simd::transpose_gather(a, a_cs, &mut at, m, k);
@@ -131,9 +126,9 @@ pub fn gemm_strided(
             Some(at) => (at, k, 1),
             None => (a, a_rs, a_cs),
         };
-        if pooled && tiny_strided_b {
+        if tiny_strided_b {
             let mut bt = crate::pool::take_uninit(k * n);
-            if fast && b_rs == 1 {
+            if b_rs == 1 {
                 crate::simd::transpose_gather(b, b_cs, &mut bt, k, n);
             } else {
                 for p in 0..k {
@@ -208,12 +203,6 @@ pub fn gemm_strided(
 /// it in memory and runs ~15x slower on the target CPU.
 #[inline]
 fn microkernel(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if crate::simd::intrinsic_arms() {
-        // SAFETY: AVX2 presence checked by `intrinsic_arms`.
-        unsafe { microkernel_avx2(kc, apanel, bpanel, acc) };
-        return;
-    }
     let mut rows = [[0.0f32; NR]; MR];
     for p in 0..kc {
         let arow: &[f32; MR] = apanel[p * MR..p * MR + MR].try_into().unwrap();
@@ -226,44 +215,6 @@ fn microkernel(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; 
         }
     }
     *acc = rows;
-}
-
-/// Explicit AVX2 micro-kernel: the `MR x NR` tile as two `MR x 16`
-/// half-tiles of 12 `__m256` accumulators each, `mul` + `add` per lane
-/// (never FMA — contraction would fork the bits from the scalar twin).
-/// Per output element this performs the identical k-ascending
-/// multiply-then-add sequence as the scalar loop, so results are bitwise
-/// equal; `tests/simd_parity.rs` forces this arm on and asserts it.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(kc: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-    for half in 0..2 {
-        let j0 = half * 16;
-        // SAFETY: panel reads stay below kc*MR / kc*NR; acc rows are NR
-        // wide so j0 + 15 is in bounds.
-        unsafe {
-            let mut c = [[_mm256_setzero_ps(); 2]; MR];
-            let (ap, bp) = (apanel.as_ptr(), bpanel.as_ptr());
-            for p in 0..kc {
-                let b0 = _mm256_loadu_ps(bp.add(p * NR + j0));
-                let b1 = _mm256_loadu_ps(bp.add(p * NR + j0 + 8));
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(p * MR + r));
-                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(av, b0));
-                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(av, b1));
-                }
-            }
-            for (r, cr) in c.iter().enumerate() {
-                _mm256_storeu_ps(acc[r].as_mut_ptr().add(j0), cr[0]);
-                _mm256_storeu_ps(acc[r].as_mut_ptr().add(j0 + 8), cr[1]);
-            }
-        }
-    }
 }
 
 /// Packs `A[ic..ic+mc, pc..pc+kc]` into MR-row micro-panels: panel `ip`
@@ -449,20 +400,6 @@ fn gemm_small_cols<const W: usize>(
     out: &mut [f32],
 ) {
     let blocked = if W <= 16 { m - m % 8 } else { m - m % 4 };
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if W % 8 == 0 && W <= 32 && kc > 0 && crate::simd::intrinsic_arms() {
-        // SAFETY: AVX2 presence checked by `intrinsic_arms`; W is a
-        // multiple of 8 within the 4-register accumulator row.
-        unsafe {
-            if W <= 16 {
-                cols_tile_avx2::<W, 8>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
-            } else {
-                cols_tile_avx2::<W, 4>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
-            }
-            cols_tile_avx2::<W, 1>(blocked..m, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
-        }
-        return;
-    }
     if W <= 16 {
         cols_tile::<W, 8>(0..blocked, pc, kc, n, j0, a, a_rs, a_cs, b, b_rs, out);
     } else {
@@ -509,63 +446,6 @@ fn cols_tile<const W: usize, const R: usize>(
         for (r, row) in acc.iter().enumerate() {
             for (o, &v) in out[(i + r) * n + j0..][..W].iter_mut().zip(row) {
                 *o += v;
-            }
-        }
-    }
-}
-
-/// AVX2 twin of [`cols_tile`]: each accumulator row as `W/8` `__m256`
-/// registers, broadcast-A times loaded-B with `mul` + `add` per lane
-/// (never FMA). Bitwise identical to the scalar twin: each lane runs the
-/// same k-ascending multiply-then-add sequence from a `+0.0` seed.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn cols_tile_avx2<const W: usize, const R: usize>(
-    rows: std::ops::Range<usize>,
-    pc: usize,
-    kc: usize,
-    n: usize,
-    j0: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    let lanes = W / 8;
-    // Largest A and B indices, as in the scalar twin (kc > 0 here).
-    if !rows.is_empty() {
-        let _ = a[(rows.end - 1) * a_rs + (pc + kc - 1) * a_cs];
-        let _ = &b[(pc + kc - 1) * b_rs + j0..][..W];
-    }
-    for i in rows.step_by(R) {
-        let _ = &out[(i + R - 1) * n + j0..][..W];
-        // SAFETY: A, B and the block's output rows just bounds-checked;
-        // lanes <= 4.
-        unsafe {
-            let mut acc = [[_mm256_setzero_ps(); 4]; R];
-            for p in pc..pc + kc {
-                let bp = b.as_ptr().add(p * b_rs + j0);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * a_rs + p * a_cs));
-                    for (w, slot) in row.iter_mut().enumerate().take(lanes) {
-                        let bv = _mm256_loadu_ps(bp.add(8 * w));
-                        *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                let op = out.as_mut_ptr().add((i + r) * n + j0);
-                for (w, slot) in row.iter().enumerate().take(lanes) {
-                    let o = _mm256_loadu_ps(op.add(8 * w));
-                    _mm256_storeu_ps(op.add(8 * w), _mm256_add_ps(o, *slot));
-                }
             }
         }
     }
@@ -711,65 +591,15 @@ mod tests {
             let a = fill(m * k, 11);
             let b = fill(k * n, 12);
             let mut out = vec![0.0f32; m * n];
-            for &pooled in &[false, true] {
-                let prev = crate::pool::set_pooling(pooled);
-                let t0 = std::time::Instant::now();
-                let iters = 2000;
-                for _ in 0..iters {
-                    gemm_strided(m, k, n, &a, k, 1, &b, b_rs, b_cs, &mut out);
-                }
-                let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-                let gfs = (m * n * k) as f64 / us / 1e3;
-                println!(
-                    "m={m:<5} k={k:<5} n={n:<3} b_cs={b_cs:<3} pooled={pooled:<5} {us:>8.2} us  {gfs:>6.2} GF/s"
-                );
-                crate::pool::set_pooling(prev);
+            let t0 = std::time::Instant::now();
+            let iters = 2000;
+            for _ in 0..iters {
+                gemm_strided(m, k, n, &a, k, 1, &b, b_rs, b_cs, &mut out);
             }
+            let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
+            let gfs = (m * n * k) as f64 / us / 1e3;
+            println!("m={m:<5} k={k:<5} n={n:<3} b_cs={b_cs:<3} {us:>8.2} us  {gfs:>6.2} GF/s");
         }
-    }
-
-    #[test]
-    fn fast_routing_and_intrinsic_arms_are_bitwise_identical() {
-        let _guard = crate::global_state_test_lock();
-        let prev_pool = crate::pool::set_pooling(true);
-        let prev_simd = crate::simd::set_simd(true);
-        // Shapes hitting the new routes: TN deep-k strided A, skinny tall
-        // NN, tiny strided B, plus a tiled-path shape for the micro-kernel
-        // arm. (m, k, n, a_rs, a_cs, b_rs, b_cs)
-        for &(m, k, n, a_rs, a_cs, b_rs, b_cs) in &[
-            (16usize, 2112usize, 16usize, 1usize, 16usize, 16usize, 1usize),
-            (2112, 16, 16, 16, 1, 16, 1),
-            (2112, 16, 16, 16, 1, 1, 16),
-            (16, 300, 8, 1, 16, 8, 1),
-            (130, 300, 270, 300, 1, 270, 1),
-        ] {
-            let a = fill(m * k, 21 + m as u64);
-            let b = fill(k * n, 22 + n as u64);
-            let mut base = vec![0.0f32; m * n];
-            crate::simd::set_simd(false);
-            gemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut base);
-            crate::simd::set_simd(true);
-            let mut fast = vec![0.0f32; m * n];
-            gemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut fast);
-            let forced = crate::simd::set_force_intrinsics(true);
-            let mut arms = vec![0.0f32; m * n];
-            gemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut arms);
-            crate::simd::set_force_intrinsics(forced);
-            for i in 0..m * n {
-                assert_eq!(
-                    base[i].to_bits(),
-                    fast[i].to_bits(),
-                    "fast routing diverged at {i} for {m}x{k}x{n}"
-                );
-                assert_eq!(
-                    base[i].to_bits(),
-                    arms[i].to_bits(),
-                    "intrinsic arm diverged at {i} for {m}x{k}x{n}"
-                );
-            }
-        }
-        crate::simd::set_simd(prev_simd);
-        crate::pool::set_pooling(prev_pool);
     }
 
     #[test]

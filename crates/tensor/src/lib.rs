@@ -51,9 +51,8 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-/// Serializes the unit tests that flip or read process-global state: the
-/// thread count, the SIMD, force-intrinsics and pooling switches, and the
-/// pool's counters.
+/// Serializes the unit tests that change the process-global thread
+/// count.
 #[cfg(test)]
 pub(crate) fn global_state_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -68,14 +67,14 @@ pub use parallel::{
     PoolStats,
 };
 pub use pool::{
-    buffer_pool_stats, pool_poison_enabled, pooling_enabled, reset_buffer_pool_stats, set_pool_poison,
-    set_pooling, trim_excess, BufferPoolStats,
+    buffer_pool_stats, pool_poison_enabled, reset_buffer_pool_stats, set_pool_poison, trim_excess,
+    BufferPoolStats,
 };
 pub use plan::{
     note_plan_cache_entries, note_plan_cache_eviction, plan_stats, reset_plan_stats, ExecPlan,
     PlanSpec, PlanStats, PolySpec, Recording,
 };
-pub use simd::{active_isa, detected_isa, set_simd, simd_enabled, Isa};
+pub use simd::{detected_isa, Isa};
 pub use params::{ParamId, ParamStore};
 pub use rng::Rng;
 pub use tensor::Tensor;

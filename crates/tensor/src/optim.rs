@@ -32,17 +32,13 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore) {
-        let reuse = crate::pool::pooling_enabled();
         let ids: Vec<_> = store.ids().collect();
         for id in ids {
             let wd = self.weight_decay;
             let lr = self.lr;
-            // With memory reuse off, clone the gradient first (the seed-era
-            // baseline); otherwise split-borrow and update in place.
-            let cloned = (!reuse).then(|| store.grad(id).clone());
+            // Split-borrow the gradient and update in place.
             let (value, grad) = store.value_grad_mut(id);
-            let gd = cloned.as_ref().map_or(grad.data(), |c| c.data());
-            for (p, g) in value.data_mut().iter_mut().zip(gd) {
+            for (p, g) in value.data_mut().iter_mut().zip(grad.data()) {
                 *p -= lr * (g + wd * *p);
             }
         }
@@ -141,14 +137,11 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (beta1, beta2, lr, eps, wd) = (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
-        let reuse = crate::pool::pooling_enabled();
         let ids: Vec<_> = store.ids().collect();
         for (i, id) in ids.into_iter().enumerate() {
-            // Seed-era baseline clones the gradient; the reuse path
-            // split-borrows it and updates everything in place.
-            let cloned = (!reuse).then(|| store.grad(id).clone());
+            // Split-borrow the gradient and update everything in place.
             let (value, grad) = store.value_grad_mut(id);
-            let gd = cloned.as_ref().map_or(grad.data(), |c| c.data());
+            let gd = grad.data();
             let md = self.m[i].data_mut();
             let vd = self.v[i].data_mut();
             for (((p, &g0), m), v) in value

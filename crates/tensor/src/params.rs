@@ -87,18 +87,10 @@ impl ParamStore {
     }
 
     /// Zeroes every gradient buffer in place (no reallocation — the
-    /// buffers persist across steps). With pooling off it reallocates
-    /// fresh zero tensors instead, reproducing the seed-era baseline that
-    /// `bench_train_step` measures against.
+    /// buffers persist across steps).
     pub fn zero_grads(&mut self) {
-        if crate::pool::pooling_enabled() {
-            for p in &mut self.params {
-                p.grad.data_mut().fill(0.0);
-            }
-        } else {
-            for p in &mut self.params {
-                p.grad = Tensor::zeros(p.value.shape());
-            }
+        for p in &mut self.params {
+            p.grad.data_mut().fill(0.0);
         }
     }
 

@@ -42,8 +42,7 @@
 //! buffers are the same bits; fused elementwise stages round to `f32`
 //! after every stage, exactly like materializing each intermediate).
 //! `tests/plan_parity.rs` and the `bench_train_step` loss assertion pin
-//! this, the same contract discipline the pool (`URCL_POOL`) and SIMD
-//! (`URCL_SIMD`) seams use.
+//! this.
 
 use crate::autodiff::{Gradients, Op, Tape};
 use crate::backward::{conv_share_groups, op_inputs, BackwardSchedule, ForwardValues};
@@ -1182,12 +1181,7 @@ impl ExecPlan {
         let k = w.shape()[2];
         let t_out = shapes[conv][2];
         let n_out = numel(&shapes[conv]);
-        if pool::pooling_enabled()
-            && t_out < crate::gemm::NR
-            && cin * k <= crate::gemm::KC
-            && n_out > 0
-            && cin > 0
-        {
+        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC && n_out > 0 && cin > 0 {
             if !panels.iter().any(|(g2, _)| *g2 == gid) {
                 panels.push((gid, x.conv1d_cols(k, *dilation, *pad_left, t_out)));
             }

@@ -17,13 +17,13 @@
 //! ## Alignment
 //!
 //! Buffers the pool allocates itself are 32-byte aligned ([`ALIGN`]) so
-//! the AVX2 kernel arms in [`crate::gemm`] and [`crate::simd`] start on a
-//! vector-register boundary. Alignment is a *performance* contract, not a
-//! correctness one: storage adopted from a caller's `Vec<f32>` (via
-//! [`Tensor::from_vec`](crate::Tensor::from_vec)) keeps the allocator's
-//! natural alignment, and every SIMD arm therefore uses unaligned
-//! loads/stores — which are full speed on aligned data on every AVX2
-//! part. [`Buffer::is_aligned`] reports the actual state.
+//! vectorized kernel loops (and the AVX2 transpose in [`crate::simd`])
+//! start on a vector-register boundary. Alignment is a *performance*
+//! contract, not a correctness one: storage adopted from a caller's
+//! `Vec<f32>` (via [`Tensor::from_vec`](crate::Tensor::from_vec)) keeps
+//! the allocator's natural alignment, and every vector load and store
+//! is therefore unaligned — which is full speed on aligned data on
+//! every AVX2 part. [`Buffer::is_aligned`] reports the actual state.
 //!
 //! ## Lifecycle
 //!
@@ -48,18 +48,9 @@
 //! no computation order depends on whether a buffer came from the free
 //! list or the allocator (alignment only shifts which *addresses* a loop
 //! touches, never the arithmetic sequence). `tests/pool_determinism.rs`
-//! asserts a full train step is bitwise identical with pooling on and
-//! off, at 1 and 4 threads.
-//!
-//! Pooling is on by default; set `URCL_POOL=0` to disable it at process
-//! start, or call [`set_pooling`] at runtime (benches toggle it to
-//! measure the pooling-off baseline in the same process). The toggle
-//! governs the whole memory-reuse path: with pooling off [`take_uninit`]
-//! degrades to plain `vec![0.0; len]` storage and the backward pass also
-//! falls back from the fused in-place accumulators to the seed-style
-//! materialize-a-temporary-then-accumulate kernels, so the "off" setting
-//! reproduces the pre-pool allocation behaviour end to end (with
-//! identical arithmetic, hence identical bits).
+//! asserts a full train step is bitwise identical whether recycled
+//! buffers hold stale values or NaN poison ([`set_pool_poison`]), at 1
+//! and 4 threads.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -68,7 +59,6 @@ use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Byte alignment of pool-allocated buffers (one AVX2 `__m256` register).
 pub const ALIGN: usize = 32;
@@ -275,9 +265,6 @@ impl std::fmt::Debug for Buffer {
     }
 }
 
-/// Pooling state: 0 = unset (read env on first use), 1 = on, 2 = off.
-static POOLING: AtomicUsize = AtomicUsize::new(0);
-
 /// Cumulative counters (process-global; free lists are thread-local).
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -288,39 +275,6 @@ static PEAK_LIVE_F32: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     /// Free buffers of this thread, keyed by exact length.
     static FREE: RefCell<HashMap<usize, Vec<Buffer>>> = RefCell::new(HashMap::new());
-}
-
-fn pooling_from_env() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("URCL_POOL") {
-        Ok(v) if v.trim() == "0" || v.trim().eq_ignore_ascii_case("off") => 2,
-        _ => 1,
-    })
-}
-
-/// Whether buffer pooling is currently active.
-#[inline]
-pub fn pooling_enabled() -> bool {
-    match POOLING.load(Ordering::Relaxed) {
-        0 => {
-            let v = pooling_from_env();
-            POOLING.store(v, Ordering::Relaxed);
-            v == 1
-        }
-        v => v == 1,
-    }
-}
-
-/// Turns pooling on or off at runtime, returning the previous setting.
-/// Intended for benches and determinism tests; normal runs use the
-/// `URCL_POOL` environment variable. Off also selects the unfused
-/// (materialize-then-accumulate) backward kernels — see the module docs.
-/// Turning pooling off does not drop buffers already cached; call
-/// [`trim_thread_pool`] for that.
-pub fn set_pooling(on: bool) -> bool {
-    let prev = pooling_enabled();
-    POOLING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    prev
 }
 
 /// Poison state: 0 = off (default), 1 = on. Test-only; no env var.
@@ -469,14 +423,6 @@ fn take(len: usize, zero: bool) -> Buffer {
     if len == 0 {
         return Buffer::new();
     }
-    if !pooling_enabled() {
-        // Seed-era behaviour: a plain zeroed Vec allocation per request.
-        let mut b = Buffer::from_vec(vec![0.0; len]);
-        if !zero && pool_poison_enabled() {
-            b.fill(f32::NAN);
-        }
-        return b;
-    }
     let recycled = FREE.with(|f| {
         f.borrow_mut()
             .get_mut(&len)
@@ -504,11 +450,11 @@ fn take(len: usize, zero: bool) -> Buffer {
 }
 
 /// Returns a buffer to the current thread's free list for reuse by a
-/// later same-length [`take_uninit`]/[`take_zeroed`]. Empty buffers and
-/// buffers recycled while pooling is off are simply dropped.
+/// later same-length [`take_uninit`]/[`take_zeroed`]. Empty buffers are
+/// simply dropped.
 pub fn recycle(mut b: Buffer) {
     let len = b.len();
-    if len == 0 || !pooling_enabled() {
+    if len == 0 {
         return;
     }
     if pool_poison_enabled() {
@@ -517,8 +463,8 @@ pub fn recycle(mut b: Buffer) {
         b.fill(f32::NAN);
     }
     BYTES_RECYCLED.fetch_add(4 * len as u64, Ordering::Relaxed);
-    // Saturating: a buffer taken before a counter reset (or while pooling
-    // was off) must not wrap the live gauge below zero.
+    // Saturating: a buffer taken before a counter reset must not wrap the
+    // live gauge below zero.
     let _ = LIVE_F32.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
         Some(live.saturating_sub(len as u64))
     });
@@ -527,63 +473,23 @@ pub fn recycle(mut b: Buffer) {
 
 #[cfg(test)]
 mod tests {
+    //! Free lists are thread-local, so these tests need no lock; the ones
+    //! that assert the process-global counters live in
+    //! `tests/pool_churn.rs`, a binary whose every test holds one lock.
     use super::*;
-
-    /// Serializes tests in this module: counters are process-global.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        crate::global_state_test_lock()
-    }
-
-    #[test]
-    fn recycled_buffer_is_reused() {
-        let _guard = lock();
-        let prev = set_pooling(true);
-        trim_thread_pool();
-        reset_buffer_pool_stats();
-        let a = take_uninit(128);
-        let ptr = a.as_ptr();
-        recycle(a);
-        let b = take_uninit(128);
-        assert_eq!(b.as_ptr(), ptr, "same-length request must reuse the buffer");
-        assert_eq!(b.len(), 128);
-        let stats = buffer_pool_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.bytes_recycled, 4 * 128);
-        recycle(b);
-        set_pooling(prev);
-    }
-
-    #[test]
-    fn lengths_never_cross_buckets() {
-        let _guard = lock();
-        let prev = set_pooling(true);
-        trim_thread_pool();
-        reset_buffer_pool_stats();
-        recycle(take_uninit(64));
-        let v = take_uninit(63);
-        assert_eq!(v.len(), 63);
-        assert_eq!(buffer_pool_stats().hits, 0, "63 must not hit the 64 bucket");
-        set_pooling(prev);
-    }
 
     #[test]
     fn zeroed_hand_out_is_clean() {
-        let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         let mut v = take_uninit(16);
         v.fill(7.5);
         recycle(v);
         let z = take_zeroed(16);
         assert!(z.iter().all(|&x| x == 0.0));
-        set_pooling(prev);
     }
 
     #[test]
     fn pool_allocations_are_aligned() {
-        let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         for len in [1, 7, 32, 100, 4096] {
             let b = take_uninit(len);
@@ -591,12 +497,10 @@ mod tests {
             assert_eq!((b.as_ptr() as usize) % ALIGN, 0);
             recycle(b);
         }
-        set_pooling(prev);
     }
 
     #[test]
     fn vec_roundtrip_is_zero_copy_and_aligned_copy_preserves_data() {
-        let _guard = lock();
         // Adopted Vec: into_vec must return the identical allocation.
         let v = vec![1.0f32, 2.0, 3.0];
         let ptr = v.as_ptr();
@@ -605,61 +509,23 @@ mod tests {
         let back = b.into_vec();
         assert_eq!(back.as_ptr(), ptr, "Vec-backed into_vec must not copy");
         // Aligned pool block: into_vec copies but preserves contents.
-        let prev = set_pooling(true);
         trim_thread_pool();
         let mut a = take_uninit(4);
         a.copy_from_slice(&[4.0, 5.0, 6.0, 7.0]);
         assert_eq!(a.into_vec(), vec![4.0, 5.0, 6.0, 7.0]);
-        set_pooling(prev);
-    }
-
-    #[test]
-    fn disabled_pool_allocates_and_counts_nothing() {
-        let _guard = lock();
-        let prev = set_pooling(false);
-        reset_buffer_pool_stats();
-        let v = take_zeroed(32);
-        assert_eq!(&v[..], &vec![0.0f32; 32][..]);
-        recycle(v);
-        let stats = buffer_pool_stats();
-        assert_eq!((stats.hits, stats.misses, stats.bytes_recycled), (0, 0, 0));
-        set_pooling(prev);
-    }
-
-    #[test]
-    fn live_gauge_tracks_outstanding_and_saturates() {
-        let _guard = lock();
-        let prev = set_pooling(true);
-        trim_thread_pool();
-        reset_buffer_pool_stats();
-        let a = take_uninit(100);
-        let b = take_uninit(50);
-        assert_eq!(buffer_pool_stats().live_f32, 150);
-        assert_eq!(buffer_pool_stats().peak_live_f32, 150);
-        recycle(a);
-        assert_eq!(buffer_pool_stats().live_f32, 50);
-        reset_buffer_pool_stats();
-        recycle(b); // taken before the reset: must saturate, not wrap
-        assert_eq!(buffer_pool_stats().live_f32, 0);
-        set_pooling(prev);
     }
 
     #[test]
     fn trim_releases_cached_buffers() {
-        let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         recycle(take_uninit(256));
         assert_eq!(thread_pool_resident_f32(), 256);
         trim_thread_pool();
         assert_eq!(thread_pool_resident_f32(), 0);
-        set_pooling(prev);
     }
 
     #[test]
     fn trim_excess_drops_largest_buckets_first() {
-        let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         recycle(take_uninit(64));
         recycle(take_uninit(512));
@@ -673,6 +539,5 @@ mod tests {
         assert_eq!(thread_pool_resident_f32(), 192);
         trim_excess(0);
         assert_eq!(thread_pool_resident_f32(), 0);
-        set_pooling(prev);
     }
 }

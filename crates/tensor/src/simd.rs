@@ -1,36 +1,34 @@
-//! Runtime SIMD feature detection and the `URCL_SIMD` toggle.
+//! Runtime SIMD feature detection and the crate's one intrinsic kernel.
 //!
-//! Kernels in [`crate::gemm`], [`crate::tensor`] and [`crate::autodiff`]
-//! carry explicit `std::arch` AVX2 arms next to their scalar loops. Which
-//! arm runs is decided *at runtime* from two inputs:
-//!
-//! * what the CPU supports ([`detected_isa`], probed once per process via
-//!   `is_x86_feature_detected!`), and
-//! * whether SIMD is administratively enabled ([`simd_enabled`]:
-//!   `URCL_SIMD=0` or [`set_simd`]`(false)` forces the scalar arms, which
-//!   is how CI keeps the fallback path tested on AVX2 hosts).
+//! Every kernel in [`crate::gemm`], [`crate::tensor`] and the backward
+//! walk is plain Rust that LLVM vectorizes for the build's target
+//! (`.cargo/config.toml` builds with `target-cpu=native`; a portable
+//! build runs the same loops at the baseline's vector width).
+//! The one exception is the blocked transpose below: a strided gather
+//! the compiler cannot vectorize, so it carries an explicit `std::arch`
+//! AVX2 arm that dispatches on [`detected_isa`] (probed once per process
+//! via `is_x86_feature_detected!`).
 //!
 //! ## The bitwise contract
 //!
-//! Every SIMD arm must produce **bitwise identical** results to its scalar
-//! twin — `tests/simd_parity.rs` churns shapes asserting exactly that, and
-//! the cross-thread/pooling determinism suites pin one truth for the whole
-//! crate. The practical consequence: SIMD arms vectorize across
+//! No kernel result depends on the ISA: vector code runs across
 //! *independent output elements* only (each lane performs the same
-//! mul-then-add sequence, in the same order, as the scalar loop), and the
-//! FMA instruction is **never** used for kernel math even when detected —
-//! a fused multiply-add rounds once where `a * b + c` rounds twice, so
-//! contraction would fork the numerics between hosts. FMA presence is
-//! still detected and reported (trace gauge `simd_isa`, bench headers)
-//! because it identifies the hardware tier.
+//! mul-then-add sequence, in the same order, as a one-element loop), and
+//! the FMA instruction is **never** used for kernel math even when
+//! detected — a fused multiply-add rounds once where `a * b + c` rounds
+//! twice, so contraction would fork the numerics between hosts. The
+//! transpose is pure data movement. `tests/simd_parity.rs` pins the
+//! kernels bitwise against the seed-era loops kept as test oracles in
+//! `tests/reference`. FMA presence is still detected and reported (trace
+//! gauge `simd_isa`, bench headers) because it identifies the hardware
+//! tier.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Instruction-set tier a kernel dispatch can land on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Plain Rust loops (also the forced tier when `URCL_SIMD=0`).
+    /// No AVX2: plain Rust loops only.
     Scalar,
     /// 256-bit AVX2 integer/float vectors, no FMA available.
     Avx2,
@@ -77,94 +75,6 @@ pub fn detected_isa() -> Isa {
     })
 }
 
-/// SIMD state: 0 = unset (read env on first use), 1 = on, 2 = off.
-static SIMD: AtomicUsize = AtomicUsize::new(0);
-
-fn simd_from_env() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("URCL_SIMD") {
-        Ok(v) if v.trim() == "0" || v.trim().eq_ignore_ascii_case("off") => 2,
-        _ => 1,
-    })
-}
-
-/// Whether SIMD kernel arms are administratively enabled (they still
-/// require hardware support — see [`active_isa`]).
-#[inline]
-pub fn simd_enabled() -> bool {
-    match SIMD.load(Ordering::Relaxed) {
-        0 => {
-            let v = simd_from_env();
-            SIMD.store(v, Ordering::Relaxed);
-            v == 1
-        }
-        v => v == 1,
-    }
-}
-
-/// Turns the SIMD arms on or off at runtime, returning the previous
-/// setting — the `URCL_POOL`-style toggle benches flip to measure both
-/// paths in one process. Normal runs use the `URCL_SIMD` env variable.
-pub fn set_simd(on: bool) -> bool {
-    let prev = simd_enabled();
-    SIMD.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    prev
-}
-
-/// The tier kernel dispatches currently land on: [`detected_isa`] when
-/// SIMD is enabled, [`Isa::Scalar`] when forced off.
-#[inline]
-pub fn active_isa() -> Isa {
-    if simd_enabled() {
-        detected_isa()
-    } else {
-        Isa::Scalar
-    }
-}
-
-/// True when dispatches may take the AVX2 arms right now. Kernels call
-/// this once per op (not per element); the cost is one relaxed load.
-#[inline]
-pub fn use_avx2() -> bool {
-    simd_enabled() && detected_isa() != Isa::Scalar
-}
-
-/// True when the restructured fast kernels may run: the stride-collapsed
-/// walkers in [`crate::tensor`], the transpose-packed GEMM routing in
-/// [`crate::gemm`], and the blocked transpose below. These are plain Rust
-/// (the compiler vectorizes them), but they ride the same administrative
-/// switch as the intrinsic arms: `URCL_SIMD=0` pins the exact seed-era
-/// loops, which keeps the scalar baseline honest and gives the bench its
-/// `simd {off,on}` axis.
-#[inline]
-pub fn fast_kernels() -> bool {
-    simd_enabled()
-}
-
-/// Test hook: force the `std::arch` intrinsic arms on even when
-/// [`intrinsic_arms`] would normally skip them (because the binary's
-/// compile-time ISA baseline already covers the detected hardware).
-/// Returns the previous setting. Hardware support is still required —
-/// forcing on a non-AVX2 host does nothing.
-pub fn set_force_intrinsics(on: bool) -> bool {
-    FORCE_INTRINSICS.swap(on, Ordering::Relaxed)
-}
-
-static FORCE_INTRINSICS: AtomicBool = AtomicBool::new(false);
-
-/// True when runtime-dispatched intrinsic arms should replace loops the
-/// compiler can autovectorize (the GEMM micro/column kernels, the fused
-/// backward accumulators). The arms only *pay* when the binary was
-/// compiled for a baseline below the detected hardware tier — on a build
-/// already targeting AVX2+ (e.g. `target-cpu=native`), the scalar source
-/// compiles to vector code at least as wide, so dispatch keeps it.
-/// [`set_force_intrinsics`] overrides the skip for parity testing.
-#[inline]
-pub fn intrinsic_arms() -> bool {
-    use_avx2()
-        && (cfg!(not(target_feature = "avx2")) || FORCE_INTRINSICS.load(Ordering::Relaxed))
-}
-
 // --------------------------------------------------------------- kernels
 
 /// Blocked 2-D transpose gather: `dst[b * q + a] = src[a * src_rs + b]`
@@ -172,7 +82,7 @@ pub fn intrinsic_arms() -> bool {
 /// bitwise-safe. The AVX2 arm moves 8x8 tiles through registers
 /// (unpack/shuffle), turning the strided gather — which the compiler
 /// cannot autovectorize — into contiguous loads and stores; it dispatches
-/// on [`use_avx2`] alone since there is no scalar codegen to beat.
+/// on the detected ISA alone since there is no scalar codegen to beat.
 ///
 /// The caller guarantees `src` covers index `(q-1)*src_rs + p - 1` and
 /// `dst` covers `p * q` elements, with `src_rs >= p`.
@@ -184,7 +94,7 @@ pub(crate) fn transpose_gather(src: &[f32], src_rs: usize, dst: &mut [f32], p: u
         && q >= 8
         && dst.len() >= p * q
         && src.len() > (q - 1) * src_rs + p - 1
-        && use_avx2()
+        && detected_isa() != Isa::Scalar
     {
         // SAFETY: AVX2 presence and slice bounds just checked.
         unsafe { transpose_gather_avx2(src, src_rs, dst, p, q) };
@@ -271,131 +181,9 @@ unsafe fn transpose_gather_avx2(src: &[f32], src_rs: usize, dst: &mut [f32], p: 
     }
 }
 
-/// Fused Mul-backward accumulator: `dst[i] += g[i] * x[i]` (or `=` when
-/// `acc` is false). The AVX2 arm vectorizes lanes of independent output
-/// elements with the same mul-then-add per lane — never FMA — so it is
-/// bitwise identical to the scalar loop.
-pub(crate) fn mul_acc(dst: &mut [f32], g: &[f32], x: &[f32], acc: bool) {
-    debug_assert!(dst.len() == g.len() && g.len() == x.len());
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if dst.len() >= 8 && intrinsic_arms() {
-        // SAFETY: AVX2 presence checked by `intrinsic_arms`.
-        unsafe { mul_acc_avx2(dst, g, x, acc) };
-        return;
-    }
-    if acc {
-        for ((d, &gv), &xv) in dst.iter_mut().zip(g).zip(x) {
-            *d += gv * xv;
-        }
-    } else {
-        for ((d, &gv), &xv) in dst.iter_mut().zip(g).zip(x) {
-            *d = gv * xv;
-        }
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_acc_avx2(dst: &mut [f32], g: &[f32], x: &[f32], acc: bool) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let n8 = n & !7;
-    let (dp, gp, xp) = (dst.as_mut_ptr(), g.as_ptr(), x.as_ptr());
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n for all three equal-length slices.
-        unsafe {
-            let prod = _mm256_mul_ps(_mm256_loadu_ps(gp.add(i)), _mm256_loadu_ps(xp.add(i)));
-            let v = if acc {
-                _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), prod)
-            } else {
-                prod
-            };
-            _mm256_storeu_ps(dp.add(i), v);
-        }
-        i += 8;
-    }
-    for j in n8..n {
-        if acc {
-            dst[j] += g[j] * x[j];
-        } else {
-            dst[j] = g[j] * x[j];
-        }
-    }
-}
-
-/// Fused Scale/Neg-backward accumulator: `dst[i] += g[i] * c` (or `=`
-/// when `acc` is false), same bitwise contract as [`mul_acc`].
-pub(crate) fn scale_acc(dst: &mut [f32], g: &[f32], c: f32, acc: bool) {
-    debug_assert_eq!(dst.len(), g.len());
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if dst.len() >= 8 && intrinsic_arms() {
-        // SAFETY: AVX2 presence checked by `intrinsic_arms`.
-        unsafe { scale_acc_avx2(dst, g, c, acc) };
-        return;
-    }
-    if acc {
-        for (d, &gv) in dst.iter_mut().zip(g) {
-            *d += gv * c;
-        }
-    } else {
-        for (d, &gv) in dst.iter_mut().zip(g) {
-            *d = gv * c;
-        }
-    }
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn scale_acc_avx2(dst: &mut [f32], g: &[f32], c: f32, acc: bool) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let n8 = n & !7;
-    let (dp, gp) = (dst.as_mut_ptr(), g.as_ptr());
-    // SAFETY (whole loop): i + 7 < n for both equal-length slices.
-    unsafe {
-        let cv = _mm256_set1_ps(c);
-        let mut i = 0;
-        while i < n8 {
-            let prod = _mm256_mul_ps(_mm256_loadu_ps(gp.add(i)), cv);
-            let v = if acc {
-                _mm256_add_ps(_mm256_loadu_ps(dp.add(i)), prod)
-            } else {
-                prod
-            };
-            _mm256_storeu_ps(dp.add(i), v);
-            i += 8;
-        }
-    }
-    for j in n8..n {
-        if acc {
-            dst[j] += g[j] * c;
-        } else {
-            dst[j] = g[j] * c;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn toggle_forces_scalar() {
-        let _guard = crate::global_state_test_lock();
-        let prev = set_simd(false);
-        assert_eq!(active_isa(), Isa::Scalar);
-        assert!(!use_avx2());
-        set_simd(true);
-        assert_eq!(active_isa(), detected_isa());
-        set_simd(prev);
-    }
 
     #[test]
     fn transpose_gather_matches_scalar() {
@@ -409,34 +197,6 @@ mod tests {
             transpose_gather(&src, src_rs, &mut got, p, q);
             assert_eq!(got, want, "transpose {p}x{q} rs={src_rs}");
         }
-    }
-
-    #[test]
-    fn acc_kernels_match_scalar_bitwise() {
-        let _guard = crate::global_state_test_lock();
-        let prev = set_simd(true);
-        let force = set_force_intrinsics(true);
-        let g: Vec<f32> = (0..37).map(|v| (v as f32).sin() * 1e3).collect();
-        let x: Vec<f32> = (0..37).map(|v| (v as f32).cos() * 1e-3).collect();
-        for acc in [false, true] {
-            let mut d0: Vec<f32> = (0..37).map(|v| v as f32 * 0.25).collect();
-            let mut d1 = d0.clone();
-            mul_acc(&mut d0, &g, &x, acc);
-            for ((d, &gv), &xv) in d1.iter_mut().zip(&g).zip(&x) {
-                if acc { *d += gv * xv } else { *d = gv * xv }
-            }
-            assert_eq!(d0, d1, "mul_acc acc={acc}");
-
-            let mut s0: Vec<f32> = (0..37).map(|v| v as f32 * -0.5).collect();
-            let mut s1 = s0.clone();
-            scale_acc(&mut s0, &g, -3.25, acc);
-            for (d, &gv) in s1.iter_mut().zip(&g) {
-                if acc { *d += gv * -3.25 } else { *d = gv * -3.25 }
-            }
-            assert_eq!(s0, s1, "scale_acc acc={acc}");
-        }
-        set_force_intrinsics(force);
-        set_simd(prev);
     }
 
     #[test]

@@ -27,18 +27,8 @@ pub struct Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        // With pooling off this is a plain alloc + memcpy (seed-era
-        // behaviour); going through `take_uninit` there would add a
-        // wasted memset.
-        let data = if pool::pooling_enabled() {
-            let mut data = pool::take_uninit(self.data.len());
-            data.copy_from_slice(&self.data);
-            data
-        } else {
-            pool::Buffer::from_vec(self.data.to_vec())
-        };
         Tensor {
-            data,
+            data: self.data.clone(),
             shape: self.shape.clone(),
         }
     }
@@ -237,29 +227,7 @@ impl Tensor {
         let in_strides = strides(&self.shape);
         let out_strides_in_input: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
         let mut out = pool::take_uninit(self.data.len());
-        if crate::simd::fast_kernels() {
-            strided_copy(&self.data, &mut out, &out_shape, &out_strides_in_input);
-            return Tensor {
-                data: out,
-                shape: out_shape,
-            };
-        }
-        let n = self.data.len();
-        let mut idx = vec![0usize; out_shape.len()];
-        for (linear, slot) in out.iter_mut().enumerate().take(n) {
-            // Decompose `linear` in the output shape, then gather.
-            let mut rem = linear;
-            for i in (0..out_shape.len()).rev() {
-                idx[i] = rem % out_shape[i];
-                rem /= out_shape[i];
-            }
-            let src: usize = idx
-                .iter()
-                .zip(&out_strides_in_input)
-                .map(|(i, s)| i * s)
-                .sum();
-            *slot = self.data[src];
-        }
+        strided_copy(&self.data, &mut out, &out_shape, &out_strides_in_input);
         Tensor {
             data: out,
             shape: out_shape,
@@ -346,23 +314,7 @@ impl Tensor {
         let sb = broadcast_strides(&other.shape, out_shape.len());
         let n = numel(&out_shape);
         let mut data = pool::take_uninit(n);
-        if crate::simd::fast_kernels() {
-            broadcast_zip_into(&self.data, &other.data, &mut data, &out_shape, &sa, &sb, &f);
-            return Tensor {
-                data,
-                shape: out_shape,
-            };
-        }
-        let out = SendPtr(data.as_mut_ptr());
-        parallel_for(n, PAR_MIN_ELEMS / 4, |r| {
-            // SAFETY: chunks are disjoint subranges of 0..n.
-            let dst = unsafe { out.slice(r.start, r.len()) };
-            for (slot, linear) in dst.iter_mut().zip(r) {
-                let oa = broadcast_offset(linear, &out_shape, &sa);
-                let ob = broadcast_offset(linear, &out_shape, &sb);
-                *slot = f(self.data[oa], other.data[ob]);
-            }
-        });
+        broadcast_zip_into(&self.data, &other.data, &mut data, &out_shape, &sa, &sb, &f);
         Tensor {
             data,
             shape: out_shape,
@@ -451,38 +403,10 @@ impl Tensor {
             .collect();
         let out_strides_full = strides(&keep_shape);
         let mut out = Tensor::zeros(&keep_shape);
-        if crate::simd::fast_kernels() {
-            let os: Vec<usize> = (0..self.ndim())
-                .map(|i| if reduce[i] { 0 } else { out_strides_full[i] })
-                .collect();
-            sum_axes_into(&self.data, &mut out.data, &self.shape, &os);
-            return if keepdim {
-                out
-            } else {
-                let squeezed: Vec<usize> = keep_shape
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !reduce[*i])
-                    .map(|(_, &d)| d)
-                    .collect();
-                let shape = if squeezed.is_empty() { vec![1] } else { squeezed };
-                out.reshape(&shape)
-            };
-        }
-        let mut idx = vec![0usize; self.ndim()];
-        for (linear, &v) in self.data.iter().enumerate() {
-            let mut rem = linear;
-            for i in (0..self.ndim()).rev() {
-                idx[i] = rem % self.shape[i];
-                rem /= self.shape[i];
-            }
-            let mut off = 0;
-            for i in 0..self.ndim() {
-                let j = if reduce[i] { 0 } else { idx[i] };
-                off += j * out_strides_full[i];
-            }
-            out.data[off] += v;
-        }
+        let os: Vec<usize> = (0..self.ndim())
+            .map(|i| if reduce[i] { 0 } else { out_strides_full[i] })
+            .collect();
+        sum_axes_into(&self.data, &mut out.data, &self.shape, &os);
         if keepdim {
             out
         } else {
@@ -831,10 +755,10 @@ impl Tensor {
 
         // Short-row convolutions (dilated stacks shrink t_out to a
         // handful of steps) spend more time on per-tap slice setup than
-        // on arithmetic. With pooling on, lower them to one GEMM over a
-        // pooled im2col panel instead; see `conv1d_im2col` for why the
-        // result is bitwise identical to the direct kernel below.
-        if pool::pooling_enabled() && t_out < crate::gemm::NR && cin * k <= crate::gemm::KC {
+        // on arithmetic. Lower them to one GEMM over a pooled im2col panel
+        // instead; see `conv1d_im2col` for why the result is bitwise
+        // identical to the direct kernel below.
+        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC {
             self.conv1d_im2col(weight, dilation, pad_left, t_out, &mut out);
             return Tensor {
                 data: out,
@@ -1157,20 +1081,20 @@ impl Tensor {
     }
 }
 
-// ----------------------------------------------------------- fast kernels
+// ------------------------------------------------------- strided kernels
 //
-// Stride-collapsed rewrites of the index-decomposition loops above, taken
-// when `simd::fast_kernels()` is on. Each one visits exactly the same
-// (input element -> output element) pairs as its fallback twin and keeps
-// every per-output-element accumulation sequence intact, so results are
-// bitwise identical — `tests/simd_parity.rs` churns shapes asserting it.
+// Stride-collapsed walkers behind `permute`, the broadcast `zip` and
+// `sum_axes`. Each visits exactly the same (input element -> output
+// element) pairs as the seed-era index-decomposition loop it replaced and
+// keeps every per-output-element accumulation sequence intact, so results
+// are bitwise identical — `tests/simd_parity.rs` churns shapes asserting
+// it against those loops, kept as oracles in `tests/reference`.
 
 /// Gathers strided input into a contiguous output: output axis `i` has
 /// extent `out_shape[i]` and reads the source with stride
 /// `src_strides[i]`. Pure data movement (no arithmetic), so any traversal
-/// order is safe; this one removes the per-element div/mod of the
-/// fallback and lowers trailing transposes to the blocked kernel in
-/// [`crate::simd`].
+/// order is safe; this one avoids a per-element div/mod and lowers
+/// trailing transposes to the blocked kernel in [`crate::simd`].
 fn strided_copy(src: &[f32], dst: &mut [f32], out_shape: &[usize], src_strides: &[usize]) {
     if dst.is_empty() {
         return;
@@ -1252,8 +1176,8 @@ fn strided_copy(src: &[f32], dst: &mut [f32], out_shape: &[usize], src_strides: 
 
 /// Broadcast binary map `dst[i] = f(a[..], b[..])` with stride-collapsed
 /// addressing. Every output element is computed independently (one `f`
-/// call each, same operands as the fallback), so traversal order and the
-/// parallel split cannot change bits.
+/// call each), so traversal order and the parallel split cannot change
+/// bits.
 fn broadcast_zip_into(
     a: &[f32],
     b: &[f32],
@@ -1346,8 +1270,8 @@ fn broadcast_zip_into(
 
 /// Axis-sum with stride-collapsed addressing: `out[..] += src[..]` where
 /// `os[i]` is the output stride of input axis `i` (0 for reduced axes).
-/// Bitwise-identical to the fallback because each *output* element still
-/// accumulates its terms in ascending input-linear order: the inner-axis
+/// Each *output* element accumulates its terms in ascending input-linear
+/// order, as a per-element index-decomposition loop would: the inner-axis
 /// specializations only change where partial sums are kept (a register
 /// instead of the output slot), never the order or grouping of adds.
 fn sum_axes_into(src: &[f32], out: &mut [f32], in_shape: &[usize], os: &[usize]) {

@@ -25,8 +25,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
-    set_pool_poison, set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamId,
-    ParamStore, PlanSpec, PolySpec, Rng, Tensor,
+    set_pool_poison, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec,
+    PolySpec, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -234,8 +234,6 @@ fn run_case(
 #[test]
 fn random_graphs_survive_pool_poisoning() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
-    let prev_simd = set_simd(true);
     let mut rng = Rng::seed_from_u64(0x11FE_7135);
 
     for case in 0..8 {
@@ -260,15 +258,11 @@ fn random_graphs_survive_pool_poisoning() {
         );
     }
 
-    set_simd(prev_simd);
-    set_pooling(prev_pool);
 }
 
 #[test]
 fn conv_share_group_panels_survive_pool_poisoning() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
-    let prev_simd = set_simd(true);
     let mut rng = Rng::seed_from_u64(0x11FE_7136);
 
     // (b, cin, t, cout, k, dilation, pad_left): guard-passing causal and
@@ -299,8 +293,6 @@ fn conv_share_group_panels_survive_pool_poisoning() {
         );
     }
 
-    set_simd(prev_simd);
-    set_pooling(prev_pool);
 }
 
 fn meta_of(dilation: usize, pad_left: usize) -> Vec<usize> {
@@ -439,8 +431,6 @@ fn run_masked(
 #[test]
 fn poly_dynamic_input_replay_survives_pool_poisoning() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
-    let prev_simd = set_simd(true);
     let mut rng = Rng::seed_from_u64(0x11FE_7137);
 
     let d = 5;
@@ -476,6 +466,4 @@ fn poly_dynamic_input_replay_survives_pool_poisoning() {
         );
     }
 
-    set_simd(prev_simd);
-    set_pooling(prev_pool);
 }

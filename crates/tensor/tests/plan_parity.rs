@@ -13,23 +13,19 @@
 //! * every parameter gradient at the final step, and
 //! * every post-step parameter value,
 //!
-//! across {scalar, fast, forced-intrinsics} × {1, 4 threads}. The conv
-//! programs cover share-group panel reuse and ConvBias fusion with
-//! `pad_left > 0`, `pad_left == 0`, and guard-failing shapes (wide
-//! `t_out`, deep `cin*k`) that must fall back to the unshared kernels —
-//! plus a pooling-off run where panel sharing is disabled entirely.
+//! at 1 and 4 threads. The conv programs cover share-group panel reuse
+//! and ConvBias fusion with `pad_left > 0`, `pad_left == 0`, and
+//! guard-failing shapes (wide `t_out`, deep `cin*k`) that must fall back
+//! to the unshared direct loops.
 //!
-//! [`set_simd`]/[`set_pooling`]/[`set_threads`] mutate process-global
-//! state, so every test serializes on a file-local mutex and restores
-//! what it changed.
+//! [`set_threads`] mutates process-global state, so every test
+//! serializes on a file-local mutex and restores what it changed.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
-use urcl_tensor::simd::set_force_intrinsics;
 use urcl_tensor::{
-    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec,
-    Rng, Tensor,
+    set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -157,8 +153,8 @@ fn assert_same(label: &str, what: &str, a: &[u32], b: &[u32]) {
     }
 }
 
-/// Runs `prog` under interpreter and plan in all six (simd mode × thread
-/// count) configurations and asserts full bitwise agreement in each.
+/// Runs `prog` under interpreter and plan at 1 and 4 threads and asserts
+/// full bitwise agreement at each.
 fn check_prog(prog: &Prog, rng: &mut Rng) {
     let step_inputs: Vec<Vec<Tensor>> = (0..STEPS)
         .map(|_| {
@@ -171,31 +167,21 @@ fn check_prog(prog: &Prog, rng: &mut Rng) {
 
     for threads in [1usize, 4] {
         let prev_threads = set_threads(threads);
-        for (mode, simd, forced) in [
-            ("scalar", false, false),
-            ("fast", true, false),
-            ("forced-intrinsics", true, true),
-        ] {
-            let prev_simd = set_simd(simd);
-            set_force_intrinsics(forced);
-            let interp = run_engine(prog, &step_inputs, false);
-            let plan = run_engine(prog, &step_inputs, true);
-            set_force_intrinsics(false);
-            set_simd(prev_simd);
-
-            let label = format!("{} [{mode} {threads}t]", prog.label);
-            assert_same(&label, "loss", &interp.losses, &plan.losses);
-            for (s, (a, b)) in interp.aux.iter().zip(&plan.aux).enumerate() {
-                assert_same(&label, &format!("aux step {s}"), a, b);
-            }
-            for (p, (a, b)) in interp.grads.iter().zip(&plan.grads).enumerate() {
-                assert_same(&label, &format!("grad of param {p}"), a, b);
-            }
-            for (p, (a, b)) in interp.params.iter().zip(&plan.params).enumerate() {
-                assert_same(&label, &format!("post-step param {p}"), a, b);
-            }
-        }
+        let interp = run_engine(prog, &step_inputs, false);
+        let plan = run_engine(prog, &step_inputs, true);
         set_threads(prev_threads);
+
+        let label = format!("{} [{threads}t]", prog.label);
+        assert_same(&label, "loss", &interp.losses, &plan.losses);
+        for (s, (a, b)) in interp.aux.iter().zip(&plan.aux).enumerate() {
+            assert_same(&label, &format!("aux step {s}"), a, b);
+        }
+        for (p, (a, b)) in interp.grads.iter().zip(&plan.grads).enumerate() {
+            assert_same(&label, &format!("grad of param {p}"), a, b);
+        }
+        for (p, (a, b)) in interp.params.iter().zip(&plan.params).enumerate() {
+            assert_same(&label, &format!("post-step param {p}"), a, b);
+        }
     }
 }
 
@@ -327,7 +313,6 @@ fn conv_prog(
 #[test]
 fn mixed_graph_parity_over_architecture_churn() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let mut rng = Rng::seed_from_u64(0x9_1A_0001);
 
     check_prog(&mixed_prog("fixed", 3, 4, 6, &mut rng), &mut rng);
@@ -338,14 +323,11 @@ fn mixed_graph_parity_over_architecture_churn() {
         let d = 1 + (rng.next_u64() % 7) as usize;
         check_prog(&mixed_prog(&format!("churn{i}"), b, t, d, &mut rng), &mut rng);
     }
-
-    set_pooling(prev_pool);
 }
 
 #[test]
 fn conv_share_group_and_bias_fusion_parity() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let mut rng = Rng::seed_from_u64(0x9_1A_0002);
 
     // Guard-passing gated pairs: causal pad, deeper dilation, zero pad.
@@ -372,17 +354,4 @@ fn conv_share_group_and_bias_fusion_parity() {
             &mut rng,
         );
     }
-
-    set_pooling(prev_pool);
-}
-
-#[test]
-fn conv_parity_with_pooling_off() {
-    let _guard = lock();
-    // Pooling off disables panel sharing entirely; the plan must still
-    // match the interpreter bit for bit through the fallback kernels.
-    let prev_pool = set_pooling(false);
-    let mut rng = Rng::seed_from_u64(0x9_1A_0003);
-    check_prog(&conv_prog("no-pool", true, 2, 4, 10, 4, 2, 1, 1, &mut rng), &mut rng);
-    set_pooling(prev_pool);
 }

@@ -10,13 +10,16 @@
 //!    unique tag and must still hold it when everything else has been
 //!    churned in between.
 //!
-//! The pool's free lists are thread-local and [`set_pooling`] is process
-//! global, so tests serialize on a file-local mutex.
+//! It also pins the pool's process-global counters (hits, misses, bytes
+//! recycled, the live gauge) to exact values. Only this binary's tests
+//! touch the pool, and every one of them serializes on a file-local
+//! mutex, so no other thread takes or recycles a buffer while a counter
+//! test runs.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::pool::{recycle, take_uninit, take_zeroed, trim_thread_pool};
-use urcl_tensor::{set_pooling, Rng, Tensor};
+use urcl_tensor::{buffer_pool_stats, reset_buffer_pool_stats, Rng, Tensor};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -47,7 +50,6 @@ fn assert_tagged(buf: &[f32], tag: f32, len: usize) {
 #[test]
 fn churned_buffers_keep_exact_lengths_and_never_alias() {
     let _guard = lock();
-    let prev = set_pooling(true);
     trim_thread_pool();
 
     let mut rng = Rng::seed_from_u64(0x5EED_7);
@@ -87,7 +89,6 @@ fn churned_buffers_keep_exact_lengths_and_never_alias() {
     }
 
     trim_thread_pool();
-    set_pooling(prev);
 }
 
 /// The same aliasing property one level up: pool-backed [`Tensor`] clones
@@ -96,8 +97,6 @@ fn churned_buffers_keep_exact_lengths_and_never_alias() {
 #[test]
 fn tensor_clones_stay_independent_under_churn() {
     let _guard = lock();
-    let prev = set_pooling(true);
-
     let mut rng = Rng::seed_from_u64(0x5EED_8);
     for _ in 0..300 {
         let len = draw_len(&mut rng);
@@ -113,6 +112,49 @@ fn tensor_clones_stay_independent_under_churn() {
         drop(churn);
         assert_eq!(original.data(), &reference[..], "clone aliased its source");
     }
+}
 
-    set_pooling(prev);
+#[test]
+fn recycled_buffer_is_reused() {
+    let _guard = lock();
+    trim_thread_pool();
+    reset_buffer_pool_stats();
+    let a = take_uninit(128);
+    let ptr = a.as_ptr();
+    recycle(a);
+    let b = take_uninit(128);
+    assert_eq!(b.as_ptr(), ptr, "same-length request must reuse the buffer");
+    assert_eq!(b.len(), 128);
+    let stats = buffer_pool_stats();
+    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.bytes_recycled, 4 * 128);
+    recycle(b);
+}
+
+#[test]
+fn lengths_never_cross_buckets() {
+    let _guard = lock();
+    trim_thread_pool();
+    reset_buffer_pool_stats();
+    recycle(take_uninit(64));
+    let v = take_uninit(63);
+    assert_eq!(v.len(), 63);
+    assert_eq!(buffer_pool_stats().hits, 0, "63 must not hit the 64 bucket");
+}
+
+#[test]
+fn live_gauge_tracks_outstanding_and_saturates() {
+    let _guard = lock();
+    trim_thread_pool();
+    reset_buffer_pool_stats();
+    let a = take_uninit(100);
+    let b = take_uninit(50);
+    assert_eq!(buffer_pool_stats().live_f32, 150);
+    assert_eq!(buffer_pool_stats().peak_live_f32, 150);
+    recycle(a);
+    assert_eq!(buffer_pool_stats().live_f32, 50);
+    reset_buffer_pool_stats();
+    recycle(b); // taken before the reset: must saturate, not wrap
+    assert_eq!(buffer_pool_stats().live_f32, 0);
 }

@@ -1,22 +1,23 @@
 //! Buffer pooling must be invisible to numerics: a full training loop run
-//! with the pool enabled and disabled, at 1 and 4 threads, must produce
-//! bitwise-identical parameters, gradients and evaluation error. The pool
-//! only hands out buffers that are either zeroed or fully overwritten
-//! before first read, so any divergence here is a correctness bug, not a
-//! tolerance issue.
+//! at 1 and 4 threads, with recycled buffers holding stale values or NaN
+//! poison ([`set_pool_poison`]), must produce bitwise-identical
+//! parameters, gradients and evaluation error. The pool only hands out
+//! buffers that are either zeroed or fully overwritten before first read,
+//! so any divergence here is a correctness bug, not a tolerance issue.
 //!
 //! Also verifies the steady-state claim behind the optimisation: after a
 //! few warmup steps every buffer shape the step needs is cached, so
 //! further steps hit the free lists exclusively (zero pool misses).
 //!
-//! [`set_pooling`]/[`set_threads`] mutate process-global state, so every
-//! test serializes on a file-local mutex and restores what it changed.
+//! [`set_pool_poison`]/[`set_threads`] mutate process-global state, so
+//! every test serializes on a file-local mutex and restores what it
+//! changed.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
-    buffer_pool_stats, reset_buffer_pool_stats, set_pooling, set_threads, Adam, Optimizer,
+    buffer_pool_stats, reset_buffer_pool_stats, set_pool_poison, set_threads, Adam, Optimizer,
     ParamId, ParamStore, Rng, Tensor,
 };
 
@@ -105,26 +106,26 @@ fn run_training(steps: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>, u32) {
 fn pooling_and_threads_do_not_change_any_bit() {
     let _guard = lock();
     let prev_threads = set_threads(1);
-    let prev_pool = set_pooling(true);
+    let prev_poison = set_pool_poison(false);
 
     let mut runs = Vec::new();
     for threads in [1usize, 4] {
-        for pooling in [true, false] {
+        for poison in [false, true] {
             set_threads(threads);
-            set_pooling(pooling);
-            runs.push(((threads, pooling), run_training(8)));
+            set_pool_poison(poison);
+            runs.push(((threads, poison), run_training(8)));
         }
     }
 
     set_threads(prev_threads);
-    set_pooling(prev_pool);
+    set_pool_poison(prev_poison);
 
     let ((_, _), reference) = &runs[0];
-    for ((threads, pooling), result) in &runs[1..] {
+    for ((threads, poison), result) in &runs[1..] {
         assert_eq!(
             result, reference,
-            "run at {threads} threads, pooling={pooling} diverged from \
-             1-thread pooled reference"
+            "run at {threads} threads, poison={poison} diverged from \
+             the 1-thread reference"
         );
     }
 }
@@ -133,7 +134,6 @@ fn pooling_and_threads_do_not_change_any_bit() {
 fn steady_state_training_has_zero_pool_misses() {
     let _guard = lock();
     let prev_threads = set_threads(4);
-    let prev_pool = set_pooling(true);
 
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from_u64(0x5EED_6);
@@ -157,7 +157,6 @@ fn steady_state_training_has_zero_pool_misses() {
     let stats = buffer_pool_stats();
 
     set_threads(prev_threads);
-    set_pooling(prev_pool);
 
     assert_eq!(
         stats.misses, 0,

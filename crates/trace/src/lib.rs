@@ -192,7 +192,7 @@ pub fn snapshot() -> Value {
             )
             .with(
                 "simd_isa",
-                Value::Num(urcl_tensor::active_isa().code() as f64),
+                Value::Num(urcl_tensor::detected_isa().code() as f64),
             )
             .with("spans", spans)
             .with("counters", counters)

@@ -19,9 +19,8 @@
 # and writes BENCH_serve.json (schema urcl-bench-serve-v3: aggregate
 # req/s plus per-tenant p50/p95/p99, shed and cache counters); and
 # bench_train_step, which measures end-to-end training-step throughput
-# over {1,4} threads x {pooling off, pooling on, + SIMD fast kernels,
-# + compiled plan} and writes BENCH_train_step.json. validate_json
-# checks every file written.
+# over {1,4} threads x {recorded tape, compiled plan} and writes
+# BENCH_train_step.json. validate_json checks every file written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --offline -p urcl-bench

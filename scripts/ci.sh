@@ -25,13 +25,6 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline
 
-echo "== tests with SIMD fast kernels force-disabled (URCL_SIMD=0) =="
-# The scalar fallback is the bitwise reference for every SIMD fast path
-# and must keep working standalone; run the kernel-owning crate's suite
-# (unit tests + parity/determinism integration tests) with the seam
-# forced off so the baseline cannot rot unnoticed.
-URCL_SIMD=0 cargo test -q --offline -p urcl-tensor
-
 echo "== plan parity + buffer-lifetime suites (release) =="
 # Architecture-churned graphs and gated-conv share groups replayed
 # through compiled plans, asserted bitwise against per-step re-recorded
@@ -102,11 +95,11 @@ timeout 900 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== traced framework run =="
 ./target/release/bench_framework --quick --trace BENCH_trace.json
 
-echo "== train-step throughput smoke (pooling/SIMD/plan determinism) =="
+echo "== train-step throughput smoke (thread/plan determinism) =="
 # Quick schedule: asserts bitwise-identical losses across all
-# (threads, pooling, simd, plan) cells, zero steady-state pool misses,
-# the SIMD speedup gate, the one-poly-plan-many-batch-sizes
-# zero-recompile check and the host-aware thread-scaling gate.
+# (threads, plan) cells, zero steady-state pool misses, the
+# one-poly-plan-many-batch-sizes zero-recompile check and the host-aware
+# thread-scaling gate.
 ./target/release/bench_train_step --quick
 
 echo "== JSON round-trip + trace schema validation =="
