@@ -82,12 +82,11 @@ impl GraphWaveNet {
         let h = cfg.base.hidden;
         let input_proj = Linear::new(store, rng, "gwn.in", cfg.base.channels, h, true);
         let supports = SupportSet::diffusion(net, cfg.k_diffusion);
-        // The TCNs run in window form only (see `encode_perturbed`), so
-        // the dilation lives in which taps each layer pairs, not in the
-        // convolution.
+        // The dilation lives in which taps each layer pairs (see
+        // `encode_perturbed`), not in the convolution.
         let layers = (0..cfg.layers)
             .map(|i| StLayer {
-                tcn: GatedTcn::new(store, rng, &format!("gwn.l{i}.tcn"), h, h, 2, 1, 0),
+                tcn: GatedTcn::new(store, rng, &format!("gwn.l{i}.tcn"), h, h, 2),
                 gcn: DiffusionGcn::new(
                     store,
                     rng,
@@ -180,7 +179,7 @@ impl Backbone for GraphWaveNet {
             let taps = pairs
                 .permute(&[0, 1, 3, 4, 2])
                 .reshape(&[b * t_len * n, 2 * h]);
-            let conv_out = layer.tcn.forward_window(sess, taps); // [B·T/2·N, h]
+            let conv_out = layer.tcn.forward(sess, taps); // [B·T/2·N, h]
             // Spatial: diffusion GCN per time step (over the perturbed
             // graph when the augmentations supply one).
             let spatial_in = conv_out.reshape(&[b * t_len, n, h]);
@@ -236,21 +235,15 @@ mod tests {
     }
 
     /// The dense stack the merge tree replaces, over the same parameters:
-    /// conv1d at dilation `2^i` over every position, diffusion at every
-    /// position, and the residual aligned with `narrow`.
+    /// the gated TCN at dilation `2^i` over every position (its taps
+    /// gathered with `narrow` + `concat`), diffusion at every position,
+    /// and the residual aligned with `narrow`.
     fn dense_encode<'t>(
         model: &GraphWaveNet,
-        store: &ParamStore,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
         supports: Option<&SupportSet>,
     ) -> Var<'t> {
-        let id = |name: String| {
-            store
-                .ids()
-                .find(|&i| store.name(i) == name)
-                .unwrap_or_else(|| panic!("no parameter {name}"))
-        };
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = model.cfg.base.hidden;
         let mut t_len = model.cfg.receptive_span() + 1;
@@ -259,17 +252,14 @@ mod tests {
         for (i, layer) in model.layers.iter().enumerate() {
             let dilation = 1usize << i;
             let t_out = t_len - dilation;
-            let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, t_len]);
-            let mut conv = |branch: &str| {
-                let w = sess.param(id(format!("gwn.l{i}.tcn.{branch}.w")));
-                let bias = sess.param(id(format!("gwn.l{i}.tcn.{branch}.b")));
-                conv_in.conv1d(w, dilation, 0).add(bias.reshape(&[1, h, 1]))
-            };
-            let gated = conv("filter").tanh().mul(conv("gate").sigmoid());
-            let spatial_in = gated
-                .reshape(&[b, n, h, t_out])
-                .permute(&[0, 3, 1, 2])
-                .reshape(&[b * t_out, n, h]);
+            // Output step `to` reads steps `to` and `to + dilation`;
+            // flattened (ci, ki): [B, T_out, N, h, 2] -> [B·T_out·N, 2h].
+            let tap = |start: usize| feat.narrow(1, start, t_out).reshape(&[b, t_out, n, h, 1]);
+            let taps = sess
+                .tape()
+                .concat(&[tap(0), tap(dilation)], 4)
+                .reshape(&[b * t_out * n, 2 * h]);
+            let spatial_in = layer.tcn.forward(sess, taps).reshape(&[b * t_out, n, h]);
             let gcn_out = layer.gcn.forward_with(sess, spatial_in, adj, supports).relu();
             let residual = feat.narrow(1, t_len - t_out, t_out);
             feat = gcn_out.reshape(&[b, t_out, n, h]).add(residual);
@@ -309,7 +299,7 @@ mod tests {
                         let mut sess = Session::new(&tape, &store);
                         let xv = sess.input(x.clone());
                         let latent = if dense {
-                            dense_encode(&model, &store, &mut sess, xv, supports)
+                            dense_encode(&model, &mut sess, xv, supports)
                         } else {
                             model.encode_perturbed(&mut sess, xv, supports)
                         };

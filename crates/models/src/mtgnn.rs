@@ -39,7 +39,7 @@ impl Mtgnn {
         Self {
             input_proj: Linear::new(store, rng, "mtgnn.in", cfg.channels, h, true),
             graph: AdaptiveAdjacency::new(store, rng, "mtgnn.graph", cfg.num_nodes, emb_dim),
-            tcn: GatedTcn::new(store, rng, "mtgnn.tcn", h, h, kernel, 1, 0),
+            tcn: GatedTcn::new(store, rng, "mtgnn.tcn", h, h, kernel),
             hop0: Linear::new(store, rng, "mtgnn.hop0", h, h, true),
             hop1: Linear::new(store, rng, "mtgnn.hop1", h, h, false),
             hop2: Linear::new(store, rng, "mtgnn.hop2", h, h, false),
@@ -70,9 +70,10 @@ impl Backbone for Mtgnn {
         let k = self.kernel;
         let feat = self.input_proj.forward(sess, x.narrow(1, m - k, k)); // [B, k, N, h]
 
-        // Temporal convolution down to the last time step.
-        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h, k]);
-        let last = self.tcn.forward(sess, conv_in).reshape(&[b, n, h]); // [B, N, h]
+        // Temporal convolution down to the last time step: the window is
+        // that position's taps, flattened (ci, ki).
+        let taps = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, h * k]);
+        let last = self.tcn.forward(sess, taps).reshape(&[b, n, h]); // [B, N, h]
 
         // Mix-hop propagation over the learned graph:
         // out = X W0 + (A X) W1 + (A² X) W2.

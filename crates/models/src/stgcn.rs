@@ -40,9 +40,9 @@ impl Stgcn {
         );
         let basis = cheb_polynomials(&scaled_laplacian(net.adjacency()), cheb_k);
         let h = cfg.hidden;
-        let tcn1 = GatedTcn::new(store, rng, "stgcn.tcn1", cfg.channels, h, kernel, 1, 0);
+        let tcn1 = GatedTcn::new(store, rng, "stgcn.tcn1", cfg.channels, h, kernel);
         let gcn = ChebGcn::new(store, rng, "stgcn.gcn", h, h, basis);
-        let tcn2 = GatedTcn::new(store, rng, "stgcn.tcn2", h, h, kernel, 1, 0);
+        let tcn2 = GatedTcn::new(store, rng, "stgcn.tcn2", h, h, kernel);
         let latent_head = Linear::new(store, rng, "stgcn.latent", h, cfg.latent, true);
         let decoder = MlpDecoder::new(store, rng, "stgcn.dec", cfg.latent, 64, cfg.horizon);
         Self {
@@ -54,6 +54,26 @@ impl Stgcn {
             latent_head,
             decoder,
         }
+    }
+
+    /// The first gated TCN at the `k` positions the second one reads:
+    /// two kernel-k convolutions leave one position, which reads the last
+    /// `2(k − 1) + 1` steps, so position `to` reads the `k` steps from
+    /// `to` on among them. Taps flattened `(ci, ki)`, rows ordered
+    /// `(b, to, n)`: `[B, T, N, C] -> [B·k·N, h]`.
+    fn temporal1<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
+        let [b, window, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+        let k = self.kernel;
+        let first = window - (2 * (k - 1) + 1);
+        let windows: Vec<_> = (0..k)
+            .map(|to| x.narrow(1, first + to, k).reshape(&[b, 1, k, n, c]))
+            .collect();
+        let taps = sess
+            .tape()
+            .concat(&windows, 1) // [B, k(to), k(ki), N, C]
+            .permute(&[0, 1, 3, 4, 2])
+            .reshape(&[b * k * n, c * k]);
+        self.tcn1.forward(sess, taps)
     }
 }
 
@@ -68,32 +88,21 @@ impl Backbone for Stgcn {
 
     fn encode<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
         self.check_input(&x);
-        let [b, window, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+        let [b, _, n, _] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = self.cfg.hidden;
 
-        // Receptive field: two kernel-k convolutions leave one position,
-        // which reads the last 2(k − 1) + 1 steps.
-        let m = 2 * (self.kernel - 1) + 1;
-        let x = x.narrow(1, window - m, m);
-
-        // Temporal 1: [B, M, N, C] -> [B*N, C, M] -> conv -> [B*N, h, T1].
-        let t1 = m - (self.kernel - 1);
-        let conv_in = x.permute(&[0, 2, 3, 1]).reshape(&[b * n, c, m]);
-        let conv1 = self.tcn1.forward(sess, conv_in);
-
-        // Spatial: per time step Chebyshev GCN.
-        let spatial_in = conv1
-            .reshape(&[b, n, h, t1])
-            .permute(&[0, 3, 1, 2])
-            .reshape(&[b * t1, n, h]);
+        // Temporal 1, then spatial: per time step Chebyshev GCN.
+        let t1 = self.kernel;
+        let spatial_in = self.temporal1(sess, x).reshape(&[b * t1, n, h]);
         let gcn_out = self.gcn.forward(sess, spatial_in).relu();
 
-        // Temporal 2: the one remaining time step per node.
-        let conv2_in = gcn_out
+        // Temporal 2: the one remaining position per node reads all T1
+        // steps, flattened (ci, ki).
+        let taps2 = gcn_out
             .reshape(&[b, t1, n, h])
             .permute(&[0, 2, 3, 1])
-            .reshape(&[b * n, h, t1]);
-        let last = self.tcn2.forward(sess, conv2_in).reshape(&[b, n, h]);
+            .reshape(&[b * n, h * t1]);
+        let last = self.tcn2.forward(sess, taps2).reshape(&[b, n, h]);
         self.latent_head.forward(sess, last).relu()
     }
 
@@ -128,6 +137,68 @@ mod tests {
         let x = sess.input(rng.uniform_tensor(&[2, 12, 5, 3], 0.0, 1.0));
         let y = model.forward(&mut sess, x);
         assert_eq!(y.shape(), vec![2, 1, 5]);
+    }
+
+    #[test]
+    fn first_tcn_taps_match_plain_loop_bitwise() {
+        // Pins the taps order: row (b, to, n), column co of the first TCN
+        // is position `to` of the gated convolution over the last 2k − 1
+        // steps, each branch a +0.0-seeded sum over (ci, ki) ascending,
+        // then + bias.
+        use urcl_tensor::activation::{sigmoid, tanh};
+        use urcl_tensor::Tensor;
+        let (n, c, window, k) = (5, 3, 12, 3);
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(4);
+        let cfg = BackboneConfig::small(n, c, window, 1);
+        let h = cfg.hidden;
+        let model = Stgcn::new(&mut store, &mut rng, &line(n), cfg, 3, k);
+        let id = |store: &ParamStore, name: &str| {
+            store
+                .ids()
+                .find(|&i| store.name(i) == name)
+                .expect("parameter")
+        };
+        // Biases start at zero; random ones make a misplaced add show.
+        for branch in ["filter", "gate"] {
+            let b = id(&store, &format!("stgcn.tcn1.{branch}.b"));
+            *store.value_mut(b) = rng.normal_tensor(&[h], 0.0, 0.5);
+        }
+        let param = |name: &str| store.value(id(&store, name)).clone();
+        let (wf, bf) = (param("stgcn.tcn1.filter.w"), param("stgcn.tcn1.filter.b"));
+        let (wg, bg) = (param("stgcn.tcn1.gate.w"), param("stgcn.tcn1.gate.b"));
+        let first = window - (2 * (k - 1) + 1);
+        for batch in [1, 13] {
+            let x = rng.normal_tensor(&[batch, window, n, c], 0.0, 1.0);
+            let conv = |w: &Tensor, bias: &Tensor, bi: usize, to: usize, ni: usize, co: usize| {
+                let mut sum = 0.0f32;
+                for ci in 0..c {
+                    for ki in 0..k {
+                        sum += w.at(&[co, ci, ki]) * x.at(&[bi, first + to + ki, ni, ci]);
+                    }
+                }
+                sum + bias.at(&[co])
+            };
+            let mut want = Vec::new();
+            for bi in 0..batch {
+                for to in 0..k {
+                    for ni in 0..n {
+                        for co in 0..h {
+                            let f = tanh(conv(&wf, &bf, bi, to, ni, co));
+                            let g = sigmoid(conv(&wg, &bg, bi, to, ni, co));
+                            want.push((f * g).to_bits());
+                        }
+                    }
+                }
+            }
+            let tape = Tape::new();
+            let mut sess = Session::new(&tape, &store);
+            let xv = sess.input(x.clone());
+            let got = model.temporal1(&mut sess, xv).value();
+            assert_eq!(got.shape(), &[batch * k * n, h]);
+            let got: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "batch {batch}");
+        }
     }
 
     #[test]

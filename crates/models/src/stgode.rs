@@ -41,7 +41,7 @@ impl Stgode {
         assert!(steps > 0 && dt > 0.0, "need positive integration steps");
         Self {
             input_proj: Linear::new(store, rng, "stgode.in", cfg.channels, h, true),
-            tcn: GatedTcn::new(store, rng, "stgode.tcn", h, h, kernel, 1, 0),
+            tcn: GatedTcn::new(store, rng, "stgode.tcn", h, h, kernel),
             ode_weight: Linear::new(store, rng, "stgode.ode", h, h, false),
             transition: transition_matrix(net.adjacency()),
             steps,
@@ -72,8 +72,10 @@ impl Backbone for Stgode {
         // last `kernel` steps, the only ones projected.
         let k = self.kernel;
         let feat = self.input_proj.forward(sess, x.narrow(1, m - k, k)); // [B, k, N, h]
-        let conv_in = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, hdim, k]);
-        let h0 = self.tcn.forward(sess, conv_in).reshape(&[b, n, hdim]); // initial state [B, N, h]
+
+        // The window is that position's taps, flattened (ci, ki).
+        let taps = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, hdim * k]);
+        let h0 = self.tcn.forward(sess, taps).reshape(&[b, n, hdim]); // initial state [B, N, h]
 
         // Euler integration of dh/dt = (P h) W + h0 − h.
         let p = sess.input(self.transition.clone());

@@ -9,8 +9,9 @@
 //! * [`DiffusionGcn`] — the diffusion graph convolution of Eq. 21–24,
 //!   including the self-adaptive adjacency of Eq. 23.
 //! * [`ChebGcn`] — Chebyshev graph convolution (the STGCN baseline).
-//! * [`Conv1dLayer`] / [`GatedTcn`] — dilated causal temporal convolution
-//!   with the output gate of Eq. 25–26.
+//! * [`Conv1dLayer`] / [`GatedTcn`] — temporal convolution with the
+//!   output gate of Eq. 25–26, one GEMM over taps the caller gathers
+//!   (dilation and padding live in which taps it gathers).
 //! * [`GruCell`] / [`DcGruCell`] — recurrent cells; `DcGruCell` replaces
 //!   the dense gates with diffusion graph convolutions (the DCRNN
 //!   baseline).

@@ -1,11 +1,12 @@
-//! Temporal convolution: dilated causal conv1d (Eq. 25) and the gated
-//! variant `h = tanh(W₁ ⋆ X) ⊙ σ(W₂ ⋆ X)` of Eq. 26.
+//! Temporal convolution (Eq. 25) and the gated variant
+//! `h = tanh(W₁ ⋆ X) ⊙ σ(W₂ ⋆ X)` of Eq. 26, each one GEMM over taps the
+//! caller gathers.
 
 use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ParamId, ParamStore, Rng, Tensor};
 
-/// A dilated causal 1-D convolution over the last axis of a
-/// `[B, C_in, T]` input, with per-channel bias.
+/// A 1-D temporal convolution with per-channel bias, evaluated at the
+/// output positions whose taps the caller has gathered.
 #[derive(Debug, Clone)]
 pub struct Conv1dLayer {
     w: ParamId,
@@ -13,15 +14,10 @@ pub struct Conv1dLayer {
     in_dim: usize,
     out_dim: usize,
     kernel: usize,
-    dilation: usize,
-    /// Zeros virtually prepended to the time axis; `0` shrinks the output
-    /// (GraphWaveNet style), `(kernel-1)*dilation` keeps the length.
-    pad_left: usize,
 }
 
 impl Conv1dLayer {
     /// Registers a `[out, in, kernel]` weight and `[out]` bias.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         store: &mut ParamStore,
         rng: &mut Rng,
@@ -29,8 +25,6 @@ impl Conv1dLayer {
         in_dim: usize,
         out_dim: usize,
         kernel: usize,
-        dilation: usize,
-        pad_left: usize,
     ) -> Self {
         let fan = (in_dim * kernel) as f32;
         let bound = (1.0 / fan).sqrt();
@@ -45,42 +39,21 @@ impl Conv1dLayer {
             in_dim,
             out_dim,
             kernel,
-            dilation,
-            pad_left,
         }
     }
 
-    /// Output length for a given input length.
-    pub fn out_len(&self, t: usize) -> usize {
-        t + self.pad_left - (self.kernel - 1) * self.dilation
-    }
-
-    /// `x: [B, C_in, T] -> [B, C_out, out_len(T)]`.
-    pub fn forward<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "conv input must be [B, C, T]");
-        assert_eq!(shape[1], self.in_dim, "conv channel mismatch");
-        let w = sess.param(self.w);
-        let b = sess.param(self.b);
-        let y = x.conv1d(w, self.dilation, self.pad_left);
-        // Bias over the channel axis: [out] -> [1, out, 1].
-        let bb = b.reshape(&[1, self.out_dim, 1]);
-        y.add(bb)
-    }
-
-    /// Window form: `taps: [R, C_in·K] -> [R, C_out]`, one GEMM for `R`
-    /// output positions whose taps the caller has gathered, each row
-    /// flattened in `(ci, ki)` order. The `[C_out, C_in, K]` weight is
-    /// read as `[C_out, C_in·K]`, so every output element reduces over the
-    /// same products in the same order as [`Self::forward`]'s conv1d and
-    /// matches it bitwise while `C_in·K` stays within one GEMM k-block.
-    /// Dilation and padding are the caller's, expressed in which taps it
-    /// gathers.
-    pub fn forward_window<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
+    /// `taps: [R, C_in·K] -> [R, C_out]`: one GEMM for `R` output
+    /// positions, each row the position's taps flattened in `(ci, ki)`
+    /// order, against the `[C_out, C_in, K]` weight read as
+    /// `[C_out, C_in·K]`, plus the bias. Each output element is one
+    /// `(ci, ki)`-ascending sum while `C_in·K` stays within one GEMM
+    /// k-block. Dilation and padding are the caller's, expressed in which
+    /// taps it gathers.
+    pub fn forward<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
         let taps_len = self.in_dim * self.kernel;
         let shape = taps.shape();
-        assert_eq!(shape.len(), 2, "window taps must be [R, C_in*K]");
-        assert_eq!(shape[1], taps_len, "window tap count mismatch");
+        assert_eq!(shape.len(), 2, "conv taps must be [R, C_in*K]");
+        assert_eq!(shape[1], taps_len, "conv tap count mismatch");
         let w = sess.param(self.w).reshape(&[self.out_dim, taps_len]);
         let b = sess.param(self.b);
         taps.matmul(w.transpose(0, 1)).add(b)
@@ -97,7 +70,6 @@ pub struct GatedTcn {
 
 impl GatedTcn {
     /// Builds the two parallel branches.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         store: &mut ParamStore,
         rng: &mut Rng,
@@ -105,51 +77,28 @@ impl GatedTcn {
         in_dim: usize,
         out_dim: usize,
         kernel: usize,
-        dilation: usize,
-        pad_left: usize,
     ) -> Self {
+        let mut branch = |part: &str| {
+            Conv1dLayer::new(
+                store,
+                rng,
+                &format!("{name}.{part}"),
+                in_dim,
+                out_dim,
+                kernel,
+            )
+        };
         Self {
-            filter: Conv1dLayer::new(
-                store,
-                rng,
-                &format!("{name}.filter"),
-                in_dim,
-                out_dim,
-                kernel,
-                dilation,
-                pad_left,
-            ),
-            gate: Conv1dLayer::new(
-                store,
-                rng,
-                &format!("{name}.gate"),
-                in_dim,
-                out_dim,
-                kernel,
-                dilation,
-                pad_left,
-            ),
+            filter: branch("filter"),
+            gate: branch("gate"),
         }
     }
 
-    /// Output length for a given input length.
-    pub fn out_len(&self, t: usize) -> usize {
-        self.filter.out_len(t)
-    }
-
-    /// `x: [B, C_in, T] -> [B, C_out, out_len(T)]`.
-    pub fn forward<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
-        let f = self.filter.forward(sess, x).tanh();
-        let g = self.gate.forward(sess, x).sigmoid();
-        f.mul(g)
-    }
-
-    /// Window form of [`Self::forward`]: `taps: [R, C_in·K] -> [R, C_out]`,
-    /// see [`Conv1dLayer::forward_window`]. Both branches read the one
-    /// tap matrix.
-    pub fn forward_window<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
-        let f = self.filter.forward_window(sess, taps).tanh();
-        let g = self.gate.forward_window(sess, taps).sigmoid();
+    /// `taps: [R, C_in·K] -> [R, C_out]`, see [`Conv1dLayer::forward`].
+    /// Both branches read the one tap matrix.
+    pub fn forward<'t>(&self, sess: &mut Session<'t, '_>, taps: Var<'t>) -> Var<'t> {
+        let f = self.filter.forward(sess, taps).tanh();
+        let g = self.gate.forward(sess, taps).sigmoid();
         f.mul(g)
     }
 }
@@ -160,53 +109,34 @@ mod tests {
     use urcl_tensor::autodiff::Tape;
 
     #[test]
-    fn conv_shapes_shrink_without_padding() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from_u64(1);
-        let conv = Conv1dLayer::new(&mut store, &mut rng, "c", 3, 5, 2, 2, 0);
-        assert_eq!(conv.out_len(12), 10);
-        let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let x = sess.input(Tensor::ones(&[4, 3, 12]));
-        let y = conv.forward(&mut sess, x);
-        assert_eq!(y.shape(), vec![4, 5, 10]);
-    }
-
-    #[test]
-    fn causal_padding_keeps_length() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from_u64(2);
-        let conv = Conv1dLayer::new(&mut store, &mut rng, "c", 1, 1, 3, 1, 2);
-        assert_eq!(conv.out_len(8), 8);
-    }
-
-    #[test]
     fn bias_broadcasts_over_channels() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(3);
-        let conv = Conv1dLayer::new(&mut store, &mut rng, "c", 1, 2, 1, 1, 0);
+        let conv = Conv1dLayer::new(&mut store, &mut rng, "c", 1, 2, 1);
         *store.value_mut(conv.w) = Tensor::zeros(&[2, 1, 1]);
         *store.value_mut(conv.b) = Tensor::from_vec(vec![1.0, -1.0], &[2]);
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
-        let x = sess.input(Tensor::ones(&[1, 1, 3]));
-        let y = conv.forward(&mut sess, x).value();
-        assert_eq!(y.data(), &[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
+        let taps = sess.input(Tensor::ones(&[3, 1]));
+        let y = conv.forward(&mut sess, taps).value();
+        assert_eq!(y.shape(), &[3, 2]);
+        assert_eq!(y.data(), &[1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
     }
 
     #[test]
     fn window_form_matches_conv_bitwise() {
-        // Row (bi, to) of the window form carries the taps conv1d reads
-        // for output step `to`: x[bi, ci, to + ki·d] at column ci·K + ki.
+        // Row (bi, to) carries the taps of output step `to` of a
+        // dilation-`d` convolution over x: x[bi, ci, to + ki·d] at column
+        // ci·K + ki. The plain loop reads x directly.
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(6);
-        let (cin, k, d, t) = (3, 2, 2, 7);
-        let tcn = GatedTcn::new(&mut store, &mut rng, "g", cin, 4, k, d, 0);
-        *store.value_mut(tcn.filter.b) = rng.normal_tensor(&[4], 0.0, 1.0);
-        let x = rng.normal_tensor(&[2, cin, t], 0.0, 1.0);
-        let t_out = tcn.out_len(t);
+        let (b, cin, cout, k, d, t) = (2, 3, 4, 2, 2, 7);
+        let conv = Conv1dLayer::new(&mut store, &mut rng, "c", cin, cout, k);
+        *store.value_mut(conv.b) = rng.normal_tensor(&[cout], 0.0, 1.0);
+        let x = rng.normal_tensor(&[b, cin, t], 0.0, 1.0);
+        let t_out = t - (k - 1) * d;
         let mut taps = Vec::new();
-        for bi in 0..2 {
+        for bi in 0..b {
             for to in 0..t_out {
                 for ci in 0..cin {
                     for ki in 0..k {
@@ -217,12 +147,25 @@ mod tests {
         }
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
-        let xv = sess.input(x);
-        let conv = tcn.forward(&mut sess, xv).permute(&[0, 2, 1]).value();
-        let tv = sess.input(Tensor::from_vec(taps, &[2 * t_out, cin * k]));
-        let window = tcn.forward_window(&mut sess, tv).value();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&window), bits(&conv));
+        let tv = sess.input(Tensor::from_vec(taps, &[b * t_out, cin * k]));
+        let y = conv.forward(&mut sess, tv).value();
+        let (w, bias) = (store.value(conv.w), store.value(conv.b));
+        let mut want = Vec::new();
+        for bi in 0..b {
+            for to in 0..t_out {
+                for co in 0..cout {
+                    let mut sum = 0.0f32;
+                    for ci in 0..cin {
+                        for ki in 0..k {
+                            sum += w.at(&[co, ci, ki]) * x.at(&[bi, ci, to + ki * d]);
+                        }
+                    }
+                    want.push((sum + bias.at(&[co])).to_bits());
+                }
+            }
+        }
+        let got: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -230,12 +173,12 @@ mod tests {
         // tanh ⊙ sigmoid is bounded to (-1, 1).
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(4);
-        let tcn = GatedTcn::new(&mut store, &mut rng, "g", 2, 4, 2, 1, 0);
+        let tcn = GatedTcn::new(&mut store, &mut rng, "g", 2, 4, 2);
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
-        let x = sess.input(rng.normal_tensor(&[3, 2, 9], 0.0, 5.0));
-        let y = tcn.forward(&mut sess, x).value();
-        assert_eq!(y.shape(), &[3, 4, 8]);
+        let taps = sess.input(rng.normal_tensor(&[24, 4], 0.0, 5.0));
+        let y = tcn.forward(&mut sess, taps).value();
+        assert_eq!(y.shape(), &[24, 4]);
         assert!(y.data().iter().all(|&v| v.abs() < 1.0));
     }
 
@@ -243,12 +186,12 @@ mod tests {
     fn gradients_flow_through_gate() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(5);
-        let tcn = GatedTcn::new(&mut store, &mut rng, "g", 1, 2, 2, 1, 1);
+        let tcn = GatedTcn::new(&mut store, &mut rng, "g", 1, 2, 2);
         store.zero_grads();
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
-        let x = sess.input(rng.normal_tensor(&[2, 1, 6], 0.0, 1.0));
-        let y = tcn.forward(&mut sess, x);
+        let taps = sess.input(rng.normal_tensor(&[12, 2], 0.0, 1.0));
+        let y = tcn.forward(&mut sess, taps);
         let grads = tape.backward(y.powf(2.0).mean_all());
         let binds = sess.into_bindings();
         store.accumulate_grads(&binds, &grads);

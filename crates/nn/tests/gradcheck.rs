@@ -315,71 +315,17 @@ fn dcgru_cell_input_and_param_grads() {
 // --- tcn ---
 
 #[test]
-fn conv1d_layer_input_and_param_grads() {
-    let mut store = ParamStore::new();
-    let mut rng = Rng::seed_from_u64(17);
-    let conv = Conv1dLayer::new(&mut store, &mut rng, "t", 3, 2, 2, 1, 1);
-    let x = rand_t(&[2, 3, 5], 18);
-    {
-        let store = &store;
-        let conv = &conv;
-        check_scalar(&x, EPS, |t, v| {
-            let mut sess = Session::new(t, store);
-            conv.forward(&mut sess, v).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-    for pname in ["t.w", "t.b"] {
-        let x = x.clone();
-        let conv = conv.clone();
-        check_param(&mut store, pname, EPS, TOL, move |t, s| {
-            let mut sess = Session::new(t, s);
-            let v = sess.input(x.clone());
-            let loss = conv.forward(&mut sess, v).powf(2.0).sum_all();
-            (loss, sess.into_bindings())
-        });
-    }
-}
-
-#[test]
-fn gated_tcn_input_and_param_grads() {
-    let mut store = ParamStore::new();
-    let mut rng = Rng::seed_from_u64(19);
-    let tcn = GatedTcn::new(&mut store, &mut rng, "gt", 3, 2, 2, 2, 2);
-    let x = rand_t(&[2, 3, 6], 20);
-    {
-        let store = &store;
-        let tcn = &tcn;
-        check_scalar(&x, EPS, |t, v| {
-            let mut sess = Session::new(t, store);
-            tcn.forward(&mut sess, v).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-    for pname in ["gt.filter.w", "gt.gate.w"] {
-        let x = x.clone();
-        let tcn = tcn.clone();
-        check_param(&mut store, pname, EPS, TOL, move |t, s| {
-            let mut sess = Session::new(t, s);
-            let v = sess.input(x.clone());
-            let loss = tcn.forward(&mut sess, v).powf(2.0).sum_all();
-            (loss, sess.into_bindings())
-        });
-    }
-}
-
-#[test]
-fn conv1d_layer_window_form_input_and_param_grads() {
+fn conv_layer_input_and_param_grads() {
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from_u64(21);
-    let conv = Conv1dLayer::new(&mut store, &mut rng, "tw", 3, 2, 2, 1, 0);
+    let conv = Conv1dLayer::new(&mut store, &mut rng, "tw", 3, 2, 2);
     let taps = rand_t(&[5, 6], 22);
     {
         let store = &store;
         let conv = &conv;
         check_scalar(&taps, EPS, |t, v| {
             let mut sess = Session::new(t, store);
-            conv.forward_window(&mut sess, v).powf(2.0).sum_all()
+            conv.forward(&mut sess, v).powf(2.0).sum_all()
         })
         .assert_close(TOL);
     }
@@ -389,24 +335,24 @@ fn conv1d_layer_window_form_input_and_param_grads() {
         check_param(&mut store, pname, EPS, TOL, move |t, s| {
             let mut sess = Session::new(t, s);
             let v = sess.input(taps.clone());
-            let loss = conv.forward_window(&mut sess, v).powf(2.0).sum_all();
+            let loss = conv.forward(&mut sess, v).powf(2.0).sum_all();
             (loss, sess.into_bindings())
         });
     }
 }
 
 #[test]
-fn gated_tcn_window_form_input_and_param_grads() {
+fn gated_tcn_input_and_param_grads() {
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from_u64(23);
-    let tcn = GatedTcn::new(&mut store, &mut rng, "gw", 3, 2, 2, 1, 0);
+    let tcn = GatedTcn::new(&mut store, &mut rng, "gw", 3, 2, 2);
     let taps = rand_t(&[4, 6], 24);
     {
         let store = &store;
         let tcn = &tcn;
         check_scalar(&taps, EPS, |t, v| {
             let mut sess = Session::new(t, store);
-            tcn.forward_window(&mut sess, v).powf(2.0).sum_all()
+            tcn.forward(&mut sess, v).powf(2.0).sum_all()
         })
         .assert_close(TOL);
     }
@@ -416,7 +362,7 @@ fn gated_tcn_window_form_input_and_param_grads() {
         check_param(&mut store, pname, EPS, TOL, move |t, s| {
             let mut sess = Session::new(t, s);
             let v = sess.input(taps.clone());
-            let loss = tcn.forward_window(&mut sess, v).powf(2.0).sum_all();
+            let loss = tcn.forward(&mut sess, v).powf(2.0).sum_all();
             (loss, sess.into_bindings())
         });
     }

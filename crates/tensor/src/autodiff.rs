@@ -111,17 +111,6 @@ pub enum Op {
         /// Slice length along `axis`.
         len: usize,
     },
-    /// Dilated causal 1-D convolution over the trailing time axis.
-    Conv1d {
-        /// Tape index of the `[B, C_in, T]` input.
-        input: usize,
-        /// Tape index of the `[C_out, C_in, K]` kernel.
-        weight: usize,
-        /// Spacing between kernel taps.
-        dilation: usize,
-        /// Zero-padding prepended to the time axis (causality).
-        pad_left: usize,
-    },
     /// Identity in the forward pass, blocks gradient flow (the paper's
     /// `SG(·)` stop-gradient of Eq. 13).
     Detach(usize),
@@ -157,8 +146,7 @@ pub(crate) fn kind_index(op: &Op) -> Option<usize> {
         Op::Softmax(..) => 22,
         Op::Concat { .. } => 23,
         Op::Narrow { .. } => 24,
-        Op::Conv1d { .. } => 25,
-        Op::Detach(..) => 26,
+        Op::Detach(..) => 25,
     })
 }
 
@@ -275,410 +263,6 @@ impl Tape {
         let grads = BackwardSchedule::new(recorded, loss.idx).run(&mut recorded);
         Gradients { grads }
     }
-}
-
-/// Input gradient of a dilated causal 1-D convolution. Only the *shape*
-/// of `x` is needed (the data gradient never reads the input values), so
-/// callers that skip the weight gradient — the backward walk's
-/// dead-gradient elimination — can drop the input tensor early.
-pub(crate) fn conv1d_backward_dx(
-    g: &Tensor,
-    x_shape: &[usize],
-    w: &Tensor,
-    dilation: usize,
-    pad_left: usize,
-) -> Tensor {
-    use crate::parallel::{parallel_for, SendPtr, PAR_MIN_FLOPS};
-
-    let (b, cin, t) = (x_shape[0], x_shape[1], x_shape[2]);
-    let (cout, _, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
-    let t_out = g.shape()[2];
-    let mut dx = Tensor::zeros(x_shape);
-    let gd = g.data();
-    let wd = w.data();
-    // Valid to-range for tap ki: j = to + ki*dilation - pad_left in [0, t).
-    let to_range = |shift: usize| -> (usize, usize) {
-        (
-            pad_left.saturating_sub(shift),
-            t_out.min((t + pad_left).saturating_sub(shift)),
-        )
-    };
-    let flops = b * cout * cin * k * t_out;
-
-    // dx via an im2col-of-g GEMM when the time rows are short (per-tap
-    // slice setup dominates the direct loop there). Bits
-    // are unchanged: each dx element is a single flat +0.0-seeded running
-    // sum over (co, ki) ascending — exactly the direct loop's order — the
-    // `cout*k <= KC` guard keeps the GEMM from splitting that sum into KC
-    // partials, and taps the direct loop clamps away become `w * 0.0`
-    // terms, which never change the bits of a +0.0-seeded sum.
-    if t < crate::gemm::NR && cout * k <= crate::gemm::KC {
-        use crate::pool;
-        // wT[ci, co*k + ki] = w[co, ci, ki]
-        let kk = cout * k;
-        let mut wt = pool::take_uninit(cin * kk);
-        for ci in 0..cin {
-            for co in 0..cout {
-                for ki in 0..k {
-                    wt[ci * kk + co * k + ki] = wd[(co * cin + ci) * k + ki];
-                }
-            }
-        }
-        // gcol[co*k + ki, bi*t + j] = g[bi, co, j + pad - ki*dilation]
-        // (the tap that touches input position j), zero where clamped.
-        let cols_n = b * t;
-        let mut gcol = pool::take_zeroed(kk * cols_n);
-        for co in 0..cout {
-            for ki in 0..k {
-                let shift = ki * dilation;
-                let (to_lo, to_hi) = to_range(shift);
-                if to_lo >= to_hi {
-                    continue;
-                }
-                let j_lo = to_lo + shift - pad_left;
-                let row = &mut gcol[(co * k + ki) * cols_n..][..cols_n];
-                for bi in 0..b {
-                    let src = &gd[(bi * cout + co) * t_out + to_lo..][..to_hi - to_lo];
-                    row[bi * t + j_lo..][..to_hi - to_lo].copy_from_slice(src);
-                }
-            }
-        }
-        let mut dx_mat = pool::take_uninit(cin * cols_n);
-        let threads = crate::parallel::num_threads();
-        if flops < PAR_MIN_FLOPS || threads == 1 {
-            crate::gemm::gemm_strided(cin, kk, cols_n, &wt, kk, 1, &gcol, cols_n, 1, &mut dx_mat);
-        } else {
-            let strip = cin.div_ceil(2 * threads).max(1);
-            let strips = cin.div_ceil(strip);
-            let mat_ptr = SendPtr(dx_mat.as_mut_ptr());
-            parallel_for(strips, 1, |r| {
-                for s in r {
-                    let r0 = s * strip;
-                    let rows = strip.min(cin - r0);
-                    // SAFETY: strip s owns dx_mat rows [r0, r0 + rows).
-                    let o = unsafe { mat_ptr.slice(r0 * cols_n, rows * cols_n) };
-                    crate::gemm::gemm_strided(
-                        rows, kk, cols_n, &wt[r0 * kk..], kk, 1, &gcol, cols_n, 1, o,
-                    );
-                }
-            });
-        }
-        // Scatter [ci, (bi, j)] back to [bi, ci, j]; every element is
-        // covered, so this fully overwrites dx.
-        let dxd = dx.data_mut();
-        for bi in 0..b {
-            for ci in 0..cin {
-                let src = &dx_mat[ci * cols_n + bi * t..][..t];
-                dxd[(bi * cin + ci) * t..][..t].copy_from_slice(src);
-            }
-        }
-        pool::recycle(dx_mat);
-        pool::recycle(gcol);
-        pool::recycle(wt);
-    } else {
-        let dx_ptr = SendPtr(dx.data_mut().as_mut_ptr());
-        let dx_item = |item: usize| {
-            let bi = item / cin;
-            let ci = item % cin;
-            // SAFETY: item owns dx slice [(bi*cin+ci)*t ..][..t].
-            let dxrow = unsafe { dx_ptr.slice((bi * cin + ci) * t, t) };
-            for co in 0..cout {
-                let g_base = (bi * cout + co) * t_out;
-                let w_base = (co * cin + ci) * k;
-                for ki in 0..k {
-                    let shift = ki * dilation;
-                    let wv = wd[w_base + ki];
-                    let (to_lo, to_hi) = to_range(shift);
-                    if to_lo >= to_hi {
-                        continue;
-                    }
-                    let src = &gd[g_base + to_lo..g_base + to_hi];
-                    let dst = &mut dxrow[to_lo + shift - pad_left..][..to_hi - to_lo];
-                    for (o, &gv) in dst.iter_mut().zip(src) {
-                        *o += wv * gv;
-                    }
-                }
-            }
-        };
-        if flops < PAR_MIN_FLOPS {
-            for item in 0..b * cin {
-                dx_item(item);
-            }
-        } else {
-            parallel_for(b * cin, 1, |r| {
-                for item in r {
-                    dx_item(item);
-                }
-            });
-        }
-    }
-    dx
-}
-
-/// Weight gradient of a dilated causal 1-D convolution. Only the *shape*
-/// of `w` is needed, so callers that skip the input gradient can drop the
-/// weight tensor early.
-pub(crate) fn conv1d_backward_dw(
-    g: &Tensor,
-    x: &Tensor,
-    w_shape: &[usize],
-    dilation: usize,
-    pad_left: usize,
-) -> Tensor {
-    use crate::parallel::{parallel_for, SendPtr, PAR_MIN_FLOPS};
-
-    let (b, cin, t) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let (cout, k) = (w_shape[0], w_shape[2]);
-    let t_out = g.shape()[2];
-    let mut dw = Tensor::zeros(w_shape);
-    let gd = g.data();
-    let xd = x.data();
-    let to_range = |shift: usize| -> (usize, usize) {
-        (
-            pad_left.saturating_sub(shift),
-            t_out.min((t + pad_left).saturating_sub(shift)),
-        )
-    };
-    let flops = b * cout * cin * k * t_out;
-
-    // dw via per-batch `g_bi @ im2col(x_bi)^T` GEMMs. Unlike dx, the
-    // direct dw loop does NOT keep one flat running sum per element — it
-    // accumulates a register dot product per (bi, ki) and adds those
-    // partials in bi order. The lowering reproduces that grouping
-    // exactly: each per-batch GEMM computes the same to-ascending dot
-    // (clamped taps appear as `g * 0.0` terms — adding a signed zero to a
-    // +0.0-seeded sum is the identity), and the partials are then summed
-    // serially in bi order, so every bit matches the direct loop.
-    if t_out < crate::gemm::NR {
-        use crate::pool;
-        let kk = cin * k;
-        let mut partials = pool::take_uninit(b * cout * kk);
-        {
-            let part_ptr = SendPtr(partials.as_mut_ptr());
-            let bi_item = |bi: usize| {
-                // colsxt[to, ci*k + ki] = x[bi, ci, to + ki*dilation - pad]
-                let mut colsxt = pool::take_zeroed(t_out * kk);
-                for ci in 0..cin {
-                    for ki in 0..k {
-                        let shift = ki * dilation;
-                        let (to_lo, to_hi) = to_range(shift);
-                        if to_lo >= to_hi {
-                            continue;
-                        }
-                        let x_base = (bi * cin + ci) * t + to_lo + shift - pad_left;
-                        for to in to_lo..to_hi {
-                            colsxt[to * kk + ci * k + ki] = xd[x_base + (to - to_lo)];
-                        }
-                    }
-                }
-                // SAFETY: item bi owns partials[bi*cout*kk ..][..cout*kk].
-                let o = unsafe { part_ptr.slice(bi * cout * kk, cout * kk) };
-                crate::gemm::gemm_strided(
-                    cout,
-                    t_out,
-                    kk,
-                    &gd[bi * cout * t_out..],
-                    t_out,
-                    1,
-                    &colsxt,
-                    kk,
-                    1,
-                    o,
-                );
-                pool::recycle(colsxt);
-            };
-            if flops < PAR_MIN_FLOPS {
-                for bi in 0..b {
-                    bi_item(bi);
-                }
-            } else {
-                parallel_for(b, 1, |r| {
-                    for bi in r {
-                        bi_item(bi);
-                    }
-                });
-            }
-        }
-        // dw's [co, ci, ki] layout is exactly the partials' [co, (ci, ki)]
-        // row-major layout, so the bi-ordered accumulate is a flat zip.
-        let dwd = dw.data_mut();
-        for bi in 0..b {
-            let part = &partials[bi * cout * kk..][..cout * kk];
-            for (slot, &p) in dwd.iter_mut().zip(part) {
-                *slot += p;
-            }
-        }
-        pool::recycle(partials);
-    } else {
-        let dw_ptr = SendPtr(dw.data_mut().as_mut_ptr());
-        let dw_item = |item: usize| {
-            let co = item / cin;
-            let ci = item % cin;
-            // SAFETY: item owns dw slice [(co*cin+ci)*k ..][..k].
-            let dwrow = unsafe { dw_ptr.slice((co * cin + ci) * k, k) };
-            for bi in 0..b {
-                let g_base = (bi * cout + co) * t_out;
-                let x_base = (bi * cin + ci) * t;
-                for (ki, slot) in dwrow.iter_mut().enumerate() {
-                    let shift = ki * dilation;
-                    let (to_lo, to_hi) = to_range(shift);
-                    if to_lo >= to_hi {
-                        continue;
-                    }
-                    let gs = &gd[g_base + to_lo..g_base + to_hi];
-                    let xs = &xd[x_base + to_lo + shift - pad_left..][..to_hi - to_lo];
-                    let mut acc = 0.0f32;
-                    for (&gv, &xv) in gs.iter().zip(xs) {
-                        acc += gv * xv;
-                    }
-                    *slot += acc;
-                }
-            }
-        };
-        if flops < PAR_MIN_FLOPS {
-            for item in 0..cout * cin {
-                dw_item(item);
-            }
-        } else {
-            parallel_for(cout * cin, 1, |r| {
-                for item in r {
-                    dw_item(item);
-                }
-            });
-        }
-    }
-    dw
-}
-
-/// Builds the transposed per-batch im2col panel used by the dw GEMM
-/// lowering: `cols[bi*t_out*kk + to*kk + ci*k + ki] =
-/// x[bi, ci, to + ki*dilation - pad_left]` (zero where the tap is
-/// clamped), with `kk = cin*k`. Like the forward panel, it depends only
-/// on the input values and the conv geometry — not on `g` — so sibling
-/// convolutions sharing an input (a gated TCN's filter/gate pair) can
-/// build it once and reuse it for both weight gradients.
-pub(crate) fn conv1d_dw_cols(
-    x: &Tensor,
-    k: usize,
-    dilation: usize,
-    pad_left: usize,
-    t_out: usize,
-) -> crate::pool::Buffer {
-    use crate::parallel::{parallel_for, SendPtr, PAR_MIN_ELEMS};
-    use crate::pool;
-
-    let (b, cin, t) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let kk = cin * k;
-    let xd = x.data();
-    // With no left padding every panel slot is written below (to_lo is 0
-    // and to_hi is t_out for every tap), so the zero-fill is pure waste;
-    // padded convs keep it for the clamped slots.
-    let mut cols = if pad_left == 0 {
-        pool::take_uninit(b * t_out * kk)
-    } else {
-        pool::take_zeroed(b * t_out * kk)
-    };
-    let cols_ptr = SendPtr(cols.as_mut_ptr());
-    let bi_item = |bi: usize| {
-        // SAFETY: item bi owns cols[bi*t_out*kk ..][..t_out*kk].
-        let panel = unsafe { cols_ptr.slice(bi * t_out * kk, t_out * kk) };
-        for ci in 0..cin {
-            for ki in 0..k {
-                let shift = ki * dilation;
-                let to_lo = pad_left.saturating_sub(shift);
-                let to_hi = t_out.min((t + pad_left).saturating_sub(shift));
-                if to_lo >= to_hi {
-                    continue;
-                }
-                let x_base = (bi * cin + ci) * t + to_lo + shift - pad_left;
-                for to in to_lo..to_hi {
-                    panel[to * kk + ci * k + ki] = xd[x_base + (to - to_lo)];
-                }
-            }
-        }
-    };
-    // Serial when small — or when requested threads exceed the physical
-    // cores, where dispatch is pure overhead (bitwise identical either
-    // way: items only partition the panel).
-    let par_ok = crate::parallel::num_threads() > 1 && crate::parallel::host_parallelism() > 1;
-    if b * t_out * kk < PAR_MIN_ELEMS || !par_ok {
-        for bi in 0..b {
-            bi_item(bi);
-        }
-    } else {
-        parallel_for(b, 1, |r| {
-            for bi in r {
-                bi_item(bi);
-            }
-        });
-    }
-    cols
-}
-
-/// Weight gradient of a dilated causal 1-D convolution from a prebuilt
-/// [`conv1d_dw_cols`] panel. Bitwise identical to the GEMM branch of
-/// [`conv1d_backward_dw`] (same per-batch GEMMs over the same panel
-/// values, same bi-ordered serial accumulate); callers must check the
-/// same `t_out < NR` guard that selects that branch before using this
-/// path.
-pub(crate) fn conv1d_backward_dw_with_cols(
-    g: &Tensor,
-    x_shape: &[usize],
-    w_shape: &[usize],
-    cols: &[f32],
-) -> Tensor {
-    use crate::parallel::{parallel_for, SendPtr, PAR_MIN_FLOPS};
-    use crate::pool;
-
-    let (b, cin) = (x_shape[0], x_shape[1]);
-    let (cout, k) = (w_shape[0], w_shape[2]);
-    let t_out = g.shape()[2];
-    let kk = cin * k;
-    let mut dw = Tensor::zeros(w_shape);
-    let gd = g.data();
-    let flops = b * cout * cin * k * t_out;
-    let mut partials = pool::take_uninit(b * cout * kk);
-    {
-        let part_ptr = SendPtr(partials.as_mut_ptr());
-        let bi_item = |bi: usize| {
-            let colsxt = &cols[bi * t_out * kk..][..t_out * kk];
-            // SAFETY: item bi owns partials[bi*cout*kk ..][..cout*kk].
-            let o = unsafe { part_ptr.slice(bi * cout * kk, cout * kk) };
-            crate::gemm::gemm_strided(
-                cout,
-                t_out,
-                kk,
-                &gd[bi * cout * t_out..],
-                t_out,
-                1,
-                colsxt,
-                kk,
-                1,
-                o,
-            );
-        };
-        if flops < PAR_MIN_FLOPS {
-            for bi in 0..b {
-                bi_item(bi);
-            }
-        } else {
-            parallel_for(b, 1, |r| {
-                for bi in r {
-                    bi_item(bi);
-                }
-            });
-        }
-    }
-    // Same bi-ordered flat-zip accumulate as `conv1d_backward_dw`.
-    let dwd = dw.data_mut();
-    for bi in 0..b {
-        let part = &partials[bi * cout * kk..][..cout * kk];
-        for (slot, &p) in dwd.iter_mut().zip(part) {
-            *slot += p;
-        }
-    }
-    pool::recycle(partials);
-    dw
 }
 
 /// Per-node gradients produced by [`Tape::backward`].
@@ -928,20 +512,6 @@ impl<'t> Var<'t> {
                 axis,
                 start,
                 len,
-            },
-        )
-    }
-
-    /// Dilated causal 1-D convolution; see [`Tensor::conv1d`].
-    pub fn conv1d(self, weight: Var<'t>, dilation: usize, pad_left: usize) -> Var<'t> {
-        self.binary(
-            weight,
-            |x, w| x.conv1d(w, dilation, pad_left),
-            Op::Conv1d {
-                input: self.idx,
-                weight: weight.idx,
-                dilation,
-                pad_left,
             },
         )
     }
@@ -1200,20 +770,6 @@ mod tests {
         let loss = x.narrow(0, 1, 2).sum_all();
         let g = tape.backward(loss);
         assert_eq!(g.get(x).unwrap().data(), &[0.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn conv1d_backward_matches_manual() {
-        // y = conv(x, w) with K=2, no pad: y[t] = w0 x[t] + w1 x[t+1]
-        let tape = Tape::new();
-        let x = tape.leaf(t(vec![1.0, 2.0, 3.0], &[1, 1, 3]));
-        let w = tape.leaf(t(vec![10.0, 20.0], &[1, 1, 2]));
-        let y = x.conv1d(w, 1, 0); // length 2
-        let g = tape.backward(y.sum_all());
-        // dL/dw0 = x0+x1 = 3; dL/dw1 = x1+x2 = 5
-        assert_eq!(g.get(w).unwrap().data(), &[3.0, 5.0]);
-        // dL/dx = [w0, w0+w1, w1]
-        assert_eq!(g.get(x).unwrap().data(), &[10.0, 30.0, 20.0]);
     }
 
     #[test]

@@ -15,19 +15,13 @@
 //! * **A precomputed walk order** — the reached, useful non-source nodes
 //!   in descending index order; every other node is skipped without a
 //!   gradient-slot check.
-//! * **Conv panel sharing** — sibling convolutions reading the same input
-//!   with the same geometry (a gated TCN's filter/gate pair) build the dw
-//!   im2col panel once.
 //!
 //! Each slot accumulates its contributions in descending consumer order,
 //! and a consumer of a useful node is itself useful, so a trainable leaf
 //! receives exactly the sum, in exactly the order, a full reverse sweep
 //! over every recorded node would produce.
 
-use crate::autodiff::{
-    conv1d_backward_dw, conv1d_backward_dw_with_cols, conv1d_backward_dx, conv1d_dw_cols,
-    kind_index, Node, Op,
-};
+use crate::autodiff::{kind_index, Node, Op};
 use crate::parallel::{par_fill, PAR_MIN_ELEMS};
 use crate::pool;
 use crate::shape::numel;
@@ -75,9 +69,6 @@ pub(crate) struct BackwardSchedule {
     pub(crate) reached: Vec<bool>,
     /// Reached, useful non-source nodes in descending order.
     order: Vec<usize>,
-    /// Panel-share group of each conv whose weight gradient the walk
-    /// computes (see [`conv_share_groups`]).
-    conv_group: Vec<Option<u32>>,
     /// Backward edges skipped because their input is not useful.
     pub(crate) dead_edges: u64,
 }
@@ -129,16 +120,11 @@ impl BackwardSchedule {
             op_inputs(&nodes[i].op, &mut scratch);
             dead_edges += scratch.iter().filter(|&&a| !useful[a]).count() as u64;
         }
-        let conv_group = conv_share_groups(
-            &nodes[..n],
-            |i| matches!(nodes[i].op, Op::Conv1d { weight, .. } if reached[i] && useful[weight]),
-        );
         BackwardSchedule {
             root,
             useful,
             reached,
             order,
-            conv_group,
             dead_edges,
         }
     }
@@ -153,9 +139,6 @@ impl BackwardSchedule {
         grads[self.root] = Some(Tensor::ones(fwd.shape(self.root)));
         let prof = crate::opprof::op_profile_enabled();
         let uf = |a: usize| self.useful[a];
-        // Shared dw im2col panels, keyed by conv group id; built by the
-        // first group member processed, recycled once the walk finishes.
-        let mut dw_panels: Vec<(u32, pool::Buffer)> = Vec::new();
         for &i in &self.order {
             let t0 = prof.then(std::time::Instant::now);
             let g = grads[i]
@@ -420,47 +403,6 @@ impl BackwardSchedule {
                     let dg = narrow_scatter(&g, fwd.shape(*input), *axis, *start, *len);
                     accumulate(&mut grads, *input, dg);
                 }
-                Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } => {
-                    let (input, weight) = (*input, *weight);
-                    if uf(input) {
-                        let dx = conv1d_backward_dx(
-                            &g,
-                            fwd.shape(input),
-                            fwd.value(weight),
-                            *dilation,
-                            *pad_left,
-                        );
-                        accumulate(&mut grads, input, dx);
-                    }
-                    if uf(weight) {
-                        let x = fwd.value(input);
-                        let t_out = fwd.shape(i)[2];
-                        // Panel sharing applies exactly when the dw GEMM
-                        // lowering would run (`conv1d_backward_dw`'s own
-                        // guard); the shared panel holds the same values
-                        // each member would build privately, so bits match.
-                        let dw = match self.conv_group[i] {
-                            Some(gid) if t_out < crate::gemm::NR => {
-                                let k = fwd.shape(weight)[2];
-                                if !dw_panels.iter().any(|(g2, _)| *g2 == gid) {
-                                    dw_panels.push((
-                                        gid,
-                                        conv1d_dw_cols(x, k, *dilation, *pad_left, t_out),
-                                    ));
-                                }
-                                let cols = &dw_panels.iter().find(|(g2, _)| *g2 == gid).unwrap().1;
-                                conv1d_backward_dw_with_cols(&g, x.shape(), fwd.shape(weight), cols)
-                            }
-                            _ => conv1d_backward_dw(&g, x, fwd.shape(weight), *dilation, *pad_left),
-                        };
-                        accumulate(&mut grads, weight, dw);
-                    }
-                }
                 Op::Detach(_) => unreachable!("detach is never reached"),
             }
             if let Some(t0) = t0 {
@@ -473,46 +415,8 @@ impl BackwardSchedule {
             // it is dead from here on.
             fwd.release(i);
         }
-        for (_, p) in dw_panels {
-            pool::recycle(p);
-        }
         grads
     }
-}
-
-/// Groups the `Conv1d` nodes for which `live` holds by (input, kernel
-/// width, dilation, pad): the im2col panels both the forward GEMM lowering
-/// and the dw lowering build depend only on the input values and that
-/// geometry, never on the weights or the upstream gradient, so group
-/// members can build each panel once. Returns each node's group id;
-/// singletons get none.
-pub(crate) fn conv_share_groups(nodes: &[Node], live: impl Fn(usize) -> bool) -> Vec<Option<u32>> {
-    let mut groups: Vec<((usize, usize, usize, usize), Vec<usize>)> = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if let Op::Conv1d {
-            input,
-            weight,
-            dilation,
-            pad_left,
-        } = node.op
-        {
-            if !live(i) {
-                continue;
-            }
-            let key = (input, nodes[weight].value.shape()[2], dilation, pad_left);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-    }
-    let mut conv_group = vec![None; nodes.len()];
-    for (gid, (_, members)) in groups.into_iter().filter(|(_, m)| m.len() >= 2).enumerate() {
-        for m in members {
-            conv_group[m] = Some(gid as u32);
-        }
-    }
-    conv_group
 }
 
 /// Appends the tape indices `op` reads to `out`.
@@ -542,10 +446,6 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<usize>) {
         | Op::Softmax(a, _)
         | Op::Detach(a) => out.push(*a),
         Op::SumAxes { input, .. } | Op::Narrow { input, .. } => out.push(*input),
-        Op::Conv1d { input, weight, .. } => {
-            out.push(*input);
-            out.push(*weight);
-        }
         Op::Concat { inputs, .. } => out.extend_from_slice(inputs),
     }
 }

@@ -514,8 +514,8 @@ mod tests {
     fn zero_dims_yield_zero_output() {
         let mut out = vec![7.0f32; 0];
         gemm_strided(0, 4, 0, &[], 4, 1, &[], 0, 1, &mut out);
-        let a = fill(3 * 0, 9);
-        let b = fill(0 * 2, 9);
+        let a = fill(0, 9);
+        let b = fill(0, 9);
         let mut out = vec![7.0f32; 6];
         gemm_strided(3, 0, 2, &a, 0, 1, &b, 2, 1, &mut out);
         assert_eq!(out, vec![0.0; 6]);

@@ -182,26 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn check_conv1d() {
-        let x = rand_t(&[2, 2, 6], 10);
-        check_scalar(&x, EPS, |t, v| {
-            let w = t.constant(rand_t(&[3, 2, 2], 11));
-            v.conv1d(w, 2, 0).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_conv1d_weight_grad() {
-        let w0 = rand_t(&[2, 2, 2], 12);
-        check_scalar(&w0, EPS, |t, v| {
-            let x = t.constant(rand_t(&[1, 2, 5], 13));
-            x.conv1d(v, 1, 1).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
     fn check_permute_reshape_narrow() {
         let x = rand_t(&[2, 3, 4], 14);
         check_scalar(&x, EPS, |_t, v| {

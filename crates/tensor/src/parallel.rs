@@ -353,7 +353,7 @@ where
 /// Elementwise work below this many elements is not worth dispatching.
 pub const PAR_MIN_ELEMS: usize = 16 * 1024;
 
-/// Matmul/conv work below this many scalar multiply-adds runs serially.
+/// Matmul work below this many scalar multiply-adds runs serially.
 pub const PAR_MIN_FLOPS: usize = 64 * 1024;
 
 #[cfg(test)]

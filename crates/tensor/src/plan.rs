@@ -45,7 +45,7 @@
 //! this.
 
 use crate::autodiff::{Gradients, Op, Tape};
-use crate::backward::{conv_share_groups, op_inputs, BackwardSchedule, ForwardValues};
+use crate::backward::{op_inputs, BackwardSchedule, ForwardValues};
 use crate::parallel::{par_fill, PAR_MIN_ELEMS};
 use crate::params::{ParamId, ParamStore};
 use crate::pool;
@@ -305,12 +305,6 @@ enum NodeExec {
     MoveReshape(usize),
     /// `detach` stealing its dying input's buffer (zero-copy).
     MoveDetach(usize),
-    /// Channel-bias add fused into a share-group conv's GEMM scatter: the
-    /// conv at `conv` never materializes its own buffer; this node writes
-    /// `conv_sum + bias[c]` directly, which is bitwise exactly what the
-    /// separate `[1, C, 1]` broadcast add would produce (same per-element
-    /// pairing, no reassociation).
-    ConvBias { conv: usize, bias: usize },
     /// Everything else: evaluate through the same `Tensor` methods the
     /// recording closures used.
     General,
@@ -348,13 +342,6 @@ pub struct ExecPlan {
     /// (`drop_after[i]`): each listed node's last consumer is `i` and its
     /// value is not needed by the backward pass.
     drop_after: Vec<Vec<usize>>,
-    /// Forward panel-sharing group of each live `Conv1d` node (see
-    /// [`conv_share_groups`]): group members build each im2col panel once
-    /// per replay and reuse it.
-    conv_group: Vec<Option<u32>>,
-    /// Group whose shared forward panel dies after node `i` runs
-    /// (`i` is the group's last forward member).
-    conv_release: Vec<Option<u32>>,
     /// Per-replay telemetry increments, counted once at compile time.
     fused_stages: u64,
     dead_edges: u64,
@@ -507,7 +494,6 @@ impl ExecPlan {
                 needed_fwd[a] = true;
             }
         }
-        let conv_group = conv_share_groups(&nodes[..n], |i| needed_fwd[i]);
         drop(nodes);
 
         // A captured constant is recorded once and reused at every batch
@@ -584,14 +570,6 @@ impl ExecPlan {
                     }
                     if useful[*b] {
                         keep_value[*a] = true;
-                    }
-                }
-                Op::Conv1d { input, weight, .. } => {
-                    if useful[*input] {
-                        keep_value[*weight] = true;
-                    }
-                    if useful[*weight] {
-                        keep_value[*input] = true;
                     }
                 }
                 _ => {}
@@ -719,47 +697,6 @@ impl ExecPlan {
             }
         }
 
-        // --- Conv panel sharing: a group's shared forward panel dies
-        // after its last member runs.
-        let mut conv_release: Vec<Option<u32>> = vec![None; n];
-        let mut released = Vec::new();
-        for i in (0..n).rev() {
-            if let Some(g) = conv_group[i].filter(|g| !released.contains(g)) {
-                released.push(g);
-                conv_release[i] = Some(g);
-            }
-        }
-
-        // --- Conv + bias fusion: a share-group conv whose only consumer
-        // is a channel-bias add (`[1, C, 1]` against its `[B, C, T]`
-        // output) never needs its own buffer — the GEMM scatter writes
-        // `sum + bias[c]` directly. A group's panel-release marker moves
-        // with the conv to the fused node so the panel still dies on time.
-        for i in 0..n {
-            let Op::Add(a, b) = &ops[i] else { continue };
-            let (a, b) = (*a, *b);
-            if !matches!(exec[i], NodeExec::General)
-                || conv_group[a].is_none()
-                || refs[a] != 1
-                || keep_value[a]
-                || !matches!(exec[a], NodeExec::General)
-                || shapes[a] != shapes[i]
-                || shapes[i].len() != 3
-                || shapes[b][..] != [1, shapes[i][1], 1]
-                // The channel-bias pattern must hold at every batch size.
-                || poly_shapes
-                    .is_some_and(|s1| s1[a] != s1[i] || s1[b][..] != [1, s1[i][1], 1])
-            {
-                continue;
-            }
-            exec[a] = NodeExec::Skip;
-            exec[i] = NodeExec::ConvBias { conv: a, bias: b };
-            fused_stages += 1;
-            if let Some(g) = conv_release[a].take() {
-                conv_release[i] = Some(g);
-            }
-        }
-
         // --- Forward drop schedule: a computed value whose last consumer
         // is node i and which the backward pass never reads is dropped
         // right after i executes. Fused-away intermediates never
@@ -828,8 +765,6 @@ impl ExecPlan {
             backward,
             exec,
             drop_after,
-            conv_group,
-            conv_release,
             fused_stages,
             static_moves,
             static_drops,
@@ -1066,9 +1001,6 @@ impl ExecPlan {
         shapes: &[Vec<usize>],
     ) {
         let prof = crate::opprof::op_profile_enabled();
-        // Shared im2col panels, keyed by conv group id; built on first
-        // member, recycled after the group's last forward member.
-        let mut panels: Vec<(u32, pool::Buffer)> = Vec::new();
         for i in 0..self.ops.len() {
             let t0 = if prof && !matches!(self.exec[i], NodeExec::Skip) {
                 Some(std::time::Instant::now())
@@ -1108,26 +1040,8 @@ impl ExecPlan {
                         .unwrap_or_else(|| panic!("plan lifetime bug: move of dropped node {a}"));
                     values[i] = Some(t);
                 }
-                NodeExec::ConvBias { conv, bias } => {
-                    let out = self.conv_forward_shared(
-                        values,
-                        store,
-                        inputs,
-                        shapes,
-                        *conv,
-                        Some(*bias),
-                        &mut panels,
-                    );
-                    values[i] = Some(out);
-                }
                 NodeExec::General => {
-                    let out = match self.conv_group[i] {
-                        Some(_) => self.conv_forward_shared(
-                            values, store, inputs, shapes, i, None, &mut panels,
-                        ),
-                        None => self.eval_general(values, store, inputs, shapes, i),
-                    };
-                    values[i] = Some(out);
+                    values[i] = Some(self.eval_general(values, store, inputs, shapes, i));
                 }
             }
             if let Some(t0) = t0 {
@@ -1137,66 +1051,6 @@ impl ExecPlan {
             }
             for &d in &self.drop_after[i] {
                 values[d] = None;
-            }
-            if let Some(gid) = self.conv_release[i] {
-                if let Some(p) = panels.iter().position(|(g2, _)| *g2 == gid) {
-                    pool::recycle(panels.swap_remove(p).1);
-                }
-            }
-        }
-    }
-
-    /// Forward conv1d for a member of a panel-sharing group: when the
-    /// im2col lowering applies (same guard as [`Tensor::conv1d`]), get or
-    /// build the group's shared column panel and run only the GEMM +
-    /// scatter half — fusing a trailing channel-bias add into the scatter
-    /// when `bias` is set; otherwise fall back to the plain kernels.
-    /// Bitwise identical either way — the shared panel holds exactly the
-    /// values each member would have built privately, and the fused bias
-    /// performs the same per-element `sum + bias[c]` the broadcast add
-    /// would.
-    fn conv_forward_shared(
-        &self,
-        values: &[Option<Tensor>],
-        store: &ParamStore,
-        inputs: &[&Tensor],
-        shapes: &[Vec<usize>],
-        conv: usize,
-        bias: Option<usize>,
-        panels: &mut Vec<(u32, pool::Buffer)>,
-    ) -> Tensor {
-        let Op::Conv1d {
-            input,
-            weight,
-            dilation,
-            pad_left,
-        } = &self.ops[conv]
-        else {
-            unreachable!("conv group on a non-conv node")
-        };
-        let gid = self.conv_group[conv].expect("shared conv without a group");
-        let x = self.value(values, store, inputs, *input);
-        let w = self.value(values, store, inputs, *weight);
-        let (b, cin) = (x.shape()[0], x.shape()[1]);
-        let k = w.shape()[2];
-        let t_out = shapes[conv][2];
-        let n_out = numel(&shapes[conv]);
-        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC && n_out > 0 && cin > 0 {
-            if !panels.iter().any(|(g2, _)| *g2 == gid) {
-                panels.push((gid, x.conv1d_cols(k, *dilation, *pad_left, t_out)));
-            }
-            let cols = &panels.iter().find(|(g2, _)| *g2 == gid).unwrap().1;
-            let bias_data = bias.map(|bn| self.value(values, store, inputs, bn).data());
-            // The scatter writes every slot, so no zero-fill is needed.
-            let mut out = pool::take_uninit(n_out);
-            Tensor::conv1d_apply_cols(w, cols, b, t_out, bias_data, &mut out);
-            Tensor::from_vec(out, &shapes[conv])
-        } else {
-            let y = x.conv1d(w, *dilation, *pad_left);
-            match bias {
-                None => y,
-                // Same broadcast add a recording would run.
-                Some(bn) => y.add(self.value(values, store, inputs, bn)),
             }
         }
     }
@@ -1260,12 +1114,6 @@ impl ExecPlan {
                 start,
                 len,
             } => v(*input).narrow(*axis, *start, *len),
-            Op::Conv1d {
-                input,
-                weight,
-                dilation,
-                pad_left,
-            } => v(*input).conv1d(v(*weight), *dilation, *pad_left),
             Op::Detach(a) => v(*a).clone(),
         }
     }

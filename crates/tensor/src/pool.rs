@@ -295,7 +295,7 @@ pub fn pool_poison_enabled() -> bool {
 /// keeps reading a buffer after its owner released it then observe NaN
 /// instead of stale-but-plausible floats, so alias/lifetime bugs in
 /// buffer-reuse schedules (notably the plan compiler's precomputed drop
-/// points and shared im2col panels) surface as NaN in outputs rather
+/// points) surface as NaN in outputs rather
 /// than silently correct-looking numbers. Intended for property tests;
 /// leave off in normal runs — the extra fills cost bandwidth.
 pub fn set_pool_poison(on: bool) -> bool {

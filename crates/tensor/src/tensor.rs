@@ -721,276 +721,6 @@ impl Tensor {
         self.index_select(axis, &rev)
     }
 
-    // ---------------------------------------------------------------- conv
-
-    /// Dilated 1-D convolution (cross-correlation) along the last axis.
-    ///
-    /// * `input`: `[B, C_in, T]`
-    /// * `weight`: `[C_out, C_in, K]`
-    /// * `dilation`: spacing between taps
-    /// * `pad_left`: zeros virtually prepended to the time axis. With
-    ///   `pad_left = (K-1) * dilation` the output keeps length `T` and is
-    ///   causal; with `pad_left = 0` the output shrinks to
-    ///   `T - (K-1) * dilation` (GraphWaveNet style).
-    pub fn conv1d(&self, weight: &Tensor, dilation: usize, pad_left: usize) -> Self {
-        assert_eq!(self.ndim(), 3, "conv1d input must be [B, C_in, T]");
-        assert_eq!(weight.ndim(), 3, "conv1d weight must be [C_out, C_in, K]");
-        let (b, cin, t) = (self.shape[0], self.shape[1], self.shape[2]);
-        let (cout, wcin, k) = (weight.shape[0], weight.shape[1], weight.shape[2]);
-        assert_eq!(cin, wcin, "conv1d channel mismatch");
-        let span = (k - 1) * dilation;
-        assert!(
-            t + pad_left > span,
-            "conv1d receptive field {span} exceeds padded length {}",
-            t + pad_left
-        );
-        let t_out = t + pad_left - span;
-        let mut out = pool::take_zeroed(b * cout * t_out);
-        if out.is_empty() || cin == 0 {
-            return Tensor {
-                data: out,
-                shape: vec![b, cout, t_out],
-            };
-        }
-
-        // Short-row convolutions (dilated stacks shrink t_out to a
-        // handful of steps) spend more time on per-tap slice setup than
-        // on arithmetic. Lower them to one GEMM over a pooled im2col panel
-        // instead; see `conv1d_im2col` for why the result is bitwise
-        // identical to the direct kernel below.
-        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC {
-            self.conv1d_im2col(weight, dilation, pad_left, t_out, &mut out);
-            return Tensor {
-                data: out,
-                shape: vec![b, cout, t_out],
-            };
-        }
-
-        // One work item per (batch, out-channel) pair — each owns a
-        // disjoint `t_out` slice of the output, and the (ci, ki)
-        // accumulation order inside an item is fixed, so results are
-        // bitwise identical at any thread count. Inner loops are
-        // branch-free: padding is handled by clamping the `to` range up
-        // front instead of testing bounds per tap.
-        let items = b * cout;
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let run_item = |item: usize| {
-            let bi = item / cout;
-            let co = item % cout;
-            // SAFETY: item owns output slice [(bi*cout+co)*t_out ..][..t_out].
-            let orow = unsafe { out_ptr.slice(item * t_out, t_out) };
-            for ci in 0..cin {
-                let xrow = &self.data[(bi * cin + ci) * t..][..t];
-                let wrow = &weight.data[(co * cin + ci) * k..][..k];
-                for (ki, &w) in wrow.iter().enumerate() {
-                    // input index j = to + ki*dilation - pad_left must lie
-                    // in [0, t): clamp the to-range once.
-                    let shift = ki * dilation;
-                    let to_lo = pad_left.saturating_sub(shift);
-                    let to_hi = t_out.min((t + pad_left).saturating_sub(shift));
-                    if to_lo >= to_hi {
-                        continue;
-                    }
-                    let src = &xrow[to_lo + shift - pad_left..][..to_hi - to_lo];
-                    let dst = &mut orow[to_lo..to_hi];
-                    for (o, &x) in dst.iter_mut().zip(src) {
-                        *o += w * x;
-                    }
-                }
-            }
-        };
-        let flops = b * cout * cin * k * t_out;
-        if flops < PAR_MIN_FLOPS {
-            for item in 0..items {
-                run_item(item);
-            }
-        } else {
-            parallel_for(items, 1, |r| {
-                for item in r {
-                    run_item(item);
-                }
-            });
-        }
-        Tensor {
-            data: out,
-            shape: vec![b, cout, t_out],
-        }
-    }
-
-    /// Im2col lowering of [`Self::conv1d`]: builds a pooled
-    /// `[cin*k, b*t_out]` column panel (taps ordered `(ci, ki)`, padding
-    /// slots zero) and computes `weight[cout, cin*k] @ panel` as one GEMM,
-    /// scattering `[co, (bi, to)]` rows back to `[bi, co, to]` layout.
-    ///
-    /// Bitwise equivalence with the direct kernel: both accumulate each
-    /// output element over `(ci, ki)` ascending in a single flat
-    /// `+0.0`-seeded running sum (the caller guarantees `cin*k <= KC`, so
-    /// the GEMM never splits the reduction into KC partials), and the
-    /// taps the direct kernel clamps away appear here as `w * 0.0` terms —
-    /// adding a signed zero to a `+0.0`-seeded sum never changes its bits.
-    fn conv1d_im2col(
-        &self,
-        weight: &Tensor,
-        dilation: usize,
-        pad_left: usize,
-        t_out: usize,
-        out: &mut [f32],
-    ) {
-        let k = weight.shape[2];
-        let cols = self.conv1d_cols(k, dilation, pad_left, t_out);
-        Tensor::conv1d_apply_cols(weight, &cols, self.shape[0], t_out, None, out);
-        pool::recycle(cols);
-    }
-
-    /// Builds the pooled `[cin*k, b*t_out]` im2col column panel for the
-    /// GEMM lowering (taps ordered `(ci, ki)`, padding slots zero). The
-    /// panel depends only on the input data and the conv geometry — not
-    /// the weights — so sibling convolutions sharing an input (a gated
-    /// TCN's filter/gate pair) can build it once; the compiled-plan
-    /// executor exploits exactly that.
-    pub(crate) fn conv1d_cols(
-        &self,
-        k: usize,
-        dilation: usize,
-        pad_left: usize,
-        t_out: usize,
-    ) -> pool::Buffer {
-        let (b, cin, t) = (self.shape[0], self.shape[1], self.shape[2]);
-        let kk = cin * k;
-        let cols_n = b * t_out;
-        let mut cols = pool::take_zeroed(kk * cols_n);
-        for ci in 0..cin {
-            for ki in 0..k {
-                let shift = ki * dilation;
-                let to_lo = pad_left.saturating_sub(shift);
-                let to_hi = t_out.min((t + pad_left).saturating_sub(shift));
-                if to_lo >= to_hi {
-                    continue;
-                }
-                let x_lo = to_lo + shift - pad_left;
-                let row = &mut cols[(ci * k + ki) * cols_n..][..cols_n];
-                for bi in 0..b {
-                    let src = &self.data[(bi * cin + ci) * t + x_lo..][..to_hi - to_lo];
-                    row[bi * t_out + to_lo..bi * t_out + to_hi].copy_from_slice(src);
-                }
-            }
-        }
-        cols
-    }
-
-    /// The GEMM + scatter half of the im2col lowering: computes
-    /// `weight[cout, cin*k] @ cols` and scatters the `[co, (bi, to)]`
-    /// result rows back into `out`'s `[bi, co, to]` layout — adding
-    /// `bias[co]` per channel during the scatter when `bias` is set
-    /// (bitwise identical to a separate `[1, C, 1]` broadcast add).
-    /// Bitwise identical to [`Self::conv1d`]'s direct kernel under the
-    /// caller's `cin*k <= KC` guard (see [`Self::conv1d_im2col`]).
-    /// Writes every slot of `out`, so callers may pass uninitialised
-    /// buffers.
-    pub(crate) fn conv1d_apply_cols(
-        weight: &Tensor,
-        cols: &[f32],
-        b: usize,
-        t_out: usize,
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-    ) {
-        let (cout, cin, k) = (weight.shape[0], weight.shape[1], weight.shape[2]);
-        let kk = cin * k;
-        let cols_n = b * t_out;
-        let mut tmp = pool::take_uninit(cout * cols_n);
-        let wd = weight.data();
-        let flops = cout * kk * cols_n;
-        let threads = crate::parallel::num_threads();
-        if flops < PAR_MIN_FLOPS || threads == 1 {
-            gemm_strided(cout, kk, cols_n, wd, kk, 1, &cols, cols_n, 1, &mut tmp);
-        } else {
-            // Row strips of the single GEMM: disjoint output rows, and
-            // strip height never affects per-element accumulation order.
-            let strip = cout.div_ceil(2 * threads).max(1);
-            let strips = cout.div_ceil(strip);
-            let tmp_ptr = SendPtr(tmp.as_mut_ptr());
-            parallel_for(strips, 1, |r| {
-                for s in r {
-                    let r0 = s * strip;
-                    let rows = strip.min(cout - r0);
-                    // SAFETY: strip s owns tmp rows [r0, r0 + rows).
-                    let o = unsafe { tmp_ptr.slice(r0 * cols_n, rows * cols_n) };
-                    gemm_strided(rows, kk, cols_n, &wd[r0 * kk..], kk, 1, &cols, cols_n, 1, o);
-                }
-            });
-        }
-        match bias {
-            None => {
-                for bi in 0..b {
-                    for co in 0..cout {
-                        let src = &tmp[co * cols_n + bi * t_out..][..t_out];
-                        out[(bi * cout + co) * t_out..][..t_out].copy_from_slice(src);
-                    }
-                }
-            }
-            Some(bd) => {
-                for bi in 0..b {
-                    for co in 0..cout {
-                        let src = &tmp[co * cols_n + bi * t_out..][..t_out];
-                        let dst = &mut out[(bi * cout + co) * t_out..][..t_out];
-                        let bv = bd[co];
-                        for (o, &s) in dst.iter_mut().zip(src) {
-                            *o = s + bv;
-                        }
-                    }
-                }
-            }
-        }
-        pool::recycle(tmp);
-    }
-
-    /// Naive serial conv1d kept as the correctness reference for the
-    /// parallel kernel (branch-free on values: no zero-weight shortcut).
-    pub fn conv1d_reference(&self, weight: &Tensor, dilation: usize, pad_left: usize) -> Self {
-        assert_eq!(self.ndim(), 3, "conv1d input must be [B, C_in, T]");
-        assert_eq!(weight.ndim(), 3, "conv1d weight must be [C_out, C_in, K]");
-        let (b, cin, t) = (self.shape[0], self.shape[1], self.shape[2]);
-        let (cout, wcin, k) = (weight.shape[0], weight.shape[1], weight.shape[2]);
-        assert_eq!(cin, wcin, "conv1d channel mismatch");
-        let span = (k - 1) * dilation;
-        assert!(
-            t + pad_left > span,
-            "conv1d receptive field {span} exceeds padded length {}",
-            t + pad_left
-        );
-        let t_out = t + pad_left - span;
-        let mut out = pool::take_zeroed(b * cout * t_out);
-        for bi in 0..b {
-            for co in 0..cout {
-                let o_base = (bi * cout + co) * t_out;
-                for ci in 0..cin {
-                    let x_base = (bi * cin + ci) * t;
-                    let w_base = (co * cin + ci) * k;
-                    for ki in 0..k {
-                        let w = weight.data[w_base + ki];
-                        // input index = t_out_index + ki*dilation - pad_left
-                        let shift = ki * dilation;
-                        for to in 0..t_out {
-                            let j = to + shift;
-                            if j < pad_left {
-                                continue;
-                            }
-                            let j = j - pad_left;
-                            if j < t {
-                                out[o_base + to] += w * self.data[x_base + j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor {
-            data: out,
-            shape: vec![b, cout, t_out],
-        }
-    }
-
     // ------------------------------------------------------------- softmax
 
     /// Softmax along `axis`, numerically stabilised by subtracting the
@@ -1443,45 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn conv1d_causal_identity() {
-        // K=1 kernel with weight 1 is identity.
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 4]);
-        let w = Tensor::from_vec(vec![1.0], &[1, 1, 1]);
-        let y = x.conv1d(&w, 1, 0);
-        assert_eq!(y.data(), x.data());
-    }
-
-    #[test]
-    fn conv1d_shrinks_without_padding() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 4]);
-        let w = Tensor::from_vec(vec![1.0, 1.0], &[1, 1, 2]);
-        // out[t] = x[t] + x[t+1], length 3
-        let y = x.conv1d(&w, 1, 0);
-        assert_eq!(y.shape(), &[1, 1, 3]);
-        assert_eq!(y.data(), &[3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn conv1d_causal_padding_keeps_length() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 4]);
-        let w = Tensor::from_vec(vec![1.0, 1.0], &[1, 1, 2]);
-        let y = x.conv1d(&w, 1, 1);
-        assert_eq!(y.shape(), &[1, 1, 4]);
-        // left-padded with one zero: out[0]=0+1, out[1]=1+2, ...
-        assert_eq!(y.data(), &[1.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn conv1d_dilated() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[1, 1, 5]);
-        let w = Tensor::from_vec(vec![1.0, 1.0], &[1, 1, 2]);
-        // dilation 2: out[t] = x[t] + x[t+2], length 3
-        let y = x.conv1d(&w, 2, 0);
-        assert_eq!(y.shape(), &[1, 1, 3]);
-        assert_eq!(y.data(), &[4.0, 6.0, 8.0]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 1.0, 1.0, 1.0], &[2, 3]);
         let s = t.softmax(1);
@@ -1574,20 +1265,6 @@ mod tests {
         let slow = a.matmul_reference(&b);
         for (x, y) in fast.data().iter().zip(slow.data()) {
             assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn conv1d_matches_reference() {
-        let x = Tensor::from_vec((0..30).map(|v| (v as f32).sin()).collect::<Vec<f32>>(), &[2, 3, 5]);
-        let w = Tensor::from_vec((0..24).map(|v| (v as f32).cos()).collect::<Vec<f32>>(), &[4, 3, 2]);
-        for &(dil, pad) in &[(1, 0), (1, 1), (2, 2), (2, 0)] {
-            let fast = x.conv1d(&w, dil, pad);
-            let slow = x.conv1d_reference(&w, dil, pad);
-            assert_eq!(fast.shape(), slow.shape());
-            for (a, b) in fast.data().iter().zip(slow.data()) {
-                assert!((a - b).abs() < 1e-5, "{a} vs {b} at dil={dil} pad={pad}");
-            }
         }
     }
 }

@@ -95,104 +95,55 @@ fn matmul_broadcast_and_empty_batches() {
 }
 
 #[test]
-fn conv1d_matches_naive_on_awkward_shapes() {
-    let mut rng = Rng::seed_from_u64(14);
-    for threads in [1usize, 4] {
-        set_threads(threads);
-        for (b, cin, t, cout, k, dil) in [
-            (1usize, 1usize, 5usize, 1usize, 2usize, 1usize),
-            (3, 7, 31, 5, 3, 2),
-            (2, 13, 97, 17, 2, 4),
-            (5, 3, 13, 7, 4, 1),
-            (8, 32, 64, 32, 2, 1),
-        ] {
-            let pad = (k - 1) * dil;
-            let x = rng.uniform_tensor(&[b, cin, t], -2.0, 2.0);
-            let w = rng.uniform_tensor(&[cout, cin, k], -2.0, 2.0);
-            let got = x.conv1d(&w, dil, pad);
-            let want = x.conv1d_reference(&w, dil, pad);
-            let err = max_rel_err(&got, &want);
-            assert!(
-                err < 1e-4,
-                "conv b{b} c{cin}->{cout} t{t} k{k} d{dil} ({threads} threads): rel err {err}"
-            );
-            // Unpadded (valid) convolution too.
-            let got = x.conv1d(&w, dil, 0);
-            let want = x.conv1d_reference(&w, dil, 0);
-            assert!(max_rel_err(&got, &want) < 1e-4, "valid conv");
-        }
-    }
-}
-
-#[test]
 fn results_bitwise_identical_across_thread_counts_and_runs() {
     let mut rng = Rng::seed_from_u64(15);
     let a = rng.uniform_tensor(&[3, 129, 257], -1.0, 1.0);
     let b = rng.uniform_tensor(&[3, 257, 97], -1.0, 1.0);
-    let x = rng.uniform_tensor(&[4, 31, 97], -1.0, 1.0);
-    let w = rng.uniform_tensor(&[13, 31, 3], -1.0, 1.0);
 
     set_threads(1);
     let mm1 = a.matmul(&b);
-    let cv1 = x.conv1d(&w, 2, 4);
     set_threads(4);
     let mm4 = a.matmul(&b);
-    let cv4 = x.conv1d(&w, 2, 4);
     // Repeated runs at the same thread count.
     let mm4b = a.matmul(&b);
-    let cv4b = x.conv1d(&w, 2, 4);
 
     assert_eq!(mm1.data(), mm4.data(), "matmul differs across thread counts");
-    assert_eq!(cv1.data(), cv4.data(), "conv1d differs across thread counts");
     assert_eq!(mm4.data(), mm4b.data(), "matmul differs run-to-run");
-    assert_eq!(cv4.data(), cv4b.data(), "conv1d differs run-to-run");
 }
 
 // ---------------------------------------------------------- gradcheck
 
 /// Central-difference gradient check of a scalar loss built from the
 /// parallel kernels, at the given thread count.
-fn gradcheck_matmul_conv(threads: usize) {
+fn gradcheck_matmul(threads: usize) {
     set_threads(threads);
     let mut rng = Rng::seed_from_u64(16);
     let a0 = rng.uniform_tensor(&[3, 5], -1.0, 1.0);
     let b0 = rng.uniform_tensor(&[5, 4], -1.0, 1.0);
-    let x0 = rng.uniform_tensor(&[2, 3, 9], -1.0, 1.0);
-    let w0 = rng.uniform_tensor(&[4, 3, 2], -1.0, 1.0);
 
-    let loss_of = |a: &Tensor, b: &Tensor, x: &Tensor, w: &Tensor| -> f32 {
+    let loss_of = |a: &Tensor, b: &Tensor| -> f32 {
         let tape = Tape::new();
         let store = urcl_tensor::ParamStore::new();
         let sess = Session::new(&tape, &store);
         let av = sess.input(a.clone());
         let bv = sess.input(b.clone());
-        let xv = sess.input(x.clone());
-        let wv = sess.input(w.clone());
-        let mm = av.matmul(bv).tanh().mean_all();
-        let cv = xv.conv1d(wv, 1, 1).tanh().mean_all();
-        mm.add(cv).value().item()
+        av.matmul(bv).tanh().mean_all().value().item()
     };
 
     // Analytic gradients (leaves: constants receive no gradient).
     let tape = Tape::new();
     let av = tape.leaf(a0.clone());
     let bv = tape.leaf(b0.clone());
-    let xv = tape.leaf(x0.clone());
-    let wv = tape.leaf(w0.clone());
-    let mm = av.matmul(bv).tanh().mean_all();
-    let cv = xv.conv1d(wv, 1, 1).tanh().mean_all();
-    let loss = mm.add(cv);
+    let loss = av.matmul(bv).tanh().mean_all();
     let grads = tape.backward(loss);
 
     let eps = 1e-3f32;
-    let analytic_grads: [&Tensor; 4] = [
+    let analytic_grads: [&Tensor; 2] = [
         grads.get(av).expect("missing dA"),
         grads.get(bv).expect("missing dB"),
-        grads.get(xv).expect("missing dX"),
-        grads.get(wv).expect("missing dW"),
     ];
-    let tensors: [&Tensor; 4] = [&a0, &b0, &x0, &w0];
-    for which in 0..4 {
+    let tensors: [&Tensor; 2] = [&a0, &b0];
+    for which in 0..2 {
         let tensor = tensors[which];
         let g = analytic_grads[which];
         for idx in 0..tensor.data().len() {
@@ -201,10 +152,8 @@ fn gradcheck_matmul_conv(threads: usize) {
             let mut minus = tensor.clone();
             minus.data_mut()[idx] -= eps;
             let eval = |t: &Tensor| match which {
-                0 => loss_of(t, &b0, &x0, &w0),
-                1 => loss_of(&a0, t, &x0, &w0),
-                2 => loss_of(&a0, &b0, t, &w0),
-                _ => loss_of(&a0, &b0, &x0, t),
+                0 => loss_of(t, &b0),
+                _ => loss_of(&a0, t),
             };
             let numeric = (eval(&plus) - eval(&minus)) / (2.0 * eps);
             let analytic = g.data()[idx];
@@ -218,12 +167,12 @@ fn gradcheck_matmul_conv(threads: usize) {
 
 #[test]
 fn gradcheck_through_parallel_path_one_thread() {
-    gradcheck_matmul_conv(1);
+    gradcheck_matmul(1);
 }
 
 #[test]
 fn gradcheck_through_parallel_path_four_threads() {
-    gradcheck_matmul_conv(4);
+    gradcheck_matmul(4);
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! NaN-poisoning property tests for the plan's buffer-lifetime schedule.
 //!
 //! A compiled [`ExecPlan`] precomputes where every intermediate buffer
-//! dies: drop points release values back to the pool mid-replay, reshape/
-//! detach steal dying inputs' buffers, and shared conv im2col panels are
-//! recycled at the last conv of their group. A bug anywhere in that
+//! dies: drop points release values back to the pool mid-replay, and
+//! reshape/detach steal dying inputs' buffers. A bug anywhere in that
 //! schedule — releasing a buffer an op still reads, or reading a
 //! `take_uninit` slot before writing it — would usually go unnoticed,
 //! because the recycled memory still holds plausible stale floats.
@@ -12,7 +11,7 @@
 //! every non-zeroed hand-out *and* every returned buffer with NaN, so any
 //! read of dropped or uninitialized pool memory propagates NaN into the
 //! results. The property tested here over randomly generated op graphs
-//! (xoshiro-seeded opcode tapes) and gated-conv share groups:
+//! (xoshiro-seeded opcode tapes) and window-form gated TCNs:
 //!
 //! 1. plan replays under poisoning are bitwise identical to the
 //!    poison-off interpreter reference, and
@@ -91,26 +90,29 @@ fn build_random<'t, 's>(
     (loss, *vars.last().unwrap())
 }
 
-/// The GatedTcn share-group pattern: panel reuse + ConvBias fusion give
-/// the plan extra manually-managed buffer lifetimes (forward and dw
-/// panels) that poisoning must also clear.
-fn build_gated_conv<'t, 's>(
+/// The window-form gated TCN (`urcl_nn::GatedTcn`): a projected
+/// `[b, k, n, c]` window gathered into one `[b·n, c·k]` tap matrix that
+/// both branch GEMMs read forward and both weight gradients read
+/// backward, so its buffer must outlive every one of those reads.
+fn build_gated_tcn<'t, 's>(
     sess: &mut Session<'t, 's>,
     params: &[ParamId],
     xs: &[Var<'t>],
     meta: &[usize],
 ) -> (Var<'t>, Var<'t>) {
-    let x = xs[0]; // [b, cin, t]
-    let (dilation, pad_left) = (meta[0], meta[1]);
-    let cout = sess.param(params[0]).shape()[0];
-    let f = x
-        .conv1d(sess.param(params[0]), dilation, pad_left)
-        .add(sess.param(params[1]).reshape(&[1, cout, 1]))
-        .tanh();
-    let g = x
-        .conv1d(sess.param(params[2]), dilation, pad_left)
-        .add(sess.param(params[3]).reshape(&[1, cout, 1]))
-        .sigmoid();
+    let sh = xs[0].shape(); // [b, k, n, c_in0]
+    let (b, k, n) = (sh[0], meta[0], sh[2]);
+    let feat = xs[0].matmul(sess.param(params[0])); // [b, k, n, cin]
+    let cin = feat.shape()[3];
+    let taps = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, cin * k]);
+    let mut branch = |w: ParamId, bias: ParamId| {
+        let w = sess.param(w);
+        let cout = w.shape()[0];
+        let w = w.reshape(&[cout, cin * k]).transpose(0, 1);
+        taps.matmul(w).add(sess.param(bias))
+    };
+    let f = branch(params[1], params[2]).tanh();
+    let g = branch(params[3], params[4]).sigmoid();
     let y = f.mul(g);
     (y.abs().mean_all(), y)
 }
@@ -261,42 +263,41 @@ fn random_graphs_survive_pool_poisoning() {
 }
 
 #[test]
-fn conv_share_group_panels_survive_pool_poisoning() {
+fn gated_tcn_window_survives_pool_poisoning() {
     let _guard = lock();
     let mut rng = Rng::seed_from_u64(0x11FE_7136);
 
-    // (b, cin, t, cout, k, dilation, pad_left): guard-passing causal and
-    // zero-pad shapes plus a guard-failing wide t_out fallback.
-    for (b, cin, t, cout, k, dilation, pad_left) in [
-        (3, 4, 10, 5, 2, 1, 1),
-        (2, 3, 9, 4, 3, 2, 4),
-        (2, 3, 8, 4, 2, 1, 0),
-        (2, 3, 40, 4, 2, 1, 1),
-    ] {
+    // (b, n, c0, cin, cout, k): kernel-2 and kernel-3 layers, a tap
+    // width past one GEMM k-block (cin*k = 260 > KC), then row-count
+    // churn.
+    let mut cases = vec![(3, 5, 2, 8, 8, 2), (2, 4, 3, 6, 5, 3), (2, 3, 2, 130, 4, 2)];
+    for _ in 0..3 {
+        let b = 1 + (rng.next_u64() % 4) as usize;
+        let n = 1 + (rng.next_u64() % 6) as usize;
+        let k = 2 + (rng.next_u64() % 2) as usize;
+        cases.push((b, n, 2, 4, 3, k));
+    }
+    for (b, n, c0, cin, cout, k) in cases {
         let mut store = ParamStore::new();
         let params = vec![
+            store.add("win", rng.uniform_tensor(&[c0, cin], -0.7, 0.7)),
             store.add("wf", rng.uniform_tensor(&[cout, cin, k], -0.7, 0.7)),
             store.add("bf", rng.uniform_tensor(&[cout], -0.3, 0.3)),
             store.add("wg", rng.uniform_tensor(&[cout, cin, k], -0.7, 0.7)),
             store.add("bg", rng.uniform_tensor(&[cout], -0.3, 0.3)),
         ];
         let step_inputs: Vec<Tensor> = (0..STEPS)
-            .map(|_| rng.uniform_tensor(&[b, cin, t], -1.0, 1.0))
+            .map(|_| rng.uniform_tensor(&[b, k, n, c0], -1.0, 1.0))
             .collect();
         run_case(
-            &format!("gated conv b{b} c{cin}x{cout} t{t} k{k}d{dilation}p{pad_left}"),
-            build_gated_conv,
+            &format!("gated tcn b{b} n{n} c{c0}->{cin}x{cout} k{k}"),
+            build_gated_tcn,
             &store,
             &params,
             &step_inputs,
-            &meta_of(dilation, pad_left),
+            &[k],
         );
     }
-
-}
-
-fn meta_of(dilation: usize, pad_left: usize) -> Vec<usize> {
-    vec![dilation, pad_left]
 }
 
 /// Graph with a second, non-batch dynamic input: a `[d, d]` mixing mask

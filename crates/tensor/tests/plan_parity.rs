@@ -1,9 +1,9 @@
 //! Interpreter ↔ compiled-plan bitwise-parity property tests.
 //!
 //! The plan compiler (`urcl_tensor::plan`) promises that replaying a
-//! compiled [`ExecPlan`] — with its op fusion, buffer moves, precomputed
-//! drop points, shared conv panels and fused conv-bias scatter — produces
-//! results bitwise identical to re-recording and interpreting the tape.
+//! compiled [`ExecPlan`] — with its op fusion, buffer moves and
+//! precomputed drop points — produces results bitwise identical to
+//! re-recording and interpreting the tape.
 //! This suite drives that promise through xoshiro-seeded shape and
 //! architecture churn. Every program trains for a few Adam steps under
 //! both engines and asserts `to_bits` equality of
@@ -13,10 +13,10 @@
 //! * every parameter gradient at the final step, and
 //! * every post-step parameter value,
 //!
-//! at 1 and 4 threads. The conv programs cover share-group panel reuse
-//! and ConvBias fusion with `pad_left > 0`, `pad_left == 0`, and
-//! guard-failing shapes (wide `t_out`, deep `cin*k`) that must fall back
-//! to the unshared direct loops.
+//! at 1 and 4 threads. The gated-TCN programs record the graph every
+//! temporal convolution in the workspace runs: one gathered tap matrix
+//! read by two GEMMs, channel-bias adds, then `tanh ⊙ sigmoid`, over
+//! churned row counts and a tap width past one GEMM k-block.
 //!
 //! [`set_threads`] mutates process-global state, so every test
 //! serializes on a file-local mutex and restores what it changed.
@@ -40,8 +40,8 @@ fn lock() -> MutexGuard<'static, ()> {
 const STEPS: usize = 3;
 
 /// Builds one recorded graph: given a session, the program's parameter
-/// ids, its per-replay input vars, and integer metadata (e.g. conv
-/// dilation), returns `(scalar loss, auxiliary forward output)`.
+/// ids, its per-replay input vars, and integer metadata (e.g. the TCN
+/// kernel width), returns `(scalar loss, auxiliary forward output)`.
 type Build =
     for<'t, 's> fn(&mut Session<'t, 's>, &[ParamId], &[Var<'t>], &[usize]) -> (Var<'t>, Var<'t>);
 
@@ -218,52 +218,34 @@ fn build_mixed<'t, 's>(
     (loss, sm)
 }
 
-/// The GatedTcn pattern: two convs over the *same* input (a share group)
-/// each followed by a `[1, C, 1]` bias add (the ConvBias fusion target),
-/// gated through tanh × sigmoid.
-fn build_gated_conv<'t, 's>(
+/// The window-form gated TCN (`urcl_nn::GatedTcn`): a projected
+/// `[b, k, n, c]` feature window gathered into `[b·n, c·k]` taps in
+/// `(ci, ki)` order, read by a filter and a gate GEMM against
+/// `[cout, c, k]` weights viewed as `[cout, c·k]`, each plus a `[cout]`
+/// bias, gated through tanh ⊙ sigmoid. The projection gives the taps a
+/// gradient, so the plan must keep the one tap matrix alive for both
+/// weight gradients and route both input gradients back through it.
+fn build_gated_tcn<'t, 's>(
     sess: &mut Session<'t, 's>,
     params: &[ParamId],
     xs: &[Var<'t>],
     meta: &[usize],
 ) -> (Var<'t>, Var<'t>) {
-    let x = xs[0]; // [b, cin, t]
-    let (dilation, pad_left) = (meta[0], meta[1]);
-    let wf = sess.param(params[0]);
-    let bf = sess.param(params[1]);
-    let wg = sess.param(params[2]);
-    let bg = sess.param(params[3]);
-    let cout = wf.shape()[0];
-    let f = x
-        .conv1d(wf, dilation, pad_left)
-        .add(bf.reshape(&[1, cout, 1]))
-        .tanh();
-    let g = x
-        .conv1d(wg, dilation, pad_left)
-        .add(bg.reshape(&[1, cout, 1]))
-        .sigmoid();
+    let sh = xs[0].shape(); // [b, k, n, c_in0]
+    let (b, k, n) = (sh[0], meta[0], sh[2]);
+    let feat = xs[0].matmul(sess.param(params[0])); // [b, k, n, cin]
+    let cin = feat.shape()[3];
+    let taps = feat.permute(&[0, 2, 3, 1]).reshape(&[b * n, cin * k]);
+    let mut branch = |w: ParamId, bias: ParamId| {
+        let w = sess.param(w);
+        let cout = w.shape()[0];
+        let w = w.reshape(&[cout, cin * k]).transpose(0, 1);
+        taps.matmul(w).add(sess.param(bias))
+    };
+    let f = branch(params[1], params[2]).tanh();
+    let g = branch(params[3], params[4]).sigmoid();
     let y = f.mul(g);
     (y.abs().mean_all(), y)
-}
-
-/// A lone conv (no share group) with bias and activation: the plan must
-/// not mis-apply group machinery to singleton convs.
-fn build_single_conv<'t, 's>(
-    sess: &mut Session<'t, 's>,
-    params: &[ParamId],
-    xs: &[Var<'t>],
-    meta: &[usize],
-) -> (Var<'t>, Var<'t>) {
-    let x = xs[0];
-    let (dilation, pad_left) = (meta[0], meta[1]);
-    let w = sess.param(params[0]);
-    let b = sess.param(params[1]);
-    let cout = w.shape()[0];
-    let y = x
-        .conv1d(w, dilation, pad_left)
-        .add(b.reshape(&[1, cout, 1]))
-        .relu();
-    (y.mean_all(), y)
 }
 
 fn mixed_prog(label: &str, b: usize, t: usize, d: usize, rng: &mut Rng) -> Prog {
@@ -279,34 +261,34 @@ fn mixed_prog(label: &str, b: usize, t: usize, d: usize, rng: &mut Rng) -> Prog 
     }
 }
 
-fn conv_prog(
+/// A gated-TCN program over `rows = b·n` tap rows of width `cin·k`,
+/// projected from `c0` input channels.
+#[allow(clippy::too_many_arguments)]
+fn tcn_prog(
     label: &str,
-    gated: bool,
     b: usize,
+    n: usize,
+    c0: usize,
     cin: usize,
-    t: usize,
     cout: usize,
     k: usize,
-    dilation: usize,
-    pad_left: usize,
     rng: &mut Rng,
 ) -> Prog {
     let mut store = ParamStore::new();
-    let mut params = vec![
+    let params = vec![
+        store.add("win", rng.uniform_tensor(&[c0, cin], -0.7, 0.7)),
         store.add("wf", rng.uniform_tensor(&[cout, cin, k], -0.7, 0.7)),
         store.add("bf", rng.uniform_tensor(&[cout], -0.3, 0.3)),
+        store.add("wg", rng.uniform_tensor(&[cout, cin, k], -0.7, 0.7)),
+        store.add("bg", rng.uniform_tensor(&[cout], -0.3, 0.3)),
     ];
-    if gated {
-        params.push(store.add("wg", rng.uniform_tensor(&[cout, cin, k], -0.7, 0.7)));
-        params.push(store.add("bg", rng.uniform_tensor(&[cout], -0.3, 0.3)));
-    }
     Prog {
-        label: format!("conv {label} b{b} c{cin}x{cout} t{t} k{k}d{dilation}p{pad_left}"),
-        build: if gated { build_gated_conv } else { build_single_conv },
+        label: format!("gated tcn {label} b{b} n{n} c{c0}->{cin}x{cout} k{k}"),
+        build: build_gated_tcn,
         store,
         params,
-        input_shapes: vec![vec![b, cin, t]],
-        meta: vec![dilation, pad_left],
+        input_shapes: vec![vec![b, k, n, c0]],
+        meta: vec![k],
     }
 }
 
@@ -326,32 +308,23 @@ fn mixed_graph_parity_over_architecture_churn() {
 }
 
 #[test]
-fn conv_share_group_and_bias_fusion_parity() {
+fn gated_tcn_window_parity() {
     let _guard = lock();
     let mut rng = Rng::seed_from_u64(0x9_1A_0002);
 
-    // Guard-passing gated pairs: causal pad, deeper dilation, zero pad.
-    check_prog(&conv_prog("gated", true, 3, 4, 10, 5, 2, 1, 1, &mut rng), &mut rng);
-    check_prog(&conv_prog("gated", true, 2, 3, 9, 4, 3, 2, 4, &mut rng), &mut rng);
-    check_prog(&conv_prog("gated-p0", true, 2, 3, 8, 4, 2, 1, 0, &mut rng), &mut rng);
-    // Guard-failing shapes: t_out >= 32 (panel wider than one GEMM
-    // microtile) and cin*k > 256 (panel deeper than one GEMM K block).
-    check_prog(&conv_prog("wide", true, 2, 3, 40, 4, 2, 1, 1, &mut rng), &mut rng);
-    check_prog(&conv_prog("deep", true, 2, 130, 6, 4, 2, 1, 1, &mut rng), &mut rng);
-    // Singleton conv: no share group to exploit.
-    check_prog(&conv_prog("single", false, 2, 4, 9, 3, 2, 2, 2, &mut rng), &mut rng);
-    // Random churn.
+    // GraphWaveNet's and MTGNN's kernel-2 layers, STGCN's kernel-3 one.
+    check_prog(&tcn_prog("k2", 3, 5, 2, 8, 8, 2, &mut rng), &mut rng);
+    check_prog(&tcn_prog("k3", 2, 4, 3, 6, 5, 3, &mut rng), &mut rng);
+    // cin*k = 260 > KC = 256: the GEMM splits each reduction into two
+    // k-blocks.
+    check_prog(&tcn_prog("deep", 2, 3, 2, 130, 4, 2, &mut rng), &mut rng);
+    // Row-count churn: one tap row per (batch, node) pair.
     for i in 0..3 {
-        let b = 1 + (rng.next_u64() % 3) as usize;
+        let b = 1 + (rng.next_u64() % 4) as usize;
+        let n = 1 + (rng.next_u64() % 6) as usize;
         let cin = 1 + (rng.next_u64() % 6) as usize;
         let cout = 1 + (rng.next_u64() % 6) as usize;
         let k = 2 + (rng.next_u64() % 2) as usize;
-        let dilation = 1 + (rng.next_u64() % 2) as usize;
-        let pad = (k - 1) * dilation;
-        let t = pad + k + (rng.next_u64() % 8) as usize;
-        check_prog(
-            &conv_prog(&format!("churn{i}"), true, b, cin, t, cout, k, dilation, pad, &mut rng),
-            &mut rng,
-        );
+        check_prog(&tcn_prog(&format!("churn{i}"), b, n, 2, cin, cout, k, &mut rng), &mut rng);
     }
 }

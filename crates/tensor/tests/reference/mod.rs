@@ -3,9 +3,9 @@
 //!
 //! Each function here is the straightforward one-element-at-a-time form
 //! of a kernel — the seed-era index-decomposition loops behind
-//! `permute`, the broadcast `zip` and `sum_axes`, the one-row GEMM in
-//! KC-sized partial sums, and the direct conv1d backward loops — written
-//! for clarity, not speed, and reachable only from tests. The library
+//! `permute`, the broadcast `zip` and `sum_axes`, and the one-row GEMM in
+//! KC-sized partial sums — written for clarity, not speed, and reachable
+//! only from tests. The library
 //! runs one kernel path per (op, shape, host ISA); the bitwise suites
 //! (`simd_parity.rs`) compare every path against these.
 //!
@@ -116,85 +116,4 @@ pub fn gemm(
         }
     }
     out
-}
-
-/// The input position tap `ki` of output step `to` reads, if it is not
-/// padding: `to + ki * dilation - pad_left` within `[0, t)`.
-fn tap(to: usize, ki: usize, dilation: usize, pad_left: usize, t: usize) -> Option<usize> {
-    (to + ki * dilation)
-        .checked_sub(pad_left)
-        .filter(|&j| j < t)
-}
-
-/// Input gradient of `x.conv1d(w, dilation, pad_left)` for upstream
-/// gradient `g` (`[B, C_out, T_out]`), with `x` of shape `x_shape`. Each
-/// element is one `+0.0`-seeded sum over `(co, ki)` ascending of
-/// `w[co, ci, ki] * g[bi, co, to]`, padding taps skipped.
-pub fn conv1d_dx(
-    g: &Tensor,
-    w: &Tensor,
-    x_shape: &[usize],
-    dilation: usize,
-    pad_left: usize,
-) -> Vec<f32> {
-    let (b, cin, t) = (x_shape[0], x_shape[1], x_shape[2]);
-    let (cout, k) = (w.shape()[0], w.shape()[2]);
-    let t_out = g.shape()[2];
-    let (gd, wd) = (g.data(), w.data());
-    let mut dx = vec![0.0f32; b * cin * t];
-    for bi in 0..b {
-        for ci in 0..cin {
-            for co in 0..cout {
-                for ki in 0..k {
-                    let wv = wd[(co * cin + ci) * k + ki];
-                    for to in 0..t_out {
-                        if let Some(j) = tap(to, ki, dilation, pad_left, t) {
-                            dx[(bi * cin + ci) * t + j] += wv * gd[(bi * cout + co) * t_out + to];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    dx
-}
-
-/// Weight gradient of `x.conv1d(w, dilation, pad_left)` for upstream
-/// gradient `g`, with `w` of shape `w_shape`. Each `(bi, ki)` pair of an
-/// element gets its own `+0.0`-seeded dot over `to` ascending (padding
-/// taps skipped, and a pair with no valid tap adds nothing); the dots
-/// are summed over `bi` in order.
-pub fn conv1d_dw(
-    g: &Tensor,
-    x: &Tensor,
-    w_shape: &[usize],
-    dilation: usize,
-    pad_left: usize,
-) -> Vec<f32> {
-    let (b, cin, t) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let (cout, k) = (w_shape[0], w_shape[2]);
-    let t_out = g.shape()[2];
-    let (gd, xd) = (g.data(), x.data());
-    let mut dw = vec![0.0f32; cout * cin * k];
-    for co in 0..cout {
-        for ci in 0..cin {
-            for ki in 0..k {
-                let slot = &mut dw[(co * cin + ci) * k + ki];
-                for bi in 0..b {
-                    let mut dot = 0.0f32;
-                    let mut any = false;
-                    for to in 0..t_out {
-                        if let Some(j) = tap(to, ki, dilation, pad_left, t) {
-                            dot += gd[(bi * cout + co) * t_out + to] * xd[(bi * cin + ci) * t + j];
-                            any = true;
-                        }
-                    }
-                    if any {
-                        *slot += dot;
-                    }
-                }
-            }
-        }
-    }
-    dw
 }

@@ -2,16 +2,13 @@
 //!
 //! `urcl-tensor` runs one kernel path per (op, shape, host ISA): shape
 //! rules pick the GEMM route (tiled, direct, row-blocked, transposed
-//! scratch) and the conv1d lowering (im2col GEMM or direct loops), and
-//! the build's target picks the vector width. This suite pins every one
-//! of those paths to the plain loops in `reference` — the seed-era
-//! kernels, kept as test oracles — through xoshiro-seeded shape and
-//! stride churn, comparing `to_bits`, not approximately. Coverage:
+//! scratch), and the build's target picks the vector width. This suite
+//! pins every one of those paths to the plain loops in `reference` — the
+//! seed-era kernels, kept as test oracles — through xoshiro-seeded shape
+//! and stride churn, comparing `to_bits`, not approximately. Coverage:
 //! `gemm_strided` over all four A/B transpose layouts including the
-//! skinny/strided shapes the training step hits, `conv1d` forward *and*
-//! backward (input + weight gradients through a real tape) on both sides
-//! of every lowering guard, and the strided walkers (permute, broadcast
-//! zip, axis reductions).
+//! skinny/strided shapes the training step hits, and the strided walkers
+//! (permute, broadcast zip, axis reductions).
 //!
 //! [`set_threads`] mutates process-global state, so every test
 //! serializes on a file-local mutex and restores what it changed.
@@ -20,8 +17,7 @@ mod reference;
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use urcl_tensor::autodiff::Tape;
-use urcl_tensor::gemm::{gemm_strided, KC, NR};
+use urcl_tensor::gemm::{gemm_strided, KC};
 use urcl_tensor::{set_threads, Rng, Tensor};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -124,76 +120,6 @@ fn row_blocked_direct_kernel_matches_one_row_loop_bitwise() {
             }
         }
     }
-}
-
-/// Forward, input gradient and weight gradient of `conv1d` through a
-/// tape, against `Tensor::conv1d_reference` and the direct backward
-/// loops. The loss `sum(y * c)` hands the backward pass `c` itself as
-/// the upstream gradient, bit for bit. The cases straddle every
-/// lowering guard: the im2col forward and dw GEMMs need `t_out < NR`
-/// (and the forward `cin * k <= KC`), the dx GEMM `t < NR` and
-/// `cout * k <= KC`; past them run the direct loops.
-#[test]
-fn conv1d_forward_and_backward_parity() {
-    let _guard = lock();
-    let prev_threads = set_threads(1);
-
-    let mut rng = Rng::seed_from_u64(0xC0_71);
-    // (batch, cin, t, cout, kernel, dilation) — the GWN gated-TCN shapes
-    // (small channels, dilated), degenerate edges, then a wide, a deep
-    // and a many-output-channel shape for the direct loops.
-    let cases = [
-        (2, 3, 12, 4, 2, 1),
-        (4, 8, 24, 8, 2, 4),
-        (1, 1, 5, 1, 3, 1),
-        (3, 16, 20, 16, 3, 2),
-        (8, 2, 12, 32, 2, 1),
-        (2, 3, NR + 8, 4, 2, 1),
-        (2, KC / 2 + 2, 6, 4, 2, 1),
-        (2, 4, 6, KC / 2 + 2, 2, 1),
-    ];
-    for threads in [1usize, 4] {
-        set_threads(threads);
-        for (b, cin, t, cout, k, dilation) in cases {
-            let span = (k - 1) * dilation;
-            for pad_left in [span, 0] {
-                let t_out = t + pad_left - span;
-                let x0 = rng.uniform_tensor(&[b, cin, t], -1.0, 1.0);
-                let w0 = rng.uniform_tensor(&[cout, cin, k], -1.0, 1.0);
-                let c = rng.uniform_tensor(&[b, cout, t_out], -1.0, 1.0);
-                let label =
-                    format!("conv1d b{b} c{cin}x{cout} t{t} k{k}d{dilation}p{pad_left} {threads}t");
-
-                let tape = Tape::new();
-                let x = tape.leaf(x0.clone());
-                let w = tape.leaf(w0.clone());
-                let y = x.conv1d(w, dilation, pad_left);
-                let loss = y.mul(tape.constant(c.clone())).sum_all();
-                let grads = tape.backward(loss);
-
-                let want_y = x0.conv1d_reference(&w0, dilation, pad_left);
-                assert_bits(
-                    &format!("{label} forward"),
-                    tape.value(y).data(),
-                    want_y.data(),
-                );
-                let want_dx = reference::conv1d_dx(&c, &w0, x0.shape(), dilation, pad_left);
-                assert_bits(
-                    &format!("{label} dx"),
-                    grads.get(x).unwrap().data(),
-                    &want_dx,
-                );
-                let want_dw = reference::conv1d_dw(&c, &x0, w0.shape(), dilation, pad_left);
-                assert_bits(
-                    &format!("{label} dw"),
-                    grads.get(w).unwrap().data(),
-                    &want_dw,
-                );
-            }
-        }
-    }
-
-    set_threads(prev_threads);
 }
 
 #[test]

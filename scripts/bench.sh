@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Builds the release workspace and runs the tensor-ops micro-benchmark.
-# The binary itself sweeps 1 and 4 threads in one process (so determinism
-# across thread counts is asserted on identical inputs) and writes
-# BENCH_tensor_ops.json — GFLOP/s and speedup fields per case — at the
-# repository root. Pass --quick for a fast smoke run.
+# Builds the release workspace and runs the tensor-ops micro-benchmark:
+# the seed naive matmul against the tiled GEMM (the kernel every matmul
+# and temporal convolution runs). The binary itself sweeps 1 and 4
+# threads in one process (so determinism across thread counts is
+# asserted on identical inputs) and writes BENCH_tensor_ops.json —
+# GFLOP/s and speedup fields per matmul case — at the repository root.
+# Pass --quick for a fast smoke run.
 #
 # Before that it runs bench_framework twice: untraced, it times the
 # framework components (replay buffer, STMixup, augmentations, RMIR

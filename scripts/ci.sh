@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # One-shot CI gate: release build, full test suite (every workspace
-# crate: the root manifest's default-members), the end-to-end benchmark's
-# smoke test, then a traced framework run whose JSON output (and any
-# other BENCH_*.json / results files present) is schema-validated through
-# the in-tree parser.
+# crate: the root manifest's default-members), clippy over every target,
+# the end-to-end benchmark's smoke test, then a traced framework run
+# whose JSON output (and any other BENCH_*.json / results files present)
+# is schema-validated through the in-tree parser.
 #
 # Usage: scripts/ci.sh [--full]
 #   --full   also runs the #[ignore]-gated full-size integration tests
@@ -26,9 +26,10 @@ echo "== tests =="
 cargo test -q --offline
 
 echo "== plan parity + buffer-lifetime suites (release) =="
-# Architecture-churned graphs and gated-conv share groups replayed
-# through compiled plans, asserted bitwise against per-step re-recorded
-# tapes; the lifetime suite re-runs them under pool NaN-poisoning —
+# Architecture-churned graphs and window-form gated TCNs (one tap matrix
+# read by two GEMMs) replayed through compiled plans, asserted bitwise
+# against per-step re-recorded tapes; the lifetime suite re-runs them
+# under pool NaN-poisoning —
 # including the batch-polymorphic replay with a per-step rebound
 # dynamic input — to surface any use-after-release or read-before-init
 # in the plan's precomputed drop schedule.
@@ -52,6 +53,11 @@ echo "== rustdoc (warnings are errors) =="
 # Catches broken intra-doc links and, via the per-crate
 # #![warn(missing_docs)] attributes, any undocumented public item.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
+echo "== clippy (errors fail, warnings do not) =="
+# Every target of every workspace crate, tests and bench bins included;
+# deny-by-default lints (e.g. erasing_op) stop the gate.
+cargo clippy --offline --workspace --all-targets
 
 echo "== doc-tests (README + API examples) =="
 cargo test -q --offline --doc --workspace
