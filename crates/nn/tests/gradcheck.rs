@@ -341,8 +341,66 @@ fn conv_layer_input_and_param_grads() {
     }
 }
 
+/// Gathers the taps of a causal, dilated temporal convolution from a
+/// `[B, C, T]` sequence the way the backbones do: `pad_left` zero steps
+/// in front, output position `to` reads padded steps `to + dilation·ki`,
+/// rows `(b, to)`, columns flattened `(ci, ki)`: `[B·T_out, C·K]`.
+fn causal_taps<'t>(
+    tape: &'t Tape,
+    x: Var<'t>,
+    kernel: usize,
+    dilation: usize,
+    pad_left: usize,
+) -> Var<'t> {
+    let [b, c, len] = <[usize; 3]>::try_from(x.shape()).expect("3-D input");
+    let pad = tape.constant(Tensor::zeros(&[b, c, pad_left]));
+    let padded = tape.concat(&[pad, x], 2);
+    let t_out = len + pad_left - dilation * (kernel - 1);
+    let windows: Vec<_> = (0..kernel)
+        .map(|ki| {
+            padded
+                .narrow(2, dilation * ki, t_out)
+                .reshape(&[b, c, t_out, 1])
+        })
+        .collect();
+    tape.concat(&windows, 3) // [B, C, T_out, K]
+        .permute(&[0, 2, 1, 3])
+        .reshape(&[b * t_out, c * kernel])
+}
+
 #[test]
 fn gated_tcn_input_and_param_grads() {
+    // A [B, C, T] sequence through a dilation-2, causally padded gated TCN:
+    // the input gradient flows back through the tap gather.
+    let mut store = ParamStore::new();
+    let mut rng = Rng::seed_from_u64(19);
+    let tcn = GatedTcn::new(&mut store, &mut rng, "gt", 3, 2, 2);
+    let x = rand_t(&[2, 3, 6], 20);
+    {
+        let store = &store;
+        let tcn = &tcn;
+        check_scalar(&x, EPS, |t, v| {
+            let mut sess = Session::new(t, store);
+            let taps = causal_taps(t, v, 2, 2, 2);
+            tcn.forward(&mut sess, taps).powf(2.0).sum_all()
+        })
+        .assert_close(TOL);
+    }
+    for pname in ["gt.filter.w", "gt.gate.w"] {
+        let x = x.clone();
+        let tcn = tcn.clone();
+        check_param(&mut store, pname, EPS, TOL, move |t, s| {
+            let mut sess = Session::new(t, s);
+            let v = sess.input(x.clone());
+            let taps = causal_taps(t, v, 2, 2, 2);
+            let loss = tcn.forward(&mut sess, taps).powf(2.0).sum_all();
+            (loss, sess.into_bindings())
+        });
+    }
+}
+
+#[test]
+fn gated_tcn_window_form_input_and_param_grads() {
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from_u64(23);
     let tcn = GatedTcn::new(&mut store, &mut rng, "gw", 3, 2, 2);
