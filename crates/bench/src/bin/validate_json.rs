@@ -285,10 +285,9 @@ fn validate_trace(doc: &Value) -> Result<(), String> {
         }
     }
     // Plan-engine telemetry: the execution-plan compiler/replayer counts
-    // compiles, replays, the per-replay savings (fused stages, dead
-    // gradient edges skipped, buffer moves, mid-replay drops) and the
-    // trainer's bounded plan-cache occupancy/evictions. All must be
-    // present, numeric and non-negative.
+    // compiles, replays and the per-replay savings (fused stages, dead
+    // gradient edges skipped, buffer moves, mid-replay drops). All must
+    // be present, numeric and non-negative.
     let plan = doc.get("plan").expect("checked above");
     for key in [
         "compiles",
@@ -297,8 +296,6 @@ fn validate_trace(doc: &Value) -> Result<(), String> {
         "dead_edges_skipped",
         "buffer_moves",
         "values_dropped",
-        "cache_entries",
-        "cache_evictions",
     ] {
         match plan.get(key).and_then(Value::as_f64) {
             Some(v) if v >= 0.0 => {}

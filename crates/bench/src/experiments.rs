@@ -2,12 +2,14 @@
 //! the paper-style rows and writes JSON into `results/`.
 
 use crate::{
-    format_row, run_arima, run_deep_model, set_header, write_results, Effort,
+    format_row, run_arima, run_backbone, run_deep_model, set_header, write_results, Effort,
     ExperimentContext, ModelKind,
 };
 use urcl_core::{Ablation, RunReport, Strategy, TrainerConfig};
 use urcl_json::{ToJson, Value};
+use urcl_models::{GraphWaveNet, GwnConfig};
 use urcl_stdata::DatasetConfig;
+use urcl_tensor::{ParamStore, Rng};
 
 /// A labelled run, the unit every results file is made of.
 #[derive(Debug, Clone)]
@@ -316,8 +318,7 @@ pub fn sweeps(effort: &Effort) -> Vec<LabelledRun> {
     let ctx = ExperimentContext::new(DatasetConfig::metr_la());
     let mut runs = Vec::new();
     println!("{:<26} {:>16}", "variant", "incremental MAE");
-    let run = |label: String, cfg: TrainerConfig, runs: &mut Vec<LabelledRun>| {
-        let report = run_deep_model(ModelKind::GraphWaveNet, &ctx, cfg, 7);
+    let push = |label: String, report: RunReport, runs: &mut Vec<LabelledRun>| {
         println!("{label:<26} {:>16.2}", report.incremental_mae());
         runs.push(LabelledRun {
             dataset: "METR-LA".into(),
@@ -325,17 +326,28 @@ pub fn sweeps(effort: &Effort) -> Vec<LabelledRun> {
             report,
         });
     };
+    let run = |label: String, cfg: TrainerConfig, runs: &mut Vec<LabelledRun>| {
+        let report = run_deep_model(ModelKind::GraphWaveNet, &ctx, cfg, 7);
+        push(label, report, runs);
+    };
     for cap in [64usize, 256, 1024] {
         let mut cfg = urcl_config(effort);
         cfg.buffer_capacity = cap;
         run(format!("buffer capacity {cap}"), cfg, &mut runs);
     }
+    // GraphWaveNet diffusing K steps in every GCN layer; the trainer's
+    // graph augmentations rebuild supports at the backbone's K.
     for k in [1usize, 2, 3] {
-        let mut cfg = urcl_config(effort);
-        cfg.k_diffusion = k;
-        run(format!("diffusion steps K={k}"), cfg, &mut runs);
-        // NOTE: K must match the backbone; build_backbone uses the GWN
-        // default (K=2), so K=1/3 exercise augmentation supports only.
+        let d = ctx.config();
+        let gcfg = GwnConfig {
+            k_diffusion: k,
+            ..GwnConfig::small(d.num_nodes, d.num_channels(), d.input_steps, d.output_steps)
+        };
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from_u64(7);
+        let model = GraphWaveNet::new(&mut store, &mut rng, ctx.network(), gcfg);
+        let report = run_backbone(&model, store, &ctx, urcl_config(effort), 7);
+        push(format!("diffusion steps K={k}"), report, &mut runs);
     }
     for alpha in [0.2f32, 0.8, 2.0] {
         let mut cfg = urcl_config(effort);

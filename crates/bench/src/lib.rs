@@ -157,7 +157,18 @@ pub fn run_deep_model(
     trainer_cfg: TrainerConfig,
     seed: u64,
 ) -> RunReport {
-    let (model, mut store) = build_backbone(kind, ctx.network(), ctx.config(), seed);
+    let (model, store) = build_backbone(kind, ctx.network(), ctx.config(), seed);
+    run_backbone(model.as_ref(), store, ctx, trainer_cfg, seed)
+}
+
+/// [`run_deep_model`] over an already-built backbone and its parameters.
+pub fn run_backbone(
+    model: &dyn Backbone,
+    mut store: ParamStore,
+    ctx: &ExperimentContext,
+    trainer_cfg: TrainerConfig,
+    seed: u64,
+) -> RunReport {
     let needs_simsiam = trainer_cfg.strategy == urcl_core::Strategy::Urcl
         && trainer_cfg.ablation.graphcl;
     let simsiam = needs_simsiam.then(|| {
@@ -172,7 +183,7 @@ pub fn run_deep_model(
     });
     let mut trainer = ContinualTrainer::new(trainer_cfg);
     trainer.run(
-        model.as_ref(),
+        model,
         simsiam.as_ref(),
         &mut store,
         ctx.network(),

@@ -60,7 +60,8 @@ pub struct AugmentedView {
     /// Transformed input `[B, M, N, C]`.
     pub x: Tensor,
     /// Supports of the perturbed graph (`None` for temporal transforms —
-    /// the original graph still applies).
+    /// the original graph still applies — and when the caller asked for
+    /// no supports).
     pub supports: Option<SupportSet>,
 }
 
@@ -105,14 +106,18 @@ impl Augmentation {
     }
 
     /// Applies the augmentation to a `[B, M, N, C]` batch over `net`,
-    /// rebuilding `k_diffusion`-step supports when the graph changes.
+    /// rebuilding `k_diffusion`-step supports when the graph changes. With
+    /// `k_diffusion` `None` (a backbone without graph supports) a view
+    /// carries no supports; the random draws are the same either way.
     pub fn apply(
         &self,
         x: &Tensor,
         net: &SensorNetwork,
-        k_diffusion: usize,
+        k_diffusion: impl Into<Option<usize>>,
         rng: &mut Rng,
     ) -> AugmentedView {
+        let k_diffusion = k_diffusion.into();
+        let diffusion = |net: &SensorNetwork| k_diffusion.map(|k| SupportSet::diffusion(net, k));
         assert_eq!(x.ndim(), 4, "augmentation input must be [B, M, N, C]");
         let n = net.num_nodes();
         assert_eq!(x.shape()[2], n, "node axis does not match network");
@@ -129,7 +134,7 @@ impl Augmentation {
                 };
                 AugmentedView {
                     x: mask_node_features(x, &mask),
-                    supports: Some(masked_supports(net, &mask, k_diffusion)),
+                    supports: diffusion(&masked_net(net, &mask)),
                 }
             }
             Augmentation::DropEdges { ratio } => {
@@ -139,7 +144,7 @@ impl Augmentation {
                 if weights.is_empty() {
                     return AugmentedView {
                         x: x.clone(),
-                        supports: Some(SupportSet::diffusion(net, k_diffusion)),
+                        supports: diffusion(net),
                     };
                 }
                 weights.sort_by(|a, b| a.total_cmp(b));
@@ -150,7 +155,7 @@ impl Augmentation {
                 let pruned_net = net.with_adjacency(pruned);
                 AugmentedView {
                     x: x.clone(),
-                    supports: Some(SupportSet::diffusion(&pruned_net, k_diffusion)),
+                    supports: diffusion(&pruned_net),
                 }
             }
             Augmentation::SubGraph { keep_ratio } => {
@@ -167,7 +172,7 @@ impl Augmentation {
                 };
                 AugmentedView {
                     x: mask_node_features(x, &mask),
-                    supports: Some(masked_supports(net, &mask, k_diffusion)),
+                    supports: diffusion(&masked_net(net, &mask)),
                 }
             }
             Augmentation::AddEdges { ratio, min_hops } => {
@@ -175,7 +180,7 @@ impl Augmentation {
                 if pairs.is_empty() {
                     return AugmentedView {
                         x: x.clone(),
-                        supports: Some(SupportSet::diffusion(net, k_diffusion)),
+                        supports: diffusion(net),
                     };
                 }
                 let count = ((ratio * pairs.len() as f32).round() as usize)
@@ -198,7 +203,7 @@ impl Augmentation {
                 let aug_net = net.with_adjacency(adj);
                 AugmentedView {
                     x: x.clone(),
-                    supports: Some(SupportSet::diffusion(&aug_net, k_diffusion)),
+                    supports: diffusion(&aug_net),
                 }
             }
             Augmentation::TimeShift => {
@@ -291,8 +296,8 @@ fn mask_node_features(x: &Tensor, dropped: &[bool]) -> Tensor {
     out
 }
 
-/// Supports of the graph with masked nodes' rows/columns zeroed (Eq. 6).
-fn masked_supports(net: &SensorNetwork, dropped: &[bool], k: usize) -> SupportSet {
+/// The graph with masked nodes' rows/columns zeroed (Eq. 6).
+fn masked_net(net: &SensorNetwork, dropped: &[bool]) -> SensorNetwork {
     let n = net.num_nodes();
     let mut adj = net.adjacency().clone();
     for i in 0..n {
@@ -302,7 +307,7 @@ fn masked_supports(net: &SensorNetwork, dropped: &[bool], k: usize) -> SupportSe
             }
         }
     }
-    SupportSet::diffusion(&net.with_adjacency(adj), k)
+    net.with_adjacency(adj)
 }
 
 /// Mean node features over batch and time: `[B, M, N, C] -> [N, C]`.

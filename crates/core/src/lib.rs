@@ -50,7 +50,7 @@ pub use rmir::{rmir_sample, RmirPlans, RmirStats};
 pub use simsiam::StSimSiam;
 pub use timing::Stopwatch;
 pub use trainer::{
-    Ablation, ContinualTrainer, ForwardPlan, HookAction, NoopHook, PlanCacheStats, RunOutcome,
-    RunReport, SetReport, StepBudget, StepInfo, Strategy, TrainCursor, TrainHook, TrainerConfig,
+    Ablation, ContinualTrainer, ForwardPlan, HookAction, NoopHook, RunOutcome, RunReport,
+    SetReport, StepBudget, StepInfo, Strategy, TrainCursor, TrainHook, TrainerConfig,
     TrainerSnapshot,
 };

@@ -42,8 +42,8 @@ impl RmirStats {
 /// virtual parameter store θᵛ, refreshed from θ every round instead of
 /// cloned. Scoring replays the trainer's [`ForwardPlan`] under both θ and
 /// θᵛ: plans resolve parameters from whichever [`ParamStore`] a replay
-/// passes. Derived state: the owning trainer drops it whenever its own
-/// plan cache is dropped.
+/// passes. Derived state: the owning trainer drops it at run start and on
+/// restore.
 #[derive(Default)]
 pub struct RmirPlans {
     virt: Option<ExecPlan>,
@@ -126,14 +126,9 @@ pub fn rmir_sample(
     virtual_store.zero_grads();
     {
         let _sp = urcl_trace::span("virtual_update");
-        let stale = plans
+        let plan = plans
             .virt
-            .as_ref()
-            .is_none_or(|p| !p.accepts(&[&current.x, &current.y]));
-        if stale {
-            plans.virt = Some(compile_virt_plan(backbone, store, current));
-        }
-        let plan = plans.virt.as_ref().expect("virt plan compiled above");
+            .get_or_insert_with(|| compile_virt_plan(backbone, store, current));
         let (_loss, grads) = plan.run_training(virtual_store, &[&current.x, &current.y]);
         virtual_store.accumulate_grads(plan.bindings(), &grads);
         virtual_store.sgd_step(lr);

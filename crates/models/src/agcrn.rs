@@ -3,7 +3,7 @@
 //! where each node's layer weights are generated from a learned node
 //! embedding — and (b) a fully learned adjacency used inside the gates.
 
-use crate::backbone::{decoder::MlpDecoder, Backbone, BackboneConfig};
+use crate::backbone::{decoder::MlpDecoder, zero_state, Backbone, BackboneConfig};
 use urcl_nn::linear::Linear;
 use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ParamId, ParamStore, Rng, Tensor};
@@ -126,7 +126,7 @@ impl Backbone for Agcrn {
         let adj = self.adjacency(sess);
         let emb = sess.param(self.emb);
         let tape = sess.tape();
-        let mut h = sess.input(Tensor::zeros(&[b, n, self.cfg.hidden]));
+        let mut h = zero_state(sess, x, self.cfg.hidden);
         for t in 0..m {
             let xt = x.narrow(1, t, 1).reshape(&[b, n, c]);
             // Graph-mix the concatenated state before each gate (AGCRN's

@@ -66,11 +66,15 @@ pub trait Backbone {
 
     /// The construction-time support set every spatial layer diffuses
     /// over when [`Self::encode_perturbed`] receives no override, or
-    /// `None` when the backbone has no graph supports (or ignores
-    /// overrides). A plan-compiling trainer uses this as the binding
-    /// template for promoted support slots: the contract is that all
-    /// spatial layers share this one set, in layer order, so support
-    /// slot `j` of a view binds `template[j % template.len()]`.
+    /// `None` when the backbone has no graph supports. A backbone whose
+    /// layers register support slots (every
+    /// [`DiffusionGcn`](urcl_nn::gcn::DiffusionGcn) does) must return its
+    /// set here and honour the override in [`Self::encode_perturbed`]. A
+    /// plan-compiling trainer uses this as the binding template for
+    /// promoted support slots, and its length `K` as the diffusion depth
+    /// augmentations rebuild supports with: the contract is that all
+    /// spatial layers share this one set, in layer order, so support slot
+    /// `j` of a view binds `template[j % template.len()]`.
     fn support_template(&self) -> Option<&SupportSet> {
         None
     }
@@ -134,6 +138,16 @@ pub trait Backbone {
             c.channels
         );
     }
+}
+
+/// The zero initial state `[B, N, hidden]` of a recurrent encoder over
+/// `x: [B, M, N, C]`, built as `x₀ @ 0` so its shape follows the batch in
+/// a batch-polymorphic plan. The GEMM sums `±0` products from `+0.0`, so
+/// every entry is `+0.0` for finite input.
+pub(crate) fn zero_state<'t>(sess: &mut Session<'t, '_>, x: Var<'t>, hidden: usize) -> Var<'t> {
+    let [b, _m, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+    let x0 = x.narrow(1, 0, 1).reshape(&[b, n, c]);
+    x0.matmul(sess.input(Tensor::zeros(&[c, hidden])))
 }
 
 /// Boxed backbones forward the whole contract, so a type-erased

@@ -4,12 +4,12 @@
 //! sampling reduces to a per-node readout; we document that simplification
 //! in DESIGN.md.
 
-use crate::backbone::{decoder::MlpDecoder, Backbone, BackboneConfig};
+use crate::backbone::{decoder::MlpDecoder, zero_state, Backbone, BackboneConfig};
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_nn::gru::DcGruCell;
 use urcl_nn::linear::Linear;
 use urcl_tensor::autodiff::{Session, Var};
-use urcl_tensor::{ParamStore, Rng, Tensor};
+use urcl_tensor::{ParamStore, Rng};
 
 /// DCRNN: DCGRU encoder + per-node MLP readout.
 pub struct Dcrnn {
@@ -50,13 +50,26 @@ impl Backbone for Dcrnn {
         &self.cfg
     }
 
+    fn support_template(&self) -> Option<&SupportSet> {
+        Some(self.cell.supports())
+    }
+
     fn encode<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
+        self.encode_perturbed(sess, x, None)
+    }
+
+    fn encode_perturbed<'t>(
+        &self,
+        sess: &mut Session<'t, '_>,
+        x: Var<'t>,
+        supports: Option<&SupportSet>,
+    ) -> Var<'t> {
         self.check_input(&x);
         let [b, m, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
-        let mut h = sess.input(Tensor::zeros(&[b, n, self.cfg.hidden]));
+        let mut h = zero_state(sess, x, self.cfg.hidden);
         for t in 0..m {
             let xt = x.narrow(1, t, 1).reshape(&[b, n, c]);
-            h = self.cell.step(sess, xt, h);
+            h = self.cell.step(sess, xt, h, supports);
         }
         self.latent_head.forward(sess, h).relu()
     }

@@ -111,14 +111,32 @@ impl DcGruCell {
         self.hidden
     }
 
-    /// One step: `(x: [B, N, C], h: [B, N, H]) -> h': [B, N, H]`.
-    pub fn step<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>, h: Var<'t>) -> Var<'t> {
+    /// The construction-time supports every gate diffuses over when
+    /// [`Self::step`] gets no override.
+    pub fn supports(&self) -> &SupportSet {
+        self.update.supports()
+    }
+
+    /// One step: `(x: [B, N, C], h: [B, N, H]) -> h': [B, N, H]`. Every
+    /// gate diffuses over `supports` when given (a perturbed graph with
+    /// the construction-time support count, see
+    /// [`DiffusionGcn::forward_with`]), else over its own supports.
+    pub fn step<'t>(
+        &self,
+        sess: &mut Session<'t, '_>,
+        x: Var<'t>,
+        h: Var<'t>,
+        supports: Option<&SupportSet>,
+    ) -> Var<'t> {
         let tape = sess.tape();
         let xh = tape.concat(&[x, h], 2);
-        let z = self.update.forward(sess, xh, None).sigmoid();
-        let r = self.reset.forward(sess, xh, None).sigmoid();
+        let z = self.update.forward_with(sess, xh, None, supports).sigmoid();
+        let r = self.reset.forward_with(sess, xh, None, supports).sigmoid();
         let xrh = tape.concat(&[x, r.mul(h)], 2);
-        let c = self.candidate.forward(sess, xrh, None).tanh();
+        let c = self
+            .candidate
+            .forward_with(sess, xrh, None, supports)
+            .tanh();
         z.mul(h).add(z.neg().add_scalar(1.0).mul(c))
     }
 }
@@ -180,7 +198,7 @@ mod tests {
         let mut sess = Session::new(&tape, &store);
         let x = sess.input(rng.normal_tensor(&[2, 3, 2], 0.0, 1.0));
         let h = sess.input(Tensor::zeros(&[2, 3, 4]));
-        let h1 = cell.step(&mut sess, x, h);
+        let h1 = cell.step(&mut sess, x, h, None);
         assert_eq!(h1.shape(), vec![2, 3, 4]);
     }
 
@@ -197,7 +215,7 @@ mod tests {
         let mut h = sess.input(Tensor::zeros(&[1, 2, 3]));
         for step in 0..4 {
             let x = sess.input(rng.normal_tensor(&[1, 2, 1], step as f32, 1.0));
-            h = cell.step(&mut sess, x, h);
+            h = cell.step(&mut sess, x, h, None);
         }
         let grads = tape.backward(h.powf(2.0).mean_all());
         let binds = sess.into_bindings();

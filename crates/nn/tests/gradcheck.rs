@@ -298,7 +298,7 @@ fn dcgru_cell_input_and_param_grads() {
         check_scalar(&x, EPS, |t, v| {
             let mut sess = Session::new(t, store);
             let h0 = sess.input(Tensor::zeros(&[2, 4, 3]));
-            cell.step(&mut sess, v, h0).powf(2.0).sum_all()
+            cell.step(&mut sess, v, h0, None).powf(2.0).sum_all()
         })
         .assert_close(TOL);
     }
@@ -307,7 +307,7 @@ fn dcgru_cell_input_and_param_grads() {
         let mut sess = Session::new(t, s);
         let v = sess.input(x.clone());
         let h0 = sess.input(Tensor::zeros(&[2, 4, 3]));
-        let loss = cell2.step(&mut sess, v, h0).powf(2.0).sum_all();
+        let loss = cell2.step(&mut sess, v, h0, None).powf(2.0).sum_all();
         (loss, sess.into_bindings())
     });
 }

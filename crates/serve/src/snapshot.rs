@@ -1,6 +1,6 @@
 //! Immutable model snapshots: the unit of hot-swap.
 
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 use urcl_core::persist::{copy_store_checked, Checkpoint};
 use urcl_models::Backbone;
@@ -23,14 +23,13 @@ pub struct ModelSnapshot {
     normalizer: Normalizer,
     description: String,
     generation: u64,
-    /// Forward-only [`ExecPlan`]s compiled lazily and shared across every
-    /// shard thread holding this snapshot. Plans are batch-polymorphic,
+    /// The forward-only [`ExecPlan`], compiled lazily and shared across
+    /// every shard thread holding this snapshot. It is batch-polymorphic,
     /// so the first batch's compile serves every admission-controlled
-    /// batch size; the list grows only if poly compilation degrades to
-    /// mono for an architecture. Parameters are immutable for the
-    /// snapshot's lifetime, so a plan never goes stale; it dies with the
-    /// snapshot on hot-swap.
-    plans: Mutex<Vec<Arc<ExecPlan>>>,
+    /// batch size. Parameters are immutable for the snapshot's lifetime,
+    /// so the plan never goes stale; it dies with the snapshot on
+    /// hot-swap.
+    plan: OnceLock<ExecPlan>,
 }
 
 impl ModelSnapshot {
@@ -63,23 +62,19 @@ impl ModelSnapshot {
             normalizer,
             description: ckpt.description.clone(),
             generation,
-            plans: Mutex::new(Vec::new()),
+            plan: OnceLock::new(),
         })
     }
 
-    /// Returns a forward-only plan accepting `x`, compiling on first
-    /// sight ([`Backbone::compile_forward`]): one batch-polymorphic plan
-    /// replays at every batch size the batcher forms. `x` itself seeds
-    /// the recording; only its shape matters.
-    pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Arc<ExecPlan> {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(plan) = plans.iter().find(|p| p.accepts(&[x])) {
-            return Arc::clone(plan);
-        }
-        let _compile_sp = urcl_trace::span("plan_compile");
-        let plan = Arc::new(model.compile_forward(&self.store, x));
-        plans.push(Arc::clone(&plan));
-        plan
+    /// The snapshot's forward-only plan, compiled from `x` on first use
+    /// ([`Backbone::compile_forward`]): one batch-polymorphic plan replays
+    /// at every batch size the batcher forms. `x` itself seeds the
+    /// recording; only its shape matters.
+    pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> &ExecPlan {
+        self.plan.get_or_init(|| {
+            let _compile_sp = urcl_trace::span("plan_compile");
+            model.compile_forward(&self.store, x)
+        })
     }
 
     /// The trained parameters this snapshot serves with.

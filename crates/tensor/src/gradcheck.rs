@@ -12,7 +12,7 @@
 
 use crate::autodiff::{Tape, Var};
 use crate::params::ParamStore;
-use crate::plan::{ExecPlan, PlanSpec};
+use crate::plan::{ExecPlan, Recording};
 use crate::tensor::Tensor;
 
 /// Result of a gradient check: the largest absolute and relative deviation
@@ -51,33 +51,32 @@ where
 {
     let store = ParamStore::new();
     let tape = Tape::new();
-    let v = tape.leaf(x.clone());
-    let loss = build(&tape, v);
+    let (input, root) = {
+        let v = tape.leaf(x.clone());
+        (v.index(), build(&tape, v).index())
+    };
     let analytic = tape
-        .backward(loss)
-        .get(v)
+        .backward(tape.var(root))
+        .by_index(input)
         .cloned()
         .unwrap_or_else(|| Tensor::zeros(x.shape()));
 
-    let spec_inputs = [v.index()];
-    let train = ExecPlan::compile(
-        &tape,
-        &PlanSpec {
-            root: Some(loss.index()),
-            inputs: &spec_inputs,
-            outputs: &[],
-            bindings: &[],
-            poly: None,
-        },
-    );
+    let mut rec = Recording {
+        tape,
+        root: Some(root),
+        inputs: vec![input],
+        outputs: Vec::new(),
+        bindings: Vec::new(),
+    };
+    let train = ExecPlan::compile(&rec);
     let (l, grads) = train.run_training(&store, &[x]);
     assert_eq!(
         l.item().to_bits(),
-        tape.value(loss).item().to_bits(),
+        rec.tape.var(root).value().item().to_bits(),
         "gradcheck: plan loss diverged from the tape"
     );
     let plan_g = grads
-        .by_index(v.index())
+        .by_index(input)
         .cloned()
         .unwrap_or_else(|| Tensor::zeros(x.shape()));
     for (i, (a, p)) in analytic.data().iter().zip(plan_g.data()).enumerate() {
@@ -87,16 +86,9 @@ where
             "gradcheck: plan analytic grad diverged at coord {i}: {a:?} vs {p:?}"
         );
     }
-    let fwd_plan = ExecPlan::compile(
-        &tape,
-        &PlanSpec {
-            root: None,
-            inputs: &spec_inputs,
-            outputs: &[loss.index()],
-            bindings: &[],
-            poly: None,
-        },
-    );
+    rec.root = None;
+    rec.outputs = vec![root];
+    let fwd_plan = ExecPlan::compile(&rec);
     let eval = |xt: &Tensor| -> f32 { fwd_plan.run_forward(&store, &[xt])[0].item() };
     let mut max_abs: f32 = 0.0;
     let mut max_rel: f32 = 0.0;

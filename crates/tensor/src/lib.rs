@@ -70,10 +70,7 @@ pub use pool::{
     buffer_pool_stats, pool_poison_enabled, reset_buffer_pool_stats, set_pool_poison, trim_excess,
     BufferPoolStats,
 };
-pub use plan::{
-    note_plan_cache_entries, note_plan_cache_eviction, plan_stats, reset_plan_stats, ExecPlan,
-    PlanSpec, PlanStats, PolySpec, Recording,
-};
+pub use plan::{plan_stats, reset_plan_stats, ExecPlan, PlanStats, Recording};
 pub use simd::{detected_isa, Isa};
 pub use params::{ParamId, ParamStore};
 pub use rng::Rng;

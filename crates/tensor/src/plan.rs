@@ -1,10 +1,19 @@
 //! Compiled execution plans: record one autodiff tape for a model,
 //! compile it once, then replay it every step without re-recording the
-//! graph. Plans can be **batch-polymorphic** — compiled against a
+//! graph. Model plans are **batch-polymorphic**: compiled against a
 //! symbolic batch dimension so one plan serves every replay-grown batch
-//! size ([`ExecPlan::compile_poly`]) — and accept **dynamic inputs beyond
-//! parameters** (graph supports, contrastive masks) so per-step
+//! size ([`ExecPlan::compile_poly`]). Plans accept **dynamic inputs
+//! beyond parameters** (graph supports, contrastive masks) so per-step
 //! augmentation draws replay through the same plan.
+//!
+//! ## Batch polymorphism
+//!
+//! Every node dimension is an affine form `k + c·b` in the batch `b`; a
+//! replay infers `b` from its inputs, and the node-indexed schedule
+//! (fusion, moves, drops) holds at every `b`. [`ExecPlan::compile_poly`]
+//! panics, naming the node, on a graph that is not batch-polymorphic —
+//! there is no plan for one batch size to fall back to.
+//! [`ExecPlan::compile`] compiles one recording with constant forms.
 //!
 //! ## Why
 //!
@@ -62,14 +71,13 @@ static FUSED_STAGES: AtomicU64 = AtomicU64::new(0);
 static DEAD_EDGES: AtomicU64 = AtomicU64::new(0);
 static BUFFER_MOVES: AtomicU64 = AtomicU64::new(0);
 static VALUES_DROPPED: AtomicU64 = AtomicU64::new(0);
-static CACHE_ENTRIES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative plan-execution statistics since process start (or the last
 /// [`reset_plan_stats`]), exported by `urcl-trace` as the `plan` object.
 /// These are process-wide trace aggregates: concurrent work anywhere in
-/// the process lands in them, so a per-cache count belongs to its cache
-/// (the trainer's step-plan cache keeps its own).
+/// the process lands in them, so a count that must hold for one plan
+/// holder belongs to that holder (the trainer counts its own step-plan
+/// compiles).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Tapes compiled into plans.
@@ -89,11 +97,6 @@ pub struct PlanStats {
     /// Intermediate values dropped at their precomputed last use (and
     /// recycled into the buffer pool), summed over replays.
     pub values_dropped: u64,
-    /// Current number of plans held by the trainer's bounded cache
-    /// (a gauge — the trainer updates it on insert/evict/clear).
-    pub cache_entries: u64,
-    /// Plans evicted from the trainer's bounded cache since reset.
-    pub cache_evictions: u64,
 }
 
 /// Reads the cumulative plan counters.
@@ -105,8 +108,6 @@ pub fn plan_stats() -> PlanStats {
         dead_edges_skipped: DEAD_EDGES.load(Ordering::Relaxed),
         buffer_moves: BUFFER_MOVES.load(Ordering::Relaxed),
         values_dropped: VALUES_DROPPED.load(Ordering::Relaxed),
-        cache_entries: CACHE_ENTRIES.load(Ordering::Relaxed),
-        cache_evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
     }
 }
 
@@ -118,82 +119,32 @@ pub fn reset_plan_stats() {
     DEAD_EDGES.store(0, Ordering::Relaxed);
     BUFFER_MOVES.store(0, Ordering::Relaxed);
     VALUES_DROPPED.store(0, Ordering::Relaxed);
-    CACHE_ENTRIES.store(0, Ordering::Relaxed);
-    CACHE_EVICTIONS.store(0, Ordering::Relaxed);
 }
 
-/// Records the current size of the trainer's bounded plan cache (a
-/// gauge: the latest call wins).
-pub fn note_plan_cache_entries(n: u64) {
-    CACHE_ENTRIES.store(n, Ordering::Relaxed);
-}
+// ------------------------------------------------------------- recording
 
-/// Counts one eviction from the trainer's bounded plan cache.
-pub fn note_plan_cache_eviction() {
-    CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-// ------------------------------------------------------------------ spec
-
-/// Describes how a recorded [`Tape`] maps onto a reusable plan: which
-/// nodes are substituted per replay, which are trainable parameters, and
-/// what the plan must produce.
-pub struct PlanSpec<'a> {
+/// One recording of a plan's graph: the tape plus which of its nodes are
+/// substituted per replay, which are trainable parameters, and what the
+/// plan must produce. [`ExecPlan::compile`] compiles one;
+/// [`ExecPlan::compile_poly`] asks for one per batch size.
+pub struct Recording {
+    /// The recorded tape.
+    pub tape: Tape,
     /// Scalar loss node for training plans; `None` compiles a
     /// forward-only plan (no gradient bookkeeping, aggressive fusion).
     pub root: Option<usize>,
     /// Tape indices of per-replay inputs (recorded as `Constant` data or
     /// probe `Leaf` nodes). [`ExecPlan::run_training`] /
-    /// [`ExecPlan::run_forward`] substitute fresh same-shape tensors for
-    /// these, positionally.
-    pub inputs: &'a [usize],
+    /// [`ExecPlan::run_forward`] substitute fresh tensors for these,
+    /// positionally.
+    pub inputs: Vec<usize>,
     /// Tape indices whose forward values [`ExecPlan::run_forward`]
     /// returns, in order.
-    pub outputs: &'a [usize],
+    pub outputs: Vec<usize>,
     /// `(ParamId, node index)` pairs from
     /// [`Session::into_bindings`](crate::autodiff::Session::into_bindings):
     /// these leaves read the *current* value from the [`ParamStore`]
     /// passed at replay time.
-    pub bindings: &'a [(ParamId, usize)],
-    /// Optional second recording of the *same* step graph at a different
-    /// batch size, enabling a batch-polymorphic plan. See [`PolySpec`].
-    pub poly: Option<PolySpec<'a>>,
-}
-
-/// Second recording for a batch-polymorphic compile: the caller records
-/// the identical step graph twice, at batch sizes `batch0` (the primary
-/// tape handed to [`ExecPlan::compile`]) and `batch1 = batch0 + 1` (this
-/// tape; dummy data values are fine — only shapes are read). The compiler
-/// checks the recordings are op-for-op identical and derives, for every
-/// node dimension, the affine form `k + c·b` in the symbolic batch `b`
-/// fitting both recordings. Two adjacent batch sizes pin an affine form
-/// exactly, so every compile-time shape decision checked against both
-/// recordings holds for all `b`. If any check fails (structure diverges,
-/// a dimension is not affine in the batch, or a *captured* constant turns
-/// out batch-dependent) the plan silently degrades to a mono-shape plan
-/// for `batch0` — correct, just not shared across batch sizes.
-pub struct PolySpec<'a> {
-    /// The second recording, at `batch1`.
-    pub tape: &'a Tape,
-    /// Batch size of the primary recording.
-    pub batch0: usize,
-    /// Batch size of `tape`; must be `batch0 + 1`.
-    pub batch1: usize,
-}
-
-/// One recording of a plan's graph: the tape plus the [`PlanSpec`] node
-/// indices into it. [`ExecPlan::compile_poly`] asks for one per batch
-/// size.
-pub struct Recording {
-    /// The recorded tape.
-    pub tape: Tape,
-    /// Scalar loss node of a training plan; `None` for forward-only.
-    pub root: Option<usize>,
-    /// Per-replay input nodes (see [`PlanSpec::inputs`]).
-    pub inputs: Vec<usize>,
-    /// Nodes a forward replay returns (see [`PlanSpec::outputs`]).
-    pub outputs: Vec<usize>,
-    /// Parameter bindings (see [`PlanSpec::bindings`]).
     pub bindings: Vec<(ParamId, usize)>,
 }
 
@@ -318,13 +269,14 @@ enum NodeExec {
 /// threads behind an `Arc`.
 pub struct ExecPlan {
     ops: Vec<Op>,
-    /// Shapes of the primary recording (batch size `base_batch` for a
-    /// poly plan; the only valid shapes for a mono plan).
+    /// Shapes of the primary recording, made at batch size `base_batch`.
     shapes: Vec<Vec<usize>>,
-    /// Per-dimension affine forms `k + c·b` in the symbolic batch `b`;
-    /// `None` for mono-shape plans.
-    forms: Option<Vec<Vec<(usize, usize)>>>,
-    /// Batch size the primary recording was made at (0 for mono plans).
+    /// Per-dimension affine forms `k + c·b` in the symbolic batch `b`.
+    /// A one-recording [`ExecPlan::compile`] has `c = 0` everywhere: its
+    /// shapes are fixed.
+    forms: Vec<Vec<(usize, usize)>>,
+    /// Batch size the primary recording was made at (0 for a
+    /// one-recording compile, which has no batch dimension).
     base_batch: usize,
     /// Materialized shape sets for batch sizes other than `base_batch`,
     /// built on first use and shared across replays and threads.
@@ -350,8 +302,8 @@ pub struct ExecPlan {
 }
 
 /// The shape set one replay executes against: the compile-time shapes
-/// (mono plans, or a poly plan at its recorded batch), or a materialized
-/// per-batch set shared through the plan's scaled-shape cache.
+/// (at the recorded batch), or a materialized per-batch set shared
+/// through the plan's scaled-shape cache.
 enum ReplayShapes<'a> {
     Base(&'a [Vec<usize>]),
     Scaled(Arc<Vec<Vec<usize>>>),
@@ -398,17 +350,45 @@ impl ForwardValues for Replay<'_> {
 }
 
 impl ExecPlan {
-    /// Compiles a recorded tape into a reusable plan.
+    /// Compiles one recording into a plan that replays at exactly the
+    /// recorded shapes.
     ///
-    /// Panics if the spec is inconsistent with the tape: input/binding
-    /// indices must name `Leaf`/`Constant` nodes, a training root must be
-    /// scalar, and indices must be in range.
-    pub fn compile(tape: &Tape, spec: &PlanSpec<'_>) -> ExecPlan {
-        let nodes = tape.nodes.borrow();
-        let n = match spec
+    /// Panics if the recording's node indices are inconsistent with its
+    /// tape: input/binding indices must name `Leaf`/`Constant` nodes, a
+    /// training root must be scalar, and indices must be in range.
+    pub fn compile(rec: &Recording) -> ExecPlan {
+        ExecPlan::build(rec, None)
+    }
+
+    /// Compiles a batch-polymorphic plan from two recordings of one graph:
+    /// `record(batch)` and `record(batch + 1)`, in that order. The first
+    /// is the primary recording — its captured constants are what every
+    /// replay uses, so it must record the real graph. The compiler reads
+    /// only shapes from the second, which may run on zero-filled shape
+    /// proxies ([`Tensor::at_batch`]). For every node dimension it fits
+    /// the affine form `k + c·b` in the symbolic batch `b` through both
+    /// recordings; two adjacent batch sizes pin an affine form exactly, so
+    /// every compile-time shape decision checked against both recordings
+    /// holds for all `b`.
+    ///
+    /// Panics, naming the node, when the graph is not batch-polymorphic:
+    /// the recordings differ op for op, a dimension is not affine in the
+    /// batch, or a captured constant's shape depends on the batch (record
+    /// it as a plan input, or build it from one).
+    pub fn compile_poly(batch: usize, mut record: impl FnMut(usize) -> Recording) -> ExecPlan {
+        let primary = record(batch);
+        let second = record(batch + 1);
+        ExecPlan::build(&primary, Some((&second.tape, batch)))
+    }
+
+    /// Compiles `rec`; with `poly = Some((tape, b))` the recording was made
+    /// at batch `b` and `tape` records the same graph at `b + 1`.
+    fn build(rec: &Recording, poly: Option<(&Tape, usize)>) -> ExecPlan {
+        let nodes = rec.tape.nodes.borrow();
+        let n = match rec
             .root
             .into_iter()
-            .chain(spec.outputs.iter().copied())
+            .chain(rec.outputs.iter().copied())
             .max()
         {
             Some(hi) => {
@@ -417,7 +397,7 @@ impl ExecPlan {
             }
             None => nodes.len(),
         };
-        if let Some(r) = spec.root {
+        if let Some(r) = rec.root {
             assert_eq!(
                 nodes[r].value.len(),
                 1,
@@ -432,15 +412,27 @@ impl ExecPlan {
             .map(|nd| nd.value.shape().to_vec())
             .collect();
 
-        // --- Batch-polymorphic second recording (see [`PolySpec`]):
-        // check the two recordings agree op-for-op, then fit the
-        // per-dimension affine forms. `None` keeps the plan mono-shape.
-        let mut poly = spec.poly.as_ref().and_then(|p| poly_forms(&ops, &shapes, p));
+        // --- Per-dimension affine forms in the batch: fitted through the
+        // second recording, or constant for a one-recording compile.
+        let (forms, base_batch) = match poly {
+            Some((tape1, b0)) => (
+                poly_forms(&ops, &shapes, tape1, b0)
+                    .unwrap_or_else(|e| panic!("compile_poly: {e}")),
+                b0,
+            ),
+            None => (
+                shapes
+                    .iter()
+                    .map(|s| s.iter().map(|&d| (d, 0)).collect())
+                    .collect(),
+                0,
+            ),
+        };
 
         // --- Sources: where does each node's value come from at replay?
         let mut source = vec![Source::Computed; n];
         let mut captured = Vec::new();
-        for (slot, &idx) in spec.inputs.iter().enumerate() {
+        for (slot, &idx) in rec.inputs.iter().enumerate() {
             assert!(idx < n, "plan input index {idx} out of range");
             assert!(
                 matches!(ops[idx], Op::Leaf | Op::Constant),
@@ -448,7 +440,7 @@ impl ExecPlan {
             );
             source[idx] = Source::Input(slot);
         }
-        for (k, &(_, idx)) in spec.bindings.iter().enumerate() {
+        for (k, &(_, idx)) in rec.bindings.iter().enumerate() {
             assert!(idx < n, "plan binding index {idx} out of range");
             assert!(
                 matches!(ops[idx], Op::Leaf),
@@ -464,11 +456,21 @@ impl ExecPlan {
             if matches!(ops[i], Op::Leaf | Op::Constant)
                 && matches!(source[i], Source::Computed)
             {
+                // A captured constant is recorded once and reused at every
+                // batch size, so its shape must not depend on the batch.
+                assert!(
+                    forms[i].iter().all(|&(_, c)| c == 0),
+                    "compile_poly: node {i} ({:?}, shape {:?} at batch {base_batch}) \
+                     is a captured constant whose shape depends on the batch; \
+                     record it as a plan input or build it from one",
+                    ops[i],
+                    shapes[i]
+                );
                 source[i] = Source::Captured(captured.len());
                 captured.push(nodes[i].value.clone());
             }
         }
-        let backward = spec
+        let backward = rec
             .root
             .map(|root| BackwardSchedule::new(&nodes[..n], root));
 
@@ -477,10 +479,10 @@ impl ExecPlan {
         // code and is skipped entirely.
         let mut scratch = Vec::with_capacity(4);
         let mut needed_fwd = vec![false; n];
-        if let Some(root) = spec.root {
+        if let Some(root) = rec.root {
             needed_fwd[root] = true;
         }
-        for &o in spec.outputs {
+        for &o in &rec.outputs {
             assert!(o < n, "plan output index out of range");
             needed_fwd[o] = true;
         }
@@ -496,31 +498,16 @@ impl ExecPlan {
         }
         drop(nodes);
 
-        // A captured constant is recorded once and reused at every batch
-        // size, so its shape must be batch-independent (equal in both
-        // recordings ⇔ affine coefficient 0). A batch-dependent constant
-        // the caller did not promote to an input (e.g. a contrastive mask
-        // in a graph compiled without slot promotion) degrades the plan
-        // to mono-shape rather than replaying with a stale value.
-        if let Some((shapes1, _)) = &poly {
-            let stale_capture = (0..n)
-                .any(|i| matches!(source[i], Source::Captured(_)) && shapes1[i] != shapes[i]);
-            if stale_capture {
-                poly = None;
-            }
-        }
-        let poly_shapes = poly.as_ref().map(|(s1, _)| s1.as_slice());
-
         // --- keep_value[i]: the forward value survives past its last
         // forward consumer because a backward rule reads it. Own-output
         // rules (exp, sqrt, sigmoid, tanh, softmax) keep their own value
         // when reached; consumer rules keep the sibling operand they
         // multiply by. Shape-only rules keep nothing.
         let mut keep_value = vec![false; n];
-        if let Some(root) = spec.root {
+        if let Some(root) = rec.root {
             keep_value[root] = true; // the loss value is returned
         }
-        for &o in spec.outputs {
+        for &o in &rec.outputs {
             keep_value[o] = true;
         }
         let (useful, reached): (&[bool], &[bool]) = match &backward {
@@ -591,11 +578,11 @@ impl ExecPlan {
                 last_use[a] = i;
             }
         }
-        if let Some(root) = spec.root {
+        if let Some(root) = rec.root {
             refs[root] += 1;
             last_use[root] = usize::MAX;
         }
-        for &o in spec.outputs {
+        for &o in &rec.outputs {
             refs[o] += 1;
             last_use[o] = usize::MAX;
         }
@@ -657,15 +644,11 @@ impl ExecPlan {
                     {
                         NodeExec::MoveDetach(*a)
                     }
-                    // Same-shape in *both* recordings: per-dim affine
-                    // forms equal at two adjacent batches are equal at
-                    // every batch, so the direct-loop fast path stays
-                    // exact for any replay size.
+                    // Same-shape at every batch: equal per-dim affine
+                    // forms keep the direct-loop fast path exact for any
+                    // replay size.
                     Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b)
-                        if shapes[*a] == shapes[i]
-                            && shapes[*b] == shapes[i]
-                            && poly_shapes
-                                .map_or(true, |s1| s1[*a] == s1[i] && s1[*b] == s1[i]) =>
+                        if forms[*a] == forms[i] && forms[*b] == forms[i] =>
                     {
                         let kind = match &ops[i] {
                             Op::Add(..) => BinKind::Add,
@@ -743,13 +726,6 @@ impl ExecPlan {
         }
 
         COMPILES.fetch_add(1, Ordering::Relaxed);
-        let (forms, base_batch) = match poly {
-            Some((_, forms)) => (
-                Some(forms),
-                spec.poly.as_ref().expect("poly accepted without a spec").batch0,
-            ),
-            None => (None, 0),
-        };
         ExecPlan {
             ops,
             shapes,
@@ -758,9 +734,9 @@ impl ExecPlan {
             scaled: Mutex::new(Vec::new()),
             source,
             captured,
-            bindings: spec.bindings.to_vec(),
-            input_nodes: spec.inputs.to_vec(),
-            outputs: spec.outputs.to_vec(),
+            bindings: rec.bindings.clone(),
+            input_nodes: rec.inputs.clone(),
+            outputs: rec.outputs.clone(),
             dead_edges: backward.as_ref().map_or(0, |b| b.dead_edges),
             backward,
             exec,
@@ -769,32 +745,6 @@ impl ExecPlan {
             static_moves,
             static_drops,
         }
-    }
-
-    /// Compiles a batch-polymorphic plan from two recordings of one graph:
-    /// `record(batch)` and `record(batch + 1)`, in that order. The first
-    /// is the primary recording — its captured constants are what every
-    /// replay uses, so it must record the real graph. The compiler reads
-    /// only shapes from the second, which may run on zero-filled shape
-    /// proxies ([`Tensor::at_batch`]). Degrades to a mono plan for
-    /// `batch` as [`PolySpec`] describes.
-    pub fn compile_poly(batch: usize, mut record: impl FnMut(usize) -> Recording) -> ExecPlan {
-        let primary = record(batch);
-        let second = record(batch + 1);
-        ExecPlan::compile(
-            &primary.tape,
-            &PlanSpec {
-                root: primary.root,
-                inputs: &primary.inputs,
-                outputs: &primary.outputs,
-                bindings: &primary.bindings,
-                poly: Some(PolySpec {
-                    tape: &second.tape,
-                    batch0: batch,
-                    batch1: batch + 1,
-                }),
-            },
-        )
     }
 
     /// The `(ParamId, node index)` bindings this plan was compiled with,
@@ -818,23 +768,8 @@ impl ExecPlan {
         self.backward.is_some()
     }
 
-    /// Shapes the substituted inputs must have, in spec order.
-    pub fn input_shapes(&self) -> Vec<Vec<usize>> {
-        self.input_nodes
-            .iter()
-            .map(|&i| self.shapes[i].clone())
-            .collect()
-    }
-
-    /// True when the plan was compiled batch-polymorphic: one compile
-    /// serves every batch size consistent with its affine shape forms.
-    pub fn is_poly(&self) -> bool {
-        self.forms.is_some()
-    }
-
-    /// Infers the symbolic batch size from the replay inputs (poly
-    /// plans) or checks exact shape equality (mono plans). `Err` carries
-    /// the mismatch description.
+    /// Infers the symbolic batch size from the replay inputs' affine
+    /// shape forms. `Err` carries the mismatch description.
     fn try_batch(&self, inputs: &[&Tensor]) -> Result<usize, String> {
         if inputs.len() != self.input_nodes.len() {
             return Err(format!(
@@ -843,19 +778,9 @@ impl ExecPlan {
                 inputs.len()
             ));
         }
-        let Some(forms) = &self.forms else {
-            for (k, (&t, &idx)) in inputs.iter().zip(&self.input_nodes).enumerate() {
-                if t.shape() != &self.shapes[idx][..] {
-                    return Err(format!(
-                        "plan input {k} shape mismatch (compile a new plan for new shapes)"
-                    ));
-                }
-            }
-            return Ok(self.base_batch);
-        };
         let mut batch: Option<usize> = None;
         for (k, (&t, &idx)) in inputs.iter().zip(&self.input_nodes).enumerate() {
-            let form = &forms[idx];
+            let form = &self.forms[idx];
             let shape = t.shape();
             if shape.len() != form.len() {
                 return Err(format!("plan input {k} rank mismatch"));
@@ -889,8 +814,8 @@ impl ExecPlan {
         Ok(batch.unwrap_or(self.base_batch))
     }
 
-    /// True when `inputs` can replay through this plan: exact shape match
-    /// for a mono plan, one consistent batch size for a poly plan.
+    /// True when `inputs` can replay through this plan: every input
+    /// dimension on its affine form, at one consistent batch size.
     pub fn accepts(&self, inputs: &[&Tensor]) -> bool {
         self.try_batch(inputs).is_ok()
     }
@@ -901,15 +826,15 @@ impl ExecPlan {
     /// and batch-free, so only buffer extents change between batches.
     fn shapes_for(&self, inputs: &[&Tensor]) -> ReplayShapes<'_> {
         let b = self.try_batch(inputs).unwrap_or_else(|e| panic!("{e}"));
-        if self.forms.is_none() || b == self.base_batch {
+        if b == self.base_batch {
             return ReplayShapes::Base(&self.shapes);
         }
         let mut cache = self.scaled.lock().unwrap();
         if let Some((_, s)) = cache.iter().find(|(b2, _)| *b2 == b) {
             return ReplayShapes::Scaled(Arc::clone(s));
         }
-        let forms = self.forms.as_ref().expect("checked above");
-        let shapes: Vec<Vec<usize>> = forms
+        let shapes: Vec<Vec<usize>> = self
+            .forms
             .iter()
             .map(|f| f.iter().map(|&(k, c)| k + c * b).collect())
             .collect();
@@ -919,10 +844,10 @@ impl ExecPlan {
     }
 
     /// Replays the forward pass and returns clones of the output nodes'
-    /// values, in spec order. Parameters are read from `store` by
-    /// reference; `inputs` substitute the spec's input nodes positionally
-    /// and must match the compiled shapes (exactly for mono plans, up to
-    /// the symbolic batch size for poly plans).
+    /// values, in recording order. Parameters are read from `store` by
+    /// reference; `inputs` substitute the recording's input nodes
+    /// positionally and must match the compiled shapes up to the symbolic
+    /// batch size.
     pub fn run_forward(&self, store: &ParamStore, inputs: &[&Tensor]) -> Vec<Tensor> {
         let shapes = self.shapes_for(inputs);
         let mut values: Vec<Option<Tensor>> = Vec::new();
@@ -1192,49 +1117,56 @@ fn exec_bin(kind: BinKind, a: &Tensor, b: &Tensor, par: bool, out_shape: &[usize
     Tensor::from_vec(data, out_shape)
 }
 
-/// Validates a [`PolySpec`] against the primary recording and fits the
-/// per-dimension affine forms `k + c·b`. Returns the second recording's
-/// shapes (used by the compile-time shape guards) plus the forms, or
-/// `None` when the recordings diverge structurally or a dimension is not
-/// affine in the batch — in which case the plan stays mono-shape.
+/// Fits the per-dimension affine forms `k + c·b` through the primary
+/// recording (`ops`, `shapes`, made at batch `b0`) and `tape1`, the same
+/// graph recorded at `b0 + 1`. `Err` names the first node that keeps the
+/// graph from being batch-polymorphic.
 fn poly_forms(
     ops: &[Op],
     shapes: &[Vec<usize>],
-    p: &PolySpec<'_>,
-) -> Option<(Vec<Vec<usize>>, Vec<Vec<(usize, usize)>>)> {
-    assert_eq!(
-        p.batch1,
-        p.batch0 + 1,
-        "poly recordings must be at adjacent batch sizes"
-    );
-    let nodes1 = p.tape.nodes.borrow();
+    tape1: &Tape,
+    b0: usize,
+) -> Result<Vec<Vec<(usize, usize)>>, String> {
+    let nodes1 = tape1.nodes.borrow();
     if nodes1.len() < ops.len() {
-        return None;
+        return Err(format!(
+            "the recording at batch {} has {} nodes, the one at batch {b0} needs {}",
+            b0 + 1,
+            nodes1.len(),
+            ops.len()
+        ));
     }
-    if ops.iter().zip(nodes1.iter()).any(|(op, nd)| *op != nd.op) {
-        return None;
-    }
-    let shapes1: Vec<Vec<usize>> = nodes1[..ops.len()]
-        .iter()
-        .map(|nd| nd.value.shape().to_vec())
-        .collect();
-    drop(nodes1);
+    // d = k + c·b fit through (b0, d0) and (b0 + 1, d1); shrinking or
+    // super-linear dims have no valid (k, c) ≥ 0.
+    let fit = |(&d0, &d1): (&usize, &usize)| {
+        let c = d1.checked_sub(d0)?;
+        Some((d0.checked_sub(c.checked_mul(b0)?)?, c))
+    };
     let mut forms = Vec::with_capacity(shapes.len());
-    for (s0, s1) in shapes.iter().zip(&shapes1) {
-        if s0.len() != s1.len() {
-            return None;
+    for (i, ((op, s0), nd)) in ops.iter().zip(shapes).zip(nodes1.iter()).enumerate() {
+        if *op != nd.op {
+            return Err(format!(
+                "the recordings at batch {b0} and {} diverge at node {i}: {op:?} vs {:?}",
+                b0 + 1,
+                nd.op
+            ));
         }
-        let mut f = Vec::with_capacity(s0.len());
-        for (&d0, &d1) in s0.iter().zip(s1) {
-            // d = k + c·b fit through (batch0, d0) and (batch0+1, d1);
-            // shrinking or super-linear dims have no valid (k, c) ≥ 0.
-            let c = d1.checked_sub(d0)?;
-            let k = d0.checked_sub(c.checked_mul(p.batch0)?)?;
-            f.push((k, c));
-        }
-        forms.push(f);
+        let s1 = nd.value.shape();
+        let form = if s0.len() == s1.len() {
+            s0.iter().zip(s1).map(fit).collect()
+        } else {
+            None
+        };
+        let Some(form) = form else {
+            return Err(format!(
+                "node {i} ({op:?}) has shape {s0:?} at batch {b0} and {s1:?} at batch {}, \
+                 not affine in the batch",
+                b0 + 1
+            ));
+        };
+        forms.push(form);
     }
-    Some((shapes1, forms))
+    Ok(forms)
 }
 
 #[cfg(test)]
@@ -1276,27 +1208,30 @@ mod tests {
             (lv, gw, gb)
         };
 
-        // Record once, compile, then replay with a *different* batch.
+        // Record once, compile, then replay with different data.
         let plan = {
             let tape = Tape::new();
-            let mut sess = Session::new(&tape, &store);
-            let xv = sess.input(x0.clone());
-            let yv = sess.input(y0.clone());
-            let wv = sess.param(w);
-            let bv = sess.param(b);
-            let pred = xv.matmul(wv).add(bv).tanh();
-            let loss = pred.sub(yv).abs().mean_all();
-            let binds = sess.into_bindings();
-            ExecPlan::compile(
-                &tape,
-                &PlanSpec {
-                    root: Some(loss.index()),
-                    inputs: &[xv.index(), yv.index()],
-                    outputs: &[],
-                    bindings: &binds,
-                    poly: None,
-                },
-            )
+            let (root, inputs, bindings) = {
+                let mut sess = Session::new(&tape, &store);
+                let xv = sess.input(x0.clone());
+                let yv = sess.input(y0.clone());
+                let wv = sess.param(w);
+                let bv = sess.param(b);
+                let pred = xv.matmul(wv).add(bv).tanh();
+                let loss = pred.sub(yv).abs().mean_all();
+                (
+                    loss.index(),
+                    vec![xv.index(), yv.index()],
+                    sess.into_bindings(),
+                )
+            };
+            ExecPlan::compile(&Recording {
+                tape,
+                root: Some(root),
+                inputs,
+                outputs: Vec::new(),
+                bindings,
+            })
         };
 
         let x1 = rng.uniform_tensor(&[2, 3], -1.0, 1.0);
@@ -1323,28 +1258,29 @@ mod tests {
         let w = store.add("w", t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
         let support = t(vec![0.5, 0.1, 0.2, 0.7], &[2, 2]);
         let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let sv = sess.input(support.clone());
-        let wv = sess.param(w);
-        // support @ w: the edge into the constant support is dead.
-        let loss = sv.matmul(wv).mean_all();
-        let binds = sess.into_bindings();
-        let plan = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: Some(loss.index()),
-                inputs: &[],
-                outputs: &[],
-                bindings: &binds,
-                poly: None,
-            },
-        );
+        let (root, bindings) = {
+            let mut sess = Session::new(&tape, &store);
+            let sv = sess.input(support.clone());
+            let wv = sess.param(w);
+            // support @ w: the edge into the constant support is dead.
+            let loss = sv.matmul(wv).mean_all();
+            (loss.index(), sess.into_bindings())
+        };
+        let rec = Recording {
+            tape,
+            root: Some(root),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            bindings,
+        };
+        let plan = ExecPlan::compile(&rec);
         assert!(plan.dead_edges >= 1, "support edge should be dead");
         let (lp, grads) = plan.run_training(&store, &[]);
-        let gi = tape.backward(loss);
+        let loss = rec.tape.var(root);
+        let gi = rec.tape.backward(loss);
         assert_eq!(lp.item().to_bits(), loss.value().item().to_bits());
-        let gw_i = gi.by_index(binds[0].1).unwrap();
-        let gw_p = grads.by_index(binds[0].1).unwrap();
+        let gw_i = gi.by_index(rec.bindings[0].1).unwrap();
+        let gw_p = grads.by_index(rec.bindings[0].1).unwrap();
         for (a, b) in gw_p.data().iter().zip(gw_i.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1356,19 +1292,19 @@ mod tests {
         let store = ParamStore::new();
         let x0 = Rng::seed_from_u64(3).uniform_tensor(&[4, 5], -2.0, 2.0);
         let tape = Tape::new();
-        let sess = Session::new(&tape, &store);
-        let xv = sess.input(x0.clone());
-        let y = xv.scale(2.0).add_scalar(1.0).tanh().relu();
-        let plan = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: None,
-                inputs: &[xv.index()],
-                outputs: &[y.index()],
-                bindings: &[],
-                poly: None,
-            },
-        );
+        let (input, output) = {
+            let sess = Session::new(&tape, &store);
+            let xv = sess.input(x0.clone());
+            let y = xv.scale(2.0).add_scalar(1.0).tanh().relu();
+            (xv.index(), y.index())
+        };
+        let plan = ExecPlan::compile(&Recording {
+            tape,
+            root: None,
+            inputs: vec![input],
+            outputs: vec![output],
+            bindings: Vec::new(),
+        });
         assert!(plan.fused_stages >= 3, "chain of 4 should fuse 3 stages");
         let x1 = Rng::seed_from_u64(4).uniform_tensor(&[4, 5], -2.0, 2.0);
         let out = plan.run_forward(&store, &[&x1]);
@@ -1385,20 +1321,20 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add("w", t(vec![2.0], &[1]));
         let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let wv = sess.param(w);
-        let loss = wv.mul(wv).mean_all();
-        let binds = sess.into_bindings();
-        let plan = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: Some(loss.index()),
-                inputs: &[],
-                outputs: &[],
-                bindings: &binds,
-                poly: None,
-            },
-        );
+        let (root, bindings) = {
+            let mut sess = Session::new(&tape, &store);
+            let wv = sess.param(w);
+            let loss = wv.mul(wv).mean_all();
+            (loss.index(), sess.into_bindings())
+        };
+        let binds = bindings.clone();
+        let plan = ExecPlan::compile(&Recording {
+            tape,
+            root: Some(root),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            bindings,
+        });
         let (l0, g0) = plan.run_training(&store, &[]);
         assert_eq!(l0.item(), 4.0);
         assert_eq!(g0.by_index(binds[0].1).unwrap().data(), &[4.0]);
@@ -1406,6 +1342,33 @@ mod tests {
         let (l1, g1) = plan.run_training(&store, &[]);
         assert_eq!(l1.item(), 9.0);
         assert_eq!(g1.by_index(binds[0].1).unwrap().data(), &[6.0]);
+    }
+
+    /// Records `|tanh(x @ w + b) − y|` at batch `x.shape()[0]`.
+    fn record_affine(
+        store: &ParamStore,
+        w: ParamId,
+        b: ParamId,
+        x: Tensor,
+        y: Tensor,
+    ) -> Recording {
+        let tape = Tape::new();
+        let (root, inputs, bindings) = {
+            let mut sess = Session::new(&tape, store);
+            let xv = sess.input(x);
+            let yv = sess.input(y);
+            let wv = sess.param(w);
+            let bv = sess.param(b);
+            let loss = xv.matmul(wv).add(bv).tanh().sub(yv).abs().mean_all();
+            (loss.index(), vec![xv.index(), yv.index()], sess.into_bindings())
+        };
+        Recording {
+            tape,
+            root: Some(root),
+            inputs,
+            outputs: Vec::new(),
+            bindings,
+        }
     }
 
     /// One batch-polymorphic plan (recorded at batches 2 and 3) replays
@@ -1417,57 +1380,23 @@ mod tests {
         let mut rng = Rng::seed_from_u64(21);
         let w = store.add("w", rng.uniform_tensor(&[3, 4], -1.0, 1.0));
         let b = store.add("b", rng.uniform_tensor(&[4], -1.0, 1.0));
-        let record = |store: &ParamStore, x: &Tensor, y: &Tensor| {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
-            let wv = sess.param(w);
-            let bv = sess.param(b);
-            let pred = xv.matmul(wv).add(bv).tanh();
-            let loss = pred.sub(yv).abs().mean_all();
-            let root = loss.index();
-            let inputs = vec![xv.index(), yv.index()];
-            let binds = sess.into_bindings();
-            (tape, inputs, binds, root)
-        };
         let x2 = rng.uniform_tensor(&[2, 3], -1.0, 1.0);
         let y2 = rng.uniform_tensor(&[2, 4], -1.0, 1.0);
-        let (t0, in0, binds0, root0) = record(&store, &x2, &y2);
         // Second recording at batch 3; only shapes matter, zeros are fine.
-        let (t1, _, _, _) = record(&store, &Tensor::zeros(&[3, 3]), &Tensor::zeros(&[3, 4]));
-        let plan = ExecPlan::compile(
-            &t0,
-            &PlanSpec {
-                root: Some(root0),
-                inputs: &in0,
-                outputs: &[],
-                bindings: &binds0,
-                poly: Some(PolySpec {
-                    tape: &t1,
-                    batch0: 2,
-                    batch1: 3,
-                }),
-            },
-        );
-        assert!(plan.is_poly());
+        let plan = ExecPlan::compile_poly(2, |bsz| {
+            record_affine(&store, w, b, x2.at_batch(bsz), y2.at_batch(bsz))
+        });
         for bsz in [5usize, 2, 7, 3] {
             let x = rng.uniform_tensor(&[bsz, 3], -1.0, 1.0);
             let y = rng.uniform_tensor(&[bsz, 4], -1.0, 1.0);
             assert!(plan.accepts(&[&x, &y]));
             // Recorded reference at this batch size.
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, &store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
-            let wv = sess.param(w);
-            let bv = sess.param(b);
-            let loss = xv.matmul(wv).add(bv).tanh().sub(yv).abs().mean_all();
-            let gi = tape.backward(loss);
-            let binds = sess.into_bindings();
+            let rec = record_affine(&store, w, b, x.clone(), y.clone());
+            let loss = rec.tape.var(rec.root.unwrap());
+            let gi = rec.tape.backward(loss);
             let (lp, gp) = plan.run_training(&store, &[&x, &y]);
             assert_eq!(lp.item().to_bits(), loss.value().item().to_bits());
-            for (k, &(_, idx)) in binds.iter().enumerate() {
+            for (k, &(_, idx)) in rec.bindings.iter().enumerate() {
                 let a = gp.by_index(plan.bindings()[k].1).unwrap();
                 let b = gi.by_index(idx).unwrap();
                 for (av, bv) in a.data().iter().zip(b.data()) {
@@ -1515,7 +1444,6 @@ mod tests {
             [(4, false), (5, true)],
             "primary on real data, then a zero proxy"
         );
-        assert!(plan.is_poly());
         let x7 = Rng::seed_from_u64(25).uniform_tensor(&[7, 3], -1.0, 1.0);
         let out = plan.run_forward(&store, &[&x7]);
         let expect = x7.matmul(store.value(w)).map(crate::activation::tanh);
@@ -1523,46 +1451,56 @@ mod tests {
     }
 
     /// A batch-dependent constant that was *not* promoted to an input
-    /// degrades the plan to mono-shape: replaying it at a new batch size
-    /// with a stale captured value would be wrong, so only the recorded
-    /// batch is accepted.
+    /// would replay with a stale captured value at any other batch size,
+    /// so `compile_poly` rejects the graph, naming the constant.
     #[test]
-    fn stale_capture_degrades_to_mono() {
+    #[should_panic(expected = "captured constant whose shape depends on the batch")]
+    fn batch_dependent_capture_is_rejected() {
         let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from_u64(22);
-        let w = store.add("w", rng.uniform_tensor(&[3, 3], -1.0, 1.0));
-        let record = |store: &ParamStore, bsz: usize| {
+        let w = store.add("w", Rng::seed_from_u64(22).uniform_tensor(&[3, 3], -1.0, 1.0));
+        ExecPlan::compile_poly(2, |bsz| {
             let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = Tensor::zeros(&[bsz, 3]);
-            let xv = sess.input(x);
-            let wv = sess.param(w);
-            // Batch-dependent mask recorded as a plain captured constant.
-            let mask = sess.input(Tensor::ones(&[bsz, 3]));
-            let loss = xv.matmul(wv).mul(mask).mean_all();
-            let root = loss.index();
-            let inputs = vec![xv.index()];
-            let binds = sess.into_bindings();
-            (tape, inputs, binds, root)
-        };
-        let (t0, in0, binds0, root0) = record(&store, 2);
-        let (t1, _, _, _) = record(&store, 3);
-        let plan = ExecPlan::compile(
-            &t0,
-            &PlanSpec {
-                root: Some(root0),
-                inputs: &in0,
-                outputs: &[],
-                bindings: &binds0,
-                poly: Some(PolySpec {
-                    tape: &t1,
-                    batch0: 2,
-                    batch1: 3,
-                }),
-            },
-        );
-        assert!(!plan.is_poly());
-        assert!(plan.accepts(&[&Tensor::zeros(&[2, 3])]));
-        assert!(!plan.accepts(&[&Tensor::zeros(&[3, 3])]));
+            let (root, inputs, bindings) = {
+                let mut sess = Session::new(&tape, &store);
+                let xv = sess.input(Tensor::zeros(&[bsz, 3]));
+                let wv = sess.param(w);
+                // Batch-dependent mask recorded as a plain captured constant.
+                let mask = sess.input(Tensor::ones(&[bsz, 3]));
+                let loss = xv.matmul(wv).mul(mask).mean_all();
+                (loss.index(), vec![xv.index()], sess.into_bindings())
+            };
+            Recording {
+                tape,
+                root: Some(root),
+                inputs,
+                outputs: Vec::new(),
+                bindings,
+            }
+        });
+    }
+
+    /// Two recordings that are not the same graph (here `tanh` at one
+    /// batch, `relu` at the other) are rejected at the first node where
+    /// they differ.
+    #[test]
+    #[should_panic(expected = "diverge at node")]
+    fn diverging_recordings_are_rejected() {
+        let store = ParamStore::new();
+        ExecPlan::compile_poly(2, |bsz| {
+            let tape = Tape::new();
+            let (inputs, outputs) = {
+                let sess = Session::new(&tape, &store);
+                let xv = sess.input(Tensor::zeros(&[bsz, 3]));
+                let y = if bsz == 2 { xv.tanh() } else { xv.relu() };
+                (vec![xv.index()], vec![y.index()])
+            };
+            Recording {
+                tape,
+                root: None,
+                inputs,
+                outputs,
+                bindings: Vec::new(),
+            }
+        });
     }
 }

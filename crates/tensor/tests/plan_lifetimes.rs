@@ -24,8 +24,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
-    set_pool_poison, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec,
-    PolySpec, Rng, Tensor,
+    set_pool_poison, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, Recording, Rng,
+    Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -136,30 +136,23 @@ fn run_engine(
 
     let compiled = if use_plan {
         let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let x = sess.input(step_inputs[0].clone());
-        let (loss, aux) = build(&mut sess, params, &[x], meta);
-        let binds = sess.into_bindings();
-        let train = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: Some(loss.index()),
-                inputs: &[x.index()],
-                outputs: &[],
-                bindings: &binds,
-                poly: None,
-            },
-        );
-        let fwd = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: None,
-                inputs: &[x.index()],
-                outputs: &[aux.index()],
-                bindings: &binds,
-                poly: None,
-            },
-        );
+        let (x, loss, aux, bindings) = {
+            let mut sess = Session::new(&tape, &store);
+            let x = sess.input(step_inputs[0].clone());
+            let (loss, aux) = build(&mut sess, params, &[x], meta);
+            (x.index(), loss.index(), aux.index(), sess.into_bindings())
+        };
+        let mut rec = Recording {
+            tape,
+            root: Some(loss),
+            inputs: vec![x],
+            outputs: Vec::new(),
+            bindings,
+        };
+        let train = ExecPlan::compile(&rec);
+        rec.root = None;
+        rec.outputs = vec![aux];
+        let fwd = ExecPlan::compile(&rec);
         Some((train, fwd))
     } else {
         None
@@ -335,58 +328,30 @@ fn run_masked(
     let mut out = Vec::new();
 
     let compiled = if use_plan {
-        let record = |x: &Tensor, m: &Tensor| {
-            let tape = Tape::new();
-            let (root, aux_idx, inputs, binds);
-            {
-                let mut sess = Session::new(&tape, &store);
-                let xv = sess.input(x.clone());
-                let mv = sess.input(m.clone());
-                let (loss, aux) = build_masked(&mut sess, params, &[xv, mv], &[]);
-                root = loss.index();
-                aux_idx = aux.index();
-                inputs = vec![xv.index(), mv.index()];
-                binds = sess.into_bindings();
-            }
-            (tape, root, aux_idx, inputs, binds)
-        };
+        // The training plan (`train`) or the forward plan of the aux
+        // output, recorded at batch `b` over the first step's inputs.
         let (x0, m0) = &steps[0];
+        let record = |b: usize, train: bool| {
+            let tape = Tape::new();
+            let (root, aux, inputs, bindings) = {
+                let mut sess = Session::new(&tape, &store);
+                let xv = sess.input(x0.at_batch(b));
+                let mv = sess.input(m0.clone());
+                let (loss, aux) = build_masked(&mut sess, params, &[xv, mv], &[]);
+                let inputs = vec![xv.index(), mv.index()];
+                (loss.index(), aux.index(), inputs, sess.into_bindings())
+            };
+            Recording {
+                tape,
+                root: train.then_some(root),
+                inputs,
+                outputs: if train { Vec::new() } else { vec![aux] },
+                bindings,
+            }
+        };
         let b0 = x0.shape()[0];
-        let d = x0.shape()[1];
-        let (tape0, root, aux, inputs, binds) = record(x0, m0);
-        let (tape1, _, _, _, _) = record(&Tensor::zeros(&[b0 + 1, d]), m0);
-        let train = ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: Some(root),
-                inputs: &inputs,
-                outputs: &[],
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
-        let fwd = ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: None,
-                inputs: &inputs,
-                outputs: &[aux],
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
-        assert!(
-            train.is_poly() && fwd.is_poly(),
-            "masked graph failed to compile batch-polymorphically"
-        );
+        let train = ExecPlan::compile_poly(b0, |b| record(b, true));
+        let fwd = ExecPlan::compile_poly(b0, |b| record(b, false));
         Some((train, fwd))
     } else {
         None

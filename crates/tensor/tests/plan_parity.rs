@@ -25,7 +25,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
-    set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec, Rng, Tensor,
+    set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, Recording, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -79,31 +79,24 @@ fn run_engine(prog: &Prog, step_inputs: &[Vec<Tensor>], use_plan: bool) -> CaseO
 
     if use_plan {
         let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let xs: Vec<Var<'_>> = step_inputs[0].iter().map(|t| sess.input(t.clone())).collect();
-        let (loss, aux_var) = (prog.build)(&mut sess, &prog.params, &xs, &prog.meta);
-        let in_idx: Vec<usize> = xs.iter().map(|v| v.index()).collect();
-        let binds = sess.into_bindings();
-        let train = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: Some(loss.index()),
-                inputs: &in_idx,
-                outputs: &[],
-                bindings: &binds,
-                poly: None,
-            },
-        );
-        let fwd = ExecPlan::compile(
-            &tape,
-            &PlanSpec {
-                root: None,
-                inputs: &in_idx,
-                outputs: &[aux_var.index()],
-                bindings: &binds,
-                poly: None,
-            },
-        );
+        let (in_idx, loss, aux_idx, bindings) = {
+            let mut sess = Session::new(&tape, &store);
+            let xs: Vec<Var<'_>> = step_inputs[0].iter().map(|t| sess.input(t.clone())).collect();
+            let (loss, aux_var) = (prog.build)(&mut sess, &prog.params, &xs, &prog.meta);
+            let in_idx: Vec<usize> = xs.iter().map(|v| v.index()).collect();
+            (in_idx, loss.index(), aux_var.index(), sess.into_bindings())
+        };
+        let mut rec = Recording {
+            tape,
+            root: Some(loss),
+            inputs: in_idx,
+            outputs: Vec::new(),
+            bindings,
+        };
+        let train = ExecPlan::compile(&rec);
+        rec.root = None;
+        rec.outputs = vec![aux_idx];
+        let fwd = ExecPlan::compile(&rec);
         for (si, ins) in step_inputs.iter().enumerate() {
             let refs: Vec<&Tensor> = ins.iter().collect();
             let outs = fwd.run_forward(&store, &refs);

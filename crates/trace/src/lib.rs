@@ -226,9 +226,7 @@ pub fn snapshot() -> Value {
                         Value::Num(plan.dead_edges_skipped as f64),
                     )
                     .with("buffer_moves", Value::Num(plan.buffer_moves as f64))
-                    .with("values_dropped", Value::Num(plan.values_dropped as f64))
-                    .with("cache_entries", Value::Num(plan.cache_entries as f64))
-                    .with("cache_evictions", Value::Num(plan.cache_evictions as f64)),
+                    .with("values_dropped", Value::Num(plan.values_dropped as f64)),
             )
     })
 }
@@ -349,8 +347,6 @@ mod tests {
             "dead_edges_skipped",
             "buffer_moves",
             "values_dropped",
-            "cache_entries",
-            "cache_evictions",
         ] {
             assert!(
                 plan.get(key).and_then(Value::as_u64).is_some(),

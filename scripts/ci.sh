@@ -5,19 +5,9 @@
 # whose JSON output (and any other BENCH_*.json / results files present)
 # is schema-validated through the in-tree parser.
 #
-# Usage: scripts/ci.sh [--full]
-#   --full   also runs the #[ignore]-gated full-size integration tests
-#            (slow in debug builds).
+# Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-FULL=0
-for arg in "$@"; do
-  case "$arg" in
-    --full) FULL=1 ;;
-    *) echo "unknown argument: $arg" >&2; exit 2 ;;
-  esac
-done
 
 echo "== build (release) =="
 cargo build --release --offline
@@ -87,10 +77,11 @@ echo "== serve network front-end + work stealing (release) =="
 timeout 600 cargo test -q --offline --release -p urcl-serve \
   --test http_wire --test steal
 
-if [[ "$FULL" == 1 ]]; then
-  echo "== full-size integration tests (ignored set) =="
-  cargo test -q --offline --test end_to_end --test backbones -- --ignored
-fi
+echo "== full-size integration tests (ignored set, release) =="
+# The #[ignore]-gated full-size runs: every backbone through the stream
+# and as a URCL backbone on 2.5x more data, and the full pipeline. Under
+# a second of test time in release.
+cargo test -q --offline --release --test end_to_end --test backbones -- --ignored
 
 echo "== end-to-end benchmark smoke test (release) =="
 # Every perfbench workload at reduced size through the public APIs, with

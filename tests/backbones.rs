@@ -86,7 +86,7 @@ fn all_backbones(
 fn every_backbone_predicts_correct_shapes() {
     let (dataset, split, _) = tiny_days(4);
     let windows = split.base.windows(&dataset.config);
-    let batch = urcl::stdata::stack_samples(&windows[..3]);
+    let batch = stack_samples(&windows[..3]);
     for (model, store) in all_backbones(&dataset.network, &dataset.config) {
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
@@ -110,6 +110,24 @@ fn every_backbone_predicts_correct_shapes() {
             "{} produced non-finite predictions",
             model.name()
         );
+        // One batch-polymorphic forward plan replays a fresh recording
+        // bit for bit at the batch it was compiled from and at another.
+        let plan = model.compile_forward(&store, &batch.x);
+        for b in [3, 5] {
+            let x = stack_samples(&windows[..b]).x;
+            let replay = plan.run_forward(&store, &[&x]).remove(0);
+            let tape = Tape::new();
+            let mut sess = Session::new(&tape, &store);
+            let xv = sess.input(x);
+            let recorded = model.forward(&mut sess, xv).value();
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&replay),
+                bits(&recorded),
+                "{} forward plan at batch {b}",
+                model.name()
+            );
+        }
     }
 }
 
