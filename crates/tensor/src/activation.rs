@@ -173,7 +173,10 @@ mod tests {
             let want = sigmoid_ref(x);
             if want.is_normal() {
                 let e = ulps(got_s, want);
-                assert!(e <= 2, "sigmoid({x:e}) = {got_s:e}, want {want:e} ({e} ulp)");
+                assert!(
+                    e <= 2,
+                    "sigmoid({x:e}) = {got_s:e}, want {want:e} ({e} ulp)"
+                );
                 worst_s = worst_s.max(e);
             }
         }
@@ -187,7 +190,11 @@ mod tests {
         let mut bits = bits.peekable();
         while bits.peek().is_some() {
             block.clear();
-            block.extend(bits.by_ref().take(1 << 16).map(|b| f32::from_bits(b as u32)));
+            block.extend(
+                bits.by_ref()
+                    .take(1 << 16)
+                    .map(|b| f32::from_bits(b as u32)),
+            );
             let (t, s) = check(&block);
             worst = (worst.0.max(t), worst.1.max(s));
         }
@@ -219,7 +226,11 @@ mod tests {
         // The negative tail follows e^x into the subnormals and reaches 0.
         assert!(sigmoid(-90.0) > 0.0 && !sigmoid(-90.0).is_normal());
         assert_eq!(sigmoid(-200.0), 0.0);
-        for x in (0..(1u32 << 31)).step_by(7919).map(f32::from_bits).filter(|x| !x.is_nan()) {
+        for x in (0..(1u32 << 31))
+            .step_by(7919)
+            .map(f32::from_bits)
+            .filter(|x| !x.is_nan())
+        {
             assert_eq!(
                 tanh(-x).to_bits(),
                 (-tanh(x)).to_bits(),
@@ -269,6 +280,9 @@ mod tests {
                 (acc.0.max(t), acc.1.max(s))
             })
         });
-        println!("exhaustive: tanh max {} ulp, sigmoid max {} ulp", worst.0, worst.1);
+        println!(
+            "exhaustive: tanh max {} ulp, sigmoid max {} ulp",
+            worst.0, worst.1
+        );
     }
 }

@@ -484,18 +484,12 @@ impl<'t> Var<'t> {
 
     /// Sum of all elements, as a `[1]`-shaped variable.
     pub fn sum_all(self) -> Var<'t> {
-        self.unary(
-            |a| Tensor::scalar(a.sum_all()),
-            Op::SumAll(self.idx),
-        )
+        self.unary(|a| Tensor::scalar(a.sum_all()), Op::SumAll(self.idx))
     }
 
     /// Mean of all elements, as a `[1]`-shaped variable.
     pub fn mean_all(self) -> Var<'t> {
-        self.unary(
-            |a| Tensor::scalar(a.mean_all()),
-            Op::MeanAll(self.idx),
-        )
+        self.unary(|a| Tensor::scalar(a.mean_all()), Op::MeanAll(self.idx))
     }
 
     /// Softmax along `axis`.
@@ -780,7 +774,10 @@ mod tests {
         let w = tape.constant(t(vec![1.0, 10.0, 100.0], &[3]));
         let loss = s.mul(w).sum_all();
         let g = tape.backward(loss);
-        assert_eq!(g.get(x).unwrap().data(), &[1.0, 10.0, 100.0, 1.0, 10.0, 100.0]);
+        assert_eq!(
+            g.get(x).unwrap().data(),
+            &[1.0, 10.0, 100.0, 1.0, 10.0, 100.0]
+        );
     }
 
     #[test]

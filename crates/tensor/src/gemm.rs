@@ -238,7 +238,11 @@ fn pack_a(
             let col = &mut panel[p * MR..p * MR + MR];
             let src_base = (ic + i0) * a_rs + (pc + p) * a_cs;
             for (r, slot) in col.iter_mut().enumerate() {
-                *slot = if r < rows { a[src_base + r * a_rs] } else { 0.0 };
+                *slot = if r < rows {
+                    a[src_base + r * a_rs]
+                } else {
+                    0.0
+                };
             }
         }
     }
@@ -265,7 +269,11 @@ fn pack_b(
             let row = &mut panel[p * NR..p * NR + NR];
             let src_base = (pc + p) * b_rs + (jc + j0) * b_cs;
             for (c, slot) in row.iter_mut().enumerate() {
-                *slot = if c < cols { b[src_base + c * b_cs] } else { 0.0 };
+                *slot = if c < cols {
+                    b[src_base + c * b_cs]
+                } else {
+                    0.0
+                };
             }
         }
     }
@@ -472,7 +480,9 @@ mod tests {
         let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         (0..len)
             .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
@@ -482,10 +492,7 @@ mod tests {
         let tol = 1e-4 * (k.max(1) as f32).sqrt();
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             let denom = w.abs().max(1.0);
-            assert!(
-                (g - w).abs() / denom < tol,
-                "elem {i}: got {g}, want {w}"
-            );
+            assert!((g - w).abs() / denom < tol, "elem {i}: got {g}, want {w}");
         }
     }
 
@@ -526,7 +533,7 @@ mod tests {
         let (m, k, n) = (37, 65, 41);
         let a = fill(m * k, 3);
         let bt = fill(n * k, 4); // B stored as [n, k]
-        // Explicitly transpose bt into b [k, n].
+                                 // Explicitly transpose bt into b [k, n].
         let mut b = vec![0.0f32; k * n];
         for j in 0..n {
             for p in 0..k {
@@ -612,7 +619,10 @@ mod tests {
         for _ in 0..3 {
             let mut again = vec![0.0f32; m * n];
             gemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut again);
-            assert!(first.iter().zip(&again).all(|(x, y)| x.to_bits() == y.to_bits()));
+            assert!(first
+                .iter()
+                .zip(&again)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 }

@@ -227,9 +227,7 @@ mod tests {
     #[test]
     fn check_mean_axes_keepdim() {
         let x = rand_t(&[2, 3, 2], 20);
-        check_scalar(&x, EPS, |_t, v| {
-            v.mean_axes(&[1], true).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
+        check_scalar(&x, EPS, |_t, v| v.mean_axes(&[1], true).powf(2.0).sum_all())
+            .assert_close(TOL);
     }
 }

@@ -66,12 +66,12 @@ pub use parallel::{
     host_parallelism, num_threads, parallel_for, pool_stats, reset_pool_stats, set_threads,
     PoolStats,
 };
+pub use params::{ParamId, ParamStore};
+pub use plan::{plan_stats, reset_plan_stats, ExecPlan, PlanStats, Recording};
 pub use pool::{
     buffer_pool_stats, pool_poison_enabled, reset_buffer_pool_stats, set_pool_poison, trim_excess,
     BufferPoolStats,
 };
-pub use plan::{plan_stats, reset_plan_stats, ExecPlan, PlanStats, Recording};
-pub use simd::{detected_isa, Isa};
-pub use params::{ParamId, ParamStore};
 pub use rng::Rng;
+pub use simd::{detected_isa, Isa};
 pub use tensor::Tensor;

@@ -20,9 +20,32 @@ pub const OP_KINDS: usize = 26;
 
 /// Human-readable op-kind names, index-aligned with the counters.
 pub const OP_NAMES: [&str; OP_KINDS] = [
-    "add", "sub", "mul", "div", "neg", "scale", "add_scalar", "powf", "exp", "ln", "sqrt", "abs",
-    "relu", "leaky_relu", "sigmoid", "tanh", "matmul", "permute", "reshape", "sum_axes", "sum_all",
-    "mean_all", "softmax", "concat", "narrow", "detach",
+    "add",
+    "sub",
+    "mul",
+    "div",
+    "neg",
+    "scale",
+    "add_scalar",
+    "powf",
+    "exp",
+    "ln",
+    "sqrt",
+    "abs",
+    "relu",
+    "leaky_relu",
+    "sigmoid",
+    "tanh",
+    "matmul",
+    "permute",
+    "reshape",
+    "sum_axes",
+    "sum_all",
+    "mean_all",
+    "softmax",
+    "concat",
+    "narrow",
+    "detach",
 ];
 
 /// Profiling state: 0 = unset (read env on first use), 1 = on, 2 = off.

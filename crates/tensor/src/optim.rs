@@ -136,7 +136,8 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (beta1, beta2, lr, eps, wd) = (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
+        let (beta1, beta2, lr, eps, wd) =
+            (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
         let ids: Vec<_> = store.ids().collect();
         for (i, id) in ids.into_iter().enumerate() {
             // Split-borrow the gradient and update everything in place.

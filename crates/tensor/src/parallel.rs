@@ -264,8 +264,7 @@ where
     let erased: &(dyn Fn(Range<usize>) + Sync) = &f;
     // SAFETY: we block on `done` for every dispatched task below, so the
     // erased borrow cannot outlive `f`.
-    let erased: *const (dyn Fn(Range<usize>) + Sync) =
-        unsafe { std::mem::transmute(erased) };
+    let erased: *const (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(erased) };
 
     let (done_tx, done_rx) = channel();
     {

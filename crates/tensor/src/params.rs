@@ -152,7 +152,11 @@ impl ParamStore {
     /// Copies parameter values from another store with identical layout,
     /// reusing the existing buffers.
     pub fn copy_values_from(&mut self, other: &ParamStore) {
-        assert_eq!(self.params.len(), other.params.len(), "store layout mismatch");
+        assert_eq!(
+            self.params.len(),
+            other.params.len(),
+            "store layout mismatch"
+        );
         for (a, b) in self.params.iter_mut().zip(&other.params) {
             assert_eq!(a.value.shape(), b.value.shape(), "param shape mismatch");
             a.value.data_mut().copy_from_slice(b.value.data());

@@ -251,7 +251,12 @@ enum NodeExec {
         par: bool,
     },
     /// Same-shape binary elementwise op, direct-loop.
-    Bin { kind: BinKind, a: usize, b: usize, par: bool },
+    Bin {
+        kind: BinKind,
+        a: usize,
+        b: usize,
+        par: bool,
+    },
     /// `reshape` stealing its dying input's buffer (zero-copy).
     MoveReshape(usize),
     /// `detach` stealing its dying input's buffer (zero-copy).
@@ -453,9 +458,7 @@ impl ExecPlan {
             source[idx] = Source::Param(k);
         }
         for i in 0..n {
-            if matches!(ops[i], Op::Leaf | Op::Constant)
-                && matches!(source[i], Source::Computed)
-            {
+            if matches!(ops[i], Op::Leaf | Op::Constant) && matches!(source[i], Source::Computed) {
                 // A captured constant is recorded once and reused at every
                 // batch size, so its shape must not depend on the batch.
                 assert!(
@@ -542,11 +545,7 @@ impl ExecPlan {
                         keep_value[*b] = true;
                     }
                 }
-                Op::PowF(a, _)
-                | Op::Ln(a)
-                | Op::Abs(a)
-                | Op::Relu(a)
-                | Op::LeakyRelu(a, _) => {
+                Op::PowF(a, _) | Op::Ln(a) | Op::Abs(a) | Op::Relu(a) | Op::LeakyRelu(a, _) => {
                     if useful[*a] {
                         keep_value[*a] = true;
                     }
@@ -605,10 +604,9 @@ impl ExecPlan {
                         && !keep_value[a]
                         && matches!(exec[a], NodeExec::Run { .. });
                     if fuse_prev {
-                        let NodeExec::Run { src, stages, .. } = std::mem::replace(
-                            &mut exec[a],
-                            NodeExec::Skip,
-                        ) else {
+                        let NodeExec::Run { src, stages, .. } =
+                            std::mem::replace(&mut exec[a], NodeExec::Skip)
+                        else {
                             unreachable!()
                         };
                         let mut stages = stages;
@@ -788,9 +786,7 @@ impl ExecPlan {
             for (j, (&d, &(k0, c))) in shape.iter().zip(form).enumerate() {
                 if c == 0 {
                     if d != k0 {
-                        return Err(format!(
-                            "plan input {k} dim {j}: expected {k0}, got {d}"
-                        ));
+                        return Err(format!("plan input {k} dim {j}: expected {k0}, got {d}"));
                     }
                     continue;
                 }
@@ -1029,7 +1025,10 @@ impl ExecPlan {
             Op::SumAll(a) => Tensor::scalar(v(*a).sum_all()),
             Op::MeanAll(a) => Tensor::scalar(v(*a).mean_all()),
             Op::Softmax(a, axis) => v(*a).softmax(*axis),
-            Op::Concat { inputs: parts, axis } => {
+            Op::Concat {
+                inputs: parts,
+                axis,
+            } => {
                 let tensors: Vec<&Tensor> = parts.iter().map(|&p| v(p)).collect();
                 Tensor::concat(&tensors, *axis)
             }
@@ -1077,7 +1076,9 @@ fn exec_run(src: &Tensor, stages: &[Stage], par: bool, out_shape: &[usize]) -> T
     if !par || n < PAR_MIN_ELEMS || !parallelism_available() {
         run(&mut data, sd, stages);
     } else {
-        par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| run(chunk, &sd[r], stages));
+        par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
+            run(chunk, &sd[r], stages)
+        });
     }
     Tensor::from_vec(data, out_shape)
 }
@@ -1099,9 +1100,7 @@ fn exec_bin(kind: BinKind, a: &Tensor, b: &Tensor, par: bool, out_shape: &[usize
                 }
             } else {
                 par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for ((slot, &x), &y) in
-                        chunk.iter_mut().zip(&ad[r.clone()]).zip(&bd[r])
-                    {
+                    for ((slot, &x), &y) in chunk.iter_mut().zip(&ad[r.clone()]).zip(&bd[r]) {
                         *slot = f(x, y);
                     }
                 });
@@ -1308,7 +1307,11 @@ mod tests {
         assert!(plan.fused_stages >= 3, "chain of 4 should fuse 3 stages");
         let x1 = Rng::seed_from_u64(4).uniform_tensor(&[4, 5], -2.0, 2.0);
         let out = plan.run_forward(&store, &[&x1]);
-        let expect = x1.scale(2.0).add_scalar(1.0).map(crate::activation::tanh).map(|v| v.max(0.0));
+        let expect = x1
+            .scale(2.0)
+            .add_scalar(1.0)
+            .map(crate::activation::tanh)
+            .map(|v| v.max(0.0));
         assert_eq!(out.len(), 1);
         for (a, b) in out[0].data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1360,7 +1363,11 @@ mod tests {
             let wv = sess.param(w);
             let bv = sess.param(b);
             let loss = xv.matmul(wv).add(bv).tanh().sub(yv).abs().mean_all();
-            (loss.index(), vec![xv.index(), yv.index()], sess.into_bindings())
+            (
+                loss.index(),
+                vec![xv.index(), yv.index()],
+                sess.into_bindings(),
+            )
         };
         Recording {
             tape,
@@ -1457,7 +1464,10 @@ mod tests {
     #[should_panic(expected = "captured constant whose shape depends on the batch")]
     fn batch_dependent_capture_is_rejected() {
         let mut store = ParamStore::new();
-        let w = store.add("w", Rng::seed_from_u64(22).uniform_tensor(&[3, 3], -1.0, 1.0));
+        let w = store.add(
+            "w",
+            Rng::seed_from_u64(22).uniform_tensor(&[3, 3], -1.0, 1.0),
+        );
         ExecPlan::compile_poly(2, |bsz| {
             let tape = Tape::new();
             let (root, inputs, bindings) = {

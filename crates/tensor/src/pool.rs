@@ -372,7 +372,9 @@ pub fn trim_excess(max_resident_f32: usize) {
         let mut lens: Vec<usize> = map.keys().copied().collect();
         lens.sort_unstable_by(|a, b| b.cmp(a));
         for len in lens {
-            let Some(bucket) = map.get_mut(&len) else { continue };
+            let Some(bucket) = map.get_mut(&len) else {
+                continue;
+            };
             while resident > max_resident_f32 {
                 match bucket.pop() {
                     Some(b) => resident -= b.len(),
@@ -423,11 +425,7 @@ fn take(len: usize, zero: bool) -> Buffer {
     if len == 0 {
         return Buffer::new();
     }
-    let recycled = FREE.with(|f| {
-        f.borrow_mut()
-            .get_mut(&len)
-            .and_then(|bucket| bucket.pop())
-    });
+    let recycled = FREE.with(|f| f.borrow_mut().get_mut(&len).and_then(|bucket| bucket.pop()));
     note_live(len);
     let mut b = match recycled {
         Some(mut b) => {
@@ -493,7 +491,10 @@ mod tests {
         trim_thread_pool();
         for len in [1, 7, 32, 100, 4096] {
             let b = take_uninit(len);
-            assert!(b.is_aligned(), "pool block of len {len} not {ALIGN}B aligned");
+            assert!(
+                b.is_aligned(),
+                "pool block of len {len} not {ALIGN}B aligned"
+            );
             assert_eq!((b.as_ptr() as usize) % ALIGN, 0);
             recycle(b);
         }

@@ -188,7 +188,14 @@ mod tests {
     #[test]
     fn transpose_gather_matches_scalar() {
         // Rectangles crossing the 8x8 tile boundary in every way.
-        for &(p, q, rs_pad) in &[(1, 1, 0), (7, 9, 0), (8, 8, 0), (11, 13, 3), (16, 24, 1), (33, 17, 5)] {
+        for &(p, q, rs_pad) in &[
+            (1, 1, 0),
+            (7, 9, 0),
+            (8, 8, 0),
+            (11, 13, 3),
+            (16, 24, 1),
+            (33, 17, 5),
+        ] {
             let src_rs = p + rs_pad;
             let src: Vec<f32> = (0..q * src_rs).map(|v| v as f32).collect();
             let mut want = vec![0.0f32; p * q];

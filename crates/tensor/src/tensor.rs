@@ -194,7 +194,12 @@ impl Tensor {
 
     /// The single value of a one-element tensor.
     pub fn item(&self) -> f32 {
-        assert_eq!(self.data.len(), 1, "item() on tensor of shape {:?}", self.shape);
+        assert_eq!(
+            self.data.len(),
+            1,
+            "item() on tensor of shape {:?}",
+            self.shape
+        );
         self.data[0]
     }
 
@@ -294,7 +299,10 @@ impl Tensor {
             parallel_for(n, PAR_MIN_ELEMS / 4, |r| {
                 // SAFETY: chunks are disjoint subranges of 0..n.
                 let dst = unsafe { out.slice(r.start, r.len()) };
-                for ((slot, &a), &b) in dst.iter_mut().zip(&self.data[r.clone()]).zip(&other.data[r])
+                for ((slot, &a), &b) in dst
+                    .iter_mut()
+                    .zip(&self.data[r.clone()])
+                    .zip(&other.data[r])
                 {
                     *slot = f(a, b);
                 }
@@ -392,7 +400,11 @@ impl Tensor {
     pub fn sum_axes(&self, axes: &[usize], keepdim: bool) -> Self {
         let mut reduce = vec![false; self.ndim()];
         for &a in axes {
-            assert!(a < self.ndim(), "sum axis {a} out of range for {:?}", self.shape);
+            assert!(
+                a < self.ndim(),
+                "sum axis {a} out of range for {:?}",
+                self.shape
+            );
             reduce[a] = true;
         }
         let keep_shape: Vec<usize> = self
@@ -416,7 +428,11 @@ impl Tensor {
                 .filter(|(i, _)| !reduce[*i])
                 .map(|(_, &d)| d)
                 .collect();
-            let shape = if squeezed.is_empty() { vec![1] } else { squeezed };
+            let shape = if squeezed.is_empty() {
+                vec![1]
+            } else {
+                squeezed
+            };
             out.reshape(&shape)
         }
     }
@@ -580,7 +596,11 @@ impl Tensor {
         );
         let (m, ka) = (self.shape[self.ndim() - 2], self.shape[self.ndim() - 1]);
         let (kb, n) = (other.shape[other.ndim() - 2], other.shape[other.ndim() - 1]);
-        assert_eq!(ka, kb, "matmul inner dim mismatch: {:?} @ {:?}", self.shape, other.shape);
+        assert_eq!(
+            ka, kb,
+            "matmul inner dim mismatch: {:?} @ {:?}",
+            self.shape, other.shape
+        );
         let batch_a = &self.shape[..self.ndim() - 2];
         let batch_b = &other.shape[..other.ndim() - 2];
         let batch = broadcast_shape(batch_a, batch_b).unwrap_or_else(|| {
@@ -1222,7 +1242,10 @@ mod tests {
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
         let a = Tensor::from_vec((0..6).map(|v| v as f32).collect::<Vec<f32>>(), &[2, 3]);
-        let b = Tensor::from_vec((0..12).map(|v| v as f32 * 0.5).collect::<Vec<f32>>(), &[4, 3]);
+        let b = Tensor::from_vec(
+            (0..12).map(|v| v as f32 * 0.5).collect::<Vec<f32>>(),
+            &[4, 3],
+        );
         let fused = a.matmul_nt(&b);
         let explicit = a.matmul(&b.transpose(0, 1));
         assert_eq!(fused.shape(), &[2, 4]);
@@ -1232,7 +1255,10 @@ mod tests {
     #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Tensor::from_vec((0..6).map(|v| v as f32).collect::<Vec<f32>>(), &[3, 2]);
-        let b = Tensor::from_vec((0..12).map(|v| v as f32 * 0.5).collect::<Vec<f32>>(), &[3, 4]);
+        let b = Tensor::from_vec(
+            (0..12).map(|v| v as f32 * 0.5).collect::<Vec<f32>>(),
+            &[3, 4],
+        );
         let fused = a.matmul_tn(&b);
         let explicit = a.transpose(0, 1).matmul(&b);
         assert_eq!(fused.shape(), &[2, 4]);
@@ -1259,8 +1285,14 @@ mod tests {
 
     #[test]
     fn matmul_matches_reference() {
-        let a = Tensor::from_vec((0..30).map(|v| (v as f32).sin()).collect::<Vec<f32>>(), &[5, 6]);
-        let b = Tensor::from_vec((0..42).map(|v| (v as f32).cos()).collect::<Vec<f32>>(), &[6, 7]);
+        let a = Tensor::from_vec(
+            (0..30).map(|v| (v as f32).sin()).collect::<Vec<f32>>(),
+            &[5, 6],
+        );
+        let b = Tensor::from_vec(
+            (0..42).map(|v| (v as f32).cos()).collect::<Vec<f32>>(),
+            &[6, 7],
+        );
         let fast = a.matmul(&b);
         let slow = a.matmul_reference(&b);
         for (x, y) in fast.data().iter().zip(slow.data()) {

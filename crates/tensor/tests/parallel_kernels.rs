@@ -91,7 +91,11 @@ fn matmul_broadcast_and_empty_batches() {
     let eb = rng.uniform_tensor(&[0, 13, 3], -1.0, 1.0);
     let out = ea.matmul(&eb);
     assert_eq!(out.shape(), &[0, 7, 3]);
-    assert_eq!(ea.matmul_nt(&rng.uniform_tensor(&[0, 3, 13], -1.0, 1.0)).shape(), &[0, 7, 3]);
+    assert_eq!(
+        ea.matmul_nt(&rng.uniform_tensor(&[0, 3, 13], -1.0, 1.0))
+            .shape(),
+        &[0, 7, 3]
+    );
 }
 
 #[test]
@@ -107,7 +111,11 @@ fn results_bitwise_identical_across_thread_counts_and_runs() {
     // Repeated runs at the same thread count.
     let mm4b = a.matmul(&b);
 
-    assert_eq!(mm1.data(), mm4.data(), "matmul differs across thread counts");
+    assert_eq!(
+        mm1.data(),
+        mm4.data(),
+        "matmul differs across thread counts"
+    );
     assert_eq!(mm4.data(), mm4b.data(), "matmul differs run-to-run");
 }
 
@@ -187,7 +195,10 @@ fn backward_identical_across_thread_counts() {
         let bv = tape.leaf(b.clone());
         let loss = av.matmul(bv).tanh().mean_all();
         let grads = tape.backward(loss);
-        (grads.get(av).unwrap().clone(), grads.get(bv).unwrap().clone())
+        (
+            grads.get(av).unwrap().clone(),
+            grads.get(bv).unwrap().clone(),
+        )
     };
 
     set_threads(1);

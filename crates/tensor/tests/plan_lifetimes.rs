@@ -200,8 +200,12 @@ fn check_poisoned(label: &str, reference: &[u32], poisoned: &[u32]) {
             "{label}: observable {i} is NaN — a buffer was read after release \
              or before initialization"
         );
-        assert_eq!(r, p, "{label}: observable {i} diverged under poisoning: {:?} vs {pv:?}",
-            f32::from_bits(*r));
+        assert_eq!(
+            r,
+            p,
+            "{label}: observable {i} diverged under poisoning: {:?} vs {pv:?}",
+            f32::from_bits(*r)
+        );
     }
 }
 
@@ -252,7 +256,6 @@ fn random_graphs_survive_pool_poisoning() {
             &meta,
         );
     }
-
 }
 
 #[test]
@@ -424,12 +427,15 @@ fn poly_dynamic_input_replay_survives_pool_poisoning() {
         let interp = run_masked(&store, &params, &steps, false);
         set_pool_poison(prev_poison);
         set_threads(prev_threads);
-        check_poisoned(&format!("poly dynamic-input plan {threads}t"), &reference, &plan);
+        check_poisoned(
+            &format!("poly dynamic-input plan {threads}t"),
+            &reference,
+            &plan,
+        );
         check_poisoned(
             &format!("poly dynamic-input interp {threads}t"),
             &reference,
             &interp,
         );
     }
-
 }

@@ -81,7 +81,10 @@ fn run_engine(prog: &Prog, step_inputs: &[Vec<Tensor>], use_plan: bool) -> CaseO
         let tape = Tape::new();
         let (in_idx, loss, aux_idx, bindings) = {
             let mut sess = Session::new(&tape, &store);
-            let xs: Vec<Var<'_>> = step_inputs[0].iter().map(|t| sess.input(t.clone())).collect();
+            let xs: Vec<Var<'_>> = step_inputs[0]
+                .iter()
+                .map(|t| sess.input(t.clone()))
+                .collect();
             let (loss, aux_var) = (prog.build)(&mut sess, &prog.params, &xs, &prog.meta);
             let in_idx: Vec<usize> = xs.iter().map(|v| v.index()).collect();
             (in_idx, loss.index(), aux_var.index(), sess.into_bindings())
@@ -129,8 +132,17 @@ fn run_engine(prog: &Prog, step_inputs: &[Vec<Tensor>], use_plan: bool) -> CaseO
         }
     }
 
-    let params = prog.params.iter().map(|&id| bits(store.value(id))).collect();
-    CaseOut { losses, aux, grads: grads_bits, params }
+    let params = prog
+        .params
+        .iter()
+        .map(|&id| bits(store.value(id)))
+        .collect();
+    CaseOut {
+        losses,
+        aux,
+        grads: grads_bits,
+        params,
+    }
 }
 
 fn assert_same(label: &str, what: &str, a: &[u32], b: &[u32]) {
@@ -202,7 +214,10 @@ fn build_mixed<'t, 's>(
         0,
     );
     let sm = cat.reshape(&[b, t, d]).softmax(2);
-    let red = sm.permute(&[0, 2, 1]).sum_axes(&[2], false).mean_axes(&[0], true);
+    let red = sm
+        .permute(&[0, 2, 1])
+        .sum_axes(&[2], false)
+        .mean_axes(&[0], true);
     let det = e.detach().mean_all();
     let loss = red
         .sum_all()
@@ -296,7 +311,10 @@ fn mixed_graph_parity_over_architecture_churn() {
         let b = 1 + (rng.next_u64() % 3) as usize;
         let t = 2 + (rng.next_u64() % 4) as usize;
         let d = 1 + (rng.next_u64() % 7) as usize;
-        check_prog(&mixed_prog(&format!("churn{i}"), b, t, d, &mut rng), &mut rng);
+        check_prog(
+            &mixed_prog(&format!("churn{i}"), b, t, d, &mut rng),
+            &mut rng,
+        );
     }
 }
 
@@ -318,6 +336,9 @@ fn gated_tcn_window_parity() {
         let cin = 1 + (rng.next_u64() % 6) as usize;
         let cout = 1 + (rng.next_u64() % 6) as usize;
         let k = 2 + (rng.next_u64() % 2) as usize;
-        check_prog(&tcn_prog(&format!("churn{i}"), b, n, 2, cin, cout, k, &mut rng), &mut rng);
+        check_prog(
+            &tcn_prog(&format!("churn{i}"), b, n, 2, cin, cout, k, &mut rng),
+            &mut rng,
+        );
     }
 }

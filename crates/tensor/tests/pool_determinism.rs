@@ -53,13 +53,7 @@ fn build_model(store: &mut ParamStore, rng: &mut Rng) -> Mlp {
 
 /// One forward/backward/update step; returns the mean absolute error of
 /// the step's predictions against the targets.
-fn train_step(
-    model: &Mlp,
-    store: &mut ParamStore,
-    opt: &mut Adam,
-    x: Tensor,
-    y: Tensor,
-) -> f32 {
+fn train_step(model: &Mlp, store: &mut ParamStore, opt: &mut Adam, x: Tensor, y: Tensor) -> f32 {
     store.zero_grads();
     let tape = Tape::new();
     let mut sess = Session::new(&tape, store);
