@@ -33,7 +33,6 @@ pub mod pipeline;
 pub mod replay;
 pub mod rmir;
 pub mod simsiam;
-pub mod timing;
 pub mod trainer;
 
 pub use augment::{Augmentation, AugmentedView, TimeShiftKind};
@@ -48,9 +47,9 @@ pub use pipeline::UrclPipeline;
 pub use replay::ReplayBuffer;
 pub use rmir::{rmir_sample, RmirPlans, RmirStats};
 pub use simsiam::StSimSiam;
-pub use timing::Stopwatch;
 pub use trainer::{
     Ablation, ContinualTrainer, ForwardPlan, HookAction, NoopHook, RunOutcome, RunReport,
     SetReport, StepBudget, StepInfo, Strategy, TrainCursor, TrainHook, TrainerConfig,
     TrainerSnapshot,
 };
+pub use urcl_trace::Stopwatch;

@@ -18,7 +18,6 @@ use crate::mixup::{concat_replay, st_mixup};
 use crate::replay::ReplayBuffer;
 use crate::rmir::{rmir_sample, RmirPlans, RmirStats};
 use crate::simsiam::StSimSiam;
-use crate::timing::Stopwatch;
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
 use urcl_models::Backbone;
@@ -27,6 +26,7 @@ use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
     trim_excess, Adam, AdamState, ExecPlan, Optimizer, ParamStore, Recording, Rng, Tensor,
 };
+use urcl_trace::Stopwatch;
 
 /// Training strategy for streaming data (Section V-B1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,12 +1,13 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! A [`Tape`] records every operation as an explicit [`Op`] node; calling
+//! A [`Tape`] records every operation as an explicit [`Op`] node, computing
+//! its value through the crate's one forward rule per op; calling
 //! [`Tape::backward`] walks the tape in reverse, applying one hand-written
-//! backward rule per variant. The rules live in one place, shared with
-//! compiled [`ExecPlan`](crate::plan::ExecPlan) replays. Compared to
-//! closure-captured backward functions this keeps every rule inspectable
-//! and testable — each one is verified against numerical differentiation
-//! in `gradcheck` tests.
+//! backward rule per variant. Both rule sets live in one place each,
+//! shared with compiled [`ExecPlan`](crate::plan::ExecPlan) replays, so a
+//! `Var` method only names its op. Compared to closure-captured rules
+//! this keeps every rule inspectable and testable — each backward rule
+//! is verified against numerical differentiation in `gradcheck` tests.
 //!
 //! Variables ([`Var`]) are `Copy` indices into the tape, so expression code
 //! reads naturally:
@@ -22,7 +23,6 @@
 
 use crate::backward::BackwardSchedule;
 use crate::params::{ParamId, ParamStore};
-use crate::shape::numel;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -63,8 +63,6 @@ pub enum Op {
     Abs(usize),
     /// Rectified linear unit `max(a, 0)`.
     Relu(usize),
-    /// Leaky ReLU with the given negative-side slope.
-    LeakyRelu(usize, f32),
     /// Logistic sigmoid `1 / (1 + exp(-a))`.
     Sigmoid(usize),
     /// Hyperbolic tangent.
@@ -134,19 +132,18 @@ pub(crate) fn kind_index(op: &Op) -> Option<usize> {
         Op::Sqrt(..) => 10,
         Op::Abs(..) => 11,
         Op::Relu(..) => 12,
-        Op::LeakyRelu(..) => 13,
-        Op::Sigmoid(..) => 14,
-        Op::Tanh(..) => 15,
-        Op::MatMul(..) => 16,
-        Op::Permute(..) => 17,
-        Op::Reshape(..) => 18,
-        Op::SumAxes { .. } => 19,
-        Op::SumAll(..) => 20,
-        Op::MeanAll(..) => 21,
-        Op::Softmax(..) => 22,
-        Op::Concat { .. } => 23,
-        Op::Narrow { .. } => 24,
-        Op::Detach(..) => 25,
+        Op::Sigmoid(..) => 13,
+        Op::Tanh(..) => 14,
+        Op::MatMul(..) => 15,
+        Op::Permute(..) => 16,
+        Op::Reshape(..) => 17,
+        Op::SumAxes { .. } => 18,
+        Op::SumAll(..) => 19,
+        Op::MeanAll(..) => 20,
+        Op::Softmax(..) => 21,
+        Op::Concat { .. } => 22,
+        Op::Narrow { .. } => 23,
+        Op::Detach(..) => 24,
     })
 }
 
@@ -207,19 +204,33 @@ impl Tape {
 
     /// Concatenates variables along `axis`.
     pub fn concat<'t>(&'t self, parts: &[Var<'t>], axis: usize) -> Var<'t> {
-        assert!(!parts.is_empty(), "concat of zero vars");
+        let inputs = parts.iter().map(|&v| self.operand(v)).collect();
+        self.record(Op::Concat { inputs, axis }, &[])
+    }
+
+    /// Records `op`: evaluates it through the crate's one forward rule per
+    /// op (`forward::eval`) on this tape's values, samples the
+    /// `URCL_OP_PROFILE` timer once and appends the node. `shape` is the
+    /// result's shape, which only `Reshape` reads.
+    fn record(&self, op: Op, shape: &[usize]) -> Var<'_> {
+        let t0 = crate::opprof::op_profile_enabled().then(std::time::Instant::now);
         let value = {
             let nodes = self.nodes.borrow();
-            let tensors: Vec<&Tensor> = parts.iter().map(|v| &nodes[v.idx].value).collect();
-            Tensor::concat(&tensors, axis)
+            crate::forward::eval(&op, |i| &nodes[i].value, shape)
         };
-        self.push(
-            value,
-            Op::Concat {
-                inputs: parts.iter().map(|v| v.idx).collect(),
-                axis,
-            },
-        )
+        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
+            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
+        }
+        self.push(value, op)
+    }
+
+    /// The node index of operand `v`, which must be on this tape.
+    fn operand(&self, v: Var<'_>) -> usize {
+        assert!(
+            std::ptr::eq(self, v.tape),
+            "variables belong to different tapes"
+        );
+        v.idx
     }
 
     /// Clones the forward value of a variable.
@@ -312,136 +323,94 @@ impl<'t> Var<'t> {
         self.tape.nodes.borrow()[self.idx].value.shape().to_vec()
     }
 
-    fn unary(self, f: impl FnOnce(&Tensor) -> Tensor, op: Op) -> Var<'t> {
-        let prof = crate::opprof::op_profile_enabled();
-        let t0 = if prof {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let value = {
-            let nodes = self.tape.nodes.borrow();
-            f(&nodes[self.idx].value)
-        };
-        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
-            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
-        }
-        self.tape.push(value, op)
-    }
-
-    fn binary(self, other: Var<'t>, f: impl FnOnce(&Tensor, &Tensor) -> Tensor, op: Op) -> Var<'t> {
-        assert!(
-            std::ptr::eq(self.tape, other.tape),
-            "variables belong to different tapes"
-        );
-        let prof = crate::opprof::op_profile_enabled();
-        let t0 = if prof {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let value = {
-            let nodes = self.tape.nodes.borrow();
-            f(&nodes[self.idx].value, &nodes[other.idx].value)
-        };
-        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
-            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
-        }
-        self.tape.push(value, op)
+    /// Records `op` on this variable's tape.
+    fn record(self, op: Op) -> Var<'t> {
+        self.tape.record(op, &[])
     }
 
     /// Elementwise addition (broadcasting).
     pub fn add(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.add(b), Op::Add(self.idx, other.idx))
+        self.record(Op::Add(self.idx, self.tape.operand(other)))
     }
 
     /// Elementwise subtraction (broadcasting).
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.sub(b), Op::Sub(self.idx, other.idx))
+        self.record(Op::Sub(self.idx, self.tape.operand(other)))
     }
 
     /// Elementwise multiplication (broadcasting).
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.mul(b), Op::Mul(self.idx, other.idx))
+        self.record(Op::Mul(self.idx, self.tape.operand(other)))
     }
 
     /// Elementwise division (broadcasting).
     pub fn div(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.div(b), Op::Div(self.idx, other.idx))
+        self.record(Op::Div(self.idx, self.tape.operand(other)))
     }
 
     /// Negation.
     pub fn neg(self) -> Var<'t> {
-        self.unary(|a| a.scale(-1.0), Op::Neg(self.idx))
+        self.record(Op::Neg(self.idx))
     }
 
     /// Scalar multiply.
     pub fn scale(self, c: f32) -> Var<'t> {
-        self.unary(|a| a.scale(c), Op::Scale(self.idx, c))
+        self.record(Op::Scale(self.idx, c))
     }
 
     /// Scalar add.
     pub fn add_scalar(self, c: f32) -> Var<'t> {
-        self.unary(|a| a.add_scalar(c), Op::AddScalar(self.idx, c))
+        self.record(Op::AddScalar(self.idx, c))
     }
 
     /// Elementwise power with a constant exponent.
     pub fn powf(self, p: f32) -> Var<'t> {
-        self.unary(|a| a.map(|v| v.powf(p)), Op::PowF(self.idx, p))
+        self.record(Op::PowF(self.idx, p))
     }
 
     /// Elementwise exponential.
     pub fn exp(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::exp), Op::Exp(self.idx))
+        self.record(Op::Exp(self.idx))
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::ln), Op::Ln(self.idx))
+        self.record(Op::Ln(self.idx))
     }
 
     /// Elementwise square root.
     pub fn sqrt(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::sqrt), Op::Sqrt(self.idx))
+        self.record(Op::Sqrt(self.idx))
     }
 
     /// Elementwise absolute value.
     pub fn abs(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::abs), Op::Abs(self.idx))
+        self.record(Op::Abs(self.idx))
     }
 
     /// Rectified linear unit.
     pub fn relu(self) -> Var<'t> {
-        self.unary(|a| a.map(|v| v.max(0.0)), Op::Relu(self.idx))
-    }
-
-    /// Leaky ReLU with the given negative slope.
-    pub fn leaky_relu(self, slope: f32) -> Var<'t> {
-        self.unary(
-            |a| a.map(|v| if v > 0.0 { v } else { slope * v }),
-            Op::LeakyRelu(self.idx, slope),
-        )
+        self.record(Op::Relu(self.idx))
     }
 
     /// Logistic sigmoid ([`crate::activation::sigmoid`]).
     pub fn sigmoid(self) -> Var<'t> {
-        self.unary(|a| a.map(crate::activation::sigmoid), Op::Sigmoid(self.idx))
+        self.record(Op::Sigmoid(self.idx))
     }
 
     /// Hyperbolic tangent ([`crate::activation::tanh`]).
     pub fn tanh(self) -> Var<'t> {
-        self.unary(|a| a.map(crate::activation::tanh), Op::Tanh(self.idx))
+        self.record(Op::Tanh(self.idx))
     }
 
     /// Matrix product (batched with broadcasting, see [`Tensor::matmul`]).
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.matmul(b), Op::MatMul(self.idx, other.idx))
+        self.record(Op::MatMul(self.idx, self.tape.operand(other)))
     }
 
     /// Generalized transpose.
     pub fn permute(self, perm: &[usize]) -> Var<'t> {
-        let p = perm.to_vec();
-        self.unary(|a| a.permute(perm), Op::Permute(self.idx, p))
+        self.record(Op::Permute(self.idx, perm.to_vec()))
     }
 
     /// Swaps two axes.
@@ -454,25 +423,16 @@ impl<'t> Var<'t> {
 
     /// Reshape preserving element count.
     pub fn reshape(self, shape: &[usize]) -> Var<'t> {
-        assert_eq!(
-            numel(shape),
-            numel(&self.shape()),
-            "reshape changes element count"
-        );
-        self.unary(|a| a.clone().reshape(shape), Op::Reshape(self.idx))
+        self.tape.record(Op::Reshape(self.idx), shape)
     }
 
     /// Sum over axes.
     pub fn sum_axes(self, axes: &[usize], keepdim: bool) -> Var<'t> {
-        let ax = axes.to_vec();
-        self.unary(
-            |a| a.sum_axes(axes, keepdim),
-            Op::SumAxes {
-                input: self.idx,
-                axes: ax,
-                keepdim,
-            },
-        )
+        self.record(Op::SumAxes {
+            input: self.idx,
+            axes: axes.to_vec(),
+            keepdim,
+        })
     }
 
     /// Mean over axes (sum then scale).
@@ -484,35 +444,32 @@ impl<'t> Var<'t> {
 
     /// Sum of all elements, as a `[1]`-shaped variable.
     pub fn sum_all(self) -> Var<'t> {
-        self.unary(|a| Tensor::scalar(a.sum_all()), Op::SumAll(self.idx))
+        self.record(Op::SumAll(self.idx))
     }
 
     /// Mean of all elements, as a `[1]`-shaped variable.
     pub fn mean_all(self) -> Var<'t> {
-        self.unary(|a| Tensor::scalar(a.mean_all()), Op::MeanAll(self.idx))
+        self.record(Op::MeanAll(self.idx))
     }
 
     /// Softmax along `axis`.
     pub fn softmax(self, axis: usize) -> Var<'t> {
-        self.unary(|a| a.softmax(axis), Op::Softmax(self.idx, axis))
+        self.record(Op::Softmax(self.idx, axis))
     }
 
     /// Slice along an axis.
     pub fn narrow(self, axis: usize, start: usize, len: usize) -> Var<'t> {
-        self.unary(
-            |a| a.narrow(axis, start, len),
-            Op::Narrow {
-                input: self.idx,
-                axis,
-                start,
-                len,
-            },
-        )
+        self.record(Op::Narrow {
+            input: self.idx,
+            axis,
+            start,
+            len,
+        })
     }
 
     /// Stop-gradient: identity forward, zero backward (Eq. 13's `SG(·)`).
     pub fn detach(self) -> Var<'t> {
-        self.unary(Clone::clone, Op::Detach(self.idx))
+        self.record(Op::Detach(self.idx))
     }
 
     /// L2-normalizes along `axis` (used by the cosine similarity of the

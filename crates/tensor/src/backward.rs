@@ -302,12 +302,6 @@ impl BackwardSchedule {
                         gv * if v > 0.0 { 1.0 } else { 0.0 }
                     });
                 }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    fused_map2(&mut grads, *a, &g, fwd.value(*a), move |gv, v| {
-                        gv * if v > 0.0 { 1.0 } else { s }
-                    });
-                }
                 Op::Sigmoid(a) => {
                     fused_map2(&mut grads, *a, &g, fwd.value(i), |gv, y| {
                         gv * (y * (1.0 - y))
@@ -436,7 +430,6 @@ pub(crate) fn op_inputs(op: &Op, out: &mut Vec<usize>) {
         | Op::Sqrt(a)
         | Op::Abs(a)
         | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
         | Op::Sigmoid(a)
         | Op::Tanh(a)
         | Op::Permute(a, _)

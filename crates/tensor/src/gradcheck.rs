@@ -219,12 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn check_leaky_relu() {
-        let x = rand_t(&[10], 19);
-        check_scalar(&x, 1e-3, |_t, v| v.leaky_relu(0.1).powf(2.0).sum_all()).assert_close(TOL);
-    }
-
-    #[test]
     fn check_mean_axes_keepdim() {
         let x = rand_t(&[2, 3, 2], 20);
         check_scalar(&x, EPS, |_t, v| v.mean_axes(&[1], true).powf(2.0).sum_all())

@@ -38,6 +38,7 @@
 pub mod activation;
 pub mod autodiff;
 mod backward;
+mod forward;
 pub mod gemm;
 pub mod gradcheck;
 pub mod opprof;

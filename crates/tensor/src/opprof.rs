@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of distinct op kinds tracked (see [`OP_NAMES`]).
-pub const OP_KINDS: usize = 26;
+pub const OP_KINDS: usize = 25;
 
 /// Human-readable op-kind names, index-aligned with the counters.
 pub const OP_NAMES: [&str; OP_KINDS] = [
@@ -33,7 +33,6 @@ pub const OP_NAMES: [&str; OP_KINDS] = [
     "sqrt",
     "abs",
     "relu",
-    "leaky_relu",
     "sigmoid",
     "tanh",
     "matmul",

@@ -34,9 +34,8 @@
 //!   backward edge of an `add`/`sub` moves the gradient instead of
 //!   cloning it.
 //! * **Fused op runs** — chains of unary elementwise ops whose
-//!   intermediates nobody else needs execute as one pass over the data
-//!   with a precomputed parallel decision, instead of one kernel +
-//!   buffer per op.
+//!   intermediates nobody else needs execute as one run of stages over
+//!   the data, instead of one pass + buffer per op.
 //! * **By-reference sources** — parameters are read straight from the
 //!   [`ParamStore`] and recorded constants from the plan's captured set;
 //!   nothing is cloned onto a tape per step.
@@ -46,19 +45,18 @@
 //! Replaying a plan is **bitwise identical** to re-recording the tape and
 //! calling [`Tape::backward`], on every observable: forward outputs, the
 //! loss, gradients of trainable leaves, and post-step parameters. Both
-//! run the same backward walk, differing only in where it reads forward
-//! values; the replayed forward values carry the recorded bits (moved
-//! buffers are the same bits; fused elementwise stages round to `f32`
-//! after every stage, exactly like materializing each intermediate).
+//! evaluate every op through the same forward rule (`forward::eval`, or
+//! its stages for a fused run) and run the same backward walk, differing
+//! only in where they read values: moved buffers are the same bits, and
+//! fused stages round to `f32` after every stage, exactly like
+//! materializing each intermediate.
 //! `tests/plan_parity.rs` and the `bench_train_step` loss assertion pin
 //! this.
 
 use crate::autodiff::{Gradients, Op, Tape};
 use crate::backward::{op_inputs, BackwardSchedule, ForwardValues};
-use crate::parallel::{par_fill, PAR_MIN_ELEMS};
+use crate::forward::{self, exec_run, stage_of, Stage};
 use crate::params::{ParamId, ParamStore};
-use crate::pool;
-use crate::shape::numel;
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -162,107 +160,21 @@ enum Source {
     Captured(usize),
 }
 
-/// One stage of a fused unary elementwise run. Each stage's arithmetic is
-/// the exact per-element function the matching [`Op`]'s forward closure
-/// applies, and every stage rounds to `f32`, so a fused run is bitwise
-/// identical to materializing each intermediate.
-#[derive(Debug, Clone, Copy)]
-enum Stage {
-    Neg,
-    Scale(f32),
-    AddScalar(f32),
-    PowF(f32),
-    Exp,
-    Ln,
-    Sqrt,
-    Abs,
-    Relu,
-    LeakyRelu(f32),
-    Sigmoid,
-    Tanh,
-}
-
-impl Stage {
-    /// Applies this stage to every element of `block` in place. The match
-    /// sits outside the loop, so each arm is a plain loop over one
-    /// function that LLVM vectorizes.
-    fn apply(self, block: &mut [f32]) {
-        fn each(block: &mut [f32], f: impl Fn(f32) -> f32) {
-            for v in block {
-                *v = f(*v);
-            }
-        }
-        match self {
-            Stage::Neg => each(block, |v| v * -1.0),
-            Stage::Scale(c) => each(block, |v| v * c),
-            Stage::AddScalar(c) => each(block, |v| v + c),
-            Stage::PowF(p) => each(block, |v| v.powf(p)),
-            Stage::Exp => each(block, f32::exp),
-            Stage::Ln => each(block, f32::ln),
-            Stage::Sqrt => each(block, f32::sqrt),
-            Stage::Abs => each(block, f32::abs),
-            Stage::Relu => each(block, |v| v.max(0.0)),
-            Stage::LeakyRelu(s) => each(block, |v| if v > 0.0 { v } else { s * v }),
-            Stage::Sigmoid => each(block, crate::activation::sigmoid),
-            Stage::Tanh => each(block, crate::activation::tanh),
-        }
-    }
-}
-
-/// Maps a unary elementwise op to its fused stage and input index.
-fn stage_of(op: &Op) -> Option<(Stage, usize)> {
-    Some(match *op {
-        Op::Neg(a) => (Stage::Neg, a),
-        Op::Scale(a, c) => (Stage::Scale(c), a),
-        Op::AddScalar(a, c) => (Stage::AddScalar(c), a),
-        Op::PowF(a, p) => (Stage::PowF(p), a),
-        Op::Exp(a) => (Stage::Exp, a),
-        Op::Ln(a) => (Stage::Ln, a),
-        Op::Sqrt(a) => (Stage::Sqrt, a),
-        Op::Abs(a) => (Stage::Abs, a),
-        Op::Relu(a) => (Stage::Relu, a),
-        Op::LeakyRelu(a, s) => (Stage::LeakyRelu(s), a),
-        Op::Sigmoid(a) => (Stage::Sigmoid, a),
-        Op::Tanh(a) => (Stage::Tanh, a),
-        _ => return None,
-    })
-}
-
-/// Same-shape binary ops with a direct-loop fast path.
-#[derive(Debug, Clone, Copy)]
-enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
 /// Per-node execution strategy decided at compile time.
 #[derive(Debug, Clone)]
 enum NodeExec {
     /// Never executed: a source node, a fused-away intermediate, or dead
     /// forward code no output depends on.
     Skip,
-    /// Fused unary elementwise run ending at this node: apply `stages`
-    /// to the value of `src` in a single pass.
-    Run {
-        src: usize,
-        stages: Vec<Stage>,
-        par: bool,
-    },
-    /// Same-shape binary elementwise op, direct-loop.
-    Bin {
-        kind: BinKind,
-        a: usize,
-        b: usize,
-        par: bool,
-    },
+    /// Unary elementwise run ending at this node: apply `stages` to the
+    /// value of `src` in a single pass (one stage for a lone unary op).
+    Run { src: usize, stages: Vec<Stage> },
     /// `reshape` stealing its dying input's buffer (zero-copy).
     MoveReshape(usize),
     /// `detach` stealing its dying input's buffer (zero-copy).
     MoveDetach(usize),
-    /// Everything else: evaluate through the same `Tensor` methods the
-    /// recording closures used.
+    /// Everything else: evaluate through the one forward rule per op
+    /// the tape records with.
     General,
 }
 
@@ -545,7 +457,7 @@ impl ExecPlan {
                         keep_value[*b] = true;
                     }
                 }
-                Op::PowF(a, _) | Op::Ln(a) | Op::Abs(a) | Op::Relu(a) | Op::LeakyRelu(a, _) => {
+                Op::PowF(a, _) | Op::Ln(a) | Op::Abs(a) | Op::Relu(a) => {
                     if useful[*a] {
                         keep_value[*a] = true;
                     }
@@ -604,24 +516,18 @@ impl ExecPlan {
                         && !keep_value[a]
                         && matches!(exec[a], NodeExec::Run { .. });
                     if fuse_prev {
-                        let NodeExec::Run { src, stages, .. } =
+                        let NodeExec::Run { src, mut stages } =
                             std::mem::replace(&mut exec[a], NodeExec::Skip)
                         else {
                             unreachable!()
                         };
-                        let mut stages = stages;
                         stages.push(stage);
                         fused_stages += 1;
-                        NodeExec::Run {
-                            src,
-                            stages,
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
-                        }
+                        NodeExec::Run { src, stages }
                     } else {
                         NodeExec::Run {
                             src: a,
                             stages: vec![stage],
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
                         }
                     }
                 }
@@ -642,40 +548,10 @@ impl ExecPlan {
                     {
                         NodeExec::MoveDetach(*a)
                     }
-                    // Same-shape at every batch: equal per-dim affine
-                    // forms keep the direct-loop fast path exact for any
-                    // replay size.
-                    Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b)
-                        if forms[*a] == forms[i] && forms[*b] == forms[i] =>
-                    {
-                        let kind = match &ops[i] {
-                            Op::Add(..) => BinKind::Add,
-                            Op::Sub(..) => BinKind::Sub,
-                            Op::Mul(..) => BinKind::Mul,
-                            _ => BinKind::Div,
-                        };
-                        NodeExec::Bin {
-                            kind,
-                            a: *a,
-                            b: *b,
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
-                        }
-                    }
                     _ => NodeExec::General,
                 },
             };
             exec.push(e);
-        }
-
-        // --- Demote single-stage runs: a fused run only wins when it
-        // eliminates an intermediate buffer. A lone stage pays per-element
-        // enum dispatch that the recorder's monomorphized closures
-        // (e.g. `map(|v| v.max(0.0))` vectorizing to maxps) do not, so
-        // route it through the same `Tensor` method the recorder used.
-        for e in &mut exec {
-            if matches!(e, NodeExec::Run { stages, .. } if stages.len() == 1) {
-                *e = NodeExec::General;
-            }
         }
 
         // --- Forward drop schedule: a computed value whose last consumer
@@ -930,24 +806,8 @@ impl ExecPlan {
             };
             match &self.exec[i] {
                 NodeExec::Skip => continue,
-                NodeExec::Run { src, stages, par } => {
-                    let out = exec_run(
-                        self.value(values, store, inputs, *src),
-                        stages,
-                        *par,
-                        &shapes[i],
-                    );
-                    values[i] = Some(out);
-                }
-                NodeExec::Bin { kind, a, b, par } => {
-                    let out = exec_bin(
-                        *kind,
-                        self.value(values, store, inputs, *a),
-                        self.value(values, store, inputs, *b),
-                        *par,
-                        &shapes[i],
-                    );
-                    values[i] = Some(out);
+                NodeExec::Run { src, stages } => {
+                    values[i] = Some(exec_run(self.value(values, store, inputs, *src), stages));
                 }
                 NodeExec::MoveReshape(a) => {
                     let t = values[*a]
@@ -962,7 +822,8 @@ impl ExecPlan {
                     values[i] = Some(t);
                 }
                 NodeExec::General => {
-                    values[i] = Some(self.eval_general(values, store, inputs, shapes, i));
+                    let v = |a| self.value(values, store, inputs, a);
+                    values[i] = Some(forward::eval(&self.ops[i], v, &shapes[i]));
                 }
             }
             if let Some(t0) = t0 {
@@ -975,145 +836,6 @@ impl ExecPlan {
             }
         }
     }
-
-    /// Evaluates one op through the same `Tensor` methods the recording
-    /// closures in [`crate::autodiff`] use — bitwise identical forward.
-    fn eval_general(
-        &self,
-        values: &[Option<Tensor>],
-        store: &ParamStore,
-        inputs: &[&Tensor],
-        shapes: &[Vec<usize>],
-        i: usize,
-    ) -> Tensor {
-        let v = |a: usize| self.value(values, store, inputs, a);
-        match &self.ops[i] {
-            Op::Leaf | Op::Constant => unreachable!("source nodes are never executed"),
-            Op::Add(a, b) => v(*a).add(v(*b)),
-            Op::Sub(a, b) => v(*a).sub(v(*b)),
-            Op::Mul(a, b) => v(*a).mul(v(*b)),
-            Op::Div(a, b) => v(*a).div(v(*b)),
-            // Unary elementwise ops normally run as fused runs; these arms
-            // exist for completeness (e.g. a plan compiled from a tape
-            // where the op's input is itself an op with no Run repr).
-            Op::Neg(a) => v(*a).scale(-1.0),
-            Op::Scale(a, c) => v(*a).scale(*c),
-            Op::AddScalar(a, c) => v(*a).add_scalar(*c),
-            Op::PowF(a, p) => {
-                let p = *p;
-                v(*a).map(|x| x.powf(p))
-            }
-            Op::Exp(a) => v(*a).map(f32::exp),
-            Op::Ln(a) => v(*a).map(f32::ln),
-            Op::Sqrt(a) => v(*a).map(f32::sqrt),
-            Op::Abs(a) => v(*a).map(f32::abs),
-            Op::Relu(a) => v(*a).map(|x| x.max(0.0)),
-            Op::LeakyRelu(a, s) => {
-                let s = *s;
-                v(*a).map(move |x| if x > 0.0 { x } else { s * x })
-            }
-            Op::Sigmoid(a) => v(*a).map(crate::activation::sigmoid),
-            Op::Tanh(a) => v(*a).map(crate::activation::tanh),
-            Op::MatMul(a, b) => v(*a).matmul(v(*b)),
-            Op::Permute(a, perm) => v(*a).permute(perm),
-            Op::Reshape(a) => v(*a).clone().reshape(&shapes[i]),
-            Op::SumAxes {
-                input,
-                axes,
-                keepdim,
-            } => v(*input).sum_axes(axes, *keepdim),
-            Op::SumAll(a) => Tensor::scalar(v(*a).sum_all()),
-            Op::MeanAll(a) => Tensor::scalar(v(*a).mean_all()),
-            Op::Softmax(a, axis) => v(*a).softmax(*axis),
-            Op::Concat {
-                inputs: parts,
-                axis,
-            } => {
-                let tensors: Vec<&Tensor> = parts.iter().map(|&p| v(p)).collect();
-                Tensor::concat(&tensors, *axis)
-            }
-            Op::Narrow {
-                input,
-                axis,
-                start,
-                len,
-            } => v(*input).narrow(*axis, *start, *len),
-            Op::Detach(a) => v(*a).clone(),
-        }
-    }
-}
-
-/// True when a parallel region can actually run on more than one worker;
-/// on an oversubscribed host (requested threads > physical cores) the
-/// dispatch overhead has no upside, and serial execution is bitwise
-/// identical for elementwise work (splits only partition the output).
-#[inline]
-fn parallelism_available() -> bool {
-    crate::parallel::num_threads() > 1 && crate::parallel::host_parallelism() > 1
-}
-
-/// Elements per block of a fused run: small enough that a block stays in
-/// L1 while every stage passes over it.
-const RUN_BLOCK: usize = 256;
-
-/// Executes a fused unary elementwise run over `src`, producing a tensor
-/// of `out_shape`. Stage-major over fixed blocks: each block is copied
-/// out, then every stage sweeps it in order. Every element still passes
-/// through the same stage sequence, so the bits are those of an
-/// element-at-a-time loop, while each stage's loop vectorizes.
-fn exec_run(src: &Tensor, stages: &[Stage], par: bool, out_shape: &[usize]) -> Tensor {
-    fn run(dst: &mut [f32], src: &[f32], stages: &[Stage]) {
-        for (d, s) in dst.chunks_mut(RUN_BLOCK).zip(src.chunks(RUN_BLOCK)) {
-            d.copy_from_slice(s);
-            for stage in stages {
-                stage.apply(d);
-            }
-        }
-    }
-    let sd = src.data();
-    let n = sd.len();
-    let mut data = pool::take_uninit(n);
-    if !par || n < PAR_MIN_ELEMS || !parallelism_available() {
-        run(&mut data, sd, stages);
-    } else {
-        par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-            run(chunk, &sd[r], stages)
-        });
-    }
-    Tensor::from_vec(data, out_shape)
-}
-
-/// Same-shape binary elementwise op via a direct slice loop (the exact
-/// per-element arithmetic of [`Tensor::zip`]'s same-shape path, minus the
-/// shape analysis per call).
-fn exec_bin(kind: BinKind, a: &Tensor, b: &Tensor, par: bool, out_shape: &[usize]) -> Tensor {
-    let ad = a.data();
-    let bd = b.data();
-    let n = ad.len();
-    let mut data = pool::take_uninit(n);
-    macro_rules! go {
-        ($f:expr) => {{
-            let f = $f;
-            if !par || n < PAR_MIN_ELEMS || !parallelism_available() {
-                for ((slot, &x), &y) in data.iter_mut().zip(ad.iter()).zip(bd.iter()) {
-                    *slot = f(x, y);
-                }
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for ((slot, &x), &y) in chunk.iter_mut().zip(&ad[r.clone()]).zip(&bd[r]) {
-                        *slot = f(x, y);
-                    }
-                });
-            }
-        }};
-    }
-    match kind {
-        BinKind::Add => go!(|x: f32, y: f32| x + y),
-        BinKind::Sub => go!(|x: f32, y: f32| x - y),
-        BinKind::Mul => go!(|x: f32, y: f32| x * y),
-        BinKind::Div => go!(|x: f32, y: f32| x / y),
-    }
-    Tensor::from_vec(data, out_shape)
 }
 
 /// Fits the per-dimension affine forms `k + c·b` through the primary

@@ -5,7 +5,7 @@
 //! passes. All tensors are contiguous row-major `f32` buffers.
 
 use crate::gemm::gemm_strided;
-use crate::parallel::{parallel_for, SendPtr, PAR_MIN_ELEMS, PAR_MIN_FLOPS};
+use crate::parallel::{par_fill, parallel_for, SendPtr, PAR_MIN_ELEMS, PAR_MIN_FLOPS};
 use crate::pool;
 use crate::shape::{
     broadcast_offset, broadcast_reduce_axes, broadcast_shape, broadcast_strides, numel, strides,
@@ -253,25 +253,18 @@ impl Tensor {
     /// output range, so the result is identical at any thread count).
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
         let n = self.data.len();
+        let mut data = pool::take_uninit(n);
         if n < PAR_MIN_ELEMS {
-            let mut data = pool::take_uninit(n);
             for (slot, &x) in data.iter_mut().zip(self.data.iter()) {
                 *slot = f(x);
             }
-            return Tensor {
-                data,
-                shape: self.shape.clone(),
-            };
+        } else {
+            par_fill(&mut data, PAR_MIN_ELEMS / 4, |dst, r| {
+                for (slot, &x) in dst.iter_mut().zip(&self.data[r]) {
+                    *slot = f(x);
+                }
+            });
         }
-        let mut data = pool::take_uninit(n);
-        let out = SendPtr(data.as_mut_ptr());
-        parallel_for(n, PAR_MIN_ELEMS / 4, |r| {
-            // SAFETY: chunks are disjoint subranges of 0..n.
-            let dst = unsafe { out.slice(r.start, r.len()) };
-            for (slot, &x) in dst.iter_mut().zip(&self.data[r]) {
-                *slot = f(x);
-            }
-        });
         Tensor {
             data,
             shape: self.shape.clone(),
@@ -283,30 +276,23 @@ impl Tensor {
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Self {
         if self.shape == other.shape {
             let n = self.data.len();
+            let mut data = pool::take_uninit(n);
             if n < PAR_MIN_ELEMS {
-                let mut data = pool::take_uninit(n);
                 for ((slot, &a), &b) in data.iter_mut().zip(self.data.iter()).zip(other.data.iter())
                 {
                     *slot = f(a, b);
                 }
-                return Tensor {
-                    data,
-                    shape: self.shape.clone(),
-                };
+            } else {
+                par_fill(&mut data, PAR_MIN_ELEMS / 4, |dst, r| {
+                    for ((slot, &a), &b) in dst
+                        .iter_mut()
+                        .zip(&self.data[r.clone()])
+                        .zip(&other.data[r])
+                    {
+                        *slot = f(a, b);
+                    }
+                });
             }
-            let mut data = pool::take_uninit(n);
-            let out = SendPtr(data.as_mut_ptr());
-            parallel_for(n, PAR_MIN_ELEMS / 4, |r| {
-                // SAFETY: chunks are disjoint subranges of 0..n.
-                let dst = unsafe { out.slice(r.start, r.len()) };
-                for ((slot, &a), &b) in dst
-                    .iter_mut()
-                    .zip(&self.data[r.clone()])
-                    .zip(&other.data[r])
-                {
-                    *slot = f(a, b);
-                }
-            });
             return Tensor {
                 data,
                 shape: self.shape.clone(),
@@ -362,21 +348,17 @@ impl Tensor {
     /// In-place accumulation `self += other` (shapes must match exactly).
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        let n = self.data.len();
-        if n < PAR_MIN_ELEMS {
+        if self.data.len() < PAR_MIN_ELEMS {
             for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
                 *a += b;
             }
-            return;
+        } else {
+            par_fill(&mut self.data, PAR_MIN_ELEMS / 4, |dst, r| {
+                for (a, b) in dst.iter_mut().zip(&other.data[r]) {
+                    *a += b;
+                }
+            });
         }
-        let dst = SendPtr(self.data.as_mut_ptr());
-        parallel_for(n, PAR_MIN_ELEMS / 4, |r| {
-            // SAFETY: chunks are disjoint subranges of 0..n.
-            let d = unsafe { dst.slice(r.start, r.len()) };
-            for (a, b) in d.iter_mut().zip(&other.data[r]) {
-                *a += b;
-            }
-        });
     }
 
     // ------------------------------------------------------------ reductions

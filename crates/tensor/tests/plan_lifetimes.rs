@@ -65,7 +65,7 @@ fn build_random<'t, 's>(
             0 => a.tanh().scale(0.5).add_scalar(0.1),
             1 => a.sigmoid().mul(c.relu()),
             2 => a.add(c),
-            3 => a.sub(c).leaky_relu(0.1),
+            3 => a.sub(c).relu(),
             4 => a.div(c.abs().add_scalar(1.0)),
             5 => a.matmul(sess.param(params[p2 % params.len()])),
             6 => a.reshape(&[b * d]).exp().scale(0.25).reshape(&[b, d]),

@@ -205,7 +205,7 @@ fn build_mixed<'t, 's>(
     let (b, t, d) = (sh[0], sh[1], sh[2]);
     let h = x.reshape(&[b * t, d]).matmul(w);
     let gate = h.tanh().scale(1.25).add_scalar(0.1).sigmoid();
-    let act = gate.mul(h.relu().neg().leaky_relu(0.2));
+    let act = gate.mul(h.relu().neg().scale(0.2));
     let e = act.abs().add_scalar(0.5).sqrt().ln().exp();
     let p2 = e.powf(2.0);
     let half = b * t / 2;

@@ -1,6 +1,6 @@
 //! Accumulating stopwatch, used by the trainer for the per-epoch timings
 //! in the efficiency study (Fig. 7). Lives here so timing utilities have
-//! one home; `urcl_core::timing` re-exports it for compatibility.
+//! one home; `urcl_core` re-exports it as `urcl_core::Stopwatch`.
 
 use std::time::Instant;
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-shot CI gate: release build, full test suite (every workspace
-# crate: the root manifest's default-members), clippy over every target,
+# One-shot CI gate: a rustfmt check of urcl-tensor, release build, full
+# test suite (every workspace crate: the root manifest's
+# default-members), clippy over every target,
 # the end-to-end benchmark's smoke test, then a traced framework run
 # whose JSON output (and any other BENCH_*.json / results files present)
 # is schema-validated through the in-tree parser.
@@ -8,6 +9,10 @@
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== rustfmt (urcl-tensor) =="
+# The tensor crate is kept rustfmt-clean; the other crates are not yet.
+cargo fmt --check -p urcl-tensor
 
 echo "== build (release) =="
 cargo build --release --offline
