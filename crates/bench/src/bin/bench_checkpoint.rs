@@ -53,7 +53,10 @@ fn main() {
     let dir = CheckpointDir::new(&dir_path).expect("checkpoint dir");
 
     let mut cases = Vec::new();
-    let mut report = |name: &str, bytes: u64, (save_best, save_mean): (f64, f64), (load_best, load_mean): (f64, f64)| {
+    let mut report = |name: &str,
+                      bytes: u64,
+                      (save_best, save_mean): (f64, f64),
+                      (load_best, load_mean): (f64, f64)| {
         println!(
             "{name:<18} {:>9} bytes  save best {:>8.3} ms (mean {:>8.3})  load best {:>8.3} ms (mean {:>8.3})",
             bytes,

@@ -66,7 +66,7 @@ impl ToJson for Timed {
 /// Best-of-batches mean time per iteration, sampling for `min_seconds`.
 fn bench(name: &str, min_seconds: f64, mut f: impl FnMut()) -> Timed {
     f(); // warm up
-    // Size a batch so one batch takes roughly a millisecond.
+         // Size a batch so one batch takes roughly a millisecond.
     let probe = {
         let t0 = Instant::now();
         f();
@@ -190,9 +190,13 @@ fn main() {
         for _ in 0..cap {
             buf.push(make_sample(&mut rng));
         }
-        results.push(bench(&format!("buffer_uniform8_cap{cap}"), min_secs, || {
-            black_box(buf.sample_uniform(8, &mut rng));
-        }));
+        results.push(bench(
+            &format!("buffer_uniform8_cap{cap}"),
+            min_secs,
+            || {
+                black_box(buf.sample_uniform(8, &mut rng));
+            },
+        ));
     }
 
     // STMixup on a batch of 8.
@@ -245,20 +249,24 @@ fn main() {
         let mut forward = ForwardPlan::default();
         for pool_len in [48usize, 256] {
             let pool: Vec<usize> = (0..pool_len).collect();
-            results.push(bench(&format!("rmir_sample_pool{pool_len}_b8"), min_secs, || {
-                black_box(rmir_sample(
-                    &buffer,
-                    &pool,
-                    &current,
-                    &model,
-                    &store,
-                    3e-3,
-                    24,
-                    8,
-                    &mut rmir_plans,
-                    &mut forward,
-                ));
-            }));
+            results.push(bench(
+                &format!("rmir_sample_pool{pool_len}_b8"),
+                min_secs,
+                || {
+                    black_box(rmir_sample(
+                        &buffer,
+                        &pool,
+                        &current,
+                        &model,
+                        &store,
+                        3e-3,
+                        24,
+                        8,
+                        &mut rmir_plans,
+                        &mut forward,
+                    ));
+                },
+            ));
         }
     }
 

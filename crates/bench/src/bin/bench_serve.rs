@@ -84,16 +84,17 @@ impl TenantFixture {
         );
         let series = ds.continual_split(1).base.series.clone();
         pipe.observe_period_statistics_only(&series);
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-bench-serve-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("urcl-bench-serve-{}-{name}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).expect("checkpoint dir");
-        pipe.save_checkpoint(&slots, "bench_serve").expect("publish");
+        pipe.save_checkpoint(&slots, "bench_serve")
+            .expect("publish");
         let m = ds.config.input_steps;
         let starts = series.shape()[0] - m + 1;
-        let windows = (0..32).map(|i| series.narrow(0, (i * 2) % starts, m)).collect();
+        let windows = (0..32)
+            .map(|i| series.narrow(0, (i * 2) % starts, m))
+            .collect();
         Self {
             name,
             ds,
@@ -203,7 +204,10 @@ fn run_trial(fixtures: &[TenantFixture], spec: CellSpec) -> CellResult {
     let t0 = Instant::now();
     let mut handles = Vec::new();
     for (fx, client) in &clients {
-        let pool = spec.hot_windows.unwrap_or(fx.windows.len()).min(fx.windows.len());
+        let pool = spec
+            .hot_windows
+            .unwrap_or(fx.windows.len())
+            .min(fx.windows.len());
         for c in 0..spec.clients_per_tenant {
             let client = client.clone();
             let windows: Vec<Tensor> = fx.windows[..pool].to_vec();
@@ -281,11 +285,7 @@ fn best_of(trials: usize, fixtures: &[TenantFixture], spec: CellSpec) -> CellRes
 }
 
 fn print_cell(spec: &CellSpec, r: &CellResult) {
-    let worst_p99 = r
-        .per_tenant
-        .iter()
-        .map(|t| t.p99_ms)
-        .fold(0.0f64, f64::max);
+    let worst_p99 = r.per_tenant.iter().map(|t| t.p99_ms).fold(0.0f64, f64::max);
     println!(
         "{:>7} {:>7} {:>6} {:>9} {:>5} {:>7} {:>7} {:>12.1} {:>11.3}",
         spec.mode,
@@ -423,7 +423,11 @@ fn wire_read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> std::io:
         .ok_or(std::io::ErrorKind::InvalidData)?;
     let len: usize = head
         .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().to_string()))
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(|v| v.trim().to_string())
+        })
         .and_then(|v| v.parse().ok())
         .ok_or(std::io::ErrorKind::InvalidData)?;
     while scratch.len() < head_end + len {
@@ -442,11 +446,8 @@ fn wire_read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> std::io:
 fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult {
     let prev = urcl_tensor::set_threads(1);
     let registry = Arc::new(Tenants::new());
-    let (model, template) = UrclPipeline::serving_parts_dyn(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts_dyn(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let client = registry
         .add(
             fx.name,
@@ -480,7 +481,10 @@ fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult
 
     // The hot set, prebuilt as raw request bytes.
     let requests: Arc<Vec<Vec<u8>>> = Arc::new(
-        fx.windows[..8].iter().map(|w| wire_request(fx.name, w)).collect(),
+        fx.windows[..8]
+            .iter()
+            .map(|w| wire_request(fx.name, w))
+            .collect(),
     );
     // Warm-up: bring every worker and the cache hot set into steady state.
     {
@@ -557,11 +561,8 @@ fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult
 fn run_steal_trial(fx: &TenantFixture, steal: bool, reqs: usize) -> (f64, u64, u64, u64) {
     let prev = urcl_tensor::set_threads(1);
     let registry = Tenants::new();
-    let (model, template) = UrclPipeline::serving_parts_dyn(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts_dyn(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let client = registry
         .add(
             fx.name,
@@ -640,7 +641,15 @@ fn main() {
     let mut all_monotonic = true;
     println!(
         "{:>7} {:>7} {:>6} {:>9} {:>5} {:>7} {:>7} {:>12} {:>11}",
-        "mode", "threads", "shards", "max_batch", "cache", "tenants", "clients", "req/s", "wrst p99 ms"
+        "mode",
+        "threads",
+        "shards",
+        "max_batch",
+        "cache",
+        "tenants",
+        "clients",
+        "req/s",
+        "wrst p99 ms"
     );
 
     // Family A — solo: legacy-comparable single-tenant, single-shard
@@ -730,10 +739,18 @@ fn main() {
         hot_windows: Some(8),
         steal: true,
     };
-    let mut wire = run_wire_trial(&fixtures[0], wire_spec.clients_per_tenant, wire_spec.reqs_per_client);
+    let mut wire = run_wire_trial(
+        &fixtures[0],
+        wire_spec.clients_per_tenant,
+        wire_spec.reqs_per_client,
+    );
     let mut wire_trials = 1;
     while wire.rps < WIRE_FLOOR_RPS && wire_trials < 1 + MONOTONIC_RETRIES {
-        let r = run_wire_trial(&fixtures[0], wire_spec.clients_per_tenant, wire_spec.reqs_per_client);
+        let r = run_wire_trial(
+            &fixtures[0],
+            wire_spec.clients_per_tenant,
+            wire_spec.reqs_per_client,
+        );
         wire_trials += 1;
         if r.rps > wire.rps {
             wire = r;
@@ -762,7 +779,10 @@ fn main() {
     }
     let (off_rps, off_ok, off_shed, off_steals) = off;
     assert_eq!(off_steals, 0, "stealing disabled must never steal");
-    assert!(off_shed > 0, "the frozen worker plus bound 2 must shed with stealing off");
+    assert!(
+        off_shed > 0,
+        "the frozen worker plus bound 2 must shed with stealing off"
+    );
     let mut on = run_steal_trial(&fixtures[0], true, duel_reqs);
     let mut duel_trials = 1;
     while (on.2 >= off_shed || on.3 == 0 || on.0 < off_rps * 0.9)

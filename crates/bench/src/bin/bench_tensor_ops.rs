@@ -73,10 +73,20 @@ fn bench_matmul(rng: &mut Rng, m: usize, k: usize, n: usize, min_secs: f64) -> C
 
     set_threads(1);
     let out_1t = a.matmul(&b);
-    let tiled_1t_s = time_best(|| { std::hint::black_box(a.matmul(&b)); }, min_secs);
+    let tiled_1t_s = time_best(
+        || {
+            std::hint::black_box(a.matmul(&b));
+        },
+        min_secs,
+    );
     set_threads(4);
     let out_4t = a.matmul(&b);
-    let tiled_4t_s = time_best(|| { std::hint::black_box(a.matmul(&b)); }, min_secs);
+    let tiled_4t_s = time_best(
+        || {
+            std::hint::black_box(a.matmul(&b));
+        },
+        min_secs,
+    );
 
     assert_eq!(
         out_1t.data(),
@@ -161,8 +171,7 @@ fn main() {
             "cases",
             Value::Array(cases.into_iter().map(|c| c.json).collect()),
         );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_tensor_ops.json");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_tensor_ops.json");
     std::fs::write(&path, doc.to_string_pretty()).expect("write BENCH_tensor_ops.json");
     println!("[results -> {}]", path.display());
 }

@@ -183,7 +183,10 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
         let mut rows = op_profile();
         rows.sort_by_key(|r| std::cmp::Reverse(r.fwd_nanos + r.bwd_nanos));
         println!("  per-op profile ({threads} threads, plan {plan}), us/step:");
-        println!("    {:<12} {:>7} {:>9} {:>7} {:>9}", "op", "fwd", "fwd us", "bwd", "bwd us");
+        println!(
+            "    {:<12} {:>7} {:>9} {:>7} {:>9}",
+            "op", "fwd", "fwd us", "bwd", "bwd us"
+        );
         for r in rows.iter().filter(|r| r.fwd_calls + r.bwd_calls > 0) {
             println!(
                 "    {:<12} {:>7} {:>9.1} {:>7} {:>9.1}",
@@ -304,9 +307,7 @@ fn main() {
             .map(|c| c.steps_per_sec)
             .unwrap()
     };
-    println!(
-        "poly batch check: one plan served {poly_sizes_checked} batch sizes, zero recompiles"
-    );
+    println!("poly batch check: one plan served {poly_sizes_checked} batch sizes, zero recompiles");
     // Thread-scaling gate, host-aware (see module docs): the 4-thread
     // curve must rise on real multi-core hardware and must at least stay
     // flat (no dispatch-overhead cliff) when the host cannot provide
@@ -374,8 +375,7 @@ fn main() {
                     .collect(),
             ),
         );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train_step.json");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_train_step.json");
     std::fs::write(&path, doc.to_string_pretty()).expect("write BENCH_train_step.json");
     println!("[results -> {}]", path.display());
 }

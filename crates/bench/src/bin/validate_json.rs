@@ -9,8 +9,7 @@
 use urcl_json::Value;
 
 fn validate(path: &str) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let value = Value::parse(&text).map_err(|e| format!("parse error: {e:?}"))?;
     let reprinted = value.to_string_compact();
     let reparsed =
@@ -43,7 +42,14 @@ fn validate_serve(doc: &Value, v3: bool) -> Result<(), String> {
         return Err("serve \"cells\" is empty".into());
     }
     for (i, cell) in cells.iter().enumerate() {
-        for key in ["mode", "threads", "shards", "max_batch", "cache", "requests_per_sec"] {
+        for key in [
+            "mode",
+            "threads",
+            "shards",
+            "max_batch",
+            "cache",
+            "requests_per_sec",
+        ] {
             if cell.get(key).is_none() {
                 return Err(format!("serve cell {i} missing {key:?}"));
             }
@@ -68,7 +74,13 @@ fn validate_serve(doc: &Value, v3: bool) -> Result<(), String> {
                     "serve cell {i} tenant {name:?} percentiles unordered: {p50} {p95} {p99}"
                 ));
             }
-            for key in ["requests_per_sec", "ok", "shed", "cache_hits", "dedup_joins"] {
+            for key in [
+                "requests_per_sec",
+                "ok",
+                "shed",
+                "cache_hits",
+                "dedup_joins",
+            ] {
                 if get(key)? < 0.0 {
                     return Err(format!("serve cell {i} tenant {name:?} {key:?} negative"));
                 }
@@ -119,7 +131,10 @@ fn validate_serve_v3(doc: &Value, cells: &[Value]) -> Result<(), String> {
             "serve wire throughput {wire_rps:.0} req/s under the {wire_floor:.0} floor"
         ));
     }
-    for key in ["steal_sheds_strictly_fewer", "steal_throughput_within_noise"] {
+    for key in [
+        "steal_sheds_strictly_fewer",
+        "steal_throughput_within_noise",
+    ] {
         match gates.get(key).and_then(Value::as_bool) {
             Some(true) => {}
             Some(false) => return Err(format!("serve gate {key:?} failed")),
@@ -258,9 +273,7 @@ fn validate_trace(doc: &Value) -> Result<(), String> {
                 ));
             }
             if get("count")? > 0.0 && !(get("min")? <= p50 && p99 <= get("max")?) {
-                return Err(format!(
-                    "histogram {name:?} percentiles outside [min, max]"
-                ));
+                return Err(format!("histogram {name:?} percentiles outside [min, max]"));
             }
         }
     }

@@ -294,7 +294,10 @@ pub fn fig8(effort: &Effort) -> Vec<LabelledRun> {
     for cfg in [DatasetConfig::metr_la(), DatasetConfig::pems08()] {
         let ctx = ExperimentContext::new(cfg);
         let report = run_deep_model(ModelKind::GraphWaveNet, &ctx, urcl_config(effort), 7);
-        println!("--- {} (loss per epoch, sets in stream order) ---", ctx.config().name);
+        println!(
+            "--- {} (loss per epoch, sets in stream order) ---",
+            ctx.config().name
+        );
         for set in &report.sets {
             let curve: Vec<String> = set.loss_curve.iter().map(|l| format!("{l:.4}")).collect();
             println!("{:<8} {}", set.name, curve.join(" "));

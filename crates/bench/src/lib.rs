@@ -11,12 +11,14 @@
 pub mod experiments;
 
 use std::path::Path;
-use urcl_json::ToJson;
-use urcl_core::{ContinualTrainer, Metrics, RunReport, SetReport, Stopwatch, StSimSiam, TrainerConfig};
+use urcl_core::{
+    ContinualTrainer, Metrics, RunReport, SetReport, StSimSiam, Stopwatch, TrainerConfig,
+};
 use urcl_graph::SensorNetwork;
+use urcl_json::ToJson;
 use urcl_models::{
-    Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn,
-    Stgcn, Stgode,
+    Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn, Stgcn,
+    Stgode,
 };
 use urcl_stdata::{ContinualSplit, DatasetConfig, Normalizer, SyntheticDataset};
 use urcl_tensor::{ParamStore, Rng, Tensor};
@@ -134,7 +136,12 @@ pub fn build_backbone(
         ModelKind::GraphWaveNet => {
             let gcfg = GwnConfig {
                 base,
-                ..GwnConfig::small(cfg.num_nodes, cfg.num_channels(), cfg.input_steps, cfg.output_steps)
+                ..GwnConfig::small(
+                    cfg.num_nodes,
+                    cfg.num_channels(),
+                    cfg.input_steps,
+                    cfg.output_steps,
+                )
             };
             Box::new(GraphWaveNet::new(&mut store, &mut rng, net, gcfg))
         }
@@ -169,8 +176,8 @@ pub fn run_backbone(
     trainer_cfg: TrainerConfig,
     seed: u64,
 ) -> RunReport {
-    let needs_simsiam = trainer_cfg.strategy == urcl_core::Strategy::Urcl
-        && trainer_cfg.ablation.graphcl;
+    let needs_simsiam =
+        trainer_cfg.strategy == urcl_core::Strategy::Urcl && trainer_cfg.ablation.graphcl;
     let simsiam = needs_simsiam.then(|| {
         let mut rng = Rng::seed_from_u64(seed ^ 0x5151);
         StSimSiam::new(
@@ -216,10 +223,9 @@ pub fn run_arima(ctx: &ExperimentContext, p: usize, d: usize) -> RunReport {
         let mut metrics = Metrics::new();
         let mut infer = Stopwatch::new();
         for w in &windows {
-            let xt = w
-                .x
-                .index_select(2, &[cfg.target_channel])
-                .reshape(&[cfg.input_steps, n]);
+            let xt =
+                w.x.index_select(2, &[cfg.target_channel])
+                    .reshape(&[cfg.input_steps, n]);
             infer.start();
             let pred = model.forecast(&xt);
             infer.stop();
@@ -312,7 +318,11 @@ impl Effort {
 
 /// Formats a per-set MAE/RMSE row like the paper's tables.
 pub fn format_row(label: &str, report: &RunReport) -> String {
-    let mae: Vec<String> = report.sets.iter().map(|s| format!("{:6.2}", s.mae)).collect();
+    let mae: Vec<String> = report
+        .sets
+        .iter()
+        .map(|s| format!("{:6.2}", s.mae))
+        .collect();
     let rmse: Vec<String> = report
         .sets
         .iter()

@@ -9,8 +9,8 @@
 //! back into diffusion supports so the encoder convolves over the
 //! augmented graph (`Backbone::encode_perturbed`).
 
-use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_graph::{distant_pairs, random_walk_subgraph};
+use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_tensor::{Rng, Tensor};
 
 /// Which temporal transform TS applies (Section IV-C1, Eq. 9–11).
@@ -183,8 +183,7 @@ impl Augmentation {
                         supports: diffusion(net),
                     };
                 }
-                let count = ((ratio * pairs.len() as f32).round() as usize)
-                    .clamp(1, pairs.len());
+                let count = ((ratio * pairs.len() as f32).round() as usize).clamp(1, pairs.len());
                 let chosen = rng.sample_indices(pairs.len(), count);
                 let feats = mean_node_features(x); // [N, C]
                 let c = feats.shape()[1];
@@ -377,9 +376,8 @@ mod tests {
         // Roughly half the nodes should be zeroed.
         let mut zero_nodes = 0;
         for node in 0..10 {
-            let all_zero = (0..2).all(|b| {
-                (0..6).all(|t| (0..2).all(|c| view.x.at(&[b, t, node, c]) == 0.0))
-            });
+            let all_zero =
+                (0..2).all(|b| (0..6).all(|t| (0..2).all(|c| view.x.at(&[b, t, node, c]) == 0.0)));
             if all_zero {
                 zero_nodes += 1;
             }
@@ -403,7 +401,10 @@ mod tests {
 
     #[test]
     fn time_flip_reverses_window() {
-        let x = Tensor::from_vec((0..12).map(|v| v as f32).collect::<Vec<f32>>(), &[1, 3, 2, 2]);
+        let x = Tensor::from_vec(
+            (0..12).map(|v| v as f32).collect::<Vec<f32>>(),
+            &[1, 3, 2, 2],
+        );
         let mut rng = Rng::seed_from_u64(1);
         let flipped = time_shift(&x, TimeShiftKind::Flip, &mut rng);
         assert_eq!(flipped.at(&[0, 0, 0, 0]), x.at(&[0, 2, 0, 0]));

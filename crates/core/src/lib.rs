@@ -40,8 +40,8 @@ pub use ewc::EwcState;
 pub use metrics::{mae, rmse, Metrics};
 pub use mixup::st_mixup;
 pub use persist::{
-    load_checkpoint, load_checkpoint_into, save_checkpoint, save_full_checkpoint,
-    Checkpoint, CheckpointDir, CheckpointFingerprint, PersistError, PipelineState,
+    load_checkpoint, load_checkpoint_into, save_checkpoint, save_full_checkpoint, Checkpoint,
+    CheckpointDir, CheckpointFingerprint, PersistError, PipelineState,
 };
 pub use pipeline::UrclPipeline;
 pub use replay::ReplayBuffer;

@@ -19,7 +19,10 @@ use urcl_tensor::Rng;
 /// Returns the interpolated batch and the λ used.
 pub fn st_mixup(current: &Batch, replay: &Batch, alpha: f32, rng: &mut Rng) -> (Batch, f32) {
     assert!(alpha > 0.0, "Beta concentration must be positive");
-    assert!(!current.is_empty() && !replay.is_empty(), "empty batch in mixup");
+    assert!(
+        !current.is_empty() && !replay.is_empty(),
+        "empty batch in mixup"
+    );
     assert_eq!(
         current.x.shape()[1..],
         replay.x.shape()[1..],

@@ -143,7 +143,8 @@ fn bad(msg: impl Into<String>) -> PersistError {
 // ------------------------------------------------------------ primitives
 
 fn field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, PersistError> {
-    v.get(key).ok_or_else(|| bad(format!("missing {ctx}.{key}")))
+    v.get(key)
+        .ok_or_else(|| bad(format!("missing {ctx}.{key}")))
 }
 
 fn field_u64(v: &Value, key: &str, ctx: &str) -> Result<u64, PersistError> {
@@ -582,10 +583,7 @@ pub fn load_checkpoint_into(
 /// Copies parameter values from a checkpointed store into a live one after
 /// validating the layouts agree (count, names and shapes, in order). The
 /// destination is untouched on [`PersistError::Mismatch`].
-pub fn copy_store_checked(
-    src: &ParamStore,
-    dst: &mut ParamStore,
-) -> Result<(), PersistError> {
+pub fn copy_store_checked(src: &ParamStore, dst: &mut ParamStore) -> Result<(), PersistError> {
     if src.len() != dst.len() {
         return Err(PersistError::Mismatch(format!(
             "checkpoint has {} parameters, model has {}",
@@ -665,7 +663,8 @@ impl CheckpointDir {
     }
 
     fn temp_path(&self) -> PathBuf {
-        self.dir.join(format!("inflight-{}.tmp", std::process::id()))
+        self.dir
+            .join(format!("inflight-{}.tmp", std::process::id()))
     }
 
     /// Atomically saves a checkpoint (full-pipeline when `pipeline` is
@@ -857,10 +856,7 @@ mod tests {
 
     #[test]
     fn rotation_keeps_previous_on_torn_latest() {
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-test-{}-rotate",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("urcl-test-{}-rotate", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).unwrap();
 

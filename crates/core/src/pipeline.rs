@@ -259,10 +259,7 @@ impl UrclPipeline {
         let pred = self.model.forward(&mut sess, xv).value(); // [1, H, N]
         let h = pred.shape()[1];
         let n = pred.shape()[2];
-        norm.inverse_target(
-            &pred.reshape(&[h, n]),
-            self.data_cfg.target_channel,
-        )
+        norm.inverse_target(&pred.reshape(&[h, n]), self.data_cfg.target_channel)
     }
 }
 
@@ -302,13 +299,12 @@ mod tests {
             .series
             .narrow(0, t - ds.config.input_steps, ds.config.input_steps);
         let pred = pipe.forecast(&window);
-        assert_eq!(
-            pred.shape(),
-            &[ds.config.output_steps, ds.config.num_nodes]
-        );
+        assert_eq!(pred.shape(), &[ds.config.output_steps, ds.config.num_nodes]);
         // Speed channel: predictions must land in a plausible band.
-        assert!(pred.data().iter().all(|&v| (0.0..=100.0).contains(&v)),
-            "{pred:?}");
+        assert!(
+            pred.data().iter().all(|&v| (0.0..=100.0).contains(&v)),
+            "{pred:?}"
+        );
     }
 
     #[test]
@@ -374,11 +370,13 @@ mod tests {
 
         // Interrupted: first period, checkpoint, "crash".
         interrupted.observe_period(split.base.series.clone());
-        let dir_path = std::env::temp_dir()
-            .join(format!("urcl-test-{}-pipe-resume", std::process::id()));
+        let dir_path =
+            std::env::temp_dir().join(format!("urcl-test-{}-pipe-resume", std::process::id()));
         std::fs::remove_dir_all(&dir_path).ok();
         let slots = CheckpointDir::new(&dir_path).unwrap();
-        interrupted.save_checkpoint(&slots, "after base period").unwrap();
+        interrupted
+            .save_checkpoint(&slots, "after base period")
+            .unwrap();
         drop(interrupted);
 
         // Fresh process: different seed, so every bit of matching state

@@ -243,8 +243,7 @@ mod tests {
         for i in 0..5 {
             buf.push(sample(i as f32));
         }
-        let rebuilt =
-            ReplayBuffer::from_samples(buf.capacity(), buf.iter().cloned().collect());
+        let rebuilt = ReplayBuffer::from_samples(buf.capacity(), buf.iter().cloned().collect());
         assert_eq!(rebuilt.len(), buf.len());
         assert_eq!(rebuilt.capacity(), 3);
         for i in 0..buf.len() {

@@ -205,7 +205,9 @@ mod tests {
         let mut buffer = ReplayBuffer::new(16);
         for i in 0..10 {
             buffer.push(Sample {
-                x: rng.uniform_tensor(&[6, 5, 1], 0.0, 1.0).map(|v| v + i as f32 * 0.01),
+                x: rng
+                    .uniform_tensor(&[6, 5, 1], 0.0, 1.0)
+                    .map(|v| v + i as f32 * 0.01),
                 y: rng.uniform_tensor(&[1, 5], 0.0, 1.0),
             });
         }
@@ -231,8 +233,16 @@ mod tests {
         let (store, model, buffer, current, _) = setup();
         let pool = full_pool(&buffer);
         let picked = rmir_sample(
-            &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
+            &buffer,
+            &pool,
+            &current,
+            &model,
+            &store,
+            0.05,
+            6,
+            3,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 3);
         assert!(picked.iter().all(|&i| i < buffer.len()));
@@ -247,9 +257,18 @@ mod tests {
     fn empty_pool_returns_nothing() {
         let (store, model, buffer, current, _) = setup();
         assert!(rmir_sample(
-            &buffer, &[], &current, &model, &store, 0.05, 4, 2,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
-        ).is_empty());
+            &buffer,
+            &[],
+            &current,
+            &model,
+            &store,
+            0.05,
+            4,
+            2,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
+        )
+        .is_empty());
     }
 
     #[test]
@@ -257,8 +276,16 @@ mod tests {
         let (store, model, buffer, current, _) = setup();
         let pool = full_pool(&buffer);
         let picked = rmir_sample(
-            &buffer, &pool, &current, &model, &store, 0.05, 99, 99,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
+            &buffer,
+            &pool,
+            &current,
+            &model,
+            &store,
+            0.05,
+            99,
+            99,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), buffer.len());
     }
@@ -268,8 +295,16 @@ mod tests {
         let (store, model, buffer, current, _) = setup();
         let pool = vec![1usize, 4, 7];
         let picked = rmir_sample(
-            &buffer, &pool, &current, &model, &store, 0.05, 3, 2,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
+            &buffer,
+            &pool,
+            &current,
+            &model,
+            &store,
+            0.05,
+            3,
+            2,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 2);
         assert!(picked.iter().all(|i| pool.contains(i)));
@@ -297,12 +332,28 @@ mod tests {
         let (store, model, buffer, current, _) = setup();
         let pool = full_pool(&buffer);
         let a = rmir_sample(
-            &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
+            &buffer,
+            &pool,
+            &current,
+            &model,
+            &store,
+            0.05,
+            6,
+            3,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
         );
         let b = rmir_sample(
-            &buffer, &pool, &current, &model, &store, 0.05, 6, 3,
-            &mut RmirPlans::default(), &mut ForwardPlan::default(),
+            &buffer,
+            &pool,
+            &current,
+            &model,
+            &store,
+            0.05,
+            6,
+            3,
+            &mut RmirPlans::default(),
+            &mut ForwardPlan::default(),
         );
         assert_eq!(a, b);
     }

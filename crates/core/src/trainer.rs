@@ -630,8 +630,8 @@ impl ContinualTrainer {
             let period = periods[pi];
             let _period_sp = urcl_trace::span("period");
             let rmir_selected_before = urcl_trace::counter_value("rmir.selected");
-            let (train, _val, test) = period
-                .train_val_test(self.config.train_ratio, self.config.val_ratio);
+            let (train, _val, test) =
+                period.train_val_test(self.config.train_ratio, self.config.val_ratio);
             let all_train_windows = train.windows(data_cfg);
             let train_windows: Vec<Sample> = all_train_windows
                 .into_iter()
@@ -1121,9 +1121,11 @@ fn step_refs<'a>(
             if view_slots == 0 {
                 continue;
             }
-            let set = view.supports.as_ref().or(template).expect(
-                "backbone registered support slots but exposes no support template",
-            );
+            let set = view
+                .supports
+                .as_ref()
+                .or(template)
+                .expect("backbone registered support slots but exposes no support template");
             let sup = set.all();
             for j in 0..view_slots {
                 refs.push(sup[j % sup.len()]);
@@ -1204,12 +1206,7 @@ mod tests {
     };
     use urcl_stdata::SyntheticDataset;
 
-    fn tiny_setup() -> (
-        SyntheticDataset,
-        ContinualSplit,
-        f32,
-        SensorNetwork,
-    ) {
+    fn tiny_setup() -> (SyntheticDataset, ContinualSplit, f32, SensorNetwork) {
         let ds = SyntheticDataset::generate(urcl_stdata::DatasetConfig::metr_la().tiny());
         let norm = ds.fit_normalizer();
         let split = ds.continual_split(2);

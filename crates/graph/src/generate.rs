@@ -19,9 +19,7 @@ use urcl_tensor::{Rng, Tensor};
 /// * Edge weights are `1 / distance` (Eq. 20), symmetric.
 pub fn random_geometric(n: usize, radius: f32, rng: &mut Rng) -> SensorNetwork {
     assert!(n > 0, "need at least one sensor");
-    let coords: Vec<(f32, f32)> = (0..n)
-        .map(|_| (rng.uniform(), rng.uniform()))
-        .collect();
+    let coords: Vec<(f32, f32)> = (0..n).map(|_| (rng.uniform(), rng.uniform())).collect();
     let mut adj = Tensor::zeros(&[n, n]);
     for i in 0..n {
         for j in (i + 1)..n {

@@ -17,5 +17,7 @@ pub mod walk;
 
 pub use generate::random_geometric;
 pub use network::SensorNetwork;
-pub use transition::{cheb_polynomials, power_series, scaled_laplacian, transition_matrix, SupportSet};
+pub use transition::{
+    cheb_polynomials, power_series, scaled_laplacian, transition_matrix, SupportSet,
+};
 pub use walk::{distant_pairs, hop_distances, random_walk_subgraph};

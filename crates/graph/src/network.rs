@@ -127,10 +127,7 @@ mod tests {
     use super::*;
 
     fn triangle() -> SensorNetwork {
-        SensorNetwork::from_edges(
-            3,
-            &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)],
-        )
+        SensorNetwork::from_edges(3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)])
     }
 
     #[test]
@@ -171,10 +168,7 @@ mod tests {
 
     #[test]
     fn distance_uses_coords() {
-        let g = SensorNetwork::new(
-            vec![(0.0, 0.0), (3.0, 4.0)],
-            Tensor::zeros(&[2, 2]),
-        );
+        let g = SensorNetwork::new(vec![(0.0, 0.0), (3.0, 4.0)], Tensor::zeros(&[2, 2]));
         assert!((g.distance(0, 1) - 5.0).abs() < 1e-6);
     }
 }

@@ -129,10 +129,7 @@ pub fn cheb_polynomials(scaled_lap: &Tensor, k: usize) -> Vec<Tensor> {
     }
     out.push(scaled_lap.clone());
     for m in 2..k {
-        let t = scaled_lap
-            .matmul(&out[m - 1])
-            .scale(2.0)
-            .sub(&out[m - 2]);
+        let t = scaled_lap.matmul(&out[m - 1]).scale(2.0).sub(&out[m - 2]);
         out.push(t);
     }
     out

@@ -239,7 +239,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -617,7 +621,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        for text in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\x\"", "{\"a\" 1}"] {
+        for text in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"\\x\"",
+            "{\"a\" 1}",
+        ] {
             assert!(Value::parse(text).is_err(), "{text:?} should fail");
         }
     }

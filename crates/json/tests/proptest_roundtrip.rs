@@ -26,8 +26,27 @@ fn random_finite_f64(rng: &mut Rng) -> f64 {
 /// territory.
 fn random_string(rng: &mut Rng) -> String {
     const ALPHABET: &[char] = &[
-        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{08}', '\u{0c}',
-        '\u{01}', '\u{1f}', 'é', 'π', '∀', '中', '🦀', '𝕊', '\u{10FFFF}',
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{08}',
+        '\u{0c}',
+        '\u{01}',
+        '\u{1f}',
+        'é',
+        'π',
+        '∀',
+        '中',
+        '🦀',
+        '𝕊',
+        '\u{10FFFF}',
     ];
     let len = (rng.next_u64() % 12) as usize;
     (0..len)
@@ -130,15 +149,18 @@ fn extreme_f32_values_roundtrip_exactly() {
     let mut specials = vec![
         0.0_f32,
         -0.0,
-        f32::from_bits(1),           // smallest positive subnormal
+        f32::from_bits(1), // smallest positive subnormal
         -f32::from_bits(1),
         f32::from_bits(0x007f_ffff), // largest subnormal
         f32::MIN_POSITIVE,
         f32::MAX,
         f32::MIN,
         f32::EPSILON,
-        1.0 / 3.0,   // needs all 9 significant digits
-        1e-38, 3.402_823e38, 1.5, -2.5e-12,
+        1.0 / 3.0, // needs all 9 significant digits
+        1e-38,
+        3.402_823e38,
+        1.5,
+        -2.5e-12,
     ];
     // Plus a fuzz sweep over random bit patterns.
     let mut rng = Rng::seed_from_u64(0x5EED_4);

@@ -32,10 +32,7 @@ impl NaplLinear {
             format!("{name}.wpool"),
             rng.normal_tensor(&[emb_dim, in_dim * out_dim], 0.0, 0.1),
         );
-        let b_pool = store.add(
-            format!("{name}.bpool"),
-            Tensor::zeros(&[emb_dim, out_dim]),
-        );
+        let b_pool = store.add(format!("{name}.bpool"), Tensor::zeros(&[emb_dim, out_dim]));
         Self {
             w_pool,
             b_pool,
@@ -46,12 +43,7 @@ impl NaplLinear {
     }
 
     /// `x: [B, N, in]`, `emb: [N, d]` → `[B, N, out]`.
-    fn forward<'t>(
-        &self,
-        sess: &mut Session<'t, '_>,
-        x: Var<'t>,
-        emb: Var<'t>,
-    ) -> Var<'t> {
+    fn forward<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>, emb: Var<'t>) -> Var<'t> {
         let shape = x.shape();
         let (b, n) = (shape[0], shape[1]);
         assert_eq!(shape[2], self.in_dim, "NAPL input dim mismatch");
@@ -61,7 +53,7 @@ impl NaplLinear {
         // Per-node weights [N, in, out] and biases [N, out].
         let w = emb.matmul(w_pool).reshape(&[n, self.in_dim, self.out_dim]);
         let bias = emb.matmul(b_pool); // [N, out]
-        // Batched per-node matmul: [B, N, 1, in] @ [N, in, out] -> [B, N, 1, out].
+                                       // Batched per-node matmul: [B, N, 1, in] @ [N, in, out] -> [B, N, 1, out].
         let x4 = x.reshape(&[b, n, 1, self.in_dim]);
         let y = x4.matmul(w).reshape(&[b, n, self.out_dim]);
         y.add(bias)
@@ -82,12 +74,7 @@ pub struct Agcrn {
 impl Agcrn {
     /// Builds the model; `emb_dim` is the node-embedding width shared by
     /// NAPL and the learned adjacency.
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        cfg: BackboneConfig,
-        emb_dim: usize,
-    ) -> Self {
+    pub fn new(store: &mut ParamStore, rng: &mut Rng, cfg: BackboneConfig, emb_dim: usize) -> Self {
         let emb = store.add(
             "agcrn.emb",
             rng.normal_tensor(&[cfg.num_nodes, emb_dim], 0.0, 0.1),
@@ -208,6 +195,9 @@ mod tests {
             store.accumulate_grads(&binds, &grads);
             opt.step(&mut store);
         }
-        assert!(last < first.unwrap() * 0.7, "no learning: {first:?} -> {last}");
+        assert!(
+            last < first.unwrap() * 0.7,
+            "no learning: {first:?} -> {last}"
+        );
     }
 }

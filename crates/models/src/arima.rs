@@ -101,7 +101,7 @@ fn fit_ar(series: &[f32], p: usize) -> Vec<f32> {
     }
     let rows = t - p;
     let cols = p + 1; // lags + intercept
-    // Normal equations: (XᵀX + λI) β = Xᵀy.
+                      // Normal equations: (XᵀX + λI) β = Xᵀy.
     let mut xtx = vec![0.0f64; cols * cols];
     let mut xty = vec![0.0f64; cols];
     for r in 0..rows {

@@ -135,6 +135,9 @@ mod tests {
             store.accumulate_grads(&binds, &grads);
             opt.step(&mut store);
         }
-        assert!(last < first.unwrap() * 0.7, "no learning: {first:?} -> {last}");
+        assert!(
+            last < first.unwrap() * 0.7,
+            "no learning: {first:?} -> {last}"
+        );
     }
 }

@@ -116,6 +116,9 @@ mod tests {
             store.accumulate_grads(&binds, &grads);
             opt.step(&mut store);
         }
-        assert!(last < first.unwrap() * 0.8, "no learning: {first:?} -> {last}");
+        assert!(
+            last < first.unwrap() * 0.8,
+            "no learning: {first:?} -> {last}"
+        );
     }
 }

@@ -67,12 +67,7 @@ pub struct GraphWaveNet {
 
 impl GraphWaveNet {
     /// Builds the model, registering all parameters in `store`.
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        net: &SensorNetwork,
-        cfg: GwnConfig,
-    ) -> Self {
+    pub fn new(store: &mut ParamStore, rng: &mut Rng, net: &SensorNetwork, cfg: GwnConfig) -> Self {
         assert!(
             cfg.base.input_steps > cfg.receptive_span(),
             "input window {} too short for receptive span {}",
@@ -180,8 +175,8 @@ impl Backbone for GraphWaveNet {
                 .permute(&[0, 1, 3, 4, 2])
                 .reshape(&[b * t_len * n, 2 * h]);
             let conv_out = layer.tcn.forward(sess, taps); // [B·T/2·N, h]
-            // Spatial: diffusion GCN per time step (over the perturbed
-            // graph when the augmentations supply one).
+                                                          // Spatial: diffusion GCN per time step (over the perturbed
+                                                          // graph when the augmentations supply one).
             let spatial_in = conv_out.reshape(&[b * t_len, n, h]);
             let gcn_out = layer
                 .gcn
@@ -247,7 +242,9 @@ mod tests {
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = model.cfg.base.hidden;
         let mut t_len = model.cfg.receptive_span() + 1;
-        let mut feat = model.input_proj.forward(sess, x.narrow(1, m - t_len, t_len));
+        let mut feat = model
+            .input_proj
+            .forward(sess, x.narrow(1, m - t_len, t_len));
         let adj = model.adaptive.as_ref().map(|a| a.adjacency(sess));
         for (i, layer) in model.layers.iter().enumerate() {
             let dilation = 1usize << i;
@@ -260,7 +257,10 @@ mod tests {
                 .concat(&[tap(0), tap(dilation)], 4)
                 .reshape(&[b * t_out * n, 2 * h]);
             let spatial_in = layer.tcn.forward(sess, taps).reshape(&[b * t_out, n, h]);
-            let gcn_out = layer.gcn.forward_with(sess, spatial_in, adj, supports).relu();
+            let gcn_out = layer
+                .gcn
+                .forward_with(sess, spatial_in, adj, supports)
+                .relu();
             let residual = feat.narrow(1, t_len - t_out, t_out);
             feat = gcn_out.reshape(&[b, t_out, n, h]).add(residual);
             t_len = t_out;
@@ -306,7 +306,11 @@ mod tests {
                         model.decode(&mut sess, latent).value()
                     };
                     let dense = forecast(true);
-                    let graph = if supports.is_some() { "perturbed" } else { "built" };
+                    let graph = if supports.is_some() {
+                        "perturbed"
+                    } else {
+                        "built"
+                    };
                     let what = format!("{layers} layers, batch {batch}, {graph} supports");
                     assert_eq!(bits(&forecast(false)), bits(&dense), "tape: {what}");
                     if supports.is_none() {

@@ -27,12 +27,7 @@ pub struct Mtgnn {
 impl Mtgnn {
     /// Builds the model; `emb_dim` is the node-embedding width of the
     /// graph-learning layer.
-    pub fn new(
-        store: &mut ParamStore,
-        rng: &mut Rng,
-        cfg: BackboneConfig,
-        emb_dim: usize,
-    ) -> Self {
+    pub fn new(store: &mut ParamStore, rng: &mut Rng, cfg: BackboneConfig, emb_dim: usize) -> Self {
         let h = cfg.hidden;
         let kernel = 2;
         assert!(cfg.input_steps >= kernel, "window too short for the TCN");

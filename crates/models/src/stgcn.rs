@@ -227,7 +227,11 @@ mod tests {
         let binds = sess.into_bindings();
         store.accumulate_grads(&binds, &grads);
         for id in store.ids() {
-            assert!(store.grad(id).norm() > 0.0, "no grad for {}", store.name(id));
+            assert!(
+                store.grad(id).norm() > 0.0,
+                "no grad for {}",
+                store.name(id)
+            );
         }
     }
 }

@@ -140,10 +140,7 @@ mod tests {
         };
         let l1 = run(&m1, &store);
         // Same weights, more steps.
-        let m8 = Stgode {
-            steps: 8,
-            ..m1
-        };
+        let m8 = Stgode { steps: 8, ..m1 };
         let l8 = run(&m8, &store);
         let diff: f32 = l1
             .data()

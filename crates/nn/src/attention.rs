@@ -26,9 +26,30 @@ impl Attention {
         attn_dim: usize,
     ) -> Self {
         Self {
-            wq: Linear::new(store, rng, &format!("{name}.wq"), model_dim, attn_dim, false),
-            wk: Linear::new(store, rng, &format!("{name}.wk"), model_dim, attn_dim, false),
-            wv: Linear::new(store, rng, &format!("{name}.wv"), model_dim, attn_dim, false),
+            wq: Linear::new(
+                store,
+                rng,
+                &format!("{name}.wq"),
+                model_dim,
+                attn_dim,
+                false,
+            ),
+            wk: Linear::new(
+                store,
+                rng,
+                &format!("{name}.wk"),
+                model_dim,
+                attn_dim,
+                false,
+            ),
+            wv: Linear::new(
+                store,
+                rng,
+                &format!("{name}.wv"),
+                model_dim,
+                attn_dim,
+                false,
+            ),
             dim: attn_dim,
         }
     }
@@ -114,7 +135,11 @@ mod tests {
         let binds = sess.into_bindings();
         store.accumulate_grads(&binds, &grads);
         for id in store.ids() {
-            assert!(store.grad(id).norm() > 0.0, "no grad for {}", store.name(id));
+            assert!(
+                store.grad(id).norm() > 0.0,
+                "no grad for {}",
+                store.name(id)
+            );
         }
     }
 }

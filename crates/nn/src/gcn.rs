@@ -24,8 +24,14 @@ impl AdaptiveAdjacency {
         n: usize,
         emb_dim: usize,
     ) -> Self {
-        let e1 = store.add(format!("{name}.e1"), rng.normal_tensor(&[n, emb_dim], 0.0, 0.1));
-        let e2 = store.add(format!("{name}.e2"), rng.normal_tensor(&[n, emb_dim], 0.0, 0.1));
+        let e1 = store.add(
+            format!("{name}.e1"),
+            rng.normal_tensor(&[n, emb_dim], 0.0, 0.1),
+        );
+        let e2 = store.add(
+            format!("{name}.e2"),
+            rng.normal_tensor(&[n, emb_dim], 0.0, 0.1),
+        );
         Self { e1, e2, n }
     }
 

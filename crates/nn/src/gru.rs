@@ -188,10 +188,8 @@ mod tests {
     fn dcgru_step_shape() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(3);
-        let net = SensorNetwork::from_edges(
-            3,
-            &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
-        );
+        let net =
+            SensorNetwork::from_edges(3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
         let supports = SupportSet::diffusion(&net, 2);
         let cell = DcGruCell::new(&mut store, &mut rng, "d", 2, 4, supports);
         let tape = Tape::new();

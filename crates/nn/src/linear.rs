@@ -48,12 +48,8 @@ impl Linear {
         bias: bool,
     ) -> Self {
         let w = store.add(format!("{name}.w"), rng.glorot(&[in_dim, out_dim]));
-        let b = bias.then(|| {
-            store.add(
-                format!("{name}.b"),
-                urcl_tensor::Tensor::zeros(&[out_dim]),
-            )
-        });
+        let b =
+            bias.then(|| store.add(format!("{name}.b"), urcl_tensor::Tensor::zeros(&[out_dim])));
         Self {
             w,
             b,
@@ -143,8 +139,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(1);
         let lin = Linear::new(&mut store, &mut rng, "l", 3, 2, true);
         // Overwrite with known weights.
-        *store.value_mut(lin.w) =
-            Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0], &[3, 2]);
+        *store.value_mut(lin.w) = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0], &[3, 2]);
         *store.value_mut(lin.b.unwrap()) = Tensor::from_vec(vec![10.0, 20.0], &[2]);
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);

@@ -14,8 +14,8 @@
 use urcl_graph::{cheb_polynomials, random_geometric, scaled_laplacian, SupportSet};
 use urcl_nn::linear::Activation;
 use urcl_nn::{
-    AdaptiveAdjacency, Attention, ChebGcn, Conv1dLayer, DcGruCell, DiffusionGcn, GatedTcn,
-    GruCell, Linear, Mlp,
+    AdaptiveAdjacency, Attention, ChebGcn, Conv1dLayer, DcGruCell, DiffusionGcn, GatedTcn, GruCell,
+    Linear, Mlp,
 };
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::gradcheck::check_scalar;

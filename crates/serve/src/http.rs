@@ -769,10 +769,7 @@ fn handle_connection(shared: &HttpShared, mut stream: TcpStream) {
         let t0 = Instant::now();
         let resp = dispatch(shared, &request);
         if traced {
-            urcl_trace::histogram_record(
-                "serve.http.latency_seconds",
-                t0.elapsed().as_secs_f64(),
-            );
+            urcl_trace::histogram_record("serve.http.latency_seconds", t0.elapsed().as_secs_f64());
         }
         // Drain observed after compute: the answer still goes out, with
         // `Connection: close` so the client re-connects elsewhere.
@@ -794,11 +791,7 @@ fn handle_connection(shared: &HttpShared, mut stream: TcpStream) {
 }
 
 fn dispatch(shared: &HttpShared, request: &Request) -> Response {
-    let segments: Vec<&str> = request
-        .path
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
+    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
         ["v1", "healthz"] => match request.method.as_str() {
             "GET" | "HEAD" => Response::json(
@@ -811,12 +804,7 @@ fn dispatch(shared: &HttpShared, request: &Request) -> Response {
         },
         ["v1", "tenants"] => match request.method.as_str() {
             "GET" => {
-                let names = shared
-                    .tenants
-                    .names()
-                    .into_iter()
-                    .map(Value::Str)
-                    .collect();
+                let names = shared.tenants.names().into_iter().map(Value::Str).collect();
                 Response::json(200, Value::object().with("tenants", Value::Array(names)))
             }
             _ => method_not_allowed("GET"),
@@ -842,9 +830,7 @@ fn forecast(shared: &HttpShared, tenant: &str, body: &[u8]) -> Response {
     };
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
-        Err(_) => {
-            return json_parse_error(shared, "request body is not valid UTF-8".to_string())
-        }
+        Err(_) => return json_parse_error(shared, "request body is not valid UTF-8".to_string()),
     };
     let doc = match Value::parse(text) {
         Ok(doc) => doc,
@@ -855,9 +841,7 @@ fn forecast(shared: &HttpShared, tenant: &str, body: &[u8]) -> Response {
             Ok(window) => window,
             Err(msg) => return Response::error(400, "bad_window", &msg),
         },
-        None => {
-            return Response::error(400, "bad_window", "body must carry a \"window\" key")
-        }
+        None => return Response::error(400, "bad_window", "body must carry a \"window\" key"),
     };
     let affinity = doc.get("affinity").and_then(Value::as_u64);
     let result = match affinity {

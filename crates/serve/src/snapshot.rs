@@ -49,8 +49,7 @@ impl ModelSnapshot {
             .normalizer()
             .ok_or_else(|| {
                 ServeError::Reload(
-                    "checkpoint carries no normalizer statistics (params-only save?)"
-                        .to_string(),
+                    "checkpoint carries no normalizer statistics (params-only save?)".to_string(),
                 )
             })?
             .clone();

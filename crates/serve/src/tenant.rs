@@ -207,7 +207,10 @@ impl TenantCore {
                 miss => {
                     self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                     if traced {
-                        urcl_trace::counter_inc(&format!("serve.tenant.{}.cache_misses", self.name));
+                        urcl_trace::counter_inc(&format!(
+                            "serve.tenant.{}.cache_misses",
+                            self.name
+                        ));
                     }
                     // A `Miss` (an identical request still in admission)
                     // computes uncached; a `Registered` entry is ours.
@@ -327,10 +330,7 @@ impl TenantCore {
                 self.stats.reload_failures.fetch_add(1, Ordering::Relaxed);
                 if urcl_trace::enabled() {
                     urcl_trace::counter_inc("serve.reload_failures");
-                    urcl_trace::counter_inc(&format!(
-                        "serve.tenant.{}.reload_failures",
-                        self.name
-                    ));
+                    urcl_trace::counter_inc(&format!("serve.tenant.{}.reload_failures", self.name));
                 }
                 Err(ServeError::Reload(e.to_string()))
             }
@@ -570,11 +570,7 @@ impl TenantClient {
     /// queue from the consumption side instead, which restores most of
     /// the lost capacity — the steal-duel cell in `bench_serve` measures
     /// exactly this.
-    pub fn submit_affine(
-        &self,
-        key: u64,
-        window: Tensor,
-    ) -> Result<PendingForecast, ServeError> {
+    pub fn submit_affine(&self, key: u64, window: Tensor) -> Result<PendingForecast, ServeError> {
         self.core.submit(window, Route::Affine(key))
     }
 

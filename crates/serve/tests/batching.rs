@@ -27,10 +27,8 @@ impl Fixture {
     /// needs, built in milliseconds.
     fn new(tag: &str, seed: u64) -> Self {
         let ds = SyntheticDataset::generate(DatasetConfig::metr_la().tiny());
-        let dir_path = std::env::temp_dir().join(format!(
-            "urcl-serve-test-{}-{tag}",
-            std::process::id()
-        ));
+        let dir_path =
+            std::env::temp_dir().join(format!("urcl-serve-test-{}-{tag}", std::process::id()));
         std::fs::remove_dir_all(&dir_path).ok();
         let slots = CheckpointDir::new(&dir_path).unwrap();
         let mut pipe = UrclPipeline::new(
@@ -41,12 +39,11 @@ impl Fixture {
         );
         let series = &ds.continual_split(2).base.series;
         pipe.observe_period_statistics_only(series);
-        pipe.save_checkpoint(&slots, &format!("seed {seed}")).unwrap();
+        pipe.save_checkpoint(&slots, &format!("seed {seed}"))
+            .unwrap();
 
         let m = ds.config.input_steps;
-        let windows = (0..20)
-            .map(|i| series.narrow(0, i * 2, m))
-            .collect();
+        let windows = (0..20).map(|i| series.narrow(0, i * 2, m)).collect();
         Self {
             ds,
             dir_path,
@@ -101,7 +98,11 @@ fn empty_queue_idles_and_serves_late_request() {
         max_delay: Duration::from_millis(1),
     });
     std::thread::sleep(Duration::from_millis(120));
-    assert_eq!(server.stats().batches, 0, "idle worker must not run batches");
+    assert_eq!(
+        server.stats().batches,
+        0,
+        "idle worker must not run batches"
+    );
     let forecast = server.predict(&fx.windows[0]).expect("late request served");
     assert_eq!(
         forecast.prediction.shape(),
@@ -149,11 +150,8 @@ fn burst_larger_than_max_batch_splits() {
 #[test]
 fn batched_forward_is_bitwise_equal_to_single_forwards() {
     let fx = Fixture::new("bitwise", 3);
-    let (model, template) = UrclPipeline::serving_parts(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let ckpt = fx.slots.load().unwrap();
     let snapshot = ModelSnapshot::from_checkpoint(&ckpt, &template, 1).unwrap();
     let batch = &fx.windows[..8];
@@ -183,7 +181,10 @@ fn server_coalesces_full_batch_bitwise_equal_to_singles() {
     });
     let fused = server.predict_many(&fx.windows[..n]).expect("burst");
     let stats = server.stats();
-    assert_eq!(stats.max_batch, n as u64, "burst did not coalesce into one batch");
+    assert_eq!(
+        stats.max_batch, n as u64,
+        "burst did not coalesce into one batch"
+    );
     for (i, window) in fx.windows[..n].iter().enumerate() {
         let solo = server.predict(window).unwrap();
         assert_bitwise_eq(
@@ -208,15 +209,10 @@ fn swap_during_drain_serves_consistent_snapshots() {
     }));
 
     // Reference forecasts per checkpoint, computed on the pure path.
-    let (model, template) = UrclPipeline::serving_parts(
-        &fx_a.ds.network,
-        &fx_a.ds.config,
-        &TrainerConfig::default(),
-    );
-    let snap_a =
-        ModelSnapshot::from_checkpoint(&fx_a.slots.load().unwrap(), &template, 0).unwrap();
-    let snap_b =
-        ModelSnapshot::from_checkpoint(&fx_b.slots.load().unwrap(), &template, 0).unwrap();
+    let (model, template) =
+        UrclPipeline::serving_parts(&fx_a.ds.network, &fx_a.ds.config, &TrainerConfig::default());
+    let snap_a = ModelSnapshot::from_checkpoint(&fx_a.slots.load().unwrap(), &template, 0).unwrap();
+    let snap_b = ModelSnapshot::from_checkpoint(&fx_b.slots.load().unwrap(), &template, 0).unwrap();
     let target = fx_a.ds.config.target_channel;
     let windows: Vec<Tensor> = fx_a.windows[..4].to_vec();
     let ref_a = forward_batch(&model, &snap_a, &windows, target);
@@ -232,9 +228,17 @@ fn swap_during_drain_serves_consistent_snapshots() {
                 for round in 0..25 {
                     let i = (w + round) % windows.len();
                     let forecast = server.predict(&windows[i]).expect("request survived swap");
-                    let matches_a = forecast.prediction.data().iter().zip(ref_a[i].data())
+                    let matches_a = forecast
+                        .prediction
+                        .data()
+                        .iter()
+                        .zip(ref_a[i].data())
                         .all(|(x, y)| x.to_bits() == y.to_bits());
-                    let matches_b = forecast.prediction.data().iter().zip(ref_b[i].data())
+                    let matches_b = forecast
+                        .prediction
+                        .data()
+                        .iter()
+                        .zip(ref_b[i].data())
                         .all(|(x, y)| x.to_bits() == y.to_bits());
                     assert!(
                         matches_a || matches_b,
@@ -249,7 +253,11 @@ fn swap_during_drain_serves_consistent_snapshots() {
     // save changes `latest.ckpt`, each reload_now publishes it.
     let mut swapped = 0u64;
     for round in 0..12 {
-        let src = if round % 2 == 0 { &fx_b.slots } else { &fx_a.slots };
+        let src = if round % 2 == 0 {
+            &fx_b.slots
+        } else {
+            &fx_a.slots
+        };
         let text = std::fs::read_to_string(src.latest_path()).unwrap();
         std::fs::write(fx_a.slots.latest_path(), text).unwrap();
         if server.reload_now().expect("reload") {
@@ -261,7 +269,11 @@ fn swap_during_drain_serves_consistent_snapshots() {
         worker.join().expect("no worker panicked");
     }
     assert!(swapped >= 2, "test never actually swapped ({swapped})");
-    assert_eq!(server.stats().swaps, swapped + 1, "initial load + live swaps");
+    assert_eq!(
+        server.stats().swaps,
+        swapped + 1,
+        "initial load + live swaps"
+    );
 }
 
 /// An `Arc` snapshot captured before a swap (as each in-flight batch
@@ -272,11 +284,8 @@ fn captured_snapshot_survives_hot_swap() {
     let fx_a = Fixture::new("inflight-a", 7);
     let fx_b = Fixture::new("inflight-b", 8);
     let server = fx_a.server(BatchPolicy::default());
-    let (model, _template) = UrclPipeline::serving_parts(
-        &fx_a.ds.network,
-        &fx_a.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, _template) =
+        UrclPipeline::serving_parts(&fx_a.ds.network, &fx_a.ds.config, &TrainerConfig::default());
     let target = fx_a.ds.config.target_channel;
 
     let captured = server.snapshot().expect("initial snapshot");
@@ -312,16 +321,11 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
 
     // A server over an empty directory has no snapshot: requests fail
     // with NoSnapshot until a checkpoint appears.
-    let empty_path = std::env::temp_dir().join(format!(
-        "urcl-serve-test-{}-empty",
-        std::process::id()
-    ));
+    let empty_path =
+        std::env::temp_dir().join(format!("urcl-serve-test-{}-empty", std::process::id()));
     std::fs::remove_dir_all(&empty_path).ok();
-    let (model, template) = UrclPipeline::serving_parts(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let empty = Server::start(
         model,
         template,
@@ -343,11 +347,8 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
 #[test]
 fn non_finite_windows_are_bad_requests_before_the_cache() {
     let fx = Fixture::new("nonfinite", 10);
-    let (model, template) = UrclPipeline::serving_parts(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let server = Server::start(
         model,
         template,

@@ -40,10 +40,8 @@ struct Fx {
 impl Fx {
     fn new() -> Self {
         let ds = SyntheticDataset::generate(DatasetConfig::metr_la().tiny());
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-drain-interleave-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("urcl-drain-interleave-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).unwrap();
         let mut pipe = UrclPipeline::new(
@@ -119,8 +117,11 @@ fn no_seeded_interleaving_strands_a_waiter() {
         for s in 0..SUBMITTERS {
             let client = client.clone();
             let fx = Arc::clone(&fx);
-            let (replied, shut_out, shed) =
-                (Arc::clone(&replied), Arc::clone(&shut_out), Arc::clone(&shed));
+            let (replied, shut_out, shed) = (
+                Arc::clone(&replied),
+                Arc::clone(&shut_out),
+                Arc::clone(&shed),
+            );
             threads.push(std::thread::spawn(move || {
                 let mut rng = Rng::seed_from_u64(seed * 97 + s as u64);
                 for r in 0..REQS_PER_SUBMITTER {

@@ -135,7 +135,12 @@ fn try_read_response(
         .unwrap_or_else(|| panic!("bad status line in {head:?}"));
     let len: usize = head
         .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(str::trim).map(str::to_string))
+        .find_map(|l| {
+            l.to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(str::trim)
+                .map(str::to_string)
+        })
         .and_then(|v| v.parse().ok())
         .expect("Content-Length header");
     while carry.len() < head_end + len {
@@ -215,7 +220,10 @@ fn routing_and_status_mapping() {
     let (status, _, body) = roundtrip(&server, b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     assert_eq!(
-        Value::parse(&body).unwrap().get("ok").and_then(Value::as_bool),
+        Value::parse(&body)
+            .unwrap()
+            .get("ok")
+            .and_then(Value::as_bool),
         Some(true)
     );
     let (status, _, body) = roundtrip(&server, b"GET /v1/tenants HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -225,8 +233,7 @@ fn routing_and_status_mapping() {
     // Unknown route and unknown tenant.
     let (status, _, _) = roundtrip(&server, b"GET /v2/nope HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 404);
-    let (status, _, body) =
-        roundtrip(&server, &post("/v1/tenants/ghost/forecast", &ok_body));
+    let (status, _, body) = roundtrip(&server, &post("/v1/tenants/ghost/forecast", &ok_body));
     assert_eq!(status, 404);
     assert!(body.contains("unknown_tenant"), "{body}");
 
@@ -248,7 +255,9 @@ fn routing_and_status_mapping() {
 
     // A reading beyond f32 range parses to infinity: 400, not a 200
     // with `null` forecast cells.
-    let start = ok_body.find(|ch: char| ch.is_ascii_digit() || ch == '-').unwrap();
+    let start = ok_body
+        .find(|ch: char| ch.is_ascii_digit() || ch == '-')
+        .unwrap();
     let end = start + ok_body[start..].find([',', ']']).unwrap();
     let overflow = format!("{}1e39{}", &ok_body[..start], &ok_body[end..]);
     let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", &overflow));
@@ -281,18 +290,15 @@ fn malformed_requests_are_typed_4xx() {
     );
     assert_eq!(status, 501);
     // Unparseable JSON body.
-    let (status, _, body) =
-        roundtrip(&server, &post("/v1/tenants/metr-la/forecast", "{not json"));
+    let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", "{not json"));
     assert_eq!(status, 400);
     assert!(body.contains("bad_json"), "{body}");
     // Missing and ragged windows.
-    let (status, _, body) =
-        roundtrip(&server, &post("/v1/tenants/metr-la/forecast", "{\"x\": 1}"));
+    let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", "{\"x\": 1}"));
     assert_eq!(status, 400);
     assert!(body.contains("bad_window"), "{body}");
     let ragged = "{\"window\": [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]]}";
-    let (status, _, body) =
-        roundtrip(&server, &post("/v1/tenants/metr-la/forecast", ragged));
+    let (status, _, body) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", ragged));
     assert_eq!(status, 400);
     assert!(body.contains("bad_window"), "{body}");
 
@@ -362,7 +368,9 @@ fn slowloris_request_times_out_with_408() {
     let t0 = Instant::now();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // A header drip that never finishes.
-    stream.write_all(b"GET /v1/healthz HTTP/1.1\r\nX-Slow: ").unwrap();
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nX-Slow: ")
+        .unwrap();
     let (status, _, _) = read_response(&mut stream);
     assert_eq!(status, 408);
     assert!(
@@ -420,7 +428,10 @@ fn killed_client_mid_response_does_not_wedge_the_server() {
     for i in 0..4 {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
-            .write_all(&post("/v1/tenants/metr-la/forecast", &fx.window_json(i % 4)))
+            .write_all(&post(
+                "/v1/tenants/metr-la/forecast",
+                &fx.window_json(i % 4),
+            ))
             .unwrap();
         // Vanish without reading the response.
         drop(stream);

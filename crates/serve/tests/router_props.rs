@@ -30,10 +30,8 @@ struct TenantFx {
 impl TenantFx {
     fn new(idx: usize, cfg: DatasetConfig, seed: u64) -> Self {
         let ds = SyntheticDataset::generate(cfg.tiny());
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-router-props-{}-{idx}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("urcl-router-props-{}-{idx}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).unwrap();
         let mut pipe = UrclPipeline::new(

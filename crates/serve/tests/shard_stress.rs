@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl_serve::{
-    forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Tenants,
-};
+use urcl_serve::{forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Tenants};
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
 
@@ -28,10 +26,8 @@ struct TenantFx {
 impl TenantFx {
     fn new(name: &'static str, cfg: DatasetConfig, seed: u64) -> Self {
         let ds = SyntheticDataset::generate(cfg.tiny());
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-shard-stress-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("urcl-shard-stress-{}-{name}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).unwrap();
         let mut pipe = UrclPipeline::new(
@@ -83,11 +79,8 @@ impl Drop for TenantFx {
 }
 
 fn add_tenant(registry: &Tenants, fx: &TenantFx, config: ServeConfig) {
-    let (model, template) = UrclPipeline::serving_parts_dyn(
-        &fx.ds.network,
-        &fx.ds.config,
-        &TrainerConfig::default(),
-    );
+    let (model, template) =
+        UrclPipeline::serving_parts_dyn(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
     let client = registry
         .add(
             fx.name,

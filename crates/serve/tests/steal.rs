@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl_serve::{
-    forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Tenants,
-};
+use urcl_serve::{forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Tenants};
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
 
@@ -133,7 +131,10 @@ fn stolen_responses_are_bitwise_identical_to_solo_forwards() {
     let stats = registry.stats("hot").unwrap();
     assert_eq!(stats.requests, (CLIENTS * REQS) as u64, "conservation");
     assert_eq!(stats.shed, 0, "generous bound must not shed");
-    assert!(stats.max_batch <= 4, "stealing must respect the batch policy");
+    assert!(
+        stats.max_batch <= 4,
+        "stealing must respect the batch policy"
+    );
     assert!(
         stats.steals > 0,
         "three idle shards next to a hot one must steal; stats: {stats:?}"

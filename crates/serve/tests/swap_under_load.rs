@@ -29,10 +29,7 @@ struct SwapFx {
 impl SwapFx {
     fn new(tag: &str, cfg: DatasetConfig, seed: u64, alt_seed: u64) -> Self {
         let ds = SyntheticDataset::generate(cfg.tiny());
-        let dir = std::env::temp_dir().join(format!(
-            "urcl-swap-load-{}-{tag}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("urcl-swap-load-{}-{tag}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let slots = CheckpointDir::new(&dir).unwrap();
         let series = ds.continual_split(2).base.series.clone();
@@ -145,8 +142,11 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
     let mut handles = Vec::new();
     for w in 0..8 {
         let registry = Arc::clone(&registry);
-        let (windows_a, refs_a0, refs_a1) =
-            (fx_a.windows.clone(), fx_a.refs[0].clone(), fx_a.refs[1].clone());
+        let (windows_a, refs_a0, refs_a1) = (
+            fx_a.windows.clone(),
+            fx_a.refs[0].clone(),
+            fx_a.refs[1].clone(),
+        );
         let (windows_b, refs_b) = (fx_b.windows.clone(), fx_b.refs[0].clone());
         handles.push(std::thread::spawn(move || {
             for round in 0..30 {

@@ -101,8 +101,15 @@ impl SequenceData {
 
     /// Chronological train/val/test split (Algorithm 1, lines 2–3).
     /// Ratios must sum to ≤ 1; the test set absorbs rounding remainders.
-    pub fn train_val_test(&self, train: f32, val: f32) -> (SequenceData, SequenceData, SequenceData) {
-        assert!(train + val < 1.0 + 1e-6, "train+val must leave room for test");
+    pub fn train_val_test(
+        &self,
+        train: f32,
+        val: f32,
+    ) -> (SequenceData, SequenceData, SequenceData) {
+        assert!(
+            train + val < 1.0 + 1e-6,
+            "train+val must leave room for test"
+        );
         let t = self.len();
         let t_train = (t as f32 * train).round() as usize;
         let t_val = (t as f32 * val).round() as usize;

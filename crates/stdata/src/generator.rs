@@ -181,9 +181,7 @@ pub fn generate_series(
                 let v = match kind {
                     ChannelKind::Speed => range * (1.0 - 0.55 * cong.min(1.4)) + fast + meas,
                     ChannelKind::Flow => range * (0.15 + 0.55 * cong) + fast + meas,
-                    ChannelKind::Occupancy => {
-                        range * (0.1 + 0.55 * cong) + 0.5 * fast + meas
-                    }
+                    ChannelKind::Occupancy => range * (0.1 + 0.55 * cong) + 0.5 * fast + meas,
                 };
                 data[(t * n + i) * c + ch] = v.max(0.0);
             }

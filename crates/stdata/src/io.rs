@@ -40,10 +40,16 @@ impl std::fmt::Display for IoError {
             }
             IoError::NonFinite(l, c) => write!(f, "non-finite number at line {l}, column {c}"),
             IoError::Channels(l, cols, ch) => {
-                write!(f, "line {l} has {cols} columns, not a multiple of {ch} channels")
+                write!(
+                    f,
+                    "line {l} has {cols} columns, not a multiple of {ch} channels"
+                )
             }
             IoError::NodeOutOfRange(l, c, id, n) => {
-                write!(f, "node id {id} at line {l}, column {c} is not below {n} nodes")
+                write!(
+                    f,
+                    "node id {id} at line {l}, column {c} is not below {n} nodes"
+                )
             }
             IoError::Empty => write!(f, "no data rows"),
         }

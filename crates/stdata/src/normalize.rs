@@ -187,7 +187,11 @@ mod tests {
         // Map the sign-magnitude bit pattern onto a monotonic integer line.
         fn key(x: f32) -> i64 {
             let bits = x.to_bits() as i32;
-            (if bits < 0 { i32::MIN.wrapping_sub(bits) } else { bits }) as i64
+            (if bits < 0 {
+                i32::MIN.wrapping_sub(bits)
+            } else {
+                bits
+            }) as i64
         }
         (key(a) - key(b)).unsigned_abs().min(u32::MAX as u64) as u32
     }
@@ -217,8 +221,7 @@ mod tests {
     fn stats_roundtrip_through_from_stats_is_bitwise() {
         let s = series();
         let norm = Normalizer::fit(&s);
-        let rebuilt =
-            Normalizer::from_stats(norm.mins().to_vec(), norm.maxs().to_vec());
+        let rebuilt = Normalizer::from_stats(norm.mins().to_vec(), norm.maxs().to_vec());
         for ch in 0..norm.num_channels() {
             assert_eq!(norm.mins()[ch].to_bits(), rebuilt.mins()[ch].to_bits());
             assert_eq!(norm.maxs()[ch].to_bits(), rebuilt.maxs()[ch].to_bits());

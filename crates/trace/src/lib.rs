@@ -207,13 +207,19 @@ pub fn snapshot() -> Value {
                 Value::object()
                     .with("par_calls", Value::Num(pool.par_calls as f64))
                     .with("inline_calls", Value::Num(pool.inline_calls as f64))
-                    .with("chunks_dispatched", Value::Num(pool.chunks_dispatched as f64))
+                    .with(
+                        "chunks_dispatched",
+                        Value::Num(pool.chunks_dispatched as f64),
+                    )
                     .with("par_items", Value::Num(pool.par_items as f64))
                     .with("par_wait_ns", Value::Num(pool.par_wait_ns as f64))
                     .with("pool_hit", Value::Num(buf.hits as f64))
                     .with("pool_miss", Value::Num(buf.misses as f64))
                     .with("pool_bytes_recycled", Value::Num(buf.bytes_recycled as f64))
-                    .with("pool_peak_resident_f32", Value::Num(buf.peak_live_f32 as f64)),
+                    .with(
+                        "pool_peak_resident_f32",
+                        Value::Num(buf.peak_live_f32 as f64),
+                    ),
             )
             .with(
                 "plan",
@@ -356,7 +362,10 @@ mod tests {
         // The SIMD gauge reports the active ISA tier and the pool object
         // carries the parallel-region telemetry added for the scaling
         // work; both must stay present for dashboard consumers.
-        let isa = doc.get("simd_isa").and_then(Value::as_u64).expect("simd_isa");
+        let isa = doc
+            .get("simd_isa")
+            .and_then(Value::as_u64)
+            .expect("simd_isa");
         assert!(isa <= 2, "unknown ISA code {isa}");
         let pool = doc.get("pool").expect("pool");
         for key in ["par_items", "par_wait_ns"] {
@@ -367,7 +376,10 @@ mod tests {
         }
         let work = doc.get("spans").and_then(|s| s.get("work")).expect("span");
         assert_eq!(work.get("count").and_then(Value::as_u64), Some(1));
-        let periods = doc.get("periods").and_then(Value::as_array).expect("periods");
+        let periods = doc
+            .get("periods")
+            .and_then(Value::as_array)
+            .expect("periods");
         assert_eq!(periods.len(), 1);
         assert_eq!(
             periods[0].get("name").and_then(Value::as_str),

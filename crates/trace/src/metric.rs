@@ -171,7 +171,10 @@ mod tests {
             histogram_quantile(&h, 0.95),
             histogram_quantile(&h, 0.99),
         );
-        assert!(p50 <= p95 && p95 <= p99, "quantiles ordered: {p50} {p95} {p99}");
+        assert!(
+            p50 <= p95 && p95 <= p99,
+            "quantiles ordered: {p50} {p95} {p99}"
+        );
         assert!((1e-3..1e-2).contains(&p50), "p50 in the fast decade: {p50}");
         assert!((0.1..=0.5).contains(&p99), "p99 in the slow decade: {p99}");
         assert!(p99 <= h.max && p50 >= h.min, "clamped to observed range");

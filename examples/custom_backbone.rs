@@ -117,7 +117,10 @@ fn main() {
 
     println!("custom backbone '{}' through URCL:", report.model);
     for set in &report.sets {
-        println!("  {:<8} MAE {:6.2}  RMSE {:6.2}", set.name, set.mae, set.rmse);
+        println!(
+            "  {:<8} MAE {:6.2}  RMSE {:6.2}",
+            set.name, set.mae, set.rmse
+        );
     }
     println!("\nAny Backbone impl gets replay + RMIR + STMixup + STSimSiam for free.");
 }

@@ -47,7 +47,10 @@ fn main() {
     gwn_cfg.layers = 2;
     let model = GraphWaveNet::new(&mut store, &mut rng, &dataset.network, gwn_cfg);
     let simsiam = StSimSiam::new(&mut store, &mut rng, 32, 32, 0.5);
-    println!("model: GraphWaveNet with {} parameters", store.num_scalars());
+    println!(
+        "model: GraphWaveNet with {} parameters",
+        store.num_scalars()
+    );
 
     // 3. Continuous training through the stream (Algorithm 1).
     let config = TrainerConfig {
@@ -68,7 +71,10 @@ fn main() {
     );
 
     // 4. Results: cumulative test error after each streaming period.
-    println!("\n{:<8} {:>8} {:>8} {:>10}", "period", "MAE", "RMSE", "buffer");
+    println!(
+        "\n{:<8} {:>8} {:>8} {:>10}",
+        "period", "MAE", "RMSE", "buffer"
+    );
     for set in &report.sets {
         println!(
             "{:<8} {:>8.3} {:>8.3} {:>10}",

@@ -31,8 +31,12 @@ fn main() {
         window_stride: 4,
         ..TrainerConfig::default()
     };
-    let mut trainer =
-        UrclPipeline::new(ds.network.clone(), ds.config.clone(), trainer_cfg.clone(), 7);
+    let mut trainer = UrclPipeline::new(
+        ds.network.clone(),
+        ds.config.clone(),
+        trainer_cfg.clone(),
+        7,
+    );
     let ckpt_dir = std::env::temp_dir().join("urcl-serving-ckpts");
     std::fs::remove_dir_all(&ckpt_dir).ok();
     let slots = CheckpointDir::new(&ckpt_dir).expect("checkpoint dir");
@@ -47,8 +51,7 @@ fn main() {
     // ---- the serving tier --------------------------------------------
     // The server only needs the *architecture* (model + parameter-store
     // template); every weight it ever serves comes from the directory.
-    let (model, template) =
-        UrclPipeline::serving_parts(&ds.network, &ds.config, &trainer_cfg);
+    let (model, template) = UrclPipeline::serving_parts(&ds.network, &ds.config, &trainer_cfg);
     let server = Server::start(
         model,
         template,
@@ -98,7 +101,11 @@ fn main() {
     let forecast = server.predict(&windows[0]).expect("served");
     println!(
         "hot-swap: {} (generation {} -> {}), sensor-0 forecast {:.1} -> {:.1}",
-        swapped, g1, forecast.generation, before, forecast.prediction.data()[0]
+        swapped,
+        g1,
+        forecast.generation,
+        before,
+        forecast.prediction.data()[0]
     );
     assert!(swapped, "new checkpoint must swap");
     assert_ne!(g1, forecast.generation);

@@ -34,7 +34,10 @@ fn main() {
     // last good checkpoint.
     let ckpt_dir = std::env::temp_dir().join("urcl-deployment-ckpts");
     let slots = CheckpointDir::new(&ckpt_dir).expect("checkpoint dir");
-    println!("{:<8} {:>8} {:>8}   live forecast (first 4 sensors, mph)", "period", "MAE", "RMSE");
+    println!(
+        "{:<8} {:>8} {:>8}   live forecast (first 4 sensors, mph)",
+        "period", "MAE", "RMSE"
+    );
 
     for period in split.all_periods() {
         // 1. A new period of raw data has accumulated: learn it.
@@ -68,8 +71,7 @@ fn main() {
     // bit-identical forecasts. Had the crash happened mid-save, `load()`
     // would fall back to the `previous` checkpoint automatically.
     let trainer_cfg = TrainerConfig::default();
-    let mut restored =
-        UrclPipeline::new(ds.network.clone(), ds.config.clone(), trainer_cfg, 999);
+    let mut restored = UrclPipeline::new(ds.network.clone(), ds.config.clone(), trainer_cfg, 999);
     restored
         .resume_from(slots.load().expect("checkpoint read"))
         .expect("checkpoint matches the model");

@@ -72,13 +72,40 @@ fn main() {
 
     let variants: [(&str, Ablation); 5] = [
         ("full URCL", Ablation::default()),
-        ("w/o STMixup", Ablation { mixup: false, ..Ablation::default() }),
-        ("w/o RMIR", Ablation { rmir: false, ..Ablation::default() }),
-        ("w/o augmentation", Ablation { augmentation: false, ..Ablation::default() }),
-        ("w/o GraphCL", Ablation { graphcl: false, ..Ablation::default() }),
+        (
+            "w/o STMixup",
+            Ablation {
+                mixup: false,
+                ..Ablation::default()
+            },
+        ),
+        (
+            "w/o RMIR",
+            Ablation {
+                rmir: false,
+                ..Ablation::default()
+            },
+        ),
+        (
+            "w/o augmentation",
+            Ablation {
+                augmentation: false,
+                ..Ablation::default()
+            },
+        ),
+        (
+            "w/o GraphCL",
+            Ablation {
+                graphcl: false,
+                ..Ablation::default()
+            },
+        ),
     ];
 
-    println!("flow-prediction ablations ({} sensors)", dataset.config.num_nodes);
+    println!(
+        "flow-prediction ablations ({} sensors)",
+        dataset.config.num_nodes
+    );
     println!("{:<18} {:>16}", "variant", "incremental MAE");
     for (name, ablation) in variants {
         let mae = run_variant(&dataset, &split, scale, ablation);

@@ -10,7 +10,7 @@
 //! after each period every model is evaluated on the test data of *all*
 //! periods seen so far, so forgetting and failure-to-adapt both show up.
 
-use urcl::core::{ContinualTrainer, Strategy, StSimSiam, TrainerConfig};
+use urcl::core::{ContinualTrainer, StSimSiam, Strategy, TrainerConfig};
 use urcl::models::{GraphWaveNet, GwnConfig};
 use urcl::stdata::{ContinualSplit, DatasetConfig, SyntheticDataset};
 use urcl::tensor::{ParamStore, Rng};
@@ -33,7 +33,10 @@ fn main() {
     };
     let scale = normalizer.scale(dataset.config.target_channel);
 
-    println!("strategy comparison on a {}-sensor speed stream", dataset.config.num_nodes);
+    println!(
+        "strategy comparison on a {}-sensor speed stream",
+        dataset.config.num_nodes
+    );
     println!(
         "{:<12} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "strategy", "B_set", "I1", "I2", "I3", "I4"
@@ -51,8 +54,7 @@ fn main() {
         );
         let model = GraphWaveNet::new(&mut store, &mut rng, &dataset.network, gwn_cfg);
         let needs_ssl = strategy == Strategy::Urcl;
-        let simsiam = needs_ssl
-            .then(|| StSimSiam::new(&mut store, &mut rng, 32, 32, 0.5));
+        let simsiam = needs_ssl.then(|| StSimSiam::new(&mut store, &mut rng, 32, 32, 0.5));
 
         let trainer_cfg = TrainerConfig {
             strategy,
@@ -71,7 +73,11 @@ fn main() {
             &dataset.config,
             scale,
         );
-        let maes: Vec<String> = report.sets.iter().map(|s| format!("{:7.2}", s.mae)).collect();
+        let maes: Vec<String> = report
+            .sets
+            .iter()
+            .map(|s| format!("{:7.2}", s.mae))
+            .collect();
         println!("{:<12} {}", strategy.name(), maes.join(" "));
     }
 

@@ -26,11 +26,11 @@
 pub struct ReadmeDoctests;
 
 pub use urcl_core as core;
-pub use urcl_serve as serve;
 pub use urcl_graph as graph;
 pub use urcl_json as json;
 pub use urcl_models as models;
 pub use urcl_nn as nn;
+pub use urcl_serve as serve;
 pub use urcl_stdata as stdata;
 pub use urcl_tensor as tensor;
 pub use urcl_trace as trace;

@@ -8,11 +8,11 @@
 //! and prove the same properties on 2.5× more data. Run them with
 //! `cargo test --test backbones -- --ignored` (or `--include-ignored`).
 
-use urcl::core::{ContinualTrainer, Strategy, StSimSiam, TrainerConfig};
+use urcl::core::{ContinualTrainer, StSimSiam, Strategy, TrainerConfig};
 use urcl::graph::SensorNetwork;
 use urcl::models::{
-    Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn,
-    Stgcn, Stgode,
+    Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn, Stgcn,
+    Stgode,
 };
 use urcl::stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, SyntheticDataset};
 use urcl::tensor::autodiff::{Session, Tape};
@@ -36,10 +36,7 @@ fn tiny_days(num_days: usize) -> (SyntheticDataset, ContinualSplit, f32) {
     (dataset, split, scale)
 }
 
-fn all_backbones(
-    net: &SensorNetwork,
-    cfg: &DatasetConfig,
-) -> Vec<(Box<dyn Backbone>, ParamStore)> {
+fn all_backbones(net: &SensorNetwork, cfg: &DatasetConfig) -> Vec<(Box<dyn Backbone>, ParamStore)> {
     let base = || {
         BackboneConfig::small(
             cfg.num_nodes,
@@ -199,7 +196,10 @@ fn encoders_never_read_outside_their_receptive_field() {
     let [b, m, n, c] = <[usize; 4]>::try_from(batch.x.shape()).expect("4-D batch");
     for (model, mut store, field) in cases {
         let name = model.name().to_string();
-        assert!(field < m, "{name}: receptive field {field} covers the window");
+        assert!(
+            field < m,
+            "{name}: receptive field {field} covers the window"
+        );
         let mut poisoned = batch.x.clone();
         let step = n * c;
         for sample in poisoned.data_mut().chunks_mut(m * step).take(b) {
@@ -208,7 +208,11 @@ fn encoders_never_read_outside_their_receptive_field() {
         let (clean, _) = forecast_and_grads(model.as_ref(), &mut store, &batch.x, &batch);
         let (pred, loss) = forecast_and_grads(model.as_ref(), &mut store, &poisoned, &batch);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pred), bits(&clean), "{name}: forecast read a poisoned step");
+        assert_eq!(
+            bits(&pred),
+            bits(&clean),
+            "{name}: forecast read a poisoned step"
+        );
         assert!(loss.is_finite(), "{name}: loss {loss}");
         for id in store.ids() {
             assert!(
@@ -338,12 +342,14 @@ fn arima_fits_and_forecasts_the_stream() {
     let model = Arima::fit(&target, 3, 0);
     let windows = split.base.windows(cfg);
     let w = &windows[10];
-    let xt = w
-        .x
-        .index_select(2, &[cfg.target_channel])
-        .reshape(&[cfg.input_steps, cfg.num_nodes]);
+    let xt =
+        w.x.index_select(2, &[cfg.target_channel])
+            .reshape(&[cfg.input_steps, cfg.num_nodes]);
     let pred = model.forecast(&xt);
     assert_eq!(pred.shape(), &[1, cfg.num_nodes]);
     // Normalized data: predictions should be near [0, 1].
-    assert!(pred.data().iter().all(|v| v.is_finite() && *v > -0.5 && *v < 1.5));
+    assert!(pred
+        .data()
+        .iter()
+        .all(|v| v.is_finite() && *v > -0.5 && *v < 1.5));
 }

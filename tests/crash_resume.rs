@@ -22,8 +22,8 @@
 
 use urcl::core::persist::copy_store_checked;
 use urcl::core::{
-    Ablation, CheckpointDir, ContinualTrainer, HookAction, NoopHook, PipelineState,
-    RunOutcome, RunReport, StSimSiam, StepBudget, StepInfo, TrainHook, TrainerConfig,
+    Ablation, CheckpointDir, ContinualTrainer, HookAction, NoopHook, PipelineState, RunOutcome,
+    RunReport, StSimSiam, StepBudget, StepInfo, TrainHook, TrainerConfig,
 };
 use urcl::models::{GraphWaveNet, GwnConfig};
 use urcl::stdata::{ContinualSplit, DatasetConfig, SyntheticDataset};
@@ -170,11 +170,22 @@ fn assert_reports_bitwise_equal(a: &RunReport, b: &RunReport, ctx: &str) {
     for (sa, sb) in a.sets.iter().zip(&b.sets) {
         assert_eq!(sa.name, sb.name, "{ctx}");
         assert_eq!(sa.mae.to_bits(), sb.mae.to_bits(), "{ctx}: {} MAE", sa.name);
-        assert_eq!(sa.rmse.to_bits(), sb.rmse.to_bits(), "{ctx}: {} RMSE", sa.name);
+        assert_eq!(
+            sa.rmse.to_bits(),
+            sb.rmse.to_bits(),
+            "{ctx}: {} RMSE",
+            sa.name
+        );
         assert_eq!(sa.epochs, sb.epochs, "{ctx}: {} epochs", sa.name);
         assert_eq!(
-            sa.loss_curve.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            sb.loss_curve.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            sa.loss_curve
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            sb.loss_curve
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
             "{ctx}: {} loss curve",
             sa.name
         );
@@ -199,8 +210,12 @@ fn kill_and_checkpoint_world(dir: &CheckpointDir, kill_at: u64, mut world: World
         normalizer: None,
         periods_seen: 0,
     };
-    dir.save(&format!("killed at step {kill_at}"), &world.store, Some(&state))
-        .expect("atomic save")
+    dir.save(
+        &format!("killed at step {kill_at}"),
+        &world.store,
+        Some(&state),
+    )
+    .expect("atomic save")
 }
 
 /// Restores a fresh differently-seeded world from `dir` and drives it to
@@ -280,13 +295,13 @@ fn kill_at_every_step_boundary_resumes_bitwise() {
         assert_reports_bitwise_equal(&ref_report, &report, &ctx);
 
         let snap = world.trainer.snapshot();
-        assert_eq!(snap.replay.len(), ref_snapshot.replay.len(), "{ctx}: occupancy");
+        assert_eq!(
+            snap.replay.len(),
+            ref_snapshot.replay.len(),
+            "{ctx}: occupancy"
+        );
         for (i, (a, b)) in ref_snapshot.replay.iter().zip(&snap.replay).enumerate() {
-            assert_eq!(
-                a.x.data(),
-                b.x.data(),
-                "{ctx}: replay sample {i} diverged"
-            );
+            assert_eq!(a.x.data(), b.x.data(), "{ctx}: replay sample {i} diverged");
         }
         assert_eq!(snap.rng_state, ref_snapshot.rng_state, "{ctx}: RNG stream");
         assert_eq!(snap.adam.t, ref_snapshot.adam.t, "{ctx}: Adam step count");

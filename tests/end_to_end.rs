@@ -8,7 +8,7 @@
 //! same properties on 2.5× more data; run them with
 //! `cargo test --test end_to_end -- --ignored` (or `--include-ignored`).
 
-use urcl::core::{ContinualTrainer, Strategy, StSimSiam, TrainerConfig};
+use urcl::core::{ContinualTrainer, StSimSiam, Strategy, TrainerConfig};
 use urcl::models::{Backbone, GraphWaveNet, GwnConfig};
 use urcl::stdata::{ContinualSplit, DatasetConfig, SyntheticDataset};
 use urcl::tensor::{ParamStore, Rng};

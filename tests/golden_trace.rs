@@ -91,7 +91,16 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
         doc.get("schema").and_then(Value::as_str),
         Some(trace::SCHEMA)
     );
-    for key in ["threads", "spans", "counters", "gauges", "histograms", "periods", "pool", "plan"] {
+    for key in [
+        "threads",
+        "spans",
+        "counters",
+        "gauges",
+        "histograms",
+        "periods",
+        "pool",
+        "plan",
+    ] {
         assert!(doc.get(key).is_some(), "missing top-level key {key}");
     }
     // Round-trips through the in-tree parser without loss.
@@ -113,10 +122,17 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
 
     // --- counters and gauges ---
     let counters = doc.get("counters").expect("counters");
-    let steps = counters.get("train.steps").and_then(Value::as_u64).unwrap_or(0);
+    let steps = counters
+        .get("train.steps")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
     assert!(steps > 0, "no training steps counted");
     assert!(
-        counters.get("replay.sampled").and_then(Value::as_u64).unwrap_or(0) > 0,
+        counters
+            .get("replay.sampled")
+            .and_then(Value::as_u64)
+            .unwrap_or(0)
+            > 0,
         "replay sampling not counted"
     );
     assert!(
@@ -130,7 +146,12 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
 
     // --- buffer-pool telemetry: populated by the traced training run ---
     let pool = doc.get("pool").expect("pool");
-    for key in ["pool_hit", "pool_miss", "pool_bytes_recycled", "pool_peak_resident_f32"] {
+    for key in [
+        "pool_hit",
+        "pool_miss",
+        "pool_bytes_recycled",
+        "pool_peak_resident_f32",
+    ] {
         let v = pool.get(key).and_then(Value::as_f64);
         assert!(
             v.is_some_and(|v| v >= 0.0),
@@ -142,7 +163,10 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
         "training with pooling on should recycle buffers"
     );
     assert!(
-        pool.get("pool_peak_resident_f32").and_then(Value::as_u64).unwrap() > 0,
+        pool.get("pool_peak_resident_f32")
+            .and_then(Value::as_u64)
+            .unwrap()
+            > 0,
         "peak resident watermark never moved"
     );
 
@@ -175,7 +199,10 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
     );
 
     // --- period records: one per streaming set, fields populated ---
-    let periods = doc.get("periods").and_then(Value::as_array).expect("periods");
+    let periods = doc
+        .get("periods")
+        .and_then(Value::as_array)
+        .expect("periods");
     assert_eq!(periods.len(), report.sets.len());
     assert_eq!(periods.len(), 3);
     for (p, set) in periods.iter().zip(&report.sets) {
@@ -192,7 +219,12 @@ fn traced_pipeline_matches_golden_schema_and_mae() {
     }
 
     // --- golden MAE: fixed seeds must reproduce the pinned value ---
-    let final_mae = periods.last().unwrap().get("mae").and_then(Value::as_f64).unwrap();
+    let final_mae = periods
+        .last()
+        .unwrap()
+        .get("mae")
+        .and_then(Value::as_f64)
+        .unwrap();
     assert!(
         (final_mae - GOLDEN_FINAL_MAE).abs() < GOLDEN_TOL,
         "final MAE {final_mae} drifted from golden {GOLDEN_FINAL_MAE} (tol {GOLDEN_TOL})"

@@ -201,7 +201,10 @@ fn normalizer_bounds_and_roundtrip() {
         let mut rng = Rng::seed_from_u64(1100 + case);
         let data = small_vec(&mut rng, 36);
         let offset = rng.uniform_range(-5.0, 5.0);
-        let series = Tensor::from_vec(data.iter().map(|v| v + offset).collect::<Vec<f32>>(), &[6, 3, 2]);
+        let series = Tensor::from_vec(
+            data.iter().map(|v| v + offset).collect::<Vec<f32>>(),
+            &[6, 3, 2],
+        );
         let norm = Normalizer::fit(&series);
         let t = norm.transform(&series);
         assert!(t.data().iter().all(|&v| (0.0..=1.0).contains(&v)));

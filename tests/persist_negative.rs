@@ -3,8 +3,7 @@
 //! a panic and never a silently corrupted model.
 
 use urcl::core::persist::{
-    load_checkpoint, load_checkpoint_into, save_checkpoint, PersistError,
-    CHECKPOINT_VERSION,
+    load_checkpoint, load_checkpoint_into, save_checkpoint, PersistError, CHECKPOINT_VERSION,
 };
 use urcl::tensor::{ParamStore, Tensor};
 
@@ -89,7 +88,10 @@ fn unknown_future_version_is_a_version_error() {
         panic!("expected Version error, got {err}");
     };
     assert_eq!(v, 3);
-    assert_eq!(CHECKPOINT_VERSION, 2, "bump this test when the format moves");
+    assert_eq!(
+        CHECKPOINT_VERSION, 2,
+        "bump this test when the format moves"
+    );
 }
 
 #[test]
@@ -136,7 +138,10 @@ fn shape_mismatch_against_live_model_is_typed_and_nondestructive() {
     save_checkpoint(&path, "", &wrong).unwrap();
 
     let mut model = small_store();
-    let before: Vec<Vec<f32>> = model.ids().map(|i| model.value(i).data().to_vec()).collect();
+    let before: Vec<Vec<f32>> = model
+        .ids()
+        .map(|i| model.value(i).data().to_vec())
+        .collect();
     let err = load_checkpoint_into(&path, &mut model).unwrap_err();
     std::fs::remove_file(&path).ok();
     let PersistError::Mismatch(msg) = err else {
@@ -144,7 +149,10 @@ fn shape_mismatch_against_live_model_is_typed_and_nondestructive() {
     };
     assert!(msg.contains("enc.w"), "{msg}");
     // The model was not half-written.
-    let after: Vec<Vec<f32>> = model.ids().map(|i| model.value(i).data().to_vec()).collect();
+    let after: Vec<Vec<f32>> = model
+        .ids()
+        .map(|i| model.value(i).data().to_vec())
+        .collect();
     assert_eq!(before, after);
 }
 

@@ -108,7 +108,12 @@ fn record_ssl(
 
 /// Compiles one batch-polymorphic plan for the architecture's augmented
 /// step.
-fn compile_ssl(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> (ExecPlan, usize) {
+fn compile_ssl(
+    arch: &Arch,
+    batch: &Batch,
+    v1: &AugmentedView,
+    v2: &AugmentedView,
+) -> (ExecPlan, usize) {
     let b0 = batch.x.shape()[0];
     let mut view_slots = 0;
     let plan = ExecPlan::compile_poly(b0, |b| {

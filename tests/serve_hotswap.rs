@@ -124,11 +124,19 @@ fn hot_swap_is_bitwise_identical_to_fresh_load() {
     let fresh = trainer_b.server(CheckpointDir::new(&dir).unwrap());
     for (i, w) in windows.iter().enumerate() {
         let cold = fresh.predict(w).unwrap();
-        assert_bitwise_eq(&live[i], &cold.prediction, &format!("fresh load, window {i}"));
+        assert_bitwise_eq(
+            &live[i],
+            &cold.prediction,
+            &format!("fresh load, window {i}"),
+        );
     }
     // (b) the trainer's own forward on the weights it just published.
     for (i, w) in windows.iter().enumerate() {
-        assert_bitwise_eq(&live[i], &trainer_b.pipe.forecast(w), &format!("trainer forecast, window {i}"));
+        assert_bitwise_eq(
+            &live[i],
+            &trainer_b.pipe.forecast(w),
+            &format!("trainer forecast, window {i}"),
+        );
     }
     // And the swap was real: generation B differs from generation A.
     assert_ne!(live[0], before.prediction, "checkpoints must differ");
@@ -156,7 +164,10 @@ fn killed_trainer_mid_publish_falls_back_to_previous() {
 
     // Live reload: fingerprint changed, latest is garbage, previous (A)
     // parses — the server must swap to A, not error out.
-    assert!(server.reload_now().unwrap(), "fallback still counts as a swap");
+    assert!(
+        server.reload_now().unwrap(),
+        "fallback still counts as a swap"
+    );
     assert_eq!(server.stats().reload_failures, 0);
 
     let window = trainer_a.window(4);
@@ -200,7 +211,11 @@ fn torn_rotation_keeps_serving_old_snapshot() {
     }
     let stats = server.stats();
     assert_eq!(stats.reload_failures, 1);
-    assert_eq!(server.generation(), generation, "generation must not advance");
+    assert_eq!(
+        server.generation(),
+        generation,
+        "generation must not advance"
+    );
 
     let after = server.predict(&window).unwrap();
     assert_bitwise_eq(&before.prediction, &after.prediction, "old snapshot");

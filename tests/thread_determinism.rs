@@ -85,6 +85,9 @@ fn single_and_multi_threaded_runs_match_bitwise() {
     for ((name_1, vals_1), (name_4, vals_4)) in params_1.iter().zip(&params_4) {
         assert_eq!(name_1, name_4);
         // Bitwise comparison: f32 equality is exact here by design.
-        assert_eq!(vals_1, vals_4, "parameter {name_1} diverged across thread counts");
+        assert_eq!(
+            vals_1, vals_4,
+            "parameter {name_1} diverged across thread counts"
+        );
     }
 }
