@@ -255,7 +255,8 @@ pub fn resize_time(x: &Tensor, new_m: usize) -> Tensor {
     }
     let mut out_shape = shape.to_vec();
     out_shape[1] = new_m;
-    let mut data = vec![0.0f32; b * new_m * inner];
+    let mut out = Tensor::zeros(&out_shape);
+    let data = out.data_mut();
     for bi in 0..b {
         for t in 0..new_m {
             // Map output step to a fractional source position.
@@ -274,7 +275,7 @@ pub fn resize_time(x: &Tensor, new_m: usize) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(data, &out_shape)
+    out
 }
 
 /// Zeroes the features of masked nodes in a `[B, M, N, C]` batch.

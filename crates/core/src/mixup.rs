@@ -34,19 +34,9 @@ pub fn st_mixup(current: &Batch, replay: &Batch, alpha: f32, rng: &mut Rng) -> (
     let rb = replay.len();
 
     // Tile the replay batch up to the current batch size.
-    let tile = |src: &urcl_tensor::Tensor| {
-        let per = src.len() / rb;
-        let mut data = Vec::with_capacity(b * per);
-        for i in 0..b {
-            let r = i % rb;
-            data.extend_from_slice(&src.data()[r * per..(r + 1) * per]);
-        }
-        let mut shape = src.shape().to_vec();
-        shape[0] = b;
-        urcl_tensor::Tensor::from_vec(data, &shape)
-    };
-    let rx = tile(&replay.x);
-    let ry = tile(&replay.y);
+    let rows: Vec<usize> = (0..b).map(|i| i % rb).collect();
+    let rx = replay.x.index_select(0, &rows);
+    let ry = replay.y.index_select(0, &rows);
 
     let x = current.x.scale(lambda).add(&rx.scale(1.0 - lambda));
     let y = current.y.scale(lambda).add(&ry.scale(1.0 - lambda));

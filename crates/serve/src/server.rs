@@ -309,11 +309,10 @@ pub fn forward_batch<B: Backbone + ?Sized>(
     let cfg = model.config();
     let (m, n, c) = (cfg.input_steps, cfg.num_nodes, cfg.channels);
     let norm = snapshot.normalizer();
-    let mut data = Vec::with_capacity(windows.len() * m * n * c);
-    for window in windows {
-        norm.transform_into(window, &mut data);
+    let mut x = Tensor::zeros(&[windows.len(), m, n, c]);
+    for (window, dst) in windows.iter().zip(x.data_mut().chunks_exact_mut(m * n * c)) {
+        norm.transform_into(window, dst);
     }
-    let x = Tensor::from_vec(data, &[windows.len(), m, n, c]);
 
     // Replay the snapshot's compiled plan for this batch shape; the
     // hot-swap suite pins it bitwise to a cold recording of the model.

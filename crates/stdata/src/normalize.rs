@@ -76,36 +76,27 @@ impl Normalizer {
     /// Normalises a `[T, N, C]` (or `[.., C]`-last) tensor channelwise,
     /// clamping to `[0, 1]` so drifted streams stay in range.
     pub fn transform(&self, series: &Tensor) -> Tensor {
-        let c = self.num_channels();
-        assert_eq!(
-            series.shape().last(),
-            Some(&c),
-            "last axis must be the channel axis"
-        );
-        let mut out = series.clone();
-        for (i, v) in out.data_mut().iter_mut().enumerate() {
-            let ch = i % c;
-            *v = ((*v - self.mins[ch]) / (self.maxs[ch] - self.mins[ch])).clamp(0.0, 1.0);
-        }
+        let mut out = Tensor::zeros(series.shape());
+        self.transform_into(series, out.data_mut());
         out
     }
 
-    /// Appends the channelwise-normalized values of a `[.., C]`-last
-    /// tensor onto `out` — bitwise identical to [`Self::transform`], but
-    /// without the intermediate tensor allocation. The batched serving
-    /// path uses this to normalize many windows straight into one
-    /// stacked `[B, M, N, C]` buffer.
-    pub fn transform_into(&self, series: &Tensor, out: &mut Vec<f32>) {
+    /// Writes the channelwise-normalized values of a `[.., C]`-last
+    /// tensor into `out` (of the same length): the values
+    /// [`Self::transform`] returns. The batched serving path uses this to
+    /// normalize many windows straight into one stacked `[B, M, N, C]`
+    /// tensor.
+    pub fn transform_into(&self, series: &Tensor, out: &mut [f32]) {
         let c = self.num_channels();
         assert_eq!(
             series.shape().last(),
             Some(&c),
             "last axis must be the channel axis"
         );
-        out.reserve(series.data().len());
-        for (i, &v) in series.data().iter().enumerate() {
+        assert_eq!(out.len(), series.len(), "output length mismatch");
+        for (i, (o, &v)) in out.iter_mut().zip(series.data()).enumerate() {
             let ch = i % c;
-            out.push(((v - self.mins[ch]) / (self.maxs[ch] - self.mins[ch])).clamp(0.0, 1.0));
+            *o = ((v - self.mins[ch]) / (self.maxs[ch] - self.mins[ch])).clamp(0.0, 1.0);
         }
     }
 
@@ -241,7 +232,7 @@ mod tests {
         let s = Tensor::from_vec(data, &[3, 4, 2]);
         let norm = Normalizer::fit(&s);
         let via_tensor = norm.transform(&s);
-        let mut via_slice = Vec::new();
+        let mut via_slice = vec![0.0; s.len()];
         norm.transform_into(&s, &mut via_slice);
         assert_eq!(via_slice.len(), via_tensor.data().len());
         for (a, b) in via_slice.iter().zip(via_tensor.data()) {

@@ -68,23 +68,20 @@ pub fn sliding_windows(
 /// Stacks samples into one batch. All samples must share shapes.
 pub fn stack_samples(samples: &[Sample]) -> Batch {
     assert!(!samples.is_empty(), "cannot stack an empty batch");
-    let xs = samples[0].x.shape().to_vec();
-    let ys = samples[0].y.shape().to_vec();
-    let mut xdata = Vec::with_capacity(samples.len() * samples[0].x.len());
-    let mut ydata = Vec::with_capacity(samples.len() * samples[0].y.len());
-    for s in samples {
-        assert_eq!(s.x.shape(), &xs[..], "inconsistent sample x shape");
-        assert_eq!(s.y.shape(), &ys[..], "inconsistent sample y shape");
-        xdata.extend_from_slice(s.x.data());
-        ydata.extend_from_slice(s.y.data());
-    }
-    let mut xshape = vec![samples.len()];
-    xshape.extend_from_slice(&xs);
-    let mut yshape = vec![samples.len()];
-    yshape.extend_from_slice(&ys);
+    // One copy per part, straight into the batch tensor's pool block.
+    let stack = |part: fn(&Sample) -> &Tensor, name: &str| {
+        let each = part(&samples[0]).shape();
+        let parts: Vec<&Tensor> = samples.iter().map(part).collect();
+        for t in &parts {
+            assert_eq!(t.shape(), each, "inconsistent sample {name} shape");
+        }
+        let mut shape = vec![samples.len()];
+        shape.extend_from_slice(each);
+        Tensor::concat(&parts, 0).reshape(&shape)
+    };
     Batch {
-        x: Tensor::from_vec(xdata, &xshape),
-        y: Tensor::from_vec(ydata, &yshape),
+        x: stack(|s| &s.x, "x"),
+        y: stack(|s| &s.y, "y"),
     }
 }
 

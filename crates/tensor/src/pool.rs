@@ -14,32 +14,37 @@
 //! buffer) returns its storage to the current thread's free list, and the
 //! next request for the same length pops it back in O(1).
 //!
-//! ## Alignment
+//! ## One origin
 //!
-//! Buffers the pool allocates itself are 32-byte aligned ([`ALIGN`]) so
-//! vectorized kernel loops (and the AVX2 transpose in [`crate::simd`])
-//! start on a vector-register boundary. Alignment is a *performance*
-//! contract, not a correctness one: storage adopted from a caller's
-//! `Vec<f32>` (via [`Tensor::from_vec`](crate::Tensor::from_vec)) keeps
-//! the allocator's natural alignment, and every vector load and store
-//! is therefore unaligned — which is full speed on aligned data on
-//! every AVX2 part. [`Buffer::is_aligned`] reports the actual state.
+//! Every [`Buffer`] with elements is a 32-byte-aligned ([`ALIGN`]) block
+//! that [`take_uninit`] or [`take_zeroed`] handed out, so vectorized
+//! kernel loops (and the AVX2 transpose in [`crate::simd`]) start on a
+//! vector-register boundary. A caller's `Vec<f32>` is never adopted:
+//! [`Tensor::from_vec`](crate::Tensor::from_vec) copies it into a block
+//! from [`take_uninit`] and frees it.
 //!
 //! ## Lifecycle
 //!
 //! * [`take_uninit`] / [`take_zeroed`] hand out a [`Buffer`] of exactly
 //!   the requested length — recycled when a same-length buffer is free
-//!   (*hit*), freshly allocated otherwise (*miss*).
-//! * [`recycle`] returns a buffer to the free list. `Tensor`'s `Drop`
-//!   impl calls this, so dropping a whole [`crate::autodiff::Tape`] at
-//!   the end of a step refills the pool for the next step — the
-//!   "tape-scoped" part of the design.
+//!   (*hit*), freshly allocated otherwise (*miss*). A fresh block is
+//!   tagged with the allocating thread.
+//! * [`recycle`] returns a buffer to the current thread's free list if
+//!   that thread allocated it, and to the allocator otherwise. `Tensor`'s
+//!   `Drop` impl calls this, so dropping a whole
+//!   [`crate::autodiff::Tape`] at the end of a step refills the pool for
+//!   the next step — the "tape-scoped" part of the design.
 //! * Buffers handed out by [`take_uninit`] hold unspecified (but
 //!   initialized) `f32` values; callers must overwrite every element.
 //!
-//! Free lists are thread-local (no locking; GEMM workers reuse their own
-//! packing buffers), while the hit/miss/recycled/peak counters are global
-//! relaxed atomics so `urcl-trace` can export one process-wide view.
+//! Each free-list entry is therefore a block some earlier `take` on the
+//! same thread handed out: a thread's free lists never hold more than
+//! that thread's own peak demand per length, however many buffers other
+//! threads (an HTTP worker handing windows to a shard, a shard handing
+//! forecasts back) drop on it. Free lists are thread-local (no locking;
+//! GEMM workers reuse their own packing buffers), while the
+//! hit/miss/recycled/peak counters are global relaxed atomics so
+//! `urcl-trace` can export one process-wide view.
 //!
 //! ## Determinism
 //!
@@ -55,7 +60,6 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,28 +67,20 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Byte alignment of pool-allocated buffers (one AVX2 `__m256` register).
 pub const ALIGN: usize = 32;
 
-/// Owned `f32` storage: either a 32-byte-aligned block the pool allocated
-/// itself, or storage adopted from a caller's `Vec<f32>`. Dereferences to
+/// Owned `f32` storage: a 32-byte-aligned block handed out by
+/// [`take_uninit`] or [`take_zeroed`] (or empty). Dereferences to
 /// `[f32]`, so existing slice-based code works unchanged.
-///
-/// The two-origin design lets [`crate::Tensor`] keep its zero-copy
-/// `from_vec`/`into_vec` API while everything the pool hands out meets
-/// the SIMD alignment contract (see the module docs).
 pub struct Buffer {
     ptr: NonNull<f32>,
     len: usize,
-    /// Allocation capacity in elements. For aligned blocks this equals
-    /// `len`; for adopted `Vec`s it is the vector's capacity (needed to
-    /// rebuild the `Vec` for deallocation).
-    cap: usize,
-    /// True when this block came from the aligned allocator and must be
-    /// freed with the matching [`Layout`].
-    aligned: bool,
+    /// Tag of the thread whose `take` allocated this block (0 when
+    /// empty); only that thread's free list takes it back.
+    owner: u64,
 }
 
-// SAFETY: `Buffer` is an owned, uniquely-referenced allocation of `f32`
-// (no interior mutability, no shared state) — exactly as `Vec<f32>`,
-// which is Send + Sync.
+// SAFETY: `ptr`/`len` are an owned, uniquely-referenced allocation of
+// `f32` (no interior mutability, no shared state) — exactly as
+// `Vec<f32>`, which is Send + Sync — and `owner` is a plain integer.
 unsafe impl Send for Buffer {}
 unsafe impl Sync for Buffer {}
 
@@ -94,66 +90,25 @@ impl Buffer {
         Buffer {
             ptr: NonNull::dangling(),
             len: 0,
-            cap: 0,
-            aligned: false,
+            owner: 0,
         }
     }
 
-    fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f32>(), ALIGN)
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len * std::mem::size_of::<f32>(), ALIGN)
             .expect("buffer layout overflow")
     }
 
-    /// Allocates a zero-filled, 32-byte-aligned buffer of `len` elements.
-    fn zeroed_aligned(len: usize) -> Self {
-        if len == 0 {
-            return Buffer::new();
-        }
+    /// Allocates a zero-filled, 32-byte-aligned block of `len > 0`
+    /// elements owned by the thread tagged `owner`.
+    fn zeroed_aligned(len: usize, owner: u64) -> Self {
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (len > 0).
         let raw = unsafe { alloc_zeroed(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
             handle_alloc_error(layout);
         };
-        Buffer {
-            ptr,
-            len,
-            cap: len,
-            aligned: true,
-        }
-    }
-
-    /// Adopts a `Vec<f32>` without copying. The storage keeps the
-    /// allocator's natural alignment and is freed through `Vec`'s layout
-    /// on drop.
-    pub fn from_vec(v: Vec<f32>) -> Self {
-        let mut v = ManuallyDrop::new(v);
-        let len = v.len();
-        let cap = v.capacity();
-        // SAFETY: Vec's pointer is non-null (dangling-but-aligned for
-        // cap == 0, which Drop never frees).
-        let ptr = unsafe { NonNull::new_unchecked(v.as_mut_ptr()) };
-        Buffer {
-            ptr,
-            len,
-            cap,
-            aligned: false,
-        }
-    }
-
-    /// Converts into a `Vec<f32>`. Zero-copy for adopted `Vec` storage;
-    /// aligned pool blocks are copied (their layout is not `Vec`'s).
-    pub fn into_vec(self) -> Vec<f32> {
-        if self.aligned {
-            return self.as_slice().to_vec(); // `self` dropped normally
-        }
-        let b = ManuallyDrop::new(self);
-        if b.cap == 0 {
-            return Vec::new();
-        }
-        // SAFETY: non-aligned storage was created by `Vec::from` parts
-        // (ptr, len, cap) in `from_vec` and never resized since.
-        unsafe { Vec::from_raw_parts(b.ptr.as_ptr(), b.len, b.cap) }
+        Buffer { ptr, len, owner }
     }
 
     /// Number of `f32` elements.
@@ -166,13 +121,6 @@ impl Buffer {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// True when the storage start is 32-byte aligned (always true for
-    /// pool-allocated blocks; incidental for adopted `Vec`s).
-    #[inline]
-    pub fn is_aligned(&self) -> bool {
-        (self.ptr.as_ptr() as usize) % ALIGN == 0
     }
 
     #[inline]
@@ -191,15 +139,9 @@ impl Buffer {
 
 impl Drop for Buffer {
     fn drop(&mut self) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.aligned {
+        if self.len > 0 {
             // SAFETY: allocated in `zeroed_aligned` with this exact layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.cap)) };
-        } else {
-            // SAFETY: reconstructing the Vec from `from_vec`'s parts.
-            drop(unsafe { Vec::from_raw_parts(self.ptr.as_ptr(), self.len, self.cap) });
+            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
         }
     }
 }
@@ -236,8 +178,11 @@ impl Clone for Buffer {
 }
 
 impl From<Vec<f32>> for Buffer {
+    /// Copies `v` into a block from [`take_uninit`] and frees `v`.
     fn from(v: Vec<f32>) -> Self {
-        Buffer::from_vec(v)
+        let mut b = take_uninit(v.len());
+        b.copy_from_slice(&v);
+        b
     }
 }
 
@@ -272,9 +217,20 @@ static BYTES_RECYCLED: AtomicU64 = AtomicU64::new(0);
 static LIVE_F32: AtomicU64 = AtomicU64::new(0);
 static PEAK_LIVE_F32: AtomicU64 = AtomicU64::new(0);
 
+/// Source of thread tags; 0 is left for empty buffers.
+static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
+
+/// One thread's pool: its tag and its free buffers, keyed by exact length.
+struct FreeLists {
+    tag: u64,
+    by_len: HashMap<usize, Vec<Buffer>>,
+}
+
 thread_local! {
-    /// Free buffers of this thread, keyed by exact length.
-    static FREE: RefCell<HashMap<usize, Vec<Buffer>>> = RefCell::new(HashMap::new());
+    static FREE: RefCell<FreeLists> = RefCell::new(FreeLists {
+        tag: NEXT_TAG.fetch_add(1, Ordering::Relaxed),
+        by_len: HashMap::new(),
+    });
 }
 
 /// Poison state: 0 = off (default), 1 = on. Test-only; no env var.
@@ -347,7 +303,7 @@ pub fn reset_buffer_pool_stats() {
 /// releasing their memory to the allocator. Other threads' caches are
 /// untouched (they are thread-local by design).
 pub fn trim_thread_pool() {
-    FREE.with(|f| f.borrow_mut().clear());
+    FREE.with(|f| f.borrow_mut().by_len.clear());
 }
 
 /// Shrinks the current thread's free lists until at most
@@ -361,7 +317,7 @@ pub fn trim_thread_pool() {
 /// values — so trimming is bitwise-neutral.
 pub fn trim_excess(max_resident_f32: usize) {
     FREE.with(|f| {
-        let mut map = f.borrow_mut();
+        let map = &mut f.borrow_mut().by_len;
         let mut resident: usize = map
             .values()
             .flat_map(|bucket| bucket.iter().map(|b| b.len()))
@@ -395,6 +351,7 @@ pub fn trim_excess(max_resident_f32: usize) {
 pub fn thread_pool_resident_f32() -> usize {
     FREE.with(|f| {
         f.borrow()
+            .by_len
             .values()
             .flat_map(|bucket| bucket.iter().map(|b| b.len()))
             .sum()
@@ -425,7 +382,11 @@ fn take(len: usize, zero: bool) -> Buffer {
     if len == 0 {
         return Buffer::new();
     }
-    let recycled = FREE.with(|f| f.borrow_mut().get_mut(&len).and_then(|bucket| bucket.pop()));
+    let (tag, recycled) = FREE.with(|f| {
+        let mut f = f.borrow_mut();
+        let recycled = f.by_len.get_mut(&len).and_then(|bucket| bucket.pop());
+        (f.tag, recycled)
+    });
     note_live(len);
     let mut b = match recycled {
         Some(mut b) => {
@@ -438,7 +399,7 @@ fn take(len: usize, zero: bool) -> Buffer {
         }
         None => {
             MISSES.fetch_add(1, Ordering::Relaxed);
-            Buffer::zeroed_aligned(len)
+            Buffer::zeroed_aligned(len, tag)
         }
     };
     if !zero && pool_poison_enabled() {
@@ -448,25 +409,33 @@ fn take(len: usize, zero: bool) -> Buffer {
 }
 
 /// Returns a buffer to the current thread's free list for reuse by a
-/// later same-length [`take_uninit`]/[`take_zeroed`]. Empty buffers are
-/// simply dropped.
+/// later same-length [`take_uninit`]/[`take_zeroed`] on this thread. A
+/// buffer another thread allocated goes back to the allocator instead,
+/// so a thread's free lists only ever hold its own blocks. Either way it
+/// leaves the live gauge. Empty buffers are simply dropped.
 pub fn recycle(mut b: Buffer) {
     let len = b.len();
     if len == 0 {
         return;
     }
-    if pool_poison_enabled() {
-        // Make any read-after-release visible as NaN rather than stale
-        // (often still-plausible) values.
-        b.fill(f32::NAN);
-    }
-    BYTES_RECYCLED.fetch_add(4 * len as u64, Ordering::Relaxed);
     // Saturating: a buffer taken before a counter reset must not wrap the
     // live gauge below zero.
     let _ = LIVE_F32.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
         Some(live.saturating_sub(len as u64))
     });
-    FREE.with(|f| f.borrow_mut().entry(len).or_default().push(b));
+    FREE.with(|f| {
+        let mut f = f.borrow_mut();
+        if b.owner != f.tag {
+            return;
+        }
+        if pool_poison_enabled() {
+            // Make any read-after-release visible as NaN rather than stale
+            // (often still-plausible) values.
+            b.fill(f32::NAN);
+        }
+        BYTES_RECYCLED.fetch_add(4 * len as u64, Ordering::Relaxed);
+        f.by_len.entry(len).or_default().push(b);
+    });
 }
 
 #[cfg(test)]
@@ -491,29 +460,13 @@ mod tests {
         trim_thread_pool();
         for len in [1, 7, 32, 100, 4096] {
             let b = take_uninit(len);
-            assert!(
-                b.is_aligned(),
+            assert_eq!(
+                (b.as_ptr() as usize) % ALIGN,
+                0,
                 "pool block of len {len} not {ALIGN}B aligned"
             );
-            assert_eq!((b.as_ptr() as usize) % ALIGN, 0);
             recycle(b);
         }
-    }
-
-    #[test]
-    fn vec_roundtrip_is_zero_copy_and_aligned_copy_preserves_data() {
-        // Adopted Vec: into_vec must return the identical allocation.
-        let v = vec![1.0f32, 2.0, 3.0];
-        let ptr = v.as_ptr();
-        let b = Buffer::from_vec(v);
-        assert_eq!(&b[..], &[1.0, 2.0, 3.0]);
-        let back = b.into_vec();
-        assert_eq!(back.as_ptr(), ptr, "Vec-backed into_vec must not copy");
-        // Aligned pool block: into_vec copies but preserves contents.
-        trim_thread_pool();
-        let mut a = take_uninit(4);
-        a.copy_from_slice(&[4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(a.into_vec(), vec![4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -16,32 +16,14 @@ use std::fmt;
 ///
 /// Storage is a [`pool::Buffer`] from the tape-scoped buffer pool
 /// ([`crate::pool`]): every constructor draws a (32-byte-aligned) block
-/// from the current thread's free list, and `Drop` returns it there, so
-/// steady-state training reuses the same buffers step after step instead
-/// of hitting the allocator.
-#[derive(PartialEq)]
+/// from the current thread's free list, and `Drop` returns it there (or
+/// to the allocator, when dropped on another thread), so steady-state
+/// training reuses the same buffers step after step instead of hitting
+/// the allocator.
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     data: pool::Buffer,
     shape: Vec<usize>,
-}
-
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        Tensor {
-            data: self.data.clone(),
-            shape: self.shape.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        if self.data.len() != source.data.len() {
-            pool::recycle(std::mem::take(&mut self.data));
-            self.data = pool::take_uninit(source.data.len());
-        }
-        self.data.copy_from_slice(&source.data);
-        self.shape.clear();
-        self.shape.extend_from_slice(&source.shape);
-    }
 }
 
 impl Drop for Tensor {
@@ -75,9 +57,10 @@ impl fmt::Debug for Tensor {
 impl Tensor {
     // ---------------------------------------------------------------- ctors
 
-    /// Builds a tensor from a flat buffer and a shape. Accepts a plain
-    /// `Vec<f32>` (adopted zero-copy) or a [`pool::Buffer`]. Panics if the
-    /// buffer length does not match the shape.
+    /// Builds a tensor from a flat buffer and a shape. A [`pool::Buffer`]
+    /// is moved in; a plain `Vec<f32>` is copied into a pool block and
+    /// freed, so a tensor's storage always comes from the pool. Panics if
+    /// the buffer length does not match the shape.
     pub fn from_vec(data: impl Into<pool::Buffer>, shape: &[usize]) -> Self {
         let data = data.into();
         assert_eq!(
@@ -119,7 +102,7 @@ impl Tensor {
     /// A scalar (shape `[1]`) tensor. Using `[1]` instead of the empty
     /// shape keeps broadcast logic uniform.
     pub fn scalar(value: f32) -> Self {
-        Self::from_vec(vec![value], &[1])
+        Self::full(&[1], value)
     }
 
     /// Identity matrix of size `n`.
@@ -175,13 +158,6 @@ impl Tensor {
     /// Mutable view of the flat buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning the flat buffer. The buffer leaves
-    /// the pool's custody (it is not recycled on drop). Zero-copy for
-    /// `Vec`-adopted storage; pool-aligned blocks are copied out.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data).into_vec()
     }
 
     /// Value at a multi-dimensional index.

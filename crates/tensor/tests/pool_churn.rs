@@ -18,7 +18,9 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use urcl_tensor::pool::{recycle, take_uninit, take_zeroed, trim_thread_pool};
+use urcl_tensor::pool::{
+    recycle, take_uninit, take_zeroed, thread_pool_resident_f32, trim_thread_pool,
+};
 use urcl_tensor::{buffer_pool_stats, reset_buffer_pool_stats, Rng, Tensor};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -157,4 +159,48 @@ fn live_gauge_tracks_outstanding_and_saturates() {
     reset_buffer_pool_stats();
     recycle(b); // taken before the reset: must saturate, not wrap
     assert_eq!(buffer_pool_stats().live_f32, 0);
+}
+
+/// `Tensor::from_vec` copies a caller's `Vec` into a pool block, so
+/// building and dropping tensors one at a time keeps reusing one block
+/// instead of parking every dropped `Vec` on the free list.
+#[test]
+fn from_vec_tensors_reuse_one_block() {
+    let _guard = lock();
+    trim_thread_pool();
+    for i in 0..100 {
+        let t = Tensor::from_vec(vec![i as f32; 576], &[24, 24]);
+        assert_eq!(t.data()[575], i as f32);
+    }
+    assert!(
+        thread_pool_resident_f32() <= 576,
+        "free list holds {} f32 after 100 from_vec tensors of 576",
+        thread_pool_resident_f32()
+    );
+    trim_thread_pool();
+}
+
+/// A tensor dropped on a thread other than the one that allocated it
+/// goes back to the allocator, not into the dropping thread's free list,
+/// and still leaves the live gauge.
+#[test]
+fn tensors_dropped_on_another_thread_leave_its_free_list_empty() {
+    let _guard = lock();
+    trim_thread_pool();
+    reset_buffer_pool_stats();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for i in 0..100 {
+            tx.send(Tensor::full(&[8, 8], i as f32)).unwrap();
+        }
+    })
+    .join()
+    .unwrap();
+    let received: Vec<Tensor> = rx.iter().collect();
+    assert_eq!(received.len(), 100);
+    assert_eq!(buffer_pool_stats().live_f32, 100 * 64);
+    drop(received);
+    assert_eq!(thread_pool_resident_f32(), 0, "foreign blocks were pooled");
+    assert_eq!(buffer_pool_stats().live_f32, 0);
+    assert_eq!(buffer_pool_stats().bytes_recycled, 0);
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-shot CI gate: a rustfmt check of urcl-tensor, release build, full
+# One-shot CI gate: a rustfmt check of the workspace, release build, full
 # test suite (every workspace crate: the root manifest's
 # default-members), clippy over every target,
 # the end-to-end benchmark's smoke test, then a traced framework run
@@ -10,9 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== rustfmt (urcl-tensor) =="
-# The tensor crate is kept rustfmt-clean; the other crates are not yet.
-cargo fmt --check -p urcl-tensor
+echo "== rustfmt =="
+# Every workspace crate is kept rustfmt-clean. perfbench/ is a workspace
+# of its own, so --all does not reach it.
+cargo fmt --all --check
 
 echo "== build (release) =="
 cargo build --release --offline
