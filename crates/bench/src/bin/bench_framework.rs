@@ -14,7 +14,8 @@ use std::hint::black_box;
 use std::time::Instant;
 use urcl_bench::{run_deep_model, write_results, ExperimentContext, ModelKind};
 use urcl_core::{
-    rmir_sample, st_mixup, Augmentation, ForwardPlan, ReplayBuffer, RmirPlans, TrainerConfig,
+    rmir_sample, st_mixup, Augmentation, ForwardPlan, ReplayBuffer, TaskLossPlan, TrainerConfig,
+    VirtualStore,
 };
 use urcl_graph::{random_geometric, SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
@@ -245,7 +246,8 @@ fn main() {
             buffer.push(make_sample(&mut rng));
         }
         let current = make_batch(&mut rng, 8);
-        let mut rmir_plans = RmirPlans::default();
+        let mut virtual_store = VirtualStore::default();
+        let mut task = TaskLossPlan::default();
         let mut forward = ForwardPlan::default();
         for pool_len in [48usize, 256] {
             let pool: Vec<usize> = (0..pool_len).collect();
@@ -262,7 +264,8 @@ fn main() {
                         3e-3,
                         24,
                         8,
-                        &mut rmir_plans,
+                        &mut virtual_store,
+                        &mut task,
                         &mut forward,
                     ));
                 },

@@ -95,25 +95,12 @@ fn train_step(model: &GraphWaveNet, store: &mut ParamStore, opt: &mut Adam, batc
 /// the store at replay time, so compiling before training is fine.
 fn compile_plan(model: &GraphWaveNet, store: &ParamStore, batch: &Batch) -> ExecPlan {
     ExecPlan::compile_poly(batch.x.shape()[0], |b| {
-        let tape = Tape::new();
-        let (root, inputs, bindings) = {
-            let mut sess = Session::new(&tape, store);
+        Recording::training(store, |sess| {
             let xv = sess.input(batch.x.at_batch(b));
             let yv = sess.input(batch.y.at_batch(b));
-            let loss = model.forward(&mut sess, xv).sub(yv).abs().mean_all();
-            (
-                loss.index(),
-                vec![xv.index(), yv.index()],
-                sess.into_bindings(),
-            )
-        };
-        Recording {
-            tape,
-            root: Some(root),
-            inputs,
-            outputs: Vec::new(),
-            bindings,
-        }
+            let loss = model.forward(sess, xv).sub(yv).abs().mean_all();
+            (vec![xv, yv], loss)
+        })
     })
 }
 

@@ -9,9 +9,10 @@
 //! subsequent training adds the quadratic penalty
 //! `λ/2 · Σᵢ Fᵢ (θᵢ − θᵢ*)²` to the task loss.
 
+use crate::trainer::TaskLossPlan;
 use urcl_models::Backbone;
 use urcl_stdata::{stack_samples, Sample};
-use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ParamStore, Tensor};
 
 /// Anchored parameters plus their (diagonal) Fisher importance, refreshed
@@ -26,35 +27,30 @@ impl EwcState {
     /// just-finished period's training windows.
     ///
     /// The Fisher diagonal is approximated by the mean squared gradient of
-    /// the task loss — the standard empirical-Fisher surrogate.
+    /// the task loss — the standard empirical-Fisher surrogate. Each batch
+    /// replays `task`, the trainer's task-loss plan, into one probe copy
+    /// of the parameters whose gradients are zeroed per batch.
     pub fn estimate(
         backbone: &dyn Backbone,
         store: &ParamStore,
         windows: &[Sample],
         batch_size: usize,
         max_batches: usize,
+        task: &mut TaskLossPlan,
     ) -> Self {
         let anchors: Vec<Tensor> = store.ids().map(|id| store.value(id).clone()).collect();
         let mut fisher: Vec<Tensor> = store
             .ids()
             .map(|id| Tensor::zeros(store.value(id).shape()))
             .collect();
+        let mut probe = store.clone();
         let mut batches = 0usize;
         for chunk in windows.chunks(batch_size).take(max_batches) {
-            if chunk.is_empty() {
-                continue;
-            }
             let batch = stack_samples(chunk);
-            let mut probe = store.clone();
             probe.zero_grads();
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, &probe);
-            let x = sess.input(batch.x.clone());
-            let y = sess.input(batch.y.clone());
-            let loss = backbone.forward(&mut sess, x).sub(y).abs().mean_all();
-            let grads = tape.backward(loss);
-            let binds = sess.into_bindings();
-            probe.accumulate_grads(&binds, &grads);
+            let plan = task.plan(backbone, store, &batch);
+            let (_loss, grads) = plan.run_training(store, &[&batch.x, &batch.y]);
+            probe.accumulate_grads(plan.bindings(), &grads);
             for (slot, id) in fisher.iter_mut().zip(probe.ids()) {
                 let g = probe.grad(id);
                 for (f, gi) in slot.data_mut().iter_mut().zip(g.data()) {
@@ -125,6 +121,7 @@ mod tests {
     use super::*;
     use urcl_graph::random_geometric;
     use urcl_models::{GraphWaveNet, GwnConfig};
+    use urcl_tensor::autodiff::Tape;
     use urcl_tensor::{Adam, Optimizer, Rng};
 
     fn setup() -> (ParamStore, GraphWaveNet, Vec<Sample>, Rng) {
@@ -146,7 +143,8 @@ mod tests {
     #[test]
     fn estimate_produces_nonnegative_fisher() {
         let (store, model, windows, _) = setup();
-        let state = EwcState::estimate(&model, &store, &windows, 4, 3);
+        let state =
+            EwcState::estimate(&model, &store, &windows, 4, 3, &mut TaskLossPlan::default());
         assert_eq!(state.len(), store.len());
         assert!(state.fisher_mass() > 0.0);
         for f in &state.fisher {
@@ -154,10 +152,53 @@ mod tests {
         }
     }
 
+    /// The plan replay reproduces the Fisher diagonal of a per-batch tape
+    /// recording bit for bit: 12 windows in batches of 5 take the
+    /// recorded batch size, an unseen one and the remainder of 2.
+    #[test]
+    fn fisher_matches_tape_recording_bitwise() {
+        let (store, model, windows, _) = setup();
+        let state =
+            EwcState::estimate(&model, &store, &windows, 5, 8, &mut TaskLossPlan::default());
+        let mut expected: Vec<Vec<f32>> = store
+            .ids()
+            .map(|id| vec![0.0; store.value(id).len()])
+            .collect();
+        let chunks = windows.chunks(5);
+        let batches = chunks.len() as f32;
+        for chunk in chunks {
+            let batch = stack_samples(chunk);
+            let mut probe = store.clone();
+            probe.zero_grads();
+            let tape = Tape::new();
+            let mut sess = Session::new(&tape, &probe);
+            let x = sess.input(batch.x.clone());
+            let y = sess.input(batch.y.clone());
+            let loss = model.forward(&mut sess, x).sub(y).abs().mean_all();
+            let grads = tape.backward(loss);
+            let binds = sess.into_bindings();
+            probe.accumulate_grads(&binds, &grads);
+            for (f, id) in expected.iter_mut().zip(probe.ids()) {
+                for (f, g) in f.iter_mut().zip(probe.grad(id).data()) {
+                    *f += g * g;
+                }
+            }
+        }
+        for (i, id) in store.ids().enumerate() {
+            let want: Vec<u32> = expected[i]
+                .iter()
+                .map(|f| (f * (1.0 / batches)).to_bits())
+                .collect();
+            let got: Vec<u32> = state.fisher[i].data().iter().map(|f| f.to_bits()).collect();
+            assert_eq!(got, want, "Fisher diagonal of {}", store.name(id));
+        }
+    }
+
     #[test]
     fn penalty_zero_at_anchor_positive_away() {
         let (mut store, model, windows, _) = setup();
-        let state = EwcState::estimate(&model, &store, &windows, 4, 3);
+        let state =
+            EwcState::estimate(&model, &store, &windows, 4, 3, &mut TaskLossPlan::default());
         // At the anchor: zero penalty.
         {
             let tape = Tape::new();
@@ -180,7 +221,8 @@ mod tests {
     #[test]
     fn penalty_pulls_parameters_back_to_anchor() {
         let (mut store, model, windows, _) = setup();
-        let state = EwcState::estimate(&model, &store, &windows, 4, 3);
+        let state =
+            EwcState::estimate(&model, &store, &windows, 4, 3, &mut TaskLossPlan::default());
         let anchor0 = store.value(store.ids().next().unwrap()).clone();
         // Move away, then optimise the penalty alone.
         for id in store.ids().collect::<Vec<_>>() {

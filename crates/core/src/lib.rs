@@ -45,11 +45,11 @@ pub use persist::{
 };
 pub use pipeline::UrclPipeline;
 pub use replay::ReplayBuffer;
-pub use rmir::{rmir_sample, RmirPlans, RmirStats};
+pub use rmir::{rmir_sample, RmirStats, VirtualStore};
 pub use simsiam::StSimSiam;
 pub use trainer::{
     Ablation, ContinualTrainer, ForwardPlan, HookAction, NoopHook, RunOutcome, RunReport,
-    SetReport, StepBudget, StepInfo, Strategy, TrainCursor, TrainHook, TrainerConfig,
+    SetReport, StepBudget, StepInfo, Strategy, TaskLossPlan, TrainCursor, TrainHook, TrainerConfig,
     TrainerSnapshot,
 };
 pub use urcl_trace::Stopwatch;

@@ -211,14 +211,14 @@ impl UrclPipeline {
             name,
             series: norm.transform(&series),
         };
-        // Reuse the streaming trainer on a single-period split.
+        // Reuse the streaming trainer on a single-period split. Sets after
+        // the first train for incremental epoch counts although each is
+        // index 0, the base, of its split.
         let split = ContinualSplit {
             base: period,
             incremental: Vec::new(),
         };
-        // Sets after the first must train with incremental epoch counts;
-        // the trainer treats index 0 as "base", so adjust epochs when this
-        // is not the true base period.
+        self.trainer.continues_stream = self.periods_seen > 0;
         let report = self.trainer.run(
             &self.model,
             Some(&self.simsiam),
@@ -315,6 +315,16 @@ mod tests {
         let r1 = pipe.observe_period(split.incremental[0].series.clone());
         assert_eq!(r1.name, "I1_set");
         assert_eq!(pipe.periods_seen(), 2);
+    }
+
+    #[test]
+    fn later_periods_train_for_incremental_epochs() {
+        let (ds, mut pipe) = setup();
+        let split = ds.continual_split(2);
+        let base = pipe.observe_period(split.base.series.clone());
+        let inc = pipe.observe_period(split.incremental[0].series.clone());
+        assert_eq!(base.epochs, quick_cfg().epochs_base);
+        assert_eq!(inc.epochs, quick_cfg().epochs_incremental);
     }
 
     #[test]

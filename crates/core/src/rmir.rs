@@ -9,11 +9,10 @@
 //! argument).
 
 use crate::replay::ReplayBuffer;
-use crate::trainer::ForwardPlan;
+use crate::trainer::{ForwardPlan, TaskLossPlan};
 use urcl_models::Backbone;
 use urcl_stdata::Batch;
-use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::{ExecPlan, ParamStore, Recording, Tensor};
+use urcl_tensor::{ExecPlan, ParamStore, Tensor};
 
 /// Running statistics of RMIR selection over a training run. The trainer
 /// accumulates these; they are part of the v2 full-pipeline checkpoint so
@@ -36,53 +35,17 @@ impl RmirStats {
     }
 }
 
-/// RMIR's per-step state besides the forward plan: the compiled
-/// virtual-update training loss (inputs `[x, y]`, batch-polymorphic, so
-/// one plan covers every minibatch size the stream produces) and the
-/// virtual parameter store θᵛ, refreshed from θ every round instead of
-/// cloned. Scoring replays the trainer's [`ForwardPlan`] under both θ and
-/// θᵛ: plans resolve parameters from whichever [`ParamStore`] a replay
-/// passes. Derived state: the owning trainer drops it at run start and on
-/// restore.
+/// RMIR's virtual parameter store θᵛ, refreshed from θ every round
+/// instead of cloned. Derived state: the owning trainer drops it at run
+/// start and on restore.
 #[derive(Default)]
-pub struct RmirPlans {
-    virt: Option<ExecPlan>,
-    virtual_store: Option<ParamStore>,
-}
+pub struct VirtualStore(Option<ParamStore>);
 
-impl RmirPlans {
-    /// Drops the plan and θᵛ; the next [`rmir_sample`] call rebuilds them.
+impl VirtualStore {
+    /// Drops θᵛ; the next [`rmir_sample`] call rebuilds it.
     pub fn clear(&mut self) {
-        self.virt = None;
-        self.virtual_store = None;
+        self.0 = None;
     }
-}
-
-/// Records `MAE(f_θ(x), y)` — RMIR's virtual-update loss — and compiles
-/// it batch-polymorphic.
-fn compile_virt_plan(backbone: &dyn Backbone, store: &ParamStore, batch: &Batch) -> ExecPlan {
-    let _compile_sp = urcl_trace::span("plan_compile");
-    ExecPlan::compile_poly(batch.x.shape()[0], |b| {
-        let tape = Tape::new();
-        let (root, inputs, bindings) = {
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(batch.x.at_batch(b));
-            let yv = sess.input(batch.y.at_batch(b));
-            let loss = backbone.forward(&mut sess, xv).sub(yv).abs().mean_all();
-            (
-                loss.index(),
-                vec![xv.index(), yv.index()],
-                sess.into_bindings(),
-            )
-        };
-        Recording {
-            tape,
-            root: Some(root),
-            inputs,
-            outputs: Vec::new(),
-            bindings,
-        }
-    })
 }
 
 /// Selects `select` buffer indices for replay.
@@ -95,6 +58,8 @@ fn compile_virt_plan(backbone: &dyn Backbone, store: &ParamStore, batch: &Batch)
 /// * `lr` — the virtual-update step size α (Eq. 3).
 /// * `candidates` — the interference short-list size |𝒩| (must be ≥
 ///   `select`; both are clamped to the pool size).
+/// * `task` — the backbone's task-loss plan, replayed for the virtual
+///   update (the trainer shares its own with EWC).
 /// * `forward` — the backbone's forward-only plan, replayed for both
 ///   scoring passes (the trainer shares its own with evaluation).
 ///
@@ -109,7 +74,8 @@ pub fn rmir_sample(
     lr: f32,
     candidates: usize,
     select: usize,
-    plans: &mut RmirPlans,
+    virtual_store: &mut VirtualStore,
+    task: &mut TaskLossPlan,
     forward: &mut ForwardPlan,
 ) -> Vec<usize> {
     if pool.is_empty() || select == 0 {
@@ -119,16 +85,14 @@ pub fn rmir_sample(
     let candidates = candidates.clamp(select, pool.len());
 
     // Virtual update: θᵛ = θ − α ∇_θ L(f_θ(current)) (Eq. 3), replaying
-    // the dedicated (batch-polymorphic) virtual-update plan against a
-    // copy of the parameters kept across rounds.
-    let virtual_store = plans.virtual_store.get_or_insert_with(|| store.clone());
+    // the task-loss plan against a copy of the parameters kept across
+    // rounds.
+    let virtual_store = virtual_store.0.get_or_insert_with(|| store.clone());
     virtual_store.copy_values_from(store);
     virtual_store.zero_grads();
     {
         let _sp = urcl_trace::span("virtual_update");
-        let plan = plans
-            .virt
-            .get_or_insert_with(|| compile_virt_plan(backbone, store, current));
+        let plan = task.plan(backbone, store, current);
         let (_loss, grads) = plan.run_training(virtual_store, &[&current.x, &current.y]);
         virtual_store.accumulate_grads(plan.bindings(), &grads);
         virtual_store.sgd_step(lr);
@@ -193,6 +157,7 @@ mod tests {
     use urcl_graph::random_geometric;
     use urcl_models::{Backbone, GraphWaveNet, GwnConfig};
     use urcl_stdata::{stack_samples, Sample};
+    use urcl_tensor::autodiff::{Session, Tape};
     use urcl_tensor::{ParamStore, Rng};
 
     fn setup() -> (ParamStore, GraphWaveNet, ReplayBuffer, Batch, Rng) {
@@ -241,7 +206,8 @@ mod tests {
             0.05,
             6,
             3,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 3);
@@ -265,7 +231,8 @@ mod tests {
             0.05,
             4,
             2,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         )
         .is_empty());
@@ -284,7 +251,8 @@ mod tests {
             0.05,
             99,
             99,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), buffer.len());
@@ -303,7 +271,8 @@ mod tests {
             0.05,
             3,
             2,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
         assert_eq!(picked.len(), 2);
@@ -340,7 +309,8 @@ mod tests {
             0.05,
             6,
             3,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
         let b = rmir_sample(
@@ -352,7 +322,8 @@ mod tests {
             0.05,
             6,
             3,
-            &mut RmirPlans::default(),
+            &mut VirtualStore::default(),
+            &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
         assert_eq!(a, b);

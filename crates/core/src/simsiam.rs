@@ -4,8 +4,8 @@
 //! (Eq. 12–16) with a stop-gradient on the target branch (Eq. 13).
 
 use crate::augment::AugmentedView;
-use urcl_graph::SupportSet;
 use urcl_models::Backbone;
+use urcl_nn::gcn::record_supports;
 use urcl_nn::linear::{Activation, Mlp};
 use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ParamStore, Rng, Tensor};
@@ -67,79 +67,73 @@ impl StSimSiam {
         view1: &AugmentedView,
         view2: &AugmentedView,
     ) -> Var<'t> {
-        let x1 = sess.input(view1.x.clone());
-        let x2 = sess.input(view2.x.clone());
-        self.loss_from_vars(
-            sess,
-            backbone,
-            x1,
-            view1.supports.as_ref(),
-            x2,
-            view2.supports.as_ref(),
-        )
+        let [(x1, s1), (x2, s2)] = [view1, view2].map(|v| {
+            let x = sess.input(v.x.clone());
+            (x, v.supports.as_ref().map(|s| record_supports(sess, s)))
+        });
+        let masks = Self::contrastive_masks(x1.shape()[0]).map(|m| sess.input(m));
+        let views = [(x1, s1.as_deref()), (x2, s2.as_deref())];
+        self.loss_from_vars(sess, backbone, views, masks)
     }
 
-    /// The batch-size-dependent contrastive constants: `(eye, off_mask)`
-    /// for `s` samples. Exposed so the trainer can bind the same tensors
-    /// to a compiled plan's promoted `ssl.eye` / `ssl.off_mask` input
-    /// slots that this module registers at record time — both sides call
-    /// this one helper, keeping record and replay bitwise-identical.
-    pub fn contrastive_masks(s: usize) -> (Tensor, Tensor) {
+    /// The batch-size-dependent constants of the loss over `s` samples:
+    /// `[eye, off_mask, single]`, where `eye` is `I_s`, `off_mask` is
+    /// `1 − I_s` and `single` is `[1]` holding 1 when `s == 1`, else 0.
+    /// [`Self::loss_from_vars`] takes them recorded in this order.
+    pub fn contrastive_masks(s: usize) -> [Tensor; 3] {
         let eye = Tensor::eye(s);
         let off = eye.map(|v| 1.0 - v);
-        (eye, off)
+        let single = Tensor::full(&[1], if s == 1 { 1.0 } else { 0.0 });
+        [eye, off, single]
     }
 
-    /// [`Self::loss`] over already-registered view variables. Exposing the
-    /// view inputs lets the trainer record this graph once and compile it
-    /// into an `ExecPlan` that substitutes fresh view tensors per replay.
-    /// Everything that varies per augmentation draw is registered as a
-    /// named input slot: the view encodes run under the `ssl.v1` / `ssl.v2`
-    /// scopes (so their per-layer `support` slots become `ssl.v1.support`,
-    /// …), and the batch-size constants register as `ssl.eye` /
-    /// `ssl.off_mask`. The trainer promotes these slots to plan inputs and
-    /// rebinds fresh supports and masks at replay, so one compiled plan
-    /// serves every draw instead of recompiling per draw.
+    /// [`Self::loss`] over variables the caller recorded: each view's
+    /// signal `[B, M, N, C]` and, for a perturbed graph, its diffusion
+    /// supports (see [`Backbone::encode_perturbed`]), plus the
+    /// [`Self::contrastive_masks`] of the batch size. Recording them as
+    /// its inputs lets the trainer compile this graph into one `ExecPlan`
+    /// that every augmentation draw and batch size replays.
+    ///
+    /// The graph is the same at every batch size: `single` joins the
+    /// negatives' sum before `ln`, so at batch 1, where that sum is
+    /// empty, the loss is `ln 1 − mean(diag) = −mean(diag)`.
     pub fn loss_from_vars<'t>(
         &self,
         sess: &mut Session<'t, '_>,
         backbone: &dyn Backbone,
-        x1: Var<'t>,
-        supports1: Option<&SupportSet>,
-        x2: Var<'t>,
-        supports2: Option<&SupportSet>,
+        views: [(Var<'t>, Option<&[Var<'t>]>); 2],
+        masks: [Var<'t>; 3],
     ) -> Var<'t> {
-        sess.push_scope("ssl.v1");
-        let z1 = Self::pool(backbone.encode_perturbed(sess, x1, supports1));
-        sess.pop_scope();
-        sess.push_scope("ssl.v2");
-        let z2 = Self::pool(backbone.encode_perturbed(sess, x2, supports2));
-        sess.pop_scope();
+        let [eye, off_mask, single] = masks;
+        let logits = self.logits(sess, backbone, views);
+        let diag = logits.mul(eye).sum_axes(&[1], false); // [S]
+        let denom = logits.exp().mul(off_mask).sum_axes(&[1], false).add(single); // [S]
+        denom.ln().sub(diag).mean_all()
+    }
+
+    /// The symmetrised pairwise cosine similarities over τ (Eq. 15),
+    /// `[S, S]`: row `i` compares view 1's prediction of window `i` with
+    /// view 2's stop-gradient target of every window, and vice versa.
+    fn logits<'t>(
+        &self,
+        sess: &mut Session<'t, '_>,
+        backbone: &dyn Backbone,
+        views: [(Var<'t>, Option<&[Var<'t>]>); 2],
+    ) -> Var<'t> {
+        let [z1, z2] =
+            views.map(|(x, supports)| Self::pool(backbone.encode_perturbed(sess, x, supports)));
         let p1 = self.projector.forward(sess, z1);
         let p2 = self.projector.forward(sess, z2);
 
-        let s = z1.shape()[0];
         // Row-normalised embeddings; targets are stop-gradient (Eq. 13).
         let p1n = p1.l2_normalize(1);
         let p2n = p2.l2_normalize(1);
         let z1t = z1.detach().l2_normalize(1);
         let z2t = z2.detach().l2_normalize(1);
 
-        // Pairwise cosine similarities, symmetrised (Eq. 15).
         let sims1 = p1n.matmul(z2t.transpose(0, 1));
         let sims2 = p2n.matmul(z1t.transpose(0, 1));
-        let logits = sims1.add(sims2).scale(0.5 / self.tau); // [S, S]
-
-        let (eye_t, off_t) = Self::contrastive_masks(s);
-        let eye = sess.slot_input("ssl.eye", eye_t);
-        let diag = logits.mul(eye).sum_axes(&[1], false); // [S]
-        if s == 1 {
-            // No negatives: minimise −similarity directly (plain SimSiam).
-            return diag.neg().mean_all();
-        }
-        let off_mask = sess.slot_input("ssl.off_mask", off_t);
-        let denom = logits.exp().mul(off_mask).sum_axes(&[1], false); // [S]
-        denom.ln().sub(diag).mean_all()
+        sims1.add(sims2).scale(0.5 / self.tau) // [S, S]
     }
 }
 
@@ -203,6 +197,53 @@ mod tests {
         // Degenerate form is −(symmetric cosine)/τ, bounded by ±1/τ.
         assert!(loss.is_finite());
         assert!(loss.abs() <= 1.0 / sim.temperature() + 1e-4, "loss {loss}");
+    }
+
+    /// At batch 1 the one graph reduces to the plain-SimSiam form
+    /// `−mean(diag)`: the loss and every parameter gradient keep the bits
+    /// of that form over 20 random windows.
+    #[test]
+    fn batch_of_one_matches_negative_mean_diagonal_bitwise() {
+        let (store, model, sim, mut rng) = setup();
+        let grad_bits = |loss: &dyn Fn(&mut Session<'_, '_>) -> f32| {
+            let tape = Tape::new();
+            let mut sess = Session::new(&tape, &store);
+            let value = loss(&mut sess);
+            let root = tape.var(tape.len() - 1);
+            let grads = tape.backward(root);
+            let mut probe = store.clone();
+            probe.zero_grads();
+            probe.accumulate_grads(&sess.into_bindings(), &grads);
+            let bits: Vec<Vec<u32>> = probe
+                .ids()
+                .map(|id| probe.grad(id).data().iter().map(|g| g.to_bits()).collect())
+                .collect();
+            (value.to_bits(), bits)
+        };
+        for draw in 0..20 {
+            let x = rng.uniform_tensor(&[1, 8, 6, 2], 0.0, 1.0);
+            let v1 = AugmentedView {
+                x: x.clone(),
+                supports: None,
+            };
+            let v2 = AugmentedView {
+                x: x.map(|v| v * 0.9),
+                supports: None,
+            };
+            let one_graph = grad_bits(&|sess| sim.loss(sess, &model, &v1, &v2).value().item());
+            let reference = grad_bits(&|sess| {
+                let x1 = sess.input(v1.x.clone());
+                let x2 = sess.input(v2.x.clone());
+                let logits = sim.logits(sess, &model, [(x1, None), (x2, None)]);
+                let eye = sess.input(Tensor::eye(1));
+                let diag = logits.mul(eye).sum_axes(&[1], false);
+                diag.neg().mean_all().value().item()
+            });
+            assert_eq!(one_graph.0, reference.0, "draw {draw}: loss");
+            for (id, (got, want)) in store.ids().zip(one_graph.1.iter().zip(&reference.1)) {
+                assert_eq!(got, want, "draw {draw}: gradient of {}", store.name(id));
+            }
+        }
     }
 
     #[test]

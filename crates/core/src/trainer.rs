@@ -16,13 +16,13 @@ use crate::ewc::EwcState;
 use crate::metrics::Metrics;
 use crate::mixup::{concat_replay, st_mixup};
 use crate::replay::ReplayBuffer;
-use crate::rmir::{rmir_sample, RmirPlans, RmirStats};
+use crate::rmir::{rmir_sample, RmirStats, VirtualStore};
 use crate::simsiam::StSimSiam;
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
 use urcl_models::Backbone;
-use urcl_stdata::{stack_samples, ContinualSplit, DatasetConfig, Sample};
-use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample};
+use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{
     trim_excess, Adam, AdamState, ExecPlan, Optimizer, ParamStore, Recording, Rng, Tensor,
 };
@@ -385,13 +385,6 @@ struct StepOutcome {
 /// buffers into the pool, and the quiesce-point trim bounds that residue.
 const POOL_TRIM_BUDGET: usize = 4 << 20;
 
-/// A recorded step graph plus how many per-view support slots it
-/// promoted.
-struct RecordedStep {
-    recording: Recording,
-    view_slots: usize,
-}
-
 /// Drives a backbone through the streaming protocol.
 pub struct ContinualTrainer {
     config: TrainerConfig,
@@ -401,21 +394,25 @@ pub struct ContinualTrainer {
     opt: Adam,
     rmir_stats: RmirStats,
     cursor: TrainCursor,
-    /// The step plan and how many per-view support slots it promoted.
-    /// Derived state: compiled on demand, dropped whenever its captured
-    /// constants could go stale (run start, restore, EWC re-anchoring).
-    step_plan: Option<(ExecPlan, usize)>,
+    /// The step plan. Derived state: compiled on demand, dropped whenever
+    /// its captured constants could go stale (run start, restore, EWC
+    /// re-anchoring).
+    step_plan: Option<ExecPlan>,
     /// Step plans compiled since construction.
     step_plan_compiles: u64,
-    /// Contrastive mask pairs `(eye, 1 − eye)` per seen batch size, kept
-    /// alive so plan replays can bind them by reference. Pure function of
-    /// the batch size — never stale.
-    masks: Vec<(usize, (Tensor, Tensor))>,
-    /// RMIR's virtual-update plan and θᵛ store (see `rmir.rs`).
-    rmir_plans: RmirPlans,
+    /// RMIR's θᵛ store (see `rmir.rs`).
+    virtual_store: VirtualStore,
+    /// The backbone's task-loss plan: RMIR's virtual update and EWC's
+    /// Fisher estimate replay it.
+    task_loss: TaskLossPlan,
     /// The backbone's forward-only plan: RMIR's scoring passes and
     /// every evaluation replay it.
     forward: ForwardPlan,
+    /// Whether a run's first period continues a stream whose base set
+    /// was trained by an earlier run, so that it trains for
+    /// `epochs_incremental` epochs too. [`crate::UrclPipeline`] sets it
+    /// for every period after its first.
+    pub(crate) continues_stream: bool,
 }
 
 impl ContinualTrainer {
@@ -434,9 +431,10 @@ impl ContinualTrainer {
             cursor: TrainCursor::default(),
             step_plan: None,
             step_plan_compiles: 0,
-            masks: Vec::new(),
-            rmir_plans: RmirPlans::default(),
+            virtual_store: VirtualStore::default(),
+            task_loss: TaskLossPlan::default(),
             forward: ForwardPlan::default(),
+            continues_stream: false,
         }
     }
 
@@ -498,7 +496,8 @@ impl ContinualTrainer {
         self.rmir_stats = snapshot.rmir;
         self.cursor = snapshot.cursor;
         self.step_plan = None;
-        self.rmir_plans.clear();
+        self.virtual_store.clear();
+        self.task_loss.clear();
         self.forward.clear();
     }
 
@@ -562,7 +561,8 @@ impl ContinualTrainer {
         self.opt = Adam::new(self.config.lr);
         self.cursor = TrainCursor::default();
         self.step_plan = None;
-        self.rmir_plans.clear();
+        self.virtual_store.clear();
+        self.task_loss.clear();
         self.forward.clear();
         self.drive(backbone, simsiam, store, net, split, data_cfg, scale, hook)
     }
@@ -648,7 +648,7 @@ impl ContinualTrainer {
             let train_this = !(self.config.strategy == Strategy::OneFitAll && pi > 0);
             let epochs = if !train_this {
                 0
-            } else if pi == 0 {
+            } else if pi == 0 && !self.continues_stream {
                 self.config.epochs_base
             } else {
                 self.config.epochs_incremental
@@ -720,6 +720,7 @@ impl ContinualTrainer {
                     &train_windows,
                     self.config.batch_size,
                     self.config.ewc_fisher_batches,
+                    &mut self.task_loss,
                 ));
                 // The step plan captured the *previous* anchors as
                 // constants; the new penalty needs a fresh compile. (RMIR's
@@ -780,105 +781,35 @@ impl ContinualTrainer {
         })
     }
 
-    /// Records the full training-loss graph — MAE task loss (Eq. 28),
-    /// optional SSL term (Eq. 29), optional EWC penalty — onto `sess`'s
-    /// tape and returns the scalar total.
-    ///
-    /// The one definition of the step graph: the step-plan compile records
-    /// it once per validity window, and the batch-of-1 SSL step records it
-    /// every step and differentiates it with `Tape::backward`.
-    fn record_loss<'t>(
-        &self,
-        backbone: &dyn Backbone,
-        simsiam: Option<&StSimSiam>,
-        store: &ParamStore,
-        sess: &mut Session<'t, '_>,
-        x: Var<'t>,
-        y: Var<'t>,
-        views: Option<(Var<'t>, Option<&SupportSet>, Var<'t>, Option<&SupportSet>)>,
-    ) -> Var<'t> {
-        let pred = backbone.forward(sess, x);
-        let task_loss = pred.sub(y).abs().mean_all(); // MAE, Eq. 28
-        let mut total = match (views, simsiam) {
-            (Some((x1, s1, x2, s2)), Some(sim)) => {
-                let ssl = sim.loss_from_vars(sess, backbone, x1, s1, x2, s2);
-                task_loss.add(ssl.scale(self.config.ssl_weight))
-            }
-            _ => task_loss,
-        };
-        if self.config.strategy == Strategy::Ewc {
-            if let Some(state) = &self.ewc {
-                total = total.add(state.penalty(sess, store, self.config.ewc_lambda));
-            }
-        }
-        total
-    }
-
-    /// Records one full step graph over concrete tensors and collects the
-    /// plan-compile ingredients: the replayable input slots `[x, y]`
-    /// (+ `[x1, x2]` with SSL) plus every promoted SSL slot — the
-    /// contrastive masks and each view's per-layer graph supports, in
-    /// recording order. Promotion is what turns the augmentation's
-    /// captured constants into per-replay inputs, so one compiled plan
-    /// serves every draw.
+    /// Records one full step graph over `inputs` (see [`step_inputs`]),
+    /// which become the plan's inputs in that order: the MAE task loss
+    /// (Eq. 28), with views the weighted SSL term (Eq. 29), and the EWC
+    /// penalty under [`Strategy::Ewc`].
     fn record_step(
         &self,
         backbone: &dyn Backbone,
         simsiam: Option<&StSimSiam>,
         store: &ParamStore,
-        x: &Tensor,
-        y: &Tensor,
-        views: Option<(&AugmentedView, &AugmentedView)>,
-    ) -> RecordedStep {
-        let tape = Tape::new();
-        let (root, inputs, bindings, view_slots);
-        {
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
-            let mut ins = vec![xv.index(), yv.index()];
-            let views_v = views.map(|(v1, v2)| {
-                let x1 = sess.input(v1.x.clone());
-                let x2 = sess.input(v2.x.clone());
-                ins.push(x1.index());
-                ins.push(x2.index());
-                (x1, v1.supports.as_ref(), x2, v2.supports.as_ref())
-            });
-            let total = self.record_loss(backbone, simsiam, store, &mut sess, xv, yv, views_v);
-            let mut slots = 0;
-            if views.is_some() {
-                let eye = sess.slot_nodes("ssl.eye");
-                assert_eq!(eye.len(), 1, "expected exactly one ssl.eye slot");
-                ins.extend(eye);
-                let off = sess.slot_nodes("ssl.off_mask");
-                assert_eq!(
-                    off.len(),
-                    1,
-                    "expected one ssl.off_mask slot (batch ≥ 2 graphs only)"
-                );
-                ins.extend(off);
-                let v1 = sess.slot_nodes_prefix("ssl.v1.");
-                let v2 = sess.slot_nodes_prefix("ssl.v2.");
-                assert_eq!(v1.len(), v2.len(), "view support slot counts differ");
-                slots = v1.len();
-                ins.extend(v1);
-                ins.extend(v2);
+        inputs: &[&Tensor],
+    ) -> Recording {
+        Recording::training(store, |sess| {
+            let vars: Vec<Var> = inputs.iter().map(|t| sess.input((*t).clone())).collect();
+            let mut total = task_loss(backbone, sess, vars[0], vars[1]);
+            if let [x1, x2, eye, off_mask, single, ref supports @ ..] = vars[2..] {
+                let sim = simsiam.expect("SSL views need an StSimSiam head");
+                let (s1, s2) = supports.split_at(supports.len() / 2);
+                let graph = !supports.is_empty();
+                let views = [(x1, graph.then_some(s1)), (x2, graph.then_some(s2))];
+                let ssl = sim.loss_from_vars(sess, backbone, views, [eye, off_mask, single]);
+                total = total.add(ssl.scale(self.config.ssl_weight));
             }
-            root = total.index();
-            inputs = ins;
-            view_slots = slots;
-            bindings = sess.into_bindings();
-        }
-        RecordedStep {
-            recording: Recording {
-                tape,
-                root: Some(root),
-                inputs,
-                outputs: Vec::new(),
-                bindings,
-            },
-            view_slots,
-        }
+            if self.config.strategy == Strategy::Ewc {
+                if let Some(state) = &self.ewc {
+                    total = total.add(state.penalty(sess, store, self.config.ewc_lambda));
+                }
+            }
+            (vars, total)
+        })
     }
 
     /// Compiles a batch-polymorphic training plan for this step graph:
@@ -890,29 +821,21 @@ impl ContinualTrainer {
         backbone: &dyn Backbone,
         simsiam: Option<&StSimSiam>,
         store: &ParamStore,
-        x: &Tensor,
-        y: &Tensor,
+        batch: &Batch,
         views: Option<&(AugmentedView, AugmentedView)>,
-    ) -> (ExecPlan, usize) {
+    ) -> ExecPlan {
         let _compile_sp = urcl_trace::span("plan_compile");
-        let b0 = x.shape()[0];
-        let mut view_slots = 0;
-        let plan = ExecPlan::compile_poly(b0, |b| {
+        ExecPlan::compile_poly(batch.len(), |b| {
+            let batch = Batch {
+                x: batch.x.at_batch(b),
+                y: batch.y.at_batch(b),
+            };
             let views = views.map(|(v1, v2)| (v1.at_batch(b), v2.at_batch(b)));
-            let rec = self.record_step(
-                backbone,
-                simsiam,
-                store,
-                &x.at_batch(b),
-                &y.at_batch(b),
-                views.as_ref().map(|(v1, v2)| (v1, v2)),
-            );
-            if b == b0 {
-                view_slots = rec.view_slots;
-            }
-            rec.recording
-        });
-        (plan, view_slots)
+            let masks = StSimSiam::contrastive_masks(b);
+            let ssl = views.as_ref().map(|(v1, v2)| (v1, v2, &masks));
+            let inputs = step_inputs(&batch, ssl, backbone.support_template());
+            self.record_step(backbone, simsiam, store, &inputs)
+        })
     }
 
     /// One optimisation step on a chunk of training windows.
@@ -948,7 +871,8 @@ impl ContinualTrainer {
                     self.config.lr,
                     self.config.rmir_candidates,
                     select,
-                    &mut self.rmir_plans,
+                    &mut self.virtual_store,
+                    &mut self.task_loss,
                     &mut self.forward,
                 );
                 rmir_ran = true;
@@ -1001,79 +925,39 @@ impl ContinualTrainer {
 
         // --- Forward, L_all = L_task + L_ssl (Eq. 29), backward. ---
         //
-        // The step replays a compiled `ExecPlan`: it is batch-polymorphic
-        // and binds everything the augmentation randomizes — view
-        // signals, perturbed supports, contrastive masks — through
-        // promoted input slots, so the paper-default step (SSL + STA on)
-        // replays one plan across every draw and batch size. One graph
-        // differs in structure: the single-sample SSL loss has no
-        // negatives (no `off_mask` branch), so SSL steps at batch 1 record
-        // the step and run `Tape::backward` on it — the same backward
-        // walk, over the recorded values.
+        // Every step replays the one compiled step plan. It is
+        // batch-polymorphic and takes everything the augmentation
+        // randomizes — view signals, perturbed supports, contrastive
+        // masks — as inputs, so one plan serves every draw and batch size.
         store.zero_grads();
-        let ssl_on = ssl_views.is_some();
-        let batch_len = train_batch.x.shape()[0];
-        let loss_value = if !(ssl_on && batch_len == 1) {
-            if ssl_on && !self.masks.iter().any(|(s, _)| *s == batch_len) {
-                self.masks
-                    .push((batch_len, StSimSiam::contrastive_masks(batch_len)));
-            }
-            if self.step_plan.is_none() {
-                self.step_plan = Some(self.compile_step_plan(
-                    backbone,
-                    simsiam,
-                    store,
-                    &train_batch.x,
-                    &train_batch.y,
-                    ssl_views.as_ref(),
-                ));
-                self.step_plan_compiles += 1;
-            }
-            let (plan, view_slots) = self.step_plan.as_ref().expect("compiled above");
-            let refs = step_refs(
+        let masks = ssl_views
+            .as_ref()
+            .map(|_| StSimSiam::contrastive_masks(train_batch.len()));
+        let ssl = ssl_views
+            .as_ref()
+            .zip(masks.as_ref())
+            .map(|((v1, v2), masks)| (v1, v2, masks));
+        let inputs = step_inputs(&train_batch, ssl, backbone.support_template());
+        if self.step_plan.is_none() {
+            self.step_plan = Some(self.compile_step_plan(
+                backbone,
+                simsiam,
+                store,
                 &train_batch,
-                &ssl_views,
-                *view_slots,
-                backbone.support_template(),
-                &self.masks,
-            );
-            let plan_sp = urcl_trace::span("plan_exec");
-            let (loss, grads) = plan.run_training(store, &refs);
-            drop(plan_sp);
-            {
-                let _optim_sp = urcl_trace::span("optim");
-                store.accumulate_grads(plan.bindings(), &grads);
-                store.clip_grad_norm(self.config.clip_norm);
-                self.opt.step(store);
-            }
-            loss.item()
-        } else {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = sess.input(train_batch.x.clone());
-            let y = sess.input(train_batch.y.clone());
-            let views = ssl_views.as_ref().map(|(v1, v2)| {
-                let x1 = sess.input(v1.x.clone());
-                let x2 = sess.input(v2.x.clone());
-                (x1, v1.supports.as_ref(), x2, v2.supports.as_ref())
-            });
-            let forward_sp = urcl_trace::span("forward");
-            let total = self.record_loss(backbone, simsiam, store, &mut sess, x, y, views);
-            let loss_value = total.value().item();
-            drop(forward_sp);
-            let grads = {
-                let _backward_sp = urcl_trace::span("backward");
-                tape.backward(total)
-            };
-            let binds = sess.into_bindings();
-            {
-                let _optim_sp = urcl_trace::span("optim");
-                store.accumulate_grads(&binds, &grads);
-                store.clip_grad_norm(self.config.clip_norm);
-                self.opt.step(store);
-            }
-            loss_value
-        };
+                ssl_views.as_ref(),
+            ));
+            self.step_plan_compiles += 1;
+        }
+        let plan = self.step_plan.as_ref().expect("compiled above");
+        let plan_sp = urcl_trace::span("plan_exec");
+        let (loss, grads) = plan.run_training(store, &inputs);
+        drop(plan_sp);
+        {
+            let _optim_sp = urcl_trace::span("optim");
+            store.accumulate_grads(plan.bindings(), &grads);
+            store.clip_grad_norm(self.config.clip_norm);
+            self.opt.step(store);
+        }
 
         // The buffer keeps the *original* observations (Section IV-B).
         let replay_inserted = if is_urcl {
@@ -1083,56 +967,53 @@ impl ContinualTrainer {
             0
         };
         StepOutcome {
-            loss: loss_value,
+            loss: loss.item(),
             rmir_ran,
             replay_inserted,
         }
     }
 }
 
-/// Builds the positional replay bindings for the step plan, in the
-/// promotion order [`ContinualTrainer::record_step`] established:
-/// `[x, y]`, then with SSL `[x1, x2, eye, off_mask, view-1 supports…,
-/// view-2 supports…]`. A view that kept the original graph (temporal
-/// transforms, augmentation off) binds the backbone's construction-time
-/// support template — bitwise what its recording captured. Support slot
-/// `j` of a view binds support `j % len` of its set: slots are recorded
-/// layer-major and every spatial layer diffuses over the same set.
-fn step_refs<'a>(
-    batch: &'a urcl_stdata::Batch,
-    views: &'a Option<(AugmentedView, AugmentedView)>,
-    view_slots: usize,
+/// The step plan's inputs, in the order
+/// [`ContinualTrainer::record_step`] records them: `[x, y]`, then with SSL
+/// `[x1, x2, eye, off_mask, single]` (the views and
+/// [`StSimSiam::contrastive_masks`]) followed by each view's diffusion
+/// supports, view 1's first. A backbone without a support template takes
+/// none; otherwise a view that kept the original graph (temporal
+/// transforms, augmentation off) binds the template, so every step binds
+/// the same number.
+fn step_inputs<'a>(
+    batch: &'a Batch,
+    ssl: Option<(&'a AugmentedView, &'a AugmentedView, &'a [Tensor; 3])>,
     template: Option<&'a SupportSet>,
-    masks: &'a [(usize, (Tensor, Tensor))],
 ) -> Vec<&'a Tensor> {
-    let mut refs: Vec<&Tensor> = vec![&batch.x, &batch.y];
-    if let Some((v1, v2)) = views {
-        refs.push(&v1.x);
-        refs.push(&v2.x);
-        let b = batch.x.shape()[0];
-        let (eye, off) = &masks
-            .iter()
-            .find(|(s, _)| *s == b)
-            .expect("contrastive masks cached before plan replay")
-            .1;
-        refs.push(eye);
-        refs.push(off);
-        for view in [v1, v2] {
-            if view_slots == 0 {
-                continue;
-            }
-            let set = view
-                .supports
-                .as_ref()
-                .or(template)
-                .expect("backbone registered support slots but exposes no support template");
-            let sup = set.all();
-            for j in 0..view_slots {
-                refs.push(sup[j % sup.len()]);
+    let mut inputs = vec![&batch.x, &batch.y];
+    if let Some((v1, v2, masks)) = ssl {
+        inputs.extend([&v1.x, &v2.x]);
+        inputs.extend(masks);
+        if let Some(template) = template {
+            for view in [v1, v2] {
+                let set = view.supports.as_ref().unwrap_or(template);
+                assert_eq!(
+                    set.len(),
+                    template.len(),
+                    "a perturbed graph must keep the backbone's support count"
+                );
+                inputs.extend(set.all());
             }
         }
     }
-    refs
+    inputs
+}
+
+/// The task loss `MAE(f_θ(x), y)` of Eq. 28, recorded on `sess`.
+fn task_loss<'t>(
+    backbone: &dyn Backbone,
+    sess: &mut Session<'t, '_>,
+    x: Var<'t>,
+    y: Var<'t>,
+) -> Var<'t> {
+    backbone.forward(sess, x).sub(y).abs().mean_all()
 }
 
 /// Evenly subsamples a window list down to at most `max` entries.
@@ -1161,6 +1042,42 @@ impl ForwardPlan {
         self.0.get_or_insert_with(|| {
             let _compile_sp = urcl_trace::span("plan_compile");
             backbone.compile_forward(store, x)
+        })
+    }
+
+    /// Drops the plan; the next [`Self::plan`] call recompiles.
+    pub fn clear(&mut self) {
+        self.0 = None;
+    }
+}
+
+/// The backbone's task-loss training plan, `MAE(f_θ(x), y)` (Eq. 28) over
+/// inputs `[x, y]`, compiled batch-polymorphic on first use. A
+/// [`ContinualTrainer`] owns one: RMIR's virtual update and EWC's Fisher
+/// estimate both replay it. Plans resolve parameters at replay, so it
+/// survives every update. Derived state: the trainer drops it at run
+/// start and on restore.
+#[derive(Default)]
+pub struct TaskLossPlan(Option<ExecPlan>);
+
+impl TaskLossPlan {
+    /// The plan, compiled from `batch` on first use.
+    pub fn plan(
+        &mut self,
+        backbone: &dyn Backbone,
+        store: &ParamStore,
+        batch: &Batch,
+    ) -> &ExecPlan {
+        self.0.get_or_insert_with(|| {
+            let _compile_sp = urcl_trace::span("plan_compile");
+            ExecPlan::compile_poly(batch.len(), |b| {
+                Recording::training(store, |sess| {
+                    let x = sess.input(batch.x.at_batch(b));
+                    let y = sess.input(batch.y.at_batch(b));
+                    let loss = task_loss(backbone, sess, x, y);
+                    (vec![x, y], loss)
+                })
+            })
         })
     }
 
@@ -1312,13 +1229,14 @@ mod tests {
     }
 
     /// The trainer's own step plan, driven through `compile_step_plan`
-    /// and `step_refs` over draws of every augmentation variant at batch
-    /// sizes 2–5, reproduces `record_step` + `Tape::backward` bit for bit
+    /// and `step_inputs` over draws of every augmentation variant at batch
+    /// sizes 1–5, reproduces `record_step` + `Tape::backward` bit for bit
     /// — the loss and every parameter gradient — through ONE compiled
-    /// plan per backbone, for every deep backbone. This pins that
-    /// `step_refs` binds the promoted slots in recording order (`TimeShift`
-    /// views bind the support template) and that each backbone's graph
-    /// is batch-polymorphic.
+    /// plan per backbone, for every deep backbone. The plan is compiled at
+    /// batch 2; batch 1, where the GraphCL loss has no negatives, replays
+    /// it like every other size. This pins that `step_inputs` lists the
+    /// inputs in recording order (`TimeShift` views bind the support
+    /// template) and that each backbone's graph is batch-polymorphic.
     #[test]
     fn step_plan_replays_every_augmentation_like_a_fresh_recording() {
         let (ds, split, _scale, net) = tiny_setup();
@@ -1330,52 +1248,38 @@ mod tests {
             let name = model.name();
             let k = model.support_template().map(|s| s.forward.len());
             let mut rng = Rng::seed_from_u64(71);
-            let mut masks = Vec::new();
-            let mut compiled: Option<(ExecPlan, usize)> = None;
+            let mut compiled: Option<ExecPlan> = None;
             for i in 0..2 * variants.len() {
-                let b = 2 + i % 4;
+                let b = 1 + (i + 1) % 5;
                 let batch = stack_samples(&windows[i..i + b]);
-                let views = Some((
+                let views = (
                     variants[i % variants.len()].apply(&batch.x, &net, k, &mut rng),
                     variants[(i + 1) % variants.len()].apply(&batch.x, &net, k, &mut rng),
-                ));
-                if !masks.iter().any(|(s, _)| *s == b) {
-                    masks.push((b, StSimSiam::contrastive_masks(b)));
-                }
-                let (plan, view_slots) = compiled.get_or_insert_with(|| {
+                );
+                let masks = StSimSiam::contrastive_masks(b);
+                let inputs = step_inputs(
+                    &batch,
+                    Some((&views.0, &views.1, &masks)),
+                    model.support_template(),
+                );
+                let plan = compiled.get_or_insert_with(|| {
                     trainer.compile_step_plan(
                         model.as_ref(),
                         Some(&sim),
                         &store,
-                        &batch.x,
-                        &batch.y,
-                        views.as_ref(),
+                        &batch,
+                        Some(&views),
                     )
                 });
-                let refs = step_refs(
-                    &batch,
-                    &views,
-                    *view_slots,
-                    model.support_template(),
-                    &masks,
-                );
                 assert!(
-                    plan.accepts(&refs),
+                    plan.accepts(&inputs),
                     "{name} point {i}: plan rejected batch {b}"
                 );
-                let (loss, grads) = plan.run_training(&store, &refs);
+                let (loss, grads) = plan.run_training(&store, &inputs);
 
-                let rec = trainer.record_step(
-                    model.as_ref(),
-                    Some(&sim),
-                    &store,
-                    &batch.x,
-                    &batch.y,
-                    views.as_ref().map(|(v1, v2)| (v1, v2)),
-                );
-                let tape = &rec.recording.tape;
-                let root = tape.var(rec.recording.root.expect("training recording"));
-                let ref_grads = tape.backward(root);
+                let rec = trainer.record_step(model.as_ref(), Some(&sim), &store, &inputs);
+                let root = rec.tape.var(rec.root.expect("training recording"));
+                let ref_grads = rec.tape.backward(root);
                 assert_eq!(
                     loss.item().to_bits(),
                     root.value().item().to_bits(),
@@ -1383,7 +1287,7 @@ mod tests {
                 );
                 assert_eq!(
                     plan.bindings(),
-                    &rec.recording.bindings[..],
+                    &rec.bindings[..],
                     "{name} point {i}: bindings"
                 );
                 for &(id, idx) in plan.bindings() {
@@ -1428,6 +1332,60 @@ mod tests {
             scale,
         );
         assert_eq!(trainer.step_plan_compiles(), 1);
+    }
+
+    /// An augmented run whose base epoch ends in a one-window chunk, an
+    /// SSL step whose GraphCL loss has no negatives, replays one step plan
+    /// on every step. The run pauses before that chunk and resumes in a
+    /// fresh trainer, whose first step is the chunk: it compiles the plan
+    /// at batch 1, and the rest of the run replays that plan.
+    #[test]
+    fn one_window_chunk_replays_the_one_step_plan() {
+        let (ds, split, scale, net) = tiny_setup();
+        let (mut store, model, sim) = build_model(&ds, &net);
+        let cfg = TrainerConfig {
+            epochs_base: 1,
+            window_stride: 16,
+            ..quick_config(Strategy::Urcl)
+        };
+        let (train, _, _) = split.base.train_val_test(cfg.train_ratio, cfg.val_ratio);
+        let windows = train.windows(&ds.config).len().div_ceil(cfg.window_stride);
+        let batch_size = (2..windows)
+            .find(|b| windows % b == 1)
+            .expect("a batch size that leaves one window");
+        let cfg = TrainerConfig { batch_size, ..cfg };
+        let chunks = windows.div_ceil(batch_size) as u64;
+        let mut run = |trainer: &mut ContinualTrainer, hook: &mut dyn TrainHook, resume| {
+            let f = if resume {
+                ContinualTrainer::resume_with_hook
+            } else {
+                ContinualTrainer::run_with_hook
+            };
+            f(
+                trainer,
+                &model,
+                Some(&sim),
+                &mut store,
+                &net,
+                &split,
+                &ds.config,
+                scale,
+                hook,
+            )
+        };
+        let mut first = ContinualTrainer::new(cfg.clone());
+        let paused = run(&mut first, &mut StepBudget::new(chunks - 1), false);
+        assert!(matches!(paused, RunOutcome::Paused));
+        let mut resumed = ContinualTrainer::new(cfg);
+        resumed.restore(first.snapshot());
+        let paused = run(&mut resumed, &mut StepBudget::new(chunks), true);
+        assert!(matches!(paused, RunOutcome::Paused));
+        assert_eq!(resumed.global_step(), chunks);
+        assert_eq!(resumed.step_plan_compiles(), 1, "the one-window step");
+        let done = run(&mut resumed, &mut NoopHook, true);
+        assert!(matches!(done, RunOutcome::Completed(_)));
+        assert_eq!(first.step_plan_compiles(), 1);
+        assert_eq!(resumed.step_plan_compiles(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The [`Backbone`] trait: the paper's STEncoder / STDecoder contract.
 
 use urcl_graph::SupportSet;
-use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_nn::gcn::record_supports;
+use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ExecPlan, ParamStore, Recording, Tensor};
 
 /// Shared geometry of a spatio-temporal backbone.
@@ -51,30 +52,30 @@ pub trait Backbone {
 
     /// STEncoder over a *perturbed* sensor graph, used by the
     /// spatio-temporal augmentations (DN/DE/SG/AE change the adjacency).
-    /// Backbones whose spatial layers use fixed supports should honour
-    /// `supports`; the default ignores the perturbation and encodes the
-    /// (already feature-masked) signal over the original graph.
+    /// `supports` are the perturbed graph's diffusion supports, recorded
+    /// by the caller: one `[N, N]` variable per matrix of
+    /// [`Self::support_template`], in [`SupportSet::all`] order. With
+    /// `None` the backbone records its own graph, which is what
+    /// [`Self::encode`] does. The default ignores the perturbation and
+    /// encodes the (already feature-masked) signal over the original
+    /// graph; backbones with a support template must honour `supports`.
     fn encode_perturbed<'t>(
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: Option<&[Var<'t>]>,
     ) -> Var<'t> {
         let _ = supports;
         self.encode(sess, x)
     }
 
-    /// The construction-time support set every spatial layer diffuses
-    /// over when [`Self::encode_perturbed`] receives no override, or
-    /// `None` when the backbone has no graph supports. A backbone whose
-    /// layers register support slots (every
-    /// [`DiffusionGcn`](urcl_nn::gcn::DiffusionGcn) does) must return its
-    /// set here and honour the override in [`Self::encode_perturbed`]. A
-    /// plan-compiling trainer uses this as the binding template for
-    /// promoted support slots, and its length `K` as the diffusion depth
-    /// augmentations rebuild supports with: the contract is that all
-    /// spatial layers share this one set, in layer order, so support slot
-    /// `j` of a view binds `template[j % template.len()]`.
+    /// The diffusion supports of the backbone's own graph, which every
+    /// spatial layer diffuses over when [`Self::encode_perturbed`]
+    /// receives none, or `None` when the backbone has no graph supports.
+    /// Its length is the support count `encode_perturbed` expects, and its
+    /// depth `K` the one augmentations rebuild perturbed supports with. A
+    /// plan-compiling trainer records a view that kept the original graph
+    /// over this set, so every view binds the same number of supports.
     fn support_template(&self) -> Option<&SupportSet> {
         None
     }
@@ -100,20 +101,11 @@ pub trait Backbone {
     /// replay passes. `x` seeds the primary recording.
     fn compile_forward(&self, store: &ParamStore, x: &Tensor) -> ExecPlan {
         ExecPlan::compile_poly(x.shape()[0], |b| {
-            let tape = Tape::new();
-            let (inputs, outputs, bindings) = {
-                let mut sess = Session::new(&tape, store);
+            Recording::forward(store, |sess| {
                 let xv = sess.input(x.at_batch(b));
-                let pred = self.forward(&mut sess, xv);
-                (vec![xv.index()], vec![pred.index()], sess.into_bindings())
-            };
-            Recording {
-                tape,
-                root: None,
-                inputs,
-                outputs,
-                bindings,
-            }
+                let pred = self.forward(sess, xv);
+                (vec![xv], vec![pred])
+            })
         })
     }
 
@@ -150,6 +142,16 @@ pub(crate) fn zero_state<'t>(sess: &mut Session<'t, '_>, x: Var<'t>, hidden: usi
     x0.matmul(sess.input(Tensor::zeros(&[c, hidden])))
 }
 
+/// The supports an encode diffuses over: the caller's, for a perturbed
+/// graph (see [`Backbone::encode_perturbed`]), else `own` recorded once.
+pub(crate) fn diffusion_supports<'t>(
+    sess: &Session<'t, '_>,
+    own: &SupportSet,
+    perturbed: Option<&[Var<'t>]>,
+) -> Vec<Var<'t>> {
+    perturbed.map_or_else(|| record_supports(sess, own), <[Var<'t>]>::to_vec)
+}
+
 /// Boxed backbones forward the whole contract, so a type-erased
 /// `Box<dyn Backbone + Send + Sync>` (the multi-tenant serving registry's
 /// element type) is itself a [`Backbone`].
@@ -170,7 +172,7 @@ impl<B: Backbone + ?Sized> Backbone for Box<B> {
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: Option<&[Var<'t>]>,
     ) -> Var<'t> {
         (**self).encode_perturbed(sess, x, supports)
     }

@@ -4,7 +4,9 @@
 //! sampling reduces to a per-node readout; we document that simplification
 //! in DESIGN.md.
 
-use crate::backbone::{decoder::MlpDecoder, zero_state, Backbone, BackboneConfig};
+use crate::backbone::{
+    decoder::MlpDecoder, diffusion_supports, zero_state, Backbone, BackboneConfig,
+};
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_nn::gru::DcGruCell;
 use urcl_nn::linear::Linear;
@@ -14,6 +16,9 @@ use urcl_tensor::{ParamStore, Rng};
 /// DCRNN: DCGRU encoder + per-node MLP readout.
 pub struct Dcrnn {
     cfg: BackboneConfig,
+    /// The sensor graph's diffusion supports, which every gate of every
+    /// step diffuses over.
+    supports: SupportSet,
     cell: DcGruCell,
     latent_head: Linear,
     decoder: MlpDecoder,
@@ -29,11 +34,19 @@ impl Dcrnn {
         k_diffusion: usize,
     ) -> Self {
         let supports = SupportSet::diffusion(net, k_diffusion);
-        let cell = DcGruCell::new(store, rng, "dcrnn.cell", cfg.channels, cfg.hidden, supports);
+        let cell = DcGruCell::new(
+            store,
+            rng,
+            "dcrnn.cell",
+            cfg.channels,
+            cfg.hidden,
+            supports.len(),
+        );
         let latent_head = Linear::new(store, rng, "dcrnn.latent", cfg.hidden, cfg.latent, true);
         let decoder = MlpDecoder::new(store, rng, "dcrnn.dec", cfg.latent, 64, cfg.horizon);
         Self {
             cfg,
+            supports,
             cell,
             latent_head,
             decoder,
@@ -51,7 +64,7 @@ impl Backbone for Dcrnn {
     }
 
     fn support_template(&self) -> Option<&SupportSet> {
-        Some(self.cell.supports())
+        Some(&self.supports)
     }
 
     fn encode<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
@@ -62,14 +75,15 @@ impl Backbone for Dcrnn {
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: Option<&[Var<'t>]>,
     ) -> Var<'t> {
         self.check_input(&x);
         let [b, m, n, c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
+        let supports = diffusion_supports(sess, &self.supports, supports);
         let mut h = zero_state(sess, x, self.cfg.hidden);
         for t in 0..m {
             let xt = x.narrow(1, t, 1).reshape(&[b, n, c]);
-            h = self.cell.step(sess, xt, h, supports);
+            h = self.cell.step(sess, xt, h, &supports);
         }
         self.latent_head.forward(sess, h).relu()
     }

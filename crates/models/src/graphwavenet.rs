@@ -3,7 +3,7 @@
 //! (gated dilated TCN → diffusion GCN with residual, Eq. 18), a latent
 //! head, and a stacked feed-forward decoder (Eq. 27).
 
-use crate::backbone::{decoder::MlpDecoder, Backbone, BackboneConfig};
+use crate::backbone::{decoder::MlpDecoder, diffusion_supports, Backbone, BackboneConfig};
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_nn::gcn::{AdaptiveAdjacency, DiffusionGcn};
 use urcl_nn::linear::Linear;
@@ -58,6 +58,9 @@ struct StLayer {
 /// The GraphWaveNet backbone (the URCL default).
 pub struct GraphWaveNet {
     cfg: GwnConfig,
+    /// The sensor graph's diffusion supports, which every layer's GCN
+    /// diffuses over.
+    supports: SupportSet,
     input_proj: Linear,
     layers: Vec<StLayer>,
     adaptive: Option<AdaptiveAdjacency>,
@@ -88,7 +91,7 @@ impl GraphWaveNet {
                     &format!("gwn.l{i}.gcn"),
                     h,
                     h,
-                    supports.clone(),
+                    supports.len(),
                     cfg.adaptive,
                 ),
             })
@@ -107,17 +110,13 @@ impl GraphWaveNet {
         );
         Self {
             cfg,
+            supports,
             input_proj,
             layers,
             adaptive,
             latent_head,
             decoder,
         }
-    }
-
-    /// The GraphWaveNet-specific configuration.
-    pub fn gwn_config(&self) -> &GwnConfig {
-        &self.cfg
     }
 }
 
@@ -130,10 +129,8 @@ impl Backbone for GraphWaveNet {
         &self.cfg.base
     }
 
-    // Every StLayer's gcn is built from one cloned SupportSet, so the
-    // first layer's supports are the template for all of them.
     fn support_template(&self) -> Option<&SupportSet> {
-        self.layers.first().map(|l| l.gcn.supports())
+        Some(&self.supports)
     }
 
     fn encode<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
@@ -144,11 +141,12 @@ impl Backbone for GraphWaveNet {
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: Option<&[Var<'t>]>,
     ) -> Var<'t> {
         self.check_input(&x);
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = self.cfg.base.hidden;
+        let supports = diffusion_supports(sess, &self.supports, supports);
 
         // Receptive field: the one position the stack leaves reads the
         // last `receptive_span() + 1 = 2^layers` steps, so no layer sees
@@ -175,13 +173,11 @@ impl Backbone for GraphWaveNet {
                 .permute(&[0, 1, 3, 4, 2])
                 .reshape(&[b * t_len * n, 2 * h]);
             let conv_out = layer.tcn.forward(sess, taps); // [B·T/2·N, h]
-                                                          // Spatial: diffusion GCN per time step (over the perturbed
-                                                          // graph when the augmentations supply one).
+
+            // Spatial: diffusion GCN per time step (over the perturbed
+            // graph when the augmentations supply one).
             let spatial_in = conv_out.reshape(&[b * t_len, n, h]);
-            let gcn_out = layer
-                .gcn
-                .forward_with(sess, spatial_in, adj, supports)
-                .relu();
+            let gcn_out = layer.gcn.forward(sess, spatial_in, &supports, adj).relu();
             // Residual: the pair's later element, the step the dilated
             // conv's output is aligned to.
             let residual = pairs.narrow(2, 1, 1).reshape(&[b, t_len, n, h]);
@@ -202,6 +198,7 @@ impl Backbone for GraphWaveNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use urcl_nn::gcn::record_supports;
     use urcl_tensor::autodiff::Tape;
     use urcl_tensor::{Adam, Optimizer, Tensor};
 
@@ -237,8 +234,9 @@ mod tests {
         model: &GraphWaveNet,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: &SupportSet,
     ) -> Var<'t> {
+        let supports = record_supports(sess, supports);
         let [b, m, n, _c] = <[usize; 4]>::try_from(x.shape()).expect("4-D input");
         let h = model.cfg.base.hidden;
         let mut t_len = model.cfg.receptive_span() + 1;
@@ -257,10 +255,7 @@ mod tests {
                 .concat(&[tap(0), tap(dilation)], 4)
                 .reshape(&[b * t_out * n, 2 * h]);
             let spatial_in = layer.tcn.forward(sess, taps).reshape(&[b * t_out, n, h]);
-            let gcn_out = layer
-                .gcn
-                .forward_with(sess, spatial_in, adj, supports)
-                .relu();
+            let gcn_out = layer.gcn.forward(sess, spatial_in, &supports, adj).relu();
             let residual = feat.narrow(1, t_len - t_out, t_out);
             feat = gcn_out.reshape(&[b, t_out, n, h]).add(residual);
             t_len = t_out;
@@ -299,9 +294,10 @@ mod tests {
                         let mut sess = Session::new(&tape, &store);
                         let xv = sess.input(x.clone());
                         let latent = if dense {
-                            dense_encode(&model, &mut sess, xv, supports)
+                            dense_encode(&model, &mut sess, xv, supports.unwrap_or(&model.supports))
                         } else {
-                            model.encode_perturbed(&mut sess, xv, supports)
+                            let perturbed = supports.map(|s| record_supports(&sess, s));
+                            model.encode_perturbed(&mut sess, xv, perturbed.as_deref())
                         };
                         model.decode(&mut sess, latent).value()
                     };

@@ -48,12 +48,28 @@ impl AdaptiveAdjacency {
     }
 }
 
-/// Diffusion graph convolution over a fixed [`SupportSet`] plus an
-/// optional adaptive adjacency:
+/// Records every support of `supports` on the session's tape as one
+/// `[N, N]` constant, in [`SupportSet::all`] order: the form
+/// [`DiffusionGcn::forward`] and [`crate::gru::DcGruCell::step`] diffuse
+/// over. A model records its graph once per encode and hands the same
+/// variables to every layer.
+pub fn record_supports<'t>(sess: &Session<'t, '_>, supports: &SupportSet) -> Vec<Var<'t>> {
+    supports
+        .all()
+        .into_iter()
+        .map(|p| sess.input(p.clone()))
+        .collect()
+}
+
+/// Diffusion graph convolution over the diffusion supports its caller
+/// records, plus an optional adaptive adjacency:
 ///
 /// `f(X) = X W₀ + Σ_s (P_s X) W_s [+ (Ã_adp X) W_adp] + b`
 ///
 /// This is Eq. 24 with the K-step power series baked into the support set.
+/// The layer owns only weights: the supports `P_s` are a forward argument
+/// ([`record_supports`] of the model's graph, or of a perturbed one), so
+/// every layer of a model reads the same recorded matrices.
 /// Inputs are `[B, N, C_in]` (or `[B*T, N, C_in]` when applied per time
 /// step); outputs keep the leading axes with `C_out` channels. Activation
 /// is left to the caller.
@@ -63,33 +79,27 @@ pub struct DiffusionGcn {
     w_supports: Vec<ParamId>,
     w_adaptive: Option<ParamId>,
     bias: ParamId,
-    supports: SupportSet,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl DiffusionGcn {
-    /// The construction-time diffusion supports this layer diffuses over
-    /// when no override is passed. Backbones expose these as the support
-    /// template for plan input binding.
-    pub fn supports(&self) -> &SupportSet {
-        &self.supports
-    }
-
-    /// Builds the layer. Pass `adaptive = true` to include the learned
-    /// adjacency term (requires a separate [`AdaptiveAdjacency`] whose
-    /// matrix is handed to [`Self::forward`]).
+    /// Builds the layer with one weight per diffusion support
+    /// (`num_supports`, a [`SupportSet`]'s `len()`). Pass
+    /// `adaptive = true` to include the learned adjacency term (requires
+    /// a separate [`AdaptiveAdjacency`] whose matrix is handed to
+    /// [`Self::forward`]).
     pub fn new(
         store: &mut ParamStore,
         rng: &mut Rng,
         name: &str,
         in_dim: usize,
         out_dim: usize,
-        supports: SupportSet,
+        num_supports: usize,
         adaptive: bool,
     ) -> Self {
         let w_self = store.add(format!("{name}.w0"), rng.glorot(&[in_dim, out_dim]));
-        let w_supports = (0..supports.len())
+        let w_supports = (0..num_supports)
             .map(|i| store.add(format!("{name}.w{}", i + 1), rng.glorot(&[in_dim, out_dim])))
             .collect();
         let w_adaptive =
@@ -100,7 +110,6 @@ impl DiffusionGcn {
             w_supports,
             w_adaptive,
             bias,
-            supports,
             in_dim,
             out_dim,
         }
@@ -116,44 +125,26 @@ impl DiffusionGcn {
         self.out_dim
     }
 
-    /// Whether the layer expects an adaptive adjacency at forward time.
-    pub fn wants_adaptive(&self) -> bool {
-        self.w_adaptive.is_some()
-    }
-
-    /// `x: [.., N, C_in] -> [.., N, C_out]`. `adaptive` must be `Some`
-    /// exactly when the layer was built with `adaptive = true`.
+    /// `x: [.., N, C_in] -> [.., N, C_out]`, diffusing over `supports`
+    /// (one `[N, N]` variable per support weight, in the order the layer
+    /// was built for). `adaptive` must be `Some` exactly when the layer
+    /// was built with `adaptive = true`.
     pub fn forward<'t>(
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
+        supports: &[Var<'t>],
         adaptive: Option<Var<'t>>,
-    ) -> Var<'t> {
-        self.forward_with(sess, x, adaptive, None)
-    }
-
-    /// Like [`Self::forward`] but diffusing over `override_supports`
-    /// instead of the construction-time supports. Used by the
-    /// spatio-temporal augmentations, which perturb the sensor graph; the
-    /// override must have the same support count (same `K`, same
-    /// directedness) so the per-support weights still line up.
-    pub fn forward_with<'t>(
-        &self,
-        sess: &mut Session<'t, '_>,
-        x: Var<'t>,
-        adaptive: Option<Var<'t>>,
-        override_supports: Option<&SupportSet>,
     ) -> Var<'t> {
         assert_eq!(
             adaptive.is_some(),
             self.w_adaptive.is_some(),
             "adaptive adjacency presence mismatch"
         );
-        let supports = override_supports.unwrap_or(&self.supports);
         assert_eq!(
             supports.len(),
-            self.supports.len(),
-            "override support count mismatch"
+            self.w_supports.len(),
+            "support count mismatch"
         );
         let w_self = sess.param(self.w_self);
         let bias = sess.param(self.bias);
@@ -161,11 +152,8 @@ impl DiffusionGcn {
         // Self term.
         let mut out = linear_term(x, w_self, self.in_dim, self.out_dim);
 
-        // Fixed diffusion supports, registered as named input slots so a
-        // plan-compiling caller can promote them to per-replay inputs
-        // (one compiled plan per architecture, any augmentation draw).
-        for (p, &wid) in supports.all().iter().zip(&self.w_supports) {
-            let pv = sess.slot_input("support", (*p).clone());
+        // Diffusion supports.
+        for (&pv, &wid) in supports.iter().zip(&self.w_supports) {
             let px = pv.matmul(x); // [N,N] @ [.., N, C] broadcast
             let w = sess.param(wid);
             out = out.add(linear_term(px, w, self.in_dim, self.out_dim));
@@ -200,11 +188,12 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(1);
         let supports = SupportSet::diffusion(&path3(), 2);
-        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 4, 8, supports, false);
+        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 4, 8, supports.len(), false);
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
         let x = sess.input(Tensor::ones(&[5, 3, 4]));
-        let y = gcn.forward(&mut sess, x, None);
+        let sv = record_supports(&sess, &supports);
+        let y = gcn.forward(&mut sess, x, &sv, None);
         assert_eq!(y.shape(), vec![5, 3, 8]);
     }
 
@@ -215,7 +204,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(2);
         let supports = SupportSet::diffusion(&path3(), 1);
-        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 1, 1, supports, false);
+        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 1, 1, supports.len(), false);
         // w0 = 0 so only the diffusion term contributes; w1 = 1.
         *store.value_mut(gcn.w_self) = Tensor::zeros(&[1, 1]);
         *store.value_mut(gcn.w_supports[0]) = Tensor::ones(&[1, 1]);
@@ -223,7 +212,8 @@ mod tests {
         let mut sess = Session::new(&tape, &store);
         // Only node 0 carries signal.
         let x = sess.input(Tensor::from_vec(vec![1.0, 0.0, 0.0], &[1, 3, 1]));
-        let y = gcn.forward(&mut sess, x, None).value();
+        let sv = record_supports(&sess, &supports);
+        let y = gcn.forward(&mut sess, x, &sv, None).value();
         // P row 1 has weight on node 0, so node 1 receives signal.
         assert!(y.data()[1] > 0.0, "neighbour did not receive signal: {y:?}");
         // Node 2 is two hops away; with K=1 it receives nothing.
@@ -252,13 +242,14 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4);
         let supports = SupportSet::diffusion(&path3(), 2);
         let adp = AdaptiveAdjacency::new(&mut store, &mut rng, "a", 3, 2);
-        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 2, 2, supports, true);
+        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 2, 2, supports.len(), true);
         store.zero_grads();
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
         let x = sess.input(rng.normal_tensor(&[2, 3, 2], 0.0, 1.0));
         let adj = adp.adjacency(&mut sess);
-        let y = gcn.forward(&mut sess, x, Some(adj));
+        let sv = record_supports(&sess, &supports);
+        let y = gcn.forward(&mut sess, x, &sv, Some(adj));
         let loss = y.powf(2.0).mean_all();
         let grads = tape.backward(loss);
         let binds = sess.into_bindings();
@@ -279,10 +270,11 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(5);
         let supports = SupportSet::diffusion(&path3(), 1);
-        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 2, 2, supports, true);
+        let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 2, 2, supports.len(), true);
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
         let x = sess.input(Tensor::ones(&[1, 3, 2]));
-        let _ = gcn.forward(&mut sess, x, None);
+        let sv = record_supports(&sess, &supports);
+        let _ = gcn.forward(&mut sess, x, &sv, None);
     }
 }

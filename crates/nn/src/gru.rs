@@ -4,7 +4,6 @@
 
 use crate::gcn::DiffusionGcn;
 use crate::linear::Linear;
-use urcl_graph::SupportSet;
 use urcl_tensor::autodiff::{Session, Var};
 use urcl_tensor::{ParamStore, Rng};
 
@@ -14,7 +13,6 @@ pub struct GruCell {
     update: Linear,
     reset: Linear,
     candidate: Linear,
-    hidden: usize,
 }
 
 impl GruCell {
@@ -31,13 +29,7 @@ impl GruCell {
             update: Linear::new(store, rng, &format!("{name}.z"), cat, hidden, true),
             reset: Linear::new(store, rng, &format!("{name}.r"), cat, hidden, true),
             candidate: Linear::new(store, rng, &format!("{name}.c"), cat, hidden, true),
-            hidden,
         }
-    }
-
-    /// Hidden size.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
     }
 
     /// One step: `(x: [B, C], h: [B, H]) -> h': [B, H]`.
@@ -54,89 +46,60 @@ impl GruCell {
 }
 
 /// DCGRU cell: GRU gates computed by diffusion graph convolution, state
-/// kept per node. Inputs `[B, N, C]`, state `[B, N, H]`.
+/// kept per node. Inputs `[B, N, C]`, state `[B, N, H]`. Like
+/// [`DiffusionGcn`], the cell holds weights only: every step takes the
+/// supports its gates diffuse over.
 #[derive(Debug, Clone)]
 pub struct DcGruCell {
     update: DiffusionGcn,
     reset: DiffusionGcn,
     candidate: DiffusionGcn,
-    hidden: usize,
 }
 
 impl DcGruCell {
-    /// Builds a cell whose gates diffuse over `supports`.
+    /// Builds a cell whose gates diffuse over `num_supports` supports.
     pub fn new(
         store: &mut ParamStore,
         rng: &mut Rng,
         name: &str,
         input: usize,
         hidden: usize,
-        supports: SupportSet,
+        num_supports: usize,
     ) -> Self {
         let cat = input + hidden;
+        let gate = |store: &mut ParamStore, rng: &mut Rng, g: &str| {
+            DiffusionGcn::new(
+                store,
+                rng,
+                &format!("{name}.{g}"),
+                cat,
+                hidden,
+                num_supports,
+                false,
+            )
+        };
         Self {
-            update: DiffusionGcn::new(
-                store,
-                rng,
-                &format!("{name}.z"),
-                cat,
-                hidden,
-                supports.clone(),
-                false,
-            ),
-            reset: DiffusionGcn::new(
-                store,
-                rng,
-                &format!("{name}.r"),
-                cat,
-                hidden,
-                supports.clone(),
-                false,
-            ),
-            candidate: DiffusionGcn::new(
-                store,
-                rng,
-                &format!("{name}.c"),
-                cat,
-                hidden,
-                supports,
-                false,
-            ),
-            hidden,
+            update: gate(store, rng, "z"),
+            reset: gate(store, rng, "r"),
+            candidate: gate(store, rng, "c"),
         }
     }
 
-    /// Hidden size per node.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    /// The construction-time supports every gate diffuses over when
-    /// [`Self::step`] gets no override.
-    pub fn supports(&self) -> &SupportSet {
-        self.update.supports()
-    }
-
-    /// One step: `(x: [B, N, C], h: [B, N, H]) -> h': [B, N, H]`. Every
-    /// gate diffuses over `supports` when given (a perturbed graph with
-    /// the construction-time support count, see
-    /// [`DiffusionGcn::forward_with`]), else over its own supports.
+    /// One step: `(x: [B, N, C], h: [B, N, H]) -> h': [B, N, H]`, every
+    /// gate diffusing over `supports` (see [`DiffusionGcn::forward`]).
     pub fn step<'t>(
         &self,
         sess: &mut Session<'t, '_>,
         x: Var<'t>,
         h: Var<'t>,
-        supports: Option<&SupportSet>,
+        supports: &[Var<'t>],
     ) -> Var<'t> {
         let tape = sess.tape();
         let xh = tape.concat(&[x, h], 2);
-        let z = self.update.forward_with(sess, xh, None, supports).sigmoid();
-        let r = self.reset.forward_with(sess, xh, None, supports).sigmoid();
+        let z = self.update.forward(sess, xh, supports, None).sigmoid();
+        let r = self.reset.forward(sess, xh, supports, None).sigmoid();
         let xrh = tape.concat(&[x, r.mul(h)], 2);
-        let c = self
-            .candidate
-            .forward_with(sess, xrh, None, supports)
-            .tanh();
+        let c = self.candidate.forward(sess, xrh, supports, None).tanh();
         z.mul(h).add(z.neg().add_scalar(1.0).mul(c))
     }
 }
@@ -144,7 +107,8 @@ impl DcGruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urcl_graph::SensorNetwork;
+    use crate::gcn::record_supports;
+    use urcl_graph::{SensorNetwork, SupportSet};
     use urcl_tensor::autodiff::Tape;
     use urcl_tensor::Tensor;
 
@@ -191,12 +155,13 @@ mod tests {
         let net =
             SensorNetwork::from_edges(3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
         let supports = SupportSet::diffusion(&net, 2);
-        let cell = DcGruCell::new(&mut store, &mut rng, "d", 2, 4, supports);
+        let cell = DcGruCell::new(&mut store, &mut rng, "d", 2, 4, supports.len());
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
         let x = sess.input(rng.normal_tensor(&[2, 3, 2], 0.0, 1.0));
         let h = sess.input(Tensor::zeros(&[2, 3, 4]));
-        let h1 = cell.step(&mut sess, x, h, None);
+        let sv = record_supports(&sess, &supports);
+        let h1 = cell.step(&mut sess, x, h, &sv);
         assert_eq!(h1.shape(), vec![2, 3, 4]);
     }
 
@@ -206,14 +171,15 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4);
         let net = SensorNetwork::from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         let supports = SupportSet::diffusion(&net, 1);
-        let cell = DcGruCell::new(&mut store, &mut rng, "d", 1, 3, supports);
+        let cell = DcGruCell::new(&mut store, &mut rng, "d", 1, 3, supports.len());
         store.zero_grads();
         let tape = Tape::new();
         let mut sess = Session::new(&tape, &store);
+        let sv = record_supports(&sess, &supports);
         let mut h = sess.input(Tensor::zeros(&[1, 2, 3]));
         for step in 0..4 {
             let x = sess.input(rng.normal_tensor(&[1, 2, 1], step as f32, 1.0));
-            h = cell.step(&mut sess, x, h, None);
+            h = cell.step(&mut sess, x, h, &sv);
         }
         let grads = tape.backward(h.powf(2.0).mean_all());
         let binds = sess.into_bindings();

@@ -12,6 +12,7 @@
 //! the tensor crate's own checks.
 
 use urcl_graph::{cheb_polynomials, random_geometric, scaled_laplacian, SupportSet};
+use urcl_nn::gcn::record_supports;
 use urcl_nn::linear::Activation;
 use urcl_nn::{
     AdaptiveAdjacency, Attention, ChebGcn, Conv1dLayer, DcGruCell, DiffusionGcn, GatedTcn, GruCell,
@@ -202,24 +203,28 @@ fn diffusion_gcn_input_and_param_grads() {
     let mut rng = Rng::seed_from_u64(9);
     let net = random_geometric(5, 0.9, &mut rng);
     let supports = SupportSet::diffusion(&net, 2);
-    let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 3, 2, supports, false);
+    let gcn = DiffusionGcn::new(&mut store, &mut rng, "g", 3, 2, supports.len(), false);
     let x = rand_t(&[2, 5, 3], 10);
     {
         let store = &store;
         let gcn = &gcn;
+        let supports = &supports;
         check_scalar(&x, EPS, |t, v| {
             let mut sess = Session::new(t, store);
-            gcn.forward(&mut sess, v, None).powf(2.0).sum_all()
+            let sv = record_supports(&sess, supports);
+            gcn.forward(&mut sess, v, &sv, None).powf(2.0).sum_all()
         })
         .assert_close(TOL);
     }
     for pname in ["g.w0", "g.b"] {
         let x = x.clone();
         let gcn = gcn.clone();
+        let supports = supports.clone();
         check_param(&mut store, pname, EPS, TOL, move |t, s| {
             let mut sess = Session::new(t, s);
             let v = sess.input(x.clone());
-            let loss = gcn.forward(&mut sess, v, None).powf(2.0).sum_all();
+            let sv = record_supports(&sess, &supports);
+            let loss = gcn.forward(&mut sess, v, &sv, None).powf(2.0).sum_all();
             (loss, sess.into_bindings())
         });
     }
@@ -290,15 +295,17 @@ fn dcgru_cell_input_and_param_grads() {
     let mut rng = Rng::seed_from_u64(15);
     let net = random_geometric(4, 0.9, &mut rng);
     let supports = SupportSet::diffusion(&net, 1);
-    let cell = DcGruCell::new(&mut store, &mut rng, "d", 2, 3, supports);
+    let cell = DcGruCell::new(&mut store, &mut rng, "d", 2, 3, supports.len());
     let x = rand_t(&[2, 4, 2], 16);
     {
         let store = &store;
         let cell = &cell;
+        let supports = &supports;
         check_scalar(&x, EPS, |t, v| {
             let mut sess = Session::new(t, store);
             let h0 = sess.input(Tensor::zeros(&[2, 4, 3]));
-            cell.step(&mut sess, v, h0, None).powf(2.0).sum_all()
+            let sv = record_supports(&sess, supports);
+            cell.step(&mut sess, v, h0, &sv).powf(2.0).sum_all()
         })
         .assert_close(TOL);
     }
@@ -307,7 +314,8 @@ fn dcgru_cell_input_and_param_grads() {
         let mut sess = Session::new(t, s);
         let v = sess.input(x.clone());
         let h0 = sess.input(Tensor::zeros(&[2, 4, 3]));
-        let loss = cell2.step(&mut sess, v, h0, None).powf(2.0).sum_all();
+        let sv = record_supports(&sess, &supports);
+        let loss = cell2.step(&mut sess, v, h0, &sv).powf(2.0).sum_all();
         (loss, sess.into_bindings())
     });
 }

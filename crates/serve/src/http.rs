@@ -898,48 +898,46 @@ fn window_from_json(v: &Value) -> Result<Tensor, String> {
     let steps = v
         .as_array()
         .ok_or("\"window\" must be an [M][N][C] nested array")?;
-    if steps.is_empty() {
-        return Err("\"window\" has zero time steps".to_string());
+    fn nodes_of(i: usize, step: &Value) -> Result<&[Value], String> {
+        step.as_array()
+            .ok_or_else(|| format!("window step {i} is not an array of nodes"))
     }
-    let mut flat = Vec::new();
-    let (mut nodes, mut channels) = (0usize, 0usize);
-    for (i, step) in steps.iter().enumerate() {
-        let row = step
-            .as_array()
-            .ok_or_else(|| format!("window step {i} is not an array of nodes"))?;
-        if i == 0 {
-            nodes = row.len();
-            if nodes == 0 {
-                return Err("\"window\" has zero nodes".to_string());
-            }
-        } else if row.len() != nodes {
+    fn channels_of(i: usize, j: usize, node: &Value) -> Result<&[Value], String> {
+        node.as_array()
+            .ok_or_else(|| format!("window[{i}][{j}] is not an array of channels"))
+    }
+    // Step 0 and its node 0 fix the [M, N, C] geometry.
+    let first = nodes_of(0, steps.first().ok_or("\"window\" has zero time steps")?)?;
+    let nodes = first.len();
+    let channels = channels_of(0, 0, first.first().ok_or("\"window\" has zero nodes")?)?.len();
+    if channels == 0 {
+        return Err("\"window\" has zero channels".to_string());
+    }
+    let mut window = Tensor::zeros(&[steps.len(), nodes, channels]);
+    let step_cells = window.data_mut().chunks_exact_mut(nodes * channels);
+    for (i, (step, cells)) in steps.iter().zip(step_cells).enumerate() {
+        let row = nodes_of(i, step)?;
+        if row.len() != nodes {
             return Err(format!(
                 "window step {i} has {} nodes, step 0 has {nodes}",
                 row.len()
             ));
         }
-        for (j, node) in row.iter().enumerate() {
-            let vals = node
-                .as_array()
-                .ok_or_else(|| format!("window[{i}][{j}] is not an array of channels"))?;
-            if i == 0 && j == 0 {
-                channels = vals.len();
-                if channels == 0 {
-                    return Err("\"window\" has zero channels".to_string());
-                }
-            } else if vals.len() != channels {
+        for (j, (node, cells)) in row.iter().zip(cells.chunks_exact_mut(channels)).enumerate() {
+            let vals = channels_of(i, j, node)?;
+            if vals.len() != channels {
                 return Err(format!(
                     "window[{i}][{j}] has {} channels, [0][0] has {channels}",
                     vals.len()
                 ));
             }
-            for (k, x) in vals.iter().enumerate() {
+            for (k, (x, cell)) in vals.iter().zip(cells).enumerate() {
                 let x = x
                     .as_f64()
                     .ok_or_else(|| format!("window[{i}][{j}][{k}] is not a number"))?;
-                flat.push(x as f32);
+                *cell = x as f32;
             }
         }
     }
-    Ok(Tensor::from_vec(flat, &[steps.len(), nodes, channels]))
+    Ok(window)
 }

@@ -163,11 +163,6 @@ impl Shard {
         st.queue.drain(..take).collect()
     }
 
-    /// Current queue depth (diagnostics).
-    pub(crate) fn depth(&self) -> usize {
-        self.lock().queue.len()
-    }
-
     /// Deepest observed queue depth.
     pub(crate) fn peak_depth(&self) -> usize {
         self.lock().peak_depth

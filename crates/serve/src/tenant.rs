@@ -293,8 +293,13 @@ impl TenantCore {
     }
 
     fn reload(&self, force: bool) -> Result<bool, ServeError> {
+        // One reload at a time: holding the fingerprint from the check to
+        // the publish gives every published snapshot its own generation
+        // (the response cache keys forecasts by it), and a reload that
+        // waited here sees the fingerprint the one before it published.
+        let mut seen = lock(&self.fingerprint);
         let fingerprint = self.source.fingerprint();
-        if !force && fingerprint.is_some() && *lock(&self.fingerprint) == fingerprint {
+        if !force && fingerprint.is_some() && *seen == fingerprint {
             return Ok(false);
         }
         let _sp = urcl_trace::span("serve_reload");
@@ -303,12 +308,15 @@ impl TenantCore {
             ModelSnapshot::from_checkpoint(&ckpt, &self.template, generation)
                 .map_err(|e| urcl_core::PersistError::Format(e.to_string()))
         });
+        // A torn or bad fingerprint is remembered too, so the poller does
+        // not retry identical bytes every tick; the old snapshot keeps
+        // serving.
+        *seen = fingerprint;
         match loaded {
             Ok(snapshot) => {
                 let generation = snapshot.generation();
                 self.generation.store(generation, Ordering::Relaxed);
                 *lock(&self.snapshot) = Some(Arc::new(snapshot));
-                *lock(&self.fingerprint) = fingerprint;
                 if let Some(cache) = &self.cache {
                     // Forecasts from older snapshots must never be
                     // served again; in-flight entries survive so their
@@ -323,10 +331,6 @@ impl TenantCore {
                 Ok(true)
             }
             Err(e) => {
-                // Remember the torn/bad fingerprint so the poller does
-                // not retry identical bytes every tick; the old snapshot
-                // keeps serving.
-                *lock(&self.fingerprint) = fingerprint;
                 self.stats.reload_failures.fetch_add(1, Ordering::Relaxed);
                 if urcl_trace::enabled() {
                     urcl_trace::counter_inc("serve.reload_failures");
@@ -630,11 +634,6 @@ impl TenantClient {
         self.core.shards.len()
     }
 
-    /// Current per-shard queue depths (diagnostics).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.core.shards.iter().map(|s| s.depth()).collect()
-    }
-
     /// Deepest queue depth each shard has seen; never exceeds the
     /// configured `queue_bound` (property-tested).
     pub fn peak_queue_depths(&self) -> Vec<usize> {
@@ -826,19 +825,6 @@ impl Tenants {
     /// Hot-swaps one tenant's snapshot from its checkpoint directory.
     pub fn reload_now(&self, tenant: &str) -> Result<bool, ServeError> {
         self.client(tenant)?.reload_now()
-    }
-
-    /// Checks every tenant's checkpoint directory; returns how many
-    /// tenants swapped.
-    pub fn reload_all(&self) -> usize {
-        let clients: Vec<TenantClient> = {
-            let map = self.map.read().unwrap_or_else(|e| e.into_inner());
-            map.values().map(TenantRuntime::client).collect()
-        };
-        clients
-            .iter()
-            .filter(|c| matches!(c.reload_now(), Ok(true)))
-            .count()
     }
 
     /// Counters for one tenant.

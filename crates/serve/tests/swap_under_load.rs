@@ -4,7 +4,7 @@
 //! never a mix), swapping A never perturbs B, torn-latest falls back per
 //! tenant independently, and a hot-swap purges A's response cache.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
@@ -276,4 +276,35 @@ fn hot_swap_purges_response_cache() {
         "stale cached forecast served across a hot-swap"
     );
     assert_ne!(before.generation, after.generation);
+}
+
+/// Several `reload_now` calls racing on one publish load it once: exactly
+/// one returns `Ok(true)`, and the swap count and the generation each
+/// grow by one, so no two published snapshots share a generation.
+#[test]
+fn concurrent_reloads_publish_one_generation() {
+    let fx = SwapFx::new("race", DatasetConfig::metr_la(), 41, 42);
+    let registry = Tenants::new();
+    fx.add_to(&registry, "raced", false);
+    let client = registry.client("raced").unwrap();
+    for round in 0..3 {
+        let (swaps, generation) = (client.stats().swaps, client.generation().unwrap());
+        fx.publish(1 - round % 2);
+        let barrier = Barrier::new(4);
+        let swapped: Vec<bool> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        registry.reload_now("raced").expect("reload")
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let what = format!("round {round}: {swapped:?}");
+        assert_eq!(swapped.iter().filter(|&&s| s).count(), 1, "{what}");
+        assert_eq!(client.stats().swaps, swaps + 1, "{what}");
+        assert_eq!(client.generation(), Some(generation + 1), "{what}");
+    }
 }

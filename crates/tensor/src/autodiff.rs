@@ -238,13 +238,6 @@ impl Tape {
         self.nodes.borrow()[v.idx].value.clone()
     }
 
-    /// Clones the forward value of the node at `idx`. Index-based
-    /// counterpart of [`Tape::value`] for callers that hold node indices
-    /// (plan input slots) rather than live `Var`s.
-    pub fn value_at(&self, idx: usize) -> Tensor {
-        self.nodes.borrow()[idx].value.clone()
-    }
-
     /// The variable of the node at `idx`, for callers that hold node
     /// indices (a [`crate::plan::Recording`]'s root) rather than live
     /// `Var`s.
@@ -487,20 +480,10 @@ impl<'t> Var<'t> {
 /// Binds a [`ParamStore`] to a [`Tape`], memoizing one leaf node per
 /// parameter so that shared parameters (e.g. the STEncoder used by both the
 /// prediction head and STSimSiam) receive accumulated gradients.
-///
-/// Sessions also carry the **input-slot registry**: recording code can
-/// register a constant under a scoped name ([`Session::slot_input`]), and
-/// a plan-compiling caller can look those names up afterwards to promote
-/// the constants to per-replay plan inputs (graph supports, contrastive
-/// masks) instead of letting them be captured at compile time.
 pub struct Session<'t, 's> {
     tape: &'t Tape,
     store: &'s ParamStore,
     bindings: Vec<(ParamId, usize)>,
-    /// `(scoped name, node index)` in recording order.
-    slots: Vec<(String, usize)>,
-    /// Active scope names; joined with `.` to prefix slot names.
-    scope: Vec<String>,
 }
 
 impl<'t, 's> Session<'t, 's> {
@@ -510,8 +493,6 @@ impl<'t, 's> Session<'t, 's> {
             tape,
             store,
             bindings: Vec::new(),
-            slots: Vec::new(),
-            scope: Vec::new(),
         }
     }
 
@@ -537,62 +518,6 @@ impl<'t, 's> Session<'t, 's> {
     /// Registers input data as a constant variable.
     pub fn input(&self, value: Tensor) -> Var<'t> {
         self.tape.constant(value)
-    }
-
-    /// Pushes `name` onto the slot scope stack: until the matching
-    /// [`Session::pop_scope`], every [`Session::slot_input`] name is
-    /// prefixed with `name.` (scopes nest, outermost first).
-    pub fn push_scope(&mut self, name: &str) {
-        self.scope.push(name.to_string());
-    }
-
-    /// Pops the innermost slot scope pushed by [`Session::push_scope`].
-    pub fn pop_scope(&mut self) {
-        self.scope
-            .pop()
-            .expect("pop_scope without a matching push_scope");
-    }
-
-    /// Registers a constant like [`Session::input`] and records it in the
-    /// slot registry under `name`, prefixed by the active scopes. The
-    /// recorded graph is identical to a plain `input` call — slots only
-    /// add metadata that a plan compiler may use to bind this node per
-    /// replay instead of capturing its value.
-    pub fn slot_input(&mut self, name: &str, value: Tensor) -> Var<'t> {
-        let v = self.tape.constant(value);
-        let full = if self.scope.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{}", self.scope.join("."), name)
-        };
-        self.slots.push((full, v.idx));
-        v
-    }
-
-    /// All registered slots as `(scoped name, node index)`, in recording
-    /// order.
-    pub fn slots(&self) -> &[(String, usize)] {
-        &self.slots
-    }
-
-    /// Node indices of slots whose scoped name equals `name` exactly, in
-    /// recording order.
-    pub fn slot_nodes(&self, name: &str) -> Vec<usize> {
-        self.slots
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|&(_, idx)| idx)
-            .collect()
-    }
-
-    /// Node indices of slots whose scoped name starts with `prefix`, in
-    /// recording order.
-    pub fn slot_nodes_prefix(&self, prefix: &str) -> Vec<usize> {
-        self.slots
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|&(_, idx)| idx)
-            .collect()
     }
 
     /// Consumes the session, returning `(ParamId, node index)` bindings for

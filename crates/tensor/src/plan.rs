@@ -53,7 +53,7 @@
 //! `tests/plan_parity.rs` and the `bench_train_step` loss assertion pin
 //! this.
 
-use crate::autodiff::{Gradients, Op, Tape};
+use crate::autodiff::{Gradients, Op, Session, Tape, Var};
 use crate::backward::{op_inputs, BackwardSchedule, ForwardValues};
 use crate::forward::{self, exec_run, stage_of, Stage};
 use crate::params::{ParamId, ParamStore};
@@ -123,8 +123,9 @@ pub fn reset_plan_stats() {
 
 /// One recording of a plan's graph: the tape plus which of its nodes are
 /// substituted per replay, which are trainable parameters, and what the
-/// plan must produce. [`ExecPlan::compile`] compiles one;
-/// [`ExecPlan::compile_poly`] asks for one per batch size.
+/// plan must produce. [`Recording::training`] and [`Recording::forward`]
+/// record one through a [`Session`]; [`ExecPlan::compile`] compiles one
+/// and [`ExecPlan::compile_poly`] asks for one per batch size.
 pub struct Recording {
     /// The recorded tape.
     pub tape: Tape,
@@ -144,6 +145,61 @@ pub struct Recording {
     /// these leaves read the *current* value from the [`ParamStore`]
     /// passed at replay time.
     pub bindings: Vec<(ParamId, usize)>,
+}
+
+impl Recording {
+    /// Records a training graph on a fresh tape through a [`Session`]
+    /// over `store`. `build` records the graph and returns the variables
+    /// a replay substitutes, in replay order, and the scalar loss. The
+    /// code that records an input is thereby the code that lists it.
+    pub fn training(
+        store: &ParamStore,
+        build: impl for<'t> FnOnce(&mut Session<'t, '_>) -> (Vec<Var<'t>>, Var<'t>),
+    ) -> Recording {
+        Recording::record(store, |sess| {
+            let (inputs, loss) = build(sess);
+            (inputs, Some(loss), Vec::new())
+        })
+    }
+
+    /// Like [`Recording::training`], for a forward-only graph: `build`
+    /// returns the replayed inputs and the outputs a replay returns.
+    pub fn forward(
+        store: &ParamStore,
+        build: impl for<'t> FnOnce(&mut Session<'t, '_>) -> (Vec<Var<'t>>, Vec<Var<'t>>),
+    ) -> Recording {
+        Recording::record(store, |sess| {
+            let (inputs, outputs) = build(sess);
+            (inputs, None, outputs)
+        })
+    }
+
+    fn record(
+        store: &ParamStore,
+        build: impl for<'t> FnOnce(
+            &mut Session<'t, '_>,
+        ) -> (Vec<Var<'t>>, Option<Var<'t>>, Vec<Var<'t>>),
+    ) -> Recording {
+        let tape = Tape::new();
+        let (inputs, root, outputs, bindings) = {
+            let mut sess = Session::new(&tape, store);
+            let (inputs, root, outputs) = build(&mut sess);
+            let index = |vars: Vec<Var<'_>>| vars.iter().map(Var::index).collect::<Vec<_>>();
+            (
+                index(inputs),
+                root.map(|r| r.index()),
+                index(outputs),
+                sess.into_bindings(),
+            )
+        };
+        Recording {
+            tape,
+            root,
+            inputs,
+            outputs,
+            bindings,
+        }
+    }
 }
 
 /// Where a node's forward value comes from at replay time.
@@ -635,11 +691,6 @@ impl ExecPlan {
     /// True when the plan covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// True when the plan was compiled with a training root.
-    pub fn is_training(&self) -> bool {
-        self.backward.is_some()
     }
 
     /// Infers the symbolic batch size from the replay inputs' affine

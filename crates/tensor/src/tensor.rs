@@ -395,16 +395,6 @@ impl Tensor {
         }
     }
 
-    /// Maximum value over all elements.
-    pub fn max_all(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum value over all elements.
-    pub fn min_all(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
     // -------------------------------------------------------------- matmul
 
     /// Matrix product with NumPy-style batched broadcasting.

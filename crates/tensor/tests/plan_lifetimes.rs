@@ -297,7 +297,7 @@ fn gated_tcn_window_survives_pool_poisoning() {
 }
 
 /// Graph with a second, non-batch dynamic input: a `[d, d]` mixing mask
-/// standing in for the trainer's promoted augmentation slots (graph
+/// standing in for the trainer's per-step augmentation inputs (graph
 /// supports, contrastive masks). `x` is batch-led, `m` is not — exactly
 /// the mixed-input shape profile a poly plan must keep straight.
 fn build_masked<'t, 's>(

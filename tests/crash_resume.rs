@@ -51,10 +51,10 @@ impl World {
     }
 
     /// Like [`Self::new`], but with spatio-temporal augmentation
-    /// switchable (off is the paper's w/o_STA ablation). Augmentation no
-    /// longer decides the execution engine — augmented draws bind to
-    /// promoted plan-input slots — so both settings run compiled plans
-    /// when the plan engine is on.
+    /// switchable (off is the paper's w/o_STA ablation). Augmentation
+    /// does not decide the execution engine — augmented draws bind to
+    /// the step plan's inputs — so both settings replay the one step
+    /// plan.
     fn with_augmentation(init_seed: u64, augmentation: bool) -> Self {
         let mut cfg = DatasetConfig::metr_la().tiny();
         cfg.num_days = 3;

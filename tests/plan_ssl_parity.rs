@@ -2,19 +2,18 @@
 //! (task MAE + weighted GraphCL term over two augmentation draws) must
 //! produce bitwise-identical loss and parameter gradients whether it is
 //! recorded afresh and differentiated with `Tape::backward`, or replayed
-//! through ONE compiled batch-polymorphic plan whose promoted input slots
-//! (view tensors, per-view graph supports, contrastive masks) are rebound
-//! per draw.
+//! through ONE compiled batch-polymorphic plan whose inputs (view tensors,
+//! per-view graph supports, contrastive masks) are rebound per draw.
 //!
-//! The sweep churns augmentation draws, batch sizes (poly replay) and
+//! The sweep churns augmentation draws, batch sizes 1–5 (poly replay) and
 //! architectures (two models alternating) through one plan per
 //! architecture.
 
 use urcl::core::{Augmentation, AugmentedView, StSimSiam};
-use urcl::graph::{random_geometric, SupportSet};
+use urcl::graph::random_geometric;
 use urcl::models::{Backbone, GraphWaveNet, GwnConfig};
 use urcl::stdata::{stack_samples, Batch, Sample};
-use urcl::tensor::autodiff::{Session, Tape};
+use urcl::tensor::autodiff::Var;
 use urcl::tensor::{ExecPlan, ParamStore, Recording, Rng, Tensor};
 
 const SSL_WEIGHT: f32 = 0.05;
@@ -54,92 +53,70 @@ fn make_batch(rng: &mut Rng, b: usize) -> Batch {
     stack_samples(&samples)
 }
 
-/// Records the augmented step graph and collects the promoted input
-/// slots in the trainer's binding order: `[x, y, x1, x2, eye, off_mask,
-/// view-1 supports…, view-2 supports…]`. Returns the recording and the
-/// per-view support slot count.
-fn record_ssl(
-    arch: &Arch,
-    x: &Tensor,
-    y: &Tensor,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> (Recording, usize) {
-    let tape = Tape::new();
-    let (root, inputs, bindings, view_slots);
-    {
-        let mut sess = Session::new(&tape, &arch.store);
-        let xv = sess.input(x.clone());
-        let yv = sess.input(y.clone());
-        let x1 = sess.input(v1.x.clone());
-        let x2 = sess.input(v2.x.clone());
-        let mut ins = vec![xv.index(), yv.index(), x1.index(), x2.index()];
-        let task = arch.model.forward(&mut sess, xv).sub(yv).abs().mean_all();
+/// The step's inputs in replay order: `[x, y, x1, x2, eye, off_mask,
+/// single, view-1 supports…, view-2 supports…]`. A view that kept the
+/// original graph binds the model's own supports.
+fn ssl_inputs<'a>(
+    arch: &'a Arch,
+    batch: &'a Batch,
+    v1: &'a AugmentedView,
+    v2: &'a AugmentedView,
+    masks: &'a [Tensor; 3],
+) -> Vec<&'a Tensor> {
+    let template = arch
+        .model
+        .support_template()
+        .expect("GraphWaveNet supports");
+    let mut inputs = vec![&batch.x, &batch.y, &v1.x, &v2.x];
+    inputs.extend(masks);
+    for v in [v1, v2] {
+        inputs.extend(v.supports.as_ref().unwrap_or(template).all());
+    }
+    inputs
+}
+
+/// Records the augmented step graph over `inputs` (see [`ssl_inputs`]),
+/// which become the recording's plan inputs in that order.
+fn record_ssl(arch: &Arch, inputs: &[&Tensor]) -> Recording {
+    Recording::training(&arch.store, |sess| {
+        let vars: Vec<Var> = inputs.iter().map(|t| sess.input((*t).clone())).collect();
+        let task = arch
+            .model
+            .forward(sess, vars[0])
+            .sub(vars[1])
+            .abs()
+            .mean_all();
+        let (s1, s2) = vars[7..].split_at((vars.len() - 7) / 2);
         let ssl = arch.simsiam.loss_from_vars(
-            &mut sess,
+            sess,
             &arch.model,
-            x1,
-            v1.supports.as_ref(),
-            x2,
-            v2.supports.as_ref(),
+            [(vars[2], Some(s1)), (vars[3], Some(s2))],
+            [vars[4], vars[5], vars[6]],
         );
         let total = task.add(ssl.scale(SSL_WEIGHT));
-        ins.extend(sess.slot_nodes("ssl.eye"));
-        ins.extend(sess.slot_nodes("ssl.off_mask"));
-        let s1 = sess.slot_nodes_prefix("ssl.v1.");
-        let s2 = sess.slot_nodes_prefix("ssl.v2.");
-        assert_eq!(s1.len(), s2.len(), "view support slot counts differ");
-        view_slots = s1.len();
-        ins.extend(s1);
-        ins.extend(s2);
-        root = total.index();
-        inputs = ins;
-        bindings = sess.into_bindings();
-    }
-    let recording = Recording {
-        tape,
-        root: Some(root),
-        inputs,
-        outputs: Vec::new(),
-        bindings,
-    };
-    (recording, view_slots)
+        (vars, total)
+    })
 }
 
 /// Compiles one batch-polymorphic plan for the architecture's augmented
 /// step.
-fn compile_ssl(
-    arch: &Arch,
-    batch: &Batch,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> (ExecPlan, usize) {
-    let b0 = batch.x.shape()[0];
-    let mut view_slots = 0;
-    let plan = ExecPlan::compile_poly(b0, |b| {
-        let (rec, slots) = record_ssl(
-            arch,
-            &batch.x.at_batch(b),
-            &batch.y.at_batch(b),
-            &v1.at_batch(b),
-            &v2.at_batch(b),
-        );
-        view_slots = slots;
-        rec
-    });
-    (plan, view_slots)
+fn compile_ssl(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> ExecPlan {
+    ExecPlan::compile_poly(batch.x.shape()[0], |b| {
+        let batch = Batch {
+            x: batch.x.at_batch(b),
+            y: batch.y.at_batch(b),
+        };
+        let (v1, v2) = (v1.at_batch(b), v2.at_batch(b));
+        let masks = StSimSiam::contrastive_masks(b);
+        record_ssl(arch, &ssl_inputs(arch, &batch, &v1, &v2, &masks))
+    })
 }
 
 /// Reference for one draw (no parameter update): a fresh recording
 /// differentiated by `Tape::backward`. Returns the loss bits and every
 /// bound parameter's gradient bits, in binding order.
-fn recorded_reference(
-    arch: &Arch,
-    batch: &Batch,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> (u32, Vec<Vec<u32>>) {
-    let (rec, _) = record_ssl(arch, &batch.x, &batch.y, v1, v2);
+fn recorded_reference(arch: &Arch, inputs: &[&Tensor]) -> (u32, Vec<Vec<u32>>) {
+    let rec = record_ssl(arch, inputs);
     let root = rec.tape.var(rec.root.expect("training recording"));
     let grads = rec.tape.backward(root);
     let grad_bits = rec
@@ -154,40 +131,15 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-fn ssl_refs<'a>(
-    batch: &'a Batch,
-    v1: &'a AugmentedView,
-    v2: &'a AugmentedView,
-    eye: &'a Tensor,
-    off: &'a Tensor,
-    view_slots: usize,
-    template: Option<&'a SupportSet>,
-) -> Vec<&'a Tensor> {
-    let mut refs = vec![&batch.x, &batch.y, &v1.x, &v2.x, eye, off];
-    for v in [v1, v2] {
-        let set = v
-            .supports
-            .as_ref()
-            .or(template)
-            .expect("backbone exposes no support template");
-        let sup = set.all();
-        for j in 0..view_slots {
-            refs.push(sup[j % sup.len()]);
-        }
-    }
-    refs
-}
-
 #[test]
 fn one_plan_per_arch_serves_every_draw_and_batch_size() {
     let mut rng = Rng::seed_from_u64(53);
     let net = random_geometric(NODES, 0.4, &mut rng);
     let archs = [make_arch(&net, 1, 7), make_arch(&net, 2, 11)];
 
-    // Batch sizes churn around the recorded size 4; SSL batches of 1 are
-    // a structurally different graph the trainer records per step, so
-    // the poly sweep starts at 2.
-    let sizes = [4usize, 3, 2, 5, 4];
+    // Batch sizes churn around the recorded size 4, down to 1, where the
+    // GraphCL loss has no negatives and replays the same plan.
+    let sizes = [4usize, 1, 3, 2, 5, 1, 4];
     let batches: Vec<Batch> = sizes.iter().map(|&b| make_batch(&mut rng, b)).collect();
     let draws: Vec<(AugmentedView, AugmentedView)> = batches
         .iter()
@@ -201,7 +153,7 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
         .collect();
 
     // One compile per architecture, before the sweep.
-    let plans: Vec<(ExecPlan, usize)> = archs
+    let plans: Vec<ExecPlan> = archs
         .iter()
         .map(|arch| compile_ssl(arch, &batches[0], &draws[0].0, &draws[0].1))
         .collect();
@@ -211,17 +163,16 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
     // bound parameter's gradient — through the one plan per architecture.
     for (i, (batch, (v1, v2))) in batches.iter().zip(&draws).enumerate() {
         for (ai, arch) in archs.iter().enumerate() {
-            let (plan, view_slots) = &plans[ai];
-            let (eye, off) = StSimSiam::contrastive_masks(batch.x.shape()[0]);
-            let template = arch.model.support_template();
-            let refs = ssl_refs(batch, v1, v2, &eye, &off, *view_slots, template);
+            let plan = &plans[ai];
+            let masks = StSimSiam::contrastive_masks(batch.x.shape()[0]);
+            let inputs = ssl_inputs(arch, batch, v1, v2, &masks);
             assert!(
-                plan.accepts(&refs),
+                plan.accepts(&inputs),
                 "arch {ai} plan rejected batch size {} at point {i}",
                 batch.x.shape()[0]
             );
-            let (loss, grads) = plan.run_training(&arch.store, &refs);
-            let (ref_loss, ref_grads) = recorded_reference(arch, batch, v1, v2);
+            let (loss, grads) = plan.run_training(&arch.store, &inputs);
+            let (ref_loss, ref_grads) = recorded_reference(arch, &inputs);
             let ctx = format!("arch {ai} point {i} (batch {})", batch.x.shape()[0]);
             assert_eq!(
                 loss.item().to_bits(),
