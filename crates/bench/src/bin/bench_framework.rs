@@ -15,7 +15,6 @@ use std::time::Instant;
 use urcl_bench::{run_deep_model, write_results, ExperimentContext, ModelKind};
 use urcl_core::{
     rmir_sample, st_mixup, Augmentation, ForwardPlan, ReplayBuffer, TaskLossPlan, TrainerConfig,
-    VirtualStore,
 };
 use urcl_graph::{random_geometric, SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
@@ -246,7 +245,7 @@ fn main() {
             buffer.push(make_sample(&mut rng));
         }
         let current = make_batch(&mut rng, 8);
-        let mut virtual_store = VirtualStore::default();
+        let mut virtual_store = None;
         let mut task = TaskLossPlan::default();
         let mut forward = ForwardPlan::default();
         for pool_len in [48usize, 256] {

@@ -45,7 +45,7 @@ pub use persist::{
 };
 pub use pipeline::UrclPipeline;
 pub use replay::ReplayBuffer;
-pub use rmir::{rmir_sample, RmirStats, VirtualStore};
+pub use rmir::{rmir_sample, RmirStats};
 pub use simsiam::StSimSiam;
 pub use trainer::{
     Ablation, ContinualTrainer, ForwardPlan, HookAction, NoopHook, RunOutcome, RunReport,

@@ -35,19 +35,6 @@ impl RmirStats {
     }
 }
 
-/// RMIR's virtual parameter store θᵛ, refreshed from θ every round
-/// instead of cloned. Derived state: the owning trainer drops it at run
-/// start and on restore.
-#[derive(Default)]
-pub struct VirtualStore(Option<ParamStore>);
-
-impl VirtualStore {
-    /// Drops θᵛ; the next [`rmir_sample`] call rebuilds it.
-    pub fn clear(&mut self) {
-        self.0 = None;
-    }
-}
-
 /// Selects `select` buffer indices for replay.
 ///
 /// * `pool` — buffer indices forming the candidate pool to score. Scoring
@@ -58,6 +45,9 @@ impl VirtualStore {
 /// * `lr` — the virtual-update step size α (Eq. 3).
 /// * `candidates` — the interference short-list size |𝒩| (must be ≥
 ///   `select`; both are clamped to the pool size).
+/// * `virtual_store` — RMIR's virtual parameter store θᵛ, built from
+///   `store` when `None` and refreshed from it every round instead of
+///   cloned.
 /// * `task` — the backbone's task-loss plan, replayed for the virtual
 ///   update (the trainer shares its own with EWC).
 /// * `forward` — the backbone's forward-only plan, replayed for both
@@ -74,7 +64,7 @@ pub fn rmir_sample(
     lr: f32,
     candidates: usize,
     select: usize,
-    virtual_store: &mut VirtualStore,
+    virtual_store: &mut Option<ParamStore>,
     task: &mut TaskLossPlan,
     forward: &mut ForwardPlan,
 ) -> Vec<usize> {
@@ -87,7 +77,7 @@ pub fn rmir_sample(
     // Virtual update: θᵛ = θ − α ∇_θ L(f_θ(current)) (Eq. 3), replaying
     // the task-loss plan against a copy of the parameters kept across
     // rounds.
-    let virtual_store = virtual_store.0.get_or_insert_with(|| store.clone());
+    let virtual_store = virtual_store.get_or_insert_with(|| store.clone());
     virtual_store.copy_values_from(store);
     virtual_store.zero_grads();
     {
@@ -206,7 +196,7 @@ mod tests {
             0.05,
             6,
             3,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
@@ -231,7 +221,7 @@ mod tests {
             0.05,
             4,
             2,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         )
@@ -251,7 +241,7 @@ mod tests {
             0.05,
             99,
             99,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
@@ -271,7 +261,7 @@ mod tests {
             0.05,
             3,
             2,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
@@ -309,7 +299,7 @@ mod tests {
             0.05,
             6,
             3,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );
@@ -322,7 +312,7 @@ mod tests {
             0.05,
             6,
             3,
-            &mut VirtualStore::default(),
+            &mut None,
             &mut TaskLossPlan::default(),
             &mut ForwardPlan::default(),
         );

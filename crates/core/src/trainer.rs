@@ -16,7 +16,7 @@ use crate::ewc::EwcState;
 use crate::metrics::Metrics;
 use crate::mixup::{concat_replay, st_mixup};
 use crate::replay::ReplayBuffer;
-use crate::rmir::{rmir_sample, RmirStats, VirtualStore};
+use crate::rmir::{rmir_sample, RmirStats};
 use crate::simsiam::StSimSiam;
 use urcl_graph::{SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
@@ -400,8 +400,9 @@ pub struct ContinualTrainer {
     step_plan: Option<ExecPlan>,
     /// Step plans compiled since construction.
     step_plan_compiles: u64,
-    /// RMIR's θᵛ store (see `rmir.rs`).
-    virtual_store: VirtualStore,
+    /// RMIR's θᵛ store (see `rmir.rs`). Derived state: dropped at run
+    /// start and on restore.
+    virtual_store: Option<ParamStore>,
     /// The backbone's task-loss plan: RMIR's virtual update and EWC's
     /// Fisher estimate replay it.
     task_loss: TaskLossPlan,
@@ -431,7 +432,7 @@ impl ContinualTrainer {
             cursor: TrainCursor::default(),
             step_plan: None,
             step_plan_compiles: 0,
-            virtual_store: VirtualStore::default(),
+            virtual_store: None,
             task_loss: TaskLossPlan::default(),
             forward: ForwardPlan::default(),
             continues_stream: false,
@@ -496,7 +497,7 @@ impl ContinualTrainer {
         self.rmir_stats = snapshot.rmir;
         self.cursor = snapshot.cursor;
         self.step_plan = None;
-        self.virtual_store.clear();
+        self.virtual_store = None;
         self.task_loss.clear();
         self.forward.clear();
     }
@@ -561,7 +562,7 @@ impl ContinualTrainer {
         self.opt = Adam::new(self.config.lr);
         self.cursor = TrainCursor::default();
         self.step_plan = None;
-        self.virtual_store.clear();
+        self.virtual_store = None;
         self.task_loss.clear();
         self.forward.clear();
         self.drive(backbone, simsiam, store, net, split, data_cfg, scale, hook)

@@ -893,7 +893,8 @@ fn serve_error(e: &ServeError) -> Response {
 }
 
 /// Builds the `[M, N, C]` window tensor from its nested-array JSON form,
-/// insisting on rectangularity and finite numbers.
+/// insisting on rectangularity and finite numbers. Shape errors anywhere
+/// in the window are reported before any cell's number error.
 fn window_from_json(v: &Value) -> Result<Tensor, String> {
     let steps = v
         .as_array()
@@ -906,16 +907,17 @@ fn window_from_json(v: &Value) -> Result<Tensor, String> {
         node.as_array()
             .ok_or_else(|| format!("window[{i}][{j}] is not an array of channels"))
     }
-    // Step 0 and its node 0 fix the [M, N, C] geometry.
+    // Step 0 and its node 0 fix the [M, N, C] geometry. Every node is
+    // checked against it before the tensor is allocated, so the block
+    // holds no more cells than the body carries.
     let first = nodes_of(0, steps.first().ok_or("\"window\" has zero time steps")?)?;
     let nodes = first.len();
     let channels = channels_of(0, 0, first.first().ok_or("\"window\" has zero nodes")?)?.len();
     if channels == 0 {
         return Err("\"window\" has zero channels".to_string());
     }
-    let mut window = Tensor::zeros(&[steps.len(), nodes, channels]);
-    let step_cells = window.data_mut().chunks_exact_mut(nodes * channels);
-    for (i, (step, cells)) in steps.iter().zip(step_cells).enumerate() {
+    let mut node_cells = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
         let row = nodes_of(i, step)?;
         if row.len() != nodes {
             return Err(format!(
@@ -923,7 +925,7 @@ fn window_from_json(v: &Value) -> Result<Tensor, String> {
                 row.len()
             ));
         }
-        for (j, (node, cells)) in row.iter().zip(cells.chunks_exact_mut(channels)).enumerate() {
+        for (j, node) in row.iter().enumerate() {
             let vals = channels_of(i, j, node)?;
             if vals.len() != channels {
                 return Err(format!(
@@ -931,12 +933,17 @@ fn window_from_json(v: &Value) -> Result<Tensor, String> {
                     vals.len()
                 ));
             }
-            for (k, (x, cell)) in vals.iter().zip(cells).enumerate() {
-                let x = x
-                    .as_f64()
-                    .ok_or_else(|| format!("window[{i}][{j}][{k}] is not a number"))?;
-                *cell = x as f32;
-            }
+            node_cells.push(vals);
+        }
+    }
+    let mut window = Tensor::zeros(&[steps.len(), nodes, channels]);
+    let cells = window.data_mut().chunks_exact_mut(channels);
+    for (n, (vals, cells)) in node_cells.iter().zip(cells).enumerate() {
+        for (k, (x, cell)) in vals.iter().zip(cells).enumerate() {
+            let x = x.as_f64().ok_or_else(|| {
+                format!("window[{}][{}][{k}] is not a number", n / nodes, n % nodes)
+            })?;
+            *cell = x as f32;
         }
     }
     Ok(window)

@@ -311,6 +311,33 @@ fn malformed_requests_are_typed_4xx() {
 }
 
 #[test]
+fn window_shape_is_checked_before_the_tensor_is_sized() {
+    let fx = Fixture::new("wide");
+    let (_tenants, server) = fx.serve("metr-la", HttpConfig::default());
+    // Step 0 is one node of 2^20 channels; then 500 000 empty steps.
+    // Under the default body limit, yet sized from step 0 it would be a
+    // [500 000, 1, 2^20] tensor of about 2 TB.
+    let (steps, channels) = (500_000, 1 << 20);
+    let mut body = String::from("{\"window\": [[[0");
+    body.push_str(&",0".repeat(channels - 1));
+    body.push_str("]]");
+    body.push_str(&",[]".repeat(steps - 1));
+    body.push_str("]}");
+    assert!(body.len() < HttpConfig::default().max_body_bytes);
+    let (status, _, resp) = roundtrip(&server, &post("/v1/tenants/metr-la/forecast", &body));
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("bad_window"), "{resp}");
+    assert!(resp.contains("window step 1 has 0 nodes"), "{resp}");
+
+    // The server keeps serving.
+    let (status, _, resp) = roundtrip(
+        &server,
+        &post("/v1/tenants/metr-la/forecast", &fx.window_json(0)),
+    );
+    assert_eq!(status, 200, "{resp}");
+}
+
+#[test]
 fn oversized_body_and_head_are_rejected() {
     let fx = Fixture::new("oversize");
     let (_tenants, server) = fx.serve(

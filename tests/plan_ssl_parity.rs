@@ -13,7 +13,6 @@ use urcl::core::{Augmentation, AugmentedView, StSimSiam};
 use urcl::graph::random_geometric;
 use urcl::models::{Backbone, GraphWaveNet, GwnConfig};
 use urcl::stdata::{stack_samples, Batch, Sample};
-use urcl::tensor::autodiff::Var;
 use urcl::tensor::{ExecPlan, ParamStore, Recording, Rng, Tensor};
 
 const SSL_WEIGHT: f32 = 0.05;
@@ -53,49 +52,45 @@ fn make_batch(rng: &mut Rng, b: usize) -> Batch {
     stack_samples(&samples)
 }
 
-/// The step's inputs in replay order: `[x, y, x1, x2, eye, off_mask,
-/// single, view-1 supports…, view-2 supports…]`. A view that kept the
-/// original graph binds the model's own supports.
-fn ssl_inputs<'a>(
-    arch: &'a Arch,
-    batch: &'a Batch,
-    v1: &'a AugmentedView,
-    v2: &'a AugmentedView,
-    masks: &'a [Tensor; 3],
-) -> Vec<&'a Tensor> {
+/// Records the augmented step graph for one draw: task MAE plus the
+/// weighted GraphCL term. Every input is recorded once, through `input`,
+/// which also keeps its tensor, so the returned tensors are the
+/// recording's plan inputs in order and a replay binds exactly what the
+/// recording read. A view that kept the original graph records the
+/// model's own supports.
+fn record_step(
+    arch: &Arch,
+    batch: &Batch,
+    v1: &AugmentedView,
+    v2: &AugmentedView,
+) -> (Recording, Vec<Tensor>) {
     let template = arch
         .model
         .support_template()
         .expect("GraphWaveNet supports");
-    let mut inputs = vec![&batch.x, &batch.y, &v1.x, &v2.x];
-    inputs.extend(masks);
-    for v in [v1, v2] {
-        inputs.extend(v.supports.as_ref().unwrap_or(template).all());
-    }
-    inputs
-}
-
-/// Records the augmented step graph over `inputs` (see [`ssl_inputs`]),
-/// which become the recording's plan inputs in that order.
-fn record_ssl(arch: &Arch, inputs: &[&Tensor]) -> Recording {
-    Recording::training(&arch.store, |sess| {
-        let vars: Vec<Var> = inputs.iter().map(|t| sess.input((*t).clone())).collect();
-        let task = arch
-            .model
-            .forward(sess, vars[0])
-            .sub(vars[1])
-            .abs()
-            .mean_all();
-        let (s1, s2) = vars[7..].split_at((vars.len() - 7) / 2);
-        let ssl = arch.simsiam.loss_from_vars(
-            sess,
-            &arch.model,
-            [(vars[2], Some(s1)), (vars[3], Some(s2))],
-            [vars[4], vars[5], vars[6]],
-        );
-        let total = task.add(ssl.scale(SSL_WEIGHT));
-        (vars, total)
-    })
+    let masks = StSimSiam::contrastive_masks(batch.x.shape()[0]);
+    let mut bound = Vec::new();
+    let rec = Recording::training(&arch.store, |sess| {
+        let mut vars = Vec::new();
+        let mut input = |t: &Tensor| {
+            bound.push(t.clone());
+            let v = sess.input(t.clone());
+            vars.push(v);
+            v
+        };
+        let (x, y) = (input(&batch.x), input(&batch.y));
+        let views = [v1, v2].map(|v| {
+            let x = input(&v.x);
+            let supports = v.supports.as_ref().unwrap_or(template).all();
+            (x, supports.into_iter().map(&mut input).collect::<Vec<_>>())
+        });
+        let masks = masks.each_ref().map(&mut input);
+        let task = arch.model.forward(sess, x).sub(y).abs().mean_all();
+        let views = views.each_ref().map(|(x, s)| (*x, Some(&s[..])));
+        let ssl = arch.simsiam.loss_from_vars(sess, &arch.model, views, masks);
+        (vars, task.add(ssl.scale(SSL_WEIGHT)))
+    });
+    (rec, bound)
 }
 
 /// Compiles one batch-polymorphic plan for the architecture's augmented
@@ -106,17 +101,14 @@ fn compile_ssl(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedVie
             x: batch.x.at_batch(b),
             y: batch.y.at_batch(b),
         };
-        let (v1, v2) = (v1.at_batch(b), v2.at_batch(b));
-        let masks = StSimSiam::contrastive_masks(b);
-        record_ssl(arch, &ssl_inputs(arch, &batch, &v1, &v2, &masks))
+        record_step(arch, &batch, &v1.at_batch(b), &v2.at_batch(b)).0
     })
 }
 
-/// Reference for one draw (no parameter update): a fresh recording
-/// differentiated by `Tape::backward`. Returns the loss bits and every
-/// bound parameter's gradient bits, in binding order.
-fn recorded_reference(arch: &Arch, inputs: &[&Tensor]) -> (u32, Vec<Vec<u32>>) {
-    let rec = record_ssl(arch, inputs);
+/// Reference for one draw (no parameter update): the draw's fresh
+/// recording differentiated by `Tape::backward`. Returns the loss bits
+/// and every bound parameter's gradient bits, in binding order.
+fn recorded_reference(rec: &Recording) -> (u32, Vec<Vec<u32>>) {
     let root = rec.tape.var(rec.root.expect("training recording"));
     let grads = rec.tape.backward(root);
     let grad_bits = rec
@@ -164,15 +156,15 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
     for (i, (batch, (v1, v2))) in batches.iter().zip(&draws).enumerate() {
         for (ai, arch) in archs.iter().enumerate() {
             let plan = &plans[ai];
-            let masks = StSimSiam::contrastive_masks(batch.x.shape()[0]);
-            let inputs = ssl_inputs(arch, batch, v1, v2, &masks);
+            let (rec, inputs) = record_step(arch, batch, v1, v2);
+            let inputs: Vec<&Tensor> = inputs.iter().collect();
             assert!(
                 plan.accepts(&inputs),
                 "arch {ai} plan rejected batch size {} at point {i}",
                 batch.x.shape()[0]
             );
             let (loss, grads) = plan.run_training(&arch.store, &inputs);
-            let (ref_loss, ref_grads) = recorded_reference(arch, &inputs);
+            let (ref_loss, ref_grads) = recorded_reference(&rec);
             let ctx = format!("arch {ai} point {i} (batch {})", batch.x.shape()[0]);
             assert_eq!(
                 loss.item().to_bits(),
