@@ -1,17 +1,17 @@
-//! Serving-throughput benchmark over the sharded multi-tenant runtime:
+//! Serving-throughput benchmark over the multi-tenant runtime:
 //! closed-loop clients hammer a [`Tenants`] registry end to end —
-//! submission, shard routing, coalescing, fused forward, denormalization,
-//! response cache — across threads × shards × tenants × client counts
+//! submission, queueing, coalescing, fused forward, denormalization,
+//! response cache — across threads × workers × tenants × client counts
 //! (into the thousands). Prints a table and writes `BENCH_serve.json`
-//! (schema `urcl-bench-serve-v3`, per-tenant percentiles) at the
+//! (schema `urcl-bench-serve-v4`, per-tenant percentiles) at the
 //! workspace root.
 //!
-//! Five cell families:
+//! Four cell families:
 //!
-//! * `solo` — one tenant, one shard, cache off: directly comparable to
+//! * `solo` — one tenant, one worker, cache off: directly comparable to
 //!   the old single-queue `urcl-bench-serve-v1` numbers (whose
 //!   `max_batch = 1` peak was ~1.4k req/s).
-//! * `sharded` — all four dataset tenants served concurrently, cache
+//! * `multi` — all four dataset tenants served concurrently, cache
 //!   off: the real multi-tenant compute ceiling.
 //! * `hotset` — all four tenants, response cache + in-flight dedup on,
 //!   hundreds of clients per tenant re-requesting a small hot window
@@ -23,12 +23,6 @@
 //!   JSON windows to `/v1/tenants/{name}/forecast` and parsing JSON
 //!   forecasts back. Gated at [`WIRE_FLOOR_RPS`] end-to-end (accept →
 //!   parse → serve → serialize → write).
-//! * `steal` duel — a paced strict-affinity burst lands on one shard of
-//!   a four-shard tenant whose own worker is frozen by a long coalesce
-//!   delay, so the backlog drains only if idle siblings steal it; run
-//!   once with work stealing off and once on. Gated: stealing must shed
-//!   *strictly less*, actually steal, and keep aggregate throughput
-//!   within noise of the steal-off run.
 //!
 //! Every (1-thread, 4-thread) pair is taken best-of-N with extra
 //! 4-thread retries until the pair is monotonic: on a single-core host
@@ -45,8 +39,7 @@ use std::time::{Duration, Instant};
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
 use urcl_json::Value;
 use urcl_serve::{
-    BatchPolicy, CachePolicy, HttpConfig, HttpServer, ServeConfig, ServeError, TenantClient,
-    Tenants,
+    BatchPolicy, CachePolicy, HttpConfig, HttpServer, ServeConfig, TenantClient, Tenants,
 };
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
@@ -114,7 +107,7 @@ impl Drop for TenantFixture {
 struct CellSpec {
     mode: &'static str,
     threads: usize,
-    shards: usize,
+    workers: usize,
     max_batch: usize,
     cache: bool,
     tenant_count: usize,
@@ -123,7 +116,6 @@ struct CellSpec {
     /// `Some(k)`: clients cycle over only the first `k` windows (the
     /// cache's hot set); `None`: the full pool.
     hot_windows: Option<usize>,
-    steal: bool,
 }
 
 struct TenantResult {
@@ -181,10 +173,9 @@ fn run_trial(fixtures: &[TenantFixture], spec: CellSpec) -> CellResult {
                     },
                     target_channel: fx.ds.config.target_channel,
                     reload_interval: None,
-                    shards: spec.shards,
+                    workers: spec.workers,
                     queue_bound: 4096,
                     cache: spec.cache.then(CachePolicy::default),
-                    steal: spec.steal,
                 },
             )
             .expect("register tenant");
@@ -192,7 +183,7 @@ fn run_trial(fixtures: &[TenantFixture], spec: CellSpec) -> CellResult {
         clients.push((fx, client));
     }
 
-    // Warm-up outside the timed window: spin every shard worker once and,
+    // Warm-up outside the timed window: spin the workers up and,
     // for cache cells, bring the hot set into steady state.
     for (fx, client) in &clients {
         let pool = spec.hot_windows.unwrap_or(fx.windows.len());
@@ -290,7 +281,7 @@ fn print_cell(spec: &CellSpec, r: &CellResult) {
         "{:>7} {:>7} {:>6} {:>9} {:>5} {:>7} {:>7} {:>12.1} {:>11.3}",
         spec.mode,
         spec.threads,
-        spec.shards,
+        spec.workers,
         spec.max_batch,
         if spec.cache { "on" } else { "off" },
         spec.tenant_count,
@@ -322,10 +313,9 @@ fn cell_json(spec: &CellSpec, r: &CellResult, trials: usize) -> Value {
     Value::object()
         .with("mode", spec.mode)
         .with("threads", spec.threads)
-        .with("shards", spec.shards)
+        .with("workers", spec.workers)
         .with("max_batch", spec.max_batch)
         .with("cache", spec.cache)
-        .with("steal", spec.steal)
         .with("tenant_count", spec.tenant_count)
         .with("clients_total", spec.tenant_count * spec.clients_per_tenant)
         .with("reqs_per_client", spec.reqs_per_client)
@@ -461,10 +451,9 @@ fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult
                 },
                 target_channel: fx.ds.config.target_channel,
                 reload_interval: None,
-                shards: 2,
+                workers: 2,
                 queue_bound: 4096,
                 cache: Some(CachePolicy::default()),
-                steal: true,
             },
         )
         .expect("register tenant");
@@ -552,75 +541,6 @@ fn run_wire_trial(fx: &TenantFixture, clients: usize, reqs: usize) -> CellResult
     }
 }
 
-/// One steal-duel trial: a paced burst of strict-affinity submissions
-/// lands on shard 0 of a four-shard tenant whose own worker is frozen by
-/// a coalesce delay far longer than the inter-arrival gap, so the
-/// backlog is served promptly only if the three idle siblings steal it.
-/// Throughput counts admitted requests over the burst-to-last-response
-/// wall clock. Returns `(rps, ok, shed, steals)`.
-fn run_steal_trial(fx: &TenantFixture, steal: bool, reqs: usize) -> (f64, u64, u64, u64) {
-    let prev = urcl_tensor::set_threads(1);
-    let registry = Tenants::new();
-    let (model, template) =
-        UrclPipeline::serving_parts_dyn(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
-    let client = registry
-        .add(
-            fx.name,
-            model,
-            template,
-            CheckpointDir::new(&fx.dir).expect("checkpoint dir"),
-            ServeConfig {
-                policy: BatchPolicy {
-                    max_batch: 8,
-                    // Freeze the hot shard's own worker: it holds its
-                    // batch open far longer than the 5 ms submission
-                    // pace, so only thieves clear the backlog quickly.
-                    max_delay: Duration::from_millis(350),
-                },
-                target_channel: fx.ds.config.target_channel,
-                reload_interval: None,
-                shards: 4,
-                // Tight bound: backlog beyond it sheds, so the duel
-                // measures stealing as *admitted work*, not just latency.
-                queue_bound: 2,
-                cache: None,
-                steal,
-            },
-        )
-        .expect("register tenant");
-    assert!(client.has_snapshot(), "tenant must load its checkpoint");
-    // Warm-up: spin up shard workers before the timed window.
-    client.predict(&fx.windows[0]).expect("warm-up");
-
-    let t0 = Instant::now();
-    let mut admitted = Vec::new();
-    let mut shed = 0u64;
-    for i in 0..reqs {
-        // Affinity key 0: the whole burst lands on one shard.
-        match client.submit_affine(0, fx.windows[i % fx.windows.len()].clone()) {
-            Ok(pending) => admitted.push(pending),
-            Err(ServeError::Shed { .. }) => shed += 1,
-            Err(e) => panic!("steal-duel submit error: {e}"),
-        }
-        // Pace the burst so thieves get scheduler time to react.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let mut ok = 0u64;
-    for pending in admitted {
-        pending
-            .wait_timeout(Duration::from_secs(60))
-            .expect("admitted request stranded")
-            .expect("admitted request served");
-        ok += 1;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let stats = client.stats();
-    drop(client);
-    drop(registry);
-    urcl_tensor::set_threads(prev);
-    (ok as f64 / wall, ok, shed, stats.steals)
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // Quick trials are an order of magnitude shorter (a 1-client solo
@@ -643,7 +563,7 @@ fn main() {
         "{:>7} {:>7} {:>6} {:>9} {:>5} {:>7} {:>7} {:>12} {:>11}",
         "mode",
         "threads",
-        "shards",
+        "workers",
         "max_batch",
         "cache",
         "tenants",
@@ -652,7 +572,7 @@ fn main() {
         "wrst p99 ms"
     );
 
-    // Family A — solo: legacy-comparable single-tenant, single-shard
+    // Family A — solo: legacy-comparable single-tenant, single-worker
     // cells across the max_batch axis.
     for &max_batch in &[1usize, 4, 8, 16] {
         let (best, mono) = run_pair(
@@ -661,14 +581,13 @@ fn main() {
             CellSpec {
                 mode: "solo",
                 threads: 1,
-                shards: 1,
+                workers: 1,
                 max_batch,
                 cache: false,
                 tenant_count: 1,
                 clients_per_tenant: max_batch,
                 reqs_per_client: if quick { 40 } else { 200 },
                 hot_windows: None,
-                steal: true,
             },
             tolerance,
         );
@@ -676,23 +595,22 @@ fn main() {
         all_monotonic &= mono;
     }
 
-    // Family B — sharded: all four tenants served concurrently, compute
+    // Family B — multi: all four tenants served concurrently, compute
     // bound (cache off).
     for &max_batch in &[8usize, 16] {
         let (best, mono) = run_pair(
             &fixtures,
             &mut cells,
             CellSpec {
-                mode: "sharded",
+                mode: "multi",
                 threads: 1,
-                shards: 2,
+                workers: 2,
                 max_batch,
                 cache: false,
                 tenant_count: fixtures.len(),
                 clients_per_tenant: max_batch,
                 reqs_per_client: if quick { 20 } else { 100 },
                 hot_windows: None,
-                steal: true,
             },
             tolerance,
         );
@@ -710,14 +628,13 @@ fn main() {
         CellSpec {
             mode: "hotset",
             threads: 1,
-            shards: 2,
+            workers: 2,
             max_batch: 8,
             cache: true,
             tenant_count: fixtures.len(),
             clients_per_tenant: if quick { 64 } else { 256 },
             reqs_per_client: if quick { 20 } else { 50 },
             hot_windows: Some(16),
-            steal: true,
         },
         tolerance,
     );
@@ -730,14 +647,13 @@ fn main() {
     let wire_spec = CellSpec {
         mode: "wire",
         threads: 1,
-        shards: 2,
+        workers: 2,
         max_batch: 8,
         cache: true,
         tenant_count: 1,
         clients_per_tenant: 8,
         reqs_per_client: if quick { 50 } else { 400 },
         hot_windows: Some(8),
-        steal: true,
     };
     let mut wire = run_wire_trial(
         &fixtures[0],
@@ -765,50 +681,6 @@ fn main() {
     let wire_rps = wire.rps;
     cells.push(cell_json(&wire_spec, &wire, wire_trials));
 
-    // Family E — steal duel: the identical paced skewed-affinity burst,
-    // stealing off then on. Each side is retried (bounded) until the
-    // gates are satisfiable/held: the off side must shed at all for
-    // "strictly fewer" to mean anything, and the on side must shed
-    // strictly less, actually steal, and stay within throughput noise.
-    let duel_reqs = if quick { 40 } else { 160 };
-    let mut off = run_steal_trial(&fixtures[0], false, duel_reqs);
-    let mut duel_trials_off = 1;
-    while off.2 == 0 && duel_trials_off < 1 + MONOTONIC_RETRIES {
-        off = run_steal_trial(&fixtures[0], false, duel_reqs);
-        duel_trials_off += 1;
-    }
-    let (off_rps, off_ok, off_shed, off_steals) = off;
-    assert_eq!(off_steals, 0, "stealing disabled must never steal");
-    assert!(
-        off_shed > 0,
-        "the frozen worker plus bound 2 must shed with stealing off"
-    );
-    let mut on = run_steal_trial(&fixtures[0], true, duel_reqs);
-    let mut duel_trials = 1;
-    while (on.2 >= off_shed || on.3 == 0 || on.0 < off_rps * 0.9)
-        && duel_trials < 1 + MONOTONIC_RETRIES
-    {
-        let r = run_steal_trial(&fixtures[0], true, duel_reqs);
-        duel_trials += 1;
-        if (r.2, std::cmp::Reverse(r.0 as u64)) < (on.2, std::cmp::Reverse(on.0 as u64)) {
-            on = r;
-        }
-    }
-    let (on_rps, on_ok, on_shed, on_steals) = on;
-    println!(
-        "  steal   off: {off_rps:>9.1} req/s  ok {off_ok:>5}  shed {off_shed:>5}\n  \
-           steal    on: {on_rps:>9.1} req/s  ok {on_ok:>5}  shed {on_shed:>5}  steals {on_steals}"
-    );
-    assert!(
-        on_shed < off_shed,
-        "stealing must shed strictly less under skew: {on_shed} vs {off_shed}"
-    );
-    assert!(
-        on_rps >= off_rps * 0.9,
-        "stealing must not cost aggregate throughput: {on_rps:.1} vs {off_rps:.1} req/s"
-    );
-    assert!(on_steals > 0, "the duel's on side must actually steal");
-
     assert!(
         best_aggregate >= AGGREGATE_FLOOR_RPS,
         "best aggregate {best_aggregate:.0} req/s under the {AGGREGATE_FLOOR_RPS:.0} floor"
@@ -831,36 +703,12 @@ fn main() {
         })
         .collect();
     let doc = Value::object()
-        .with("schema", "urcl-bench-serve-v3")
+        .with("schema", "urcl-bench-serve-v4")
         .with("quick", quick)
         .with("host_threads", urcl_tensor::host_parallelism() as u64)
         .with("baseline_rps", 1400.0)
         .with("tenants", Value::Array(tenants_json))
         .with("cells", Value::Array(cells))
-        .with(
-            "steal_duel",
-            Value::object()
-                .with("reqs", duel_reqs as u64)
-                .with("pace_ms", 5u64)
-                .with("trials_off", duel_trials_off)
-                .with("trials_on", duel_trials)
-                .with(
-                    "off",
-                    Value::object()
-                        .with("requests_per_sec", off_rps)
-                        .with("ok", off_ok)
-                        .with("shed", off_shed)
-                        .with("steals", off_steals),
-                )
-                .with(
-                    "on",
-                    Value::object()
-                        .with("requests_per_sec", on_rps)
-                        .with("ok", on_ok)
-                        .with("shed", on_shed)
-                        .with("steals", on_steals),
-                ),
-        )
         .with(
             "gates",
             Value::object()
@@ -868,8 +716,6 @@ fn main() {
                 .with("best_aggregate_rps", best_aggregate)
                 .with("wire_floor_rps", WIRE_FLOOR_RPS)
                 .with("wire_rps", wire_rps)
-                .with("steal_sheds_strictly_fewer", on_shed < off_shed)
-                .with("steal_throughput_within_noise", on_rps >= off_rps * 0.9)
                 .with("thread_pairs_monotonic", all_monotonic),
         );
     let out = "BENCH_serve.json";

@@ -37,7 +37,7 @@ use urcl_stdata::{stack_samples, Batch, Sample};
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
     buffer_pool_stats, op_profile, plan_stats, reset_buffer_pool_stats, reset_op_profile,
-    set_threads, Adam, ExecPlan, Optimizer, ParamStore, Recording, Rng,
+    set_threads, Adam, ExecPlan, ParamStore, Recording, Rng,
 };
 
 const NODES: usize = 24;

@@ -19,21 +19,19 @@ fn validate(path: &str) -> Result<(), String> {
     }
     match value.get("schema").and_then(Value::as_str) {
         Some(s) if s == urcl_trace::SCHEMA => validate_trace(&value)?,
-        Some("urcl-bench-serve-v2") => validate_serve(&value, false)?,
-        Some("urcl-bench-serve-v3") => validate_serve(&value, true)?,
+        Some("urcl-bench-serve-v4") => validate_serve(&value)?,
         Some("urcl-bench-train-v6" | "urcl-bench-train-v7") => validate_train(&value)?,
         _ => {}
     }
     Ok(())
 }
 
-/// Structural checks for `urcl-bench-serve-v2`/`-v3`: every cell carries
-/// its configuration axes and a non-empty `per_tenant` array with
-/// ordered latency percentiles, and the gates block records an aggregate
-/// peak over its floor. v3 additionally carries the over-the-wire cell
-/// (gated at its own floor) and the work-stealing duel record with both
-/// of its gates passing.
-fn validate_serve(doc: &Value, v3: bool) -> Result<(), String> {
+/// Structural checks for `urcl-bench-serve-v4`: every cell carries its
+/// configuration axes and a non-empty `per_tenant` array with ordered
+/// latency percentiles, the gates block records an aggregate peak over
+/// its floor, and the over-the-wire cell is present with its throughput
+/// over the wire floor.
+fn validate_serve(doc: &Value) -> Result<(), String> {
     let cells = doc
         .get("cells")
         .and_then(Value::as_array)
@@ -45,7 +43,7 @@ fn validate_serve(doc: &Value, v3: bool) -> Result<(), String> {
         for key in [
             "mode",
             "threads",
-            "shards",
+            "workers",
             "max_batch",
             "cache",
             "requests_per_sec",
@@ -101,23 +99,12 @@ fn validate_serve(doc: &Value, v3: bool) -> Result<(), String> {
             "serve best aggregate {best:.0} req/s under the {floor:.0} floor"
         ));
     }
-    if v3 {
-        validate_serve_v3(doc, cells)?;
-    }
-    Ok(())
-}
-
-/// The v3 additions: a `wire` cell whose throughput clears the wire
-/// floor, and a `steal_duel` whose on-side sheds strictly less than the
-/// off-side at comparable throughput (both recorded as gate booleans).
-fn validate_serve_v3(doc: &Value, cells: &[Value]) -> Result<(), String> {
     if !cells
         .iter()
         .any(|c| c.get("mode").and_then(Value::as_str) == Some("wire"))
     {
-        return Err("serve v3 missing the \"wire\" cell".into());
+        return Err("serve missing the \"wire\" cell".into());
     }
-    let gates = doc.get("gates").expect("checked above");
     let wire_floor = gates
         .get("wire_floor_rps")
         .and_then(Value::as_f64)
@@ -129,44 +116,6 @@ fn validate_serve_v3(doc: &Value, cells: &[Value]) -> Result<(), String> {
     if wire_rps < wire_floor {
         return Err(format!(
             "serve wire throughput {wire_rps:.0} req/s under the {wire_floor:.0} floor"
-        ));
-    }
-    for key in [
-        "steal_sheds_strictly_fewer",
-        "steal_throughput_within_noise",
-    ] {
-        match gates.get(key).and_then(Value::as_bool) {
-            Some(true) => {}
-            Some(false) => return Err(format!("serve gate {key:?} failed")),
-            None => return Err(format!("serve gates missing boolean {key:?}")),
-        }
-    }
-    let duel = doc
-        .get("steal_duel")
-        .ok_or("serve v3 missing \"steal_duel\"")?;
-    let side = |name: &str| -> Result<(f64, f64), String> {
-        let s = duel
-            .get(name)
-            .ok_or_else(|| format!("steal_duel missing {name:?}"))?;
-        let get = |key: &str| {
-            s.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("steal_duel {name} missing numeric {key:?}"))
-        };
-        get("requests_per_sec")?; // present and numeric
-        Ok((get("shed")?, get("steals")?))
-    };
-    let (off_shed, off_steals) = side("off")?;
-    let (on_shed, on_steals) = side("on")?;
-    if off_steals != 0.0 {
-        return Err(format!("steal_duel off side stole {off_steals} times"));
-    }
-    if on_steals <= 0.0 {
-        return Err("steal_duel on side never stole".into());
-    }
-    if on_shed >= off_shed {
-        return Err(format!(
-            "steal_duel sheds not strictly fewer: {on_shed} vs {off_shed}"
         ));
     }
     Ok(())

@@ -122,7 +122,7 @@ mod tests {
     use urcl_graph::random_geometric;
     use urcl_models::{GraphWaveNet, GwnConfig};
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer, Rng};
+    use urcl_tensor::{Adam, Rng};
 
     fn setup() -> (ParamStore, GraphWaveNet, Vec<Sample>, Rng) {
         let mut store = ParamStore::new();

@@ -13,14 +13,15 @@
 //! The lower-level pieces stay public for research use; this type is for
 //! users who want the paper's system, not its internals.
 
+use std::sync::OnceLock;
+
 use crate::persist::{self, Checkpoint, CheckpointDir, PersistError, PipelineState};
 use crate::simsiam::StSimSiam;
 use crate::trainer::{ContinualTrainer, SetReport, TrainerConfig};
 use urcl_graph::SensorNetwork;
 use urcl_models::{Backbone, GraphWaveNet, GwnConfig};
 use urcl_stdata::{ContinualSplit, DatasetConfig, Normalizer, SequenceData};
-use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::{ParamStore, Rng, Tensor};
+use urcl_tensor::{ExecPlan, ParamStore, Rng, Tensor};
 
 /// A ready-to-stream URCL forecaster (GraphWaveNet backbone).
 pub struct UrclPipeline {
@@ -32,6 +33,10 @@ pub struct UrclPipeline {
     trainer: ContinualTrainer,
     normalizer: Option<Normalizer>,
     periods_seen: usize,
+    /// [`Self::forecast`]'s forward plan, compiled on first use. It binds
+    /// the parameters at every replay, so training and restores never
+    /// stale it.
+    forecast_plan: OnceLock<ExecPlan>,
 }
 
 impl UrclPipeline {
@@ -60,6 +65,7 @@ impl UrclPipeline {
             trainer,
             normalizer: None,
             periods_seen: 0,
+            forecast_plan: OnceLock::new(),
         }
     }
 
@@ -253,10 +259,10 @@ impl UrclPipeline {
         let mut shape = vec![1];
         shape.extend_from_slice(x.shape());
         let x = x.reshape(&shape);
-        let tape = Tape::new();
-        let mut sess = Session::new(&tape, &self.store);
-        let xv = sess.input(x);
-        let pred = self.model.forward(&mut sess, xv).value(); // [1, H, N]
+        let plan = self
+            .forecast_plan
+            .get_or_init(|| self.model.compile_forward(&self.store, &x));
+        let pred = plan.run_forward(&self.store, &[&x]).remove(0); // [1, H, N]
         let h = pred.shape()[1];
         let n = pred.shape()[2];
         norm.inverse_target(&pred.reshape(&[h, n]), self.data_cfg.target_channel)

@@ -3,6 +3,7 @@
 //! of size 256 in the paper (Section V-A4) — once full, the oldest
 //! observation is evicted.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use urcl_stdata::{stack_samples, Batch, Sample};
 use urcl_tensor::Rng;
@@ -66,10 +67,10 @@ impl ReplayBuffer {
         self.entries.push_back(sample);
     }
 
-    /// Inserts every sample of a slice.
-    pub fn extend(&mut self, samples: &[Sample]) {
+    /// Inserts a clone of every sample of a slice, owned or borrowed.
+    pub fn extend<S: Borrow<Sample>>(&mut self, samples: &[S]) {
         for s in samples {
-            self.push(s.clone());
+            self.push(s.borrow().clone());
         }
     }
 
@@ -110,7 +111,7 @@ impl ReplayBuffer {
     /// [`Self::get`]) if any index is past the current occupancy; an empty
     /// index list panics in `stack_samples` — sample first, then gather.
     pub fn gather(&self, indices: &[usize]) -> Batch {
-        let samples: Vec<Sample> = indices.iter().map(|&i| self.get(i).clone()).collect();
+        let samples: Vec<&Sample> = indices.iter().map(|&i| self.get(i)).collect();
         stack_samples(&samples)
     }
 
@@ -120,7 +121,7 @@ impl ReplayBuffer {
         if self.is_empty() {
             return None;
         }
-        let samples: Vec<Sample> = self.entries.iter().cloned().collect();
+        let samples: Vec<&Sample> = self.entries.iter().collect();
         Some(stack_samples(&samples))
     }
 

@@ -143,7 +143,7 @@ mod tests {
     use urcl_graph::random_geometric;
     use urcl_models::{GraphWaveNet, GwnConfig};
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer};
+    use urcl_tensor::Adam;
 
     fn setup() -> (ParamStore, GraphWaveNet, StSimSiam, Rng) {
         let mut store = ParamStore::new();

@@ -23,9 +23,7 @@ use urcl_json::{ToJson, Value};
 use urcl_models::Backbone;
 use urcl_stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample};
 use urcl_tensor::autodiff::{Session, Var};
-use urcl_tensor::{
-    trim_excess, Adam, AdamState, ExecPlan, Optimizer, ParamStore, Recording, Rng, Tensor,
-};
+use urcl_tensor::{trim_excess, Adam, AdamState, ExecPlan, ParamStore, Recording, Rng, Tensor};
 use urcl_trace::Stopwatch;
 
 /// Training strategy for streaming data (Section V-B1).
@@ -674,10 +672,9 @@ impl ContinualTrainer {
                     let step_sp = urcl_trace::span("step");
                     let lo = self.cursor.step * batch;
                     let hi = (lo + batch).min(self.cursor.order.len());
-                    let samples: Vec<Sample> = self.cursor.order[lo..hi]
-                        .to_vec()
-                        .into_iter()
-                        .map(|i| train_windows[i].clone())
+                    let samples: Vec<&Sample> = self.cursor.order[lo..hi]
+                        .iter()
+                        .map(|&i| &train_windows[i])
                         .collect();
                     let outcome = self.train_step(backbone, simsiam, store, net, &samples);
                     self.cursor.epoch_loss += outcome.loss;
@@ -846,7 +843,7 @@ impl ContinualTrainer {
         simsiam: Option<&StSimSiam>,
         store: &mut ParamStore,
         net: &SensorNetwork,
-        chunk: &[Sample],
+        chunk: &[&Sample],
     ) -> StepOutcome {
         let current = stack_samples(chunk);
         let is_urcl = self.config.strategy == Strategy::Urcl;

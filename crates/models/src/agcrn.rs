@@ -137,7 +137,7 @@ impl Backbone for Agcrn {
 mod tests {
     use super::*;
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer};
+    use urcl_tensor::Adam;
 
     #[test]
     fn forward_shapes() {

@@ -97,7 +97,7 @@ impl Backbone for Dcrnn {
 mod tests {
     use super::*;
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer};
+    use urcl_tensor::Adam;
 
     fn ring(n: usize) -> SensorNetwork {
         let mut e = Vec::new();

@@ -76,7 +76,7 @@ impl Backbone for GeoMan {
 mod tests {
     use super::*;
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer};
+    use urcl_tensor::Adam;
 
     #[test]
     fn forward_shapes() {

@@ -200,7 +200,7 @@ mod tests {
     use super::*;
     use urcl_nn::gcn::record_supports;
     use urcl_tensor::autodiff::Tape;
-    use urcl_tensor::{Adam, Optimizer, Tensor};
+    use urcl_tensor::{Adam, Tensor};
 
     fn small_net(n: usize) -> SensorNetwork {
         let mut edges = Vec::new();

@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn mlp_learns_identity_ish_mapping() {
         // Train y = 2x with a 1-16-1 MLP for a few hundred steps.
-        use urcl_tensor::{Adam, Optimizer};
+        use urcl_tensor::Adam;
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(3);
         let mlp = Mlp::new(&mut store, &mut rng, "m", &[1, 16, 1], Activation::Tanh);

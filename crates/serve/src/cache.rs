@@ -23,8 +23,8 @@
 //!
 //! Eviction is FIFO over completed entries, bounded by
 //! [`CachePolicy::capacity`]; in-flight entries are never evicted (their
-//! waiters must not be stranded) and are bounded by the admission
-//! control's queue bounds instead.
+//! waiters must not be stranded) and are bounded by the tenant's queue
+//! bound instead.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;

@@ -18,11 +18,8 @@
 //!
 //! The forecast request body is JSON: `{"window": [[[..]..]..]}` — an
 //! `[M][N][C]` nested array in physical units, exactly the tensor
-//! [`crate::TenantClient::predict`] takes — plus an optional
-//! `"affinity"` integer that routes via
-//! [`crate::TenantClient::submit_affine`] (strict shard affinity; see
-//! there for the shedding trade-off). The response carries
-//! the `[H][N]` denormalized prediction and the snapshot generation that
+//! [`crate::TenantClient::submit`] takes. The response carries the
+//! `[H][N]` denormalized prediction and the snapshot generation that
 //! served it:
 //!
 //! ```text
@@ -66,35 +63,36 @@
 //! its first byte (slowloris guard → `408`); an idle keep-alive
 //! connection that stays silent for the same timeout is closed quietly.
 //!
-//! [`HttpServer::shutdown`] (also run on drop) drains gracefully using
-//! the same flag-inside-the-mutex protocol as the shard queues
-//! (`shard.rs`): the drain flag flips under the connection-queue lock,
-//! the accept loop stops admitting, idle connections close at the next
-//! tick, and any request whose bytes already started arriving is parsed,
-//! served with `Connection: close`, then closed — so in-flight work
-//! completes and the drain finishes within a small multiple of one
-//! forward pass.
+//! Accepted connections wait in the same bounded queue type as a
+//! tenant's requests (`queue.rs`), handed out one at a time, so
+//! [`HttpServer::shutdown`] (also run on drop) drains gracefully under
+//! the same flag-inside-the-mutex protocol: the drain flag flips under
+//! the connection-queue lock, the accept loop stops admitting, idle
+//! connections close at the next tick, and any request whose bytes
+//! already started arriving is parsed, served with `Connection: close`,
+//! then closed — so in-flight work completes and the drain finishes
+//! within a small multiple of one forward pass.
 //!
 //! Everything is traced: `serve.http.accepted/requests/parse_errors/...`
 //! counters and the `serve.http.latency_seconds` histogram land in the
-//! `urcl-trace-v1` snapshot next to the shard metrics.
+//! `urcl-trace-v1` snapshot next to the tenant metrics.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use urcl_json::Value;
 use urcl_tensor::Tensor;
 
-use crate::server::ServeError;
+use crate::queue::{BoundedQueue, Rejected};
+use crate::server::{BatchPolicy, PendingForecast, ServeError};
 use crate::tenant::Tenants;
 
-/// How often blocked reads and idle workers wake to re-check the drain
-/// flag; bounds how stale a shutdown observation can be.
+/// How often blocked reads wake to re-check the drain flag; bounds how
+/// stale a shutdown observation can be.
 const DRAIN_TICK: Duration = Duration::from_millis(50);
 
 /// Network front-end configuration.
@@ -173,30 +171,14 @@ struct HttpCounters {
     accept_errors: AtomicU64,
 }
 
-/// Accepted connections waiting for a worker; the drain flag lives
-/// inside the same mutex, exactly like the shard queues' protocol.
-struct ConnQueue {
-    queue: VecDeque<TcpStream>,
-    draining: bool,
-}
-
 struct HttpShared {
     tenants: Arc<Tenants>,
     config: HttpConfig,
-    conns: Mutex<ConnQueue>,
-    notify: Condvar,
+    /// Accepted connections waiting for a worker, handed out one at a
+    /// time.
+    conns: BoundedQueue<TcpStream>,
     stop_accept: AtomicBool,
     stats: HttpCounters,
-}
-
-impl HttpShared {
-    fn lock_conns(&self) -> MutexGuard<'_, ConnQueue> {
-        self.conns.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn draining(&self) -> bool {
-        self.lock_conns().draining
-    }
 }
 
 /// The running HTTP front-end: an accept thread plus a bounded worker
@@ -221,14 +203,14 @@ impl HttpServer {
         );
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let one_at_a_time = BatchPolicy {
+            max_batch: 1,
+            max_delay: Duration::ZERO,
+        };
         let shared = Arc::new(HttpShared {
+            conns: BoundedQueue::new(config.pending_connections, one_at_a_time),
             tenants,
             config,
-            conns: Mutex::new(ConnQueue {
-                queue: VecDeque::new(),
-                draining: false,
-            }),
-            notify: Condvar::new(),
             stop_accept: AtomicBool::new(false),
             stats: HttpCounters::default(),
         });
@@ -284,11 +266,7 @@ impl HttpServer {
     /// bytes already started arriving (answered with `Connection:
     /// close`), then join every thread.
     pub fn shutdown(&mut self) {
-        {
-            let mut q = self.shared.lock_conns();
-            q.draining = true;
-        }
-        self.shared.notify.notify_all();
+        self.shared.conns.drain();
         self.shared.stop_accept.store(true, Ordering::Release);
         // A blocking accept(2) only returns on a connection: poke it.
         let _ = TcpStream::connect(self.addr);
@@ -309,7 +287,7 @@ impl Drop for HttpServer {
 
 fn accept_loop(shared: &HttpShared, listener: TcpListener) {
     loop {
-        let mut stream = match listener.accept() {
+        let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
             Err(_) if shared.stop_accept.load(Ordering::Acquire) => return,
             Err(_) => {
@@ -325,58 +303,37 @@ fn accept_loop(shared: &HttpShared, listener: TcpListener) {
             // front door is closed.
             return;
         }
-        let mut q = shared.lock_conns();
-        if q.draining {
+        match shared.conns.push(stream) {
+            Ok(_) => {
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                if urcl_trace::enabled() {
+                    urcl_trace::counter_inc("serve.http.accepted");
+                }
+            }
             // Late arrival during drain: closed unanswered, like a
             // listener that is already gone.
-            drop(q);
-            drop(stream);
-        } else if q.queue.len() >= shared.config.pending_connections {
-            drop(q);
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if urcl_trace::enabled() {
-                urcl_trace::counter_inc("serve.http.rejected_connections");
+            Err(Rejected::Draining(_)) => {}
+            Err(Rejected::Full(mut stream, _)) => {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                if urcl_trace::enabled() {
+                    urcl_trace::counter_inc("serve.http.rejected_connections");
+                }
+                // Best-effort canned 503 with a bounded write; the accept
+                // loop must never stall on a slow client.
+                let _ = stream.set_write_timeout(Some(DRAIN_TICK));
+                let _ = stream.write_all(
+                    b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\
+                      Connection: close\r\nRetry-After: 1\r\n\r\n",
+                );
             }
-            // Best-effort canned 503 with a bounded write; the accept
-            // loop must never stall on a slow client.
-            let _ = stream.set_write_timeout(Some(DRAIN_TICK));
-            let _ = stream.write_all(
-                b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\
-                  Connection: close\r\nRetry-After: 1\r\n\r\n",
-            );
-        } else {
-            q.queue.push_back(stream);
-            drop(q);
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            if urcl_trace::enabled() {
-                urcl_trace::counter_inc("serve.http.accepted");
-            }
-            shared.notify.notify_one();
         }
     }
 }
 
 fn worker_loop(shared: &HttpShared) {
-    loop {
-        let stream = {
-            let mut q = shared.lock_conns();
-            loop {
-                if let Some(stream) = q.queue.pop_front() {
-                    break Some(stream);
-                }
-                if q.draining {
-                    break None;
-                }
-                q = shared
-                    .notify
-                    .wait_timeout(q, DRAIN_TICK)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        };
-        match stream {
-            Some(stream) => handle_connection(shared, stream),
-            None => return,
+    while let Some((conns, _)) = shared.conns.next_batch() {
+        for (_, stream) in conns {
+            handle_connection(shared, stream);
         }
     }
 }
@@ -452,7 +409,7 @@ fn read_request(shared: &HttpShared, stream: &mut TcpStream, buf: &mut Vec<u8>) 
                 if buf.is_empty() {
                     // Idle keep-alive connection: close quietly on drain
                     // or after the idle timeout.
-                    if shared.draining() || Instant::now() >= idle_close {
+                    if shared.conns.is_draining() || Instant::now() >= idle_close {
                         return ReadOutcome::Close;
                     }
                 } else if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -773,10 +730,10 @@ fn handle_connection(shared: &HttpShared, mut stream: TcpStream) {
         }
         // Drain observed after compute: the answer still goes out, with
         // `Connection: close` so the client re-connects elsewhere.
-        let keep_alive = !request.close && !shared.draining();
+        let keep_alive = !request.close && !shared.conns.is_draining();
         if write_response(shared, &mut stream, &resp, keep_alive).is_err() {
             // The client went away mid-response (kill -9, reset, …). The
-            // forecast was already computed and the shard moved on; this
+            // forecast was already computed and the tenant moved on; this
             // worker just drops the connection and serves the next one.
             shared.stats.write_errors.fetch_add(1, Ordering::Relaxed);
             if traced {
@@ -843,12 +800,7 @@ fn forecast(shared: &HttpShared, tenant: &str, body: &[u8]) -> Response {
         },
         None => return Response::error(400, "bad_window", "body must carry a \"window\" key"),
     };
-    let affinity = doc.get("affinity").and_then(Value::as_u64);
-    let result = match affinity {
-        Some(key) => client.predict_affine(key, &window),
-        None => client.predict(&window),
-    };
-    match result {
+    match client.submit(window).and_then(PendingForecast::wait) {
         Ok(forecast) => {
             let shape = forecast.prediction.shape();
             let (h, n) = (shape[0], shape[1]);

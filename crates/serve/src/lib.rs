@@ -1,24 +1,25 @@
 //! # urcl-serve
 //!
-//! A sharded, multi-tenant batched CPU inference runtime for URCL
-//! forecasters — the *answering* half of the paper's deployment story,
-//! where the *learning* half is the continual trainer in `urcl-core`.
+//! A multi-tenant batched CPU inference runtime for URCL forecasters —
+//! the *answering* half of the paper's deployment story, where the
+//! *learning* half is the continual trainer in `urcl-core`.
 //!
 //! One process serves many dataset/model **tenants** (METR-LA, PEMS-BAY,
 //! PEMS04, PEMS08 analogues, …) concurrently through a [`Tenants`]
-//! registry; a single-model deployment uses the [`Server`] facade over
-//! the identical runtime. Each tenant owns:
+//! registry; a single-model deployment is a registry of one. Each tenant
+//! owns:
 //!
-//! * **Shards** — `N` independent request queues, each with its own
-//!   worker thread, mutex and condvar. The request path takes only the
-//!   owning shard's lock: no global lock, no cross-tenant contention.
-//!   Within a shard, concurrent requests coalesce into batches under a
-//!   [`BatchPolicy`] (`max_batch`/`max_delay`) and run as one forward.
-//! * **Admission control** — every shard queue is bounded
-//!   ([`ServeConfig::queue_bound`]); when all shards of a tenant are
-//!   full the submit fails fast with [`ServeError::Shed`], carrying the
-//!   tenant name and observed depth. Overload is typed backpressure,
-//!   not unbounded memory growth.
+//! * **One request queue** drained by [`ServeConfig::workers`] threads.
+//!   The request path takes only its tenant's queue lock: no global
+//!   lock, no cross-tenant contention. Concurrent requests coalesce into
+//!   batches under a [`BatchPolicy`] (`max_batch`/`max_delay`) and run as
+//!   one forward; one worker at a time holds a batch open, so a burst
+//!   fills whole batches whatever the number of workers.
+//! * **Admission control** — the queue is bounded
+//!   ([`ServeConfig::queue_bound`]); when it is full the submit fails
+//!   fast with [`ServeError::Shed`], carrying the tenant name and the
+//!   queue's depth. Overload is typed backpressure, not unbounded memory
+//!   growth.
 //! * **Hot-swap** — weights and normalizer statistics come from
 //!   `urcl-ckpt-v2` checkpoints in the tenant's own
 //!   [`urcl_core::CheckpointDir`] (the very directory that tenant's
@@ -33,10 +34,6 @@
 //!   forecasts are memoized *exactly* (keys compare the full window bit
 //!   pattern) and identical concurrent requests deduplicate onto one
 //!   in-flight forward. Hot-swaps purge stale generations.
-//! * **Work stealing** ([`ServeConfig::steal`], on by default) — a shard
-//!   worker whose own queue is empty drains the oldest requests of a hot
-//!   sibling instead of sleeping, keeping every worker busy under skewed
-//!   load without touching admission, drain, or response bits.
 //!
 //! The registry is externally drivable over the wire: [`HttpServer`]
 //! (module [`http`]) binds a std-only HTTP/1.1 listener with a bounded
@@ -49,9 +46,9 @@
 //! `serve.reload_failures` counters plus per-tenant
 //! `serve.tenant.{name}.*` counters, `serve.tenant.{name}.batch_size` and
 //! `.latency_seconds` histograms (exported with estimated `p50`/`p95`/
-//! `p99`), and `serve.tenant.{name}.shard{i}.queue_depth` gauges.
-//! `bench_serve` (in `crates/bench`) sweeps threads × shards × tenants ×
-//! client counts over this runtime and writes `BENCH_serve.json`.
+//! `p99`), and a `serve.tenant.{name}.queue_depth` gauge. `bench_serve`
+//! (in `crates/bench`) sweeps threads × workers × tenants × client counts
+//! over this runtime and writes `BENCH_serve.json`.
 //!
 //! ## Quick use (single tenant)
 //!
@@ -59,7 +56,7 @@
 //! use std::time::Duration;
 //! use urcl_core::CheckpointDir;
 //! use urcl_models::{GraphWaveNet, GwnConfig};
-//! use urcl_serve::{ServeConfig, Server};
+//! use urcl_serve::{ServeConfig, Tenants};
 //! use urcl_tensor::{ParamStore, Rng, Tensor};
 //!
 //! // Rebuild the *architecture* the trainer used (weights come from disk).
@@ -73,10 +70,11 @@
 //!     reload_interval: Some(Duration::from_millis(500)), // follow the trainer
 //!     ..ServeConfig::default()
 //! };
-//! let server = Server::start(model, template,
-//!     CheckpointDir::new("ckpts").unwrap(), config);
+//! let tenants = Tenants::new(); // dropping it drains every tenant
+//! let client = tenants.add("metr-la", model, template,
+//!     CheckpointDir::new("ckpts").unwrap(), config).unwrap();
 //! let window = Tensor::zeros(&[12, 24, 2]); // [M, N, C], physical units
-//! let forecast = server.predict(&window).unwrap();
+//! let forecast = client.predict(&window).unwrap();
 //! println!("horizon forecast {:?} from snapshot generation {}",
 //!     forecast.prediction.shape(), forecast.generation);
 //! ```
@@ -101,7 +99,7 @@
 //!     tenants.add(name, model, template,
 //!         CheckpointDir::new(format!("ckpts/{name}")).unwrap(),
 //!         ServeConfig {
-//!             shards: 2,
+//!             workers: 2,
 //!             cache: Some(CachePolicy::default()),
 //!             ..ServeConfig::default()
 //!         }).unwrap();
@@ -121,16 +119,13 @@
 
 mod cache;
 pub mod http;
+mod queue;
 mod server;
-mod shard;
 mod snapshot;
 mod tenant;
 
 pub use cache::CachePolicy;
 pub use http::{HttpConfig, HttpServer, HttpStats};
-pub use server::{
-    forward_batch, BatchPolicy, Forecast, PendingForecast, ServeConfig, ServeError, Server,
-    ServerStats,
-};
+pub use server::{forward_batch, BatchPolicy, Forecast, PendingForecast, ServeConfig, ServeError};
 pub use snapshot::ModelSnapshot;
 pub use tenant::{TenantClient, TenantStats, Tenants};

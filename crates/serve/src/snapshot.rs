@@ -24,7 +24,7 @@ pub struct ModelSnapshot {
     description: String,
     generation: u64,
     /// The forward-only [`ExecPlan`], compiled lazily and shared across
-    /// every shard thread holding this snapshot. It is batch-polymorphic,
+    /// every worker thread holding this snapshot. It is batch-polymorphic,
     /// so the first batch's compile serves every admission-controlled
     /// batch size. Parameters are immutable for the snapshot's lifetime,
     /// so the plan never goes stale; it dies with the snapshot on

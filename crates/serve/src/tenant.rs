@@ -1,24 +1,23 @@
-//! Multi-tenant runtime: per-tenant sharded workers, hot-swap, and the
-//! [`Tenants`] registry.
+//! Multi-tenant runtime: per-tenant request queues and workers,
+//! hot-swap, and the [`Tenants`] registry.
 //!
 //! One process serves many dataset/model tenants (METR-LA, PEMS-BAY,
 //! PEMS04, PEMS08 analogues, …) concurrently. Each tenant owns:
 //!
 //! * its own [`ModelSnapshot`] slot, hot-swapped from its own
 //!   [`CheckpointDir`] (one trainer per tenant publishes into it);
-//! * `shards` independent [`Shard`]s — bounded queue + condvar + worker
-//!   thread each — so the request path of one tenant never contends
-//!   with another tenant, and within a tenant requests spread across
-//!   shards round-robin;
+//! * one bounded request queue ([`BoundedQueue`]) drained by
+//!   `workers` threads, so the request path of one tenant never contends
+//!   with another tenant's;
 //! * optional response cache with in-flight dedup ([`crate::CachePolicy`]).
 //!
-//! Admission control: when every shard of a tenant is at its queue
-//! bound, the submit returns [`ServeError::Shed`] with the tenant name
-//! and observed depth — callers see typed backpressure, queues never
-//! grow without bound.
+//! Admission control: when the tenant's queue is at its bound, the
+//! submit returns [`ServeError::Shed`] with the tenant name and the
+//! queue's depth — callers see typed backpressure, the queue never grows
+//! without bound.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,29 +27,21 @@ use urcl_models::Backbone;
 use urcl_tensor::{ParamStore, Tensor};
 
 use crate::cache::{CacheKey, Lookup, ResponseCache};
+use crate::queue::{BoundedQueue, Rejected};
 use crate::server::{forward_batch, Forecast, PendingForecast, ServeConfig, ServeError};
-use crate::shard::{Pending, Rejected, Shard};
 use crate::snapshot::ModelSnapshot;
 
-/// How long an idle worker (or the reload poller) sleeps between
-/// shutdown checks; requests interrupt the wait immediately via the
-/// shard's condvar.
-pub(crate) const IDLE_TICK: Duration = Duration::from_millis(25);
+/// How long the reload poller sleeps between shutdown checks.
+const POLL_TICK: Duration = Duration::from_millis(25);
 
-/// A sibling queue must hold at least this many requests before an idle
-/// worker steals from it — one queued request is the owning worker's
-/// next batch anyway, and moving it would only forfeit its coalescing
-/// window.
-const STEAL_MIN_DEPTH: usize = 2;
-
-/// How a submit picks its shard.
-enum Route {
-    /// Round-robin sweep over every shard (the default): admitted by the
-    /// first shard with room, shed only when all are full.
-    Sweep,
-    /// Strict affinity: only shard `key % shards` is probed. Trades
-    /// spillover for locality — see [`TenantClient::submit_affine`].
-    Affine(u64),
+/// One admitted request; the queue keeps its admission time.
+struct Pending {
+    window: Tensor,
+    tx: mpsc::Sender<Result<Forecast, ServeError>>,
+    /// When set, the computing worker publishes the result into the
+    /// tenant's response cache under this key (fanning out to any
+    /// deduplicated waiters).
+    cache_key: Option<CacheKey>,
 }
 
 /// Point-in-time counters for one tenant (all atomic reads, no locks).
@@ -74,11 +65,10 @@ pub struct TenantStats {
     pub cache_misses: u64,
     /// Requests that joined an identical in-flight forward.
     pub dedup_joins: u64,
-    /// Steal operations: batches an idle shard worker pulled from a hot
-    /// sibling's queue.
+    /// Retired: requests are no longer split across queues, so nothing
+    /// steals them; always 0.
     pub steals: u64,
-    /// Requests served out of stolen batches (each steal moves one or
-    /// more queued requests).
+    /// Retired with `steals`; always 0.
     pub stolen: u64,
 }
 
@@ -95,8 +85,7 @@ impl TenantStats {
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
             dedup_joins: self.dedup_joins + other.dedup_joins,
-            steals: self.steals + other.steals,
-            stolen: self.stolen + other.stolen,
+            ..TenantStats::default()
         }
     }
 }
@@ -112,8 +101,6 @@ struct Counters {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     dedup_joins: AtomicU64,
-    steals: AtomicU64,
-    stolen: AtomicU64,
 }
 
 pub(crate) struct TenantCore {
@@ -124,11 +111,10 @@ pub(crate) struct TenantCore {
     config: ServeConfig,
     snapshot: Mutex<Option<Arc<ModelSnapshot>>>,
     fingerprint: Mutex<Option<CheckpointFingerprint>>,
-    shards: Vec<Shard>,
-    router: AtomicUsize,
+    queue: BoundedQueue<Pending>,
     cache: Option<ResponseCache>,
-    /// Stop signal for the reload poller (the shards have their own
-    /// per-queue drain flags).
+    /// Stop signal for the reload poller (the queue has its own drain
+    /// flag).
     stopping: AtomicBool,
     generation: AtomicU64,
     stats: Counters,
@@ -151,7 +137,7 @@ impl TenantCore {
             .unwrap_or(0)
     }
 
-    fn submit(&self, window: Tensor, route: Route) -> Result<PendingForecast, ServeError> {
+    fn submit(&self, window: Tensor) -> Result<PendingForecast, ServeError> {
         let expected = self.input_shape();
         if window.shape() != expected {
             return Err(ServeError::BadRequest(format!(
@@ -163,7 +149,7 @@ impl TenantCore {
         }
         // A non-finite reading is no input to forecast from (and a
         // non-finite forecast cell would print as `null` on the JSON
-        // wire): reject it before it reaches the cache or a shard.
+        // wire): reject it before it reaches the cache or the queue.
         if let Some(at) = window.data().iter().position(|v| !v.is_finite()) {
             let [_, n, c] = expected;
             return Err(ServeError::BadRequest(format!(
@@ -221,70 +207,39 @@ impl TenantCore {
             }
         }
 
-        // Route: either a full sweep from the round-robin cursor, or a
-        // single strict-affinity probe. Each shard's drain flag and depth
-        // bound are checked under that shard's own lock — there is no
-        // cross-shard lock.
-        let n = self.shards.len();
-        let (start, probes) = match route {
-            Route::Sweep => (self.router.fetch_add(1, Ordering::Relaxed), n),
-            // Strict affinity: one shard, no spillover. An overloaded
-            // keyed shard sheds even while siblings have room — work
-            // stealing, not the submit path, is what rebalances it.
-            Route::Affine(key) => ((key % n as u64) as usize, 1),
-        };
-        let mut pending = Pending {
+        let pending = Pending {
             window,
-            enqueued: Instant::now(),
             tx,
             cache_key: cache_key.clone(),
         };
-        let mut any_open = false;
-        let mut fullest = 0usize;
-        for i in 0..probes {
-            let idx = (start + i) % n;
-            match self.shards[idx].try_submit(pending) {
-                Ok(depth) => {
-                    // A backlog a sibling may steal: wake the next shard's
-                    // worker now rather than at its next idle tick, so a
-                    // burst shorter than `IDLE_TICK` is stolen too.
-                    if self.config.steal && n > 1 && depth >= STEAL_MIN_DEPTH {
-                        self.shards[(idx + 1) % n].notify.notify_one();
-                    }
-                    if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
-                        cache.admitted(key);
-                    }
-                    self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    if traced {
-                        urcl_trace::counter_inc("serve.requests");
-                        urcl_trace::counter_inc(&format!("serve.tenant.{}.requests", self.name));
-                        urcl_trace::gauge_set(
-                            &format!("serve.tenant.{}.shard{idx}.queue_depth", self.name),
-                            depth as f64,
-                        );
-                    }
-                    return Ok(PendingForecast::new(rx));
+        let err = match self.queue.push(pending) {
+            Ok(depth) => {
+                if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
+                    cache.admitted(key);
                 }
-                Err(Rejected::Full(p, depth)) => {
-                    pending = p;
-                    any_open = true;
-                    fullest = fullest.max(depth);
+                self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                if traced {
+                    urcl_trace::counter_inc("serve.requests");
+                    urcl_trace::counter_inc(&format!("serve.tenant.{}.requests", self.name));
+                    urcl_trace::gauge_set(
+                        &format!("serve.tenant.{}.queue_depth", self.name),
+                        depth as f64,
+                    );
                 }
-                Err(Rejected::Draining(p)) => pending = p,
+                return Ok(PendingForecast::new(rx));
             }
-        }
-        let err = if any_open {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            if traced {
-                urcl_trace::counter_inc("serve.shed");
-                urcl_trace::counter_inc(&format!("serve.tenant.{}.shed", self.name));
+            Err(Rejected::Full(_, depth)) => {
+                self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                if traced {
+                    urcl_trace::counter_inc("serve.shed");
+                    urcl_trace::counter_inc(&format!("serve.tenant.{}.shed", self.name));
+                }
+                ServeError::Shed {
+                    tenant: self.name.clone(),
+                    depth,
+                }
             }
-            ServeError::Shed {
-                tenant: self.name.clone(),
-                depth: fullest,
-            }
-        } else {
-            ServeError::ShuttingDown
+            Err(Rejected::Draining(_)) => ServeError::ShuttingDown,
         };
         if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
             cache.abort(key);
@@ -352,122 +307,26 @@ impl TenantCore {
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
             dedup_joins: self.stats.dedup_joins.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
-            stolen: self.stats.stolen.load(Ordering::Relaxed),
+            ..TenantStats::default()
         }
     }
 }
 
-/// One attempt to steal a batch for an idle `thief` shard: scan the
-/// siblings (starting just past the thief, so thieves spread over
-/// victims) and take up to `max_batch` of the oldest requests from the
-/// first one with a backlog. Returns `None` when no sibling is hot.
-fn steal_batch(core: &TenantCore, thief: usize) -> Option<Vec<Pending>> {
-    let n = core.shards.len();
-    for off in 1..n {
-        let victim = (thief + off) % n;
-        let stolen = core.shards[victim].try_steal(core.config.policy.max_batch, STEAL_MIN_DEPTH);
-        if !stolen.is_empty() {
-            core.stats.steals.fetch_add(1, Ordering::Relaxed);
-            core.stats
-                .stolen
-                .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-            if urcl_trace::enabled() {
-                urcl_trace::counter_inc("serve.steals");
-                urcl_trace::counter_add("serve.stolen_requests", stolen.len() as u64);
-                urcl_trace::counter_inc(&format!("serve.tenant.{}.steals", core.name));
-                urcl_trace::counter_add(
-                    &format!("serve.tenant.{}.stolen_requests", core.name),
-                    stolen.len() as u64,
-                );
-            }
-            return Some(stolen);
+/// One worker: take a batch from the tenant's queue, forward, reply;
+/// stop once the queue is drained.
+fn worker_loop(core: &TenantCore) {
+    while let Some((batch, left)) = core.queue.next_batch() {
+        if urcl_trace::enabled() {
+            urcl_trace::gauge_set(
+                &format!("serve.tenant.{}.queue_depth", core.name),
+                left as f64,
+            );
         }
-    }
-    None
-}
-
-/// The per-shard worker: batch under the policy, forward, reply — and,
-/// when its own queue is empty, steal a hot sibling's backlog instead of
-/// sleeping ([`steal_batch`]).
-fn worker_loop(core: &TenantCore, shard_idx: usize) {
-    let shard = &core.shards[shard_idx];
-    let stealing = core.config.steal && core.shards.len() > 1;
-    'serve: loop {
-        let batch = {
-            let mut st = shard.lock();
-            // Idle: wait for a request; exit only on "draining AND
-            // empty", both observed under the lock. Between waits, an
-            // empty queue is an invitation to steal: the lock is dropped,
-            // a hot sibling is drained, and the stolen batch runs here.
-            loop {
-                if !st.queue.is_empty() {
-                    break;
-                }
-                let draining = st.draining;
-                if stealing {
-                    drop(st);
-                    if let Some(stolen) = steal_batch(core, shard_idx) {
-                        run_batch(core, stolen);
-                        continue 'serve;
-                    }
-                    st = shard.lock();
-                    if !st.queue.is_empty() {
-                        break;
-                    }
-                    // Safe even if siblings still hold work below the
-                    // steal threshold: every queue is drained by its own
-                    // worker before that worker exits — stealing is pure
-                    // acceleration, never a responsibility transfer.
-                    if st.draining {
-                        return;
-                    }
-                } else if draining {
-                    return;
-                }
-                st = shard
-                    .notify
-                    .wait_timeout(st, IDLE_TICK)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-            // Coalesce: hold the batch open until it fills or the oldest
-            // request's delay budget runs out; draining closes it early.
-            let policy = core.config.policy;
-            let deadline = st.queue.front().expect("non-empty").enqueued + policy.max_delay;
-            while st.queue.len() < policy.max_batch && !st.draining {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = shard
-                    .notify
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let take = st.queue.len().min(policy.max_batch);
-            let batch: Vec<Pending> = st.queue.drain(..take).collect();
-            if urcl_trace::enabled() {
-                urcl_trace::gauge_set(
-                    &format!("serve.tenant.{}.shard{shard_idx}.queue_depth", core.name),
-                    st.queue.len() as f64,
-                );
-            }
-            batch
-        };
-        // A thief can empty this queue while the coalescing wait holds no
-        // lock; an empty batch just means the work is running elsewhere.
-        if !batch.is_empty() {
-            run_batch(core, batch);
-        }
+        run_batch(core, batch);
     }
 }
 
-fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
+fn run_batch(core: &TenantCore, batch: Vec<(Instant, Pending)>) {
     let _sp = urcl_trace::span("serve_batch");
     let traced = urcl_trace::enabled();
     core.stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -489,7 +348,7 @@ fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
     // the Arc keeps the old snapshot alive until these replies are out.
     let snapshot = lock(&core.snapshot).clone();
     let Some(snapshot) = snapshot else {
-        for pending in batch {
+        for (_, pending) in batch {
             let err = Err(ServeError::NoSnapshot);
             if let (Some(cache), Some(key)) = (&core.cache, &pending.cache_key) {
                 cache.fulfill(key, &err);
@@ -501,9 +360,9 @@ fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
 
     let mut windows = Vec::with_capacity(batch.len());
     let mut replies = Vec::with_capacity(batch.len());
-    for pending in batch {
+    for (enqueued, pending) in batch {
         windows.push(pending.window);
-        replies.push((pending.enqueued, pending.tx, pending.cache_key));
+        replies.push((enqueued, pending.tx, pending.cache_key));
     }
     let predictions = forward_batch(
         core.model.as_ref(),
@@ -534,7 +393,7 @@ fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
 fn reload_loop(core: &TenantCore, interval: Duration) {
     let mut next = Instant::now() + interval;
     while !core.stopping.load(Ordering::Acquire) {
-        std::thread::sleep(IDLE_TICK.min(interval));
+        std::thread::sleep(POLL_TICK.min(interval));
         if Instant::now() < next {
             continue;
         }
@@ -558,29 +417,12 @@ impl TenantClient {
         &self.core.name
     }
 
-    /// Enqueues one `[M, N, C]` physical-unit window; see
-    /// [`crate::Server::submit`].
+    /// Enqueues one `[M, N, C]` physical-unit window and returns a reply
+    /// handle. The window's geometry and finiteness are checked eagerly;
+    /// normalization happens inside the batch, with the snapshot that
+    /// serves it.
     pub fn submit(&self, window: Tensor) -> Result<PendingForecast, ServeError> {
-        self.core.submit(window, Route::Sweep)
-    }
-
-    /// Enqueues one window with **strict shard affinity**: only shard
-    /// `key % shards` is probed, with no spillover to siblings. Requests
-    /// sharing a key therefore serialize through one queue (useful for
-    /// per-sensor or per-upstream locality), at the price that an
-    /// overloaded keyed shard sheds with [`ServeError::Shed`] even while
-    /// sibling queues have room. With [`crate::ServeConfig::steal`]
-    /// enabled (the default), idle sibling workers drain the hot keyed
-    /// queue from the consumption side instead, which restores most of
-    /// the lost capacity — the steal-duel cell in `bench_serve` measures
-    /// exactly this.
-    pub fn submit_affine(&self, key: u64, window: Tensor) -> Result<PendingForecast, ServeError> {
-        self.core.submit(window, Route::Affine(key))
-    }
-
-    /// [`TenantClient::submit_affine`] followed by a blocking wait.
-    pub fn predict_affine(&self, key: u64, window: &Tensor) -> Result<Forecast, ServeError> {
-        self.submit_affine(key, window.clone())?.wait()
+        self.core.submit(window)
     }
 
     /// Submits one window and blocks for its forecast.
@@ -588,7 +430,9 @@ impl TenantClient {
         self.submit(window.clone())?.wait()
     }
 
-    /// Submits a burst and blocks for every forecast, in order.
+    /// Submits a burst and blocks for every forecast, in order. Bursts
+    /// larger than the policy's `max_batch` are split across consecutive
+    /// batches by the workers.
     pub fn predict_many(&self, windows: &[Tensor]) -> Result<Vec<Forecast>, ServeError> {
         let handles: Vec<PendingForecast> = windows
             .iter()
@@ -597,8 +441,12 @@ impl TenantClient {
         handles.into_iter().map(PendingForecast::wait).collect()
     }
 
-    /// Hot-swaps this tenant's snapshot if its trainer published a new
-    /// checkpoint; see [`crate::Server::reload_now`].
+    /// Checks the checkpoint directory and hot-swaps the snapshot if the
+    /// trainer has published a new checkpoint since the last reload.
+    /// Returns `true` when a swap happened, `false` when the fingerprint
+    /// was unchanged. In-flight batches finish on the old snapshot; the
+    /// swap takes effect from the next batch. On failure the old snapshot
+    /// keeps serving and the error is returned.
     pub fn reload_now(&self) -> Result<bool, ServeError> {
         self.core.reload(false)
     }
@@ -629,15 +477,15 @@ impl TenantClient {
         self.core.input_shape()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
+    /// Number of worker threads draining the tenant's queue.
+    pub fn workers(&self) -> usize {
+        self.core.config.workers
     }
 
-    /// Deepest queue depth each shard has seen; never exceeds the
-    /// configured `queue_bound` (property-tested).
-    pub fn peak_queue_depths(&self) -> Vec<usize> {
-        self.core.shards.iter().map(|s| s.peak_depth()).collect()
+    /// Deepest the tenant's queue has been; never exceeds the configured
+    /// `queue_bound` (property-tested).
+    pub fn peak_queue_depth(&self) -> usize {
+        self.core.queue.peak_depth()
     }
 
     /// Completed forecasts currently held by the response cache.
@@ -647,7 +495,7 @@ impl TenantClient {
 }
 
 /// One running tenant: the core plus its worker/reloader threads.
-/// Dropping it drains every shard (queued requests are answered first)
+/// Dropping it drains the queue (queued requests are answered first)
 /// and joins all threads.
 pub(crate) struct TenantRuntime {
     core: Arc<TenantCore>,
@@ -663,8 +511,7 @@ impl TenantRuntime {
         source: CheckpointDir,
         config: ServeConfig,
     ) -> Self {
-        assert!(config.policy.max_batch > 0, "max_batch must be positive");
-        assert!(config.shards > 0, "shards must be positive");
+        assert!(config.workers > 0, "workers must be positive");
         let core = Arc::new(TenantCore {
             name: name.to_string(),
             model,
@@ -672,10 +519,7 @@ impl TenantRuntime {
             source,
             snapshot: Mutex::new(None),
             fingerprint: Mutex::new(None),
-            shards: (0..config.shards)
-                .map(|_| Shard::new(config.queue_bound))
-                .collect(),
-            router: AtomicUsize::new(0),
+            queue: BoundedQueue::new(config.queue_bound, config.policy),
             cache: config.cache.map(ResponseCache::new),
             stopping: AtomicBool::new(false),
             generation: AtomicU64::new(0),
@@ -685,13 +529,13 @@ impl TenantRuntime {
         // Best-effort initial load: an empty or unreadable directory just
         // means the tenant's trainer hasn't published yet.
         let _ = core.reload(true);
-        let workers = (0..core.config.shards)
+        let workers = (0..core.config.workers)
             .map(|idx| {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
-                    .name(format!("urcl-serve-{name}-s{idx}"))
-                    .spawn(move || worker_loop(&core, idx))
-                    .expect("spawn serve shard worker")
+                    .name(format!("urcl-serve-{name}-w{idx}"))
+                    .spawn(move || worker_loop(&core))
+                    .expect("spawn serve worker")
             })
             .collect();
         let reloader = core.config.reload_interval.map(|interval| {
@@ -714,12 +558,10 @@ impl TenantRuntime {
         }
     }
 
-    /// Drains every shard and joins all threads (idempotent).
+    /// Drains the queue and joins all threads (idempotent).
     pub(crate) fn shutdown(&mut self) {
         self.core.stopping.store(true, Ordering::Release);
-        for shard in &self.core.shards {
-            shard.drain();
-        }
+        self.core.queue.drain();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -735,8 +577,8 @@ impl Drop for TenantRuntime {
     }
 }
 
-/// The multi-tenant registry: named tenants, each with its own shards,
-/// snapshot, checkpoint source and (optional) cache.
+/// The multi-tenant registry: named tenants, each with its own queue and
+/// workers, snapshot, checkpoint source and (optional) cache.
 ///
 /// The registry lock is only taken to add/remove/look up tenants —
 /// never on the request path of a [`TenantClient`], which holds its
@@ -756,11 +598,16 @@ impl Tenants {
         Self::default()
     }
 
-    /// Registers and starts a tenant. `model` is the backbone
-    /// *architecture* (weights come from `source` checkpoints) and
-    /// `template` the parameter layout they must match, exactly as in
-    /// [`crate::Server::start`]. Fails with [`ServeError::TenantExists`]
-    /// if the name is taken.
+    /// Registers and starts a tenant, returning its request handle.
+    ///
+    /// `model` is the backbone *architecture* — its weights are ignored;
+    /// every forward pass reads parameters from the current snapshot.
+    /// `template` is the [`ParamStore`] the model was constructed
+    /// against; it defines the layout checkpoints must match. If `source`
+    /// already holds a loadable checkpoint it becomes the initial
+    /// snapshot; otherwise the tenant starts empty and answers
+    /// [`ServeError::NoSnapshot`] until a reload succeeds. Fails with
+    /// [`ServeError::TenantExists`] if the name is taken.
     pub fn add(
         &self,
         name: &str,

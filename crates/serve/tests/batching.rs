@@ -1,13 +1,14 @@
 //! Batcher edge cases and the serving consistency guarantees:
-//! empty-queue idling, bursts larger than `max_batch`, bitwise
-//! batched-vs-single forwards, and snapshot hot-swap during a drain.
+//! empty-queue idling, bursts larger than `max_batch` (at one and at
+//! several workers), bitwise batched-vs-single forwards, and snapshot
+//! hot-swap during a drain.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
 use urcl_serve::{
-    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, Server,
+    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, TenantClient,
+    Tenants,
 };
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
@@ -52,25 +53,35 @@ impl Fixture {
         }
     }
 
-    fn server(&self, policy: BatchPolicy) -> Server {
+    /// A one-tenant registry over this fixture's checkpoint, served by
+    /// `workers` threads, and the tenant's client. Dropping the registry
+    /// drains the tenant.
+    fn server(&self, policy: BatchPolicy, workers: usize) -> (Tenants, TenantClient) {
+        self.server_with(ServeConfig {
+            policy,
+            target_channel: self.ds.config.target_channel,
+            workers,
+            ..ServeConfig::default()
+        })
+    }
+
+    fn server_with(&self, config: ServeConfig) -> (Tenants, TenantClient) {
         let (model, template) = UrclPipeline::serving_parts(
             &self.ds.network,
             &self.ds.config,
             &TrainerConfig::default(),
         );
-        Server::start(
-            model,
-            template,
-            CheckpointDir::new(&self.dir_path).unwrap(),
-            ServeConfig {
-                policy,
-                target_channel: self.ds.config.target_channel,
-                // One shard: these tests pin per-shard coalescing
-                // behaviour (burst splits, full-batch fusion).
-                shards: 1,
-                ..ServeConfig::default()
-            },
-        )
+        let tenants = Tenants::new();
+        let client = tenants
+            .add(
+                "batching",
+                model,
+                template,
+                CheckpointDir::new(&self.dir_path).unwrap(),
+                config,
+            )
+            .unwrap();
+        (tenants, client)
     }
 }
 
@@ -93,10 +104,13 @@ fn assert_bitwise_eq(a: &Tensor, b: &Tensor, ctx: &str) {
 #[test]
 fn empty_queue_idles_and_serves_late_request() {
     let fx = Fixture::new("idle", 1);
-    let server = fx.server(BatchPolicy {
-        max_batch: 4,
-        max_delay: Duration::from_millis(1),
-    });
+    let (tenants, server) = fx.server(
+        BatchPolicy {
+            max_batch: 4,
+            max_delay: Duration::from_millis(1),
+        },
+        1,
+    );
     std::thread::sleep(Duration::from_millis(120));
     assert_eq!(
         server.stats().batches,
@@ -109,38 +123,48 @@ fn empty_queue_idles_and_serves_late_request() {
         &[fx.ds.config.output_steps, fx.ds.config.num_nodes]
     );
     assert_eq!(server.stats().batches, 1);
-    drop(server); // clean shutdown with an empty queue must not hang
+    drop(tenants); // clean shutdown with an empty queue must not hang
 }
 
 /// A burst larger than `max_batch` splits across consecutive batches; no
-/// batch ever exceeds the policy and every request is answered in order.
+/// batch ever exceeds the policy and every request is answered in order,
+/// whether one worker or several drain the queue.
 #[test]
 fn burst_larger_than_max_batch_splits() {
     let fx = Fixture::new("burst", 2);
     let max_batch = 4;
-    let server = fx.server(BatchPolicy {
-        max_batch,
-        max_delay: Duration::from_millis(20),
-    });
-    let n = 2 * max_batch + 3; // 11 requests, forced across >= 3 batches
-    let forecasts = server.predict_many(&fx.windows[..n]).expect("burst served");
-    assert_eq!(forecasts.len(), n);
-    let stats = server.stats();
-    assert_eq!(stats.requests, n as u64);
-    assert!(
-        stats.max_batch <= max_batch as u64,
-        "policy violated: batch of {} fused (max_batch {max_batch})",
-        stats.max_batch
-    );
-    assert!(
-        stats.batches >= n.div_ceil(max_batch) as u64,
-        "{n} requests cannot fit in {} batches of {max_batch}",
-        stats.batches
-    );
-    // Order is preserved: each response equals its window's solo forecast.
-    for (window, forecast) in fx.windows[..n].iter().zip(&forecasts) {
-        let solo = server.predict(window).unwrap();
-        assert_bitwise_eq(&solo.prediction, &forecast.prediction, "burst order");
+    for workers in [1, 3] {
+        let (_tenants, server) = fx.server(
+            BatchPolicy {
+                max_batch,
+                max_delay: Duration::from_millis(20),
+            },
+            workers,
+        );
+        let n = 2 * max_batch + 3; // 11 requests, forced across >= 3 batches
+        let forecasts = server.predict_many(&fx.windows[..n]).expect("burst served");
+        assert_eq!(forecasts.len(), n);
+        let stats = server.stats();
+        assert_eq!(stats.requests, n as u64);
+        assert!(
+            stats.max_batch <= max_batch as u64,
+            "{workers} workers: policy violated: batch of {} fused (max_batch {max_batch})",
+            stats.max_batch
+        );
+        assert!(
+            stats.batches >= n.div_ceil(max_batch) as u64,
+            "{workers} workers: {n} requests cannot fit in {} batches of {max_batch}",
+            stats.batches
+        );
+        // Order is preserved: each response equals its window's solo forecast.
+        for (window, forecast) in fx.windows[..n].iter().zip(&forecasts) {
+            let solo = server.predict(window).unwrap();
+            assert_bitwise_eq(
+                &solo.prediction,
+                &forecast.prediction,
+                &format!("{workers} workers: burst order"),
+            );
+        }
     }
 }
 
@@ -170,28 +194,34 @@ fn batched_forward_is_bitwise_equal_to_single_forwards() {
 
 /// The same invariant end-to-end: a coalesced full batch through the
 /// server equals per-request forwards. `max_batch == len` and a generous
-/// `max_delay` force the burst into exactly one fused batch.
+/// `max_delay` force the burst into exactly one fused batch — at several
+/// workers too, because one worker at a time holds a batch open.
 #[test]
 fn server_coalesces_full_batch_bitwise_equal_to_singles() {
     let fx = Fixture::new("coalesce", 4);
     let n = 6;
-    let server = fx.server(BatchPolicy {
-        max_batch: n,
-        max_delay: Duration::from_millis(500),
-    });
-    let fused = server.predict_many(&fx.windows[..n]).expect("burst");
-    let stats = server.stats();
-    assert_eq!(
-        stats.max_batch, n as u64,
-        "burst did not coalesce into one batch"
-    );
-    for (i, window) in fx.windows[..n].iter().enumerate() {
-        let solo = server.predict(window).unwrap();
-        assert_bitwise_eq(
-            &fused[i].prediction,
-            &solo.prediction,
-            &format!("window {i}"),
+    for workers in [1, 3] {
+        let (_tenants, server) = fx.server(
+            BatchPolicy {
+                max_batch: n,
+                max_delay: Duration::from_millis(500),
+            },
+            workers,
         );
+        let fused = server.predict_many(&fx.windows[..n]).expect("burst");
+        let stats = server.stats();
+        assert_eq!(
+            stats.max_batch, n as u64,
+            "{workers} workers: burst did not coalesce into one batch"
+        );
+        for (i, window) in fx.windows[..n].iter().enumerate() {
+            let solo = server.predict(window).unwrap();
+            assert_bitwise_eq(
+                &fused[i].prediction,
+                &solo.prediction,
+                &format!("{workers} workers: window {i}"),
+            );
+        }
     }
 }
 
@@ -203,10 +233,13 @@ fn server_coalesces_full_batch_bitwise_equal_to_singles() {
 fn swap_during_drain_serves_consistent_snapshots() {
     let fx_a = Fixture::new("swap-a", 5);
     let fx_b = Fixture::new("swap-b", 6); // same arch, different weights
-    let server = Arc::new(fx_a.server(BatchPolicy {
-        max_batch: 3,
-        max_delay: Duration::from_millis(1),
-    }));
+    let (_tenants, server) = fx_a.server(
+        BatchPolicy {
+            max_batch: 3,
+            max_delay: Duration::from_millis(1),
+        },
+        1,
+    );
 
     // Reference forecasts per checkpoint, computed on the pure path.
     let (model, template) =
@@ -220,7 +253,7 @@ fn swap_during_drain_serves_consistent_snapshots() {
 
     let workers: Vec<_> = (0..4)
         .map(|w| {
-            let server = Arc::clone(&server);
+            let server = server.clone();
             let windows = windows.clone();
             let ref_a = ref_a.clone();
             let ref_b = ref_b.clone();
@@ -283,7 +316,7 @@ fn swap_during_drain_serves_consistent_snapshots() {
 fn captured_snapshot_survives_hot_swap() {
     let fx_a = Fixture::new("inflight-a", 7);
     let fx_b = Fixture::new("inflight-b", 8);
-    let server = fx_a.server(BatchPolicy::default());
+    let (_tenants, server) = fx_a.server(BatchPolicy::default(), 1);
     let (model, _template) =
         UrclPipeline::serving_parts(&fx_a.ds.network, &fx_a.ds.config, &TrainerConfig::default());
     let target = fx_a.ds.config.target_channel;
@@ -311,7 +344,7 @@ fn captured_snapshot_survives_hot_swap() {
 #[test]
 fn bad_requests_and_empty_directories_are_typed_errors() {
     let fx = Fixture::new("errors", 9);
-    let server = fx.server(BatchPolicy::default());
+    let (_tenants, server) = fx.server(BatchPolicy::default(), 1);
 
     let wrong = Tensor::zeros(&[1, 2, 3]);
     assert!(matches!(
@@ -326,12 +359,16 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
     std::fs::remove_dir_all(&empty_path).ok();
     let (model, template) =
         UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
-    let empty = Server::start(
-        model,
-        template,
-        CheckpointDir::new(&empty_path).unwrap(),
-        ServeConfig::default(),
-    );
+    let registry = Tenants::new();
+    let empty = registry
+        .add(
+            "empty",
+            model,
+            template,
+            CheckpointDir::new(&empty_path).unwrap(),
+            ServeConfig::default(),
+        )
+        .unwrap();
     assert!(!empty.has_snapshot());
     assert_eq!(empty.generation(), None);
     assert!(matches!(
@@ -347,18 +384,11 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
 #[test]
 fn non_finite_windows_are_bad_requests_before_the_cache() {
     let fx = Fixture::new("nonfinite", 10);
-    let (model, template) =
-        UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
-    let server = Server::start(
-        model,
-        template,
-        CheckpointDir::new(&fx.dir_path).unwrap(),
-        ServeConfig {
-            target_channel: fx.ds.config.target_channel,
-            cache: Some(CachePolicy::default()),
-            ..ServeConfig::default()
-        },
-    );
+    let (_tenants, server) = fx.server_with(ServeConfig {
+        target_channel: fx.ds.config.target_channel,
+        cache: Some(CachePolicy::default()),
+        ..ServeConfig::default()
+    });
     let [_, n, c] = server.input_shape();
     let mut window = fx.windows[0].clone();
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {

@@ -60,7 +60,7 @@ impl Fixture {
                         max_delay: Duration::from_millis(1),
                     },
                     target_channel: self.ds.config.target_channel,
-                    shards: 2,
+                    workers: 2,
                     ..ServeConfig::default()
                 },
             )

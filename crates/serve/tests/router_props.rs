@@ -1,10 +1,10 @@
-//! Property test for the shard router, driven by the in-tree xoshiro
-//! RNG: random (tenant count, shard count, queue bound, batch policy,
+//! Property test for request routing, driven by the in-tree xoshiro
+//! RNG: random (tenant count, worker count, queue bound, batch policy,
 //! cache) configurations, asserting for every configuration that
 //!
 //! * every successful response is bitwise the *owning* tenant's forward
 //!   of that window (requests never land on another tenant's model);
-//! * no shard queue ever exceeds its admission bound (`peak_depth`);
+//! * no tenant queue ever exceeds its admission bound (`peak_depth`);
 //! * drain-on-Drop completes with zero stranded waiters: every handle
 //!   alive at drop time resolves.
 
@@ -98,13 +98,13 @@ fn random_configs_route_bound_and_drain_correctly() {
     let mut rng = Rng::seed_from_u64(0x5EED_0007);
     for case in 0..10 {
         let tenant_count = pick(&mut rng, 1, 3);
-        let shards = pick(&mut rng, 1, 3);
+        let workers = pick(&mut rng, 1, 3);
         let queue_bound = [1, 2, 4, 64][pick(&mut rng, 0, 3)];
         let max_batch = [1, 2, 8][pick(&mut rng, 0, 2)];
         let max_delay = Duration::from_millis(pick(&mut rng, 0, 3) as u64);
         let cache = rng.uniform() < 0.5;
         let ctx = format!(
-            "case {case}: tenants={tenant_count} shards={shards} bound={queue_bound} \
+            "case {case}: tenants={tenant_count} workers={workers} bound={queue_bound} \
              max_batch={max_batch} max_delay={max_delay:?} cache={cache}"
         );
 
@@ -127,7 +127,7 @@ fn random_configs_route_bound_and_drain_correctly() {
                             max_delay,
                         },
                         target_channel: fx.ds.config.target_channel,
-                        shards,
+                        workers,
                         queue_bound,
                         cache: cache.then(CachePolicy::default),
                         ..ServeConfig::default()
@@ -190,19 +190,18 @@ fn random_configs_route_bound_and_drain_correctly() {
             "{ctx}: conservation"
         );
 
-        // Bound property: no shard queue ever exceeded its bound, and
+        // Bound property: no tenant queue ever exceeded its bound, and
         // registry counters agree with the client-side tallies.
         let mut stats_requests = 0u64;
         let mut stats_shed = 0u64;
         for fx in fixtures.iter().take(tenant_count) {
             let client = registry.client(&fx.name).unwrap();
-            assert_eq!(client.shard_count(), shards, "{ctx}");
-            for depth in client.peak_queue_depths() {
-                assert!(
-                    depth <= queue_bound,
-                    "{ctx}: peak depth {depth} exceeded bound {queue_bound}"
-                );
-            }
+            assert_eq!(client.workers(), workers, "{ctx}");
+            let depth = client.peak_queue_depth();
+            assert!(
+                depth <= queue_bound,
+                "{ctx}: peak depth {depth} exceeded bound {queue_bound}"
+            );
             let s = client.stats();
             stats_requests += s.requests;
             stats_shed += s.shed;

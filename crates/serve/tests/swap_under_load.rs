@@ -97,7 +97,7 @@ impl SwapFx {
                         max_delay: Duration::from_millis(1),
                     },
                     target_channel: self.ds.config.target_channel,
-                    shards: 2,
+                    workers: 2,
                     cache: cache.then(CachePolicy::default),
                     ..ServeConfig::default()
                 },

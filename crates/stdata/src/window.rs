@@ -6,6 +6,8 @@
 //! `[B, M, N_nodes, C]` / `[B, H, N_nodes]` batch tensors the models
 //! consume.
 
+use std::borrow::Borrow;
+
 use urcl_tensor::Tensor;
 
 /// One supervised window: `x` is `[M, N, C]`, `y` is `[H, N]` holding the
@@ -65,13 +67,14 @@ pub fn sliding_windows(
     out
 }
 
-/// Stacks samples into one batch. All samples must share shapes.
-pub fn stack_samples(samples: &[Sample]) -> Batch {
+/// Stacks samples, owned or borrowed, into one batch. All samples must
+/// share shapes.
+pub fn stack_samples<S: Borrow<Sample>>(samples: &[S]) -> Batch {
     assert!(!samples.is_empty(), "cannot stack an empty batch");
     // One copy per part, straight into the batch tensor's pool block.
     let stack = |part: fn(&Sample) -> &Tensor, name: &str| {
-        let each = part(&samples[0]).shape();
-        let parts: Vec<&Tensor> = samples.iter().map(part).collect();
+        let each = part(samples[0].borrow()).shape();
+        let parts: Vec<&Tensor> = samples.iter().map(|s| part(s.borrow())).collect();
         for t in &parts {
             assert_eq!(t.shape(), each, "inconsistent sample {name} shape");
         }
@@ -146,6 +149,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn stack_empty_panics() {
-        let _ = stack_samples(&[]);
+        let _ = stack_samples::<Sample>(&[]);
     }
 }

@@ -62,7 +62,7 @@ pub(crate) fn global_state_test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 pub use autodiff::{Session, Tape, Var};
 pub use opprof::{op_profile, reset_op_profile, set_op_profile, OpProfileRow};
-pub use optim::{Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use parallel::{
     host_parallelism, num_threads, parallel_for, pool_stats, reset_pool_stats, set_threads,
     PoolStats,

@@ -1,53 +1,8 @@
-//! First-order optimizers over a [`ParamStore`].
+//! The Adam optimizer over a [`ParamStore`]. (RMIR's virtual update is
+//! plain SGD: [`ParamStore::sgd_step`].)
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
-
-/// A gradient-based parameter updater. Implementations read the gradient
-/// buffers of the store and mutate the values in place.
-pub trait Optimizer {
-    /// Applies one update using the currently accumulated gradients.
-    fn step(&mut self, store: &mut ParamStore);
-    /// Current learning rate (diagnostics).
-    fn learning_rate(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent, optionally with L2 weight decay.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight-decay coefficient (0 disables).
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
-        for id in ids {
-            let wd = self.weight_decay;
-            let lr = self.lr;
-            // Split-borrow the gradient and update in place.
-            let (value, grad) = store.value_grad_mut(id);
-            for (p, g) in value.data_mut().iter_mut().zip(grad.data()) {
-                *p -= lr * (g + wd * *p);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
 
 /// A serializable snapshot of Adam's internal state: the step count and
 /// the per-parameter first/second moment estimates, in [`ParamStore`]
@@ -130,8 +85,10 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+impl Adam {
+    /// Applies one update using the gradients accumulated in `store`,
+    /// mutating its values in place.
+    pub fn step(&mut self, store: &mut ParamStore) {
         self.ensure_state(store);
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
@@ -161,10 +118,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 #[cfg(test)]
@@ -172,8 +125,9 @@ mod tests {
     use super::*;
     use crate::autodiff::{Session, Tape};
 
-    /// Minimises f(w) = (w - 3)^2 and checks convergence.
-    fn optimise_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    /// Minimises f(w) = (w - 3)^2 with `step` applying each update, and
+    /// returns the final w.
+    fn optimise_quadratic(steps: usize, mut step: impl FnMut(&mut ParamStore)) -> f32 {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::scalar(0.0));
         for _ in 0..steps {
@@ -186,22 +140,22 @@ mod tests {
             let grads = tape.backward(loss);
             let binds = sess.into_bindings();
             store.accumulate_grads(&binds, &grads);
-            opt.step(&mut store);
+            step(&mut store);
         }
         store.value(w).item()
     }
 
+    /// Plain SGD, as RMIR's virtual update applies it.
     #[test]
     fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = optimise_quadratic(&mut opt, 200);
+        let w = optimise_quadratic(200, |store| store.sgd_step(0.1));
         assert!((w - 3.0).abs() < 1e-3, "w = {w}");
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
-        let w = optimise_quadratic(&mut opt, 500);
+        let w = optimise_quadratic(500, |store| opt.step(store));
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
     }
 
@@ -282,9 +236,10 @@ mod tests {
     fn weight_decay_shrinks_params() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::scalar(1.0));
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.weight_decay = 1.0;
-        // No task gradient: only decay acts.
+        // No task gradient: only decay acts, and Adam's first step moves
+        // every parameter by lr against the sign of its gradient.
         opt.step(&mut store);
         assert!((store.value(w).item() - 0.9).abs() < 1e-6);
     }

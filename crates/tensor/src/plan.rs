@@ -238,7 +238,7 @@ enum NodeExec {
 
 /// A compiled, reusable execution plan for one recorded tape. See the
 /// module docs for what compilation precomputes. Plans are immutable and
-/// `Send + Sync`, so a serving snapshot can share one across shard
+/// `Send + Sync`, so a serving snapshot can share one across worker
 /// threads behind an `Arc`.
 pub struct ExecPlan {
     ops: Vec<Op>,

@@ -40,8 +40,8 @@
 //! Each free-list entry is therefore a block some earlier `take` on the
 //! same thread handed out: a thread's free lists never hold more than
 //! that thread's own peak demand per length, however many buffers other
-//! threads (an HTTP worker handing windows to a shard, a shard handing
-//! forecasts back) drop on it. Free lists are thread-local (no locking;
+//! threads (an HTTP worker handing windows to a serving worker, which
+//! hands forecasts back) drop on it. Free lists are thread-local (no locking;
 //! GEMM workers reuse their own packing buffers), while the
 //! hit/miss/recycled/peak counters are global relaxed atomics so
 //! `urcl-trace` can export one process-wide view.

@@ -24,8 +24,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
-    set_pool_poison, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, Recording, Rng,
-    Tensor,
+    set_pool_poison, set_threads, Adam, ExecPlan, ParamId, ParamStore, Recording, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {

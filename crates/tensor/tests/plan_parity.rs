@@ -24,9 +24,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
-use urcl_tensor::{
-    set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, Recording, Rng, Tensor,
-};
+use urcl_tensor::{set_threads, Adam, ExecPlan, ParamId, ParamStore, Recording, Rng, Tensor};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();

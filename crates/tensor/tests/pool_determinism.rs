@@ -17,8 +17,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
-    buffer_pool_stats, reset_buffer_pool_stats, set_pool_poison, set_threads, Adam, Optimizer,
-    ParamId, ParamStore, Rng, Tensor,
+    buffer_pool_stats, reset_buffer_pool_stats, set_pool_poison, set_threads, Adam, ParamId,
+    ParamStore, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {

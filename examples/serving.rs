@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use urcl::core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl::serve::{BatchPolicy, ServeConfig, Server};
+use urcl::serve::{BatchPolicy, ServeConfig, Tenants};
 use urcl::stdata::{DatasetConfig, SyntheticDataset};
 use urcl::tensor::Tensor;
 
@@ -52,20 +52,24 @@ fn main() {
     // The server only needs the *architecture* (model + parameter-store
     // template); every weight it ever serves comes from the directory.
     let (model, template) = UrclPipeline::serving_parts(&ds.network, &ds.config, &trainer_cfg);
-    let server = Server::start(
-        model,
-        template,
-        CheckpointDir::new(&ckpt_dir).expect("checkpoint dir"),
-        ServeConfig {
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_delay: Duration::from_millis(2),
+    let tenants = Tenants::new();
+    let server = tenants
+        .add(
+            "metr-la",
+            model,
+            template,
+            CheckpointDir::new(&ckpt_dir).expect("checkpoint dir"),
+            ServeConfig {
+                policy: BatchPolicy {
+                    max_batch: 8,
+                    max_delay: Duration::from_millis(2),
+                },
+                target_channel: ds.config.target_channel,
+                reload_interval: None, // we trigger reloads explicitly below
+                ..ServeConfig::default()
             },
-            target_channel: ds.config.target_channel,
-            reload_interval: None, // we trigger reloads explicitly below
-            ..ServeConfig::default()
-        },
-    );
+        )
+        .expect("register the tenant");
     println!(
         "server up, generation {:?}, window shape {:?}",
         server.generation(),
@@ -73,7 +77,7 @@ fn main() {
     );
 
     // Concurrent clients: each submits a recent window and blocks on its
-    // forecast. The worker coalesces them into fused batches.
+    // forecast. The workers coalesce them into fused batches.
     let m = ds.config.input_steps;
     let windows: Vec<Tensor> = (0..12)
         .map(|i| split.base.series.narrow(0, i * 2, m))

@@ -16,9 +16,9 @@
 # full-pipeline (v2) and params-only checkpoint saves/loads through the
 # atomic latest/previous rotation and writes BENCH_checkpoint.json
 # (latency + document size); bench_serve, which closed-loop sweeps the
-# sharded multi-tenant serving runtime across (threads, shards, tenants,
+# multi-tenant serving runtime across (threads, workers, tenants,
 # max_batch, cache) cells — thousands of client threads at the top end —
-# and writes BENCH_serve.json (schema urcl-bench-serve-v3: aggregate
+# and writes BENCH_serve.json (schema urcl-bench-serve-v4: aggregate
 # req/s plus per-tenant p50/p95/p99, shed and cache counters); and
 # bench_train_step, which measures end-to-end training-step throughput
 # over {1,4} threads x {recorded tape, compiled plan} and writes

@@ -64,7 +64,7 @@ echo "== crash/resume fault injection (release) =="
 # guarding against a resume loop that stops making progress.
 timeout 600 cargo test -q --offline --release --test crash_resume
 
-echo "== serve stress: sharded multi-tenant runtime under load (release) =="
+echo "== serve stress: multi-tenant runtime under load (release) =="
 # Hundreds of concurrent clients across three tenants, hot-swap mid-burst,
 # seeded drain interleavings and the router property sweep — debug builds
 # make the forward passes dominate, so this stage runs in release with a
@@ -73,15 +73,13 @@ timeout 600 cargo test -q --offline --release -p urcl-serve \
   --test shard_stress --test swap_under_load \
   --test router_props --test drain_interleavings
 
-echo "== serve network front-end + work stealing (release) =="
+echo "== serve network front-end (release) =="
 # http_wire binds a real listener on an ephemeral port and drives it
 # over TCP: forecast parity, the typed 4xx/5xx mapping, slowloris/
 # truncation/oversize edges, keep-alive pipelining, a killed client
 # mid-response, and graceful drain under load inside a 10 s budget.
-# steal pins bitwise parity and the strictly-fewer-sheds duel with
-# cross-shard work stealing enabled.
 timeout 600 cargo test -q --offline --release -p urcl-serve \
-  --test http_wire --test steal
+  --test http_wire
 
 echo "== full-size integration tests (ignored set, release) =="
 # The #[ignore]-gated full-size runs: every backbone through the stream

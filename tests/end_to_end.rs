@@ -190,7 +190,7 @@ fn shared_encoder_between_prediction_and_simsiam() {
     // the prediction output.
     use urcl::core::Augmentation;
     use urcl::tensor::autodiff::{Session, Tape};
-    use urcl::tensor::{Adam, Optimizer};
+    use urcl::tensor::Adam;
 
     let (dataset, split, _) = tiny_context_days(4);
     let (mut store, model, simsiam) = build_gwn(&dataset, 13);
