@@ -77,7 +77,7 @@
 //! counters and the `serve.http.latency_seconds` histogram land in the
 //! `urcl-trace-v1` snapshot next to the tenant metrics.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -593,9 +593,9 @@ enum ReadChunk {
     Err,
 }
 
-/// One tick-bounded read: appends whatever arrived within [`DRAIN_TICK`].
+/// One tick-bounded read (the connection's read timeout is
+/// [`DRAIN_TICK`]): appends whatever arrived within it.
 fn read_chunk(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReadChunk {
-    let _ = stream.set_read_timeout(Some(DRAIN_TICK));
     let mut chunk = [0u8; 4096];
     match stream.read(&mut chunk) {
         Ok(0) => ReadChunk::Eof,
@@ -692,16 +692,32 @@ fn write_response(
     if urcl_trace::enabled() {
         urcl_trace::counter_inc(&format!("serve.http.responses.{}", resp.status));
     }
-    let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
-    stream.flush()
+    // Head and body leave in one write, so the client never wakes on a
+    // head whose body is still in the server.
+    let mut parts = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(resp.body.as_bytes()),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- handling
 
 fn handle_connection(shared: &HttpShared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    // Reads wake every tick to observe the drain flag; a response write
+    // to a client that stopped reading gives up after the read timeout.
+    let _ = stream.set_read_timeout(Some(DRAIN_TICK));
+    let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
     let mut buf = Vec::new();
     loop {
         let request = match read_request(shared, &mut stream, &mut buf) {

@@ -13,8 +13,11 @@
 //!   The request path takes only its tenant's queue lock: no global
 //!   lock, no cross-tenant contention. Concurrent requests coalesce into
 //!   batches under a [`BatchPolicy`] (`max_batch`/`max_delay`) and run as
-//!   one forward; one worker at a time holds a batch open, so a burst
-//!   fills whole batches whatever the number of workers.
+//!   one forward. By default a worker takes whatever is queued, up to
+//!   `max_batch`, at once, so requests that arrive during a forward join
+//!   the next batch; a positive `max_delay` holds each batch open to
+//!   fill, one worker at a time, so a burst fills whole batches whatever
+//!   the number of workers.
 //! * **Admission control** — the queue is bounded
 //!   ([`ServeConfig::queue_bound`]); when it is full the submit fails
 //!   fast with [`ServeError::Shed`], carrying the tenant name and the
@@ -26,7 +29,9 @@
 //!   still-running [`urcl_core::UrclPipeline`] trainer writes into) and
 //!   swap atomically between batches via `Arc<`[`ModelSnapshot`]`>`.
 //!   Every batch captures the `Arc` once, so in-flight requests always
-//!   complete on the snapshot they started with; torn or unloadable
+//!   complete on the snapshot they started with. Every snapshot a tenant
+//!   loads replays the tenant's one compiled forward plan, so a swap
+//!   loads weights and never recompiles; torn or unloadable
 //!   checkpoints fall back per tenant and never take the server down
 //!   (see DESIGN.md §10 and §13).
 //! * **Response cache** (optional, [`CachePolicy`]) — a forecaster is a

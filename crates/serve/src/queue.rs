@@ -32,16 +32,18 @@
 //! ## Batches
 //!
 //! Workers take items in batches under a [`BatchPolicy`]. One worker at
-//! a time holds a batch open: it waits until the queue holds `max_batch`
-//! items or the oldest item's `max_delay` runs out, whichever comes
-//! first (a drain closes the batch at once), and takes up to `max_batch`
-//! of the oldest items. The other workers wait for that worker to take
-//! its batch, then the next one opens a batch of its own. A push wakes
-//! at most one worker: the one holding a batch open, otherwise a waiting
-//! worker. So a burst coalesces into full batches whatever the number of
-//! workers, one worker runs exactly the single-queue loop, and the HTTP
-//! front-end, whose policy is batches of one, hands each connection to
-//! one worker.
+//! a time has the turn: it takes up to `max_batch` of the oldest items.
+//! Under a zero `max_delay` (the default policy, and the HTTP
+//! front-end's batches of one) it takes them at once, so items pushed
+//! while the other workers forward coalesce into the next batch. Under a
+//! positive `max_delay` it first holds the batch open until the queue
+//! holds `max_batch` items or the oldest item's `max_delay` runs out,
+//! whichever comes first (a drain closes the batch at once). The other
+//! workers wait for that worker to take its batch, then the next one
+//! takes the turn. A push wakes at most one worker: the one holding a
+//! batch open, otherwise a waiting worker. So one worker runs exactly
+//! the single-queue loop, and under a positive `max_delay` a burst
+//! coalesces into full batches whatever the number of workers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -183,5 +185,82 @@ impl<T> BoundedQueue<T> {
             self.turn.notify_all();
         }
         Some((batch, left))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use super::*;
+
+    fn queue(max_delay: Duration) -> BoundedQueue<u32> {
+        BoundedQueue::new(
+            64,
+            BatchPolicy {
+                max_batch: 8,
+                max_delay,
+            },
+        )
+    }
+
+    fn items(batch: Vec<(Instant, u32)>) -> Vec<u32> {
+        batch.into_iter().map(|(_, item)| item).collect()
+    }
+
+    /// An hour: a batch that waited out this deadline would hang the test.
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    #[test]
+    fn zero_delay_takes_a_lone_item_at_once() {
+        let q = queue(Duration::ZERO);
+        assert!(q.push(7).is_ok());
+        let (batch, left) = q.next_batch().unwrap();
+        assert_eq!(items(batch), [7]);
+        assert_eq!(left, 0);
+    }
+
+    #[test]
+    fn zero_delay_takes_everything_queued_as_one_batch() {
+        let q = queue(Duration::ZERO);
+        for i in 0..3 {
+            assert!(q.push(i).is_ok());
+        }
+        let (batch, left) = q.next_batch().unwrap();
+        assert_eq!(items(batch), [0, 1, 2]);
+        assert_eq!(left, 0);
+    }
+
+    #[test]
+    fn full_batch_closes_before_its_deadline() {
+        // Queued before the call: the batch is full at once.
+        let q = queue(HOUR);
+        for i in 0..9 {
+            assert!(q.push(i).is_ok());
+        }
+        let (batch, left) = q.next_batch().unwrap();
+        assert_eq!(items(batch), (0..8).collect::<Vec<_>>());
+        assert_eq!(left, 1);
+
+        // Filled while the batch is held open: the push that fills it
+        // closes it.
+        let q = Arc::new(queue(HOUR));
+        assert!(q.push(0).is_ok());
+        let pusher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while !q.lock().filling {
+                    std::thread::yield_now();
+                }
+                for i in 1..8 {
+                    assert!(q.push(i).is_ok());
+                }
+            })
+        };
+        let (batch, left) = q.next_batch().unwrap();
+        pusher.join().unwrap();
+        assert_eq!(items(batch), (0..8).collect::<Vec<_>>());
+        assert_eq!(left, 0);
     }
 }

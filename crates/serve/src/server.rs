@@ -15,17 +15,19 @@ use crate::snapshot::ModelSnapshot;
 
 /// Request-coalescing policy.
 ///
-/// When a request arrives, one worker holds a batch open for up to
-/// `max_delay` after it, hoping concurrent requests fill it to
-/// `max_batch`; whichever limit is hit first closes the batch. A single
-/// sparse client therefore pays at most `max_delay` extra latency, while
-/// a busy one amortizes the per-forward fixed costs across up to
-/// `max_batch` windows.
+/// The worker whose turn it is takes up to `max_batch` of the oldest
+/// queued requests as one batch. With the default `max_delay` of zero it
+/// takes them at once: a lone request runs as a batch of one, and the
+/// requests that arrive while a forward runs coalesce into the next
+/// batch. A positive `max_delay` holds the batch open for up to that
+/// long after its oldest request, waiting for concurrent requests to
+/// fill it to `max_batch`; whichever limit is hit first closes the
+/// batch, so a sparse client pays at most `max_delay` extra latency.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
     /// Largest number of requests fused into one forward pass.
     pub max_batch: usize,
-    /// Longest a batch is held open waiting to fill.
+    /// Longest a batch is held open waiting to fill (zero: never).
     pub max_delay: Duration,
 }
 
@@ -33,7 +35,7 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
         }
     }
 }
@@ -41,7 +43,8 @@ impl Default for BatchPolicy {
 /// Per-tenant serving configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Request-coalescing policy.
+    /// Request-coalescing policy. The default batches whatever is
+    /// queued, up to 8 requests, without waiting for more.
     pub policy: BatchPolicy,
     /// Which input channel the forecasts denormalize as (the dataset's
     /// `target_channel`).
@@ -54,9 +57,10 @@ pub struct ServeConfig {
     /// [`crate::TenantClient::reload_now`] calls.
     pub reload_interval: Option<Duration>,
     /// Worker threads draining the tenant's request queue. One worker at
-    /// a time holds a batch open; the others forward the batches already
-    /// taken, so on multi-core hosts batches run concurrently. Defaults
-    /// to the host's available parallelism.
+    /// a time takes a batch (holding it open first when the policy sets
+    /// a `max_delay`); the others forward the batches already taken, so
+    /// on multi-core hosts batches run concurrently. Defaults to the
+    /// host's available parallelism.
     pub workers: usize,
     /// Admission bound of the tenant's request queue. When the queue is
     /// at its bound, submits fail fast with [`ServeError::Shed`] instead

@@ -1,6 +1,6 @@
 //! Immutable model snapshots: the unit of hot-swap.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use urcl_core::persist::{copy_store_checked, Checkpoint};
 use urcl_models::Backbone;
@@ -23,13 +23,15 @@ pub struct ModelSnapshot {
     normalizer: Normalizer,
     description: String,
     generation: u64,
-    /// The forward-only [`ExecPlan`], compiled lazily and shared across
-    /// every worker thread holding this snapshot. It is batch-polymorphic,
-    /// so the first batch's compile serves every admission-controlled
-    /// batch size. Parameters are immutable for the snapshot's lifetime,
-    /// so the plan never goes stale; it dies with the snapshot on
-    /// hot-swap.
-    plan: OnceLock<ExecPlan>,
+    /// The cell of the forward-only [`ExecPlan`], compiled lazily and
+    /// shared across every worker thread holding this snapshot. It is
+    /// batch-polymorphic, so the first batch's compile serves every
+    /// admission-controlled batch size. A tenant hands every snapshot it
+    /// loads the same cell, so a hot swap loads weights and never
+    /// recompiles: a plan binds its parameters from the store each replay
+    /// passes, and every snapshot matches the tenant's one template
+    /// layout.
+    pub(crate) plan: Arc<OnceLock<ExecPlan>>,
 }
 
 impl ModelSnapshot {
@@ -39,11 +41,23 @@ impl ModelSnapshot {
     /// architecture the server's backbone was constructed against); the
     /// checkpoint must match it exactly (count, names, shapes) and must
     /// carry normalizer statistics — i.e. be a full-pipeline (v2) save,
-    /// not a params-only one.
+    /// not a params-only one. The snapshot starts a forward-plan cell of
+    /// its own.
     pub fn from_checkpoint(
         ckpt: &Checkpoint,
         template: &ParamStore,
         generation: u64,
+    ) -> Result<Self, ServeError> {
+        Self::sharing_plan(ckpt, template, generation, Arc::default())
+    }
+
+    /// [`Self::from_checkpoint`] into the forward-plan cell `plan`, which
+    /// every snapshot built from the same template may share.
+    pub(crate) fn sharing_plan(
+        ckpt: &Checkpoint,
+        template: &ParamStore,
+        generation: u64,
+        plan: Arc<OnceLock<ExecPlan>>,
     ) -> Result<Self, ServeError> {
         let normalizer = ckpt
             .normalizer()
@@ -61,14 +75,15 @@ impl ModelSnapshot {
             normalizer,
             description: ckpt.description.clone(),
             generation,
-            plan: OnceLock::new(),
+            plan,
         })
     }
 
     /// The snapshot's forward-only plan, compiled from `x` on first use
-    /// ([`Backbone::compile_forward`]): one batch-polymorphic plan replays
-    /// at every batch size the batcher forms. `x` itself seeds the
-    /// recording; only its shape matters.
+    /// of its cell ([`Backbone::compile_forward`]): one batch-polymorphic
+    /// plan replays at every batch size the batcher forms, on every
+    /// snapshot sharing the cell. `x` itself seeds the recording; only
+    /// its shape matters.
     pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> &ExecPlan {
         self.plan.get_or_init(|| {
             let _compile_sp = urcl_trace::span("plan_compile");

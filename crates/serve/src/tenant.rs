@@ -5,7 +5,9 @@
 //! PEMS04, PEMS08 analogues, …) concurrently. Each tenant owns:
 //!
 //! * its own [`ModelSnapshot`] slot, hot-swapped from its own
-//!   [`CheckpointDir`] (one trainer per tenant publishes into it);
+//!   [`CheckpointDir`] (one trainer per tenant publishes into it), and
+//!   one forward plan every snapshot it loads replays, so a swap loads
+//!   weights and never recompiles;
 //! * one bounded request queue ([`BoundedQueue`]) drained by
 //!   `workers` threads, so the request path of one tenant never contends
 //!   with another tenant's;
@@ -18,13 +20,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use urcl_core::persist::{CheckpointDir, CheckpointFingerprint};
 use urcl_models::Backbone;
-use urcl_tensor::{ParamStore, Tensor};
+use urcl_tensor::{ExecPlan, ParamStore, Tensor};
 
 use crate::cache::{CacheKey, Lookup, ResponseCache};
 use crate::queue::{BoundedQueue, Rejected};
@@ -110,6 +112,10 @@ pub(crate) struct TenantCore {
     source: CheckpointDir,
     config: ServeConfig,
     snapshot: Mutex<Option<Arc<ModelSnapshot>>>,
+    /// The forward-plan cell every snapshot `reload` builds shares: each
+    /// is validated against `template`, and a plan binds its parameters
+    /// at every replay, so one compile serves every generation.
+    plan: Arc<OnceLock<ExecPlan>>,
     fingerprint: Mutex<Option<CheckpointFingerprint>>,
     queue: BoundedQueue<Pending>,
     cache: Option<ResponseCache>,
@@ -260,7 +266,7 @@ impl TenantCore {
         let _sp = urcl_trace::span("serve_reload");
         let loaded = self.source.load().and_then(|ckpt| {
             let generation = self.generation.load(Ordering::Relaxed) + 1;
-            ModelSnapshot::from_checkpoint(&ckpt, &self.template, generation)
+            ModelSnapshot::sharing_plan(&ckpt, &self.template, generation, Arc::clone(&self.plan))
                 .map_err(|e| urcl_core::PersistError::Format(e.to_string()))
         });
         // A torn or bad fingerprint is remembered too, so the poller does
@@ -518,6 +524,7 @@ impl TenantRuntime {
             template,
             source,
             snapshot: Mutex::new(None),
+            plan: Arc::default(),
             fingerprint: Mutex::new(None),
             queue: BoundedQueue::new(config.queue_bound, config.policy),
             cache: config.cache.map(ResponseCache::new),
@@ -705,5 +712,97 @@ impl Tenants {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use urcl_core::{TrainerConfig, UrclPipeline};
+    use urcl_stdata::{DatasetConfig, SyntheticDataset};
+
+    use super::*;
+
+    /// Reloads A → B → A with a forecast after each: every snapshot the
+    /// tenant publishes shares its one plan cell, and each forecast
+    /// equals, bit for bit, a cold snapshot of the same checkpoint with a
+    /// plan of its own.
+    #[test]
+    fn hot_swaps_share_one_plan_and_forecast_as_cold_loads() {
+        let ds = SyntheticDataset::generate(DatasetConfig::metr_la().tiny());
+        let series = &ds.continual_split(2).base.series;
+        let window = series.narrow(0, 0, ds.config.input_steps);
+        let target = ds.config.target_channel;
+        let trainer = |seed| {
+            let mut pipe = UrclPipeline::new(
+                ds.network.clone(),
+                ds.config.clone(),
+                TrainerConfig::default(),
+                seed,
+            );
+            pipe.observe_period_statistics_only(series);
+            pipe
+        };
+        let (a, b) = (trainer(1), trainer(2));
+        let path = std::env::temp_dir().join(format!("urcl-tenant-plan-{}", std::process::id()));
+        std::fs::remove_dir_all(&path).ok();
+        let slots = CheckpointDir::new(&path).unwrap();
+        a.save_checkpoint(&slots, "A").unwrap();
+
+        let (reference, template) =
+            UrclPipeline::serving_parts(&ds.network, &ds.config, &TrainerConfig::default());
+        let (model, _) =
+            UrclPipeline::serving_parts_dyn(&ds.network, &ds.config, &TrainerConfig::default());
+        let runtime = TenantRuntime::start(
+            "plan",
+            model,
+            template.clone(),
+            CheckpointDir::new(&path).unwrap(),
+            ServeConfig {
+                target_channel: target,
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let client = runtime.client();
+        let mut forecasts = Vec::new();
+        for (step, publisher) in [&a, &b, &a].into_iter().enumerate() {
+            if step > 0 {
+                publisher.save_checkpoint(&slots, "swap").unwrap();
+                assert!(runtime.core.reload(true).unwrap());
+            }
+            let snapshot = client.snapshot().unwrap();
+            assert_eq!(snapshot.generation(), step as u64 + 1);
+            assert!(
+                Arc::ptr_eq(&snapshot.plan, &runtime.core.plan),
+                "generation {} compiled a plan of its own",
+                snapshot.generation()
+            );
+            let live = client.predict(&window).unwrap();
+            assert_eq!(live.generation, snapshot.generation());
+            let cold =
+                ModelSnapshot::from_checkpoint(&slots.load().unwrap(), &template, 0).unwrap();
+            assert!(!Arc::ptr_eq(&cold.plan, &runtime.core.plan));
+            let expected =
+                forward_batch(&reference, &cold, std::slice::from_ref(&window), target).remove(0);
+            assert_eq!(live.prediction.shape(), expected.shape());
+            for (i, (x, y)) in live
+                .prediction
+                .data()
+                .iter()
+                .zip(expected.data())
+                .enumerate()
+            {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "generation {}, element {i}: {x} vs {y}",
+                    snapshot.generation()
+                );
+            }
+            forecasts.push(live.prediction);
+        }
+        assert_ne!(forecasts[0], forecasts[1], "A and B must differ");
+        drop(runtime);
+        std::fs::remove_dir_all(&path).ok();
     }
 }

@@ -29,8 +29,6 @@ pub struct Adam {
     pub beta2: f32,
     /// Numerical-stability epsilon.
     pub eps: f32,
-    /// L2 weight-decay coefficient (0 disables).
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -44,7 +42,6 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -93,8 +90,7 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (beta1, beta2, lr, eps, wd) =
-            (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         let ids: Vec<_> = store.ids().collect();
         for (i, id) in ids.into_iter().enumerate() {
             // Split-borrow the gradient and update everything in place.
@@ -102,14 +98,13 @@ impl Adam {
             let gd = grad.data();
             let md = self.m[i].data_mut();
             let vd = self.v[i].data_mut();
-            for (((p, &g0), m), v) in value
+            for (((p, &g), m), v) in value
                 .data_mut()
                 .iter_mut()
                 .zip(gd)
                 .zip(md.iter_mut())
                 .zip(vd.iter_mut())
             {
-                let g = g0 + wd * *p;
                 *m = beta1 * *m + (1.0 - beta1) * g;
                 *v = beta2 * *v + (1.0 - beta2) * g * g;
                 let mhat = *m / bc1;
@@ -230,17 +225,5 @@ mod tests {
             m: vec![Tensor::zeros(&[2])],
             v: vec![],
         });
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(1.0));
-        let mut opt = Adam::new(0.1);
-        opt.weight_decay = 1.0;
-        // No task gradient: only decay acts, and Adam's first step moves
-        // every parameter by lr against the sign of its gradient.
-        opt.step(&mut store);
-        assert!((store.value(w).item() - 0.9).abs() < 1e-6);
     }
 }

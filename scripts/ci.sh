@@ -66,12 +66,15 @@ timeout 600 cargo test -q --offline --release --test crash_resume
 
 echo "== serve stress: multi-tenant runtime under load (release) =="
 # Hundreds of concurrent clients across three tenants, hot-swap mid-burst,
-# seeded drain interleavings and the router property sweep — debug builds
-# make the forward passes dominate, so this stage runs in release with a
+# seeded drain interleavings, the router property sweep, the batching
+# contract and the post-swap bitwise guard — debug builds make the
+# forward passes dominate, and a zero-delay worker races its submitters
+# hardest at release speed, so this stage runs in release with a
 # wall-clock budget against scheduler-dependent hangs.
 timeout 600 cargo test -q --offline --release -p urcl-serve \
   --test shard_stress --test swap_under_load \
-  --test router_props --test drain_interleavings
+  --test router_props --test drain_interleavings --test batching
+timeout 600 cargo test -q --offline --release --test serve_hotswap
 
 echo "== serve network front-end (release) =="
 # http_wire binds a real listener on an ephemeral port and drives it
