@@ -18,9 +18,8 @@ use urcl_core::{
 };
 use urcl_graph::{random_geometric, SensorNetwork, SupportSet};
 use urcl_json::{ToJson, Value};
-use urcl_models::{Backbone, GraphWaveNet, GwnConfig};
+use urcl_models::{GraphWaveNet, GwnConfig};
 use urcl_stdata::{stack_samples, Batch, DatasetConfig, Sample};
-use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{ParamStore, Rng};
 
 const NODES: usize = 24;
@@ -272,25 +271,23 @@ fn main() {
         }
     }
 
-    // GraphWaveNet forward and forward+backward.
+    // GraphWaveNet forward and forward+backward, as training and
+    // evaluation run them: replays of the compiled forward and task-loss
+    // plans (compiled by the warm-up call, outside the timed batches).
     {
         let mut rng = Rng::seed_from_u64(6);
         let net = make_net(&mut rng);
         let (model, store) = make_model(&mut rng, &net);
         let batch = make_batch(&mut rng, 8);
+        let mut forward = ForwardPlan::default();
         results.push(bench("gwn_forward_b8", min_secs, || {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, &store);
-            let x = sess.input(batch.x.clone());
-            black_box(model.forward(&mut sess, x).value());
+            let plan = forward.plan(&model, &store, &batch.x);
+            black_box(plan.run_forward(&store, &[&batch.x]));
         }));
+        let mut task = TaskLossPlan::default();
         results.push(bench("gwn_fwd_bwd_b8", min_secs, || {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, &store);
-            let x = sess.input(batch.x.clone());
-            let y = sess.input(batch.y.clone());
-            let loss = model.forward(&mut sess, x).sub(y).abs().mean_all();
-            black_box(tape.backward(loss));
+            let plan = task.plan(&model, &store, &batch);
+            black_box(plan.run_training(&store, &[&batch.x, &batch.y]));
         }));
     }
 

@@ -1,33 +1,30 @@
 //! End-to-end training-step throughput on the tiny GraphWaveNet pipeline:
 //! forward, backward, gradient accumulation and an Adam update per step,
-//! swept over {1, 4} threads × {recorded tape, compiled plan} in one
-//! process. Prints a table and writes `BENCH_train_step.json` at the
-//! workspace root.
+//! each step one replay of a compiled batch-polymorphic `ExecPlan` — the
+//! path every training step runs — at {1, 4} threads in one process.
+//! Prints a table and writes `BENCH_train_step.json` at the workspace
+//! root.
 //!
 //! Every cell rebuilds the model from the same seed and consumes the same
 //! fixed batch sequence, so the final losses must be bitwise identical
-//! across all cells — the bench asserts this, making it a cheap
-//! determinism canary on top of `pool_determinism.rs` and a
-//! record↔replay parity check on top of `plan_parity.rs`: tape cells
-//! record the step and call `Tape::backward`, plan cells compile one
-//! batch-polymorphic `ExecPlan` up front and replay it every step. It
-//! also reports each cell's steady-state pool miss count (asserted zero —
-//! every buffer shape the step needs is cached during warmup). A
+//! across thread counts — the bench asserts this, making it a cheap
+//! determinism canary on top of `pool_determinism.rs`. It also reports
+//! each cell's steady-state pool miss count (asserted zero — every
+//! buffer shape the step needs is cached during warmup). A
 //! `poly_batch_check` cycles batch sizes through one plan asserting zero
-//! recompiles. The artifact carries the `urcl-bench-train-v7` schema,
-//! re-gated offline by `validate_json`.
+//! recompiles and each size's loss bitwise equal to a fresh recording.
+//! The artifact carries the `urcl-bench-train-v8` schema, re-gated
+//! offline by `validate_json`.
 //!
 //! Thread-scaling acceptance is host-aware: on a host with ≥ 4 physical
-//! cores the 4-thread tape cell must beat the 1-thread tape cell by
-//! ≥ 1.3×; on a smaller host real speedup is physically impossible, so
-//! the bench instead asserts the 4-thread cell does not fall off a cliff
-//! (≥ 0.85× of 1-thread; the dispatch-overhead cliff this guards against
-//! was ~2×, and sub-10ms steps leave a few percent of scheduler noise
-//! even best-of-rounds).
+//! cores the 4-thread cell must beat the 1-thread cell by ≥ 1.3×; on a
+//! smaller host real speedup is physically impossible, so the bench
+//! instead asserts the 4-thread cell does not fall off a cliff (≥ 0.85×
+//! of 1-thread; the dispatch-overhead cliff this guards against was ~2×,
+//! and sub-10ms steps leave a few percent of scheduler noise even
+//! best-of-rounds).
 //!
-//! Flags/env: `--quick` shrinks the schedule for CI smoke runs; setting
-//! `URCL_BENCH_PHASES` prints a per-step forward/backward/update phase
-//! breakdown for profiling.
+//! Flags: `--quick` shrinks the schedule for CI smoke runs.
 
 use std::time::Instant;
 use urcl_graph::random_geometric;
@@ -59,37 +56,6 @@ fn make_batch(rng: &mut Rng) -> Batch {
     make_batch_of(rng, BATCH)
 }
 
-/// One full optimisation step; returns the scalar loss.
-fn train_step(model: &GraphWaveNet, store: &mut ParamStore, opt: &mut Adam, batch: &Batch) -> f32 {
-    let phases = std::env::var("URCL_BENCH_PHASES").is_ok();
-    let t0 = Instant::now();
-    store.zero_grads();
-    let tape = Tape::new();
-    let mut sess = Session::new(&tape, store);
-    let x = sess.input(batch.x.clone());
-    let y = sess.input(batch.y.clone());
-    let loss = model.forward(&mut sess, x).sub(y).abs().mean_all();
-    let loss_val = tape.value(loss).item();
-    let t1 = Instant::now();
-    let grads = tape.backward(loss);
-    let t2 = Instant::now();
-    let binds = sess.into_bindings();
-    store.accumulate_grads(&binds, &grads);
-    opt.step(store);
-    drop(grads);
-    drop(tape);
-    if phases {
-        let t3 = Instant::now();
-        println!(
-            "  phases: forward {:.2} ms, backward {:.2} ms, update+drop {:.2} ms",
-            (t1 - t0).as_secs_f64() * 1e3,
-            (t2 - t1).as_secs_f64() * 1e3,
-            (t3 - t2).as_secs_f64() * 1e3,
-        );
-    }
-    loss_val
-}
-
 /// Compiles the model's training step into a reusable batch-polymorphic
 /// plan (see [`ExecPlan::compile_poly`]). Parameter values are read from
 /// the store at replay time, so compiling before training is fine.
@@ -104,9 +70,9 @@ fn compile_plan(model: &GraphWaveNet, store: &ParamStore, batch: &Batch) -> Exec
     })
 }
 
-/// One full optimisation step replaying a compiled plan instead of
-/// re-recording the tape; must produce bitwise-identical losses/params.
-fn train_step_plan(plan: &ExecPlan, store: &mut ParamStore, opt: &mut Adam, batch: &Batch) -> f32 {
+/// One full optimisation step replaying the compiled plan; returns the
+/// scalar loss.
+fn train_step(plan: &ExecPlan, store: &mut ParamStore, opt: &mut Adam, batch: &Batch) -> f32 {
     store.zero_grads();
     let (loss, grads) = plan.run_training(store, &[&batch.x, &batch.y]);
     store.accumulate_grads(plan.bindings(), &grads);
@@ -116,16 +82,15 @@ fn train_step_plan(plan: &ExecPlan, store: &mut ParamStore, opt: &mut Adam, batc
 
 struct Cell {
     threads: usize,
-    plan: bool,
     steps_per_sec: f64,
     final_loss: f32,
     pool_misses: u64,
 }
 
-/// Runs one (threads, plan) cell: fresh model from a fixed seed, `warmup`
+/// Runs one thread-count cell: fresh model from a fixed seed, `warmup`
 /// untimed steps, then `timed` measured steps over a replayed batch
 /// schedule identical across cells.
-fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
+fn run_cell(threads: usize, warmup: usize, timed: usize) -> Cell {
     set_threads(threads);
 
     let mut rng = Rng::seed_from_u64(23);
@@ -135,16 +100,11 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
     let model = GraphWaveNet::new(&mut store, &mut rng, &net, cfg);
     let mut opt = Adam::new(1e-3);
     let batches: Vec<Batch> = (0..4).map(|_| make_batch(&mut rng)).collect();
-    let exec_plan = plan.then(|| compile_plan(&model, &store, &batches[0]));
-
-    let step = |store: &mut ParamStore, opt: &mut Adam, batch: &Batch| match &exec_plan {
-        Some(p) => train_step_plan(p, store, opt, batch),
-        None => train_step(&model, store, opt, batch),
-    };
+    let plan = compile_plan(&model, &store, &batches[0]);
 
     let mut final_loss = 0.0f32;
     for i in 0..warmup {
-        final_loss = step(&mut store, &mut opt, &batches[i % batches.len()]);
+        final_loss = train_step(&plan, &mut store, &mut opt, &batches[i % batches.len()]);
     }
     reset_buffer_pool_stats();
     reset_op_profile();
@@ -156,7 +116,8 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
     for round in 0..rounds {
         let t0 = Instant::now();
         for i in 0..timed {
-            final_loss = step(
+            final_loss = train_step(
+                &plan,
                 &mut store,
                 &mut opt,
                 &batches[(warmup + round * timed + i) % batches.len()],
@@ -169,7 +130,7 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
         let steps = (rounds * timed) as u64;
         let mut rows = op_profile();
         rows.sort_by_key(|r| std::cmp::Reverse(r.fwd_nanos + r.bwd_nanos));
-        println!("  per-op profile ({threads} threads, plan {plan}), us/step:");
+        println!("  per-op profile ({threads} threads), us/step:");
         println!(
             "    {:<12} {:>7} {:>9} {:>7} {:>9}",
             "op", "fwd", "fwd us", "bwd", "bwd us"
@@ -190,9 +151,8 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
 
     let steps_per_sec = timed as f64 / secs;
     println!(
-        "{threads} threads, plan {:<3}  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step)  \
+        "{threads} threads  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step)  \
          pool: {} misses, {} hits/step, {:.1} MB recycled/step",
-        if plan { "on" } else { "off" },
         1e3 * secs / timed as f64,
         pool_misses,
         stats.hits / (rounds * timed) as u64,
@@ -200,7 +160,6 @@ fn run_cell(threads: usize, plan: bool, warmup: usize, timed: usize) -> Cell {
     );
     Cell {
         threads,
-        plan,
         steps_per_sec,
         final_loss,
         pool_misses,
@@ -257,52 +216,38 @@ fn main() {
         urcl_tensor::detected_isa(),
     );
     let prev_threads = set_threads(1);
-    let cells: Vec<Cell> = [(1usize, false), (1, true), (4, false), (4, true)]
-        .into_iter()
-        .map(|(t, pl)| run_cell(t, pl, warmup, timed))
-        .collect();
+    let cells = [run_cell(1, warmup, timed), run_cell(4, warmup, timed)];
     let poly_sizes_checked = poly_batch_check();
     set_threads(prev_threads);
 
-    // All cells ran the same seeded schedule: numerics must agree — this
-    // pins the compiled plan and the thread count bitwise to the 1-thread
-    // recorded-tape baseline through a full train step, not just
+    // Both cells ran the same seeded schedule: numerics must agree — this
+    // pins the thread count bitwise through a full train step, not just
     // per-kernel.
-    for c in &cells[1..] {
-        assert_eq!(
-            c.final_loss.to_bits(),
-            cells[0].final_loss.to_bits(),
-            "cell ({} threads, plan={}) diverged from reference loss",
-            c.threads,
-            c.plan,
-        );
-    }
+    let [one, four] = &cells;
+    assert_eq!(
+        four.final_loss.to_bits(),
+        one.final_loss.to_bits(),
+        "4-thread cell diverged from the 1-thread loss"
+    );
     // After warmup the pool has cached every buffer shape the step needs,
     // so the timed rounds must run allocation-free.
     for c in &cells {
         assert_eq!(
             c.pool_misses, 0,
-            "steady-state pool miss at {} threads, plan={}",
-            c.threads, c.plan
+            "steady-state pool miss at {} threads",
+            c.threads
         );
     }
 
-    let rate = |threads: usize, plan: bool| {
-        cells
-            .iter()
-            .find(|c| c.threads == threads && c.plan == plan)
-            .map(|c| c.steps_per_sec)
-            .unwrap()
-    };
     println!("poly batch check: one plan served {poly_sizes_checked} batch sizes, zero recompiles");
     // Thread-scaling gate, host-aware (see module docs): the 4-thread
     // curve must rise on real multi-core hardware and must at least stay
     // flat (no dispatch-overhead cliff) when the host cannot provide
     // parallelism.
     let host = urcl_tensor::host_parallelism();
-    let thread_scaling = rate(4, false) / rate(1, false);
+    let thread_scaling = four.steps_per_sec / one.steps_per_sec;
     if host >= 4 {
-        println!("thread scaling (4t/1t, recorded tape): {thread_scaling:.2}x (required: 1.3x)");
+        println!("thread scaling (4t/1t): {thread_scaling:.2}x (required: 1.3x)");
         assert!(
             thread_scaling >= 1.3,
             "4-thread cell must beat 1-thread by >= 1.3x on a {host}-core host, \
@@ -310,7 +255,7 @@ fn main() {
         );
     } else {
         println!(
-            "thread scaling (4t/1t, recorded tape): {thread_scaling:.2}x \
+            "thread scaling (4t/1t): {thread_scaling:.2}x \
              (host has {host} core(s); required: >= 0.85x, no cliff)"
         );
         assert!(
@@ -320,7 +265,7 @@ fn main() {
     }
 
     let doc = Value::object()
-        .with("schema", "urcl-bench-train-v7")
+        .with("schema", "urcl-bench-train-v8")
         .with("benchmark", "train_step")
         .with("model", "graph_wavenet_small")
         .with("batch", BATCH)
@@ -330,10 +275,7 @@ fn main() {
         .with(
             "acceptance",
             Value::object()
-                .with(
-                    "metric",
-                    "steps/sec, 4-thread over 1-thread recorded-tape cell",
-                )
+                .with("metric", "steps/sec, 4-thread over 1-thread cell")
                 // The asserts above already aborted the run if any of
                 // these failed; recorded so validate_json can re-gate the
                 // artifact offline.
@@ -354,7 +296,6 @@ fn main() {
                     .map(|c| {
                         Value::object()
                             .with("threads", c.threads)
-                            .with("plan", c.plan)
                             .with("steps_per_sec", c.steps_per_sec)
                             .with("ms_per_step", 1e3 / c.steps_per_sec)
                             .with("steady_state_pool_misses", c.pool_misses as f64)

@@ -20,7 +20,9 @@ fn validate(path: &str) -> Result<(), String> {
     match value.get("schema").and_then(Value::as_str) {
         Some(s) if s == urcl_trace::SCHEMA => validate_trace(&value)?,
         Some("urcl-bench-serve-v4") => validate_serve(&value)?,
-        Some("urcl-bench-train-v6" | "urcl-bench-train-v7") => validate_train(&value)?,
+        Some(schema @ ("urcl-bench-train-v6" | "urcl-bench-train-v7" | "urcl-bench-train-v8")) => {
+            validate_train(&value, schema)?
+        }
         _ => {}
     }
     Ok(())
@@ -121,14 +123,21 @@ fn validate_serve(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Structural checks and offline re-gating for `urcl-bench-train-v7`
-/// (the train-step sweep): every cell carries its configuration axes and
-/// a positive throughput, the cells' bitwise identity is recorded true,
-/// and the batch-polymorphism check saw one plan serve several batch
-/// sizes with zero recompiles. An artifact under the previous schema,
-/// `-v6` (whose cells also swept the since-removed pooling and SIMD
-/// switches), passes on the keys the two share.
-fn validate_train(doc: &Value) -> Result<(), String> {
+/// Structural checks and offline re-gating for `urcl-bench-train-v8`
+/// (the train-step sweep, one compiled-plan cell per thread count):
+/// every cell carries its thread count and a positive throughput, the
+/// cells' bitwise identity is recorded true, and the batch-polymorphism
+/// check saw one plan serve several batch sizes with zero recompiles.
+/// Artifacts under the previous schemas pass on the keys they share:
+/// `-v7` cells also carry a `plan` axis (recorded tape or compiled
+/// plan), and `-v6` cells also swept the since-removed pooling and SIMD
+/// switches.
+fn validate_train(doc: &Value, schema: &str) -> Result<(), String> {
+    let axes: &[&str] = if schema == "urcl-bench-train-v8" {
+        &["threads"]
+    } else {
+        &["threads", "plan"]
+    };
     let cells = doc
         .get("cells")
         .and_then(Value::as_array)
@@ -137,7 +146,7 @@ fn validate_train(doc: &Value) -> Result<(), String> {
         return Err("train \"cells\" is empty".into());
     }
     for (i, cell) in cells.iter().enumerate() {
-        for key in ["threads", "plan"] {
+        for key in axes {
             if cell.get(key).is_none() {
                 return Err(format!("train cell {i} missing {key:?}"));
             }

@@ -39,10 +39,7 @@ pub use augment::{Augmentation, AugmentedView, TimeShiftKind};
 pub use ewc::EwcState;
 pub use metrics::{mae, rmse, Metrics};
 pub use mixup::st_mixup;
-pub use persist::{
-    load_checkpoint, load_checkpoint_into, save_checkpoint, save_full_checkpoint, Checkpoint,
-    CheckpointDir, CheckpointFingerprint, PersistError, PipelineState,
-};
+pub use persist::{Checkpoint, CheckpointDir, CheckpointFingerprint, PersistError, PipelineState};
 pub use pipeline::UrclPipeline;
 pub use replay::ReplayBuffer;
 pub use rmir::{rmir_sample, RmirStats};

@@ -4,26 +4,23 @@
 //! incremental sets so a crashed process can pick up mid-stream without
 //! retraining — and, crucially for a replay-based method, without losing
 //! the replay buffer that *is* the defense against catastrophic
-//! forgetting. Two levels exist:
+//! forgetting. A checkpoint holds the [`ParamStore`] (names, shapes,
+//! values) and, optionally, the [`PipelineState`]: optimizer moments,
+//! replay-buffer contents, RMIR statistics, RNG stream, normalizer
+//! statistics and the period/epoch/step cursor. The parameters alone are
+//! enough to serve forecasts; restoring the pipeline section as well
+//! resumes training bitwise-identically to a never-interrupted run
+//! (proven by `tests/crash_resume.rs`).
 //!
-//! * **params-only** ([`save_checkpoint`]) — the historical v1 payload:
-//!   the [`ParamStore`] (names, shapes, values). Enough to serve
-//!   forecasts, not enough to resume training faithfully.
-//! * **full pipeline** ([`save_full_checkpoint`] / [`PipelineState`]) —
-//!   the v2 payload: parameters **plus** optimizer moments, replay-buffer
-//!   contents, RMIR statistics, RNG stream, normalizer statistics and the
-//!   period/epoch/step cursor. Restoring it resumes training
-//!   bitwise-identically to a never-interrupted run (proven by
-//!   `tests/crash_resume.rs`).
-//!
-//! The format is a versioned JSON document (`urcl-ckpt-v2`) so
-//! checkpoints stay inspectable with standard tooling; serialization is
-//! hand-rolled on [`urcl_json`] — no external crates. v1 (params-only)
-//! documents still load. [`CheckpointDir`] adds crash-safe durability:
-//! write-to-temp + fsync + atomic rename, with a rotating
+//! The format is a versioned JSON document (`urcl-ckpt-v2`, the only
+//! version that loads) so checkpoints stay inspectable with standard
+//! tooling; serialization is hand-rolled on [`urcl_json`] — no external
+//! crates. [`CheckpointDir`] is the one way to write and read a
+//! checkpoint: write-to-temp + fsync + atomic rename, with a rotating
 //! `latest`/`previous` pair so a crash mid-write never loses the last
-//! good checkpoint. Save/load spans and byte sizes are recorded in
-//! `urcl-trace` (see DESIGN.md §9 for the schema).
+//! good checkpoint. [`copy_store_checked`] is the one layout check
+//! between a loaded store and a live model. Save/load spans and byte
+//! sizes are recorded in `urcl-trace` (see DESIGN.md §9 for the schema).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -54,15 +51,13 @@ pub struct PipelineState {
     pub periods_seen: usize,
 }
 
-/// A versioned model checkpoint.
+/// A loaded model checkpoint (always format [`CHECKPOINT_VERSION`]).
 pub struct Checkpoint {
-    /// Format version (see [`CHECKPOINT_VERSION`]).
-    pub version: u32,
     /// Free-form model description (backbone name, dataset, …).
     pub description: String,
     /// The trained parameters.
     pub store: ParamStore,
-    /// Full pipeline state; `None` for params-only (v1) checkpoints.
+    /// Full pipeline state; `None` for params-only checkpoints.
     pub pipeline: Option<PipelineState>,
 }
 
@@ -81,7 +76,6 @@ impl Checkpoint {
 impl std::fmt::Debug for Checkpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Checkpoint")
-            .field("version", &self.version)
             .field("description", &self.description)
             .field("params", &self.store.len())
             .field("scalars", &self.store.num_scalars())
@@ -98,8 +92,8 @@ pub enum PersistError {
     /// Malformed JSON, schema mismatch, or a non-finite / inconsistent
     /// payload value.
     Format(String),
-    /// The checkpoint's version is unsupported (e.g. written by a newer
-    /// release).
+    /// The checkpoint's version is not [`CHECKPOINT_VERSION`]: a pre-v2
+    /// document, or one written by a newer release.
     Version(u32),
     /// The checkpoint is well-formed but does not fit the model it is
     /// being loaded into (parameter count, name or shape divergence).
@@ -113,7 +107,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Format(e) => write!(f, "checkpoint format error: {e}"),
             PersistError::Version(v) => write!(
                 f,
-                "unsupported checkpoint version {v} (supported: 1..={CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {v} (supported: {CHECKPOINT_VERSION})"
             ),
             PersistError::Mismatch(e) => {
                 write!(f, "checkpoint does not match the model: {e}")
@@ -485,9 +479,11 @@ fn checkpoint_from_json(doc: &Value) -> Result<Checkpoint, PersistError> {
     let version = doc
         .get("version")
         .and_then(Value::as_u64)
-        .ok_or_else(|| bad("missing version field"))? as u32;
-    if version == 0 || version > CHECKPOINT_VERSION {
-        return Err(PersistError::Version(version));
+        .ok_or_else(|| bad("missing version field"))?;
+    if version != u64::from(CHECKPOINT_VERSION) {
+        return Err(PersistError::Version(
+            u32::try_from(version).unwrap_or(u32::MAX),
+        ));
     }
     let description = doc
         .get("description")
@@ -495,15 +491,12 @@ fn checkpoint_from_json(doc: &Value) -> Result<Checkpoint, PersistError> {
         .unwrap_or_default()
         .to_string();
     let store = store_from_json(field(doc, "store", "checkpoint")?)?;
-    // v1 documents have no pipeline section; v2 documents may omit it for
-    // params-only saves.
+    // Params-only saves omit the pipeline section.
     let pipeline = match doc.get("pipeline") {
         None | Some(Value::Null) => None,
-        Some(p) if version >= 2 => Some(pipeline_from_json(p)?),
-        Some(_) => return Err(bad("v1 checkpoint carries an unexpected pipeline section")),
+        Some(p) => Some(pipeline_from_json(p)?),
     };
     Ok(Checkpoint {
-        version,
         description,
         store,
         pipeline,
@@ -511,38 +504,6 @@ fn checkpoint_from_json(doc: &Value) -> Result<Checkpoint, PersistError> {
 }
 
 // ------------------------------------------------------------------- I/O
-
-/// Writes a params-only checkpoint to `path` (not atomic — see
-/// [`CheckpointDir`] for crash-safe rotation).
-pub fn save_checkpoint(
-    path: impl AsRef<Path>,
-    description: &str,
-    store: &ParamStore,
-) -> Result<(), PersistError> {
-    write_document(path.as_ref(), &checkpoint_to_json(description, store, None))
-}
-
-/// Writes a full-pipeline (v2) checkpoint to `path` (not atomic — see
-/// [`CheckpointDir`] for crash-safe rotation).
-pub fn save_full_checkpoint(
-    path: impl AsRef<Path>,
-    description: &str,
-    store: &ParamStore,
-    pipeline: &PipelineState,
-) -> Result<(), PersistError> {
-    write_document(
-        path.as_ref(),
-        &checkpoint_to_json(description, store, Some(pipeline)),
-    )
-}
-
-fn write_document(path: &Path, doc: &Value) -> Result<(), PersistError> {
-    let _sp = urcl_trace::span("checkpoint_save");
-    let text = doc.to_string_compact();
-    std::fs::write(path, &text)?;
-    record_save_metrics(text.len());
-    Ok(())
-}
 
 fn record_save_metrics(bytes: usize) {
     urcl_trace::counter_inc("checkpoint.saves");
@@ -556,28 +517,14 @@ fn record_load_metrics(bytes: usize) {
     urcl_trace::histogram_record("checkpoint.load_bytes", bytes as f64);
 }
 
-/// Reads a checkpoint from `path`, validating the format version.
-/// Accepts v1 (params-only) and v2 documents.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, PersistError> {
+/// Reads and validates the checkpoint at `path` (one slot of a
+/// [`CheckpointDir`]).
+fn load_checkpoint(path: &Path) -> Result<Checkpoint, PersistError> {
     let _sp = urcl_trace::span("checkpoint_load");
     let json = std::fs::read_to_string(path)?;
     record_load_metrics(json.len());
     let doc = Value::parse(&json)?;
     checkpoint_from_json(&doc)
-}
-
-/// Loads a checkpoint and copies its parameter values into `store`,
-/// validating that the layouts agree (same parameter count, names and
-/// shapes, in order). Returns the checkpoint so callers can also restore
-/// the pipeline section. On mismatch the store is left untouched and a
-/// typed [`PersistError::Mismatch`] is returned.
-pub fn load_checkpoint_into(
-    path: impl AsRef<Path>,
-    store: &mut ParamStore,
-) -> Result<Checkpoint, PersistError> {
-    let ckpt = load_checkpoint(path)?;
-    copy_store_checked(&ckpt.store, store)?;
-    Ok(ckpt)
 }
 
 /// Copies parameter values from a checkpointed store into a live one after
@@ -720,9 +667,9 @@ impl CheckpointDir {
     /// process died mid-write on a filesystem without atomic-rename
     /// guarantees). Returns the error from `latest` when both fail.
     pub fn load(&self) -> Result<Checkpoint, PersistError> {
-        match load_checkpoint(self.latest_path()) {
+        match load_checkpoint(&self.latest_path()) {
             Ok(ckpt) => Ok(ckpt),
-            Err(primary) => match load_checkpoint(self.previous_path()) {
+            Err(primary) => match load_checkpoint(&self.previous_path()) {
                 Ok(ckpt) => {
                     urcl_trace::counter_inc("checkpoint.fallback_loads");
                     Ok(ckpt)
@@ -738,8 +685,29 @@ mod tests {
     use super::*;
     use urcl_tensor::{Rng, Tensor};
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("urcl-test-{}-{name}.json", std::process::id()))
+    /// A fresh, empty checkpoint directory for one test.
+    fn temp_dir(name: &str) -> CheckpointDir {
+        let dir = std::env::temp_dir().join(format!("urcl-test-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        CheckpointDir::new(dir).unwrap()
+    }
+
+    /// Publishes `text` as the directory's only checkpoint and loads it.
+    fn load_text(name: &str, text: &str) -> Result<Checkpoint, PersistError> {
+        let slots = temp_dir(name);
+        std::fs::write(slots.latest_path(), text).unwrap();
+        let loaded = slots.load();
+        std::fs::remove_dir_all(slots.dir()).ok();
+        loaded
+    }
+
+    /// Saves `store` params-only and loads it back.
+    fn roundtrip(name: &str, description: &str, store: &ParamStore) -> Checkpoint {
+        let slots = temp_dir(name);
+        slots.save(description, store, None).unwrap();
+        let ckpt = slots.load().unwrap();
+        std::fs::remove_dir_all(slots.dir()).ok();
+        ckpt
     }
 
     #[test]
@@ -748,11 +716,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(1);
         let w = store.add("enc.w", rng.glorot(&[4, 3]));
         let b = store.add("enc.b", Tensor::from_vec(vec![0.5, -0.5], &[2]));
-        let path = temp_path("roundtrip");
-        save_checkpoint(&path, "unit test", &store).unwrap();
-        let ckpt = load_checkpoint(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(ckpt.version, CHECKPOINT_VERSION);
+        let ckpt = roundtrip("roundtrip", "unit test", &store);
         assert_eq!(ckpt.description, "unit test");
         assert!(ckpt.pipeline.is_none());
         assert_eq!(ckpt.store.len(), 2);
@@ -782,59 +746,31 @@ mod tests {
             model.forward(&mut sess, xv).value()
         };
         let before = predict(&store);
-
-        let path = temp_path("model");
-        save_checkpoint(&path, "gwn", &store).unwrap();
-        let restored = load_checkpoint(&path).unwrap().store;
-        std::fs::remove_file(&path).ok();
-
+        let restored = roundtrip("model", "gwn", &store).store;
         assert_eq!(predict(&restored), before);
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let path = temp_path("badver");
-        std::fs::write(
-            &path,
+        let err = load_text(
+            "badver",
             r#"{"version": 999, "description": "", "store": {"params": []}}"#,
         )
-        .unwrap();
-        let err = load_checkpoint(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
+        .unwrap_err();
         assert!(matches!(err, PersistError::Version(999)));
     }
 
     #[test]
-    fn v1_params_only_checkpoint_still_loads() {
-        let path = temp_path("v1");
-        std::fs::write(
-            &path,
-            r#"{"version": 1, "description": "legacy", "store": {"params": [
-                {"name": "w", "shape": [2], "data": [0.25, -1.5]}
-            ]}}"#,
-        )
-        .unwrap();
-        let ckpt = load_checkpoint(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(ckpt.version, 1);
-        assert_eq!(ckpt.description, "legacy");
-        assert!(ckpt.pipeline.is_none());
-        let id = ckpt.store.ids().next().unwrap();
-        assert_eq!(ckpt.store.value(id).data(), &[0.25, -1.5]);
-    }
-
-    #[test]
     fn malformed_json_rejected() {
-        let path = temp_path("malformed");
-        std::fs::write(&path, "not json").unwrap();
-        let err = load_checkpoint(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
+        let err = load_text("malformed", "not json").unwrap_err();
         assert!(matches!(err, PersistError::Format(_)));
     }
 
     #[test]
     fn missing_file_is_io_error() {
-        let err = load_checkpoint("/nonexistent/urcl.ckpt").unwrap_err();
+        let slots = temp_dir("missing");
+        let err = slots.load().unwrap_err();
+        std::fs::remove_dir_all(slots.dir()).ok();
         assert!(matches!(err, PersistError::Io(_)));
     }
 
@@ -845,10 +781,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(3);
         let w = store.add("w", rng.normal_tensor(&[7, 5], 0.0, 1.0));
-        let path = temp_path("bitwise");
-        save_checkpoint(&path, "", &store).unwrap();
-        let restored = load_checkpoint(&path).unwrap().store;
-        std::fs::remove_file(&path).ok();
+        let restored = roundtrip("bitwise", "", &store).store;
         for (a, b) in restored.value(w).data().iter().zip(store.value(w).data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -10,6 +10,12 @@
 //! 3. [`UrclPipeline::forecast`] for one-step-ahead predictions in
 //!    physical units.
 //!
+//! Checkpoints go through a [`CheckpointDir`] both ways:
+//! [`UrclPipeline::save_checkpoint`] writes the full pipeline state, and
+//! [`UrclPipeline::resume_from`] is the one way back in — it checks the
+//! parameter layout and restores trainer state, normalizer and period
+//! counter together.
+//!
 //! The lower-level pieces stay public for research use; this type is for
 //! users who want the paper's system, not its internals.
 
@@ -136,12 +142,6 @@ impl UrclPipeline {
         &self.store
     }
 
-    /// Restores parameters from a checkpointed store with identical
-    /// layout.
-    pub fn restore(&mut self, store: &ParamStore) {
-        self.store.copy_values_from(store);
-    }
-
     /// Captures the full v2-checkpoint pipeline section: trainer state
     /// (RNG, Adam moments, replay buffer, RMIR stats, cursor), normalizer
     /// statistics and the period counter.
@@ -167,9 +167,9 @@ impl UrclPipeline {
     /// trainer state, normalizer and period counter all come from disk, so
     /// subsequent [`Self::observe_period`] calls continue the stream
     /// bitwise-identically to a never-interrupted process. Params-only
-    /// checkpoints are rejected with [`PersistError::Format`] — use
-    /// [`Self::restore`] plus [`Self::observe_period_statistics_only`]
-    /// for those.
+    /// checkpoints carry no trainer state to resume and are rejected with
+    /// [`PersistError::Format`]; a layout that does not match this
+    /// pipeline's is [`PersistError::Mismatch`] and leaves it untouched.
     pub fn resume_from(&mut self, ckpt: Checkpoint) -> Result<(), PersistError> {
         let Some(pipeline) = ckpt.pipeline else {
             return Err(PersistError::Format(
@@ -183,10 +183,9 @@ impl UrclPipeline {
         Ok(())
     }
 
-    /// Fits the normalizer from a raw series without training — the
-    /// restore path: a fresh process re-derives normalization statistics
-    /// from the base period, then [`Self::restore`]s checkpointed
-    /// weights.
+    /// Fits the normalizer from a raw series without training, so a
+    /// pipeline can forecast (or publish a checkpoint a server can load)
+    /// before its first trained period.
     pub fn observe_period_statistics_only(&mut self, series: &Tensor) {
         assert_eq!(series.ndim(), 3, "series must be [T, N, C]");
         self.normalizer = Some(Normalizer::fit(series));
@@ -345,6 +344,12 @@ mod tests {
         let _ = pipe.forecast(&window);
     }
 
+    fn temp_slots(tag: &str) -> CheckpointDir {
+        let dir = std::env::temp_dir().join(format!("urcl-test-{}-{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        CheckpointDir::new(dir).unwrap()
+    }
+
     #[test]
     fn checkpoint_roundtrip_through_pipeline() {
         let (ds, mut pipe) = setup();
@@ -357,8 +362,9 @@ mod tests {
             .narrow(0, t - ds.config.input_steps, ds.config.input_steps);
         let before = pipe.forecast(&window);
 
-        // Save, perturb, restore: forecasts must match again.
-        let saved = pipe.store().clone();
+        // Save, perturb, resume: forecasts must match again.
+        let slots = temp_slots("pipe-roundtrip");
+        pipe.save_checkpoint(&slots, "roundtrip").unwrap();
         let ids: Vec<_> = pipe.store.ids().collect();
         for id in ids {
             for v in pipe.store.value_mut(id).data_mut() {
@@ -366,7 +372,8 @@ mod tests {
             }
         }
         assert_ne!(pipe.forecast(&window), before);
-        pipe.restore(&saved);
+        pipe.resume_from(slots.load().unwrap()).unwrap();
+        std::fs::remove_dir_all(slots.dir()).ok();
         assert_eq!(pipe.forecast(&window), before);
     }
 
@@ -386,10 +393,7 @@ mod tests {
 
         // Interrupted: first period, checkpoint, "crash".
         interrupted.observe_period(split.base.series.clone());
-        let dir_path =
-            std::env::temp_dir().join(format!("urcl-test-{}-pipe-resume", std::process::id()));
-        std::fs::remove_dir_all(&dir_path).ok();
-        let slots = CheckpointDir::new(&dir_path).unwrap();
+        let slots = temp_slots("pipe-resume");
         interrupted
             .save_checkpoint(&slots, "after base period")
             .unwrap();
@@ -402,7 +406,7 @@ mod tests {
         resumed.resume_from(slots.load().unwrap()).unwrap();
         assert_eq!(resumed.periods_seen(), 1);
         let res_report = resumed.observe_period(split.incremental[0].series.clone());
-        std::fs::remove_dir_all(&dir_path).ok();
+        std::fs::remove_dir_all(slots.dir()).ok();
 
         assert_eq!(res_report.name, ref_report.name);
         assert_eq!(res_report.mae.to_bits(), ref_report.mae.to_bits());
@@ -419,12 +423,10 @@ mod tests {
     #[test]
     fn params_only_checkpoint_rejected_by_resume() {
         let (_, mut pipe) = setup();
-        let ckpt = Checkpoint {
-            version: 1,
-            description: "legacy".into(),
-            store: pipe.store().clone(),
-            pipeline: None,
-        };
+        let slots = temp_slots("pipe-params-only");
+        slots.save("params only", pipe.store(), None).unwrap();
+        let ckpt = slots.load().unwrap();
+        std::fs::remove_dir_all(slots.dir()).ok();
         assert!(matches!(
             pipe.resume_from(ckpt),
             Err(PersistError::Format(_))

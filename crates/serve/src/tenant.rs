@@ -74,24 +74,6 @@ pub struct TenantStats {
     pub stolen: u64,
 }
 
-impl TenantStats {
-    /// Field-wise sum (registry aggregate; `max_batch` takes the max).
-    pub fn merge(&self, other: &TenantStats) -> TenantStats {
-        TenantStats {
-            requests: self.requests + other.requests,
-            shed: self.shed + other.shed,
-            batches: self.batches + other.batches,
-            max_batch: self.max_batch.max(other.max_batch),
-            swaps: self.swaps + other.swaps,
-            reload_failures: self.reload_failures + other.reload_failures,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            dedup_joins: self.dedup_joins + other.dedup_joins,
-            ..TenantStats::default()
-        }
-    }
-}
-
 #[derive(Default)]
 struct Counters {
     requests: AtomicU64,
@@ -589,8 +571,9 @@ impl Drop for TenantRuntime {
 ///
 /// The registry lock is only taken to add/remove/look up tenants —
 /// never on the request path of a [`TenantClient`], which holds its
-/// tenant directly. [`Tenants::predict`]-style convenience methods take
-/// one brief read lock to resolve the name.
+/// tenant directly. Requests go through a client: the one `add` returns,
+/// or [`Tenants::client`], which takes one brief read lock to resolve
+/// the name.
 ///
 /// Dropping the registry drains every tenant: queued requests are
 /// answered, later submits fail with [`ServeError::ShuttingDown`].
@@ -655,43 +638,6 @@ impl Tenants {
             .get(name)
             .map(TenantRuntime::client)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
-    }
-
-    /// Enqueues one window for `tenant`.
-    pub fn submit(&self, tenant: &str, window: Tensor) -> Result<PendingForecast, ServeError> {
-        self.client(tenant)?.submit(window)
-    }
-
-    /// Submits one window to `tenant` and blocks for the forecast.
-    pub fn predict(&self, tenant: &str, window: &Tensor) -> Result<Forecast, ServeError> {
-        self.client(tenant)?.predict(window)
-    }
-
-    /// Submits a burst to `tenant` and blocks for every forecast.
-    pub fn predict_many(
-        &self,
-        tenant: &str,
-        windows: &[Tensor],
-    ) -> Result<Vec<Forecast>, ServeError> {
-        self.client(tenant)?.predict_many(windows)
-    }
-
-    /// Hot-swaps one tenant's snapshot from its checkpoint directory.
-    pub fn reload_now(&self, tenant: &str) -> Result<bool, ServeError> {
-        self.client(tenant)?.reload_now()
-    }
-
-    /// Counters for one tenant.
-    pub fn stats(&self, tenant: &str) -> Result<TenantStats, ServeError> {
-        Ok(self.client(tenant)?.stats())
-    }
-
-    /// Field-wise sum of every tenant's counters.
-    pub fn aggregate_stats(&self) -> TenantStats {
-        let map = self.map.read().unwrap_or_else(|e| e.into_inner());
-        map.values()
-            .map(|rt| rt.core.stats())
-            .fold(TenantStats::default(), |acc, s| acc.merge(&s))
     }
 
     /// Registered tenant names (sorted).

@@ -1,7 +1,8 @@
 //! Over-the-wire tests for the HTTP/1.1 front-end: correct forecasts,
 //! the typed 4xx/5xx mapping, malformed/truncated/oversized requests,
-//! slowloris timeouts, keep-alive pipelining, a killed client
-//! mid-response, and graceful drain under load within a time budget.
+//! slowloris timeouts, keep-alive pipelining, the connection bound's
+//! canned `503`, a killed client mid-response, and graceful drain under
+//! load within a time budget.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -176,7 +177,8 @@ fn forecast_over_the_wire_matches_in_process() {
     let fx = Fixture::new("wire");
     let (tenants, server) = fx.serve("metr-la", HttpConfig::default());
     let reference = tenants
-        .predict("metr-la", &fx.windows[0])
+        .client("metr-la")
+        .and_then(|client| client.predict(&fx.windows[0]))
         .expect("in-process forecast");
 
     let (status, _head, body) = roundtrip(
@@ -445,6 +447,57 @@ fn keep_alive_serves_pipelined_requests_in_order() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "server wrote past a closed response");
+}
+
+/// The connection bound: with one worker and one pending slot, a third
+/// concurrent connection is refused at the door with a canned `503` and
+/// `Retry-After: 1`, and the queued connection is served once the
+/// worker's keep-alive connection closes.
+#[test]
+fn connections_beyond_the_pending_bound_get_503() {
+    let fx = Fixture::new("bound");
+    let (_tenants, server) = fx.serve(
+        "metr-la",
+        HttpConfig {
+            workers: 1,
+            pending_connections: 1,
+            ..HttpConfig::default()
+        },
+    );
+    let forecast = post("/v1/tenants/metr-la/forecast", &fx.window_json(0));
+
+    // First: a keep-alive connection that holds the only worker.
+    let mut held = TcpStream::connect(server.local_addr()).unwrap();
+    held.write_all(&forecast).unwrap();
+    let (status, head, _) = read_response(&mut held);
+    assert_eq!(status, 200);
+    assert!(head.contains("keep-alive"), "{head}");
+
+    // Second: accepted into the one pending slot, its request waiting.
+    let mut queued = TcpStream::connect(server.local_addr()).unwrap();
+    queued.write_all(&forecast).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().accepted < 2 {
+        assert!(Instant::now() < deadline, "second connection not accepted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Third: over the bound, answered at the door and closed.
+    let mut refused = TcpStream::connect(server.local_addr()).unwrap();
+    let (status, head, _) = read_response(&mut refused);
+    assert_eq!(status, 503, "{head}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
+    let mut rest = Vec::new();
+    refused.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "refused connection was not closed");
+    assert_eq!(server.stats().rejected, 1);
+
+    // Closing the first connection frees the worker for the second.
+    drop(held);
+    let (status, _, body) = read_response(&mut queued);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("prediction"), "{body}");
+    assert_eq!(server.stats().accepted, 2);
 }
 
 #[test]

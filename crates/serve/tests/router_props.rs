@@ -215,7 +215,10 @@ fn random_configs_route_bound_and_drain_correctly() {
         for (t, fx) in fixtures.iter().take(tenant_count).enumerate() {
             for r in 0..4 {
                 let i = (t + r) % fx.windows.len();
-                pending.push((t, registry.submit(&fx.name, fx.windows[i].clone())));
+                let submitted = registry
+                    .client(&fx.name)
+                    .and_then(|client| client.submit(fx.windows[i].clone()));
+                pending.push((t, submitted));
             }
         }
         drop(registry);

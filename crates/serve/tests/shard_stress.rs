@@ -152,14 +152,15 @@ fn hundreds_of_clients_across_three_tenants() {
     // Conservation: every submitted request was answered exactly once.
     let expected = (tenants.len() * CLIENTS * REQS) as u64;
     assert_eq!(completed.load(Ordering::Relaxed), expected);
+    let mut total_requests = 0;
     for fx in &tenants {
-        let stats = registry.stats(fx.name).unwrap();
+        let stats = registry.client(fx.name).unwrap().stats();
         assert_eq!(stats.requests, (CLIENTS * REQS) as u64, "{}", fx.name);
         assert_eq!(stats.shed, 0, "{}: generous bound must not shed", fx.name);
         assert!(stats.max_batch <= 8, "{}: policy violated", fx.name);
+        total_requests += stats.requests;
     }
-    let agg = registry.aggregate_stats();
-    assert_eq!(agg.requests, expected);
+    assert_eq!(total_requests, expected);
 }
 
 /// Admission control is deterministic and typed: one worker coalescing a
@@ -215,7 +216,7 @@ fn flood_beyond_queue_bound_sheds_typed_errors() {
             &format!("admitted request {i}"),
         );
     }
-    let stats = registry.stats("shed").unwrap();
+    let stats = client.stats();
     assert_eq!(stats.shed, shed as u64);
     // Admission bound held: the queue never exceeded it.
     let depth = client.peak_queue_depth();

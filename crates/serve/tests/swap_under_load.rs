@@ -2,14 +2,16 @@
 //! while tenant B is hammered in the same registry. In-flight batches
 //! never tear (every response is bitwise one generation or the other,
 //! never a mix), swapping A never perturbs B, torn-latest falls back per
-//! tenant independently, and a hot-swap purges A's response cache.
+//! tenant independently, a hot-swap purges A's response cache, and the
+//! reload poller swaps a publish in on its own.
 
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
 use urcl_serve::{
-    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, Tenants,
+    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, TenantClient,
+    Tenants,
 };
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
@@ -79,7 +81,20 @@ impl SwapFx {
         std::fs::write(slots.latest_path(), &self.gen_bytes[generation]).unwrap();
     }
 
-    fn add_to(&self, registry: &Tenants, name: &str, cache: bool) {
+    /// The serving configuration of this fixture's tenants.
+    fn config(&self) -> ServeConfig {
+        ServeConfig {
+            policy: BatchPolicy {
+                max_batch: 4,
+                max_delay: Duration::from_millis(1),
+            },
+            target_channel: self.ds.config.target_channel,
+            workers: 2,
+            ..ServeConfig::default()
+        }
+    }
+
+    fn add_to(&self, registry: &Tenants, name: &str, config: ServeConfig) -> TenantClient {
         let (model, template) = UrclPipeline::serving_parts_dyn(
             &self.ds.network,
             &self.ds.config,
@@ -91,19 +106,11 @@ impl SwapFx {
                 model,
                 template,
                 CheckpointDir::new(&self.dir).unwrap(),
-                ServeConfig {
-                    policy: BatchPolicy {
-                        max_batch: 4,
-                        max_delay: Duration::from_millis(1),
-                    },
-                    target_channel: self.ds.config.target_channel,
-                    workers: 2,
-                    cache: cache.then(CachePolicy::default),
-                    ..ServeConfig::default()
-                },
+                config,
             )
             .expect("register tenant");
         assert!(client.has_snapshot());
+        client
     }
 }
 
@@ -136,8 +143,8 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
     let fx_a = SwapFx::new("a", DatasetConfig::metr_la(), 11, 12);
     let fx_b = SwapFx::new("b", DatasetConfig::pems04(), 13, 14);
     let registry = Arc::new(Tenants::new());
-    fx_a.add_to(&registry, "tenant-a", false);
-    fx_b.add_to(&registry, "tenant-b", false);
+    let a = fx_a.add_to(&registry, "tenant-a", fx_a.config());
+    let b = fx_b.add_to(&registry, "tenant-b", fx_b.config());
 
     let mut handles = Vec::new();
     for w in 0..8 {
@@ -152,7 +159,8 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
             for round in 0..30 {
                 let i = (w + round) % windows_a.len();
                 let fa = registry
-                    .predict("tenant-a", &windows_a[i])
+                    .client("tenant-a")
+                    .and_then(|a| a.predict(&windows_a[i]))
                     .expect("A served");
                 assert!(
                     matches_bitwise(&fa.prediction, &refs_a0[i])
@@ -162,7 +170,8 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
                 );
                 let j = (w + round) % windows_b.len();
                 let fb = registry
-                    .predict("tenant-b", &windows_b[j])
+                    .client("tenant-b")
+                    .and_then(|b| b.predict(&windows_b[j]))
                     .expect("B served");
                 assert!(
                     matches_bitwise(&fb.prediction, &refs_b[j]),
@@ -175,7 +184,7 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
     let mut swapped = 0u64;
     for round in 0..12 {
         fx_a.publish(1 - round % 2);
-        if registry.reload_now("tenant-a").expect("reload A") {
+        if a.reload_now().expect("reload A") {
             swapped += 1;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -184,8 +193,8 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
         h.join().expect("no worker panicked");
     }
     assert!(swapped >= 2, "load test never actually swapped ({swapped})");
-    let stats_a = registry.stats("tenant-a").unwrap();
-    let stats_b = registry.stats("tenant-b").unwrap();
+    let stats_a = a.stats();
+    let stats_b = b.stats();
     assert_eq!(stats_a.swaps, swapped + 1, "initial load + live swaps");
     assert_eq!(stats_b.swaps, 1, "B must never swap");
     assert_eq!(stats_b.reload_failures, 0);
@@ -200,13 +209,13 @@ fn torn_latest_falls_back_per_tenant_independently() {
     let fx_a = SwapFx::new("torn-a", DatasetConfig::metr_la(), 21, 22);
     let fx_b = SwapFx::new("torn-b", DatasetConfig::pems08(), 23, 24);
     let registry = Tenants::new();
-    fx_a.add_to(&registry, "tenant-a", false);
-    fx_b.add_to(&registry, "tenant-b", false);
+    let a = fx_a.add_to(&registry, "tenant-a", fx_a.config());
+    let b = fx_b.add_to(&registry, "tenant-b", fx_b.config());
     let slots_a = CheckpointDir::new(&fx_a.dir).unwrap();
 
     // Rotate: generation 1 becomes latest, generation 0 previous...
     fx_a.publish(1);
-    assert!(registry.reload_now("tenant-a").unwrap());
+    assert!(a.reload_now().unwrap());
     let ckpt_prev = std::fs::read_to_string(slots_a.latest_path()).unwrap();
     std::fs::write(slots_a.previous_path(), ckpt_prev).unwrap();
     // ...then the next publish tears mid-write.
@@ -214,33 +223,33 @@ fn torn_latest_falls_back_per_tenant_independently() {
     tear(&slots_a.latest_path());
 
     // A falls back to previous (generation-1 weights) — still a swap.
-    assert!(registry.reload_now("tenant-a").unwrap());
-    let fa = registry.predict("tenant-a", &fx_a.windows[0]).unwrap();
+    assert!(a.reload_now().unwrap());
+    let fa = a.predict(&fx_a.windows[0]).unwrap();
     assert!(
         matches_bitwise(&fa.prediction, &fx_a.refs[1][0]),
         "A must serve the fallback (previous) generation"
     );
-    assert_eq!(registry.stats("tenant-a").unwrap().reload_failures, 0);
+    assert_eq!(a.stats().reload_failures, 0);
 
     // B is untouched by A's disk corruption.
-    let fb = registry.predict("tenant-b", &fx_b.windows[0]).unwrap();
+    let fb = b.predict(&fx_b.windows[0]).unwrap();
     assert!(matches_bitwise(&fb.prediction, &fx_b.refs[0][0]));
-    assert_eq!(registry.stats("tenant-b").unwrap().reload_failures, 0);
+    assert_eq!(b.stats().reload_failures, 0);
 
     // Both of A's slots torn: typed error, old snapshot keeps serving.
     tear(&slots_a.latest_path());
     tear(&slots_a.previous_path());
-    match registry.reload_now("tenant-a") {
+    match a.reload_now() {
         Err(ServeError::Reload(_)) => {}
         other => panic!("expected Reload error, got {other:?}"),
     }
-    let fa = registry.predict("tenant-a", &fx_a.windows[0]).unwrap();
+    let fa = a.predict(&fx_a.windows[0]).unwrap();
     assert!(
         matches_bitwise(&fa.prediction, &fx_a.refs[1][0]),
         "A must keep serving its in-memory snapshot"
     );
-    assert_eq!(registry.stats("tenant-a").unwrap().reload_failures, 1);
-    let fb = registry.predict("tenant-b", &fx_b.windows[0]).unwrap();
+    assert_eq!(a.stats().reload_failures, 1);
+    let fb = b.predict(&fx_b.windows[0]).unwrap();
     assert!(matches_bitwise(&fb.prediction, &fx_b.refs[0][0]));
 }
 
@@ -251,8 +260,14 @@ fn torn_latest_falls_back_per_tenant_independently() {
 fn hot_swap_purges_response_cache() {
     let fx = SwapFx::new("cache", DatasetConfig::pems_bay(), 31, 32);
     let registry = Tenants::new();
-    fx.add_to(&registry, "cached", true);
-    let client = registry.client("cached").unwrap();
+    let client = fx.add_to(
+        &registry,
+        "cached",
+        ServeConfig {
+            cache: Some(CachePolicy::default()),
+            ..fx.config()
+        },
+    );
 
     // Prime the cache on generation 0.
     for w in &fx.windows {
@@ -267,7 +282,7 @@ fn hot_swap_purges_response_cache() {
     assert!(client.cached_len() > 0);
 
     fx.publish(1);
-    assert!(registry.reload_now("cached").unwrap());
+    assert!(client.reload_now().unwrap());
 
     // Same window, post-swap: must be the new generation, not the cache.
     let after = client.predict(&fx.windows[0]).unwrap();
@@ -285,8 +300,7 @@ fn hot_swap_purges_response_cache() {
 fn concurrent_reloads_publish_one_generation() {
     let fx = SwapFx::new("race", DatasetConfig::metr_la(), 41, 42);
     let registry = Tenants::new();
-    fx.add_to(&registry, "raced", false);
-    let client = registry.client("raced").unwrap();
+    let client = fx.add_to(&registry, "raced", fx.config());
     for round in 0..3 {
         let (swaps, generation) = (client.stats().swaps, client.generation().unwrap());
         fx.publish(1 - round % 2);
@@ -296,7 +310,7 @@ fn concurrent_reloads_publish_one_generation() {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        registry.reload_now("raced").expect("reload")
+                        client.reload_now().expect("reload")
                     })
                 })
                 .collect();
@@ -307,4 +321,57 @@ fn concurrent_reloads_publish_one_generation() {
         assert_eq!(client.stats().swaps, swaps + 1, "{what}");
         assert_eq!(client.generation(), Some(generation + 1), "{what}");
     }
+}
+
+/// The reload poller follows the trainer with no explicit reload: a
+/// tenant polling every 20 ms serves a publish within 5 s, bit for bit
+/// what a cold load of that checkpoint serves, and removing the tenant
+/// stops the poller (and drains the tenant) within a second.
+#[test]
+fn reload_poller_swaps_in_a_publish_and_stops_on_remove() {
+    let fx = SwapFx::new("poll", DatasetConfig::metr_la(), 51, 52);
+    let registry = Tenants::new();
+    let client = fx.add_to(
+        &registry,
+        "polled",
+        ServeConfig {
+            reload_interval: Some(Duration::from_millis(20)),
+            ..fx.config()
+        },
+    );
+    assert_eq!(client.generation(), Some(1));
+
+    // Publish the way a trainer does: a complete file renamed over
+    // `latest`, so the poller never sees a partial document.
+    let slots = CheckpointDir::new(&fx.dir).unwrap();
+    let staged = fx.dir.join("publish.tmp");
+    std::fs::write(&staged, &fx.gen_bytes[1]).unwrap();
+    std::fs::rename(&staged, slots.latest_path()).unwrap();
+    let published = Instant::now();
+    while client.generation() < Some(2) {
+        assert!(
+            published.elapsed() < Duration::from_secs(5),
+            "poller did not swap within 5 s of the publish"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(client.generation(), Some(2), "one publish, one swap");
+
+    let (model, template) =
+        UrclPipeline::serving_parts(&fx.ds.network, &fx.ds.config, &TrainerConfig::default());
+    let cold = ModelSnapshot::from_checkpoint(&slots.load().unwrap(), &template, 0).unwrap();
+    let expected =
+        forward_batch(&model, &cold, &fx.windows[..1], fx.ds.config.target_channel).remove(0);
+    let live = client.predict(&fx.windows[0]).unwrap();
+    assert_eq!(live.generation, 2);
+    assert!(
+        matches_bitwise(&live.prediction, &expected),
+        "polled swap forecasts differently from a cold load"
+    );
+    assert_eq!(client.stats().reload_failures, 0);
+
+    let removing = Instant::now();
+    assert!(registry.remove("polled"));
+    let took = removing.elapsed();
+    assert!(took < Duration::from_secs(1), "remove took {took:?}");
 }

@@ -4,7 +4,8 @@
 # default-members), clippy over every target,
 # the end-to-end benchmark's smoke test, then a traced framework run
 # whose JSON output (and any other BENCH_*.json / results files present)
-# is schema-validated through the in-tree parser.
+# is schema-validated through the in-tree parser, and last the
+# train-step smoke.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -99,18 +100,21 @@ timeout 900 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== traced framework run =="
 ./target/release/bench_framework --quick --trace BENCH_trace.json
 
-echo "== train-step throughput smoke (thread/plan determinism) =="
-# Quick schedule: asserts bitwise-identical losses across all
-# (threads, plan) cells, zero steady-state pool misses, the
-# one-poly-plan-many-batch-sizes zero-recompile check and the host-aware
-# thread-scaling gate.
-./target/release/bench_train_step --quick
-
 echo "== JSON round-trip + trace schema validation =="
+# Runs before the train-step smoke, whose thread-scaling gate stops the
+# script on hosts with fewer than 4 cores.
 files=(BENCH_trace.json)
 for f in BENCH_*.json results/*.json; do
   [[ -e "$f" && "$f" != BENCH_trace.json ]] && files+=("$f")
 done
 ./target/release/validate_json "${files[@]}"
+
+echo "== train-step throughput smoke (thread determinism) =="
+# Quick schedule: asserts bitwise-identical losses across the 1- and
+# 4-thread plan cells, zero steady-state pool misses, the
+# one-poly-plan-many-batch-sizes zero-recompile check and the host-aware
+# thread-scaling gate, then validates the artifact it wrote.
+./target/release/bench_train_step --quick
+./target/release/validate_json BENCH_train_step.json
 
 echo "CI OK"

@@ -1,23 +1,37 @@
 //! Negative-path coverage for `urcl::core::persist`: every way a
 //! checkpoint can be wrong must surface as a typed [`PersistError`], never
-//! a panic and never a silently corrupted model.
+//! a panic and never a silently corrupted model. Every document is read
+//! through [`CheckpointDir::load`], the one checkpoint reader, and every
+//! layout check goes through [`copy_store_checked`].
 
-use urcl::core::persist::{
-    load_checkpoint, load_checkpoint_into, save_checkpoint, PersistError, CHECKPOINT_VERSION,
-};
+use urcl::core::persist::{copy_store_checked, CheckpointDir, PersistError, CHECKPOINT_VERSION};
 use urcl::tensor::{ParamStore, Tensor};
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("urcl-neg-{}-{name}.json", std::process::id()))
+/// A fresh, empty checkpoint directory.
+fn temp_slots(name: &str) -> CheckpointDir {
+    let dir = std::env::temp_dir().join(format!("urcl-neg-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    CheckpointDir::new(dir).unwrap()
 }
 
-/// Writes `text`, loads it, cleans up, and returns the error.
+/// Publishes `text` as the directory's only checkpoint, loads it, cleans
+/// up, and returns the error.
 fn load_text(name: &str, text: &str) -> PersistError {
-    let path = temp_path(name);
-    std::fs::write(&path, text).unwrap();
-    let err = load_checkpoint(&path).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    let slots = temp_slots(name);
+    std::fs::write(slots.latest_path(), text).unwrap();
+    let err = slots.load().unwrap_err();
+    std::fs::remove_dir_all(slots.dir()).ok();
     err
+}
+
+/// Saves `saved` params-only, then copies it into `model` through the
+/// layout check.
+fn load_into(name: &str, saved: &ParamStore, model: &mut ParamStore) -> Result<(), PersistError> {
+    let slots = temp_slots(name);
+    slots.save("", saved, None).unwrap();
+    let ckpt = slots.load();
+    std::fs::remove_dir_all(slots.dir()).ok();
+    copy_store_checked(&ckpt?.store, model)
 }
 
 fn small_store() -> ParamStore {
@@ -29,13 +43,13 @@ fn small_store() -> ParamStore {
 
 #[test]
 fn truncated_file_is_a_format_error() {
-    let path = temp_path("trunc");
-    save_checkpoint(&path, "will be torn", &small_store()).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
+    let slots = temp_slots("trunc");
+    slots.save("will be torn", &small_store(), None).unwrap();
+    let text = std::fs::read_to_string(slots.latest_path()).unwrap();
     // Cut the document mid-token, as a crash mid-write would.
-    std::fs::write(&path, &text[..text.len() * 2 / 3]).unwrap();
-    let err = load_checkpoint(&path).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    std::fs::write(slots.latest_path(), &text[..text.len() * 2 / 3]).unwrap();
+    let err = slots.load().unwrap_err();
+    std::fs::remove_dir_all(slots.dir()).ok();
     assert!(matches!(err, PersistError::Format(_)), "{err}");
 }
 
@@ -101,49 +115,32 @@ fn missing_version_field_is_a_format_error() {
 }
 
 #[test]
-fn v1_params_only_checkpoint_loads_forward_compatibly() {
-    // A handcrafted v1 document — written before the pipeline section
-    // existed — must still load, with `pipeline: None`.
-    let path = temp_path("v1fwd");
-    std::fs::write(
-        &path,
+fn v1_document_is_a_version_error() {
+    // Only the seed release wrote params-only v1 documents; v2 is the only
+    // format that loads, so a well-formed v1 document is refused by
+    // version, not parsed.
+    let err = load_text(
+        "v1",
         r#"{"version": 1, "description": "pre-v2", "store": {"params": [
             {"name": "enc.w", "shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0]},
             {"name": "enc.b", "shape": [1], "data": [0.5]}
         ]}}"#,
-    )
-    .unwrap();
-    let mut model = small_store();
-    // Zero the live store so the copy is observable.
-    let ids: Vec<_> = model.ids().collect();
-    for id in &ids {
-        for v in model.value_mut(*id).data_mut() {
-            *v = 0.0;
-        }
-    }
-    let ckpt = load_checkpoint_into(&path, &mut model).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(ckpt.version, 1);
-    assert!(ckpt.pipeline.is_none());
-    assert_eq!(model.value(ids[0]).data(), &[1.0, 2.0, 3.0, 4.0]);
-    assert_eq!(model.value(ids[1]).data(), &[0.5]);
+    );
+    assert!(matches!(err, PersistError::Version(1)), "{err}");
 }
 
 #[test]
 fn shape_mismatch_against_live_model_is_typed_and_nondestructive() {
-    let path = temp_path("mismatch-shape");
     let mut wrong = ParamStore::new();
     wrong.add("enc.w", Tensor::from_vec(vec![1.0, 2.0], &[2])); // [2] vs [2, 2]
     wrong.add("enc.b", Tensor::from_vec(vec![0.5], &[1]));
-    save_checkpoint(&path, "", &wrong).unwrap();
 
     let mut model = small_store();
     let before: Vec<Vec<f32>> = model
         .ids()
         .map(|i| model.value(i).data().to_vec())
         .collect();
-    let err = load_checkpoint_into(&path, &mut model).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    let err = load_into("mismatch-shape", &wrong, &mut model).unwrap_err();
     let PersistError::Mismatch(msg) = err else {
         panic!("expected Mismatch, got {err}");
     };
@@ -158,23 +155,19 @@ fn shape_mismatch_against_live_model_is_typed_and_nondestructive() {
 
 #[test]
 fn parameter_count_and_name_mismatches_are_typed() {
-    let path = temp_path("mismatch-count");
     let mut one = ParamStore::new();
     one.add("enc.w", Tensor::from_vec(vec![0.0; 4], &[2, 2]));
-    save_checkpoint(&path, "", &one).unwrap();
     let mut model = small_store();
     assert!(matches!(
-        load_checkpoint_into(&path, &mut model).unwrap_err(),
+        load_into("mismatch-count", &one, &mut model).unwrap_err(),
         PersistError::Mismatch(_)
     ));
 
-    save_checkpoint(&path, "", &small_store()).unwrap();
     // Same shapes, different name in slot 0.
     let mut other = ParamStore::new();
     other.add("dec.w", Tensor::from_vec(vec![0.0; 4], &[2, 2]));
     other.add("enc.b", Tensor::from_vec(vec![0.0], &[1]));
-    let err = load_checkpoint_into(&path, &mut other).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    let err = load_into("mismatch-name", &small_store(), &mut other).unwrap_err();
     let PersistError::Mismatch(msg) = err else {
         panic!("expected Mismatch, got {err}");
     };
