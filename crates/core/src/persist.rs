@@ -505,24 +505,14 @@ fn checkpoint_from_json(doc: &Value) -> Result<Checkpoint, PersistError> {
 
 // ------------------------------------------------------------------- I/O
 
-fn record_save_metrics(bytes: usize) {
-    urcl_trace::counter_inc("checkpoint.saves");
-    urcl_trace::counter_add("checkpoint.bytes_written", bytes as u64);
-    urcl_trace::histogram_record("checkpoint.save_bytes", bytes as f64);
-}
-
-fn record_load_metrics(bytes: usize) {
-    urcl_trace::counter_inc("checkpoint.loads");
-    urcl_trace::counter_add("checkpoint.bytes_read", bytes as u64);
-    urcl_trace::histogram_record("checkpoint.load_bytes", bytes as f64);
-}
-
 /// Reads and validates the checkpoint at `path` (one slot of a
 /// [`CheckpointDir`]).
 fn load_checkpoint(path: &Path) -> Result<Checkpoint, PersistError> {
     let _sp = urcl_trace::span("checkpoint_load");
     let json = std::fs::read_to_string(path)?;
-    record_load_metrics(json.len());
+    urcl_trace::counter_inc("checkpoint.loads");
+    urcl_trace::counter_add("checkpoint.bytes_read", json.len() as u64);
+    urcl_trace::histogram_record("checkpoint.load_bytes", json.len() as f64);
     let doc = Value::parse(&json)?;
     checkpoint_from_json(&doc)
 }
@@ -642,7 +632,9 @@ impl CheckpointDir {
         if let Ok(d) = std::fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        record_save_metrics(text.len());
+        urcl_trace::counter_inc("checkpoint.saves");
+        urcl_trace::counter_add("checkpoint.bytes_written", text.len() as u64);
+        urcl_trace::histogram_record("checkpoint.save_bytes", text.len() as f64);
         Ok(text.len() as u64)
     }
 
